@@ -101,6 +101,12 @@ def _solve_location(scn: Scenario, xy, opts: DcOptions) -> tuple[float, PowerAll
     return model.secrecy_sum(scn, traj, pw), pw
 
 
+def scan_options(**overrides) -> DcOptions:
+    """Power-stage options of the static scan, loose by default (the
+    winner is re-solved); ``overrides`` replace single fields."""
+    return DcOptions(**{"rel_tol": 1e-4, "max_iter": 40, **overrides})
+
+
 def static_relay_best(scn: Scenario,
                       grid: Optional[StaticGrid] = None,
                       dc_opts: Optional[DcOptions] = None) -> StaticResult:
@@ -114,7 +120,7 @@ def static_relay_best(scn: Scenario,
     """
     scn = _free_endpoints(scn)
     grid = grid or StaticGrid.default(scn)
-    scan_opts = dc_opts or DcOptions(rel_tol=1e-4, max_iter=40)
+    scan_opts = dc_opts or scan_options()
     xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
     ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
     cand = np.array([(x, y) for x in xs for y in ys])

@@ -50,7 +50,7 @@ import yaml
 
 from . import model
 from .ao import AoOptions, ao_optimize, evaluate
-from .baselines import data_ferry, static_relay_best
+from .baselines import data_ferry, scan_options, static_relay_best
 from .model import PowerAllocation, Scenario, Trajectory
 from .power_dc import DcOptions, StageFailure, dc_allocate
 from .report import RunReport
@@ -381,9 +381,14 @@ def cmd_power(scn, run, out_dir, args) -> int:
 
 def cmd_baseline(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
-    _, dc_opts, _, tol = _options(run)
+    tol = float(run.get("feas_tol", 1e-6))
     if args.scheme == "static":
-        res = static_relay_best(scn)
+        # The scan's own defaults, with the run keys the config sets.
+        given = {k: conv(run[k]) for k, conv in
+                 (("rel_tol", float), ("max_iter", int), ("feas_tol", float))
+                 if k in run}
+        res = static_relay_best(
+            scn, dc_opts=scan_options(**given) if given else None)
         traj = Trajectory(np.tile(res.location, (scn.n_slots, 1)))
         extra = {"scheme": "static",
                  "location_m": [float(v) for v in res.location],

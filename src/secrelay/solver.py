@@ -13,6 +13,11 @@ Problems are stated in minimize convention:
 
 Constraints are supplied in vectorized blocks (value, Jacobian and a
 weighted-Hessian-sum callback) so structured subproblems stay cheap.
+Finite bounds never become Jacobian rows: they enter the Newton matrix
+as a diagonal term and the residuals as a scatter.  Each Newton point is
+evaluated once: the gradient, Jacobian and constraint values of the
+accepted line-search trial are carried into the next step and into the
+optimality checks.
 """
 from __future__ import annotations
 
@@ -105,13 +110,18 @@ class SolverResult:
 
 
 class _Blocks:
-    """Program inequalities plus bounds, flattened into one stack."""
+    """Program inequalities plus bounds, flattened into one stack.
+
+    The stack is [program rows; lb_i - x_i; x_j - ub_j] <= 0 over the
+    finite bounds.  ``jacobian`` returns the program rows only; ``jt``,
+    ``jv`` and ``jt_diag_j`` apply the full stack, the bound rows
+    (-e_i and +e_j) added implicitly.
+    """
 
     def __init__(self, prog: SmoothConvexProgram):
         self.prog = prog
         self.blocks = list(prog.ineqs)
         self.n_ineq = sum(b.m for b in prog.ineqs)
-        # Bounds become one affine block: [lb_i - x_i ; x_j - ub_j] <= 0.
         lb = prog.lb if prog.lb is not None else np.full(prog.dim, -np.inf)
         ub = prog.ub if prog.ub is not None else np.full(prog.dim, np.inf)
         lb = np.asarray(lb, dtype=float)
@@ -120,7 +130,8 @@ class _Blocks:
         self.ub_idx = np.flatnonzero(np.isfinite(ub))
         self.lb = lb
         self.ub = ub
-        self.m = self.n_ineq + self.lb_idx.size + self.ub_idx.size
+        self.n_lb = self.n_ineq + self.lb_idx.size   # end of the lb rows
+        self.m = self.n_lb + self.ub_idx.size
 
     def value(self, x: Array) -> Array:
         parts = [b.value(x) for b in self.blocks]
@@ -129,19 +140,31 @@ class _Blocks:
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def jacobian(self, x: Array) -> Array:
-        dim = self.prog.dim
-        J = np.zeros((self.m, dim))
+        """Jacobian of the program rows, (n_ineq, dim)."""
+        J = np.zeros((self.n_ineq, self.prog.dim))
         r = 0
         for b in self.blocks:
             J[r:r + b.m] = b.jacobian(x)
             r += b.m
-        for i in self.lb_idx:
-            J[r, i] = -1.0
-            r += 1
-        for i in self.ub_idx:
-            J[r, i] = 1.0
-            r += 1
         return J
+
+    def jt(self, J: Array, w: Array) -> Array:
+        """Full-stack J^T w."""
+        out = J.T @ w[:self.n_ineq]
+        out[self.lb_idx] -= w[self.n_ineq:self.n_lb]
+        out[self.ub_idx] += w[self.n_lb:]
+        return out
+
+    def jv(self, J: Array, v: Array) -> Array:
+        """Full-stack J v."""
+        return np.concatenate([J @ v, -v[self.lb_idx], v[self.ub_idx]])
+
+    def jt_diag_j(self, J: Array, s: Array) -> Array:
+        """Full-stack J^T diag(s) J."""
+        out = (J.T * s[:self.n_ineq]) @ J
+        out[self.lb_idx, self.lb_idx] += s[self.n_ineq:self.n_lb]
+        out[self.ub_idx, self.ub_idx] += s[self.n_lb:]
+        return out
 
     def hess_weighted(self, x: Array, w: Array) -> Array:
         H = np.zeros((self.prog.dim, self.prog.dim))
@@ -168,8 +191,8 @@ def _chol_solve(H: Array, rhs: Array):
     return None, reg
 
 
-def _pd_residual(grad_f, J, g, lam, mu):
-    r_dual = grad_f + J.T @ lam
+def _pd_residual(blocks, grad_f, J, g, lam, mu):
+    r_dual = grad_f + blocks.jt(J, lam)
     r_cent = -lam * g - mu
     return r_dual, r_cent
 
@@ -269,18 +292,15 @@ def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
             z[ubi] - blocks.ub[ubi] - z[dim],
         ])
 
-    def bounds_jac(z):
-        J = np.zeros((lbi.size + ubi.size, dim + 1))
-        for r, i in enumerate(lbi):
-            J[r, i] = -1.0
-        for r, i in enumerate(ubi):
-            J[lbi.size + r, i] = 1.0
-        J[:, dim] = -1.0
-        return J
+    bounds_J = np.zeros((lbi.size + ubi.size, dim + 1))
+    bounds_J[np.arange(lbi.size), lbi] = -1.0
+    bounds_J[lbi.size + np.arange(ubi.size), ubi] = 1.0
+    bounds_J[:, dim] = -1.0
 
     if lbi.size + ubi.size:
         lifted.append(ConstraintBlock(m=lbi.size + ubi.size, value=bounds_val,
-                                      jacobian=bounds_jac, name="bounds+slack"))
+                                      jacobian=lambda z: bounds_J,
+                                      name="bounds+slack"))
 
     aux = SmoothConvexProgram(
         dim=dim + 1,
@@ -315,7 +335,10 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
     if x0 is None:
         x0 = np.asarray(prog.strictly_feasible_start, dtype=float)
     x = x0.copy()
+    # Derivatives at x; each later point gets them from its line search.
     g = blocks.value(x)
+    grad_f = prog.gradient(x)
+    J = blocks.jacobian(x)
     lam = np.clip(1.0 / np.maximum(-g, 1e-10), 1e-8, 1e8)
     mu = float(np.mean(lam * (-g))) if g.size else 0.0
     mu = max(mu, 1e-3)
@@ -324,7 +347,8 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
     hess = prog.hessian if prog.hessian is not None else (
         lambda z: np.zeros((prog.dim, prog.dim)))
 
-    history: list[float] = [float(prog.objective(x))]
+    f_x = float(prog.objective(x))
+    history: list[float] = [f_x]
     n_newton = 0
     status = "max_iter"
     stalled = False
@@ -332,25 +356,22 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
         # Inner: damped Newton on the perturbed KKT system at this mu.
         inner_target = max(0.5 * mu, 0.1 * opts.tol)
         for _ in range(opts.inner_max):
-            grad_f = prog.gradient(x)
-            J = blocks.jacobian(x)
-            g = blocks.value(x)
-            r_dual, r_cent = _pd_residual(grad_f, J, g, lam, mu)
+            r_dual, r_cent = _pd_residual(blocks, grad_f, J, g, lam, mu)
             r_norm = max(
                 float(np.max(np.abs(r_dual))),
                 float(np.max(np.abs(r_cent))) if g.size else 0.0)
             if r_norm <= inner_target:
                 break
-            H = hess(x) + blocks.hess_weighted(x, lam)
             sigma = lam / np.maximum(-g, 1e-300)
-            H_pd = H + (J.T * sigma) @ J
-            rhs = -r_dual - J.T @ (r_cent / g)
+            H_pd = blocks.jt_diag_j(J, sigma)
+            H_pd += hess(x) + blocks.hess_weighted(x, lam)
+            rhs = -r_dual - blocks.jt(J, r_cent / g)
             dx, _ = _chol_solve(H_pd, rhs)
             if dx is None:
                 status = "numerical_failure"
                 stalled = True
                 break
-            dlam = (r_cent - lam * (J @ dx)) / g
+            dlam = (r_cent - lam * blocks.jv(J, dx)) / g
             # Fraction-to-boundary on the multipliers, then primal
             # strict feasibility, then residual decrease.
             alpha = 1.0
@@ -368,9 +389,9 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
                     alpha *= 0.5
                     continue
                 lam_t = lam + alpha * dlam
-                rd_t, rc_t = _pd_residual(prog.gradient(x_t),
-                                          blocks.jacobian(x_t), g_t,
-                                          lam_t, mu)
+                grad_t = prog.gradient(x_t)
+                J_t = blocks.jacobian(x_t)
+                rd_t, rc_t = _pd_residual(blocks, grad_t, J_t, g_t, lam_t, mu)
                 r_t = np.sqrt(float(rd_t @ rd_t + rc_t @ rc_t))
                 if r_t <= (1.0 - 0.01 * alpha) * r0 or r_t <= inner_target:
                     accepted = True
@@ -379,14 +400,16 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
             if not accepted:
                 stalled = True
                 break
-            x, lam = x_t, lam_t
+            x, lam, g, grad_f, J = x_t, lam_t, g_t, grad_t, J_t
+            f_x = None
             n_newton += 1
             if n_newton >= opts.max_iter:
                 break
-        history.append(float(prog.objective(x)))
+        if f_x is None:
+            f_x = float(prog.objective(x))
+        history.append(f_x)
         # Unperturbed KKT residual decides optimality.
-        g = blocks.value(x)
-        kkt0 = _kkt_residual_raw(prog.gradient(x), blocks.jacobian(x), g, lam)
+        kkt0 = _kkt_residual_raw(blocks, grad_f, J, g, lam)
         if stop_early is not None and stop_early(x):
             status = "early"
             break
@@ -399,18 +422,19 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
             break
         mu = max(mu * opts.mu_factor, mu_min) if mu > mu_min else mu * 0.5
 
-    g = blocks.value(x)
-    kkt0 = _kkt_residual_raw(prog.gradient(x), blocks.jacobian(x), g, lam)
+    kkt0 = _kkt_residual_raw(blocks, grad_f, J, g, lam)
     duals = lam[:blocks.n_ineq]
     bduals = lam[blocks.n_ineq:]
     return SolverResult(
         x_opt=x, duals=duals, bound_duals=bduals, status=status,
         kkt_residual=kkt0, iterations=n_newton,
-        objective_value=float(prog.objective(x)), objective_history=history)
+        objective_value=f_x, objective_history=history)
 
 
-def _kkt_residual_raw(grad_f: Array, J: Array, g: Array, lam: Array) -> float:
-    stat = float(np.max(np.abs(grad_f + J.T @ lam))) if grad_f.size else 0.0
+def _kkt_residual_raw(blocks: _Blocks, grad_f: Array, J: Array, g: Array,
+                      lam: Array) -> float:
+    stat = (float(np.max(np.abs(grad_f + blocks.jt(J, lam))))
+            if grad_f.size else 0.0)
     if g.size == 0:
         return stat
     return max(
@@ -473,7 +497,8 @@ def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
     duals = np.asarray(duals, dtype=float).reshape(-1)
     lam[:duals.size] = duals
     g = blocks.value(x)
-    return _kkt_residual_raw(prog.gradient(x), blocks.jacobian(x), g, lam)
+    return _kkt_residual_raw(blocks, prog.gradient(x), blocks.jacobian(x), g,
+                             lam)
 
 
 def verify_derivatives(prog: SmoothConvexProgram, x: Array,

@@ -299,6 +299,7 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     pref = (act[None, :] <= np.arange(1, n)[:, None]).astype(float)
     # pref[j, a] = 1 iff active slot index act[a] belongs to the prefix
     # ending at slot j+2 (0-based indices <= j+1)
+    tri = np.tril(np.ones((n - 1, n - 1)))   # prefix operator over slots
 
     # Hair-thin relaxation (bits) so a causality-tight base point still
     # leaves the interior-point method an interior; stays far inside the
@@ -323,7 +324,6 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
             gd = c_r * (2 * delta + 2 * x)
             gx = c_r * (2 * xi + 2 * y)
             # -d rhs/d delta_i for prefixes containing slot i (i <= n-1)
-            tri = np.tril(np.ones((n - 1, n - 1)))
             J[:, lay.i_delta[:-1]] = tri * (gd[:-1] * h)
             J[:, lay.i_xi[:-1]] = tri * (gx[:-1] * h)
             return J

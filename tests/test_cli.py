@@ -190,3 +190,37 @@ class TestArtifacts:
         assert rep["objective"] >= 0.0
         assert all(v["feasible"]
                    for v in rep["feasibility"].values())
+
+
+class TestBaselineOptions:
+    def _captured_opts(self, monkeypatch, tmp_path, run):
+        """dc_opts that ``secrelay baseline static`` hands to the scan."""
+        from secrelay.baselines import StaticGrid, static_relay_best
+        seen = []
+
+        def recorder(scn, grid=None, dc_opts=None):
+            seen.append(dc_opts)
+            one_point = StaticGrid(x_min=200.0, x_max=200.0, y_min=-50.0,
+                                   y_max=-50.0, nx=1, ny=1,
+                                   refine_halvings=0)
+            return static_relay_best(scn, grid=one_point, dc_opts=dc_opts)
+
+        monkeypatch.setattr(cli, "static_relay_best", recorder)
+        cfg = _write(tmp_path, dict(SMALL, run=run))
+        rc = cli.main(["baseline", "static", str(cfg),
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+        assert len(seen) == 1
+        return seen[0]
+
+    def test_run_keys_reach_static_scan(self, monkeypatch, tmp_path, capsys):
+        opts = self._captured_opts(monkeypatch, tmp_path, {"max_iter": 1})
+        assert opts.max_iter == 1
+        assert opts.rel_tol == 1e-4       # the scan default, not DcOptions'
+        opts = self._captured_opts(monkeypatch, tmp_path,
+                                   {"rel_tol": 1e-3, "feas_tol": 1e-7})
+        assert (opts.rel_tol, opts.max_iter, opts.feas_tol) == (1e-3, 40, 1e-7)
+
+    def test_empty_run_keeps_scan_defaults(self, monkeypatch, tmp_path,
+                                           capsys):
+        assert self._captured_opts(monkeypatch, tmp_path, {}) is None

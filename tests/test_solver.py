@@ -4,9 +4,10 @@ import pytest
 
 from secrelay import _blas
 from secrelay.model import PowerAllocation
-from secrelay.solver import (STALL_TOL_FACTOR, SmoothConvexProgram,
-                             SolverOptions, kkt_residual, scalar_ineq, solve,
-                             spot_check_convexity, verify_derivatives)
+from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock,
+                             SmoothConvexProgram, SolverOptions, kkt_residual,
+                             scalar_ineq, solve, spot_check_convexity,
+                             verify_derivatives)
 
 LN2 = float(np.log(2.0))
 
@@ -79,6 +80,99 @@ class TestStallStatus:
         assert res.kkt_residual <= STALL_TOL_FACTOR * 1e-16
         assert res.status == "optimal"
         assert res.x_opt[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _boxed_program(explicit_bounds=False):
+    """min |x - c|^2 + 0.5 x0 x1  s.t.  |x|^2 <= 4 and a box.
+
+    The box [-1, 0.6] x [-inf, 0.5] x [-0.2, inf] is given as bounds, or,
+    with ``explicit_bounds``, as one affine ConstraintBlock."""
+    c = np.array([2.0, 1.0, -1.0])
+    lb = np.array([-1.0, -np.inf, -0.2])
+    ub = np.array([0.6, 0.5, np.inf])
+    ball = ConstraintBlock(
+        m=1, value=lambda x: np.array([x @ x - 4.0]),
+        jacobian=lambda x: 2.0 * x.reshape(1, -1),
+        hess_weighted=lambda x, w: 2.0 * w[0] * np.eye(3), name="ball")
+    ineqs = [ball]
+    if explicit_bounds:
+        lbi = np.flatnonzero(np.isfinite(lb))
+        ubi = np.flatnonzero(np.isfinite(ub))
+        rows = np.vstack([-np.eye(3)[lbi], np.eye(3)[ubi]])
+        ineqs.append(ConstraintBlock(
+            m=rows.shape[0],
+            value=lambda x: np.concatenate([lb[lbi] - x[lbi],
+                                            x[ubi] - ub[ubi]]),
+            jacobian=lambda x: rows, name="box"))
+    hess = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    return SmoothConvexProgram(
+        dim=3,
+        objective=lambda x: float((x - c) @ (x - c) + 0.5 * x[0] * x[1]),
+        gradient=lambda x: 2.0 * (x - c) + 0.5 * np.array([x[1], x[0], 0.0]),
+        hessian=lambda x: hess,
+        ineqs=ineqs,
+        lb=None if explicit_bounds else lb,
+        ub=None if explicit_bounds else ub,
+        strictly_feasible_start=np.array([0.1, 0.0, 0.3]),
+    )
+
+
+class TestImplicitBounds:
+    def test_bounds_match_explicit_rows(self):
+        res = solve(_boxed_program())
+        ref = solve(_boxed_program(explicit_bounds=True))
+        assert res.status == ref.status == "optimal"
+        np.testing.assert_allclose(res.x_opt, ref.x_opt, rtol=0, atol=1e-7)
+        # Active: x0 <= 0.6, x1 <= 0.5, x2 >= -0.2.
+        np.testing.assert_allclose(res.x_opt, [0.6, 0.5, -0.2], atol=1e-5)
+
+    def test_kkt_residual_matches_dense_reference(self):
+        prog = _boxed_program()
+        res = solve(prog)
+        x = res.x_opt
+        lam = np.concatenate([res.duals, res.bound_duals])
+        # Dense stack: program rows, then -e_i for finite lb, +e_j for ub.
+        lbi = np.flatnonzero(np.isfinite(prog.lb))
+        ubi = np.flatnonzero(np.isfinite(prog.ub))
+        J = np.vstack([prog.ineqs[0].jacobian(x), -np.eye(3)[lbi],
+                       np.eye(3)[ubi]])
+        g = np.concatenate([prog.ineqs[0].value(x), prog.lb[lbi] - x[lbi],
+                            x[ubi] - prog.ub[ubi]])
+        for duals in (lam, lam * 1.01 + 1e-3, -lam):
+            ref = max(float(np.max(np.abs(prog.gradient(x) + J.T @ duals))),
+                      float(np.max(np.maximum(g, 0.0))),
+                      float(np.max(np.abs(duals * g))),
+                      float(np.max(np.maximum(-duals, 0.0))))
+            assert kkt_residual(prog, x, duals) == pytest.approx(
+                ref, rel=0, abs=1e-12)
+
+
+class TestEvaluationCount:
+    def test_each_point_evaluated_once(self):
+        """Gradient, objective and each block's Jacobian see a point once."""
+        prog, *_ = _random_two_var_family(np.random.default_rng(3))
+        seen = {"objective": [], "gradient": []}
+
+        def recording(name, fn):
+            seen.setdefault(name, [])
+
+            def wrapped(x, *args):
+                seen[name].append(np.asarray(x).tobytes())
+                return fn(x, *args)
+            return wrapped
+
+        prog.objective = recording("objective", prog.objective)
+        prog.gradient = recording("gradient", prog.gradient)
+        prog.ineqs = [ConstraintBlock(
+            m=b.m, value=b.value,
+            jacobian=recording(f"jacobian{k}", b.jacobian),
+            hess_weighted=b.hess_weighted, name=b.name)
+            for k, b in enumerate(prog.ineqs)]
+        res = solve(prog)
+        assert res.status == "optimal" and res.iterations > 0
+        for name, points in seen.items():
+            assert points, name
+            assert len(set(points)) == len(points), name
 
 
 class TestSlackLogTerm:
