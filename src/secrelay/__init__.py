@@ -8,32 +8,33 @@ interior-point solver for the smooth convex subproblems.
 from .ao import AoOptions, EvalSnapshot, ao_optimize, evaluate
 from .baselines import (FerryResult, StaticGrid, StaticResult, data_ferry,
                         ferry_plan, static_relay_best)
-from .cli import benchmark_scenario
 from .model import (ChannelState, FeasibilityVerdict, PowerAllocation,
-                    RateProfile, Scenario, Trajectory, channel_state,
-                    check_all, check_causality, check_mobility,
-                    check_power_budget, equal_power_allocation, rate_profile,
-                    secrecy_sum, zero_power_allocation)
+                    RateProfile, Scenario, Trajectory, benchmark_scenario,
+                    channel_state, check_all, check_causality,
+                    check_mobility, check_power_budget,
+                    equal_power_allocation, rate_profile, secrecy_sum,
+                    zero_power_allocation)
 from .power_dc import DcOptions, StageFailure, dc_allocate
 from .report import IterationRecord, RunReport
-from .solver import (ConstraintBlock, SmoothConvexProgram, SolverOptions,
-                     SolverResult, kkt_residual, scalar_ineq, solve,
-                     verify_derivatives)
+from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
+                     SolverOptions, SolverResult, SymSparse, kkt_residual,
+                     scalar_ineq, solve, verify_derivatives)
 from .trajectory_scp import (ScpOptions, initial_trajectory,
                              restore_feasibility, scp_optimize)
 
 __all__ = [
     "AoOptions", "ChannelState", "ConstraintBlock", "DcOptions",
     "EvalSnapshot", "FeasibilityVerdict", "FerryResult", "IterationRecord",
-    "PowerAllocation", "RateProfile", "RunReport", "Scenario", "ScpOptions",
-    "SmoothConvexProgram", "SolverOptions", "SolverResult", "StageFailure",
-    "StaticGrid", "StaticResult", "Trajectory", "ao_optimize",
-    "benchmark_scenario", "channel_state", "check_all", "check_causality",
-    "check_mobility", "check_power_budget", "data_ferry", "dc_allocate",
-    "equal_power_allocation", "evaluate", "ferry_plan", "initial_trajectory",
-    "kkt_residual", "rate_profile", "restore_feasibility", "scalar_ineq",
-    "scp_optimize", "secrecy_sum", "solve", "static_relay_best",
-    "verify_derivatives", "zero_power_allocation",
+    "PowerAllocation", "RateProfile", "RowSparse", "RunReport", "Scenario",
+    "ScpOptions", "SmoothConvexProgram", "SolverOptions", "SolverResult",
+    "StageFailure", "StaticGrid", "StaticResult", "SymSparse", "Trajectory",
+    "ao_optimize", "benchmark_scenario", "channel_state", "check_all",
+    "check_causality", "check_mobility", "check_power_budget", "data_ferry",
+    "dc_allocate", "equal_power_allocation", "evaluate", "ferry_plan",
+    "initial_trajectory", "kkt_residual", "rate_profile",
+    "restore_feasibility", "scalar_ineq", "scp_optimize", "secrecy_sum",
+    "solve", "static_relay_best", "verify_derivatives",
+    "zero_power_allocation",
 ]
 
 __version__ = "0.1.0"

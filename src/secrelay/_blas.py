@@ -1,11 +1,11 @@
-"""Run the dense Newton algebra on one OpenBLAS thread.
+"""Run the Newton algebra on one OpenBLAS thread.
 
-The interior-point solver factors and multiplies matrices of a few
-hundred rows, thousands of times per run.  At that size a multi-threaded
-OpenBLAS spends more time waking and synchronizing its threads than
-computing: a static-relay scan at N = 65 takes 211 s with two threads
-and 25 s with one on a 2-core x86-64 machine.  One thread also fixes the
-summation order, so results no longer depend on the thread count.
+The interior-point solver factors and solves small systems, thousands of
+times per run.  At that size a multi-threaded OpenBLAS spends more time
+waking and synchronizing its threads than computing: with the earlier
+dense Newton algebra, a static-relay scan at N = 65 took 211 s with two
+threads and 25 s with one on a 2-core x86-64 machine.  One thread also
+fixes the summation order, so results do not depend on the thread count.
 
 ``one_thread()`` lowers every OpenBLAS loaded into the process (numpy
 and scipy each ship their own) to one thread and restores the previous

@@ -1,7 +1,6 @@
 """Alternating optimization driver over powers and trajectory."""
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence

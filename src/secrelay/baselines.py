@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -109,18 +108,22 @@ def scan_options(**overrides) -> DcOptions:
 
 def static_relay_best(scn: Scenario,
                       grid: Optional[StaticGrid] = None,
-                      dc_opts: Optional[DcOptions] = None) -> StaticResult:
+                      run_keys: Optional[dict] = None) -> StaticResult:
     """Best fixed relay location at altitude H with optimized powers.
 
     Scans the grid in decreasing order of a cheap secrecy upper bound and
     prunes locations whose bound cannot beat the incumbent, then refines
     locally with the grid step halved twice.  A location whose power
     stage raises ``StageFailure`` is scored at the stage's last iterate
-    and counted in ``StaticResult.failed``; the scan goes on.
+    and counted in ``StaticResult.failed``; the scan goes on.  ``run_keys``
+    are ``DcOptions`` fields (a config's ``run.rel_tol``, ``max_iter``,
+    ``feas_tol``): the scan runs with ``scan_options(**run_keys)``, the
+    final re-solve of the winner with ``DcOptions(**run_keys)``.
     """
     scn = _free_endpoints(scn)
     grid = grid or StaticGrid.default(scn)
-    scan_opts = dc_opts or scan_options()
+    run_keys = run_keys or {}
+    scan_opts = scan_options(**run_keys)
     xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
     ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
     cand = np.array([(x, y) for x in xs for y in ys])
@@ -167,9 +170,9 @@ def static_relay_best(scn: Scenario,
                 if obj > best_obj:
                     best_obj, best_xy, best_pw = obj, xy, pw
 
-    # Tighten the winner with default tolerances.
+    # Tighten the winner with default tolerances and the run keys.
     if best_obj > 0.0:
-        obj, pw = evaluate(best_xy, dc_opts or DcOptions())
+        obj, pw = evaluate(best_xy, DcOptions(**run_keys))
         if obj >= best_obj:
             best_obj, best_pw = obj, pw
     return StaticResult(location=np.asarray(best_xy, dtype=float),

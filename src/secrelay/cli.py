@@ -50,8 +50,9 @@ import yaml
 
 from . import model
 from .ao import AoOptions, ao_optimize, evaluate
-from .baselines import data_ferry, scan_options, static_relay_best
+from .baselines import data_ferry, static_relay_best
 from .model import PowerAllocation, Scenario, Trajectory
+from .model import benchmark_scenario  # noqa: F401  (kept importable here)
 from .power_dc import DcOptions, StageFailure, dc_allocate
 from .report import RunReport
 from .trajectory_scp import (ScpOptions, initial_trajectory,
@@ -199,22 +200,6 @@ def resolved_config(scn: Scenario, run: dict) -> dict:
                      else [float(v) for v in scn.end_xy]),
     }
     return {"scenario": scenario, "run": dict(run)}
-
-
-def benchmark_scenario(horizon_s: float = 100.0, slot_len_s: float = 1.0,
-                       fixed_endpoints: bool = False) -> Scenario:
-    """Standard benchmark instance: source at the origin, destination
-    2000 m away, eavesdropper at (1000, 100), altitude 100 m, 50 m/s,
-    80 dB reference SNR, 10 dBm average power budgets. With
-    ``fixed_endpoints`` the relay must start at (200, -100) and end at
-    (1800, -100)."""
-    kw = {}
-    if fixed_endpoints:
-        kw = {"start_xy": [200.0, -100.0], "end_xy": [1800.0, -100.0]}
-    return Scenario(bob_xy=[2000.0, 0.0], eve_xy=[1000.0, 100.0],
-                    altitude_h=100.0, n_slots=round(horizon_s / slot_len_s),
-                    slot_len=slot_len_s, v_max=50.0, ref_snr=1e8,
-                    p_bar_s=0.01, p_bar_r=0.01, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +368,12 @@ def cmd_baseline(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     tol = float(run.get("feas_tol", 1e-6))
     if args.scheme == "static":
-        # The scan's own defaults, with the run keys the config sets.
+        # The run keys the config sets, over the scan's and the final
+        # solve's own defaults.
         given = {k: conv(run[k]) for k, conv in
                  (("rel_tol", float), ("max_iter", int), ("feas_tol", float))
                  if k in run}
-        res = static_relay_best(
-            scn, dc_opts=scan_options(**given) if given else None)
+        res = static_relay_best(scn, run_keys=given)
         traj = Trajectory(np.tile(res.location, (scn.n_slots, 1)))
         extra = {"scheme": "static",
                  "location_m": [float(v) for v in res.location],

@@ -152,6 +152,22 @@ def zero_power_allocation(scn: Scenario) -> PowerAllocation:
     return PowerAllocation(p_s=np.zeros(scn.n_slots), p_r=np.zeros(scn.n_slots))
 
 
+def benchmark_scenario(horizon_s: float = 100.0, slot_len_s: float = 1.0,
+                       fixed_endpoints: bool = False) -> Scenario:
+    """Standard benchmark instance: source at the origin, destination
+    2000 m away, eavesdropper at (1000, 100), altitude 100 m, 50 m/s,
+    80 dB reference SNR, 10 dBm average power budgets. With
+    ``fixed_endpoints`` the relay must start at (200, -100) and end at
+    (1800, -100)."""
+    kw = {}
+    if fixed_endpoints:
+        kw = {"start_xy": [200.0, -100.0], "end_xy": [1800.0, -100.0]}
+    return Scenario(bob_xy=[2000.0, 0.0], eve_xy=[1000.0, 100.0],
+                    altitude_h=100.0, n_slots=round(horizon_s / slot_len_s),
+                    slot_len=slot_len_s, v_max=50.0, ref_snr=1e8,
+                    p_bar_s=0.01, p_bar_r=0.01, **kw)
+
+
 @dataclass(frozen=True)
 class ChannelState:
     """Per-slot link distances and linear SNR-per-watt gains."""

@@ -2,25 +2,36 @@
 
 The secrecy objective is a difference of concave functions of the relay
 power.  Each iteration linearizes the subtracted (eavesdropper) term and
-the concave left-hand sides of the causality prefixes at the current
+the concave relay outflows of information causality at the current
 allocation, solves the resulting convex program, and repeats.  The
 surrogate is tight at the linearization point and minorizes the true
 objective, so the true objective ascends monotonically and the limit is
 a KKT point of the power allocation problem.
+
+Information causality is stated with an explicit relay buffer
+(``Buffer``): one buffer for the rate forwarded to Bob and one for the
+rate leaked to Eve, each b_j >= 0 with b_j <= b_{j-1} + R_in,j - R_out,j.
+The power budgets use the same form on the remaining energy
+r_j = N p_bar - e_j of the cumulative energy e_j >= e_{j-1} + p_j, with
+only r_{N-2} >= 0 bounded.  The variables are laid out slot by slot, so
+every row touches two neighbouring slots and the solver's Newton matrix
+is banded.  The start keeps near-equal source power and a tiny relay
+power and puts each buffer at ``buffer_start`` of its prefix surpluses,
+strictly inside whenever the prefix constraints hold strictly there.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
 from .report import RunReport
-from .solver import (ConstraintBlock, SmoothConvexProgram, SolverOptions,
-                     kkt_residual, solve)
+from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
+                     SolverOptions, diag_hessian, kkt_residual, solve)
 
 LN2 = float(np.log(2.0))
 
@@ -49,8 +60,74 @@ class DcOptions:
 
 
 @dataclass
+class Buffer:
+    """A stock (relay buffer, remaining energy) drained per slot by the
+    net outflow ``flow``.
+
+    Row j of ``block()`` is b_j - b_{j-1} + flow_j(z) <= 0 with
+    b_{-1} = ``initial``: the buffer after slot j holds at most what it
+    held before plus what came in minus what went out.  The caller
+    bounds b_j >= 0.  With each b_j at its prefix surplus
+    (``surplus``) every row is tight, and b >= 0 is exactly the prefix
+    form sum_{i<=j} flow_i <= initial.  ``flow`` must return
+    ``RowSparse`` Jacobians and depend on no buffer variable.
+    """
+
+    flow: ConstraintBlock
+    idx: np.ndarray           # positions of b_0 .. b_{m-1} in z
+    name: str
+    initial: float = 0.0
+
+    def surplus(self, z: np.ndarray) -> np.ndarray:
+        """Prefix surpluses initial - sum_{i<=j} flow_i(z)."""
+        return self.initial - np.cumsum(self.flow.value(z))
+
+    def block(self) -> ConstraintBlock:
+        m, idx, flow = self.flow.m, self.idx, self.flow
+        cols = np.stack([idx, np.concatenate([idx[:1], idx[:-1]])], axis=1)
+        vals = np.ones((m, 2))
+        vals[:, 1] = -1.0
+        vals[0, 1] = 0.0       # b_{-1} is the constant ``initial``
+
+        def value(z):
+            b = z[idx]
+            return b - np.concatenate([[self.initial], b[:-1]]) + flow.value(z)
+
+        def jacobian(z):
+            f = flow.jacobian(z)
+            return RowSparse(np.concatenate([f.cols, cols], axis=1),
+                             np.concatenate([f.vals, vals], axis=1))
+
+        return ConstraintBlock(m=m, value=value, jacobian=jacobian,
+                               hess_weighted=flow.hess_weighted,
+                               name=self.name)
+
+
+def buffer_start(surplus: np.ndarray) -> np.ndarray:
+    """Strictly feasible buffer contents from the prefix surpluses S.
+
+    b_n = S_n - n * min_{j>=n} S_j / (m+1), n = 1..m: positive, and
+    S_n - b_n grows strictly with n, so every buffer row is slack,
+    whenever every S_n > 0.
+    """
+    m = surplus.size
+    tail_min = np.minimum.accumulate(surplus[::-1])[::-1]
+    return surplus - np.arange(1, m + 1) * tail_min / (m + 1)
+
+
+# Per-slot variable order of the power programs: scaled powers, buffer
+# contents in bits, scaled remaining energies.
+_SLOT_VARS = ("ps", "pr", "bob", "eve", "src_energy", "relay_energy")
+
+
+@dataclass
 class _Pieces:
-    """Channel slices over the active power slots."""
+    """Channel slices and variable layout over the power slots.
+
+    Power slot j = 0..N-2 holds the source power of slot j+1 and the
+    relay power of slot j+2 (1-based), both scaled; ``idx[name]`` gives
+    the positions of one per-slot variable of ``_SLOT_VARS``.
+    """
 
     n: int
     gar: np.ndarray   # alice->relay gain, slots 1..N-1
@@ -58,7 +135,15 @@ class _Pieces:
     gre: np.ndarray   # relay->eve gain,   slots 2..N
     u_s: float        # variable scale for source powers
     u_r: float        # variable scale for relay powers
-    tri: np.ndarray   # (N-1, N-1) lower-triangular ones (prefix operator)
+    idx: dict
+    dim: int
+
+
+def _layout(n: int) -> tuple[dict, int]:
+    """Positions of each per-slot variable, and the dimension, for N = n."""
+    stride = len(_SLOT_VARS)
+    return ({v: stride * np.arange(n - 1) + a
+             for a, v in enumerate(_SLOT_VARS)}, stride * (n - 1))
 
 
 def _pieces(scn: Scenario, traj: Trajectory) -> _Pieces:
@@ -66,14 +151,14 @@ def _pieces(scn: Scenario, traj: Trajectory) -> _Pieces:
     n = scn.n_slots
     u_s = max(n * scn.p_bar_s / (n - 1), 1e-9)
     u_r = max(n * scn.p_bar_r / (n - 1), 1e-9)
+    idx, dim = _layout(n)
     return _Pieces(
         n=n, gar=ch.gamma_ar[:-1], grd=ch.gamma_rd[1:], gre=ch.gamma_re[1:],
-        u_s=u_s, u_r=u_r, tri=np.tril(np.ones((n - 1, n - 1))))
+        u_s=u_s, u_r=u_r, idx=idx, dim=dim)
 
 
 def _split(pc: _Pieces, z: np.ndarray):
-    k = pc.n - 1
-    return pc.u_s * z[:k], pc.u_r * z[k:]
+    return pc.u_s * z[pc.idx["ps"]], pc.u_r * z[pc.idx["pr"]]
 
 
 def _pw_from_z(pc: _Pieces, z: np.ndarray) -> PowerAllocation:
@@ -81,59 +166,87 @@ def _pw_from_z(pc: _Pieces, z: np.ndarray) -> PowerAllocation:
     return PowerAllocation(p_s=np.append(ps, 0.0), p_r=np.insert(pr, 0, 0.0))
 
 
-def _z_from_pw(pc: _Pieces, pw: PowerAllocation) -> np.ndarray:
-    return np.concatenate([pw.p_s[:-1] / pc.u_s, pw.p_r[1:] / pc.u_r])
-
-
 def _relay_rates(pc: _Pieces, ps: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + ps * pc.gar)
 
 
-def _causality_block(pc: _Pieces, const: np.ndarray, coef: np.ndarray,
-                     name: str) -> ConstraintBlock:
-    """Prefix constraints: cumsum(const + coef*p_r) - cumsum(R_relay) <= 0."""
-    k = pc.n - 1
+def _flow_block(pc: _Pieces, out: Callable, d_out: Callable,
+                curved: bool) -> ConstraintBlock:
+    """Net outflow out(p_r) - log2(1 + p_s g_ar) of each power slot.
+
+    ``d_out`` is the derivative of ``out`` per watt.  With ``curved``
+    the block carries the curvature of the inflow; the outflow must then
+    be affine.
+    """
+    cols = np.stack([pc.idx["pr"], pc.idx["ps"]], axis=1)
 
     def value(z):
         ps, pr = _split(pc, z)
-        lhs = np.cumsum(const + coef * pr)
-        rhs = np.cumsum(_relay_rates(pc, ps))
-        return lhs - rhs
+        return out(pr) - _relay_rates(pc, ps)
 
     def jacobian(z):
-        ps, _ = _split(pc, z)
-        J = np.zeros((k, 2 * k))
-        J[:, k:] = pc.tri * (coef * pc.u_r)
-        d_ps = pc.gar / (LN2 * (1.0 + ps * pc.gar)) * pc.u_s
-        J[:, :k] = -pc.tri * d_ps
-        return J
-
-    def hess_weighted(z, w):
-        ps, _ = _split(pc, z)
-        # Only the -log2(1+ps*gar) part curves; diagonal in the ps block.
-        h = pc.gar ** 2 / (LN2 * (1.0 + ps * pc.gar) ** 2) * pc.u_s ** 2
-        wsum = np.cumsum(w[::-1])[::-1]          # sum_{j >= i} w_j
-        H = np.zeros((2 * k, 2 * k))
-        H[np.arange(k), np.arange(k)] = wsum * h
-        return H
-
-    return ConstraintBlock(m=k, value=value, jacobian=jacobian,
-                           hess_weighted=hess_weighted, name=name)
-
-
-def _budget_block(pc: _Pieces, scn: Scenario) -> ConstraintBlock:
-    k = pc.n - 1
-    J = np.zeros((2, 2 * k))
-    J[0, :k] = pc.u_s
-    J[1, k:] = pc.u_r
-
-    def value(z):
         ps, pr = _split(pc, z)
-        return np.array([np.sum(ps) - scn.n_slots * scn.p_bar_s,
-                         np.sum(pr) - scn.n_slots * scn.p_bar_r])
+        d_in = pc.gar / (LN2 * (1.0 + ps * pc.gar)) * pc.u_s
+        return RowSparse(cols, np.stack([d_out(pr) * pc.u_r, -d_in], axis=1))
 
-    return ConstraintBlock(m=2, value=value, jacobian=lambda z: J,
-                           name="budgets")
+    hw = None
+    if curved:
+        def hw(z, w):
+            ps, _ = _split(pc, z)
+            h = pc.gar ** 2 / (LN2 * (1.0 + ps * pc.gar) ** 2) * pc.u_s ** 2
+            return diag_hessian(pc.idx["ps"], w * h)
+
+    return ConstraintBlock(m=pc.n - 1, value=value, jacobian=jacobian,
+                           hess_weighted=hw)
+
+
+def _energy_flow(pc: _Pieces, var: str) -> ConstraintBlock:
+    i_p = pc.idx[var]
+    J = RowSparse(i_p[:, None], np.ones((i_p.size, 1)))
+    return ConstraintBlock(m=i_p.size, value=lambda z: z[i_p],
+                           jacobian=lambda z: J)
+
+
+def _buffers(scn: Scenario, pc: _Pieces, bob, eve,
+             curved: bool) -> list[Buffer]:
+    """Both relay buffers, given (out, d_out) for Bob and for Eve, then
+    the remaining source and relay energy.  The one builder of the power
+    surrogate and of the program its KKT point is certified on."""
+    return [
+        Buffer(_flow_block(pc, *bob, curved), pc.idx["bob"], "bob_causality"),
+        Buffer(_flow_block(pc, *eve, curved), pc.idx["eve"], "eve_causality"),
+        Buffer(_energy_flow(pc, "ps"), pc.idx["src_energy"], "source_budget",
+               initial=scn.n_slots * scn.p_bar_s / pc.u_s),
+        Buffer(_energy_flow(pc, "pr"), pc.idx["relay_energy"], "relay_budget",
+               initial=scn.n_slots * scn.p_bar_r / pc.u_r),
+    ]
+
+
+def _lower_bounds(pc: _Pieces) -> np.ndarray:
+    """Powers and relay buffers >= 0; only the final remaining energies
+    are bounded (r_{N-2} >= 0 is the budget)."""
+    lb = np.full(pc.dim, -np.inf)
+    for v in ("ps", "pr", "bob", "eve"):
+        lb[pc.idx[v]] = 0.0
+    lb[pc.idx["src_energy"][-1]] = 0.0
+    lb[pc.idx["relay_energy"][-1]] = 0.0
+    return lb
+
+
+def _program(pc: _Pieces, buffers: list[Buffer], **kw) -> SmoothConvexProgram:
+    return SmoothConvexProgram(dim=pc.dim, ineqs=[b.block() for b in buffers],
+                               lb=_lower_bounds(pc), **kw)
+
+
+def _tight_point(pc: _Pieces, buffers: list[Buffer],
+                 pw: PowerAllocation) -> np.ndarray:
+    """pw in the program's variables, every buffer at its prefix surplus."""
+    z = np.zeros(pc.dim)
+    z[pc.idx["ps"]] = pw.p_s[:-1] / pc.u_s
+    z[pc.idx["pr"]] = pw.p_r[1:] / pc.u_r
+    for b in buffers:
+        z[b.idx] = b.surplus(z)
+    return z
 
 
 def build_dc_surrogate(scn: Scenario, traj: Trajectory,
@@ -141,10 +254,10 @@ def build_dc_surrogate(scn: Scenario, traj: Trajectory,
                        feas_tol: float = 1e-6) -> SmoothConvexProgram:
     """Convex surrogate of the power problem, linearized at pw_k.
 
-    The decision vector stacks scaled source powers (slots 1..N-1) and
-    scaled relay powers (slots 2..N); the scales are the equal-power
-    per-slot levels, recoverable via the returned program's callbacks
-    only through :func:`dc_allocate`.
+    The decision vector holds, slot by slot, the scaled source and relay
+    powers (equal-power per-slot levels as scales), Bob's and Eve's
+    relay buffers and the remaining source and relay energy, at the
+    positions ``_layout(scn.n_slots)`` gives.
     """
     checks = model.check_all(scn, traj, pw_k, tol=feas_tol)
     bad = [k for k, v in checks.items() if k != "mobility" and not v.feasible]
@@ -156,7 +269,7 @@ def build_dc_surrogate(scn: Scenario, traj: Trajectory,
 
 def _build_surrogate(scn: Scenario, pc: _Pieces,
                      pw_k: PowerAllocation) -> SmoothConvexProgram:
-    k = pc.n - 1
+    i_pr = pc.idx["pr"]
     prk = pw_k.p_r[1:]
     c_d = pc.grd / (LN2 * (1.0 + prk * pc.grd))
     c_e = pc.gre / (LN2 * (1.0 + prk * pc.gre))
@@ -172,42 +285,33 @@ def _build_surrogate(scn: Scenario, pc: _Pieces,
 
     def gradient(z):
         _, pr = _split(pc, z)
-        g = np.zeros(2 * k)
-        g[k:] = (-pc.grd / (LN2 * (1.0 + pr * pc.grd)) + c_e) * pc.u_r
+        g = np.zeros(pc.dim)
+        g[i_pr] = (-pc.grd / (LN2 * (1.0 + pr * pc.grd)) + c_e) * pc.u_r
         return g
 
     def hessian(z):
         _, pr = _split(pc, z)
-        H = np.zeros((2 * k, 2 * k))
-        d = pc.grd ** 2 / (LN2 * (1.0 + pr * pc.grd) ** 2) * pc.u_r ** 2
-        H[np.arange(k, 2 * k), np.arange(k, 2 * k)] = d
-        return H
+        return diag_hessian(
+            i_pr, pc.grd ** 2 / (LN2 * (1.0 + pr * pc.grd) ** 2) * pc.u_r ** 2)
 
-    start = _strict_start(scn, pc)
-    return SmoothConvexProgram(
-        dim=2 * k, objective=objective, gradient=gradient, hessian=hessian,
-        ineqs=[
-            _causality_block(pc, bob_const, c_d, "bob_causality"),
-            _causality_block(pc, eve_const, c_e, "eve_causality"),
-            _budget_block(pc, scn),
-        ],
-        lb=np.zeros(2 * k),
-        strictly_feasible_start=start,
-    )
-
-
-def _strict_start(scn: Scenario, pc: _Pieces) -> Optional[np.ndarray]:
+    buffers = _buffers(
+        scn, pc,
+        (lambda pr: bob_const + c_d * pr, lambda pr: c_d),
+        (lambda pr: eve_const + c_e * pr, lambda pr: c_e), curved=True)
     # Near-equal source power, tiny relay power: strictly inside the
     # budgets and (usually) the linearized causality prefixes.
-    k = pc.n - 1
-    z = np.concatenate([np.full(k, 0.9), np.full(k, 1e-6)])
-    return z
+    z0 = np.zeros(pc.dim)
+    z0[pc.idx["ps"]] = 0.9
+    z0[i_pr] = 1e-6
+    for b in buffers:
+        z0[b.idx] = buffer_start(b.surplus(z0))
+    return _program(pc, buffers, objective=objective, gradient=gradient,
+                    hessian=hessian, strictly_feasible_start=z0)
 
 
-def _original_power_program(scn: Scenario, pc: _Pieces) -> SmoothConvexProgram:
-    """The true (nonconvex) power problem, for KKT certification only."""
-    k = pc.n - 1
-
+def _original_power_program(scn: Scenario, pc: _Pieces):
+    """The true (nonconvex) power problem, for KKT certification only,
+    with its buffers."""
     def objective(z):
         _, pr = _split(pc, z)
         return -float(np.sum(np.log2(1.0 + pr * pc.grd)
@@ -215,33 +319,18 @@ def _original_power_program(scn: Scenario, pc: _Pieces) -> SmoothConvexProgram:
 
     def gradient(z):
         _, pr = _split(pc, z)
-        g = np.zeros(2 * k)
-        g[k:] = (-pc.grd / (LN2 * (1.0 + pr * pc.grd))
-                 + pc.gre / (LN2 * (1.0 + pr * pc.gre))) * pc.u_r
+        g = np.zeros(pc.dim)
+        g[pc.idx["pr"]] = (-pc.grd / (LN2 * (1.0 + pr * pc.grd))
+                           + pc.gre / (LN2 * (1.0 + pr * pc.gre))) * pc.u_r
         return g
 
-    def caus_block(gain, name):
-        def value(z):
-            ps, pr = _split(pc, z)
-            return (np.cumsum(np.log2(1.0 + pr * gain))
-                    - np.cumsum(_relay_rates(pc, ps)))
+    def rate(gain):
+        return (lambda pr: np.log2(1.0 + pr * gain),
+                lambda pr: gain / (LN2 * (1.0 + pr * gain)))
 
-        def jacobian(z):
-            ps, pr = _split(pc, z)
-            J = np.zeros((k, 2 * k))
-            J[:, k:] = pc.tri * (gain / (LN2 * (1.0 + pr * gain)) * pc.u_r)
-            J[:, :k] = -pc.tri * (pc.gar / (LN2 * (1.0 + ps * pc.gar)) * pc.u_s)
-            return J
-
-        return ConstraintBlock(m=k, value=value, jacobian=jacobian, name=name)
-
-    return SmoothConvexProgram(
-        dim=2 * k, objective=objective, gradient=gradient,
-        ineqs=[caus_block(pc.grd, "bob_causality"),
-               caus_block(pc.gre, "eve_causality"),
-               _budget_block(pc, scn)],
-        lb=np.zeros(2 * k),
-    )
+    buffers = _buffers(scn, pc, rate(pc.grd), rate(pc.gre), curved=False)
+    return (_program(pc, buffers, objective=objective, gradient=gradient),
+            buffers)
 
 
 def default_power_start(scn: Scenario) -> PowerAllocation:
@@ -274,7 +363,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         raise ValueError("initial power allocation infeasible")
 
     pc = _pieces(scn, traj)
-    orig = _original_power_program(scn, pc)
+    orig, orig_buffers = _original_power_program(scn, pc)
     obj = model.secrecy_sum(scn, traj, pw)
     report.add(obj, feasible=True)
     report.status = "max_iter"
@@ -286,15 +375,23 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             report.total_time = time.perf_counter() - t0
             raise StageFailure(
                 f"power subproblem solve failed ({res.status})", pw, report)
+        duals = np.concatenate([res.duals, res.bound_duals])
         pw_new = _pw_from_z(pc, res.x_opt)
         obj_new = model.secrecy_sum(scn, traj, pw_new)
         if obj_new < obj - 1e-9:
-            # Solver-tolerance hiccup; keep the better point and stop.
-            report.status = "converged"
+            # Solver-tolerance hiccup: keep the better point, certify it
+            # with the subproblem's duals and stop.  The attempt goes to
+            # the extras: ``iterations`` holds accepted iterates only.
+            kkt_kept = kkt_residual(orig, _tight_point(pc, orig_buffers, pw),
+                                    duals)
+            report.extras["rejected_step"] = {
+                "objective": obj_new, "subproblem_kkt": res.kkt_residual,
+                "subproblem_iters": res.iterations, "kept_kkt": kkt_kept}
+            report.status = ("converged" if kkt_kept <= opts.kkt_tol
+                             else "stalled")
             break
-        z_new = _z_from_pw(pc, pw_new)
-        duals = np.concatenate([res.duals, res.bound_duals])
-        kkt_orig = kkt_residual(orig, z_new, duals)
+        kkt_orig = kkt_residual(
+            orig, _tight_point(pc, orig_buffers, pw_new), duals)
         feas = model.check_all(scn, traj, pw_new, tol=opts.feas_tol)
         rel = abs(obj_new - obj) / max(abs(obj_new), 1e-10)
         pw, obj = pw_new, obj_new

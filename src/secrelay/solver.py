@@ -13,11 +13,24 @@ Problems are stated in minimize convention:
 
 Constraints are supplied in vectorized blocks (value, Jacobian and a
 weighted-Hessian-sum callback) so structured subproblems stay cheap.
+Jacobians may be dense arrays or ``RowSparse`` (a few nonzeros per row),
+Hessians dense arrays or ``SymSparse`` (lower-triangle triplets).  The
+Newton matrix J^T diag(lam / -g) J + H is assembled straight into
+LAPACK's lower banded storage and factored by
+``scipy.linalg.cholesky_banded``, so a program whose rows each touch
+variables close together in the ordering costs O(dim) time and memory
+per Newton step.  A dense callback gives a full band (its block's
+J^T diag(s) J is one dense product), so it suits programs small enough
+for a dense Newton matrix.  Phase I's slack enters every row: it is
+kept out of the band as a one-column border and eliminated through its
+scalar Schur complement, so phase I factors the same band.
+
 Finite bounds never become Jacobian rows: they enter the Newton matrix
-as a diagonal term and the residuals as a scatter.  Each Newton point is
-evaluated once: the gradient, Jacobian and constraint values of the
-accepted line-search trial are carried into the next step and into the
-optimality checks.
+as diagonal entries and the residuals as a scatter.  Each Newton point
+is evaluated once: the constraint values of the start are handed over
+from the start check, and the gradient, Jacobian and constraint values
+of the accepted line-search trial are carried into the next step and
+into the optimality checks.
 """
 from __future__ import annotations
 
@@ -34,19 +47,91 @@ Array = np.ndarray
 
 # A stall (the line search or the factorization gives up) whose
 # unperturbed KKT residual is within this factor of ``tol`` counts as
-# optimal.  Near the noise floor of the dense Newton system, rounding
+# optimal.  Near the noise floor of the Newton system, rounding
 # (down to the BLAS summation order) decides whether the last step is
 # found, so the status must not hinge on it.  Any other stall is a
 # numerical failure.
 STALL_TOL_FACTOR = 10.0
 
 
+@dataclass(frozen=True)
+class RowSparse:
+    """An (m, n) matrix with at most k nonzeros per row.
+
+    Row r holds ``vals[r, a]`` at column ``cols[r, a]``.  Repeated
+    columns add up, so a short row is padded by repeating one of its
+    columns with value 0.
+    """
+
+    cols: Array   # (m, k) integer
+    vals: Array   # (m, k) float
+
+    def dense(self, n: int) -> Array:
+        out = np.zeros((self.cols.shape[0], n))
+        np.add.at(out, (np.arange(self.cols.shape[0])[:, None], self.cols),
+                  self.vals)
+        return out
+
+
+@dataclass(frozen=True)
+class SymSparse:
+    """A symmetric matrix given by lower-triangle triplets.
+
+    ``vals[t]`` sits at (rows[t], cols[t]) with rows[t] >= cols[t], and
+    an off-diagonal entry also at its mirror position; repeated entries
+    add up.
+    """
+
+    rows: Array
+    cols: Array
+    vals: Array
+
+    def dense(self, n: int) -> Array:
+        out = np.zeros((n, n))
+        np.add.at(out, (self.rows, self.cols), self.vals)
+        off = self.rows != self.cols
+        np.add.at(out, (self.cols[off], self.rows[off]), self.vals[off])
+        return out
+
+
+def diag_hessian(idx: Array, vals: Array) -> SymSparse:
+    """Diagonal matrix with ``vals`` at the positions ``idx``."""
+    idx = np.asarray(idx)
+    return SymSparse(idx, idx, np.asarray(vals, dtype=float))
+
+
+def as_dense(a, n: int) -> Array:
+    """A callback's Jacobian (m, n) or Hessian (n, n) as a dense array."""
+    if isinstance(a, (RowSparse, SymSparse)):
+        return a.dense(n)
+    return np.asarray(a, dtype=float)
+
+
+def _rows_of(J, n: int):
+    """A block's Jacobian as ``RowSparse`` or a dense (m, n) array."""
+    if isinstance(J, RowSparse):
+        return J
+    return np.asarray(J, dtype=float).reshape(-1, n)
+
+
+def _lower_of(H) -> SymSparse:
+    if isinstance(H, SymSparse):
+        return H
+    H = np.asarray(H, dtype=float)
+    r, c = np.tril_indices(H.shape[0])
+    v = H[r, c]
+    nz = v != 0.0
+    return SymSparse(r[nz], c[nz], v[nz])
+
+
 @dataclass
 class ConstraintBlock:
     """A vector inequality g(x) <= 0 with m components.
 
-    hess_weighted(x, w) must return sum_k w[k] * hessian(g_k)(x) as a
-    dense (dim, dim) matrix.  Affine blocks may pass hess_weighted=None.
+    jacobian(x) returns the (m, dim) Jacobian, dense or ``RowSparse``.
+    hess_weighted(x, w) must return sum_k w[k] * hessian(g_k)(x), dense
+    (dim, dim) or ``SymSparse``.  Affine blocks may pass
+    hess_weighted=None.
     """
 
     m: int
@@ -75,6 +160,8 @@ def scalar_ineq(value: Callable[[Array], float],
 
 @dataclass
 class SmoothConvexProgram:
+    """``hessian(x)`` returns a dense (dim, dim) array or ``SymSparse``."""
+
     dim: int
     objective: Callable[[Array], float]
     gradient: Callable[[Array], Array]
@@ -113,15 +200,17 @@ class _Blocks:
     """Program inequalities plus bounds, flattened into one stack.
 
     The stack is [program rows; lb_i - x_i; x_j - ub_j] <= 0 over the
-    finite bounds.  ``jacobian`` returns the program rows only; ``jt``,
-    ``jv`` and ``jt_diag_j`` apply the full stack, the bound rows
-    (-e_i and +e_j) added implicitly.
+    finite bounds.  ``jacobian`` returns the program rows only (a
+    ``_Jacobian``); ``jt``, ``jv`` and ``newton_entries`` apply the full
+    stack, the bound rows (-e_i and +e_j) added implicitly.
     """
 
     def __init__(self, prog: SmoothConvexProgram):
         self.prog = prog
         self.blocks = list(prog.ineqs)
         self.n_ineq = sum(b.m for b in prog.ineqs)
+        self.starts = np.cumsum([0] + [b.m for b in self.blocks])
+        self._pattern: dict = {}
         lb = prog.lb if prog.lb is not None else np.full(prog.dim, -np.inf)
         ub = prog.ub if prog.ub is not None else np.full(prog.dim, np.inf)
         lb = np.asarray(lb, dtype=float)
@@ -139,55 +228,156 @@ class _Blocks:
         parts.append(x[self.ub_idx] - self.ub[self.ub_idx])
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def jacobian(self, x: Array) -> Array:
-        """Jacobian of the program rows, (n_ineq, dim)."""
-        J = np.zeros((self.n_ineq, self.prog.dim))
-        r = 0
-        for b in self.blocks:
-            J[r:r + b.m] = b.jacobian(x)
-            r += b.m
-        return J
+    def jacobian(self, x: Array) -> "_Jacobian":
+        """Jacobian of the program rows."""
+        parts = [_rows_of(b.jacobian(x), self.prog.dim) for b in self.blocks]
+        sparse = [p for p in parts if isinstance(p, RowSparse)]
+        k = np.array([p.cols.shape[1] if isinstance(p, RowSparse) else 0
+                      for p in parts], dtype=int)
+        rows = np.repeat(np.arange(self.n_ineq),
+                         np.repeat(k, np.diff(self.starts)))
+        cols = np.concatenate([p.cols.ravel() for p in sparse]
+                              or [np.zeros(0, dtype=int)])
+        vals = np.concatenate([p.vals.ravel() for p in sparse]
+                              or [np.zeros(0)])
+        dense = [(a, b, p) for p, a, b in zip(parts, self.starts,
+                                              self.starts[1:])
+                 if not isinstance(p, RowSparse)]
+        return _Jacobian(parts, rows, cols, vals, dense)
 
-    def jt(self, J: Array, w: Array) -> Array:
+    def jt(self, J: "_Jacobian", w: Array) -> Array:
         """Full-stack J^T w."""
-        out = J.T @ w[:self.n_ineq]
+        out = np.bincount(J.cols, weights=J.vals * w[J.rows],
+                          minlength=self.prog.dim).astype(float, copy=False)
+        for a, b, p in J.dense:
+            out += w[a:b] @ p
         out[self.lb_idx] -= w[self.n_ineq:self.n_lb]
         out[self.ub_idx] += w[self.n_lb:]
         return out
 
-    def jv(self, J: Array, v: Array) -> Array:
+    def jv(self, J: "_Jacobian", v: Array) -> Array:
         """Full-stack J v."""
-        return np.concatenate([J @ v, -v[self.lb_idx], v[self.ub_idx]])
+        out = np.bincount(J.rows, weights=J.vals * v[J.cols],
+                          minlength=self.n_ineq).astype(float, copy=False)
+        for a, b, p in J.dense:
+            out[a:b] = p @ v
+        return np.concatenate([out, -v[self.lb_idx], v[self.ub_idx]])
 
-    def jt_diag_j(self, J: Array, s: Array) -> Array:
-        """Full-stack J^T diag(s) J."""
-        out = (J.T * s[:self.n_ineq]) @ J
-        out[self.lb_idx, self.lb_idx] += s[self.n_ineq:self.n_lb]
-        out[self.ub_idx, self.ub_idx] += s[self.n_lb:]
+    def _pairs(self, k: int, cols: Array):
+        """Flat positions (in the (m, k) arrays of block k) of the entry
+        pairs (a, b) of each row with cols[a] >= cols[b]; cached while the
+        block's columns stay the same."""
+        hit = self._pattern.get(k)
+        if hit is not None and np.array_equal(hit[0], cols):
+            return hit[1], hit[2]
+        r, a, b = np.nonzero(cols[:, :, None] >= cols[:, None, :])
+        kk = cols.shape[1]
+        fa = (r * kk + a).astype(np.int32)
+        fb = (r * kk + b).astype(np.int32)
+        self._pattern[k] = (cols.copy(), fa, fb)
+        return fa, fb
+
+    def newton_entries(self, J: "_Jacobian", s: Array) -> list[SymSparse]:
+        """Lower-triangle entries of the full-stack J^T diag(s) J.  A
+        dense block is multiplied out densely: O(m dim + dim^2) memory."""
+        out = []
+        for k, (p, a, b) in enumerate(zip(J.parts, self.starts,
+                                          self.starts[1:])):
+            if not isinstance(p, RowSparse):
+                out.append(_lower_of((p.T * s[a:b]) @ p))
+                continue
+            fa, fb = self._pairs(k, p.cols)
+            cf = p.cols.ravel().astype(np.int32)
+            sv = (s[a:b, None] * p.vals).ravel()
+            out.append(SymSparse(cf[fa], cf[fb], sv[fa] * p.vals.ravel()[fb]))
+        out.append(diag_hessian(self.lb_idx, s[self.n_ineq:self.n_lb]))
+        out.append(diag_hessian(self.ub_idx, s[self.n_lb:]))
         return out
 
-    def hess_weighted(self, x: Array, w: Array) -> Array:
-        H = np.zeros((self.prog.dim, self.prog.dim))
-        r = 0
-        for b in self.blocks:
-            if b.hess_weighted is not None:
-                H += b.hess_weighted(x, w[r:r + b.m])
-            r += b.m
-        return H
+    def hess_weighted(self, x: Array, w: Array) -> list[SymSparse]:
+        return [_lower_of(b.hess_weighted(x, w[a:a + b.m]))
+                for b, a in zip(self.blocks, self.starts)
+                if b.hess_weighted is not None]
 
 
-def _chol_solve(H: Array, rhs: Array):
-    """Cholesky solve with escalating diagonal regularization."""
-    dim = H.shape[0]
-    scale = max(1.0, float(np.trace(H)) / max(dim, 1))
+@dataclass(frozen=True)
+class _Jacobian:
+    """Program-row Jacobian: per-block parts (``RowSparse`` or dense);
+    the entries of the sparse parts flat (row, column, value), so J^T w
+    and J v take one ``bincount`` each; and the dense parts with their
+    row ranges (first row, end row, array)."""
+
+    parts: list
+    rows: Array
+    cols: Array
+    vals: Array
+    dense: list
+
+
+def _band(dim: int, parts: Sequence[SymSparse], border: bool):
+    """Sum of lower-triangle parts as LAPACK lower banded storage.
+
+    Returns (ab, c, d): ``ab[i - j, j] = A[i, j]`` for the leading block
+    and, with ``border``, the last column split off as the vector ``c``
+    over the leading block and the corner scalar ``d``.
+    """
+    nb = dim - 1 if border else dim
+    c = np.zeros(nb) if border else None
+    d = 0.0
+    # Lower triangle: every border entry sits in the last row.
+    bw = max((int((np.where(p.rows < nb, p.rows - p.cols, 0) if border
+                   else p.rows - p.cols).max())
+              for p in parts if p.rows.size), default=0)
+    ab = np.zeros((bw + 1) * nb)
+    for p in parts:
+        i, j, w = p.rows, p.cols, p.vals
+        if border:
+            at = i == nb
+            if at.any():
+                jb, wb = j[at], w[at]
+                corner = jb == nb
+                d += float(wb[corner].sum())
+                c += np.bincount(jb[~corner], weights=wb[~corner],
+                                 minlength=nb)
+                i, j, w = i[~at], j[~at], w[~at]
+        off = (i - j).astype(np.intp)
+        ab += np.bincount(off * nb + j, weights=w, minlength=ab.size)
+    return ab.reshape(bw + 1, nb), c, d
+
+
+def _factor_solve(ab: Array, c: Optional[Array], d: float, rhs: Array):
+    """Solve the banded (optionally bordered) Newton system.
+
+    One ``cholesky_banded`` per attempt, with escalating diagonal
+    regularization after a failed one.  A border is eliminated through
+    its Schur complement, floored at a tiny positive value instead of
+    refactoring.
+    """
+    nb = ab.shape[1]
+    dim = nb + (c is not None)
+    scale = max(1.0, (float(np.sum(ab[0])) + d) / max(dim, 1))
     reg = 0.0
     for _ in range(60):
+        a = ab
+        if reg:
+            a = ab.copy()
+            a[0] += reg
         try:
-            c = scipy.linalg.cho_factor(
-                H + reg * np.eye(dim) if reg else H, check_finite=False)
-            return scipy.linalg.cho_solve(c, rhs, check_finite=False), reg
+            cb = scipy.linalg.cholesky_banded(a, lower=True,
+                                              check_finite=False)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
             reg = 1e-10 * scale if reg == 0.0 else reg * 2.0
+            continue
+        if c is None:
+            return scipy.linalg.cho_solve_banded(
+                (cb, True), rhs, check_finite=False), reg
+        y = scipy.linalg.cho_solve_banded(
+            (cb, True), np.column_stack([rhs[:-1], c]), check_finite=False)
+        schur = d + reg - float(c @ y[:, 1])
+        if not schur > 1e-10 * scale:
+            schur = 1e-10 * scale
+        step = (rhs[-1] - float(c @ y[:, 0])) / schur
+        return np.append(y[:, 0] - step * y[:, 1], step), reg
     return None, reg
 
 
@@ -208,8 +398,9 @@ def _newton_unconstrained(prog: SmoothConvexProgram, x0: Array,
         if np.max(np.abs(grad)) <= opts.tol:
             status = "optimal"
             break
-        H = prog.hessian(x) if prog.hessian is not None else np.eye(prog.dim)
-        dx, _ = _chol_solve(H, -grad)
+        H = (_lower_of(prog.hessian(x)) if prog.hessian is not None
+             else diag_hessian(np.arange(prog.dim), np.ones(prog.dim)))
+        dx, _ = _factor_solve(*_band(prog.dim, [H], border=False), -grad)
         if dx is None:
             status = "numerical_failure"
             break
@@ -234,14 +425,20 @@ def _newton_unconstrained(prog: SmoothConvexProgram, x0: Array,
         objective_value=float(prog.objective(x)), objective_history=history)
 
 
-def _interior_start(blocks: _Blocks, x: Array) -> bool:
+def _interior_values(blocks: _Blocks, x: Array) -> Optional[Array]:
+    """Constraint values at x if x is strictly feasible, else None."""
     g = blocks.value(x)
-    return g.size == 0 or float(np.max(g)) < 0.0
+    return g if g.size == 0 or float(np.max(g)) < 0.0 else None
 
 
 def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
-               opts: SolverOptions) -> tuple[Optional[Array], str]:
-    """Find a strictly feasible point by minimizing the max violation."""
+               opts: SolverOptions) -> tuple[Optional[Array], Optional[Array]]:
+    """Find a strictly feasible point by minimizing the max violation.
+
+    Returns the point and its constraint values, or (None, None).  The
+    slack is the last variable of the auxiliary program and the border
+    of its Newton matrix.
+    """
     dim = prog.dim
     if prog.strictly_feasible_start is not None:
         x0 = np.asarray(prog.strictly_feasible_start, dtype=float).copy()
@@ -259,93 +456,97 @@ def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
     g0 = blocks.value(x0)
     s0 = float(np.max(g0)) if g0.size else -1.0
     if s0 < 0.0:
-        return x0, "optimal"
+        return x0, g0
     s_start = s0 + max(1.0, 0.1 * abs(s0))
     scale = max(1.0, abs(s0))
 
+    def with_slack(J):
+        if not isinstance(J, RowSparse):
+            return np.column_stack([J, np.full(J.shape[0], -1.0)])
+        m = J.cols.shape[0]
+        return RowSparse(np.concatenate([J.cols, np.full((m, 1), dim)], 1),
+                         np.concatenate([J.vals, np.full((m, 1), -1.0)], 1))
+
     def lift_block(b: ConstraintBlock) -> ConstraintBlock:
-        def val(z):
-            return b.value(z[:dim]) - z[dim]
-
-        def jac(z):
-            J = np.zeros((b.m, dim + 1))
-            J[:, :dim] = b.jacobian(z[:dim])
-            J[:, dim] = -1.0
-            return J
-
         hw = None
         if b.hess_weighted is not None:
             def hw(z, w, _b=b):
-                H = np.zeros((dim + 1, dim + 1))
-                H[:dim, :dim] = _b.hess_weighted(z[:dim], w)
-                return H
-        return ConstraintBlock(m=b.m, value=val, jacobian=jac,
-                               hess_weighted=hw, name=b.name + "+slack")
+                return _lower_of(_b.hess_weighted(z[:dim], w))
+        return ConstraintBlock(
+            m=b.m, value=lambda z: b.value(z[:dim]) - z[dim],
+            jacobian=lambda z: with_slack(_rows_of(b.jacobian(z[:dim]), dim)),
+            hess_weighted=hw, name=b.name + "+slack")
 
     lifted = [lift_block(b) for b in blocks.blocks]
     # Bound rows of the original program, lifted with the same slack.
     lbi, ubi = blocks.lb_idx, blocks.ub_idx
-
-    def bounds_val(z):
-        return np.concatenate([
-            blocks.lb[lbi] - z[lbi] - z[dim],
-            z[ubi] - blocks.ub[ubi] - z[dim],
-        ])
-
-    bounds_J = np.zeros((lbi.size + ubi.size, dim + 1))
-    bounds_J[np.arange(lbi.size), lbi] = -1.0
-    bounds_J[lbi.size + np.arange(ubi.size), ubi] = 1.0
-    bounds_J[:, dim] = -1.0
-
     if lbi.size + ubi.size:
-        lifted.append(ConstraintBlock(m=lbi.size + ubi.size, value=bounds_val,
-                                      jacobian=lambda z: bounds_J,
-                                      name="bounds+slack"))
+        bounds_J = with_slack(RowSparse(
+            np.concatenate([lbi, ubi])[:, None],
+            np.concatenate([np.full(lbi.size, -1.0),
+                            np.ones(ubi.size)])[:, None]))
+        lifted.append(ConstraintBlock(
+            m=lbi.size + ubi.size,
+            value=lambda z: np.concatenate([
+                blocks.lb[lbi] - z[lbi] - z[dim],
+                z[ubi] - blocks.ub[ubi] - z[dim]]),
+            jacobian=lambda z: bounds_J, name="bounds+slack"))
 
     aux = SmoothConvexProgram(
         dim=dim + 1,
         objective=lambda z: float(z[dim]),
         gradient=lambda z: np.concatenate([np.zeros(dim), [1.0]]),
-        hessian=lambda z: np.zeros((dim + 1, dim + 1)),
         ineqs=lifted,
         lb=np.concatenate([np.full(dim, -np.inf), [-scale]]),
         strictly_feasible_start=np.concatenate([x0, [s_start]]),
     )
     p1_opts = dataclasses.replace(opts, tol=max(opts.tol, 1e-8))
     res = _solve_interior(aux, p1_opts,
-                          stop_early=lambda z: z[dim] < -1e-6 * scale)
+                          stop_early=lambda z: z[dim] < -1e-6 * scale,
+                          border=True)
     x_found = res.x_opt[:dim]
-    if _interior_start(blocks, x_found):
-        return x_found, "optimal"
-    return None, "infeasible"
+    g = _interior_values(blocks, x_found)
+    return (None, None) if g is None else (x_found, g)
+
+
+def _newton_matrix(prog: SmoothConvexProgram, blocks: _Blocks, x: Array,
+                   J: _Jacobian, lam: Array, sigma: Array,
+                   border: bool):
+    """Banded J^T diag(sigma) J + objective and constraint Hessians."""
+    parts = blocks.newton_entries(J, sigma)
+    if prog.hessian is not None:
+        parts.append(_lower_of(prog.hessian(x)))
+    parts += blocks.hess_weighted(x, lam)
+    return _band(prog.dim, parts, border)
 
 
 def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
-                    x0: Optional[Array] = None,
-                    stop_early=None) -> SolverResult:
-    """Path-following primal-dual loop from a strictly feasible x0."""
+                    x0: Optional[Array] = None, g0: Optional[Array] = None,
+                    stop_early=None, border: bool = False) -> SolverResult:
+    """Path-following primal-dual loop from a strictly feasible x0.
+
+    ``g0`` holds the constraint values at x0 when the caller has them.
+    With ``border`` the last variable is solved as a border of the band.
+    """
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _solve_interior_impl(prog, opts, x0, stop_early)
+        return _solve_interior_impl(prog, opts, x0, g0, stop_early, border)
 
 
 def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
-                         x0: Optional[Array] = None,
-                         stop_early=None) -> SolverResult:
+                         x0: Optional[Array], g0: Optional[Array],
+                         stop_early, border: bool) -> SolverResult:
     blocks = _Blocks(prog)
     if x0 is None:
         x0 = np.asarray(prog.strictly_feasible_start, dtype=float)
     x = x0.copy()
     # Derivatives at x; each later point gets them from its line search.
-    g = blocks.value(x)
+    g = blocks.value(x) if g0 is None else g0
     grad_f = prog.gradient(x)
     J = blocks.jacobian(x)
     lam = np.clip(1.0 / np.maximum(-g, 1e-10), 1e-8, 1e8)
     mu = float(np.mean(lam * (-g))) if g.size else 0.0
     mu = max(mu, 1e-3)
     mu_min = 0.05 * opts.tol
-
-    hess = prog.hessian if prog.hessian is not None else (
-        lambda z: np.zeros((prog.dim, prog.dim)))
 
     f_x = float(prog.objective(x))
     history: list[float] = [f_x]
@@ -363,10 +564,9 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
             if r_norm <= inner_target:
                 break
             sigma = lam / np.maximum(-g, 1e-300)
-            H_pd = blocks.jt_diag_j(J, sigma)
-            H_pd += hess(x) + blocks.hess_weighted(x, lam)
             rhs = -r_dual - blocks.jt(J, r_cent / g)
-            dx, _ = _chol_solve(H_pd, rhs)
+            dx, _ = _factor_solve(
+                *_newton_matrix(prog, blocks, x, J, lam, sigma, border), rhs)
             if dx is None:
                 status = "numerical_failure"
                 stalled = True
@@ -431,8 +631,8 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
         objective_value=f_x, objective_history=history)
 
 
-def _kkt_residual_raw(blocks: _Blocks, grad_f: Array, J: Array, g: Array,
-                      lam: Array) -> float:
+def _kkt_residual_raw(blocks: _Blocks, grad_f: Array, J: _Jacobian,
+                      g: Array, lam: Array) -> float:
     stat = (float(np.max(np.abs(grad_f + blocks.jt(J, lam))))
             if grad_f.size else 0.0)
     if g.size == 0:
@@ -454,7 +654,7 @@ def solve(prog: SmoothConvexProgram,
     ``STALL_TOL_FACTOR * opts.tol``; otherwise it ends
     ``numerical_failure``.
 
-    The dense algebra runs on one OpenBLAS thread (see ``_blas``), so
+    The linear algebra runs on one OpenBLAS thread (see ``_blas``), so
     the result does not depend on the BLAS thread count.
     """
     with one_thread():
@@ -468,20 +668,21 @@ def _solve(prog: SmoothConvexProgram, opts: SolverOptions) -> SolverResult:
               if prog.strictly_feasible_start is not None
               else np.zeros(prog.dim))
         return _newton_unconstrained(prog, x0, opts)
-    x0 = None
+    x0 = g0 = None
     if prog.strictly_feasible_start is not None:
         cand = np.asarray(prog.strictly_feasible_start, dtype=float)
-        if _interior_start(blocks, cand):
+        g0 = _interior_values(blocks, cand)
+        if g0 is not None:
             x0 = cand
     if x0 is None:
-        x0, p1_status = _phase_one(prog, blocks, opts)
+        x0, g0 = _phase_one(prog, blocks, opts)
         if x0 is None:
             return SolverResult(
                 x_opt=np.zeros(prog.dim), duals=np.zeros(blocks.n_ineq),
                 bound_duals=np.zeros(blocks.m - blocks.n_ineq),
                 status="infeasible", kkt_residual=np.inf, iterations=0,
                 objective_value=np.nan)
-    return _solve_interior(prog, opts, x0=x0)
+    return _solve_interior(prog, opts, x0=x0, g0=g0)
 
 
 def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
@@ -523,7 +724,7 @@ def verify_derivatives(prog: SmoothConvexProgram, x: Array,
     worst = max(worst, rel(float(np.max(np.abs(grad - fd_grad))),
                            float(np.max(np.abs(grad), initial=0.0))))
     if prog.hessian is not None:
-        H = np.asarray(prog.hessian(x), dtype=float)
+        H = as_dense(prog.hessian(x), dim)
         fd_H = np.zeros((dim, dim))
         for i in range(dim):
             e = np.zeros(dim)
@@ -534,7 +735,7 @@ def verify_derivatives(prog: SmoothConvexProgram, x: Array,
                                float(np.max(np.abs(H), initial=0.0))))
 
     for b in prog.ineqs:
-        J = np.asarray(b.jacobian(x), dtype=float)
+        J = as_dense(b.jacobian(x), dim)
         fd_J = np.zeros_like(J)
         for i in range(dim):
             e = np.zeros(dim)
@@ -544,13 +745,14 @@ def verify_derivatives(prog: SmoothConvexProgram, x: Array,
                                float(np.max(np.abs(J), initial=0.0))))
         if b.hess_weighted is not None:
             w = np.ones(b.m)
-            Hw = np.asarray(b.hess_weighted(x, w), dtype=float)
+            Hw = as_dense(b.hess_weighted(x, w), dim)
             fd_Hw = np.zeros((dim, dim))
             for i in range(dim):
                 e = np.zeros(dim)
                 e[i] = h
-                fd_Hw[:, i] = (b.jacobian(x + e).T @ w
-                               - b.jacobian(x - e).T @ w) / (2 * h)
+                fd_Hw[:, i] = (as_dense(b.jacobian(x + e), dim).T @ w
+                               - as_dense(b.jacobian(x - e), dim).T @ w
+                               ) / (2 * h)
             fd_Hw = 0.5 * (fd_Hw + fd_Hw.T)
             worst = max(worst, rel(float(np.max(np.abs(Hw - fd_Hw))),
                                    float(np.max(np.abs(Hw), initial=0.0))))
@@ -563,13 +765,13 @@ def spot_check_convexity(prog: SmoothConvexProgram, points: Sequence[Array],
     for x in points:
         mats = []
         if prog.hessian is not None:
-            mats.append(np.asarray(prog.hessian(x)))
+            mats.append(as_dense(prog.hessian(x), prog.dim))
         for b in prog.ineqs:
             if b.hess_weighted is not None:
                 for k in range(b.m):
                     w = np.zeros(b.m)
                     w[k] = 1.0
-                    mats.append(np.asarray(b.hess_weighted(x, w)))
+                    mats.append(as_dense(b.hess_weighted(x, w), prog.dim))
         for H in mats:
             scale = max(1.0, float(np.max(np.abs(H))))
             ev = np.linalg.eigvalsh(0.5 * (H + H.T))

@@ -8,6 +8,14 @@ reception rates around the current trajectory (quadratic lower bounds),
 solves the resulting convex program over the per-slot displacements, and
 moves the trajectory.  Every surrogate inequality implies the original
 one, so all iterates stay feasible and the true secrecy rate ascends.
+
+Information causality is stated with relay buffers (``power_dc.Buffer``)
+for Bob's and Eve's rate: b_n >= 0 with b_n <= b_{n-1} + R_in,n-1 -
+R_out,n, fed by the relay-rate lower bound and drained by the slack-form
+outflow.  The variables are laid out slot by slot (``_Layout``), so each
+row touches two neighbouring slots and the Newton matrix is banded.  The
+start is zero displacement, each slack a margin below its bound, and
+each buffer at ``buffer_start`` of its prefix surpluses there.
 """
 from __future__ import annotations
 
@@ -19,10 +27,10 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import LN2, StageFailure
+from .power_dc import LN2, Buffer, StageFailure, buffer_start
 from .report import RunReport
-from .solver import (ConstraintBlock, SmoothConvexProgram, SolverOptions,
-                     solve)
+from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
+                     SolverOptions, SymSparse, diag_hessian, solve)
 
 
 @dataclass
@@ -46,6 +54,8 @@ class TrajIterate:
     eta: np.ndarray        # squared ground distance to Bob
     gamma_s: np.ndarray    # ref_snr * p_s
     gamma_r: np.ndarray    # ref_snr * p_r
+    c_relay: np.ndarray    # curvature of the relay-rate lower bound
+    c_bob: np.ndarray      # curvature of the Bob-rate lower bound
     objective: float
 
 
@@ -53,17 +63,20 @@ def make_iterate(scn: Scenario, traj: Trajectory,
                  pw: PowerAllocation) -> TrajIterate:
     ch = model.channel_state(scn, traj)
     rp = model.rate_profile(scn, traj, pw)
-    rel = traj.xy - scn.alice_xy
+    d_ar2, d_rd2 = ch.d_ar ** 2, ch.d_rd ** 2
+    gamma_s, gamma_r = scn.ref_snr * pw.p_s, scn.ref_snr * pw.p_r
     return TrajIterate(
         traj=traj,
-        d_ar2=ch.d_ar ** 2,
-        d_rd2=ch.d_rd ** 2,
+        d_ar2=d_ar2,
+        d_rd2=d_rd2,
         r_relay=rp.r_relay,
         r_bob=rp.r_bob,
         zeta=np.sum((scn.eve_xy - traj.xy) ** 2, axis=1),
         eta=np.sum((scn.bob_xy - traj.xy) ** 2, axis=1),
-        gamma_s=scn.ref_snr * pw.p_s,
-        gamma_r=scn.ref_snr * pw.p_r,
+        gamma_s=gamma_s,
+        gamma_r=gamma_r,
+        c_relay=gamma_s / ((d_ar2 + gamma_s) * d_ar2 * LN2),
+        c_bob=gamma_r / ((d_rd2 + gamma_r) * d_rd2 * LN2),
         objective=rp.secrecy_sum,
     )
 
@@ -114,12 +127,10 @@ def rate_lower_bounds(scn: Scenario, it: TrajIterate,
     """
     x, y = it.traj.x - scn.alice_xy[0], it.traj.y - scn.alice_xy[1]
     d_bob = scn.bob_xy - scn.alice_xy
-    c_r = it.gamma_s / ((it.d_ar2 + it.gamma_s) * it.d_ar2 * LN2)
-    c_d = it.gamma_r / ((it.d_rd2 + it.gamma_r) * it.d_rd2 * LN2)
     quad = delta ** 2 + xi ** 2
-    relay_lb = it.r_relay - c_r * (quad + 2 * x * delta + 2 * y * xi)
-    bob_lb = it.r_bob - c_d * (quad + 2 * (x - d_bob[0]) * delta
-                               + 2 * (y - d_bob[1]) * xi)
+    relay_lb = it.r_relay - it.c_relay * (quad + 2 * x * delta + 2 * y * xi)
+    bob_lb = it.r_bob - it.c_bob * (quad + 2 * (x - d_bob[0]) * delta
+                                    + 2 * (y - d_bob[1]) * xi)
     return relay_lb, bob_lb
 
 
@@ -140,24 +151,34 @@ def distance_lower_bounds(scn: Scenario, it: TrajIterate,
     return zeta_lb, eta_lb
 
 
-# Variable layout of the convex step (all scaled):
-#   z = [delta (N) / H, xi (N) / H, eps_active / H^2, tau_active / H^2]
-# where only slots n >= 2 with positive relay power carry eps/tau
-# variables; silent slots contribute nothing to rates or causality.
-
-
 class _Layout:
+    """Variable layout of the convex step, slot by slot.
+
+    Slot n (0-based) holds delta_n / H and xi_n / H; then, if n >= 1
+    and the relay transmits in it, eps_n / H^2 and tau_n / H^2 (silent
+    slots contribute nothing to rates or causality); then, if n >= 1,
+    Bob's and Eve's buffer after slot n (bits).  The ``i_*`` arrays give
+    the positions.
+    """
+
     def __init__(self, scn: Scenario, it: TrajIterate):
-        self.n = scn.n_slots
+        n = self.n = scn.n_slots
         self.h = scn.altitude_h
         self.h2 = self.h ** 2
         self.active = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1  # slot index
         self.na = self.active.size
-        self.dim = 2 * self.n + 2 * self.na
-        self.i_delta = np.arange(self.n)
-        self.i_xi = np.arange(self.n, 2 * self.n)
-        self.i_eps = np.arange(2 * self.n, 2 * self.n + self.na)
-        self.i_tau = np.arange(2 * self.n + self.na, self.dim)
+        act = np.zeros(n, dtype=int)
+        act[self.active] = 1
+        buf = (np.arange(n) >= 1).astype(int)
+        count = 2 + 2 * act + 2 * buf
+        off = np.concatenate([[0], np.cumsum(count)[:-1]])
+        self.dim = int(np.sum(count))
+        self.i_delta = off
+        self.i_xi = off + 1
+        self.i_eps = off[self.active] + 2
+        self.i_tau = off[self.active] + 3
+        self.i_bob = off[1:] + 2 + 2 * act[1:]
+        self.i_eve = self.i_bob + 1
 
     def unpack(self, z: np.ndarray):
         delta = z[self.i_delta] * self.h
@@ -167,14 +188,63 @@ class _Layout:
         return delta, xi, eps, tau
 
 
-def _rate_lb_terms(scn: Scenario, it: TrajIterate):
-    """Coefficients of the quadratic rate lower bounds (slot-wise)."""
+# Hair-thin relaxation (bits), the buffers' initial content, so a
+# causality-tight base point still leaves the interior-point method an
+# interior; stays far inside the model's 1e-6 feasibility tolerance.
+CAUS_RELAX = 1e-8
+
+
+def _causality_buffers(scn: Scenario, it: TrajIterate,
+                       lay: _Layout) -> list[Buffer]:
+    """Bob's and Eve's relay buffers of the convex step.
+
+    Row j (prefix ending at slot j+1, 0-based) takes in the relay-rate
+    lower bound of slot j (quadratic in its displacement) and sends out
+    log2(1 + g/(h2 + slack)) of slot j+1 when the relay transmits there.
+    """
+    h, h2 = lay.h, lay.h2
     x = it.traj.x - scn.alice_xy[0]
     y = it.traj.y - scn.alice_xy[1]
-    d_bob = scn.bob_xy - scn.alice_xy
-    c_r = it.gamma_s / ((it.d_ar2 + it.gamma_s) * it.d_ar2 * LN2)
-    c_d = it.gamma_r / ((it.d_rd2 + it.gamma_r) * it.d_rd2 * LN2)
-    return x, y, d_bob, c_r, c_d
+    c_r = it.c_relay[:-1]
+    g_act = it.gamma_r[lay.active]
+    rows = lay.active - 1                 # row whose outflow slot is active
+    i_d, i_x = lay.i_delta[:-1], lay.i_xi[:-1]
+
+    def flow(i_slack):
+        cols = np.stack([i_d, i_d, i_x], axis=1)
+        cols[rows, 0] = i_slack           # silent rows repeat delta, value 0
+        hess_idx = np.concatenate([i_slack, i_d, i_x])
+
+        def value(z):
+            delta, xi, _, _ = lay.unpack(z)
+            relay_lb, _ = rate_lower_bounds(scn, it, delta, xi)
+            f = -relay_lb[:-1]
+            f[rows] += np.log2(1.0 + g_act / (h2 + z[i_slack] * h2))
+            return f
+
+        def jacobian(z):
+            delta, xi, _, _ = lay.unpack(z)
+            a = h2 + z[i_slack] * h2
+            vals = np.zeros((lay.n - 1, 3))
+            vals[rows, 0] = -g_act / (LN2 * a * (a + g_act)) * h2
+            vals[:, 1] = c_r * (2 * delta[:-1] + 2 * x[:-1]) * h
+            vals[:, 2] = c_r * (2 * xi[:-1] + 2 * y[:-1]) * h
+            return RowSparse(cols, vals)
+
+        def hess_weighted(z, w):
+            a = h2 + z[i_slack] * h2
+            hs = w[rows] * (g_act * (2 * a + g_act)
+                            / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2)
+            dq = 2.0 * c_r * w * h * h
+            return diag_hessian(hess_idx, np.concatenate([hs, dq, dq]))
+
+        return ConstraintBlock(m=lay.n - 1, value=value, jacobian=jacobian,
+                               hess_weighted=hess_weighted)
+
+    return [Buffer(flow(lay.i_eps), lay.i_bob, "bob_causality",
+                   initial=CAUS_RELAX),
+            Buffer(flow(lay.i_tau), lay.i_eve, "eve_causality",
+                   initial=CAUS_RELAX)]
 
 
 def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
@@ -190,7 +260,10 @@ def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
 def _build_subproblem(scn: Scenario, it: TrajIterate,
                       lay: _Layout) -> SmoothConvexProgram:
     n, h, h2 = lay.n, lay.h, lay.h2
-    x, y, d_bob, c_r, c_d = _rate_lb_terms(scn, it)
+    x = it.traj.x - scn.alice_xy[0]
+    y = it.traj.y - scn.alice_xy[1]
+    d_bob = scn.bob_xy - scn.alice_xy
+    c_d = it.c_bob
     act = lay.active
     g_act = it.gamma_r[act]
     v = scn.slot_travel
@@ -214,179 +287,108 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         g[lay.i_tau] = -g_act / (LN2 * den) * h2
         return g
 
+    dd0 = 2.0 * c_d * h * h
+    dd0[0] = 0.0
+    hess_idx = np.concatenate([lay.i_delta, lay.i_xi, lay.i_tau])
+
     def hessian(z):
-        delta, xi, _, tau = lay.unpack(z)
-        H = np.zeros((lay.dim, lay.dim))
-        dd = 2.0 * c_d * h * h
-        dd0 = dd.copy()
-        dd0[0] = 0.0
-        H[lay.i_delta, lay.i_delta] = dd0
-        H[lay.i_xi, lay.i_xi] = dd0
-        a = h2 + tau
-        H[lay.i_tau, lay.i_tau] = (g_act * (2 * a + g_act)
-                                   / (LN2 * (a * (a + g_act)) ** 2)) * h2 * h2
-        return H
+        a = h2 + z[lay.i_tau] * h2
+        ht = g_act * (2 * a + g_act) / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2
+        return diag_hessian(hess_idx, np.concatenate([dd0, dd0, ht]))
 
     blocks = []
 
     # --- mobility: squared hops of the displaced trajectory ---
     anchors = []
     if scn.start_xy is not None:
-        anchors.append(("start", scn.start_xy, 0))
+        anchors.append((scn.start_xy, 0))
     if scn.end_xy is not None:
-        anchors.append(("end", scn.end_xy, n - 1))
+        anchors.append((scn.end_xy, n - 1))
     m_mob = (n - 1) + len(anchors)
     v2s = (v / h) ** 2  # scaled squared travel budget
 
     xs = it.traj.x / h
     ys = it.traj.y / h
+    i_d, i_x = lay.i_delta, lay.i_xi
+    mob_cols = np.stack([i_d[:-1], i_d[1:], i_x[:-1], i_x[1:]], axis=1)
+    for _, idx in anchors:
+        mob_cols = np.vstack([mob_cols, [i_d[idx], i_x[idx], i_x[idx],
+                                         i_x[idx]]])
+    a_idx = np.array([idx for _, idx in anchors], dtype=int)
+    a_xy = np.array([anchor / h for anchor, _ in anchors]).reshape(-1, 2)
+    mob_rows = np.concatenate([i_d, i_x, i_d[1:], i_x[1:]])
+    mob_cols_h = np.concatenate([i_d, i_x, i_d[:-1], i_x[:-1]])
 
     def mob_value(z):
-        dx = z[lay.i_delta]
-        dxi = z[lay.i_xi]
-        px = xs + dx
-        py = ys + dxi
+        px = xs + z[i_d]
+        py = ys + z[i_x]
         hops = (np.diff(px) ** 2 + np.diff(py) ** 2) - v2s
-        out = [hops]
-        for _, anchor, idx in anchors:
-            out.append([(px[idx] - anchor[0] / h) ** 2
-                        + (py[idx] - anchor[1] / h) ** 2 - v2s])
-        return np.concatenate(out)
+        ends = (px[a_idx] - a_xy[:, 0]) ** 2 + (py[a_idx] - a_xy[:, 1]) ** 2
+        return np.concatenate([hops, ends - v2s])
 
     def mob_jacobian(z):
-        dx = z[lay.i_delta]
-        dxi = z[lay.i_xi]
-        px = xs + dx
-        py = ys + dxi
-        J = np.zeros((m_mob, lay.dim))
+        px = xs + z[i_d]
+        py = ys + z[i_x]
         ddx = 2 * np.diff(px)
         ddy = 2 * np.diff(py)
-        rows = np.arange(n - 1)
-        J[rows, lay.i_delta[rows + 1]] = ddx
-        J[rows, lay.i_delta[rows]] = -ddx
-        J[rows, lay.i_xi[rows + 1] - 0] = ddy
-        J[rows, lay.i_xi[rows]] = -ddy
-        r = n - 1
-        for _, anchor, idx in anchors:
-            J[r, lay.i_delta[idx]] = 2 * (px[idx] - anchor[0] / h)
-            J[r, lay.i_xi[idx]] = 2 * (py[idx] - anchor[1] / h)
-            r += 1
-        return J
+        vals = np.zeros((m_mob, 4))
+        vals[:n - 1] = np.stack([-ddx, ddx, -ddy, ddy], axis=1)
+        vals[n - 1:, 0] = 2 * (px[a_idx] - a_xy[:, 0])
+        vals[n - 1:, 1] = 2 * (py[a_idx] - a_xy[:, 1])
+        return RowSparse(mob_cols, vals)
 
     def mob_hess(z, w):
-        H = np.zeros((lay.dim, lay.dim))
         dd = np.zeros(n)
         dd[1:] += 2 * w[:n - 1]
         dd[:-1] += 2 * w[:n - 1]
+        np.add.at(dd, a_idx, 2 * w[n - 1:])
         off = -2 * w[:n - 1]
-        r = n - 1
-        for _, anchor, idx in anchors:
-            dd[idx] += 2 * w[r]
-            r += 1
-        for i in (lay.i_delta, lay.i_xi):
-            H[i, i] += dd
-            H[i[:-1], i[1:]] += off
-            H[i[1:], i[:-1]] += off
-        return H
+        return SymSparse(mob_rows, mob_cols_h,
+                         np.concatenate([dd, dd, off, off]))
 
     blocks.append(ConstraintBlock(m=m_mob, value=mob_value,
                                   jacobian=mob_jacobian,
                                   hess_weighted=mob_hess, name="mobility"))
 
-    # --- causality surrogates over prefixes n = 2..N ---
-    # LHS: sum over active i <= n of log2(1 + g_i/(h2 + slack_i));
-    # RHS: sum_{i<n} relay-rate lower bound (quadratic in delta, xi).
-    pref = (act[None, :] <= np.arange(1, n)[:, None]).astype(float)
-    # pref[j, a] = 1 iff active slot index act[a] belongs to the prefix
-    # ending at slot j+2 (0-based indices <= j+1)
-    tri = np.tril(np.ones((n - 1, n - 1)))   # prefix operator over slots
-
-    # Hair-thin relaxation (bits) so a causality-tight base point still
-    # leaves the interior-point method an interior; stays far inside the
-    # model's 1e-6 feasibility tolerance.
-    caus_relax = 1e-8
-
-    def caus_factory(i_slack):
-        def value(z):
-            delta, xi, _, _ = lay.unpack(z)
-            slack = z[i_slack] * h2
-            relay_lb, _ = rate_lower_bounds(scn, it, delta, xi)
-            lhs = pref @ np.log2(1.0 + g_act / (h2 + slack))
-            rhs = np.cumsum(relay_lb[:-1])
-            return lhs - rhs - caus_relax
-
-        def jacobian(z):
-            delta, xi, _, _ = lay.unpack(z)
-            slack = z[i_slack] * h2
-            J = np.zeros((n - 1, lay.dim))
-            den = (h2 + slack) * (h2 + slack + g_act)
-            J[:, i_slack] = pref * (-g_act / (LN2 * den) * h2)
-            gd = c_r * (2 * delta + 2 * x)
-            gx = c_r * (2 * xi + 2 * y)
-            # -d rhs/d delta_i for prefixes containing slot i (i <= n-1)
-            J[:, lay.i_delta[:-1]] = tri * (gd[:-1] * h)
-            J[:, lay.i_xi[:-1]] = tri * (gx[:-1] * h)
-            return J
-
-        def hess_weighted(z, w):
-            delta, xi, _, _ = lay.unpack(z)
-            slack = z[i_slack] * h2
-            H = np.zeros((lay.dim, lay.dim))
-            wa = pref.T @ w      # per active slot
-            a = h2 + slack
-            H[i_slack, i_slack] = wa * (g_act * (2 * a + g_act)
-                                        / (LN2 * (a * (a + g_act)) ** 2)
-                                        * h2 * h2)
-            wp = np.cumsum(w[::-1])[::-1]        # sum of w_j with j >= i
-            dq = 2.0 * c_r[:-1] * wp * h * h
-            H[lay.i_delta[:-1], lay.i_delta[:-1]] += dq
-            H[lay.i_xi[:-1], lay.i_xi[:-1]] += dq
-            return H
-
-        return value, jacobian, hess_weighted
-
-    for nm, i_slack in (("bob_causality", lay.i_eps),
-                        ("eve_causality", lay.i_tau)):
-        val, jac, hw = caus_factory(i_slack)
-        blocks.append(ConstraintBlock(m=n - 1, value=val, jacobian=jac,
-                                      hess_weighted=hw, name=nm))
+    # --- causality: Bob's and Eve's relay buffers ---
+    buffers = _causality_buffers(scn, it, lay)
+    blocks += [b.block() for b in buffers]
 
     # --- affine couplings: tau <= zeta_lb, eps <= eta_lb ---
-    def couple_factory(i_slack, which):
+    def couple_factory(i_slack, ref, which):
+        gx = 2 * (it.traj.x[act] - ref[0])    # d bound / d delta
+        gy = 2 * (it.traj.y[act] - ref[1])
+        J = RowSparse(np.stack([i_slack, i_d[act], i_x[act]], axis=1),
+                      np.stack([np.ones(lay.na), -gx * h / h2, -gy * h / h2],
+                               axis=1))
+
         def value(z):
             delta, xi, _, _ = lay.unpack(z)
-            slack = z[i_slack] * h2
             zeta_lb, eta_lb = distance_lower_bounds(scn, it, delta, xi)
             bound = zeta_lb if which == "zeta" else eta_lb
-            return (slack - bound[act]) / h2
+            return (z[i_slack] * h2 - bound[act]) / h2
 
-        def jacobian(z):
-            J = np.zeros((lay.na, lay.dim))
-            J[np.arange(lay.na), i_slack] = 1.0
-            ref = scn.eve_xy if which == "zeta" else scn.bob_xy
-            gx = 2 * (it.traj.x - ref[0])    # d bound / d delta
-            gy = 2 * (it.traj.y - ref[1])
-            J[np.arange(lay.na), lay.i_delta[act]] = -gx[act] * h / h2
-            J[np.arange(lay.na), lay.i_xi[act]] = -gy[act] * h / h2
-            return J
+        return value, lambda z: J
 
-        return value, jacobian
-
-    for nm, i_slack, which in (("tau_le_zeta", lay.i_tau, "zeta"),
-                               ("eps_le_eta", lay.i_eps, "eta")):
-        val, jac = couple_factory(i_slack, which)
+    for nm, i_slack, ref, which in (
+            ("tau_le_zeta", lay.i_tau, scn.eve_xy, "zeta"),
+            ("eps_le_eta", lay.i_eps, scn.bob_xy, "eta")):
+        val, jac = couple_factory(i_slack, ref, which)
         blocks.append(ConstraintBlock(m=lay.na, value=val, jacobian=jac,
                                       name=nm))
 
     lb = np.full(lay.dim, -np.inf)
-    lb[lay.i_eps] = 0.0
-    lb[lay.i_tau] = 0.0
+    for i in (lay.i_eps, lay.i_tau, lay.i_bob, lay.i_eve):
+        lb[i] = 0.0
 
-    # Interior seed: zero displacement, slacks just below their bounds.
+    # Interior seed: zero displacement, slacks just below their bounds,
+    # buffers strictly inside at that point.
     margin = 1e-3
     z0 = np.zeros(lay.dim)
     z0[lay.i_eps] = np.maximum(it.eta[act] / h2 - margin, margin)
     z0[lay.i_tau] = np.maximum(it.zeta[act] / h2 - margin, margin)
+    for b in buffers:
+        z0[b.idx] = buffer_start(b.surplus(z0))
 
     return SmoothConvexProgram(
         dim=lay.dim, objective=objective, gradient=gradient, hessian=hessian,
@@ -418,10 +420,9 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
     return PowerAllocation(p_s=pw.p_s, p_r=lo * pw.p_r)
 
 
-def subproblem_solution(scn: Scenario, it: TrajIterate,
+def subproblem_solution(scn: Scenario, it: TrajIterate, lay: _Layout,
                         z: np.ndarray) -> SubproblemVars:
     """Expand a solver solution into full-length slack vectors."""
-    lay = _Layout(scn, it)
     delta, xi, eps_a, tau_a = lay.unpack(z)
     zeta_lb, eta_lb = distance_lower_bounds(scn, it, delta, xi)
     eps = eta_lb[1:].copy()
@@ -469,7 +470,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             # a causality-tight point means a (near-)stationary step.
             report.status = f"solver_{res.status}"
             break
-        sol = subproblem_solution(scn, it, res.x_opt)
+        sol = subproblem_solution(scn, it, lay, res.x_opt)
         traj_new = Trajectory(it.traj.xy
                               + np.stack([sol.delta, sol.xi], axis=1))
         it_new = make_iterate(scn, traj_new, pw)

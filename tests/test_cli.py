@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from secrelay import cli
+from secrelay.baselines import scan_options
 from secrelay.cli import (ConfigError, benchmark_scenario, parse_power,
                           parse_scenario, read_trajectory_csv,
                           resolved_config)
@@ -194,33 +195,81 @@ class TestArtifacts:
 
 class TestBaselineOptions:
     def _captured_opts(self, monkeypatch, tmp_path, run):
-        """dc_opts that ``secrelay baseline static`` hands to the scan."""
+        """The ``run_keys`` that ``secrelay baseline static`` hands to
+        ``static_relay_best``, and the options of each power solve of a
+        one-point grid (the scan, then the winner's re-solve)."""
+        import secrelay.baselines as baselines
         from secrelay.baselines import StaticGrid, static_relay_best
-        seen = []
+        seen, used = [], []
+        real = baselines.dc_allocate
+        # Closer to Bob than to Eve: positive secrecy, so a winner exists.
+        xy = (350.0, -30.0)
 
-        def recorder(scn, grid=None, dc_opts=None):
-            seen.append(dc_opts)
-            one_point = StaticGrid(x_min=200.0, x_max=200.0, y_min=-50.0,
-                                   y_max=-50.0, nx=1, ny=1,
+        def recorder(scn, grid=None, run_keys=None):
+            seen.append(run_keys)
+            one_point = StaticGrid(x_min=xy[0], x_max=xy[0], y_min=xy[1],
+                                   y_max=xy[1], nx=1, ny=1,
                                    refine_halvings=0)
-            return static_relay_best(scn, grid=one_point, dc_opts=dc_opts)
+            return static_relay_best(scn, grid=one_point, run_keys=run_keys)
+
+        def recording(scn, traj, pw_0=None, opts=None):
+            used.append(opts)
+            return real(scn, traj, pw_0=pw_0, opts=opts)
 
         monkeypatch.setattr(cli, "static_relay_best", recorder)
+        monkeypatch.setattr(baselines, "dc_allocate", recording)
         cfg = _write(tmp_path, dict(SMALL, run=run))
         rc = cli.main(["baseline", "static", str(cfg),
                        "--out-dir", str(tmp_path / "o")])
         assert rc == 0
         assert len(seen) == 1
-        return seen[0]
+        return seen[0], used
 
     def test_run_keys_reach_static_scan(self, monkeypatch, tmp_path, capsys):
-        opts = self._captured_opts(monkeypatch, tmp_path, {"max_iter": 1})
+        _, used = self._captured_opts(monkeypatch, tmp_path, {"max_iter": 1})
+        opts = used[0]
         assert opts.max_iter == 1
         assert opts.rel_tol == 1e-4       # the scan default, not DcOptions'
-        opts = self._captured_opts(monkeypatch, tmp_path,
-                                   {"rel_tol": 1e-3, "feas_tol": 1e-7})
+        _, used = self._captured_opts(monkeypatch, tmp_path,
+                                      {"rel_tol": 1e-3, "feas_tol": 1e-7})
+        opts = used[0]
         assert (opts.rel_tol, opts.max_iter, opts.feas_tol) == (1e-3, 40, 1e-7)
 
     def test_empty_run_keeps_scan_defaults(self, monkeypatch, tmp_path,
                                            capsys):
-        assert self._captured_opts(monkeypatch, tmp_path, {}) is None
+        run_keys, used = self._captured_opts(monkeypatch, tmp_path, {})
+        assert not run_keys
+        assert used[0] == scan_options()
+
+    def test_final_solve_gets_default_options(self, monkeypatch, tmp_path,
+                                              capsys):
+        """With only feas_tol set, the winner is re-solved with
+        DcOptions() plus that key, not with the loose scan options."""
+        _, used = self._captured_opts(monkeypatch, tmp_path,
+                                      {"feas_tol": 1e-7})
+        assert len(used) == 2            # the one grid point, then the winner
+        scan, final = used
+        assert (scan.rel_tol, scan.max_iter, scan.feas_tol) == (1e-4, 40, 1e-7)
+        assert (final.rel_tol, final.max_iter, final.feas_tol) == (
+            1e-5, 100, 1e-7)
+
+
+class TestImportFootprint:
+    def test_package_import_leaves_cli_and_yaml_out(self):
+        """``import secrelay`` loads neither the CLI nor YAML, nor
+        scipy.sparse."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import secrelay
+        src = str(Path(secrelay.__file__).resolve().parent.parent)
+        code = ("import sys, secrelay; "
+                "print(sorted(m for m in ('yaml', 'secrelay.cli', "
+                "'scipy.sparse') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+        assert secrelay.benchmark_scenario is cli.benchmark_scenario

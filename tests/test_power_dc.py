@@ -3,18 +3,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (random_feasible_trajectory, random_scenario,
                       small_scenario)
 from secrelay import benchmark_scenario, model
 from secrelay.model import PowerAllocation, Scenario, Trajectory
-from secrelay.power_dc import (LN2, DcOptions, build_dc_surrogate,
-                               dc_allocate, default_power_start)
-from secrelay.solver import verify_derivatives
+from secrelay.power_dc import (LN2, Buffer, DcOptions, _layout,
+                               buffer_start, build_dc_surrogate, dc_allocate,
+                               default_power_start)
+from secrelay.solver import ConstraintBlock, RowSparse, verify_derivatives
 from secrelay.trajectory_scp import restore_feasibility
 
-# The surrogate program works on scaled variables
-# z = [p_s[1..N-1]/u_s, p_r[2..N]/u_r] with the equal-power scales u.
+# The surrogate program works on scaled variables p_s[1..N-1]/u_s and
+# p_r[2..N]/u_r with the equal-power scales u, laid out slot by slot
+# next to buffer and energy variables (positions from _layout).
 
 
 def _scales(scn):
@@ -24,8 +28,13 @@ def _scales(scn):
 
 
 def _z(scn, pw):
+    """pw in the surrogate's variables; buffers and energies at 0."""
     u_s, u_r = _scales(scn)
-    return np.concatenate([pw.p_s[:-1] / u_s, pw.p_r[1:] / u_r])
+    idx, dim = _layout(scn.n_slots)
+    z = np.zeros(dim)
+    z[idx["ps"]] = pw.p_s[:-1] / u_s
+    z[idx["pr"]] = pw.p_r[1:] / u_r
+    return z
 
 
 def _hover_traj(scn, xy):
@@ -41,10 +50,10 @@ class TestSurrogate:
         ch = model.channel_state(scn, traj)
         u_s, u_r = _scales(scn)
         g = prog.gradient(_z(scn, pw0))
-        k = scn.n_slots - 1
+        i_pr = _layout(scn.n_slots)[0]["pr"]
         # Maximize convention flips to minimize: d(-surrogate)/dz_r.
         want = -(ch.gamma_rd[1:] - ch.gamma_re[1:]) / LN2 * u_r
-        np.testing.assert_allclose(g[k:], want, rtol=1e-12)
+        np.testing.assert_allclose(g[i_pr], want, rtol=1e-12)
 
     def test_tangency_at_linearization_point(self, rng):
         for _ in range(5):
@@ -77,7 +86,7 @@ class TestSurrogate:
         pw_k = _feasible_random_power(rng, scn, traj)
         prog = build_dc_surrogate(scn, traj, pw_k)
         for _ in range(10):
-            z = rng.uniform(0.01, 1.0, 2 * (scn.n_slots - 1))
+            z = rng.uniform(0.01, 1.0, prog.dim)
             assert verify_derivatives(prog, z) < 1e-5
         # A grossly infeasible linearization point is refused.
         n = scn.n_slots
@@ -190,19 +199,26 @@ class TestNoiseFloorStall:
     with two BLAS threads, near (1800, -16.5) with a moved Eve at any
     thread count.  The stage must take such a solve as optimal."""
 
-    @pytest.mark.parametrize("eve_xy, xy", [
+    LOCATIONS = [
         ((1000.7554842675484, 109.97142133908135),
          (1800.0, -16.495713200862212)),
         (None, (1800.0, 30.0)),
-    ])
-    def test_static_scan_location(self, eve_xy, xy):
+    ]
+
+    @staticmethod
+    def _run(eve_xy, xy, opts):
         scn = benchmark_scenario(horizon_s=130.0, slot_len_s=2.0)
         if eve_xy is not None:
             scn = dataclasses.replace(scn, eve_xy=np.asarray(eve_xy))
         traj = _hover_traj(scn, xy)
         pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
-        pw, report = dc_allocate(scn, traj, pw_0=pw0,
-                                 opts=DcOptions(rel_tol=1e-4, max_iter=40))
+        pw, report = dc_allocate(scn, traj, pw_0=pw0, opts=opts)
+        return scn, traj, pw0, pw, report
+
+    @pytest.mark.parametrize("eve_xy, xy", LOCATIONS)
+    def test_static_scan_location(self, eve_xy, xy):
+        scn, traj, pw0, pw, report = self._run(
+            eve_xy, xy, DcOptions(rel_tol=1e-4, max_iter=40))
         checks = model.check_all(scn, traj, pw, tol=1e-6)
         assert all(v.feasible for v in checks.values())
         assert (model.secrecy_sum(scn, traj, pw)
@@ -210,3 +226,65 @@ class TestNoiseFloorStall:
         for rec in report.iterations:
             if "subproblem_kkt" in rec.extras:
                 assert rec.extras["subproblem_kkt"] <= 1e-7
+
+    @pytest.mark.parametrize("eve_xy, xy", LOCATIONS)
+    def test_non_improving_step_recorded_and_certified(self, eve_xy, xy):
+        """A subproblem that ends below the start is recorded, and the
+        kept start is converged only if its certificate passes."""
+        opts = DcOptions(rel_tol=1e-4, max_iter=40)
+        *_, pw0, pw, report = self._run(eve_xy, xy, opts)
+        rejected = report.extras["rejected_step"]
+        assert rejected["subproblem_kkt"] <= 1e-7
+        assert rejected["subproblem_iters"] > 0
+        assert rejected["objective"] < report.final_objective
+        assert report.status == ("converged"
+                                 if rejected["kept_kkt"] <= opts.kkt_tol
+                                 else "stalled")
+        # Only accepted iterates are recorded.
+        assert all("subproblem_kkt" in r.extras
+                   for r in report.iterations[1:])
+        if len(report.iterations) == 1:
+            np.testing.assert_array_equal(pw.p_r, pw0.p_r)
+
+
+def _fixed_flow_buffer(flow, initial):
+    """A buffer over z = b whose net outflows are the constants ``flow``."""
+    m = len(flow)
+    f = np.asarray(flow, dtype=float)
+    block = ConstraintBlock(
+        m=m, value=lambda z: f,
+        jacobian=lambda z: RowSparse(np.zeros((m, 1), dtype=int),
+                                     np.zeros((m, 1))))
+    return Buffer(block, np.arange(m), "buffer", initial=initial)
+
+
+_FLOWS = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40)
+_INITIAL = st.sampled_from([0.0, 1e-8, 0.5])
+
+
+class TestBufferForm:
+    """Relay buffers state information causality exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_FLOWS, _INITIAL)
+    def test_prefix_iff_buffer_rows(self, flow, initial):
+        buf = _fixed_flow_buffer(flow, initial)
+        prefix_ok = bool(np.all(np.cumsum(flow) <= initial))
+        b = buf.surplus(np.zeros(len(flow)))
+        rows = buf.block().value(b)
+        scale = 1.0 + float(np.max(np.abs(b)))
+        # At the prefix surpluses every row is tight ...
+        assert np.all(np.abs(rows) <= 1e-13 * scale)
+        # ... and the buffers are nonnegative exactly when every prefix
+        # constraint holds.
+        assert bool(np.all(b >= 0.0)) == prefix_ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(_FLOWS, _INITIAL)
+    def test_buffer_start_strictly_feasible(self, flow, initial):
+        buf = _fixed_flow_buffer(flow, initial)
+        surplus = buf.surplus(np.zeros(len(flow)))
+        assume(np.all(surplus > 1e-6))      # the prefix start is strict
+        b = buffer_start(surplus)
+        assert np.all(b > 0.0)
+        assert np.all(buf.block().value(b) < 0.0)

@@ -1,13 +1,21 @@
 """Interior-point solver for smooth convex programs."""
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from secrelay import _blas
-from secrelay.model import PowerAllocation
-from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock,
-                             SmoothConvexProgram, SolverOptions, kkt_residual,
+from secrelay.model import (PowerAllocation, benchmark_scenario,
+                            equal_power_allocation)
+from secrelay.power_dc import build_dc_surrogate
+from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock, RowSparse,
+                             SmoothConvexProgram, SolverOptions, SymSparse,
+                             _band, _Blocks, _factor_solve, kkt_residual,
                              scalar_ineq, solve, spot_check_convexity,
                              verify_derivatives)
+from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
+                                     make_iterate, restore_feasibility)
 
 LN2 = float(np.log(2.0))
 
@@ -149,7 +157,8 @@ class TestImplicitBounds:
 
 class TestEvaluationCount:
     def test_each_point_evaluated_once(self):
-        """Gradient, objective and each block's Jacobian see a point once."""
+        """Gradient, objective and each block's value and Jacobian see a
+        point once."""
         prog, *_ = _random_two_var_family(np.random.default_rng(3))
         seen = {"objective": [], "gradient": []}
 
@@ -164,7 +173,7 @@ class TestEvaluationCount:
         prog.objective = recording("objective", prog.objective)
         prog.gradient = recording("gradient", prog.gradient)
         prog.ineqs = [ConstraintBlock(
-            m=b.m, value=b.value,
+            m=b.m, value=recording(f"value{k}", b.value),
             jacobian=recording(f"jacobian{k}", b.jacobian),
             hess_weighted=b.hess_weighted, name=b.name)
             for k, b in enumerate(prog.ineqs)]
@@ -357,3 +366,178 @@ class TestDeterminismAndMonotonicity:
         for _ in range(20):
             x = np.array([rng.uniform(-0.9, 0.9), rng.uniform(0.05, 2.0)])
             assert verify_derivatives(prog, x) < 1e-5
+
+
+def _band_to_dense(ab):
+    """Symmetric dense matrix from LAPACK lower banded storage."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for o in range(ab.shape[0]):
+        A[np.arange(o, n), np.arange(n - o)] = ab[o, :n - o]
+    return A + np.tril(A, -1).T
+
+
+def _random_row_sparse(rng, m, dim, k, width):
+    """Rows of k nonzeros within a window of ``width`` columns; columns
+    may repeat within a row."""
+    lo = rng.integers(0, dim - width + 1, m)
+    return RowSparse(lo[:, None] + rng.integers(0, width, (m, k)),
+                     rng.normal(size=(m, k)))
+
+
+class TestBandedNewton:
+    """The banded Newton matrix against dense references."""
+
+    def test_band_matches_dense_reference(self):
+        rng = np.random.default_rng(11)
+        dim, width = 30, 5
+        blocks_J = [_random_row_sparse(rng, m, dim, k, width)
+                    for m, k in ((25, 3), (10, 5), (4, 1))]
+        lb = np.where(rng.uniform(size=dim) < 0.5, 0.0, -np.inf)
+        ub = np.where(rng.uniform(size=dim) < 0.3, 1.0, np.inf)
+        prog = SmoothConvexProgram(
+            dim=dim, objective=lambda x: 0.0,
+            gradient=lambda x: np.zeros(dim),
+            ineqs=[ConstraintBlock(m=J.cols.shape[0], value=None,
+                                   jacobian=lambda x, J=J: J)
+                   for J in blocks_J],
+            lb=lb, ub=ub)
+        blocks = _Blocks(prog)
+        s = rng.uniform(0.1, 10.0, blocks.m)
+        rows = rng.integers(0, dim, 40)
+        H = SymSparse(rows, np.maximum(rows - rng.integers(0, width, 40), 0),
+                      rng.normal(size=40))
+        J = blocks.jacobian(np.zeros(dim))
+        ab, c, d = _band(dim, blocks.newton_entries(J, s) + [H],
+                         border=False)
+        assert ab.shape[0] <= width
+        # Dense reference: program rows, then -e_i for lb, +e_j for ub.
+        eye = np.eye(dim)
+        Jd = np.vstack([p.dense(dim) for p in blocks_J]
+                       + [-eye[blocks.lb_idx], eye[blocks.ub_idx]])
+        ref = (Jd.T * s) @ Jd + H.dense(dim)
+        np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_border_solve_matches_dense_solve(self):
+        """Phase I's slack column: a border eliminated by its Schur
+        complement gives the dense solution."""
+        rng = np.random.default_rng(12)
+        dim = 25                      # the border is variable dim - 1
+        J = _random_row_sparse(rng, 40, dim - 1, 3, 4)
+        J = RowSparse(np.concatenate([J.cols, np.full((40, 1), dim - 1)], 1),
+                      np.concatenate([J.vals, np.full((40, 1), -1.0)], 1))
+        prog = SmoothConvexProgram(
+            dim=dim, objective=lambda x: 0.0,
+            gradient=lambda x: np.zeros(dim),
+            ineqs=[ConstraintBlock(m=40, value=None, jacobian=lambda x: J)])
+        blocks = _Blocks(prog)
+        s = rng.uniform(0.5, 2.0, 40)
+        H = SymSparse(np.arange(dim - 1), np.arange(dim - 1),
+                      rng.uniform(0.1, 1.0, dim - 1))
+        parts = blocks.newton_entries(blocks.jacobian(np.zeros(dim)), s) + [H]
+        ab, c, d = _band(dim, parts, border=True)
+        assert ab.shape == (4, dim - 1)
+        rhs = rng.normal(size=dim)
+        dx, reg = _factor_solve(ab, c, d, rhs)
+        Jd = J.dense(dim)
+        ref = (Jd.T * s) @ Jd + H.dense(dim)
+        assert reg == 0.0
+        np.testing.assert_allclose(dx, np.linalg.solve(ref, rhs),
+                                   rtol=1e-10, atol=1e-10)
+
+    def test_dense_block_in_quadratic_memory(self):
+        """A dense (m, dim) Jacobian block is multiplied out densely:
+        right entries, and memory O(m dim + dim^2), not O(m dim^2)."""
+        import tracemalloc
+        rng = np.random.default_rng(13)
+        dim = m = 300
+        Jd = rng.normal(size=(m, dim))
+        prog = SmoothConvexProgram(
+            dim=dim, objective=lambda x: 0.0,
+            gradient=lambda x: np.zeros(dim),
+            ineqs=[ConstraintBlock(m=m, value=None, jacobian=lambda x: Jd)])
+        blocks = _Blocks(prog)
+        s = rng.uniform(0.1, 10.0, m)
+        J = blocks.jacobian(np.zeros(dim))
+        tracemalloc.start()
+        try:
+            parts = blocks.newton_entries(J, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Pair indices per row would need m dim^2 / 2 int64 triples (324 MB).
+        assert peak < 8 * 2 ** 20
+        ab, _, _ = _band(dim, parts, border=False)
+        ref = (Jd.T * s) @ Jd
+        np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_dense_callbacks_give_full_band(self):
+        """A dense Jacobian still works; its band spans the matrix."""
+        heights = []
+        real = scipy.linalg.cholesky_banded
+
+        def recording(ab, *args, **kwargs):
+            heights.append(ab.shape[0])
+            return real(ab, *args, **kwargs)
+
+        prog = _boxed_program(explicit_bounds=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.linalg, "cholesky_banded", recording)
+            res = solve(prog)
+        assert res.status == "optimal"
+        assert heights and set(heights) == {prog.dim}
+
+
+def _stage_programs(n_slots):
+    """Stage programs of the fixed-endpoint benchmark at N = n_slots
+    (1 s slots): the power surrogate, the trajectory subproblem at half
+    the causality-tight relay power (strictly feasible start), and at the
+    tight power itself (phase I runs)."""
+    scn = benchmark_scenario(float(n_slots), 1.0, fixed_endpoints=True)
+    traj = initial_trajectory(scn)
+    pw = restore_feasibility(scn, traj, equal_power_allocation(scn))
+    half = PowerAllocation(p_s=pw.p_s, p_r=0.5 * pw.p_r)
+    return {"power": build_dc_surrogate(scn, traj, pw),
+            "trajectory": build_subproblem(scn, half,
+                                           make_iterate(scn, traj, half)),
+            "trajectory phase I": build_subproblem(
+                scn, pw, make_iterate(scn, traj, pw))}
+
+
+class TestLinearScaling:
+    """Newton steps of the stage programs cost O(N): constant band
+    height, and memory far below one dense matrix."""
+
+    def test_band_height_independent_of_n(self, monkeypatch):
+        real = scipy.linalg.cholesky_banded
+        heights = []
+
+        def recording(ab, *args, **kwargs):
+            heights[-1].add(ab.shape[0])
+            return real(ab, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+        seen = {}
+        for n in (50, 400):
+            for name, prog in _stage_programs(n).items():
+                heights.append(set())
+                solve(prog, SolverOptions(max_iter=3))
+                seen[name, n] = heights[-1]
+        for name in ("power", "trajectory", "trajectory phase I"):
+            assert seen[name, 50], name
+            assert seen[name, 50] == seen[name, 400], name
+            assert max(seen[name, 50]) <= 16, name
+
+    def test_memory_at_n_2000(self):
+        for prog in _stage_programs(2000).values():
+            assert prog.dim > 10000
+            tracemalloc.start()
+            try:
+                solve(prog, SolverOptions(max_iter=3))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # One dense 2000 x 2000 float64 matrix is 32 MB.
+            assert peak < 16e6

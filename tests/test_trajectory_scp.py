@@ -7,7 +7,8 @@ from conftest import (random_feasible_trajectory, random_power,
 from secrelay import model
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.solver import solve, verify_derivatives
-from secrelay.trajectory_scp import (build_subproblem, distance_lower_bounds,
+from secrelay.trajectory_scp import (CAUS_RELAX, _causality_buffers, _Layout,
+                                     build_subproblem, distance_lower_bounds,
                                      initial_trajectory, make_iterate,
                                      rate_lower_bounds, restore_feasibility,
                                      scp_optimize)
@@ -142,19 +143,37 @@ class TestSubproblem:
                                  model.equal_power_allocation(scn))
         it = make_iterate(scn, traj, pw)
         prog = build_subproblem(scn, pw, it)
-        # Base point: zero displacement, slacks at their affine bounds.
+        # Base point: zero displacement, slacks at their affine bounds,
+        # buffers at their prefix surpluses.
+        lay = _Layout(scn, it)
         z0 = np.zeros(prog.dim)
         act = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1
         h2 = scn.altitude_h ** 2
-        na = act.size
-        z0[2 * scn.n_slots:2 * scn.n_slots + na] = it.eta[act] / h2
-        z0[2 * scn.n_slots + na:] = it.zeta[act] / h2
+        z0[lay.i_eps] = it.eta[act] / h2
+        z0[lay.i_tau] = it.zeta[act] / h2
+        for buf in _causality_buffers(scn, it, lay):
+            z0[buf.idx] = buf.surplus(z0)
         # Surrogate objective (negated) equals the true secrecy sum.
         assert -prog.objective(z0) == pytest.approx(it.objective, abs=1e-9)
         # All surrogate constraints hold at the base point, within the
         # model feasibility tolerance the base point itself was checked at.
         for block in prog.ineqs:
             assert np.all(block.value(z0) <= 2e-6)
+        # The buffer rows are tight by construction; the prefix constraints
+        # are the buffers' bounds b >= 0.
+        assert np.all(z0[lay.i_bob] >= -2e-6)
+        assert np.all(z0[lay.i_eve] >= -2e-6)
+        # At the base point the surrogate rates are the true rates, so the
+        # buffers hold the model's prefix surpluses.
+        gaps = model.check_causality(scn, traj, pw).slacks
+        np.testing.assert_allclose(z0[lay.i_bob],
+                                   CAUS_RELAX - gaps["bob_gaps"], atol=1e-9)
+        np.testing.assert_allclose(z0[lay.i_eve],
+                                   CAUS_RELAX - gaps["eve_gaps"], atol=1e-9)
+        for bound, sign in ((prog.lb, 1.0), (prog.ub, -1.0)):
+            if bound is not None:
+                fin = np.isfinite(bound)
+                assert np.all(sign * (z0[fin] - bound[fin]) >= -2e-6)
 
     def test_step_toward_bob_helps(self):
         scn = small_scenario(eve_xy=[5000.0, 5000.0])  # Eve far away
@@ -163,16 +182,16 @@ class TestSubproblem:
                                  model.equal_power_allocation(scn))
         it = make_iterate(scn, traj, pw)
         prog = build_subproblem(scn, pw, it)
+        lay = _Layout(scn, it)
         z_stay = np.zeros(prog.dim)
         act = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1
         h2 = scn.altitude_h ** 2
-        na = act.size
         for z in (z_stay,):
-            z[2 * scn.n_slots:2 * scn.n_slots + na] = it.eta[act] / h2
-            z[2 * scn.n_slots + na:] = it.zeta[act] / h2
+            z[lay.i_eps] = it.eta[act] / h2
+            z[lay.i_tau] = it.zeta[act] / h2
         z_move = z_stay.copy()
         # Displace the last slot toward Bob by 10 m (scaled by H).
-        z_move[scn.n_slots - 1] = 10.0 / scn.altitude_h
+        z_move[lay.i_delta[-1]] = 10.0 / scn.altitude_h
         assert prog.objective(z_move) < prog.objective(z_stay)
 
     def test_derivatives(self, rng):
@@ -180,11 +199,14 @@ class TestSubproblem:
         traj = random_feasible_trajectory(rng, scn)
         pw = restore_feasibility(scn, traj,
                                  model.equal_power_allocation(scn))
-        prog = build_subproblem(scn, pw, make_iterate(scn, traj, pw))
+        it = make_iterate(scn, traj, pw)
+        prog = build_subproblem(scn, pw, it)
+        slacks = np.concatenate([_Layout(scn, it).i_eps,
+                                 _Layout(scn, it).i_tau])
         z0 = np.asarray(prog.strictly_feasible_start)
         for _ in range(10):
             z = z0 + rng.uniform(-0.05, 0.05, prog.dim)
-            z[2 * scn.n_slots:] = np.maximum(z[2 * scn.n_slots:], 0.05)
+            z[slacks] = np.maximum(z[slacks], 0.05)
             assert verify_derivatives(prog, z) < 1e-5
 
     def test_infeasible_base_point_rejected(self):
