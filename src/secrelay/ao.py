@@ -61,7 +61,7 @@ def _ao_single(scn: Scenario, traj: Trajectory,
                              model.equal_power_allocation(scn),
                              tol=opts.feas_tol)
     obj = model.secrecy_sum(scn, traj, pw)
-    report.add(obj, feasible=True)
+    report.add(obj, feasible=True, wall_time=time.perf_counter() - t0)
     report.status = "max_iter"
 
     if scn.p_bar_r <= 0.0:
@@ -85,7 +85,8 @@ def _ao_single(scn: Scenario, traj: Trajectory,
         feas = all(v.feasible for v in
                    model.check_all(scn, traj, pw, opts.feas_tol).values())
         report.add(obj_new, feasible=feas,
-                   kkt_residual=scp_rep.extras.get("final_subproblem_kkt"))
+                   kkt_residual=scp_rep.extras.get("final_subproblem_kkt"),
+                   wall_time=time.perf_counter() - t0)
         obj = obj_new
         if rel < opts.rel_tol:
             report.status = "converged"
@@ -119,7 +120,8 @@ def ao_optimize(scn: Scenario, opts: Optional[AoOptions] = None,
                 ) -> tuple[Trajectory, PowerAllocation, RunReport]:
     """Alternate power allocation and trajectory steps until the secrecy
     objective settles; with several starting trajectories, keeps the best
-    run (multi-start)."""
+    run (multi-start).  ``report.extras["multistart_runs"]`` sums up every
+    run, in start order."""
     opts = opts or AoOptions()
     if init_trajs is None:
         init_trajs = default_starts(scn)
@@ -131,6 +133,11 @@ def ao_optimize(scn: Scenario, opts: Optional[AoOptions] = None,
         if best is None or out[2].final_objective > best[2].final_objective:
             best = out
     traj, pw, report = best
+    report.extras["multistart_runs"] = [
+        {"objective": r.final_objective, "status": r.status,
+         "total_time": r.total_time,
+         "stage_statuses": [s.status for s in r.sub_reports]}
+        for _, _, r in runs]
     if len(runs) > 1:
         report.extras["multistart_objectives"] = [
             r[2].final_objective for r in runs]

@@ -28,7 +28,6 @@ Configuration format (YAML)::
       start_xy_m: [200, -100]     # optional; omit for a free endpoint
       end_xy_m: [1800, -100]      # optional
     run:                          # all optional
-      seed: 0
       out_dir: out
       save_iterates: false
       rel_tol: 1.0e-4
@@ -104,8 +103,7 @@ _SCN_KEYS = {"alice_xy_m", "bob_xy_m", "eve_xy_m", "altitude_m",
              "horizon_s", "n_slots", "slot_len_s", "v_max_mps",
              "ref_snr_db", "ref_snr_linear", "p_bar_s", "p_bar_r",
              "start_xy_m", "end_xy_m"}
-_RUN_KEYS = {"seed", "out_dir", "save_iterates", "rel_tol", "max_iter",
-             "feas_tol"}
+_RUN_KEYS = {"out_dir", "save_iterates", "rel_tol", "max_iter", "feas_tol"}
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -299,10 +297,16 @@ def _options(run: dict) -> tuple[AoOptions, DcOptions, ScpOptions, float]:
     return ao, dc, scp, feas_tol
 
 
-def _load_traj(scn: Scenario, args) -> tuple[Trajectory, Optional[PowerAllocation]]:
+def _load_traj(scn: Scenario, args,
+               tol: float) -> tuple[Trajectory, PowerAllocation]:
+    """Trajectory and powers from ``--trajectory``; without it, the
+    initial trajectory with equal power, the relay scaled down until
+    causality holds."""
     if getattr(args, "trajectory", None):
         return read_trajectory_csv(Path(args.trajectory))
-    return initial_trajectory(scn), None
+    traj = initial_trajectory(scn)
+    return traj, restore_feasibility(
+        scn, traj, model.equal_power_allocation(scn), tol=tol)
 
 
 def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
@@ -333,10 +337,7 @@ def cmd_ao(scn, run, out_dir, args) -> int:
 def cmd_trajectory(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     _, _, scp_opts, tol = _options(run)
-    traj0, pw = _load_traj(scn, args)
-    if pw is None:
-        pw = restore_feasibility(scn, traj0,
-                                 model.equal_power_allocation(scn), tol=tol)
+    traj0, pw = _load_traj(scn, args, tol)
     cb = None
     if run.get("save_iterates"):
         cb = _iterate_snapshot_writer(scn, [pw], out_dir)
@@ -352,10 +353,7 @@ def cmd_trajectory(scn, run, out_dir, args) -> int:
 def cmd_power(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     _, dc_opts, _, tol = _options(run)
-    traj, pw0 = _load_traj(scn, args)
-    if pw0 is None:
-        pw0 = restore_feasibility(scn, traj,
-                                  model.equal_power_allocation(scn), tol=tol)
+    traj, pw0 = _load_traj(scn, args, tol)
     try:
         pw, report = dc_allocate(scn, traj, pw_0=pw0, opts=dc_opts)
     except StageFailure as exc:
@@ -394,20 +392,14 @@ def cmd_baseline(scn, run, out_dir, args) -> int:
 def cmd_eval(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     tol = float(run.get("feas_tol", 1e-6))
-    traj, pw = _load_traj(scn, args)
-    if pw is None:
-        pw = restore_feasibility(scn, traj,
-                                 model.equal_power_allocation(scn), tol=tol)
+    traj, pw = _load_traj(scn, args, tol)
     return _finish(out_dir, scn, run, None, traj, pw, tol, t0)
 
 
 def cmd_check(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     tol = float(run.get("feas_tol", 1e-6))
-    traj, pw = _load_traj(scn, args)
-    if pw is None:
-        pw = restore_feasibility(scn, traj,
-                                 model.equal_power_allocation(scn), tol=tol)
+    traj, pw = _load_traj(scn, args, tol)
     snap = evaluate(scn, traj, pw, tol)
     _finish(out_dir, scn, run, None, traj, pw, tol, t0)
     if not snap.feasible:

@@ -8,6 +8,17 @@ surrogate is tight at the linearization point and minorizes the true
 objective, so the true objective ascends monotonically and the limit is
 a KKT point of the power allocation problem.
 
+Each accepted step pw_k -> pw_{k+1} is boosted (F. J. Aragón Artacho,
+R. M. T. Fleming & P. T. Vuong, "Accelerating the DC algorithm for
+smooth functions", Math. Program. 169, 2018): a backtracking line search
+along d = pw_{k+1} - pw_k takes the first pw_{k+1} + lam d that is
+exactly feasible (causality and budgets at tolerance 0, so the next
+surrogate contains it) and strictly better, and the loop linearizes
+there.  The surrogate at a boosted point may end below that point by its
+solve's duality gap; the step is then dropped and the loop steps plainly
+from the last surrogate solution instead.  Only surrogate solutions are
+returned, each certified with its own solve's duals.
+
 Information causality is stated with an explicit relay buffer
 (``Buffer``): one buffer for the rate forwarded to Bob and one for the
 rate leaked to Eve, each b_j >= 0 with b_j <= b_{j-1} + R_in,j - R_out,j.
@@ -34,6 +45,12 @@ from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
                      SolverOptions, diag_hessian, kkt_residual, solve)
 
 LN2 = float(np.log(2.0))
+
+# Boosted CCP: the line search beyond each accepted step starts at twice
+# the last accepted step length (BOOST_FIRST at first) and halves it down
+# to BOOST_MIN.
+BOOST_FIRST = 1.0
+BOOST_MIN = 1e-3
 
 
 class StageFailure(RuntimeError):
@@ -341,11 +358,45 @@ def default_power_start(scn: Scenario) -> PowerAllocation:
     return PowerAllocation(p_s=p_s, p_r=np.zeros(n))
 
 
+def _boost(scn: Scenario, traj: Trajectory, pw_k: PowerAllocation,
+           pw_new: PowerAllocation, obj_new: float,
+           lam: float) -> tuple[PowerAllocation, float, float]:
+    """Line search beyond a CCP step pw_k -> pw_new along their difference.
+
+    Tries pw_new + lam (pw_new - pw_k), halving lam down to ``BOOST_MIN``,
+    and takes the first point that is exactly feasible (powers clipped at
+    0, structural zeros kept, causality and budgets at tol 0, so the
+    surrogate there contains it) and strictly better than pw_new.
+    Returns (point, objective, lam), or (pw_new, obj_new, 0) if none is.
+    """
+    d_s = pw_new.p_s - pw_k.p_s
+    d_r = pw_new.p_r - pw_k.p_r
+    while lam >= BOOST_MIN:
+        p_s = np.maximum(pw_new.p_s + lam * d_s, 0.0)
+        p_r = np.maximum(pw_new.p_r + lam * d_r, 0.0)
+        p_s[-1] = 0.0
+        p_r[0] = 0.0
+        cand = PowerAllocation(p_s=p_s, p_r=p_r)
+        if (model.check_causality(scn, traj, cand, tol=0.0).feasible
+                and model.check_power_budget(scn, cand, tol=0.0).feasible):
+            obj = model.secrecy_sum(scn, traj, cand)
+            if obj > obj_new:
+                return cand, obj, lam
+        lam *= 0.5
+    return pw_new, obj_new, 0.0
+
+
 def dc_allocate(scn: Scenario, traj: Trajectory,
                 pw_0: Optional[PowerAllocation] = None,
                 opts: Optional[DcOptions] = None
                 ) -> tuple[PowerAllocation, RunReport]:
-    """Ascend the secrecy rate over the power allocations at fixed traj."""
+    """Ascend the secrecy rate over the power allocations at fixed traj.
+
+    Returns the last surrogate solution (the start if no step is
+    accepted); each accepted iterate records the ``boost`` applied
+    beyond it, and ``report.extras["boost_reverts"]`` counts the boosted
+    points whose surrogate step was dropped.
+    """
     opts = opts or DcOptions()
     report = RunReport(stage="power_dc")
     t0 = time.perf_counter()
@@ -365,7 +416,13 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     pc = _pieces(scn, traj)
     orig, orig_buffers = _original_power_program(scn, pc)
     obj = model.secrecy_sum(scn, traj, pw)
-    report.add(obj, feasible=True)
+    # ``pw`` is the linearization point; ``sol`` the last surrogate
+    # solution (or the start), which is what every exit returns.  The two
+    # differ exactly when ``pw`` is a boosted point.
+    sol = pw
+    lam = 0.0                # last accepted boost
+    report.add(obj, feasible=True, wall_time=time.perf_counter() - t0)
+    report.extras["boost_reverts"] = 0
     report.status = "max_iter"
     for it in range(opts.max_iter):
         prog = _build_surrogate(scn, pc, pw)
@@ -374,10 +431,16 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             report.status = f"solver_{res.status}"
             report.total_time = time.perf_counter() - t0
             raise StageFailure(
-                f"power subproblem solve failed ({res.status})", pw, report)
+                f"power subproblem solve failed ({res.status})", sol, report)
         duals = np.concatenate([res.duals, res.bound_duals])
         pw_new = _pw_from_z(pc, res.x_opt)
         obj_new = model.secrecy_sum(scn, traj, pw_new)
+        if obj_new < obj - 1e-9 and pw is not sol:
+            # The solve's duality gap exceeds 1e-9: drop the boost and
+            # take a plain step from the last surrogate solution.
+            report.extras["boost_reverts"] += 1
+            pw, obj = sol, report.final_objective
+            continue
         if obj_new < obj - 1e-9:
             # Solver-tolerance hiccup: keep the better point, certify it
             # with the subproblem's duals and stop.  The attempt goes to
@@ -394,19 +457,24 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             orig, _tight_point(pc, orig_buffers, pw_new), duals)
         feas = model.check_all(scn, traj, pw_new, tol=opts.feas_tol)
         rel = abs(obj_new - obj) / max(abs(obj_new), 1e-10)
-        pw, obj = pw_new, obj_new
-        report.add(obj, kkt_residual=kkt_orig,
-                   feasible=all(v.feasible for k, v in feas.items()
-                                if k != "mobility"),
-                   subproblem_kkt=res.kkt_residual,
-                   subproblem_iters=res.iterations)
         if rel < opts.rel_tol:
             if kkt_orig <= opts.kkt_tol:
                 report.status = "converged"
-                break
-            if rel < 1e-13:
+            elif rel < 1e-13:
                 # Iterates stopped moving without certifying; report as is.
                 report.status = "stalled"
-                break
+        sol, boost = pw_new, 0.0
+        if report.status == "max_iter" and it + 1 < opts.max_iter:
+            pw, obj, boost = _boost(scn, traj, pw, pw_new, obj_new,
+                                    2.0 * lam or BOOST_FIRST)
+            lam = boost or lam
+        report.add(obj_new, kkt_residual=kkt_orig,
+                   feasible=all(v.feasible for k, v in feas.items()
+                                if k != "mobility"),
+                   wall_time=time.perf_counter() - t0,
+                   subproblem_kkt=res.kkt_residual,
+                   subproblem_iters=res.iterations, boost=boost)
+        if report.status != "max_iter":
+            break
     report.total_time = time.perf_counter() - t0
-    return pw, report
+    return sol, report

@@ -452,7 +452,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     report.extras["power_rescaled"] = pw is not pw_in
 
     it = make_iterate(scn, traj_0, pw)
-    report.add(it.objective, feasible=True)
+    report.add(it.objective, feasible=True, wall_time=time.perf_counter() - t0)
     report.status = "max_iter"
 
     if np.all(it.gamma_r[1:] == 0.0):
@@ -491,7 +491,8 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         if iteration_callback is not None:
             iteration_callback(it.traj)
         report.add(it.objective, kkt_residual=res.kkt_residual,
-                   feasible=ok, subproblem_iters=res.iterations,
+                   feasible=ok, wall_time=time.perf_counter() - t0,
+                   subproblem_iters=res.iterations,
                    slack_tightness_gap=slack_gap,
                    step_norm=float(np.max(np.abs(
                        np.concatenate([sol.delta, sol.xi])))))

@@ -61,6 +61,15 @@ def random_power(rng: np.random.Generator, scn: Scenario) -> PowerAllocation:
     return PowerAllocation(p_s=p_s, p_r=p_r)
 
 
+def assert_wall_times(report) -> None:
+    """Iteration wall times count up from the stage start, within the
+    stage's total time."""
+    times = [r.wall_time for r in report.iterations]
+    assert all(b >= a for a, b in zip(times, times[1:]))
+    assert all(t > 0.0 for t in times[1:])
+    assert times[-1] <= report.total_time
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_scenario, small_scenario
+from conftest import assert_wall_times, random_scenario, small_scenario
 from secrelay import model
 from secrelay.ao import AoOptions, ao_optimize, evaluate
 from secrelay.model import Scenario
@@ -60,6 +60,32 @@ class TestAoOptimize:
         starts = report.extras.get("multistart_objectives")
         if starts is not None:
             assert report.final_objective == pytest.approx(max(starts))
+
+    def test_every_multistart_run_reported(self, rng):
+        from secrelay.ao import default_starts
+        scn = random_scenario(rng, n_slots=6)
+        starts = default_starts(scn)
+        traj, pw, report = ao_optimize(scn, init_trajs=starts)
+        runs = report.extras["multistart_runs"]
+        assert len(runs) == len(starts) > 1
+        assert [r["objective"] for r in runs] == (
+            report.extras["multistart_objectives"])
+        winner = max(runs, key=lambda r: r["objective"])
+        assert winner["objective"] == report.final_objective
+        assert winner["status"] == report.status
+        assert winner["total_time"] == report.total_time
+        assert winner["stage_statuses"] == [
+            s.status for s in report.sub_reports]
+        for r in runs:
+            assert r["total_time"] > 0.0 and r["stage_statuses"]
+
+    def test_wall_times(self, rng):
+        scn = random_scenario(rng, n_slots=6)
+        _, _, report = ao_optimize(scn)
+        assert len(report.iterations) > 1
+        assert_wall_times(report)
+        for sub in report.sub_reports:
+            assert_wall_times(sub)
 
 
 class TestEvaluate:

@@ -108,6 +108,10 @@ class TestExitCodes:
         rc = cli.main(["ao", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_seed_run_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"unknown run keys: \['seed'\]"):
+            cli.parse_config(_write(tmp_path, dict(SMALL, run={"seed": 0})))
+
     def test_infeasible_trajectory_exit_3(self, tmp_path, capsys):
         scn = parse_scenario(SMALL["scenario"])
         xy = np.zeros((6, 2))

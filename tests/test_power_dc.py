@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_feasible_trajectory, random_scenario,
-                      small_scenario)
-from secrelay import benchmark_scenario, model
+from conftest import (assert_wall_times, random_feasible_trajectory,
+                      random_scenario, small_scenario)
+from secrelay import benchmark_scenario, model, power_dc
 from secrelay.model import PowerAllocation, Scenario, Trajectory
-from secrelay.power_dc import (LN2, Buffer, DcOptions, _layout,
+from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
                                buffer_start, build_dc_surrogate, dc_allocate,
                                default_power_start)
 from secrelay.solver import ConstraintBlock, RowSparse, verify_derivatives
@@ -191,6 +191,81 @@ class TestDcAllocate:
         last_kkt = [r.kkt_residual for r in report.iterations
                     if r.kkt_residual is not None][-1]
         assert last_kkt <= 1e-5
+
+
+def _straight_ferry(scn):
+    """Hover at Alice, fly along the x axis to Bob at full speed, hover
+    at Bob, with the flight centred in the horizon."""
+    n = scn.n_slots
+    step = scn.v_max * scn.slot_len
+    k = (n - int(np.ceil(scn.bob_xy[0] / step))) // 2
+    x = np.clip((np.arange(n) - k) * step, 0.0, scn.bob_xy[0])
+    return Trajectory(np.stack([x, np.zeros(n)], axis=1))
+
+
+class TestBoostedCcp:
+    """The line search beyond each accepted CCP step.  On the straight
+    ferry path of the T = 100 s benchmark the plain CCP converges only
+    linearly and needs all 100 iterations (``max_iter``)."""
+
+    @pytest.fixture(scope="class")
+    def ferry_run(self):
+        scn = benchmark_scenario(100.0, 2.0)
+        traj = _straight_ferry(scn)
+        pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
+        pw, report = dc_allocate(scn, traj, pw_0=pw0)
+        return scn, traj, pw, report
+
+    def test_boost_fires_and_cuts_iterations(self, ferry_run):
+        *_, report = ferry_run
+        boosts = [r.extras["boost"] for r in report.iterations[1:]]
+        assert max(boosts) > 0.0
+        assert all(b == 0.0 or b >= BOOST_MIN for b in boosts)
+        assert report.status == "converged"
+        assert len(report.iterations) - 1 <= 40
+
+    def test_objectives_nondecreasing(self, ferry_run):
+        objs = ferry_run[3].objectives
+        assert all(b >= a for a, b in zip(objs, objs[1:]))
+
+    def test_returns_certified_surrogate_solution(self, ferry_run):
+        scn, traj, pw, report = ferry_run
+        assert model.secrecy_sum(scn, traj, pw) == report.final_objective
+        checks = model.check_all(scn, traj, pw, tol=DcOptions().feas_tol)
+        assert all(v.feasible for v in checks.values())
+        assert report.iterations[-1].kkt_residual <= DcOptions().kkt_tol
+        assert report.iterations[-1].extras["boost"] == 0.0
+
+    def test_wall_times(self, ferry_run):
+        assert_wall_times(ferry_run[3])
+
+    def test_every_solve_accounted_for(self, rng, monkeypatch):
+        """Each subproblem solve is an accepted iterate, a reverted boost
+        or the one rejected step, and ``converged`` is always certified."""
+        solves = []
+
+        def counting_solve(prog, opts):
+            solves.append(1)
+            return solve(prog, opts)
+
+        solve = power_dc.solve
+        monkeypatch.setattr(power_dc, "solve", counting_solve)
+        for _ in range(5):
+            scn = random_scenario(rng)
+            traj = random_feasible_trajectory(rng, scn)
+            solves.clear()
+            opts = DcOptions()
+            pw, report = dc_allocate(
+                scn, traj, pw_0=_feasible_random_power(rng, scn, traj),
+                opts=opts)
+            assert len(solves) == (len(report.iterations) - 1
+                                   + report.extras["boost_reverts"]
+                                   + ("rejected_step" in report.extras))
+            assert model.secrecy_sum(scn, traj, pw) == report.final_objective
+            if report.status == "converged":
+                kkt = report.extras.get("rejected_step", {}).get(
+                    "kept_kkt", report.iterations[-1].kkt_residual)
+                assert kkt <= opts.kkt_tol
 
 
 class TestNoiseFloorStall:

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from conftest import (random_feasible_trajectory, random_power,
-                      random_scenario, small_scenario)
+from conftest import (assert_wall_times, random_feasible_trajectory,
+                      random_power, random_scenario, small_scenario)
 from secrelay import model
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.solver import solve, verify_derivatives
@@ -389,6 +389,15 @@ class TestScpOptimize:
             np.sum((out.xy[:, None, :] - cand[None]) ** 2, axis=2), axis=1)]
         assert mobility_ok(snapped, v_eff)
         assert value(snapped) <= best + 1e-9
+
+    def test_wall_times(self, rng):
+        scn = random_scenario(rng, n_slots=6)
+        traj = random_feasible_trajectory(rng, scn)
+        pw = restore_feasibility(scn, traj,
+                                 model.equal_power_allocation(scn))
+        _, report = scp_optimize(scn, pw, traj)
+        assert len(report.iterations) > 1
+        assert_wall_times(report)
 
     def test_iteration_callback_sees_each_iterate(self, rng):
         scn = random_scenario(rng, n_slots=6)
