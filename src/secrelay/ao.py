@@ -81,14 +81,15 @@ def _ao_single(scn: Scenario, traj: Trajectory,
             report.extras["failure"] = str(exc)
             break
         obj_new = model.secrecy_sum(scn, traj, pw)
-        rel = abs(obj_new - obj) / max(abs(obj_new), 1e-10)
+        change = abs(obj_new - obj)
+        rel = change / max(abs(obj_new), 1e-10)
         feas = all(v.feasible for v in
                    model.check_all(scn, traj, pw, opts.feas_tol).values())
         report.add(obj_new, feasible=feas,
                    kkt_residual=scp_rep.extras.get("final_subproblem_kkt"),
                    wall_time=time.perf_counter() - t0)
         obj = obj_new
-        if rel < opts.rel_tol:
+        if rel < opts.rel_tol or change <= model.OBJ_ABS_TOL:
             report.status = "converged"
             break
     report.total_time = time.perf_counter() - t0

@@ -16,6 +16,7 @@ import numpy as np
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
 from .power_dc import DcOptions, StageFailure, dc_allocate
+from .report import RunReport
 from .trajectory_scp import restore_feasibility
 
 
@@ -49,6 +50,8 @@ class StaticResult:
     evaluated: int          # locations where the power problem was solved
     failed: int             # of those, where the power stage raised and
                             # its last iterate was scored instead
+    certified: int          # of those, where the start was certified a
+                            # KKT point and no subproblem was solved
 
 
 @dataclass(frozen=True)
@@ -92,12 +95,13 @@ def _location_upper_bound(scn: Scenario, xy) -> float:
     return min(deliver, receive)
 
 
-def _solve_location(scn: Scenario, xy, opts: DcOptions) -> tuple[float, PowerAllocation]:
+def _solve_location(scn: Scenario, xy, opts: DcOptions
+                    ) -> tuple[float, PowerAllocation, RunReport]:
     traj = _constant_traj(scn, xy)
     pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn),
                               tol=opts.feas_tol)
-    pw, _ = dc_allocate(scn, traj, pw_0=pw0, opts=opts)
-    return model.secrecy_sum(scn, traj, pw), pw
+    pw, report = dc_allocate(scn, traj, pw_0=pw0, opts=opts)
+    return model.secrecy_sum(scn, traj, pw), pw, report
 
 
 def scan_options(**overrides) -> DcOptions:
@@ -115,10 +119,12 @@ def static_relay_best(scn: Scenario,
     prunes locations whose bound cannot beat the incumbent, then refines
     locally with the grid step halved twice.  A location whose power
     stage raises ``StageFailure`` is scored at the stage's last iterate
-    and counted in ``StaticResult.failed``; the scan goes on.  ``run_keys``
-    are ``DcOptions`` fields (a config's ``run.rel_tol``, ``max_iter``,
-    ``feas_tol``): the scan runs with ``scan_options(**run_keys)``, the
-    final re-solve of the winner with ``DcOptions(**run_keys)``.
+    and counted in ``StaticResult.failed``; the scan goes on.  One whose
+    start is certified a KKT point without a solve is counted in
+    ``StaticResult.certified``.  ``run_keys`` are ``DcOptions`` fields (a
+    config's ``run.rel_tol``, ``max_iter``, ``feas_tol``): the scan runs
+    with ``scan_options(**run_keys)``, the final re-solve of the winner
+    with ``DcOptions(**run_keys)``.
     """
     scn = _free_endpoints(scn)
     grid = grid or StaticGrid.default(scn)
@@ -135,16 +141,20 @@ def static_relay_best(scn: Scenario,
     best_pw = model.zero_power_allocation(scn)
     evaluated = 0
     failed = 0
+    certified = 0
 
     def evaluate(xy, opts):
-        nonlocal evaluated, failed
+        nonlocal evaluated, failed, certified
         evaluated += 1
         try:
-            return _solve_location(scn, xy, opts)
+            obj, pw, report = _solve_location(scn, xy, opts)
         except StageFailure as exc:
             failed += 1
             pw = exc.last_iterate
             return model.secrecy_sum(scn, _constant_traj(scn, xy), pw), pw
+        certified += (report.status == "converged"
+                      and report.extras["solves"] == 0)
+        return obj, pw
 
     for idx in order:
         if bounds[idx] <= best_obj + 1e-12:
@@ -177,7 +187,7 @@ def static_relay_best(scn: Scenario,
             best_obj, best_pw = obj, pw
     return StaticResult(location=np.asarray(best_xy, dtype=float),
                         pw=best_pw, objective=best_obj, evaluated=evaluated,
-                        failed=failed)
+                        failed=failed, certified=certified)
 
 
 def transit_slot_count(scn: Scenario) -> int:

@@ -376,7 +376,8 @@ def cmd_baseline(scn, run, out_dir, args) -> int:
         extra = {"scheme": "static",
                  "location_m": [float(v) for v in res.location],
                  "locations_evaluated": res.evaluated,
-                 "locations_failed": res.failed}
+                 "locations_failed": res.failed,
+                 "locations_certified": res.certified}
         pw = res.pw
     else:
         res = data_ferry(scn)

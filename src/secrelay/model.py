@@ -14,6 +14,12 @@ from typing import Optional
 import numpy as np
 
 DEFAULT_FEAS_TOL = 1e-6
+# Outer loops (SCP, AO) also stop once an iteration moves the secrecy sum
+# by at most this many bits: the feasibility checks resolve causality
+# only to DEFAULT_FEAS_TOL bits, so a smaller change is noise.  Without
+# it, a run near zero secrecy keeps stepping, since the relative change
+# of an objective near 0 stays large.
+OBJ_ABS_TOL = 1e-6
 
 
 def _as_xy(v, name: str) -> np.ndarray:

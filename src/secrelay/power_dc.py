@@ -16,8 +16,15 @@ exactly feasible (causality and budgets at tolerance 0, so the next
 surrogate contains it) and strictly better, and the loop linearizes
 there.  The surrogate at a boosted point may end below that point by its
 solve's duality gap; the step is then dropped and the loop steps plainly
-from the last surrogate solution instead.  Only surrogate solutions are
-returned, each certified with its own solve's duals.
+from the last surrogate solution instead.
+
+Before the first surrogate is built, ``_certify`` checks the start: it
+estimates the multipliers of the true power problem by least squares
+over the nearly active rows (Nocedal & Wright, *Numerical Optimization*,
+§12.3) and evaluates the exact KKT residual.  A start within ``kkt_tol``
+is returned unchanged without a solve.  Otherwise the stage returns the
+last surrogate solution, certified with its own solve's duals, or the
+start when the first step does not improve on it.
 
 Information causality is stated with an explicit relay buffer
 (``Buffer``): one buffer for the rate forwarded to Bob and one for the
@@ -37,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
@@ -51,6 +59,12 @@ LN2 = float(np.log(2.0))
 # to BOOST_MIN.
 BOOST_FIRST = 1.0
 BOOST_MIN = 1e-3
+
+# Rows within this much of their bound enter the multiplier estimate of
+# ``_certify``.  At an interior-point surrogate solution the rows that
+# are active in the limit are still slack by about the barrier parameter
+# over their multiplier; at 1e-6 the estimate misses some of them.
+ACTIVE_TOL = 1e-5
 
 
 class StageFailure(RuntimeError):
@@ -350,6 +364,85 @@ def _original_power_program(scn: Scenario, pc: _Pieces):
             buffers)
 
 
+def _multiplier_estimate(prog: SmoothConvexProgram,
+                         z: np.ndarray) -> np.ndarray:
+    """Least-squares multipliers of the rows active at z, clipped at 0.
+
+    Minimizes |grad f + J_A^T lam_A| over the rows A within ``ACTIVE_TOL``
+    of their bound (program rows with ``RowSparse`` Jacobians, then the
+    finite lower bounds, as ``kkt_residual`` orders them); every other
+    multiplier is 0.  The rows are sorted by their last column, so with
+    the slot-by-slot layout the normal matrix J_A J_A^T is banded and
+    one banded Cholesky solve (``solveh_banded``) costs O(dim).
+    """
+    lb_idx = np.flatnonzero(np.isfinite(prog.lb))
+    rows, cols, vals, last, g = [], [], [], [], []
+    start = 0
+    for b in prog.ineqs:
+        J = b.jacobian(z)
+        rows.append(np.repeat(np.arange(start, start + b.m), J.cols.shape[1]))
+        cols.append(J.cols.ravel())
+        vals.append(J.vals.ravel())
+        last.append(J.cols.max(axis=1))
+        g.append(b.value(z))
+        start += b.m
+    rows.append(np.arange(start, start + lb_idx.size))
+    cols.append(lb_idx)
+    vals.append(np.full(lb_idx.size, -1.0))
+    last.append(lb_idx)
+    g.append(prog.lb[lb_idx] - z[lb_idx])
+    rows, cols, vals, last, g = (np.concatenate(a)
+                                 for a in (rows, cols, vals, last, g))
+    lam = np.zeros(g.size)
+    active = np.flatnonzero(g >= -ACTIVE_TOL)
+    if active.size == 0:
+        return lam
+    # Band position of each active row (-1 for the others).
+    pos = np.full(g.size, -1)
+    pos[active[np.argsort(last[active], kind="stable")]] = np.arange(
+        active.size)
+    keep = pos[rows] >= 0
+    p, c, v = pos[rows[keep]], cols[keep], vals[keep]
+    # Lower band of J_A J_A^T: pairs of entries that share a column.  A
+    # row that repeats a column pairs with itself; that cross term counts
+    # twice.
+    by_col = np.argsort(c * active.size + p, kind="stable")
+    p, c, v = p[by_col], c[by_col], v[by_col]
+    pairs = [(p, p, v * v)]
+    k = 1
+    while k < c.size:
+        same = np.flatnonzero(c[k:] == c[:-k])
+        if same.size == 0:
+            break
+        hi, lo = p[same + k], p[same]
+        pairs.append((hi, lo, v[same + k] * v[same] * (1 + (hi == lo))))
+        k += 1
+    hi, lo, w = (np.concatenate(a) for a in zip(*pairs))
+    ab = np.zeros((int(np.max(hi - lo)) + 1, active.size))
+    np.add.at(ab, (hi - lo, lo), w)
+    # A tiny ridge keeps a rank-deficient active set factorable.
+    ab[0] += 1e-12 * max(float(np.max(ab[0])), 1.0)
+    rhs = -np.bincount(p, weights=v * prog.gradient(z)[c],
+                       minlength=active.size)
+    lam_a = scipy.linalg.solveh_banded(ab, rhs, lower=True)
+    lam[active] = np.maximum(lam_a[pos[active]], 0.0)
+    return lam
+
+
+def _certify(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
+             pw: PowerAllocation) -> float:
+    """KKT residual of pw for the true power problem ``orig``, with every
+    buffer at its prefix surplus and the multipliers estimated by
+    ``_multiplier_estimate``.
+
+    The residual is evaluated exactly (``solver.kkt_residual``), so a
+    small value proves pw a KKT point whatever the estimate's quality; a
+    poor estimate can only leave a KKT point uncertified.
+    """
+    z = _tight_point(pc, buffers, pw)
+    return kkt_residual(orig, z, _multiplier_estimate(orig, z))
+
+
 def default_power_start(scn: Scenario) -> PowerAllocation:
     """Always-feasible start: silent relay, equal source power."""
     n = scn.n_slots
@@ -392,13 +485,16 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
                 ) -> tuple[PowerAllocation, RunReport]:
     """Ascend the secrecy rate over the power allocations at fixed traj.
 
-    Returns the last surrogate solution (the start if no step is
-    accepted); each accepted iterate records the ``boost`` applied
-    beyond it, and ``report.extras["boost_reverts"]`` counts the boosted
-    points whose surrogate step was dropped.
+    Iteration 0 records the start's ``_certify`` residual; a start within
+    ``opts.kkt_tol`` is returned unchanged (``converged``) and no
+    subproblem is solved.  Otherwise returns the last surrogate solution
+    (the start if no step is accepted); each accepted iterate records the
+    ``boost`` applied beyond it.  ``report.extras`` counts the subproblem
+    ``solves`` and, in ``boost_reverts``, the boosted points whose
+    surrogate step was dropped.
     """
     opts = opts or DcOptions()
-    report = RunReport(stage="power_dc")
+    report = RunReport(stage="power_dc", extras={"solves": 0})
     t0 = time.perf_counter()
     pw = pw_0 if pw_0 is not None else default_power_start(scn)
 
@@ -421,12 +517,20 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     # differ exactly when ``pw`` is a boosted point.
     sol = pw
     lam = 0.0                # last accepted boost
-    report.add(obj, feasible=True, wall_time=time.perf_counter() - t0)
+    kkt_0 = _certify(pc, orig, orig_buffers, pw)
+    report.add(obj, kkt_residual=kkt_0, feasible=True,
+               wall_time=time.perf_counter() - t0)
     report.extras["boost_reverts"] = 0
     report.status = "max_iter"
+    if kkt_0 <= opts.kkt_tol:
+        # The start is already a KKT point: CCP would not move it.
+        report.status = "converged"
+        report.total_time = time.perf_counter() - t0
+        return pw, report
     for it in range(opts.max_iter):
         prog = _build_surrogate(scn, pc, pw)
         res = solve(prog, opts.solver)
+        report.extras["solves"] += 1
         if res.status != "optimal":
             report.status = f"solver_{res.status}"
             report.total_time = time.perf_counter() - t0
@@ -442,11 +546,15 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             pw, obj = sol, report.final_objective
             continue
         if obj_new < obj - 1e-9:
-            # Solver-tolerance hiccup: keep the better point, certify it
-            # with the subproblem's duals and stop.  The attempt goes to
-            # the extras: ``iterations`` holds accepted iterates only.
-            kkt_kept = kkt_residual(orig, _tight_point(pc, orig_buffers, pw),
-                                    duals)
+            # Solver-tolerance hiccup: keep the better point and stop.
+            # Certify it with its own multiplier estimate and with the
+            # subproblem's duals, both sound; the estimate's active set
+            # can miss rows that are only nearly active.  The attempt
+            # goes to the extras: ``iterations`` holds accepted iterates
+            # only.
+            kkt_kept = min(
+                _certify(pc, orig, orig_buffers, pw),
+                kkt_residual(orig, _tight_point(pc, orig_buffers, pw), duals))
             report.extras["rejected_step"] = {
                 "objective": obj_new, "subproblem_kkt": res.kkt_residual,
                 "subproblem_iters": res.iterations, "kept_kkt": kkt_kept}

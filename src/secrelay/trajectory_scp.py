@@ -480,8 +480,8 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             # Numerical regression; keep the last good iterate.
             report.status = "converged"
             break
-        rel = (abs(it_new.objective - it.objective)
-               / max(abs(it_new.objective), 1e-10))
+        change = abs(it_new.objective - it.objective)
+        rel = change / max(abs(it_new.objective), 1e-10)
         # Tightness diagnostic of the slack couplings at the optimum.
         zeta_lb, eta_lb = distance_lower_bounds(scn, it, sol.delta, sol.xi)
         slack_gap = float(np.max(np.minimum(zeta_lb[1:] - sol.tau,
@@ -496,7 +496,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
                    slack_tightness_gap=slack_gap,
                    step_norm=float(np.max(np.abs(
                        np.concatenate([sol.delta, sol.xi])))))
-        if rel < opts.rel_tol:
+        if rel < opts.rel_tol or change <= model.OBJ_ABS_TOL:
             report.status = "converged"
             break
     report.total_time = time.perf_counter() - t0

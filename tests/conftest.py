@@ -71,5 +71,20 @@ def assert_wall_times(report) -> None:
 
 
 @pytest.fixture
+def power_solves(monkeypatch) -> list:
+    """Records one entry per subproblem solve of the power stage."""
+    from secrelay import power_dc
+    calls = []
+    solve = power_dc.solve
+
+    def counting_solve(prog, opts):
+        calls.append(1)
+        return solve(prog, opts)
+
+    monkeypatch.setattr(power_dc, "solve", counting_solve)
+    return calls
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

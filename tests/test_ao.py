@@ -88,6 +88,25 @@ class TestAoOptimize:
             assert_wall_times(sub)
 
 
+class TestZeroSecrecyStart:
+    def test_midway_hover_stops_at_noise(self):
+        """Hovering midway between Alice and Bob on the T = 100 s free
+        benchmark, the power stage leaves the relay almost silent and the
+        secrecy sum near 0, where the relative change stays large: the
+        absolute rule (``model.OBJ_ABS_TOL``) stops the SCP stage and AO."""
+        from secrelay import benchmark_scenario
+        from secrelay.ao import _ao_single
+        from secrelay.trajectory_scp import initial_trajectory
+        scn = benchmark_scenario(100.0, 2.0)
+        _, _, report = _ao_single(scn, initial_trajectory(scn), AoOptions())
+        first_scp = report.sub_reports[1]
+        assert first_scp.stage == "trajectory_scp"
+        assert len(first_scp.iterations) - 1 <= 2
+        assert abs(first_scp.final_objective) <= 1e-6
+        assert report.status == "converged"
+        assert len(report.iterations) - 1 < AoOptions().max_iter
+
+
 class TestEvaluate:
     def test_mirrors_model_checks(self, rng):
         scn = small_scenario()

@@ -76,6 +76,16 @@ class TestStaticRelay:
         assert res.objective == pytest.approx(
             model.secrecy_sum(_free(scn), traj, res.pw), abs=1e-9)
 
+    def test_benchmark_scan_certified_without_solves(self, power_solves):
+        """On the T = 130 s benchmark every scanned start is already a KKT
+        point of its power problem: no subproblem is solved."""
+        from secrelay import benchmark_scenario
+        res = static_relay_best(benchmark_scenario(130.0, 2.0))
+        assert power_solves == []
+        assert res.certified == res.evaluated > 100
+        assert res.failed == 0
+        assert res.objective == pytest.approx(22.95017096347572, rel=1e-12)
+
     def test_pruning_matches_exhaustive_scan(self):
         # The bound-ordered scan with pruning returns the same winner as
         # evaluating every grid cell.
@@ -89,7 +99,7 @@ class TestStaticRelay:
         opts = DcOptions(rel_tol=1e-4, max_iter=40)
         for x in np.linspace(0.0, 400.0, 7):
             for y in np.linspace(-120.0, 120.0, 5):
-                obj, _ = _solve_location(_free(scn), [x, y], opts)
+                obj, *_ = _solve_location(_free(scn), [x, y], opts)
                 best = max(best, obj)
         assert res.objective >= best - 1e-6
 

@@ -257,6 +257,27 @@ class TestBaselineOptions:
         assert (final.rel_tol, final.max_iter, final.feas_tol) == (
             1e-5, 100, 1e-7)
 
+    def test_certified_locations_reported(self, monkeypatch, tmp_path,
+                                          capsys):
+        """``locations_certified`` counts the power stages that returned
+        their start without a solve."""
+        import secrelay.baselines as baselines
+        reports = []
+        real = baselines.dc_allocate
+
+        def recording(scn, traj, pw_0=None, opts=None):
+            pw, report = real(scn, traj, pw_0=pw_0, opts=opts)
+            reports.append(report)
+            return pw, report
+
+        monkeypatch.setattr(baselines, "dc_allocate", recording)
+        self._captured_opts(monkeypatch, tmp_path, {})
+        rep = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert rep["locations_evaluated"] == len(reports) == 2
+        assert rep["locations_certified"] == sum(
+            r.status == "converged" and r.extras["solves"] == 0
+            for r in reports)
+
 
 class TestImportFootprint:
     def test_package_import_leaves_cli_and_yaml_out(self):

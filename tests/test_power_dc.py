@@ -13,7 +13,8 @@ from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
                                buffer_start, build_dc_surrogate, dc_allocate,
                                default_power_start)
-from secrelay.solver import ConstraintBlock, RowSparse, verify_derivatives
+from secrelay.solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
+                             as_dense, verify_derivatives)
 from secrelay.trajectory_scp import restore_feasibility
 
 # The surrogate program works on scaled variables p_s[1..N-1]/u_s and
@@ -303,10 +304,25 @@ class TestNoiseFloorStall:
                 assert rec.extras["subproblem_kkt"] <= 1e-7
 
     @pytest.mark.parametrize("eve_xy, xy", LOCATIONS)
+    def test_start_certified_without_solve(self, eve_xy, xy, power_solves):
+        """The scan's start is a KKT point up to the causality tolerance
+        of ``restore_feasibility``: it is returned as is, no solve."""
+        opts = DcOptions(rel_tol=1e-4, max_iter=40)
+        *_, pw0, pw, report = self._run(eve_xy, xy, opts)
+        assert power_solves == []
+        assert report.status == "converged"
+        np.testing.assert_array_equal(pw.p_s, pw0.p_s)
+        np.testing.assert_array_equal(pw.p_r, pw0.p_r)
+        assert report.iterations[0].kkt_residual <= opts.kkt_tol
+
+    @pytest.mark.parametrize("eve_xy, xy", LOCATIONS)
     def test_non_improving_step_recorded_and_certified(self, eve_xy, xy):
         """A subproblem that ends below the start is recorded, and the
-        kept start is converged only if its certificate passes."""
-        opts = DcOptions(rel_tol=1e-4, max_iter=40)
+        kept start is converged only if its certificate passes.  At
+        ``kkt_tol`` 1e-7 the start (residual about 1e-6, the causality
+        tolerance of ``restore_feasibility``) is not certified up front,
+        so the subproblem is solved."""
+        opts = DcOptions(rel_tol=1e-4, max_iter=40, kkt_tol=1e-7)
         *_, pw0, pw, report = self._run(eve_xy, xy, opts)
         rejected = report.extras["rejected_step"]
         assert rejected["subproblem_kkt"] <= 1e-7
@@ -320,6 +336,76 @@ class TestNoiseFloorStall:
                    for r in report.iterations[1:])
         if len(report.iterations) == 1:
             np.testing.assert_array_equal(pw.p_r, pw0.p_r)
+
+
+class TestStartCertificate:
+    """The multiplier-estimate certificate ``dc_allocate`` runs on its
+    start, at hover locations of the T = 130 s benchmark."""
+
+    @staticmethod
+    def _start(xy, relay_scale=1.0):
+        scn = benchmark_scenario(horizon_s=130.0, slot_len_s=2.0)
+        traj = _hover_traj(scn, xy)
+        pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
+        return scn, traj, PowerAllocation(p_s=pw0.p_s,
+                                          p_r=relay_scale * pw0.p_r)
+
+    @pytest.mark.parametrize("xy, relay_scale", [
+        ((1800.0, 30.0), 1.0), ((1800.0, 30.0), 0.98), ((200.0, 50.0), 1.0)])
+    def test_estimate_matches_dense_least_squares(self, xy, relay_scale):
+        """The banded normal equations give the least-squares multipliers
+        of a dense solve over the same active rows, clipped at 0."""
+        scn, traj, pw = self._start(xy, relay_scale)
+        pc = power_dc._pieces(scn, traj)
+        orig, buffers = power_dc._original_power_program(scn, pc)
+        z = power_dc._tight_point(pc, buffers, pw)
+        has_lb = np.isfinite(orig.lb)
+        J = np.vstack([as_dense(b.jacobian(z), orig.dim) for b in orig.ineqs]
+                      + [-np.eye(orig.dim)[has_lb]])
+        g = np.concatenate([b.value(z) for b in orig.ineqs]
+                           + [orig.lb[has_lb] - z[has_lb]])
+        active = g >= -power_dc.ACTIVE_TOL
+        ref = np.zeros(g.size)
+        ref[active] = np.maximum(np.linalg.lstsq(
+            J[active].T, -orig.gradient(z), rcond=None)[0], 0.0)
+        lam = power_dc._multiplier_estimate(orig, z)
+        np.testing.assert_allclose(lam, ref, rtol=0.0, atol=1e-6)
+        assert np.all(lam[~active] == 0.0)
+
+    def test_repeated_columns_add_up(self):
+        """A ``RowSparse`` row that repeats a column holds the sum of its
+        entries there: J = [[3, 0], [1, 1]], stationary at lam = (1, 2)."""
+        block = ConstraintBlock(
+            m=2, value=lambda z: np.zeros(2),
+            jacobian=lambda z: RowSparse(np.array([[0, 0], [0, 1]]),
+                                         np.array([[1.0, 2.0], [1.0, 1.0]])))
+        prog = SmoothConvexProgram(
+            dim=2, objective=lambda z: 0.0,
+            gradient=lambda z: np.array([-5.0, -2.0]), ineqs=[block],
+            lb=np.full(2, -np.inf))
+        np.testing.assert_allclose(
+            power_dc._multiplier_estimate(prog, np.zeros(2)), [1.0, 2.0],
+            rtol=1e-9)
+
+    @pytest.mark.parametrize("xy, start, end", [
+        ((1800.0, 30.0), 22.490, 22.887), ((1550.0, -60.0), 10.271, 10.428)])
+    def test_non_stationary_start_rejected(self, xy, start, end):
+        """With the relay power 2% below the scan's start, the start is
+        feasible but not a KKT point: the certificate rejects it (about
+        0.89 and 0.18) and the stage climbs.  Its last step ends below the
+        kept point, which the multiplier estimate certifies (at
+        (1550, -60) the rejected subproblem's duals give only 1.1e-4)."""
+        scn, traj, pw98 = self._start(xy, 0.98)
+        opts = DcOptions()
+        assert opts.kkt_tol == 1e-5
+        pw, report = dc_allocate(scn, traj, pw_0=pw98, opts=opts)
+        assert report.iterations[0].kkt_residual > 100 * opts.kkt_tol
+        assert report.extras["solves"] >= 1
+        assert report.objectives[0] == pytest.approx(start, abs=1e-3)
+        assert report.final_objective == pytest.approx(end, abs=1e-3)
+        assert model.secrecy_sum(scn, traj, pw) == report.final_objective
+        assert report.extras["rejected_step"]["kept_kkt"] <= opts.kkt_tol
+        assert report.status == "converged"
 
 
 def _fixed_flow_buffer(flow, initial):
