@@ -106,13 +106,9 @@ def default_starts(scn: Scenario) -> list[Trajectory]:
         ferry = baselines.data_ferry(scn)
         if ferry.load_slots > 0:
             starts.append(ferry.traj)
-        grid = baselines.StaticGrid.default(scn)
-        xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
-        ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
-        cand = np.array([(x, y) for x in xs for y in ys])
-        ub = np.array([baselines._location_upper_bound(scn, c) for c in cand])
-        best = cand[int(np.argmax(ub))]
-        starts.append(Trajectory(np.tile(best, (scn.n_slots, 1))))
+        cand, _ = baselines.ranked_locations(
+            scn, baselines.StaticGrid.default(scn))
+        starts.append(Trajectory(np.tile(cand[0], (scn.n_slots, 1))))
     return starts
 
 

@@ -41,6 +41,11 @@ class StaticGrid:
                    x_max=max(scn.alice_xy[0], scn.bob_xy[0]),
                    y_min=scn.alice_xy[1] - span, y_max=scn.alice_xy[1] + span)
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid coordinates along x and along y."""
+        return (np.linspace(self.x_min, self.x_max, self.nx),
+                np.linspace(self.y_min, self.y_max, self.ny))
+
 
 @dataclass(frozen=True)
 class StaticResult:
@@ -95,6 +100,17 @@ def _location_upper_bound(scn: Scenario, xy) -> float:
     return min(deliver, receive)
 
 
+def ranked_locations(scn: Scenario, grid: StaticGrid
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's hover locations and their ``_location_upper_bound``,
+    both in decreasing order of the bound (ties in grid order)."""
+    xs, ys = grid.axes()
+    cand = np.array([(x, y) for x in xs for y in ys])
+    bounds = np.array([_location_upper_bound(scn, c) for c in cand])
+    order = np.argsort(-bounds, kind="stable")
+    return cand[order], bounds[order]
+
+
 def _solve_location(scn: Scenario, xy, opts: DcOptions
                     ) -> tuple[float, PowerAllocation, RunReport]:
     traj = _constant_traj(scn, xy)
@@ -130,14 +146,10 @@ def static_relay_best(scn: Scenario,
     grid = grid or StaticGrid.default(scn)
     run_keys = run_keys or {}
     scan_opts = scan_options(**run_keys)
-    xs = np.linspace(grid.x_min, grid.x_max, grid.nx)
-    ys = np.linspace(grid.y_min, grid.y_max, grid.ny)
-    cand = np.array([(x, y) for x in xs for y in ys])
-    bounds = np.array([_location_upper_bound(scn, c) for c in cand])
-    order = np.argsort(-bounds, kind="stable")
+    cand, bounds = ranked_locations(scn, grid)
 
     best_obj = 0.0
-    best_xy = cand[order[0]]
+    best_xy = cand[0]
     best_pw = model.zero_power_allocation(scn)
     evaluated = 0
     failed = 0
@@ -156,14 +168,15 @@ def static_relay_best(scn: Scenario,
                       and report.extras["solves"] == 0)
         return obj, pw
 
-    for idx in order:
-        if bounds[idx] <= best_obj + 1e-12:
+    for xy, bound in zip(cand, bounds):
+        if bound <= best_obj + 1e-12:
             break
-        obj, pw = evaluate(cand[idx], scan_opts)
+        obj, pw = evaluate(xy, scan_opts)
         if obj > best_obj:
-            best_obj, best_xy, best_pw = obj, cand[idx], pw
+            best_obj, best_xy, best_pw = obj, xy, pw
 
     # Local refinement around the incumbent, step halved twice.
+    xs, ys = grid.axes()
     step_x = (xs[1] - xs[0]) if grid.nx > 1 else scn.altitude_h
     step_y = (ys[1] - ys[0]) if grid.ny > 1 else scn.altitude_h
     for _ in range(grid.refine_halvings):

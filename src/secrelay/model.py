@@ -9,6 +9,7 @@ transmit power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -185,6 +186,11 @@ class ChannelState:
     gamma_rd: np.ndarray
     gamma_re: np.ndarray
 
+    @cached_property
+    def gamma_out(self) -> np.ndarray:
+        """Relay->Bob and relay->Eve gains stacked, shape (2, N)."""
+        return np.stack([self.gamma_rd, self.gamma_re])
+
 
 @dataclass(frozen=True)
 class RateProfile:
@@ -229,12 +235,16 @@ def channel_state(scn: Scenario, traj: Trajectory) -> ChannelState:
     )
 
 
-def rate_profile(scn: Scenario, traj: Trajectory,
-                 pw: PowerAllocation) -> RateProfile:
-    """Per-slot reception rates and the achieved secrecy sum."""
+def _require_power_slots(scn: Scenario, pw: PowerAllocation) -> None:
     if len(pw) != scn.n_slots:
         raise ValueError(
             f"power allocation has {len(pw)} slots, scenario wants {scn.n_slots}")
+
+
+def rate_profile(scn: Scenario, traj: Trajectory,
+                 pw: PowerAllocation) -> RateProfile:
+    """Per-slot reception rates and the achieved secrecy sum."""
+    _require_power_slots(scn, pw)
     ch = channel_state(scn, traj)
     r_relay = np.log2(1.0 + pw.p_s * ch.gamma_ar)
     r_bob = np.log2(1.0 + pw.p_r * ch.gamma_rd)
@@ -276,6 +286,35 @@ def check_mobility(scn: Scenario, traj: Trajectory,
     return FeasibilityVerdict(feasible=worst >= -tol, slacks=slacks, worst=worst)
 
 
+def received_prefix(ch: ChannelState, p_s: np.ndarray) -> np.ndarray:
+    """Bits the relay has received by the end of slots 1..N-1."""
+    return np.cumsum(np.log2(1.0 + p_s * ch.gamma_ar))[:-1]
+
+
+def causality_gaps(ch: ChannelState, p_r: np.ndarray,
+                   received: np.ndarray) -> np.ndarray:
+    """Information-causality prefix gaps, shape (2, N-1).
+
+    Row 0 is Bob's and row 1 Eve's: entry n-2 (n = 2..N) is what the
+    relay has forwarded by slot n, sum_{2<=i<=n} r[i], minus what it had
+    received by slot n-1, ``received`` (from ``received_prefix``).  A
+    positive gap is a violation.
+    """
+    sent = np.log2(1.0 + p_r[1:] * ch.gamma_out[:, 1:]).cumsum(axis=1)
+    return sent - received
+
+
+def causality_verdict(gaps: np.ndarray,
+                      tol: float = DEFAULT_FEAS_TOL) -> FeasibilityVerdict:
+    """Verdict on ``causality_gaps``: feasible when no gap exceeds tol."""
+    worst = float(gaps.max(initial=0.0))
+    return FeasibilityVerdict(
+        feasible=worst <= tol,
+        slacks={"bob_gaps": gaps[0], "eve_gaps": gaps[1]},
+        worst=worst,
+    )
+
+
 def check_causality(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
                     tol: float = DEFAULT_FEAS_TOL) -> FeasibilityVerdict:
     """Information-causality prefix constraints.
@@ -284,19 +323,10 @@ def check_causality(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
     already received.  Gaps are (forwarded - received); positive gap is
     a violation.
     """
-    rp = rate_profile(scn, traj, pw)
-    recv = np.cumsum(rp.r_relay)[:-1]          # sum_{i<=n-1} r_relay[i]
-    sent_bob = np.cumsum(rp.r_bob[1:])         # sum_{2<=i<=n} r_bob[i]
-    sent_eve = np.cumsum(rp.r_eve[1:])
-    gap_bob = sent_bob - recv
-    gap_eve = sent_eve - recv
-    worst = float(max(np.max(gap_bob, initial=0.0),
-                      np.max(gap_eve, initial=0.0)))
-    return FeasibilityVerdict(
-        feasible=worst <= tol,
-        slacks={"bob_gaps": gap_bob, "eve_gaps": gap_eve},
-        worst=worst,
-    )
+    _require_power_slots(scn, pw)
+    ch = channel_state(scn, traj)
+    return causality_verdict(
+        causality_gaps(ch, pw.p_r, received_prefix(ch, pw.p_s)), tol)
 
 
 def check_power_budget(scn: Scenario, pw: PowerAllocation,

@@ -161,6 +161,7 @@ class _Pieces:
     """
 
     n: int
+    ch: model.ChannelState
     gar: np.ndarray   # alice->relay gain, slots 1..N-1
     grd: np.ndarray   # relay->bob gain,   slots 2..N
     gre: np.ndarray   # relay->eve gain,   slots 2..N
@@ -184,8 +185,8 @@ def _pieces(scn: Scenario, traj: Trajectory) -> _Pieces:
     u_r = max(n * scn.p_bar_r / (n - 1), 1e-9)
     idx, dim = _layout(n)
     return _Pieces(
-        n=n, gar=ch.gamma_ar[:-1], grd=ch.gamma_rd[1:], gre=ch.gamma_re[1:],
-        u_s=u_s, u_r=u_r, idx=idx, dim=dim)
+        n=n, ch=ch, gar=ch.gamma_ar[:-1], grd=ch.gamma_rd[1:],
+        gre=ch.gamma_re[1:], u_s=u_s, u_r=u_r, idx=idx, dim=dim)
 
 
 def _split(pc: _Pieces, z: np.ndarray):
@@ -445,14 +446,12 @@ def _certify(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
 
 def default_power_start(scn: Scenario) -> PowerAllocation:
     """Always-feasible start: silent relay, equal source power."""
-    n = scn.n_slots
-    p_s = np.full(n, n * scn.p_bar_s / (n - 1))
-    p_s[-1] = 0.0
-    return PowerAllocation(p_s=p_s, p_r=np.zeros(n))
+    return PowerAllocation(p_s=model.equal_power_allocation(scn).p_s,
+                           p_r=np.zeros(scn.n_slots))
 
 
-def _boost(scn: Scenario, traj: Trajectory, pw_k: PowerAllocation,
-           pw_new: PowerAllocation, obj_new: float,
+def _boost(scn: Scenario, traj: Trajectory, pc: _Pieces,
+           pw_k: PowerAllocation, pw_new: PowerAllocation, obj_new: float,
            lam: float) -> tuple[PowerAllocation, float, float]:
     """Line search beyond a CCP step pw_k -> pw_new along their difference.
 
@@ -460,6 +459,7 @@ def _boost(scn: Scenario, traj: Trajectory, pw_k: PowerAllocation,
     and takes the first point that is exactly feasible (powers clipped at
     0, structural zeros kept, causality and budgets at tol 0, so the
     surrogate there contains it) and strictly better than pw_new.
+    Causality is checked on the stage's channel gains ``pc.ch``.
     Returns (point, objective, lam), or (pw_new, obj_new, 0) if none is.
     """
     d_s = pw_new.p_s - pw_k.p_s
@@ -470,7 +470,9 @@ def _boost(scn: Scenario, traj: Trajectory, pw_k: PowerAllocation,
         p_s[-1] = 0.0
         p_r[0] = 0.0
         cand = PowerAllocation(p_s=p_s, p_r=p_r)
-        if (model.check_causality(scn, traj, cand, tol=0.0).feasible
+        gaps = model.causality_gaps(pc.ch, p_r,
+                                    model.received_prefix(pc.ch, p_s))
+        if (model.causality_verdict(gaps, tol=0.0).feasible
                 and model.check_power_budget(scn, cand, tol=0.0).feasible):
             obj = model.secrecy_sum(scn, traj, cand)
             if obj > obj_new:
@@ -573,7 +575,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
                 report.status = "stalled"
         sol, boost = pw_new, 0.0
         if report.status == "max_iter" and it + 1 < opts.max_iter:
-            pw, obj, boost = _boost(scn, traj, pw, pw_new, obj_new,
+            pw, obj, boost = _boost(scn, traj, pc, pw, pw_new, obj_new,
                                     2.0 * lam or BOOST_FIRST)
             lam = boost or lam
         report.add(obj_new, kkt_residual=kkt_orig,

@@ -400,20 +400,26 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
                         tol: float = 1e-6) -> PowerAllocation:
     """Scale the relay powers down until causality holds.
 
-    Bisection over the scale factor; returns the input unchanged when it
-    is already feasible.
+    Bisection (40 steps) over the scale factor on the predicate of
+    ``model.check_causality``; returns the input unchanged when it is
+    already feasible.  Neither the channel gains nor what the relay
+    receives depend on the scale, so ``model.channel_state`` and
+    ``model.received_prefix`` run once per call and each probe only
+    evaluates ``model.causality_gaps``.
     """
-    if model.check_causality(scn, traj, pw, tol=tol).feasible:
+    ch = model.channel_state(scn, traj)
+    received = model.received_prefix(ch, pw.p_s)
+
+    def feasible(p_r: np.ndarray) -> bool:
+        return model.causality_verdict(
+            model.causality_gaps(ch, p_r, received), tol).feasible
+
+    if feasible(pw.p_r):
         return pw
-
-    def feasible(alpha: float) -> bool:
-        cand = PowerAllocation(p_s=pw.p_s, p_r=alpha * pw.p_r)
-        return model.check_causality(scn, traj, cand, tol=tol).feasible
-
     lo, hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if feasible(mid * pw.p_r):
             lo = mid
         else:
             hi = mid

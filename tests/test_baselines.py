@@ -104,6 +104,42 @@ class TestStaticRelay:
         assert res.objective >= best - 1e-6
 
 
+class TestRankedLocations:
+    def test_bound_order_ties_in_grid_order(self):
+        from secrelay.baselines import _location_upper_bound, ranked_locations
+        scn = small_scenario(n_slots=5)
+        grid = StaticGrid(x_min=0.0, x_max=400.0, y_min=-120.0, y_max=120.0,
+                          nx=7, ny=5)
+        cand, bounds = ranked_locations(scn, grid)
+        grid_xy = [(x, y) for x in np.linspace(0.0, 400.0, 7)
+                   for y in np.linspace(-120.0, 120.0, 5)]
+        pos = [grid_xy.index(tuple(c)) for c in cand]
+        assert sorted(pos) == list(range(35))
+        assert [_location_upper_bound(scn, c) for c in cand] == list(bounds)
+        assert all(b1 > b2 or (b1 == b2 and p1 < p2) for b1, b2, p1, p2
+                   in zip(bounds, bounds[1:], pos, pos[1:]))
+
+    def test_scan_and_ao_hover_start_share_the_top(self, monkeypatch):
+        """The scan evaluates the top-ranked location first, and AO's
+        hover start sits there."""
+        import secrelay.baselines as baselines
+        from secrelay.ao import default_starts
+        scn = small_scenario(n_slots=6)
+        top = baselines.ranked_locations(scn, StaticGrid.default(scn))[0][0]
+        assert np.array_equal(default_starts(scn)[-1].xy,
+                              np.tile(top, (scn.n_slots, 1)))
+        seen = []
+        real = baselines._solve_location
+
+        def recording(scn_, xy, opts):
+            seen.append(np.array(xy))
+            return real(scn_, xy, opts)
+
+        monkeypatch.setattr(baselines, "_solve_location", recording)
+        static_relay_best(scn)
+        assert np.array_equal(seen[0], top)
+
+
 class TestDataFerry:
     def test_transit_too_long_zero(self):
         scn = small_scenario(n_slots=4, v_max=40.0)  # needs 10 slots

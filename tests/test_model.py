@@ -185,6 +185,45 @@ class TestCausality:
         assert np.max(np.abs(verdict.slacks["bob_gaps"])) < 1e-9
 
 
+def _gaps_by_rates(scn, traj, pw):
+    """Causality gaps (Bob's, Eve's) from the rate profile, as prefix
+    sums of the per-slot rates."""
+    rp = model.rate_profile(scn, traj, pw)
+    recv = np.cumsum(rp.r_relay)[:-1]
+    return (np.cumsum(rp.r_bob[1:]) - recv, np.cumsum(rp.r_eve[1:]) - recv)
+
+
+class TestCausalityGaps:
+    def test_equal_to_check_causality_bit_for_bit(self, rng):
+        for _ in range(200):
+            scn = random_scenario(rng, n_slots=int(rng.integers(2, 300)))
+            traj = random_feasible_trajectory(rng, scn)
+            pw = random_power(rng, scn)
+            ch = model.channel_state(scn, traj)
+            gaps = model.causality_gaps(ch, pw.p_r,
+                                        model.received_prefix(ch, pw.p_s))
+            verdict = model.check_causality(scn, traj, pw)
+            assert gaps.shape == (2, scn.n_slots - 1)
+            assert np.array_equal(gaps[0], verdict.slacks["bob_gaps"])
+            assert np.array_equal(gaps[1], verdict.slacks["eve_gaps"])
+            bob, eve = _gaps_by_rates(scn, traj, pw)
+            assert np.array_equal(gaps[0], bob)
+            assert np.array_equal(gaps[1], eve)
+            worst = max(np.max(bob, initial=0.0), np.max(eve, initial=0.0))
+            assert verdict.worst == worst
+            assert verdict.feasible == (worst <= model.DEFAULT_FEAS_TOL)
+
+    def test_slot_mismatch_raises(self):
+        scn = small_scenario(n_slots=6)
+        traj = _constant(scn, [100.0, 0.0])
+        short = model.equal_power_allocation(small_scenario(n_slots=5))
+        with pytest.raises(ValueError, match="power allocation has 5 slots"):
+            model.check_causality(scn, traj, short)
+        with pytest.raises(ValueError, match="trajectory has 5 slots"):
+            model.check_causality(scn, Trajectory(np.zeros((5, 2))),
+                                  model.equal_power_allocation(scn))
+
+
 class TestPowerBudget:
     def test_equal_allocation_zero_slack(self):
         scn = small_scenario()

@@ -240,6 +240,55 @@ class TestBoostedCcp:
     def test_wall_times(self, ferry_run):
         assert_wall_times(ferry_run[3])
 
+    def test_line_search_uses_stage_gains(self, monkeypatch):
+        """Each line search checks causality on the stage's channel gains,
+        not through ``check_causality``, and takes the point a search with
+        a full ``check_causality`` per trial takes."""
+        def reference(scn, traj, pw_k, pw_new, obj_new, lam):
+            while lam >= BOOST_MIN:
+                p_s = np.maximum(pw_new.p_s + lam * (pw_new.p_s - pw_k.p_s),
+                                 0.0)
+                p_r = np.maximum(pw_new.p_r + lam * (pw_new.p_r - pw_k.p_r),
+                                 0.0)
+                p_s[-1] = p_r[0] = 0.0
+                cand = PowerAllocation(p_s=p_s, p_r=p_r)
+                if (model.check_causality(scn, traj, cand, tol=0.0).feasible
+                        and model.check_power_budget(scn, cand,
+                                                     tol=0.0).feasible):
+                    obj = model.secrecy_sum(scn, traj, cand)
+                    if obj > obj_new:
+                        return cand, obj, lam
+                lam *= 0.5
+            return pw_new, obj_new, 0.0
+
+        searches, inside = [], []
+        boost, check = power_dc._boost, model.check_causality
+
+        def recording_boost(scn, traj, pc, *args):
+            inside.append(0)
+            out = boost(scn, traj, pc, *args)
+            searches.append((args, out, inside.pop()))
+            return out
+
+        def counting_check(*args, **kw):
+            if inside:
+                inside[-1] += 1
+            return check(*args, **kw)
+
+        monkeypatch.setattr(power_dc, "_boost", recording_boost)
+        monkeypatch.setattr(model, "check_causality", counting_check)
+        scn = benchmark_scenario(100.0, 2.0)
+        traj = _straight_ferry(scn)
+        dc_allocate(scn, traj, pw_0=restore_feasibility(
+            scn, traj, model.equal_power_allocation(scn)))
+        assert sum(out[2] > 0.0 for _, out, _ in searches) >= 5
+        for args, (pw, obj, lam), checks in searches:
+            assert checks == 0
+            ref_pw, ref_obj, ref_lam = reference(scn, traj, *args)
+            assert (obj, lam) == (ref_obj, ref_lam)
+            assert np.array_equal(pw.p_s, ref_pw.p_s)
+            assert np.array_equal(pw.p_r, ref_pw.p_r)
+
     def test_every_solve_accounted_for(self, rng, monkeypatch):
         """Each subproblem solve is an accepted iterate, a reverted boost
         or the one rejected step, and ``converged`` is always certified."""

@@ -255,6 +255,114 @@ class TestRestoreFeasibility:
         assert model.check_causality(scn, traj, fixed).feasible
 
 
+def _reference_restore(scn, traj, pw, tol=1e-6):
+    """The relay-scale bisection with a full ``check_causality`` (channel
+    state, rate profile, prefix sums) per probe."""
+    if model.check_causality(scn, traj, pw, tol=tol).feasible:
+        return pw
+
+    def feasible(alpha):
+        cand = PowerAllocation(p_s=pw.p_s, p_r=alpha * pw.p_r)
+        return model.check_causality(scn, traj, cand, tol=tol).feasible
+
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return PowerAllocation(p_s=pw.p_s, p_r=lo * pw.p_r)
+
+
+class TestRestoreFeasibilityOracle:
+    """``restore_feasibility`` returns the reference bisection's powers
+    bit for bit."""
+
+    @staticmethod
+    def _instance(rng, n):
+        d = 2000.0
+        scn = Scenario(
+            bob_xy=[d, 0.0],
+            eve_xy=[rng.uniform(0.0, d), rng.uniform(-400.0, 400.0)],
+            altitude_h=rng.uniform(30.0, 300.0), n_slots=n, slot_len=1.0,
+            v_max=50.0, ref_snr=10.0 ** rng.uniform(6.0, 9.0),
+            p_bar_s=0.01, p_bar_r=0.01)
+        return scn, random_feasible_trajectory(rng, scn)
+
+    @staticmethod
+    def _overdriven(rng, scn):
+        pw = model.equal_power_allocation(scn)
+        return PowerAllocation(p_s=pw.p_s * rng.uniform(0.01, 1.0),
+                               p_r=pw.p_r * 10.0 ** rng.uniform(0.0, 4.0))
+
+    def _assert_same(self, scn, traj, pw):
+        got = restore_feasibility(scn, traj, pw)
+        ref = _reference_restore(scn, traj, pw)
+        assert np.array_equal(got.p_r, ref.p_r)
+        assert np.array_equal(got.p_s, ref.p_s)
+        return got
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(11)
+        rescaled = 0
+        for n in rng.integers(2, 301, 60):
+            scn, traj = self._instance(rng, int(n))
+            pw = self._overdriven(rng, scn)
+            rescaled += self._assert_same(scn, traj, pw) is not pw
+        assert rescaled >= 50
+
+    @pytest.mark.parametrize("where", ["bob", "eve"])
+    def test_hover_above_receiver(self, where):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 65, 300):
+            scn, _ = self._instance(rng, n)
+            xy = scn.bob_xy if where == "bob" else scn.eve_xy
+            traj = Trajectory(np.tile(xy, (n, 1)))
+            fixed = self._assert_same(scn, traj, self._overdriven(rng, scn))
+            assert model.check_causality(scn, traj, fixed).feasible
+
+    def test_silent_source(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 40, 257):
+            scn, traj = self._instance(rng, n)
+            pw = PowerAllocation(
+                p_s=np.zeros(n), p_r=model.equal_power_allocation(scn).p_r)
+            fixed = self._assert_same(scn, traj, pw)
+            assert np.all(fixed.p_r[1:] < pw.p_r[1:])
+
+    def test_feasible_input_returned_as_is(self):
+        """Zero relay power, and an input restored already."""
+        rng = np.random.default_rng(15)
+        for n in (2, 65, 300):
+            scn, traj = self._instance(rng, n)
+            silent = PowerAllocation(
+                p_s=model.equal_power_allocation(scn).p_s, p_r=np.zeros(n))
+            restored = _reference_restore(scn, traj,
+                                          self._overdriven(rng, scn))
+            for pw in (silent, restored):
+                assert self._assert_same(scn, traj, pw) is pw
+
+    def test_channel_state_once_per_call(self, monkeypatch):
+        """The gains are computed once per call, not once per probe."""
+        calls = []
+        channel_state = model.channel_state
+
+        def counting(scn, traj):
+            calls.append(1)
+            return channel_state(scn, traj)
+
+        monkeypatch.setattr(model, "channel_state", counting)
+        rng = np.random.default_rng(16)
+        scn, traj = self._instance(rng, 65)
+        pw = self._overdriven(rng, scn)
+        fixed = restore_feasibility(scn, traj, pw)
+        assert fixed is not pw and len(calls) == 1
+        calls.clear()
+        assert restore_feasibility(scn, traj, fixed) is fixed
+        assert len(calls) == 1
+
+
 def _triple_oracle(scn, pw, cand, v_eff, tol=1e-6):
     """Exhaustive best value over mobility-feasible candidate triples for
     a 3-slot scenario, vectorized; the per-triple power treatment mirrors
