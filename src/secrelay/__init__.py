@@ -12,15 +12,14 @@ from .model import (ChannelState, FeasibilityVerdict, PowerAllocation,
                     RateProfile, Scenario, Trajectory, benchmark_scenario,
                     channel_state, check_all, check_causality,
                     check_mobility, check_power_budget,
-                    equal_power_allocation, rate_profile, secrecy_sum,
-                    zero_power_allocation)
+                    equal_power_allocation, rate_profile,
+                    restore_feasibility, secrecy_sum, zero_power_allocation)
 from .power_dc import DcOptions, StageFailure, dc_allocate
 from .report import IterationRecord, RunReport
 from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
                      SolverOptions, SolverResult, SymSparse, kkt_residual,
                      scalar_ineq, solve, verify_derivatives)
-from .trajectory_scp import (ScpOptions, initial_trajectory,
-                             restore_feasibility, scp_optimize)
+from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 __all__ = [
     "AoOptions", "ChannelState", "ConstraintBlock", "DcOptions",

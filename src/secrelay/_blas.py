@@ -1,11 +1,16 @@
 """Run the Newton algebra on one OpenBLAS thread.
 
-The interior-point solver factors and solves small systems, thousands of
-times per run.  At that size a multi-threaded OpenBLAS spends more time
-waking and synchronizing its threads than computing: with the earlier
-dense Newton algebra, a static-relay scan at N = 65 took 211 s with two
-threads and 25 s with one on a 2-core x86-64 machine.  One thread also
-fixes the summation order, so results do not depend on the thread count.
+The solver's results must not depend on the BLAS thread count.  The
+stage programs give ``RowSparse`` Jacobians, whose Newton matrices are
+summed by ``np.bincount`` and factored as a narrow band; their
+objectives and Newton step counts come out the same with and without
+this context at two threads.  A dense callback block does go through BLAS
+matrix products (J^T diag(s) J and J v), and a threaded OpenBLAS splits
+those sums differently per thread count: with a dense 300x300
+constraint block, ``solve`` without this context returns an ``x_opt``
+whose bits differ between ``OPENBLAS_NUM_THREADS=1`` and ``2``; with it
+the bits are identical (``tests/test_solver.py``,
+``test_dense_block_thread_count_independent``).
 
 ``one_thread()`` lowers every OpenBLAS loaded into the process (numpy
 and scipy each ship their own) to one thread and restores the previous

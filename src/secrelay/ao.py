@@ -8,11 +8,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import model
-from .model import PowerAllocation, Scenario, Trajectory
+from .model import (PowerAllocation, Scenario, Trajectory,
+                    restore_feasibility)
 from .power_dc import DcOptions, StageFailure, dc_allocate
 from .report import RunReport
-from .trajectory_scp import (ScpOptions, initial_trajectory,
-                             restore_feasibility, scp_optimize)
+from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 
 @dataclass

@@ -17,7 +17,6 @@ from . import model
 from .model import PowerAllocation, Scenario, Trajectory
 from .power_dc import DcOptions, StageFailure, dc_allocate
 from .report import RunReport
-from .trajectory_scp import restore_feasibility
 
 
 @dataclass
@@ -114,9 +113,7 @@ def ranked_locations(scn: Scenario, grid: StaticGrid
 def _solve_location(scn: Scenario, xy, opts: DcOptions
                     ) -> tuple[float, PowerAllocation, RunReport]:
     traj = _constant_traj(scn, xy)
-    pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn),
-                              tol=opts.feas_tol)
-    pw, report = dc_allocate(scn, traj, pw_0=pw0, opts=opts)
+    pw, report = dc_allocate(scn, traj, opts=opts)
     return model.secrecy_sum(scn, traj, pw), pw, report
 
 
@@ -232,7 +229,7 @@ def ferry_plan(scn: Scenario, load_slots: int) -> tuple[Trajectory, PowerAllocat
     p_r = np.zeros(n)
     p_r[load_slots + transit:] = n * scn.p_bar_r / unload
     pw = PowerAllocation(p_s=p_s, p_r=p_r)
-    pw = restore_feasibility(scn, traj, pw)
+    pw = model.restore_feasibility(scn, traj, pw)
     return traj, pw
 
 

@@ -54,8 +54,7 @@ from .model import PowerAllocation, Scenario, Trajectory
 from .model import benchmark_scenario  # noqa: F401  (kept importable here)
 from .power_dc import DcOptions, StageFailure, dc_allocate
 from .report import RunReport
-from .trajectory_scp import (ScpOptions, initial_trajectory,
-                             restore_feasibility, scp_optimize)
+from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -305,7 +304,7 @@ def _load_traj(scn: Scenario, args,
     if getattr(args, "trajectory", None):
         return read_trajectory_csv(Path(args.trajectory))
     traj = initial_trajectory(scn)
-    return traj, restore_feasibility(
+    return traj, model.restore_feasibility(
         scn, traj, model.equal_power_allocation(scn), tol=tol)
 
 

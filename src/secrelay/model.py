@@ -218,11 +218,21 @@ class FeasibilityVerdict:
     worst: float
 
 
-def channel_state(scn: Scenario, traj: Trajectory) -> ChannelState:
-    """Link distances and channel gains for every slot."""
+def _require_traj_slots(scn: Scenario, traj: Trajectory) -> None:
     if len(traj) != scn.n_slots:
         raise ValueError(
             f"trajectory has {len(traj)} slots, scenario wants {scn.n_slots}")
+
+
+def _require_power_slots(scn: Scenario, pw: PowerAllocation) -> None:
+    if len(pw) != scn.n_slots:
+        raise ValueError(
+            f"power allocation has {len(pw)} slots, scenario wants {scn.n_slots}")
+
+
+def channel_state(scn: Scenario, traj: Trajectory) -> ChannelState:
+    """Link distances and channel gains for every slot."""
+    _require_traj_slots(scn, traj)
     h2 = scn.altitude_h ** 2
     d_ar = np.sqrt(h2 + np.sum((traj.xy - scn.alice_xy) ** 2, axis=1))
     d_rd = np.sqrt(h2 + np.sum((traj.xy - scn.bob_xy) ** 2, axis=1))
@@ -233,12 +243,6 @@ def channel_state(scn: Scenario, traj: Trajectory) -> ChannelState:
         gamma_rd=scn.ref_snr / d_rd ** 2,
         gamma_re=scn.ref_snr / d_re ** 2,
     )
-
-
-def _require_power_slots(scn: Scenario, pw: PowerAllocation) -> None:
-    if len(pw) != scn.n_slots:
-        raise ValueError(
-            f"power allocation has {len(pw)} slots, scenario wants {scn.n_slots}")
 
 
 def rate_profile(scn: Scenario, traj: Trajectory,
@@ -268,8 +272,7 @@ def check_mobility(scn: Scenario, traj: Trajectory,
     Slacks are in meters squared: V^2 minus the squared hop length.
     Endpoint slacks are reported as None when the endpoint is free.
     """
-    if len(traj) != scn.n_slots:
-        raise ValueError("trajectory/scenario slot mismatch")
+    _require_traj_slots(scn, traj)
     v2 = scn.slot_travel ** 2
     steps = np.sum(np.diff(traj.xy, axis=0) ** 2, axis=1)
     step_slack = v2 - steps
@@ -332,8 +335,7 @@ def check_causality(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
 def check_power_budget(scn: Scenario, pw: PowerAllocation,
                        tol: float = DEFAULT_FEAS_TOL) -> FeasibilityVerdict:
     """Average-power budgets: sum p <= N * p_bar (slack in watts)."""
-    if len(pw) != scn.n_slots:
-        raise ValueError("power allocation/scenario slot mismatch")
+    _require_power_slots(scn, pw)
     slack_s = scn.n_slots * scn.p_bar_s - float(np.sum(pw.p_s))
     slack_r = scn.n_slots * scn.p_bar_r - float(np.sum(pw.p_r))
     worst = min(slack_s, slack_r)
@@ -352,3 +354,33 @@ def check_all(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
         "causality": check_causality(scn, traj, pw, tol),
         "power_budget": check_power_budget(scn, pw, tol),
     }
+
+
+def restore_feasibility(scn: Scenario, traj: Trajectory,
+                        pw: PowerAllocation,
+                        tol: float = DEFAULT_FEAS_TOL) -> PowerAllocation:
+    """Scale the relay powers down until causality holds.
+
+    Bisection (40 steps) over the scale factor on the predicate of
+    ``check_causality``; returns the input unchanged when it is already
+    feasible.  Neither the channel gains nor what the relay receives
+    depend on the scale, so ``channel_state`` and ``received_prefix``
+    run once per call and each probe only evaluates ``causality_gaps``.
+    """
+    ch = channel_state(scn, traj)
+    received = received_prefix(ch, pw.p_s)
+
+    def feasible(p_r: np.ndarray) -> bool:
+        return causality_verdict(causality_gaps(ch, p_r, received),
+                                 tol).feasible
+
+    if feasible(pw.p_r):
+        return pw
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid * pw.p_r):
+            lo = mid
+        else:
+            hi = mid
+    return PowerAllocation(p_s=pw.p_s, p_r=lo * pw.p_r)

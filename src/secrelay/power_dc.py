@@ -444,12 +444,6 @@ def _certify(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
     return kkt_residual(orig, z, _multiplier_estimate(orig, z))
 
 
-def default_power_start(scn: Scenario) -> PowerAllocation:
-    """Always-feasible start: silent relay, equal source power."""
-    return PowerAllocation(p_s=model.equal_power_allocation(scn).p_s,
-                           p_r=np.zeros(scn.n_slots))
-
-
 def _boost(scn: Scenario, traj: Trajectory, pc: _Pieces,
            pw_k: PowerAllocation, pw_new: PowerAllocation, obj_new: float,
            lam: float) -> tuple[PowerAllocation, float, float]:
@@ -487,6 +481,8 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
                 ) -> tuple[PowerAllocation, RunReport]:
     """Ascend the secrecy rate over the power allocations at fixed traj.
 
+    Starts from ``pw_0``, by default equal power with the relay scaled
+    back until causality holds (``model.restore_feasibility``).
     Iteration 0 records the start's ``_certify`` residual; a start within
     ``opts.kkt_tol`` is returned unchanged (``converged``) and no
     subproblem is solved.  Otherwise returns the last surrogate solution
@@ -498,7 +494,6 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     opts = opts or DcOptions()
     report = RunReport(stage="power_dc", extras={"solves": 0})
     t0 = time.perf_counter()
-    pw = pw_0 if pw_0 is not None else default_power_start(scn)
 
     if scn.p_bar_s <= 0.0 or scn.p_bar_r <= 0.0:
         pw = model.zero_power_allocation(scn)
@@ -507,6 +502,8 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         report.total_time = time.perf_counter() - t0
         return pw, report
 
+    pw = pw_0 if pw_0 is not None else model.restore_feasibility(
+        scn, traj, model.equal_power_allocation(scn), tol=opts.feas_tol)
     checks = model.check_all(scn, traj, pw, tol=opts.feas_tol)
     if not (checks["causality"].feasible and checks["power_budget"].feasible):
         raise ValueError("initial power allocation infeasible")

@@ -3,9 +3,12 @@
 Replaces the off-the-shelf convex-programming call of the outer
 algorithms with a primal-dual interior-point method: damped Newton steps
 on the perturbed KKT system, barrier parameter reduced geometrically,
-fraction-to-boundary rule on the multipliers.  Infeasible starts go
-through a phase-I that minimizes the maximum constraint violation with
-the same machinery.
+fraction-to-boundary rule on the multipliers (``MU_FACTOR``,
+``INNER_MAX``, ``FRAC_TO_BOUNDARY``).  Infeasible starts go through a
+phase-I that minimizes the maximum constraint violation with the same
+machinery.  A program without inequalities or finite bounds runs the
+same loop: its barrier terms are empty, so each step is a damped Newton
+step on the gradient (regularized when there is no Hessian).
 
 Problems are stated in minimize convention:
 
@@ -52,6 +55,12 @@ Array = np.ndarray
 # found, so the status must not hinge on it.  Any other stall is a
 # numerical failure.
 STALL_TOL_FACTOR = 10.0
+# Barrier path: after each centering (at most INNER_MAX damped Newton
+# steps) mu shrinks by MU_FACTOR; a step shrinks no multiplier below
+# 1 - FRAC_TO_BOUNDARY of its value.
+MU_FACTOR = 0.2
+INNER_MAX = 40
+FRAC_TO_BOUNDARY = 0.995
 
 
 @dataclass(frozen=True)
@@ -175,11 +184,7 @@ class SmoothConvexProgram:
 @dataclass
 class SolverOptions:
     tol: float = 1e-6
-    max_iter: int = 400
-    mu_factor: float = 0.2
-    frac_to_boundary: float = 0.995
-    inner_max: int = 40
-    feas_tol: float = 1e-9
+    max_iter: int = 400        # Newton steps over the whole barrier path
 
 
 @dataclass
@@ -387,44 +392,6 @@ def _pd_residual(blocks, grad_f, J, g, lam, mu):
     return r_dual, r_cent
 
 
-def _newton_unconstrained(prog: SmoothConvexProgram, x0: Array,
-                          opts: SolverOptions) -> SolverResult:
-    x = x0.copy()
-    history = [float(prog.objective(x))]
-    it = 0
-    status = "max_iter"
-    while it < opts.max_iter:
-        grad = prog.gradient(x)
-        if np.max(np.abs(grad)) <= opts.tol:
-            status = "optimal"
-            break
-        H = (_lower_of(prog.hessian(x)) if prog.hessian is not None
-             else diag_hessian(np.arange(prog.dim), np.ones(prog.dim)))
-        dx, _ = _factor_solve(*_band(prog.dim, [H], border=False), -grad)
-        if dx is None:
-            status = "numerical_failure"
-            break
-        f0 = prog.objective(x)
-        alpha, ok = 1.0, False
-        while alpha > 1e-14:
-            if prog.objective(x + alpha * dx) <= f0 + 1e-4 * alpha * grad @ dx:
-                ok = True
-                break
-            alpha *= 0.5
-        if not ok:
-            status = "numerical_failure"
-            break
-        x = x + alpha * dx
-        history.append(float(prog.objective(x)))
-        it += 1
-    grad = prog.gradient(x)
-    res = float(np.max(np.abs(grad)))
-    return SolverResult(
-        x_opt=x, duals=np.zeros(0), bound_duals=np.zeros(0), status=status,
-        kkt_residual=res, iterations=it,
-        objective_value=float(prog.objective(x)), objective_history=history)
-
-
 def _interior_values(blocks: _Blocks, x: Array) -> Optional[Array]:
     """Constraint values at x if x is strictly feasible, else None."""
     g = blocks.value(x)
@@ -520,6 +487,7 @@ def _newton_matrix(prog: SmoothConvexProgram, blocks: _Blocks, x: Array,
     return _band(prog.dim, parts, border)
 
 
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
                     x0: Optional[Array] = None, g0: Optional[Array] = None,
                     stop_early=None, border: bool = False) -> SolverResult:
@@ -528,13 +496,6 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
     ``g0`` holds the constraint values at x0 when the caller has them.
     With ``border`` the last variable is solved as a border of the band.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _solve_interior_impl(prog, opts, x0, g0, stop_early, border)
-
-
-def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
-                         x0: Optional[Array], g0: Optional[Array],
-                         stop_early, border: bool) -> SolverResult:
     blocks = _Blocks(prog)
     if x0 is None:
         x0 = np.asarray(prog.strictly_feasible_start, dtype=float)
@@ -556,7 +517,7 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
     while n_newton < opts.max_iter:
         # Inner: damped Newton on the perturbed KKT system at this mu.
         inner_target = max(0.5 * mu, 0.1 * opts.tol)
-        for _ in range(opts.inner_max):
+        for _ in range(INNER_MAX):
             r_dual, r_cent = _pd_residual(blocks, grad_f, J, g, lam, mu)
             r_norm = max(
                 float(np.max(np.abs(r_dual))),
@@ -577,7 +538,7 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
             alpha = 1.0
             neg = dlam < 0
             if np.any(neg):
-                alpha = min(alpha, opts.frac_to_boundary *
+                alpha = min(alpha, FRAC_TO_BOUNDARY *
                             float(np.min(-lam[neg] / dlam[neg])))
             r0 = np.sqrt(float(r_dual @ r_dual + r_cent @ r_cent))
             accepted = False
@@ -620,7 +581,7 @@ def _solve_interior_impl(prog: SmoothConvexProgram, opts: SolverOptions,
             status = ("optimal" if kkt0 <= STALL_TOL_FACTOR * opts.tol
                       else "numerical_failure")
             break
-        mu = max(mu * opts.mu_factor, mu_min) if mu > mu_min else mu * 0.5
+        mu = max(mu * MU_FACTOR, mu_min) if mu > mu_min else mu * 0.5
 
     kkt0 = _kkt_residual_raw(blocks, grad_f, J, g, lam)
     duals = lam[:blocks.n_ineq]
@@ -663,11 +624,6 @@ def solve(prog: SmoothConvexProgram,
 
 def _solve(prog: SmoothConvexProgram, opts: SolverOptions) -> SolverResult:
     blocks = _Blocks(prog)
-    if blocks.m == 0:
-        x0 = (np.asarray(prog.strictly_feasible_start, dtype=float)
-              if prog.strictly_feasible_start is not None
-              else np.zeros(prog.dim))
-        return _newton_unconstrained(prog, x0, opts)
     x0 = g0 = None
     if prog.strictly_feasible_start is not None:
         cand = np.asarray(prog.strictly_feasible_start, dtype=float)

@@ -26,8 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import LN2, Buffer, StageFailure, buffer_start
+from .model import (PowerAllocation, Scenario, Trajectory,
+                    restore_feasibility)
+from .power_dc import LN2, Buffer, buffer_start
 from .report import RunReport
 from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
                      SolverOptions, SymSparse, diag_hessian, solve)
@@ -46,13 +47,10 @@ class TrajIterate:
     """Trajectory with all per-slot quantities cached for one SCP step."""
 
     traj: Trajectory
-    d_ar2: np.ndarray      # squared Alice-UAV distances
-    d_rd2: np.ndarray      # squared UAV-Bob distances
     r_relay: np.ndarray    # reception rate at the relay
     r_bob: np.ndarray      # reception rate at Bob
     zeta: np.ndarray       # squared ground distance to Eve
     eta: np.ndarray        # squared ground distance to Bob
-    gamma_s: np.ndarray    # ref_snr * p_s
     gamma_r: np.ndarray    # ref_snr * p_r
     c_relay: np.ndarray    # curvature of the relay-rate lower bound
     c_bob: np.ndarray      # curvature of the Bob-rate lower bound
@@ -67,13 +65,10 @@ def make_iterate(scn: Scenario, traj: Trajectory,
     gamma_s, gamma_r = scn.ref_snr * pw.p_s, scn.ref_snr * pw.p_r
     return TrajIterate(
         traj=traj,
-        d_ar2=d_ar2,
-        d_rd2=d_rd2,
         r_relay=rp.r_relay,
         r_bob=rp.r_bob,
         zeta=np.sum((scn.eve_xy - traj.xy) ** 2, axis=1),
         eta=np.sum((scn.bob_xy - traj.xy) ** 2, axis=1),
-        gamma_s=gamma_s,
         gamma_r=gamma_r,
         c_relay=gamma_s / ((d_ar2 + gamma_s) * d_ar2 * LN2),
         c_bob=gamma_r / ((d_rd2 + gamma_r) * d_rd2 * LN2),
@@ -106,16 +101,6 @@ def initial_trajectory(scn: Scenario) -> Trajectory:
     else:
         t = np.ones(scn.n_slots)
     return Trajectory(a + t[:, None] * (b - a))
-
-
-@dataclass(frozen=True)
-class SubproblemVars:
-    """Solution of one convex step, in meters / meters squared."""
-
-    delta: np.ndarray
-    xi: np.ndarray
-    eps: np.ndarray   # squared-Bob-distance slack, slots 2..N
-    tau: np.ndarray   # squared-Eve-distance slack, slots 2..N
 
 
 def rate_lower_bounds(scn: Scenario, it: TrajIterate,
@@ -395,49 +380,6 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         ineqs=blocks, lb=lb, strictly_feasible_start=z0)
 
 
-def restore_feasibility(scn: Scenario, traj: Trajectory,
-                        pw: PowerAllocation,
-                        tol: float = 1e-6) -> PowerAllocation:
-    """Scale the relay powers down until causality holds.
-
-    Bisection (40 steps) over the scale factor on the predicate of
-    ``model.check_causality``; returns the input unchanged when it is
-    already feasible.  Neither the channel gains nor what the relay
-    receives depend on the scale, so ``model.channel_state`` and
-    ``model.received_prefix`` run once per call and each probe only
-    evaluates ``model.causality_gaps``.
-    """
-    ch = model.channel_state(scn, traj)
-    received = model.received_prefix(ch, pw.p_s)
-
-    def feasible(p_r: np.ndarray) -> bool:
-        return model.causality_verdict(
-            model.causality_gaps(ch, p_r, received), tol).feasible
-
-    if feasible(pw.p_r):
-        return pw
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid * pw.p_r):
-            lo = mid
-        else:
-            hi = mid
-    return PowerAllocation(p_s=pw.p_s, p_r=lo * pw.p_r)
-
-
-def subproblem_solution(scn: Scenario, it: TrajIterate, lay: _Layout,
-                        z: np.ndarray) -> SubproblemVars:
-    """Expand a solver solution into full-length slack vectors."""
-    delta, xi, eps_a, tau_a = lay.unpack(z)
-    zeta_lb, eta_lb = distance_lower_bounds(scn, it, delta, xi)
-    eps = eta_lb[1:].copy()
-    tau = zeta_lb[1:].copy()
-    eps[lay.active - 1] = eps_a
-    tau[lay.active - 1] = tau_a
-    return SubproblemVars(delta=delta, xi=xi, eps=eps, tau=tau)
-
-
 def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
                  opts: Optional[ScpOptions] = None,
                  iteration_callback=None
@@ -476,9 +418,8 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             # a causality-tight point means a (near-)stationary step.
             report.status = f"solver_{res.status}"
             break
-        sol = subproblem_solution(scn, it, lay, res.x_opt)
-        traj_new = Trajectory(it.traj.xy
-                              + np.stack([sol.delta, sol.xi], axis=1))
+        delta, xi, eps, tau = lay.unpack(res.x_opt)
+        traj_new = Trajectory(it.traj.xy + np.stack([delta, xi], axis=1))
         it_new = make_iterate(scn, traj_new, pw)
         checks = model.check_all(scn, traj_new, pw, tol=opts.feas_tol)
         ok = checks["mobility"].feasible and checks["causality"].feasible
@@ -488,10 +429,11 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             break
         change = abs(it_new.objective - it.objective)
         rel = change / max(abs(it_new.objective), 1e-10)
-        # Tightness diagnostic of the slack couplings at the optimum.
-        zeta_lb, eta_lb = distance_lower_bounds(scn, it, sol.delta, sol.xi)
-        slack_gap = float(np.max(np.minimum(zeta_lb[1:] - sol.tau,
-                                            eta_lb[1:] - sol.eps),
+        # Tightness diagnostic of the slack couplings at the optimum
+        # (silent slots have no slacks and count as tight).
+        zeta_lb, eta_lb = distance_lower_bounds(scn, it, delta, xi)
+        slack_gap = float(np.max(np.minimum(zeta_lb[lay.active] - tau,
+                                            eta_lb[lay.active] - eps),
                                  initial=0.0))
         it = it_new
         if iteration_callback is not None:
@@ -501,7 +443,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
                    subproblem_iters=res.iterations,
                    slack_tightness_gap=slack_gap,
                    step_norm=float(np.max(np.abs(
-                       np.concatenate([sol.delta, sol.xi])))))
+                       np.concatenate([delta, xi])))))
         if rel < opts.rel_tol or change <= model.OBJ_ABS_TOL:
             report.status = "converged"
             break

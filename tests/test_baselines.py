@@ -60,8 +60,14 @@ class TestStaticRelay:
             at_bad = np.array_equal(traj.xy[0], bad_xy)
             calls.append(at_bad)
             if at_bad:
+                # A first solve that fails leaves the stage's start, by
+                # default dc_allocate's equal-power start, as its last
+                # iterate.
+                start = pw_0 if pw_0 is not None else model.restore_feasibility(
+                    scn_, traj, model.equal_power_allocation(scn_),
+                    tol=opts.feas_tol)
                 raise StageFailure("power subproblem solve failed "
-                                   "(numerical_failure)", pw_0,
+                                   "(numerical_failure)", start,
                                    RunReport(stage="power_dc"))
             return real(scn_, traj, pw_0=pw_0, opts=opts)
 

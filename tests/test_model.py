@@ -222,6 +222,10 @@ class TestCausalityGaps:
         with pytest.raises(ValueError, match="trajectory has 5 slots"):
             model.check_causality(scn, Trajectory(np.zeros((5, 2))),
                                   model.equal_power_allocation(scn))
+        with pytest.raises(ValueError, match="power allocation has 5 slots"):
+            model.check_power_budget(scn, short)
+        with pytest.raises(ValueError, match="trajectory has 5 slots"):
+            model.check_mobility(scn, Trajectory(np.zeros((5, 2))))
 
 
 class TestPowerBudget:

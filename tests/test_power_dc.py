@@ -11,8 +11,7 @@ from conftest import (assert_wall_times, random_feasible_trajectory,
 from secrelay import benchmark_scenario, model, power_dc
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
-                               buffer_start, build_dc_surrogate, dc_allocate,
-                               default_power_start)
+                               buffer_start, build_dc_surrogate, dc_allocate)
 from secrelay.solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
                              as_dense, verify_derivatives)
 from secrelay.trajectory_scp import restore_feasibility
@@ -46,7 +45,8 @@ class TestSurrogate:
     def test_gradient_at_zero_relay_power(self):
         scn = small_scenario()
         traj = _hover_traj(scn, [150.0, -20.0])
-        pw0 = default_power_start(scn)
+        pw0 = PowerAllocation(p_s=model.equal_power_allocation(scn).p_s,
+                              p_r=np.zeros(scn.n_slots))
         prog = build_dc_surrogate(scn, traj, pw0)
         ch = model.channel_state(scn, traj)
         u_s, u_r = _scales(scn)

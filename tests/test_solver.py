@@ -67,6 +67,21 @@ class TestAnalytic:
         assert res.status == "optimal"
         np.testing.assert_allclose(res.x_opt, [1.0, -3.0], atol=1e-6)
 
+    @pytest.mark.parametrize("with_hessian", [True, False])
+    def test_unconstrained_non_quadratic(self, with_hessian):
+        """min sum(exp(x)) - b.x, optimum log b, on the interior-point
+        loop with no rows and no bounds; without a Hessian the Newton
+        matrix is the regularization alone."""
+        b = np.array([0.5, 2.0, 7.0])
+        prog = SmoothConvexProgram(
+            dim=3,
+            objective=lambda x: float(np.sum(np.exp(x)) - b @ x),
+            gradient=lambda x: np.exp(x) - b,
+            hessian=(lambda x: np.diag(np.exp(x))) if with_hessian else None)
+        res = solve(prog)
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.x_opt, np.log(b), rtol=0, atol=1e-5)
+
 
 class TestStallStatus:
     def test_stall_beyond_factor_not_optimal(self):
@@ -352,6 +367,45 @@ class TestDeterminismAndMonotonicity:
         assert solve(prog).status == "optimal"
         assert seen and all(n == [1] * len(controls) for n in seen)
         assert [get() for get, _ in controls] == before
+
+    def test_dense_block_thread_count_independent(self):
+        """A dense 300x300 block goes through BLAS matrix products, whose
+        summation order follows the thread count; inside ``solve`` the
+        solution is bit-identical at 1 and at 2 OpenBLAS threads."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import secrelay
+        src = str(Path(secrelay.__file__).resolve().parent.parent)
+        code = """if True:
+            import numpy as np
+            from secrelay.solver import (ConstraintBlock,
+                                         SmoothConvexProgram, solve)
+            rng = np.random.default_rng(21)
+            n = 300
+            A = rng.normal(size=(n, n))
+            c = rng.normal(size=n) * 10.0
+            prog = SmoothConvexProgram(
+                dim=n, objective=lambda x: 0.5 * float((x - c) @ (x - c)),
+                gradient=lambda x: x - c, hessian=lambda x: np.eye(n),
+                ineqs=[ConstraintBlock(m=n, value=lambda x: A @ x - 1.0,
+                                       jacobian=lambda x: A)],
+                strictly_feasible_start=np.zeros(n))
+            res = solve(prog)
+            print(res.status, res.x_opt.tobytes().hex())
+        """
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                                 capture_output=True, text=True, check=True,
+                                 env=env)
+            outs.append(out.stdout.split())
+        assert outs[0][0] == "optimal"
+        assert outs[0] == outs[1]
 
     def test_barrier_path_monotone(self, rng):
         for _ in range(6):
