@@ -14,7 +14,7 @@ from .model import (ChannelState, FeasibilityVerdict, PowerAllocation,
                     check_mobility, check_power_budget,
                     equal_power_allocation, rate_profile,
                     restore_feasibility, secrecy_sum, zero_power_allocation)
-from .power_dc import DcOptions, StageFailure, dc_allocate
+from .power_dc import DcOptions, dc_allocate
 from .report import IterationRecord, RunReport
 from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
                      SolverOptions, SolverResult, SymSparse, kkt_residual,
@@ -26,7 +26,7 @@ __all__ = [
     "EvalSnapshot", "FeasibilityVerdict", "FerryResult", "IterationRecord",
     "PowerAllocation", "RateProfile", "RowSparse", "RunReport", "Scenario",
     "ScpOptions", "SmoothConvexProgram", "SolverOptions", "SolverResult",
-    "StageFailure", "StaticGrid", "StaticResult", "SymSparse", "Trajectory",
+    "StaticGrid", "StaticResult", "SymSparse", "Trajectory",
     "ao_optimize", "benchmark_scenario", "channel_state", "check_all",
     "check_causality", "check_mobility", "check_power_budget", "data_ferry",
     "dc_allocate", "equal_power_allocation", "evaluate", "ferry_plan",

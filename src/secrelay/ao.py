@@ -1,7 +1,6 @@
 """Alternating optimization driver over powers and trajectory."""
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -10,16 +9,18 @@ import numpy as np
 from . import model
 from .model import (PowerAllocation, Scenario, Trajectory,
                     restore_feasibility)
-from .power_dc import DcOptions, StageFailure, dc_allocate
+from .power_dc import DcOptions, dc_allocate
 from .report import RunReport
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 
 @dataclass
 class AoOptions:
+    """AO restores each power start and judges feasibility at
+    ``dc.feas_tol``, the tolerance of the stage that start feeds."""
+
     rel_tol: float = 1e-4
     max_iter: int = 30
-    feas_tol: float = 1e-6
     dc: DcOptions = field(default_factory=DcOptions)
     scp: ScpOptions = field(default_factory=ScpOptions)
 
@@ -54,46 +55,42 @@ def evaluate(scn: Scenario, traj: Trajectory,
 def _ao_single(scn: Scenario, traj: Trajectory,
                opts: AoOptions) -> tuple[Trajectory, PowerAllocation, RunReport]:
     report = RunReport(stage="ao")
-    t0 = time.perf_counter()
+    tol = opts.dc.feas_tol
     # Feasible warm start for the first power step: equal power, relay
     # scaled down until causality holds on the initial trajectory.
-    pw = restore_feasibility(scn, traj,
-                             model.equal_power_allocation(scn),
-                             tol=opts.feas_tol)
+    pw = restore_feasibility(scn, traj, model.equal_power_allocation(scn),
+                             tol=tol)
     obj = model.secrecy_sum(scn, traj, pw)
-    report.add(obj, feasible=True, wall_time=time.perf_counter() - t0)
-    report.status = "max_iter"
+    report.add(obj, feasible=True)
 
     if scn.p_bar_r <= 0.0:
-        report.status = "converged"
-        report.total_time = time.perf_counter() - t0
-        return traj, model.zero_power_allocation(scn), report
+        return traj, model.zero_power_allocation(scn), report.finish(
+            "converged")
 
+    report.status = "max_iter"
     for _ in range(opts.max_iter):
-        try:
-            pw_start = restore_feasibility(scn, traj, pw, tol=opts.feas_tol)
-            pw, dc_rep = dc_allocate(scn, traj, pw_0=pw_start, opts=opts.dc)
-            report.sub_reports.append(dc_rep)
-            traj, scp_rep = scp_optimize(scn, pw, traj, opts=opts.scp)
-            report.sub_reports.append(scp_rep)
-        except StageFailure as exc:
+        pw_start = restore_feasibility(scn, traj, pw, tol=tol)
+        pw_dc, dc_rep = dc_allocate(scn, traj, pw_0=pw_start, opts=opts.dc)
+        report.sub_reports.append(dc_rep)
+        if dc_rep.status.startswith("solver_"):
+            # Keep the last AO iterate; the failed stage ends the report.
             report.status = "inner_stage_failure"
-            report.extras["failure"] = str(exc)
             break
+        pw = pw_dc
+        traj, scp_rep = scp_optimize(scn, pw, traj, opts=opts.scp)
+        report.sub_reports.append(scp_rep)
         obj_new = model.secrecy_sum(scn, traj, pw)
         change = abs(obj_new - obj)
         rel = change / max(abs(obj_new), 1e-10)
         feas = all(v.feasible for v in
-                   model.check_all(scn, traj, pw, opts.feas_tol).values())
+                   model.check_all(scn, traj, pw, tol).values())
         report.add(obj_new, feasible=feas,
-                   kkt_residual=scp_rep.extras.get("final_subproblem_kkt"),
-                   wall_time=time.perf_counter() - t0)
+                   kkt_residual=scp_rep.extras.get("final_subproblem_kkt"))
         obj = obj_new
         if rel < opts.rel_tol or change <= model.OBJ_ABS_TOL:
             report.status = "converged"
             break
-    report.total_time = time.perf_counter() - t0
-    return traj, pw, report
+    return traj, pw, report.finish()
 
 
 def default_starts(scn: Scenario) -> list[Trajectory]:

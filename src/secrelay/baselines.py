@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import DcOptions, StageFailure, dc_allocate
+from .power_dc import DcOptions, dc_allocate
 from .report import RunReport
 
 
@@ -52,8 +52,8 @@ class StaticResult:
     pw: PowerAllocation
     objective: float
     evaluated: int          # locations where the power problem was solved
-    failed: int             # of those, where the power stage raised and
-                            # its last iterate was scored instead
+    failed: int             # of those, where the power stage ended
+                            # ``solver_*``; its last iterate is scored
     certified: int          # of those, where the start was certified a
                             # KKT point and no subproblem was solved
 
@@ -131,10 +131,10 @@ def static_relay_best(scn: Scenario,
     Scans the grid in decreasing order of a cheap secrecy upper bound and
     prunes locations whose bound cannot beat the incumbent, then refines
     locally with the grid step halved twice.  A location whose power
-    stage raises ``StageFailure`` is scored at the stage's last iterate
-    and counted in ``StaticResult.failed``; the scan goes on.  One whose
-    start is certified a KKT point without a solve is counted in
-    ``StaticResult.certified``.  ``run_keys`` are ``DcOptions`` fields (a
+    stage ends ``solver_*`` is scored at the last iterate the stage
+    returns and counted in ``StaticResult.failed``; the scan goes on.
+    One whose start is certified a KKT point without a solve is counted
+    in ``StaticResult.certified``.  ``run_keys`` are ``DcOptions`` fields (a
     config's ``run.rel_tol``, ``max_iter``, ``feas_tol``): the scan runs
     with ``scan_options(**run_keys)``, the final re-solve of the winner
     with ``DcOptions(**run_keys)``.
@@ -155,12 +155,8 @@ def static_relay_best(scn: Scenario,
     def evaluate(xy, opts):
         nonlocal evaluated, failed, certified
         evaluated += 1
-        try:
-            obj, pw, report = _solve_location(scn, xy, opts)
-        except StageFailure as exc:
-            failed += 1
-            pw = exc.last_iterate
-            return model.secrecy_sum(scn, _constant_traj(scn, xy), pw), pw
+        obj, pw, report = _solve_location(scn, xy, opts)
+        failed += report.status.startswith("solver_")
         certified += (report.status == "converged"
                       and report.extras["solves"] == 0)
         return obj, pw

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -52,7 +53,7 @@ from .ao import AoOptions, ao_optimize, evaluate
 from .baselines import data_ferry, static_relay_best
 from .model import PowerAllocation, Scenario, Trajectory
 from .model import benchmark_scenario  # noqa: F401  (kept importable here)
-from .power_dc import DcOptions, StageFailure, dc_allocate
+from .power_dc import DcOptions, dc_allocate
 from .report import RunReport
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
@@ -263,16 +264,16 @@ def write_report_json(path: Path, scn: Scenario, run: dict,
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _iterate_snapshot_writer(scn: Scenario, pw_ref: list, out_dir: Path):
-    """Returns a callback that dumps trajectory_iter_<l>.csv after each
-    outer iteration; ``pw_ref`` is a one-element list holding the current
-    power allocation."""
+def _iterate_snapshot_writer(scn: Scenario, pw: PowerAllocation,
+                             out_dir: Path):
+    """Returns a callback that dumps trajectory_iter_<l>.csv, with the
+    powers ``pw``, after each outer iteration."""
     counter = {"l": 0}
 
     def cb(traj: Trajectory) -> None:
         counter["l"] += 1
         write_trajectory_csv(out_dir / f"trajectory_iter_{counter['l']}.csv",
-                             scn, traj, pw_ref[0])
+                             scn, traj, pw)
     return cb
 
 
@@ -280,20 +281,19 @@ def _iterate_snapshot_writer(scn: Scenario, pw_ref: list, out_dir: Path):
 # Subcommands
 
 
-def _options(run: dict) -> tuple[AoOptions, DcOptions, ScpOptions, float]:
+def _options(run: dict) -> AoOptions:
+    """The options of every command from the run keys; each command takes
+    its feasibility tolerance from ``.dc.feas_tol``."""
     feas_tol = float(run.get("feas_tol", 1e-6))
     dc = DcOptions(feas_tol=feas_tol)
     scp = ScpOptions(feas_tol=feas_tol)
+    ao = AoOptions(dc=dc, scp=scp)
     if "rel_tol" in run:
         dc.rel_tol = min(dc.rel_tol, float(run["rel_tol"]))
-        scp.rel_tol = float(run["rel_tol"])
+        scp.rel_tol = ao.rel_tol = float(run["rel_tol"])
     if "max_iter" in run:
-        dc.max_iter = int(run["max_iter"])
-        scp.max_iter = int(run["max_iter"])
-    ao = AoOptions(dc=dc, scp=scp, feas_tol=feas_tol)
-    if "rel_tol" in run:
-        ao.rel_tol = float(run["rel_tol"])
-    return ao, dc, scp, feas_tol
+        dc.max_iter = scp.max_iter = int(run["max_iter"])
+    return ao
 
 
 def _load_traj(scn: Scenario, args,
@@ -310,6 +310,11 @@ def _load_traj(scn: Scenario, args,
 
 def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
             tol: float, t0: float, extra: Optional[dict] = None) -> int:
+    """Writes the artifacts, or exits 4 if ``report`` ended ``solver_*``."""
+    if report is not None and report.status.startswith("solver_"):
+        print(f"numerical failure in subproblem: {report.status}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     write_trajectory_csv(out_dir / "trajectory.csv", scn, traj, pw)
     write_report_json(out_dir / "report.json", scn, run, report, traj, pw,
                       tol, time.perf_counter() - t0, extra)
@@ -322,11 +327,12 @@ def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
 
 def cmd_ao(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
-    ao_opts, _, _, tol = _options(run)
-    traj, pw, report = ao_optimize(scn, opts=ao_opts)
+    opts = _options(run)
+    tol = opts.dc.feas_tol
+    traj, pw, report = ao_optimize(scn, opts=opts)
     if report.status == "inner_stage_failure":
-        print(f"numerical failure: {report.extras.get('failure')}",
-              file=sys.stderr)
+        print(f"numerical failure in the power stage: "
+              f"{report.sub_reports[-1].status}", file=sys.stderr)
         write_report_json(out_dir / "report.json", scn, run, report, traj,
                           pw, tol, time.perf_counter() - t0)
         return EXIT_NUMERICAL
@@ -335,35 +341,32 @@ def cmd_ao(scn, run, out_dir, args) -> int:
 
 def cmd_trajectory(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
-    _, _, scp_opts, tol = _options(run)
+    opts = _options(run)
+    tol = opts.dc.feas_tol
     traj0, pw = _load_traj(scn, args, tol)
+    if not model.check_causality(scn, traj0, pw, tol=tol).feasible:
+        # The stage would optimize rescaled powers, not the ones written.
+        raise ValueError("input powers violate information causality")
     cb = None
     if run.get("save_iterates"):
-        cb = _iterate_snapshot_writer(scn, [pw], out_dir)
-    traj, report = scp_optimize(scn, pw, traj0, opts=scp_opts,
+        cb = _iterate_snapshot_writer(scn, pw, out_dir)
+    traj, report = scp_optimize(scn, pw, traj0, opts=opts.scp,
                                 iteration_callback=cb)
-    if report.status.startswith("solver_"):
-        print(f"numerical failure in subproblem: {report.status}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
     return _finish(out_dir, scn, run, report, traj, pw, tol, t0)
 
 
 def cmd_power(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
-    _, dc_opts, _, tol = _options(run)
+    opts = _options(run)
+    tol = opts.dc.feas_tol
     traj, pw0 = _load_traj(scn, args, tol)
-    try:
-        pw, report = dc_allocate(scn, traj, pw_0=pw0, opts=dc_opts)
-    except StageFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    pw, report = dc_allocate(scn, traj, pw_0=pw0, opts=opts.dc)
     return _finish(out_dir, scn, run, report, traj, pw, tol, t0)
 
 
 def cmd_baseline(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
-    tol = float(run.get("feas_tol", 1e-6))
+    tol = _options(run).dc.feas_tol
     if args.scheme == "static":
         # The run keys the config sets, over the scan's and the final
         # solve's own defaults.
@@ -384,25 +387,19 @@ def cmd_baseline(scn, run, out_dir, args) -> int:
         extra = {"scheme": "ferry", "load_slots": res.load_slots}
         if res.diagnostic:
             extra["diagnostic"] = res.diagnostic
-    import dataclasses as _dc
-    scn_free = _dc.replace(scn, start_xy=None, end_xy=None)
+    scn_free = dataclasses.replace(scn, start_xy=None, end_xy=None)
     return _finish(out_dir, scn_free, run, None, traj, pw, tol, t0, extra)
 
 
 def cmd_eval(scn, run, out_dir, args) -> int:
+    """``eval`` and ``check``: re-evaluate a solution without optimizing;
+    ``check`` also exits 3 when it is infeasible."""
     t0 = time.perf_counter()
-    tol = float(run.get("feas_tol", 1e-6))
-    traj, pw = _load_traj(scn, args, tol)
-    return _finish(out_dir, scn, run, None, traj, pw, tol, t0)
-
-
-def cmd_check(scn, run, out_dir, args) -> int:
-    t0 = time.perf_counter()
-    tol = float(run.get("feas_tol", 1e-6))
+    tol = _options(run).dc.feas_tol
     traj, pw = _load_traj(scn, args, tol)
     snap = evaluate(scn, traj, pw, tol)
     _finish(out_dir, scn, run, None, traj, pw, tol, t0)
-    if not snap.feasible:
+    if args.command == "check" and not snap.feasible:
         worst = {k: v.worst for k, v in
                  (("mobility", snap.mobility), ("causality", snap.causality),
                   ("power_budget", snap.power_budget)) if not v.feasible}
@@ -442,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("baseline", cmd_baseline, "static-relay or data-ferry benchmark",
         scheme=True, traj_in=False)
     add("eval", cmd_eval, "re-evaluate a solution without optimizing")
-    add("check", cmd_check, "feasibility check only")
+    add("check", cmd_eval, "feasibility check only")
     return parser
 
 

@@ -1,6 +1,7 @@
 """Run bookkeeping: per-iteration records shared by all optimizers."""
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +32,8 @@ class IterationRecord:
 
 @dataclass
 class RunReport:
-    """Objective trace, residuals and timing of one optimization run."""
+    """Objective trace, residuals and timing of one optimization run,
+    timed from the report's construction (``add``, ``finish``)."""
 
     stage: str
     status: str = "running"
@@ -39,14 +41,22 @@ class RunReport:
     total_time: float = 0.0
     sub_reports: list["RunReport"] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    _t0: float = field(default_factory=time.perf_counter, init=False,
+                       repr=False, compare=False)
 
     def add(self, objective: float, kkt_residual: Optional[float] = None,
-            feasible: Optional[bool] = None, wall_time: float = 0.0,
-            **extras) -> None:
+            feasible: Optional[bool] = None, **extras) -> None:
         self.iterations.append(IterationRecord(
             iteration=len(self.iterations), objective=float(objective),
             kkt_residual=kkt_residual, feasible=feasible,
-            wall_time=wall_time, extras=extras))
+            wall_time=time.perf_counter() - self._t0, extras=extras))
+
+    def finish(self, status: Optional[str] = None) -> "RunReport":
+        """Stop the clock (and set ``status``, when given); returns self."""
+        if status is not None:
+            self.status = status
+        self.total_time = time.perf_counter() - self._t0
+        return self
 
     @property
     def objectives(self) -> list[float]:

@@ -19,8 +19,7 @@ each buffer at ``buffer_start`` of its prefix surpluses there.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,12 +33,14 @@ from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
                      SolverOptions, SymSparse, diag_hessian, solve)
 
 
+SUBPROBLEM = SolverOptions(tol=1e-6)
+
+
 @dataclass
 class ScpOptions:
     rel_tol: float = 1e-4
     max_iter: int = 100
     feas_tol: float = 1e-6
-    solver: SolverOptions = field(default_factory=lambda: SolverOptions(tol=1e-6))
 
 
 @dataclass(frozen=True)
@@ -391,7 +392,6 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     """
     opts = opts or ScpOptions()
     report = RunReport(stage="trajectory_scp")
-    t0 = time.perf_counter()
 
     if not model.check_mobility(scn, traj_0, tol=opts.feas_tol).feasible:
         raise ValueError("initial trajectory violates mobility constraints")
@@ -400,19 +400,17 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     report.extras["power_rescaled"] = pw is not pw_in
 
     it = make_iterate(scn, traj_0, pw)
-    report.add(it.objective, feasible=True, wall_time=time.perf_counter() - t0)
-    report.status = "max_iter"
+    report.add(it.objective, feasible=True)
 
     if np.all(it.gamma_r[1:] == 0.0):
         # Silent relay: the objective is identically zero.
-        report.status = "converged"
-        report.total_time = time.perf_counter() - t0
-        return traj_0, report
+        return traj_0, report.finish("converged")
+    report.status = "max_iter"
 
     for _ in range(opts.max_iter):
         lay = _Layout(scn, it)
         prog = _build_subproblem(scn, it, lay)
-        res = solve(prog, opts.solver)
+        res = solve(prog, SUBPROBLEM)
         if res.status != "optimal":
             # Stay on the last feasible iterate; a vanishing interior at
             # a causality-tight point means a (near-)stationary step.
@@ -438,8 +436,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         it = it_new
         if iteration_callback is not None:
             iteration_callback(it.traj)
-        report.add(it.objective, kkt_residual=res.kkt_residual,
-                   feasible=ok, wall_time=time.perf_counter() - t0,
+        report.add(it.objective, kkt_residual=res.kkt_residual, feasible=ok,
                    subproblem_iters=res.iterations,
                    slack_tightness_gap=slack_gap,
                    step_norm=float(np.max(np.abs(
@@ -447,6 +444,5 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         if rel < opts.rel_tol or change <= model.OBJ_ABS_TOL:
             report.status = "converged"
             break
-    report.total_time = time.perf_counter() - t0
     report.extras["final_subproblem_kkt"] = report.iterations[-1].kkt_residual
-    return it.traj, report
+    return it.traj, report.finish()

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,23 @@ def power_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(power_dc, "solve", counting_solve)
     return calls
+
+
+def fail_power_solves(monkeypatch, after: int = 0) -> None:
+    """Every power-stage subproblem solve after the first ``after`` ends
+    ``numerical_failure`` (with the solution the solver found)."""
+    from secrelay import power_dc
+    calls = []
+    solve = power_dc.solve
+
+    def failing_solve(prog, opts):
+        calls.append(1)
+        res = solve(prog, opts)
+        if len(calls) <= after:
+            return res
+        return dataclasses.replace(res, status="numerical_failure")
+
+    monkeypatch.setattr(power_dc, "solve", failing_solve)
 
 
 @pytest.fixture

@@ -2,10 +2,13 @@
 import numpy as np
 import pytest
 
-from conftest import assert_wall_times, random_scenario, small_scenario
-from secrelay import model
+from conftest import (assert_wall_times, fail_power_solves, random_scenario,
+                      small_scenario)
+from secrelay import benchmark_scenario, model
 from secrelay.ao import AoOptions, ao_optimize, evaluate
 from secrelay.model import Scenario
+from secrelay.power_dc import DcOptions
+from secrelay.trajectory_scp import ScpOptions, initial_trajectory
 
 
 class TestAoOptimize:
@@ -86,6 +89,52 @@ class TestAoOptimize:
         assert_wall_times(report)
         for sub in report.sub_reports:
             assert_wall_times(sub)
+
+
+class TestStageContract:
+    def test_power_stage_failure_keeps_last_iterate(self, monkeypatch):
+        """The first power stage fails at its second solve: AO ends
+        ``inner_stage_failure`` with its start and that start's objective,
+        and the failed stage report comes last."""
+        scn = small_scenario()
+        traj0 = initial_trajectory(scn)
+        pw0 = model.restore_feasibility(scn, traj0,
+                                        model.equal_power_allocation(scn))
+        fail_power_solves(monkeypatch, after=1)
+        traj, pw, report = ao_optimize(scn, init_trajs=[traj0])
+        assert report.status == "inner_stage_failure"
+        assert [s.status for s in report.sub_reports] == [
+            "solver_numerical_failure"]
+        assert report.sub_reports[-1].extras["solves"] == 2
+        np.testing.assert_array_equal(traj.xy, traj0.xy)
+        np.testing.assert_array_equal(pw.p_s, pw0.p_s)
+        np.testing.assert_array_equal(pw.p_r, pw0.p_r)
+        assert report.objectives == [model.secrecy_sum(scn, traj0, pw0)]
+        assert report.final_objective == model.secrecy_sum(scn, traj, pw)
+
+    def test_start_restored_at_power_tolerance(self):
+        """AO restores its power start at ``dc.feas_tol``, so the start
+        it records is the power stage's own start."""
+        scn = benchmark_scenario(40.0, 2.0)
+        traj0 = initial_trajectory(scn)
+        _, _, report = ao_optimize(scn, AoOptions(dc=DcOptions(feas_tol=1e-4)),
+                                   init_trajs=[traj0])
+        start = model.restore_feasibility(
+            scn, traj0, model.equal_power_allocation(scn), tol=1e-4)
+        assert report.iterations[0].objective == model.secrecy_sum(
+            scn, traj0, start)
+
+    def test_loose_power_tolerance_strict_trajectory(self):
+        """The stages' tolerances may differ; AO judges at the power
+        stage's."""
+        scn = benchmark_scenario(40.0, 2.0)
+        opts = AoOptions(dc=DcOptions(feas_tol=1e-4),
+                         scp=ScpOptions(feas_tol=1e-8))
+        traj, pw, report = ao_optimize(scn, opts,
+                                       init_trajs=[initial_trajectory(scn)])
+        assert report.status == "converged"
+        assert all(r.feasible for r in report.iterations)
+        assert evaluate(scn, traj, pw, tol=1e-4).feasible
 
 
 class TestZeroSecrecyStart:

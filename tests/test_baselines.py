@@ -47,7 +47,6 @@ class TestStaticRelay:
         # The power stage fails at one grid location; the scan scores the
         # stage's last iterate there and goes on.
         import secrelay.baselines as baselines
-        from secrelay.power_dc import StageFailure
         from secrelay.report import RunReport
         scn = small_scenario(n_slots=5)
         grid = StaticGrid(x_min=0.0, x_max=400.0, y_min=-120.0, y_max=120.0,
@@ -60,15 +59,14 @@ class TestStaticRelay:
             at_bad = np.array_equal(traj.xy[0], bad_xy)
             calls.append(at_bad)
             if at_bad:
-                # A first solve that fails leaves the stage's start, by
-                # default dc_allocate's equal-power start, as its last
-                # iterate.
+                # A first solve that fails returns the stage's start, by
+                # default dc_allocate's equal-power start.
                 start = pw_0 if pw_0 is not None else model.restore_feasibility(
                     scn_, traj, model.equal_power_allocation(scn_),
                     tol=opts.feas_tol)
-                raise StageFailure("power subproblem solve failed "
-                                   "(numerical_failure)", start,
-                                   RunReport(stage="power_dc"))
+                return start, RunReport(stage="power_dc",
+                                        status="solver_numerical_failure",
+                                        extras={"solves": 1})
             return real(scn_, traj, pw_0=pw_0, opts=opts)
 
         monkeypatch.setattr(baselines, "dc_allocate", flaky)

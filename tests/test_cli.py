@@ -127,6 +127,40 @@ class TestExitCodes:
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
 
+    def test_trajectory_rejects_causality_violating_powers(self, tmp_path,
+                                                           capsys):
+        """Equal power on the T = 40 s hover start breaks information
+        causality; ``trajectory`` exits 3 as ``power`` does, instead of
+        optimizing rescaled powers and writing the given ones."""
+        from secrelay import model
+        from secrelay.trajectory_scp import initial_trajectory
+        doc = {"scenario": {
+            "bob_xy_m": [2000, 0], "eve_xy_m": [1000, 100],
+            "altitude_m": 100, "horizon_s": 40, "slot_len_s": 2,
+            "v_max_mps": 50, "ref_snr_db": 80, "p_bar_s": "10 dBm",
+            "p_bar_r": "10 dBm"}}
+        scn = parse_scenario(doc["scenario"])
+        traj = initial_trajectory(scn)
+        pw = model.equal_power_allocation(scn)
+        assert not model.check_causality(scn, traj, pw).feasible
+        tpath = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(tpath, scn, traj, pw)
+        out = tmp_path / "o"
+        rc = cli.main(["trajectory", str(_write(tmp_path, doc)),
+                       "--trajectory", str(tpath), "--out-dir", str(out)])
+        assert rc == 3
+        assert "causality" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_power_stage_failure_exit_4(self, tmp_path, capsys,
+                                        monkeypatch):
+        from conftest import fail_power_solves
+        fail_power_solves(monkeypatch)
+        cfg = _write(tmp_path, SMALL)
+        rc = cli.main(["power", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 4
+        assert "solver_numerical_failure" in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_trajectory_run_artifacts(self, tmp_path, capsys):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_wall_times, random_feasible_trajectory,
-                      random_scenario, small_scenario)
+from conftest import (assert_wall_times, fail_power_solves,
+                      random_feasible_trajectory, random_scenario,
+                      small_scenario)
 from secrelay import benchmark_scenario, model, power_dc
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
@@ -455,6 +456,19 @@ class TestStartCertificate:
         assert model.secrecy_sum(scn, traj, pw) == report.final_objective
         assert report.extras["rejected_step"]["kept_kkt"] <= opts.kkt_tol
         assert report.status == "converged"
+
+    def test_failed_solve_returns_start(self, monkeypatch):
+        """A subproblem solve that is not optimal ends the stage with a
+        ``solver_*`` status; the start, not yet improved on, comes back
+        unchanged."""
+        scn, traj, pw98 = self._start((1800.0, 30.0), 0.98)
+        fail_power_solves(monkeypatch)
+        pw, report = dc_allocate(scn, traj, pw_0=pw98)
+        assert report.status == "solver_numerical_failure"
+        assert report.extras["solves"] == 1
+        np.testing.assert_array_equal(pw.p_s, pw98.p_s)
+        np.testing.assert_array_equal(pw.p_r, pw98.p_r)
+        assert report.objectives == [model.secrecy_sum(scn, traj, pw98)]
 
 
 def _fixed_flow_buffer(flow, initial):
