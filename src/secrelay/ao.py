@@ -76,7 +76,9 @@ def _ao_single(scn: Scenario, traj: Trajectory,
             # Keep the last AO iterate; the failed stage ends the report.
             report.status = "inner_stage_failure"
             break
-        pw = pw_dc
+        # The trajectory stage runs at its own tolerance; restore here so
+        # AO keeps and scores the powers the trajectory is planned for.
+        pw = restore_feasibility(scn, traj, pw_dc, tol=opts.scp.feas_tol)
         traj, scp_rep = scp_optimize(scn, pw, traj, opts=opts.scp)
         report.sub_reports.append(scp_rep)
         obj_new = model.secrecy_sum(scn, traj, pw)
@@ -87,6 +89,11 @@ def _ao_single(scn: Scenario, traj: Trajectory,
         report.add(obj_new, feasible=feas,
                    kkt_residual=scp_rep.extras.get("final_subproblem_kkt"))
         obj = obj_new
+        if scp_rep.status.startswith("solver_"):
+            # The stage's last iterate is feasible and recorded above;
+            # the failed stage ends the report.
+            report.status = "inner_stage_failure"
+            break
         if rel < opts.rel_tol or change <= model.OBJ_ABS_TOL:
             report.status = "converged"
             break

@@ -13,9 +13,18 @@ Information causality is stated with relay buffers (``power_dc.Buffer``)
 for Bob's and Eve's rate: b_n >= 0 with b_n <= b_{n-1} + R_in,n-1 -
 R_out,n, fed by the relay-rate lower bound and drained by the slack-form
 outflow.  The variables are laid out slot by slot (``_Layout``), so each
-row touches two neighbouring slots and the Newton matrix is banded.  The
-start is zero displacement, each slack a margin below its bound, and
-each buffer at ``buffer_start`` of its prefix surpluses there.
+row touches two neighbouring slots and the Newton matrix is banded.
+
+The slacks are bounded below by ``SLACK_LB`` (scaled by h^2), not by 0:
+the log terms only need h^2 + slack > 0, and eps <= eta_lb <= eta and
+tau <= zeta_lb <= zeta still over-state Bob's outflow and Eve's rate.
+So a base point hovering above Bob or Eve (where the tangent bound is 0
+for every displacement) keeps an interior.  The start is zero
+displacement, each slack a margin below its distance bound, sized so
+the start's extra outflow stays within ``CAUS_RELAX`` / 4 over every
+prefix, and each buffer at ``buffer_start`` of its prefix surpluses
+there.  It is strictly feasible whenever the base point is feasible with
+every hop strictly below ``v_max``; phase I then does not run.
 """
 from __future__ import annotations
 
@@ -177,7 +186,13 @@ class _Layout:
 # Hair-thin relaxation (bits), the buffers' initial content, so a
 # causality-tight base point still leaves the interior-point method an
 # interior; stays far inside the model's 1e-6 feasibility tolerance.
+# The start's slack margins use at most a quarter of it.
 CAUS_RELAX = 1e-8
+# Lower bound of the slacks eps and tau, scaled by h^2.
+SLACK_LB = -0.5
+# Largest margin of a slack below its distance bound in the start
+# (scaled by h^2).
+SEED_MARGIN = 1e-3
 
 
 def _causality_buffers(scn: Scenario, it: TrajIterate,
@@ -364,15 +379,22 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
                                       name=nm))
 
     lb = np.full(lay.dim, -np.inf)
-    for i in (lay.i_eps, lay.i_tau, lay.i_bob, lay.i_eve):
-        lb[i] = 0.0
+    lb[lay.i_eps] = lb[lay.i_tau] = SLACK_LB
+    lb[lay.i_bob] = lb[lay.i_eve] = 0.0
 
-    # Interior seed: zero displacement, slacks just below their bounds,
-    # buffers strictly inside at that point.
-    margin = 1e-3
+    # Interior seed: zero displacement, each slack a margin below its
+    # distance bound, buffers strictly inside at that point.  Lowering a
+    # slack by m <= SEED_MARGIN raises its slot's outflow by at most m
+    # times the log term's slope at SEED_MARGIN below the bound, so the
+    # margin CAUS_RELAX / (4 N slope) keeps the extra outflow over any
+    # prefix below CAUS_RELAX / 4, and the buffers of a causal base point
+    # positive.
     z0 = np.zeros(lay.dim)
-    z0[lay.i_eps] = np.maximum(it.eta[act] / h2 - margin, margin)
-    z0[lay.i_tau] = np.maximum(it.zeta[act] / h2 - margin, margin)
+    for i_slack, d2 in ((lay.i_eps, it.eta[act]), (lay.i_tau, it.zeta[act])):
+        a = h2 + d2 - SEED_MARGIN * h2
+        slope = g_act * h2 / (LN2 * a * (a + g_act))
+        z0[i_slack] = d2 / h2 - np.minimum(SEED_MARGIN,
+                                           CAUS_RELAX / (4 * n * slope))
     for b in buffers:
         z0[b.idx] = buffer_start(b.surplus(z0))
 
@@ -423,7 +445,9 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         ok = checks["mobility"].feasible and checks["causality"].feasible
         if it_new.objective < it.objective - 1e-9 or not ok:
             # Numerical regression; keep the last good iterate.
-            report.status = "converged"
+            report.status = "stalled"
+            report.extras["stall_reason"] = ("regressed" if ok
+                                             else "infeasible_step")
             break
         change = abs(it_new.objective - it.objective)
         rel = change / max(abs(it_new.objective), 1e-10)

@@ -87,12 +87,24 @@ def power_solves(monkeypatch) -> list:
     return calls
 
 
-def fail_power_solves(monkeypatch, after: int = 0) -> None:
-    """Every power-stage subproblem solve after the first ``after`` ends
-    ``numerical_failure`` (with the solution the solver found)."""
-    from secrelay import power_dc
+@pytest.fixture
+def phase_one_calls(monkeypatch) -> list:
+    """Records one entry per phase-I run of the solver."""
+    from secrelay import solver
     calls = []
-    solve = power_dc.solve
+    phase_one = solver._phase_one
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return phase_one(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_phase_one", counting)
+    return calls
+
+
+def _fail_solves(monkeypatch, stage, after: int) -> None:
+    calls = []
+    solve = stage.solve
 
     def failing_solve(prog, opts):
         calls.append(1)
@@ -101,7 +113,20 @@ def fail_power_solves(monkeypatch, after: int = 0) -> None:
             return res
         return dataclasses.replace(res, status="numerical_failure")
 
-    monkeypatch.setattr(power_dc, "solve", failing_solve)
+    monkeypatch.setattr(stage, "solve", failing_solve)
+
+
+def fail_power_solves(monkeypatch, after: int = 0) -> None:
+    """Every power-stage subproblem solve after the first ``after`` ends
+    ``numerical_failure`` (with the solution the solver found)."""
+    from secrelay import power_dc
+    _fail_solves(monkeypatch, power_dc, after)
+
+
+def fail_trajectory_solves(monkeypatch, after: int = 0) -> None:
+    """The same for the trajectory stage's subproblem solves."""
+    from secrelay import trajectory_scp
+    _fail_solves(monkeypatch, trajectory_scp, after)
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from conftest import (assert_wall_times, fail_power_solves, random_scenario,
-                      small_scenario)
+from conftest import (assert_wall_times, fail_power_solves,
+                      fail_trajectory_solves, random_scenario, small_scenario)
 from secrelay import benchmark_scenario, model
 from secrelay.ao import AoOptions, ao_optimize, evaluate
 from secrelay.model import Scenario
@@ -112,6 +112,26 @@ class TestStageContract:
         assert report.objectives == [model.secrecy_sum(scn, traj0, pw0)]
         assert report.final_objective == model.secrecy_sum(scn, traj, pw)
 
+    def test_trajectory_stage_failure_ends_run(self, monkeypatch):
+        """The second trajectory stage fails at its first solve: AO
+        records that stage's last (feasible) iterate, its start, and ends
+        ``inner_stage_failure`` with the failed stage report last."""
+        scn = small_scenario()
+        traj0 = initial_trajectory(scn)
+        fail_trajectory_solves(monkeypatch, after=1)
+        traj, pw, report = ao_optimize(scn, init_trajs=[traj0])
+        assert report.status == "inner_stage_failure"
+        assert [(s.stage, s.status) for s in report.sub_reports] == [
+            ("power_dc", "converged"), ("trajectory_scp", "converged"),
+            ("power_dc", "converged"),
+            ("trajectory_scp", "solver_numerical_failure")]
+        assert len(report.sub_reports[-1].iterations) == 1
+        assert len(report.iterations) == 3
+        assert not np.array_equal(traj.xy, traj0.xy)
+        assert report.final_objective == model.secrecy_sum(scn, traj, pw)
+        assert report.final_objective > report.objectives[0]
+        assert evaluate(scn, traj, pw).feasible
+
     def test_start_restored_at_power_tolerance(self):
         """AO restores its power start at ``dc.feas_tol``, so the start
         it records is the power stage's own start."""
@@ -135,6 +155,21 @@ class TestStageContract:
         assert report.status == "converged"
         assert all(r.feasible for r in report.iterations)
         assert evaluate(scn, traj, pw, tol=1e-4).feasible
+
+    def test_trajectory_powers_restored_at_its_tolerance(self):
+        """AO restores the powers at the trajectory stage's tolerance
+        before that stage, and keeps those, so the stage never rescales
+        them and the plan is causal at that tolerance."""
+        scn = benchmark_scenario(40.0, 2.0)
+        opts = AoOptions(dc=DcOptions(feas_tol=1e-4),
+                         scp=ScpOptions(feas_tol=1e-8))
+        traj, pw, report = ao_optimize(scn, opts)
+        scp_reports = [s for s in report.sub_reports
+                       if s.stage == "trajectory_scp"]
+        assert scp_reports
+        assert not any(s.extras["power_rescaled"] for s in scp_reports)
+        assert model.check_causality(scn, traj, pw, tol=1e-8).feasible
+        assert evaluate(scn, traj, pw, tol=1e-8).feasible
 
 
 class TestZeroSecrecyStart:

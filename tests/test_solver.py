@@ -11,9 +11,9 @@ from secrelay.model import (PowerAllocation, benchmark_scenario,
 from secrelay.power_dc import build_dc_surrogate
 from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock, RowSparse,
                              SmoothConvexProgram, SolverOptions, SymSparse,
-                             _band, _Blocks, _factor_solve, kkt_residual,
-                             scalar_ineq, solve, spot_check_convexity,
-                             verify_derivatives)
+                             _band, _Blocks, _factor_solve, _interior_values,
+                             kkt_residual, scalar_ineq, solve,
+                             spot_check_convexity, verify_derivatives)
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate, restore_feasibility)
 
@@ -583,6 +583,15 @@ class TestLinearScaling:
             assert seen[name, 50], name
             assert seen[name, 50] == seen[name, 400], name
             assert max(seen[name, 50]) <= 16, name
+
+    def test_phase_one_program_starts_outside(self):
+        """The trajectory step at the restored (a hair past the causality
+        edge) powers has no strictly feasible seed, so the bordered band
+        of phase I is what the tests above run."""
+        for n in (50, 400, 2000):
+            prog = _stage_programs(n)["trajectory phase I"]
+            start = np.asarray(prog.strictly_feasible_start)
+            assert _interior_values(_Blocks(prog), start) is None, n
 
     def test_memory_at_n_2000(self):
         for prog in _stage_programs(2000).values():

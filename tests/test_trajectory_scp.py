@@ -1,10 +1,12 @@
 """Sequential convex trajectory optimization at fixed powers."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import (assert_wall_times, random_feasible_trajectory,
                       random_power, random_scenario, small_scenario)
-from secrelay import model
+from secrelay import benchmark_scenario, model, trajectory_scp
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.solver import solve, verify_derivatives
 from secrelay.trajectory_scp import (CAUS_RELAX, _causality_buffers, _Layout,
@@ -518,3 +520,72 @@ class TestScpOptimize:
         assert len(seen) == len(report.iterations) - 1
         if seen:
             np.testing.assert_array_equal(seen[-1].xy, out.xy)
+
+    @pytest.mark.parametrize("reason", ["regressed", "infeasible_step"])
+    def test_bad_step_stalls(self, rng, monkeypatch, reason):
+        """A step that lowers the true objective or leaves the feasible
+        set is dropped: the stage keeps its start and says ``stalled``,
+        with the reason, not ``converged``."""
+        scn = small_scenario()
+        traj = random_feasible_trajectory(rng, scn)
+        pw = restore_feasibility(scn, traj,
+                                 model.equal_power_allocation(scn))
+        if reason == "regressed":
+            real = trajectory_scp.make_iterate
+
+            def worse_after_start(scn, traj_n, pw):
+                it = real(scn, traj_n, pw)
+                if traj_n is traj:
+                    return it
+                return dataclasses.replace(it, objective=-np.inf)
+
+            monkeypatch.setattr(trajectory_scp, "make_iterate",
+                                worse_after_start)
+        else:
+            real = model.check_all
+
+            def immobile(*args, **kwargs):
+                checks = real(*args, **kwargs)
+                checks["mobility"] = model.FeasibilityVerdict(False, {}, 1.0)
+                return checks
+
+            monkeypatch.setattr(model, "check_all", immobile)
+        out, report = scp_optimize(scn, pw, traj)
+        assert out is traj
+        assert report.status == "stalled"
+        assert report.extras["stall_reason"] == reason
+        assert len(report.iterations) == 1
+
+
+class TestInterior:
+    """The step's start is strictly feasible whenever its base point is,
+    so phase I runs only on a base point on the boundary."""
+
+    @pytest.mark.parametrize("where", ["bob", "eve"])
+    def test_hover_above_receiver(self, where, phase_one_calls):
+        """Above Bob (Eve) the tangent bound on the squared distance is 0
+        for every displacement; the slacks' negative bound keeps an
+        interior."""
+        scn = benchmark_scenario(40.0, 2.0)
+        xy = scn.bob_xy if where == "bob" else scn.eve_xy
+        traj = Trajectory(np.tile(xy, (scn.n_slots, 1)))
+        pw = restore_feasibility(scn, traj,
+                                 model.equal_power_allocation(scn), tol=0.0)
+        out, report = scp_optimize(scn, pw, traj)
+        assert not report.status.startswith("solver_")
+        assert len(report.iterations) >= 2
+        assert report.final_objective > report.objectives[0]
+        assert phase_one_calls == []
+        assert model.check_causality(scn, out, pw).feasible
+
+    def test_fixed_endpoints_at_most_one_phase_one(self, phase_one_calls):
+        """Powers restored to a hair past the causality edge put only the
+        first base point on the boundary."""
+        scn = benchmark_scenario(60.0, 1.0, fixed_endpoints=True)
+        traj = initial_trajectory(scn)
+        pw = restore_feasibility(scn, traj,
+                                 model.equal_power_allocation(scn))
+        _, report = scp_optimize(scn, pw, traj)
+        assert report.status == "converged"
+        assert len(report.iterations) >= 2
+        assert len(phase_one_calls) <= 1
