@@ -5,9 +5,11 @@ Writes the five benchmark configurations (free endpoints at T = 40, 70,
 100 and 130 s with 2 s slots; fixed endpoints at T = 100 s with 1 s
 slots), runs ``ao``, ``trajectory``, ``power``, ``baseline static``,
 ``baseline ferry``, ``eval`` and ``check`` on each, and prints one line
-per run: configuration, command, exit code and the SHA-256 of
+per run: configuration, command, exit code, the SHA-256 of
 ``trajectory.csv`` plus ``report.json`` with the timing fields
-(``wall_time``, ``wall_time_s``, ``total_time``) stripped.
+(``wall_time``, ``wall_time_s``, ``total_time``) stripped, the run's
+``objective`` from ``report.json`` (``repr``, all digits) and its stage
+statuses (the run's, then each sub-stage's, depth first).
 
 A refactor that keeps the artifacts prints the same lines.  Run it
 against two source trees and diff the output::
@@ -15,6 +17,10 @@ against two source trees and diff the output::
     PYTHONPATH=src python3 scripts/artifact_digest.py > change.txt
     PYTHONPATH=/path/to/parent/src python3 scripts/artifact_digest.py > parent.txt
     diff parent.txt change.txt
+
+A change that moves only the last bits (say, a new summation order)
+changes digests; the objectives and statuses on the same lines let two
+trees be compared at a tolerance.
 """
 import contextlib
 import hashlib
@@ -69,6 +75,24 @@ def artifact_digest(out_dir: Path) -> str:
     return h.hexdigest()
 
 
+def _statuses(report) -> list:
+    """The report's status, then each sub-report's, depth first."""
+    if not isinstance(report, dict):
+        return []
+    return [report.get("status")] + [
+        s for sub in report.get("sub_reports", []) for s in _statuses(sub)]
+
+
+def objective_fields(out_dir: Path) -> str:
+    """The run's objective (``repr``) and stage statuses."""
+    report_path = out_dir / "report.json"
+    if not report_path.exists():
+        return "objective=<no report>"
+    doc = json.loads(report_path.read_text())
+    statuses = ",".join(map(str, _statuses(doc.get("report"))))
+    return f"objective={doc.get('objective')!r} statuses={statuses or '-'}"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -82,7 +106,8 @@ def main() -> None:
                     code = cli.main([*cmd, str(cfg), "--out-dir",
                                      str(out_dir)])
                 print(f"{name:<10} {' '.join(cmd):<15} exit={code} "
-                      f"{artifact_digest(out_dir)}", flush=True)
+                      f"{artifact_digest(out_dir)} "
+                      f"{objective_fields(out_dir)}", flush=True)
 
 
 if __name__ == "__main__":

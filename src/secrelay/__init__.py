@@ -18,7 +18,7 @@ from .power_dc import DcOptions, dc_allocate
 from .report import IterationRecord, RunReport
 from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
                      SolverOptions, SolverResult, SymSparse, kkt_residual,
-                     scalar_ineq, solve, verify_derivatives)
+                     solve)
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 __all__ = [
@@ -31,9 +31,8 @@ __all__ = [
     "check_causality", "check_mobility", "check_power_budget", "data_ferry",
     "dc_allocate", "equal_power_allocation", "evaluate", "ferry_plan",
     "initial_trajectory", "kkt_residual", "rate_profile",
-    "restore_feasibility", "scalar_ineq", "scp_optimize", "secrecy_sum",
-    "solve", "static_relay_best", "verify_derivatives",
-    "zero_power_allocation",
+    "restore_feasibility", "scp_optimize", "secrecy_sum", "solve",
+    "static_relay_best", "zero_power_allocation",
 ]
 
 __version__ = "0.1.0"

@@ -22,11 +22,18 @@ Newton matrix J^T diag(lam / -g) J + H is assembled straight into
 LAPACK's lower banded storage and factored by
 ``scipy.linalg.cholesky_banded``, so a program whose rows each touch
 variables close together in the ordering costs O(dim) time and memory
-per Newton step.  A dense callback gives a full band (its block's
-J^T diag(s) J is one dense product), so it suits programs small enough
-for a dense Newton matrix.  Phase I's slack enters every row: it is
-kept out of the band as a one-column border and eliminated through its
-scalar Schur complement, so phase I factors the same band.
+per Newton step.  Where its entries land depends only on the pattern:
+the columns of the sparse Jacobians, the triplet positions of the
+sparse Hessians and the shapes of the dense parts.  A solve indexes its
+pattern once, on its first Newton step (``_Plan``: the flat band
+position of every entry), and each later step only gathers the values
+and scatters them with one ``np.bincount``; a pattern that changes
+costs a new plan.  A dense callback gives a full band (its block's
+J^T diag(s) J is one dense product, its lower triangle kept whole), so
+it suits programs small enough for a dense Newton matrix.  Phase I's
+slack enters every row: it is kept out of the band as a one-column
+border and eliminated through its scalar Schur complement, so phase I
+factors the same band; its bordered program gets its own plan.
 
 Finite bounds never become Jacobian rows: they enter the Newton matrix
 as diagonal entries and the residuals as a scatter.  Each Newton point
@@ -75,12 +82,6 @@ class RowSparse:
     cols: Array   # (m, k) integer
     vals: Array   # (m, k) float
 
-    def dense(self, n: int) -> Array:
-        out = np.zeros((self.cols.shape[0], n))
-        np.add.at(out, (np.arange(self.cols.shape[0])[:, None], self.cols),
-                  self.vals)
-        return out
-
 
 @dataclass(frozen=True)
 class SymSparse:
@@ -95,13 +96,6 @@ class SymSparse:
     cols: Array
     vals: Array
 
-    def dense(self, n: int) -> Array:
-        out = np.zeros((n, n))
-        np.add.at(out, (self.rows, self.cols), self.vals)
-        off = self.rows != self.cols
-        np.add.at(out, (self.cols[off], self.rows[off]), self.vals[off])
-        return out
-
 
 def diag_hessian(idx: Array, vals: Array) -> SymSparse:
     """Diagonal matrix with ``vals`` at the positions ``idx``."""
@@ -109,28 +103,11 @@ def diag_hessian(idx: Array, vals: Array) -> SymSparse:
     return SymSparse(idx, idx, np.asarray(vals, dtype=float))
 
 
-def as_dense(a, n: int) -> Array:
-    """A callback's Jacobian (m, n) or Hessian (n, n) as a dense array."""
-    if isinstance(a, (RowSparse, SymSparse)):
-        return a.dense(n)
-    return np.asarray(a, dtype=float)
-
-
 def _rows_of(J, n: int):
     """A block's Jacobian as ``RowSparse`` or a dense (m, n) array."""
     if isinstance(J, RowSparse):
         return J
     return np.asarray(J, dtype=float).reshape(-1, n)
-
-
-def _lower_of(H) -> SymSparse:
-    if isinstance(H, SymSparse):
-        return H
-    H = np.asarray(H, dtype=float)
-    r, c = np.tril_indices(H.shape[0])
-    v = H[r, c]
-    nz = v != 0.0
-    return SymSparse(r[nz], c[nz], v[nz])
 
 
 @dataclass
@@ -141,6 +118,12 @@ class ConstraintBlock:
     hess_weighted(x, w) must return sum_k w[k] * hessian(g_k)(x), dense
     (dim, dim) or ``SymSparse``.  Affine blocks may pass
     hess_weighted=None.
+
+    Pattern: a solve indexes the Newton-matrix positions of the
+    ``RowSparse`` columns and ``SymSparse`` rows and columns once and
+    reuses them while they stay the same.  Callbacks may change them
+    from one point to the next (also by writing into an array they
+    returned before); each change costs a rebuild of that index, O(nnz).
     """
 
     m: int
@@ -148,23 +131,6 @@ class ConstraintBlock:
     jacobian: Callable[[Array], Array]
     hess_weighted: Optional[Callable[[Array, Array], Array]] = None
     name: str = ""
-
-
-def scalar_ineq(value: Callable[[Array], float],
-                grad: Callable[[Array], Array],
-                hess: Optional[Callable[[Array], Array]] = None,
-                name: str = "") -> ConstraintBlock:
-    """Wrap a single scalar constraint g(x) <= 0 as a block."""
-    hw = None
-    if hess is not None:
-        hw = lambda x, w: w[0] * hess(x)
-    return ConstraintBlock(
-        m=1,
-        value=lambda x: np.atleast_1d(np.asarray(value(x), dtype=float)),
-        jacobian=lambda x: np.asarray(grad(x), dtype=float).reshape(1, -1),
-        hess_weighted=hw,
-        name=name,
-    )
 
 
 @dataclass
@@ -208,7 +174,7 @@ class _Blocks:
 
     The stack is [program rows; lb_i - x_i; x_j - ub_j] <= 0 over the
     finite bounds.  ``jacobian`` returns the program rows only (a
-    ``_Jacobian``); ``jt``, ``jv`` and ``newton_entries`` apply the full
+    ``_Jacobian``); ``jt``, ``jv`` and ``newton_band`` apply the full
     stack, the bound rows (-e_i and +e_j) added implicitly.
     """
 
@@ -217,7 +183,10 @@ class _Blocks:
         self.blocks = list(prog.ineqs)
         self.n_ineq = sum(b.m for b in prog.ineqs)
         self.starts = np.cumsum([0] + [b.m for b in self.blocks])
-        self._pattern: dict = {}
+        # The row of each sparse Jacobian entry for the last ``kinds``,
+        # and the Newton-matrix plan of the last pattern.
+        self._rows_for: tuple = (None, None)
+        self._plan: Optional[_Plan] = None
         lb = prog.lb if prog.lb is not None else np.full(prog.dim, -np.inf)
         ub = prog.ub if prog.ub is not None else np.full(prog.dim, np.inf)
         lb = np.asarray(lb, dtype=float)
@@ -239,10 +208,13 @@ class _Blocks:
         """Jacobian of the program rows."""
         parts = [_rows_of(b.jacobian(x), self.prog.dim) for b in self.blocks]
         sparse = [p for p in parts if isinstance(p, RowSparse)]
-        k = np.array([p.cols.shape[1] if isinstance(p, RowSparse) else 0
-                      for p in parts], dtype=int)
-        rows = np.repeat(np.arange(self.n_ineq),
-                         np.repeat(k, np.diff(self.starts)))
+        kinds = tuple(p.cols.shape[1] if isinstance(p, RowSparse) else -1
+                      for p in parts)
+        if kinds != self._rows_for[0]:
+            self._rows_for = (kinds, np.repeat(
+                np.arange(self.n_ineq, dtype=np.int32),
+                np.repeat(np.maximum(np.array(kinds, dtype=int), 0),
+                          np.diff(self.starts))))
         cols = np.concatenate([p.cols.ravel() for p in sparse]
                               or [np.zeros(0, dtype=int)])
         vals = np.concatenate([p.vals.ravel() for p in sparse]
@@ -250,7 +222,7 @@ class _Blocks:
         dense = [(a, b, p) for p, a, b in zip(parts, self.starts,
                                               self.starts[1:])
                  if not isinstance(p, RowSparse)]
-        return _Jacobian(parts, rows, cols, vals, dense)
+        return _Jacobian(parts, kinds, self._rows_for[1], cols, vals, dense)
 
     def jt(self, J: "_Jacobian", w: Array) -> Array:
         """Full-stack J^T w."""
@@ -270,86 +242,156 @@ class _Blocks:
             out[a:b] = p @ v
         return np.concatenate([out, -v[self.lb_idx], v[self.ub_idx]])
 
-    def _pairs(self, k: int, cols: Array):
-        """Flat positions (in the (m, k) arrays of block k) of the entry
-        pairs (a, b) of each row with cols[a] >= cols[b]; cached while the
-        block's columns stay the same."""
-        hit = self._pattern.get(k)
-        if hit is not None and np.array_equal(hit[0], cols):
-            return hit[1], hit[2]
-        r, a, b = np.nonzero(cols[:, :, None] >= cols[:, None, :])
-        kk = cols.shape[1]
-        fa = (r * kk + a).astype(np.int32)
-        fb = (r * kk + b).astype(np.int32)
-        self._pattern[k] = (cols.copy(), fa, fb)
-        return fa, fb
+    def newton_band(self, J: "_Jacobian", s: Array, hess: list,
+                    border: bool = False):
+        """Full-stack J^T diag(s) J plus the Hessian parts ``hess``
+        (``SymSparse`` or dense) in banded storage, see ``_Plan.band``.
 
-    def newton_entries(self, J: "_Jacobian", s: Array) -> list[SymSparse]:
-        """Lower-triangle entries of the full-stack J^T diag(s) J.  A
-        dense block is multiplied out densely: O(m dim + dim^2) memory."""
-        out = []
-        for k, (p, a, b) in enumerate(zip(J.parts, self.starts,
-                                          self.starts[1:])):
-            if not isinstance(p, RowSparse):
-                out.append(_lower_of((p.T * s[a:b]) @ p))
-                continue
-            fa, fb = self._pairs(k, p.cols)
-            cf = p.cols.ravel().astype(np.int32)
-            sv = (s[a:b, None] * p.vals).ravel()
-            out.append(SymSparse(cf[fa], cf[fb], sv[fa] * p.vals.ravel()[fb]))
-        out.append(diag_hessian(self.lb_idx, s[self.n_ineq:self.n_lb]))
-        out.append(diag_hessian(self.ub_idx, s[self.n_lb:]))
-        return out
+        The plan of the last call is reused while the pattern stays the
+        same and rebuilt when it changed.
+        """
+        if self._plan is None or not self._plan.fits(J, hess, border):
+            self._plan = _Plan(self, J, hess, border)
+        return self._plan.band(J, s, hess)
 
-    def hess_weighted(self, x: Array, w: Array) -> list[SymSparse]:
-        return [_lower_of(b.hess_weighted(x, w[a:a + b.m]))
+    def hess_weighted(self, x: Array, w: Array) -> list:
+        return [b.hess_weighted(x, w[a:a + b.m])
                 for b, a in zip(self.blocks, self.starts)
                 if b.hess_weighted is not None]
 
 
 @dataclass(frozen=True)
 class _Jacobian:
-    """Program-row Jacobian: per-block parts (``RowSparse`` or dense);
-    the entries of the sparse parts flat (row, column, value), so J^T w
-    and J v take one ``bincount`` each; and the dense parts with their
-    row ranges (first row, end row, array)."""
+    """Program-row Jacobian: per-block parts (``RowSparse`` or dense) and
+    their kinds (entries per row, -1 for dense); the entries of the
+    sparse parts flat (row, column, value), so J^T w and J v take one
+    ``bincount`` each; and the dense parts with their row ranges (first
+    row, end row, array)."""
 
     parts: list
+    kinds: tuple
     rows: Array
     cols: Array
     vals: Array
     dense: list
 
 
-def _band(dim: int, parts: Sequence[SymSparse], border: bool):
-    """Sum of lower-triangle parts as LAPACK lower banded storage.
+def _pattern(J: _Jacobian, hess: list) -> tuple:
+    """What fixes where the Newton-matrix entries land: the Jacobian
+    kinds and columns, the triplet positions of each ``SymSparse``
+    Hessian and the shape of each dense one.  The index arrays enter as
+    shapes, dtypes and one joined bytes object: quick to compare, and
+    immune to later writes into the arrays."""
+    index = [J.cols]
+    for h in hess:
+        index += [h.rows, h.cols] if isinstance(h, SymSparse) else []
+    shapes = [None if isinstance(h, SymSparse) else np.shape(h) for h in hess]
+    shapes += [(a.shape, a.dtype) for a in index]
+    return J.kinds, tuple(shapes), b"".join([a.tobytes() for a in index])
 
-    Returns (ab, c, d): ``ab[i - j, j] = A[i, j]`` for the leading block
-    and, with ``border``, the last column split off as the vector ``c``
-    over the leading block and the corner scalar ``d``.
+
+def _row_pairs(cols: Array, itype) -> tuple[Array, Array]:
+    """Flat positions (a, b) in the (m, k) ``cols`` of the entry pairs of
+    each row with cols[a] >= cols[b]."""
+    r, a, b = np.nonzero(cols[:, :, None] >= cols[:, None, :])
+    k = cols.shape[1]
+    return (r * k + a).astype(itype), (r * k + b).astype(itype)
+
+
+class _Plan:
+    """Flat band positions of every Newton-matrix entry of one pattern.
+
+    The entries, in order: J[r, a] s[r] J[r, b] for each row r of the
+    ``RowSparse`` parts and each pair of its entries with
+    cols[a] >= cols[b]; the full lower triangle of J^T diag(s) J of each
+    dense part; the bound diagonal; the triplets of each ``SymSparse``
+    Hessian and the full lower triangle of each dense one.  Zeros of
+    dense parts are kept, so their positions follow from their shapes.
+    ``band`` assembles any Newton point of the same pattern (``fits``)
+    from gathers of its values and one ``np.bincount``.
     """
-    nb = dim - 1 if border else dim
-    c = np.zeros(nb) if border else None
-    d = 0.0
-    # Lower triangle: every border entry sits in the last row.
-    bw = max((int((np.where(p.rows < nb, p.rows - p.cols, 0) if border
-                   else p.rows - p.cols).max())
-              for p in parts if p.rows.size), default=0)
-    ab = np.zeros((bw + 1) * nb)
-    for p in parts:
-        i, j, w = p.rows, p.cols, p.vals
-        if border:
-            at = i == nb
-            if at.any():
-                jb, wb = j[at], w[at]
-                corner = jb == nb
-                d += float(wb[corner].sum())
-                c += np.bincount(jb[~corner], weights=wb[~corner],
-                                 minlength=nb)
-                i, j, w = i[~at], j[~at], w[~at]
-        off = (i - j).astype(np.intp)
-        ab += np.bincount(off * nb + j, weights=w, minlength=ab.size)
-    return ab.reshape(bw + 1, nb), c, d
+
+    def __init__(self, blocks: _Blocks, J: _Jacobian, hess: list,
+                 border: bool):
+        dim = blocks.prog.dim
+        nb = dim - 1 if border else dim
+        # int32 positions halve the plan's memory while they cannot overflow.
+        itype = (np.int32 if max(dim * dim, J.vals.size) < 2 ** 31
+                 else np.intp)
+        self.n_ineq, self.border, self.nb = blocks.n_ineq, border, nb
+        self.pattern = _pattern(J, hess)
+        # Lower-triangle positions in a dense (q, q) matrix, by q.
+        self.tril: dict = {}
+        idx, self.bw = [], 0
+
+        def place(i, j):
+            # Lower banded storage ab[i - j, j]; with a border, the last
+            # row (c, then the corner d) comes first, the band after it.
+            i = np.asarray(i, dtype=np.intp)
+            j = np.asarray(j, dtype=np.intp)
+            off = i - j
+            pos = off * nb + j
+            if border:
+                at = i == nb
+                pos = np.where(at, j, pos + nb + 1)
+                off = off[~at]
+            if off.size:
+                self.bw = max(self.bw, int(off.max()))
+            idx.append(pos.astype(itype))
+
+        def place_tril(q):
+            if q not in self.tril:
+                r, c = np.tril_indices(q)
+                self.tril[q] = (r * q + c).astype(itype)
+            src = self.tril[q]
+            place(src // q, src % q)
+
+        # Entry pairs of the sparse rows, as flat positions in J.vals.
+        fa, fb, at = [], [], 0
+        for p in J.parts:
+            if isinstance(p, RowSparse):
+                pa, pb = _row_pairs(p.cols, itype)
+                cf = p.cols.ravel()
+                place(cf[pa], cf[pb])
+                fa.append(pa + at)
+                fb.append(pb + at)
+                at += cf.size
+        self.fa = np.concatenate(fa or [np.zeros(0, dtype=itype)])
+        self.fb = np.concatenate(fb or [np.zeros(0, dtype=itype)])
+        for _, _, p in J.dense:
+            place_tril(p.shape[1])
+        bound = np.concatenate([blocks.lb_idx, blocks.ub_idx])
+        place(bound, bound)
+        for h in hess:
+            if isinstance(h, SymSparse):
+                place(h.rows, h.cols)
+            else:
+                place_tril(np.shape(h)[0])
+        self.idx = np.concatenate(idx)
+        self.size = (self.bw + 1) * nb + (nb + 1 if border else 0)
+
+    def fits(self, J: _Jacobian, hess: list, border: bool) -> bool:
+        return border == self.border and _pattern(J, hess) == self.pattern
+
+    def band(self, J: _Jacobian, s: Array, hess: list):
+        """(ab, c, d): ``ab[i - j, j] = A[i, j]`` in LAPACK lower banded
+        storage for the leading block and, with a border, the last row
+        split off as the vector ``c`` and the corner scalar ``d``."""
+        nb = self.nb
+        sv = s[J.rows] * J.vals
+        vals = [sv[self.fa] * J.vals[self.fb]]
+        vals += [((p.T * s[a:b]) @ p).take(self.tril[p.shape[1]])
+                 for a, b, p in J.dense]
+        vals.append(s[self.n_ineq:])
+        vals += [h.vals if isinstance(h, SymSparse) else
+                 np.asarray(h, dtype=float).take(self.tril[np.shape(h)[0]])
+                 for h in hess]
+        # Empty weights give an int64 count; the band is float.
+        out = np.bincount(self.idx, weights=np.concatenate(vals),
+                          minlength=self.size).astype(float, copy=False)
+        if not self.border:
+            return out.reshape(self.bw + 1, nb), None, 0.0
+        return out[nb + 1:].reshape(self.bw + 1, nb), out[:nb], float(out[nb])
 
 
 def _factor_solve(ab: Array, c: Optional[Array], d: float, rhs: Array):
@@ -440,7 +482,7 @@ def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
         hw = None
         if b.hess_weighted is not None:
             def hw(z, w, _b=b):
-                return _lower_of(_b.hess_weighted(z[:dim], w))
+                return _b.hess_weighted(z[:dim], w)
         return ConstraintBlock(
             m=b.m, value=lambda z: b.value(z[:dim]) - z[dim],
             jacobian=lambda z: with_slack(_rows_of(b.jacobian(z[:dim]), dim)),
@@ -482,11 +524,9 @@ def _newton_matrix(prog: SmoothConvexProgram, blocks: _Blocks, x: Array,
                    J: _Jacobian, lam: Array, sigma: Array,
                    border: bool):
     """Banded J^T diag(sigma) J + objective and constraint Hessians."""
-    parts = blocks.newton_entries(J, sigma)
-    if prog.hessian is not None:
-        parts.append(_lower_of(prog.hessian(x)))
-    parts += blocks.hess_weighted(x, lam)
-    return _band(prog.dim, parts, border)
+    hess = [] if prog.hessian is None else [prog.hessian(x)]
+    return blocks.newton_band(J, sigma, hess + blocks.hess_weighted(x, lam),
+                              border)
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
@@ -658,81 +698,3 @@ def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
     g = blocks.value(x)
     return _kkt_residual_raw(blocks, prog.gradient(x), blocks.jacobian(x), g,
                              lam)
-
-
-def verify_derivatives(prog: SmoothConvexProgram, x: Array,
-                       h: Optional[float] = None) -> float:
-    """Max relative error of all analytic derivatives vs central differences."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-    dim = prog.dim
-    worst = 0.0
-
-    def rel(err, ref):
-        return err / (1.0 + ref)
-
-    # Objective gradient and Hessian.
-    grad = np.asarray(prog.gradient(x), dtype=float)
-    fd_grad = np.zeros(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        fd_grad[i] = (prog.objective(x + e) - prog.objective(x - e)) / (2 * h)
-    worst = max(worst, rel(float(np.max(np.abs(grad - fd_grad))),
-                           float(np.max(np.abs(grad), initial=0.0))))
-    if prog.hessian is not None:
-        H = as_dense(prog.hessian(x), dim)
-        fd_H = np.zeros((dim, dim))
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            fd_H[:, i] = (prog.gradient(x + e) - prog.gradient(x - e)) / (2 * h)
-        fd_H = 0.5 * (fd_H + fd_H.T)
-        worst = max(worst, rel(float(np.max(np.abs(H - fd_H))),
-                               float(np.max(np.abs(H), initial=0.0))))
-
-    for b in prog.ineqs:
-        J = as_dense(b.jacobian(x), dim)
-        fd_J = np.zeros_like(J)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            fd_J[:, i] = (b.value(x + e) - b.value(x - e)) / (2 * h)
-        worst = max(worst, rel(float(np.max(np.abs(J - fd_J))),
-                               float(np.max(np.abs(J), initial=0.0))))
-        if b.hess_weighted is not None:
-            w = np.ones(b.m)
-            Hw = as_dense(b.hess_weighted(x, w), dim)
-            fd_Hw = np.zeros((dim, dim))
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = h
-                fd_Hw[:, i] = (as_dense(b.jacobian(x + e), dim).T @ w
-                               - as_dense(b.jacobian(x - e), dim).T @ w
-                               ) / (2 * h)
-            fd_Hw = 0.5 * (fd_Hw + fd_Hw.T)
-            worst = max(worst, rel(float(np.max(np.abs(Hw - fd_Hw))),
-                                   float(np.max(np.abs(Hw), initial=0.0))))
-    return worst
-
-
-def spot_check_convexity(prog: SmoothConvexProgram, points: Sequence[Array],
-                         tol_scale: float = 1e-8) -> bool:
-    """Sampled-Hessian convexity check used by tests."""
-    for x in points:
-        mats = []
-        if prog.hessian is not None:
-            mats.append(as_dense(prog.hessian(x), prog.dim))
-        for b in prog.ineqs:
-            if b.hess_weighted is not None:
-                for k in range(b.m):
-                    w = np.zeros(b.m)
-                    w[k] = 1.0
-                    mats.append(as_dense(b.hess_weighted(x, w), prog.dim))
-        for H in mats:
-            scale = max(1.0, float(np.max(np.abs(H))))
-            ev = np.linalg.eigvalsh(0.5 * (H + H.T))
-            if ev.min() < -tol_scale * scale:
-                return False
-    return True

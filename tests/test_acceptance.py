@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario, random_feasible_trajectory
+from numerics import verify_derivatives
 from secrelay import cli, model
 from secrelay.ao import ao_optimize
 from secrelay.baselines import data_ferry, static_relay_best, transit_slot_count
 from secrelay.cli import benchmark_scenario
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.power_dc import build_dc_surrogate, dc_allocate
-from secrelay.solver import verify_derivatives
 from secrelay.trajectory_scp import (ScpOptions, build_subproblem,
                                      initial_trajectory, make_iterate,
                                      rate_lower_bounds, distance_lower_bounds,

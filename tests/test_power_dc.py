@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from conftest import (assert_wall_times, fail_power_solves,
                       random_feasible_trajectory, random_scenario,
                       small_scenario)
+from numerics import as_dense, verify_derivatives
 from secrelay import benchmark_scenario, model, power_dc
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
                                buffer_start, build_dc_surrogate, dc_allocate)
-from secrelay.solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
-                             as_dense, verify_derivatives)
+from secrelay.solver import ConstraintBlock, RowSparse, SmoothConvexProgram
 from secrelay.trajectory_scp import restore_feasibility
 
 # The surrogate program works on scaled variables p_s[1..N-1]/u_s and

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from secrelay import _blas
+from numerics import (as_dense, scalar_ineq, spot_check_convexity,
+                      verify_derivatives)
+from secrelay import _blas, solver
 from secrelay.model import (PowerAllocation, benchmark_scenario,
                             equal_power_allocation)
 from secrelay.power_dc import build_dc_surrogate
 from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock, RowSparse,
                              SmoothConvexProgram, SolverOptions, SymSparse,
-                             _band, _Blocks, _factor_solve, _interior_values,
-                             kkt_residual, scalar_ineq, solve,
-                             spot_check_convexity, verify_derivatives)
+                             _Blocks, _factor_solve, _interior_values,
+                             kkt_residual, solve)
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate, restore_feasibility)
 
@@ -431,6 +432,19 @@ def _band_to_dense(ab):
     return A + np.tril(A, -1).T
 
 
+def _count_plans(monkeypatch):
+    """Record the border flag of every Newton-matrix plan built."""
+    built = []
+
+    class Counting(solver._Plan):
+        def __init__(self, blocks, J, hess, border):
+            built.append(border)
+            super().__init__(blocks, J, hess, border)
+
+    monkeypatch.setattr(solver, "_Plan", Counting)
+    return built
+
+
 def _random_row_sparse(rng, m, dim, k, width):
     """Rows of k nonzeros within a window of ``width`` columns; columns
     may repeat within a row."""
@@ -462,16 +476,58 @@ class TestBandedNewton:
         H = SymSparse(rows, np.maximum(rows - rng.integers(0, width, 40), 0),
                       rng.normal(size=40))
         J = blocks.jacobian(np.zeros(dim))
-        ab, c, d = _band(dim, blocks.newton_entries(J, s) + [H],
-                         border=False)
+        ab, c, d = blocks.newton_band(J, s, [H])
         assert ab.shape[0] <= width
         # Dense reference: program rows, then -e_i for lb, +e_j for ub.
         eye = np.eye(dim)
-        Jd = np.vstack([p.dense(dim) for p in blocks_J]
+        Jd = np.vstack([as_dense(p, dim) for p in blocks_J]
                        + [-eye[blocks.lb_idx], eye[blocks.ub_idx]])
-        ref = (Jd.T * s) @ Jd + H.dense(dim)
+        ref = (Jd.T * s) @ Jd + as_dense(H, dim)
         np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
                                    atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_changed_pattern_rebuilds_plan(self, monkeypatch):
+        """A block whose columns change between Newton points, also when
+        written in place into the array it returned before, and a Hessian
+        whose positions change get a new plan; the band matches the dense
+        reference at every point."""
+        built = _count_plans(monkeypatch)
+        rng = np.random.default_rng(14)
+        dim, width, m = 30, 5, 20
+        J_at = [_random_row_sparse(rng, m, dim, k, width) for k in (3, 3, 4)]
+        assert not np.array_equal(J_at[0].cols, J_at[1].cols)
+        H_at = []
+        for _ in J_at:
+            rows = rng.integers(0, dim, 15)
+            H_at.append(SymSparse(
+                rows, np.maximum(rows - rng.integers(0, width, 15), 0),
+                rng.normal(size=15)))
+        shared = np.empty((m, 3), dtype=int)
+
+        def jacobian(x):
+            J = J_at[int(x[0])]
+            if J.cols.shape != shared.shape:
+                return J
+            shared[:] = J.cols
+            return RowSparse(shared, J.vals)
+
+        prog = SmoothConvexProgram(
+            dim=dim, objective=lambda x: 0.0,
+            gradient=lambda x: np.zeros(dim),
+            ineqs=[ConstraintBlock(m=m, value=None, jacobian=jacobian)],
+            lb=np.zeros(dim))
+        blocks = _Blocks(prog)
+        s = rng.uniform(0.1, 10.0, blocks.m)
+        eye = np.eye(dim)
+        for point in (0, 1, 1, 2, 0):
+            J = blocks.jacobian(np.full(dim, float(point)))
+            ab, _, _ = blocks.newton_band(J, s, [H_at[point]])
+            Jd = np.vstack([as_dense(J_at[point], dim), -eye])
+            ref = (Jd.T * s) @ Jd + as_dense(H_at[point], dim)
+            np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+        # The repeated point 1 reuses its plan; every other point rebuilds.
+        assert built == [False] * 4
 
     def test_border_solve_matches_dense_solve(self):
         """Phase I's slack column: a border eliminated by its Schur
@@ -489,13 +545,13 @@ class TestBandedNewton:
         s = rng.uniform(0.5, 2.0, 40)
         H = SymSparse(np.arange(dim - 1), np.arange(dim - 1),
                       rng.uniform(0.1, 1.0, dim - 1))
-        parts = blocks.newton_entries(blocks.jacobian(np.zeros(dim)), s) + [H]
-        ab, c, d = _band(dim, parts, border=True)
+        ab, c, d = blocks.newton_band(blocks.jacobian(np.zeros(dim)), s, [H],
+                                      border=True)
         assert ab.shape == (4, dim - 1)
         rhs = rng.normal(size=dim)
         dx, reg = _factor_solve(ab, c, d, rhs)
-        Jd = J.dense(dim)
-        ref = (Jd.T * s) @ Jd + H.dense(dim)
+        Jd = as_dense(J, dim)
+        ref = (Jd.T * s) @ Jd + as_dense(H, dim)
         assert reg == 0.0
         np.testing.assert_allclose(dx, np.linalg.solve(ref, rhs),
                                    rtol=1e-10, atol=1e-10)
@@ -516,13 +572,12 @@ class TestBandedNewton:
         J = blocks.jacobian(np.zeros(dim))
         tracemalloc.start()
         try:
-            parts = blocks.newton_entries(J, s)
+            ab, _, _ = blocks.newton_band(J, s, [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # Pair indices per row would need m dim^2 / 2 int64 triples (324 MB).
         assert peak < 8 * 2 ** 20
-        ab, _, _ = _band(dim, parts, border=False)
         ref = (Jd.T * s) @ Jd
         np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
                                    atol=1e-12 * np.max(np.abs(ref)))
@@ -558,6 +613,64 @@ def _stage_programs(n_slots):
                                            make_iterate(scn, traj, half)),
             "trajectory phase I": build_subproblem(
                 scn, pw, make_iterate(scn, traj, pw))}
+
+
+class TestAssemblyPlan:
+    """One Newton-matrix plan per solve of the stage programs."""
+
+    def test_one_plan_per_solve(self, monkeypatch):
+        """The stage programs keep their pattern through a solve: one plan
+        per solve, and one more for phase I's bordered program."""
+        built = _count_plans(monkeypatch)
+        for name, prog in _stage_programs(50).items():
+            built.clear()
+            res = solve(prog)
+            assert res.status == "optimal" and res.iterations > 0, name
+            phase_one = name == "trajectory phase I"
+            assert built == [True] * phase_one + [False], name
+
+    def test_phase_one_band_matches_dense_solve(self, monkeypatch):
+        """Phase I's bordered band, assembled through its plan, against
+        the dense Newton matrix of the same Jacobian, multipliers and
+        Hessians, and its bordered solve against the dense solve."""
+        seen = []
+        real = _Blocks.newton_band
+
+        def recording(blocks, J, s, hess, border=False):
+            out = real(blocks, J, s, hess, border)
+            if border:
+                seen.append((blocks, J, s.copy(), hess, out))
+            return out
+
+        monkeypatch.setattr(_Blocks, "newton_band", recording)
+        prog = _stage_programs(50)["trajectory phase I"]
+        solve(prog, SolverOptions(max_iter=3))
+        assert len(seen) == 3
+        rng = np.random.default_rng(15)
+        for blocks, J, s, hess, (ab, c, d) in seen:
+            n = blocks.prog.dim
+            eye = np.eye(n)
+            Jd = np.vstack([as_dense(p, n) for p in J.parts]
+                           + [-eye[blocks.lb_idx], eye[blocks.ub_idx]])
+            ref = (Jd.T * s) @ Jd + sum(as_dense(h, n) for h in hess)
+            A = np.zeros((n, n))
+            A[:-1, :-1] = _band_to_dense(ab)
+            A[-1, :-1] = A[:-1, -1] = c
+            A[-1, -1] = d
+            np.testing.assert_allclose(A, ref, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+            rhs = rng.normal(size=n)
+            dx, reg = _factor_solve(ab, c, d, rhs)
+            assert reg == 0.0
+            np.testing.assert_allclose(dx, np.linalg.solve(ref, rhs),
+                                       rtol=1e-8, atol=1e-8)
+
+    def test_repeat_solve_bit_identical(self):
+        """A plan lives in one solve: solving a program again gives the
+        same bits."""
+        for name, prog in _stage_programs(50).items():
+            first, second = solve(prog), solve(prog)
+            assert first.x_opt.tobytes() == second.x_opt.tobytes(), name
 
 
 class TestLinearScaling:

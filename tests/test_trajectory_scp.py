@@ -6,9 +6,10 @@ import pytest
 
 from conftest import (assert_wall_times, random_feasible_trajectory,
                       random_power, random_scenario, small_scenario)
+from numerics import verify_derivatives
 from secrelay import benchmark_scenario, model, trajectory_scp
 from secrelay.model import PowerAllocation, Scenario, Trajectory
-from secrelay.solver import solve, verify_derivatives
+from secrelay.solver import solve
 from secrelay.trajectory_scp import (CAUS_RELAX, _causality_buffers, _Layout,
                                      build_subproblem, distance_lower_bounds,
                                      initial_trajectory, make_iterate,
