@@ -36,11 +36,18 @@ every row touches two neighbouring slots and the solver's Newton matrix
 is banded.  The start keeps near-equal source power and a tiny relay
 power and puts each buffer at ``buffer_start`` of its prefix surpluses,
 strictly inside whenever the prefix constraints hold strictly there.
+
+Each program computes its per-point terms once per point: the powers
+from the scaled variables, the relay inflow log2(1 + p_s g_ar), its
+derivative and its curvature (``_PowerPoint``).  The objective, gradient, Hessian and
+causality callbacks read them from one ``solver.PointCache`` per
+program, keyed on the point's bytes, so a caller that writes into an
+array it passed before still gets fresh terms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -48,8 +55,9 @@ import scipy.linalg
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
 from .report import RunReport
-from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
-                     SolverOptions, diag_hessian, kkt_residual, solve)
+from .solver import (ConstraintBlock, PointCache, RowSparse,
+                     SmoothConvexProgram, SolverOptions, diag_hessian,
+                     kkt_residual, solve)
 
 LN2 = float(np.log(2.0))
 
@@ -92,7 +100,8 @@ class Buffer:
     bounds b_j >= 0.  With each b_j at its prefix surplus
     (``surplus``) every row is tight, and b >= 0 is exactly the prefix
     form sum_{i<=j} flow_i <= initial.  ``flow`` must return
-    ``RowSparse`` Jacobians and depend on no buffer variable.
+    ``RowSparse`` Jacobians with the same columns at every point, and
+    depend on no buffer variable.
     """
 
     flow: ConstraintBlock
@@ -106,18 +115,23 @@ class Buffer:
 
     def block(self) -> ConstraintBlock:
         m, idx, flow = self.flow.m, self.idx, self.flow
-        cols = np.stack([idx, np.concatenate([idx[:1], idx[:-1]])], axis=1)
+        prev = np.concatenate([idx[:1], idx[:-1]])
+        cols = np.stack([idx, prev], axis=1)
         vals = np.ones((m, 2))
         vals[:, 1] = -1.0
         vals[0, 1] = 0.0       # b_{-1} is the constant ``initial``
+        joined = []            # the flow's columns, then ``cols``
 
         def value(z):
-            b = z[idx]
-            return b - np.concatenate([[self.initial], b[:-1]]) + flow.value(z)
+            b_prev = z[prev]
+            b_prev[0] = self.initial
+            return z[idx] - b_prev + flow.value(z)
 
         def jacobian(z):
             f = flow.jacobian(z)
-            return RowSparse(np.concatenate([f.cols, cols], axis=1),
+            if not joined:
+                joined.append(np.concatenate([f.cols, cols], axis=1))
+            return RowSparse(joined[0],
                              np.concatenate([f.vals, vals], axis=1))
 
         return ConstraintBlock(m=m, value=value, jacobian=jacobian,
@@ -189,35 +203,54 @@ def _pw_from_z(pc: _Pieces, z: np.ndarray) -> PowerAllocation:
     return PowerAllocation(p_s=np.append(ps, 0.0), p_r=np.insert(pr, 0, 0.0))
 
 
-def _relay_rates(pc: _Pieces, ps: np.ndarray) -> np.ndarray:
-    return np.log2(1.0 + ps * pc.gar)
+class _PowerPoint(NamedTuple):
+    """Terms of a power program at one point, shared by its callbacks:
+    the relay powers and the relay inflow log2(1 + p_s g_ar) with its
+    derivative and curvature in the scaled source power."""
+
+    pr: np.ndarray         # relay power, watts
+    inflow: np.ndarray
+    d_in: np.ndarray       # d inflow / dz
+    curv: np.ndarray       # -d^2 inflow / dz^2
 
 
-def _flow_block(pc: _Pieces, out: Callable, d_out: Callable,
+def _power_point(pc: _Pieces) -> PointCache:
+    """One program's cache of its ``_PowerPoint`` terms."""
+    def terms(z):
+        ps, pr = _split(pc, z)
+        one = 1.0 + ps * pc.gar
+        return _PowerPoint(
+            pr=pr, inflow=np.log2(one),
+            d_in=pc.gar / (LN2 * one) * pc.u_s,
+            curv=pc.gar ** 2 / (LN2 * one ** 2) * pc.u_s ** 2)
+    return PointCache(terms)
+
+
+def _flow_block(pc: _Pieces, at: PointCache, out: Callable, d_out: Callable,
                 curved: bool) -> ConstraintBlock:
     """Net outflow out(p_r) - log2(1 + p_s g_ar) of each power slot.
 
     ``d_out`` is the derivative of ``out`` per watt.  With ``curved``
     the block carries the curvature of the inflow; the outflow must then
-    be affine.
+    be affine.  The terms at a point come from ``at``.
     """
     cols = np.stack([pc.idx["pr"], pc.idx["ps"]], axis=1)
 
     def value(z):
-        ps, pr = _split(pc, z)
-        return out(pr) - _relay_rates(pc, ps)
+        t = at(z)
+        return out(t.pr) - t.inflow
 
     def jacobian(z):
-        ps, pr = _split(pc, z)
-        d_in = pc.gar / (LN2 * (1.0 + ps * pc.gar)) * pc.u_s
-        return RowSparse(cols, np.stack([d_out(pr) * pc.u_r, -d_in], axis=1))
+        t = at(z)
+        vals = np.empty((pc.n - 1, 2))
+        vals[:, 0] = d_out(t.pr) * pc.u_r
+        vals[:, 1] = -t.d_in
+        return RowSparse(cols, vals)
 
     hw = None
     if curved:
         def hw(z, w):
-            ps, _ = _split(pc, z)
-            h = pc.gar ** 2 / (LN2 * (1.0 + ps * pc.gar) ** 2) * pc.u_s ** 2
-            return diag_hessian(pc.idx["ps"], w * h)
+            return diag_hessian(pc.idx["ps"], w * at(z).curv)
 
     return ConstraintBlock(m=pc.n - 1, value=value, jacobian=jacobian,
                            hess_weighted=hw)
@@ -230,14 +263,16 @@ def _energy_flow(pc: _Pieces, var: str) -> ConstraintBlock:
                            jacobian=lambda z: J)
 
 
-def _buffers(scn: Scenario, pc: _Pieces, bob, eve,
+def _buffers(scn: Scenario, pc: _Pieces, at: PointCache, bob, eve,
              curved: bool) -> list[Buffer]:
     """Both relay buffers, given (out, d_out) for Bob and for Eve, then
     the remaining source and relay energy.  The one builder of the power
     surrogate and of the program its KKT point is certified on."""
     return [
-        Buffer(_flow_block(pc, *bob, curved), pc.idx["bob"], "bob_causality"),
-        Buffer(_flow_block(pc, *eve, curved), pc.idx["eve"], "eve_causality"),
+        Buffer(_flow_block(pc, at, *bob, curved), pc.idx["bob"],
+               "bob_causality"),
+        Buffer(_flow_block(pc, at, *eve, curved), pc.idx["eve"],
+               "eve_causality"),
         Buffer(_energy_flow(pc, "ps"), pc.idx["src_energy"], "source_budget",
                initial=scn.n_slots * scn.p_bar_s / pc.u_s),
         Buffer(_energy_flow(pc, "pr"), pc.idx["relay_energy"], "relay_budget",
@@ -299,26 +334,27 @@ def _build_surrogate(scn: Scenario, pc: _Pieces,
     bob_const = np.log2(1.0 + prk * pc.grd) - c_d * prk
     eve_const = np.log2(1.0 + prk * pc.gre) - c_e * prk
     eve_lin_total = float(np.sum(eve_const))
+    at = _power_point(pc)
 
     def objective(z):
-        _, pr = _split(pc, z)
+        pr = at(z).pr
         bob = np.sum(np.log2(1.0 + pr * pc.grd))
         eve_lin = eve_lin_total + np.sum(c_e * pr)
         return -(bob - eve_lin)
 
     def gradient(z):
-        _, pr = _split(pc, z)
+        pr = at(z).pr
         g = np.zeros(pc.dim)
         g[i_pr] = (-pc.grd / (LN2 * (1.0 + pr * pc.grd)) + c_e) * pc.u_r
         return g
 
     def hessian(z):
-        _, pr = _split(pc, z)
+        pr = at(z).pr
         return diag_hessian(
             i_pr, pc.grd ** 2 / (LN2 * (1.0 + pr * pc.grd) ** 2) * pc.u_r ** 2)
 
     buffers = _buffers(
-        scn, pc,
+        scn, pc, at,
         (lambda pr: bob_const + c_d * pr, lambda pr: c_d),
         (lambda pr: eve_const + c_e * pr, lambda pr: c_e), curved=True)
     # Near-equal source power, tiny relay power: strictly inside the
@@ -335,13 +371,15 @@ def _build_surrogate(scn: Scenario, pc: _Pieces,
 def _original_power_program(scn: Scenario, pc: _Pieces):
     """The true (nonconvex) power problem, for KKT certification only,
     with its buffers."""
+    at = _power_point(pc)
+
     def objective(z):
-        _, pr = _split(pc, z)
+        pr = at(z).pr
         return -float(np.sum(np.log2(1.0 + pr * pc.grd)
                              - np.log2(1.0 + pr * pc.gre)))
 
     def gradient(z):
-        _, pr = _split(pc, z)
+        pr = at(z).pr
         g = np.zeros(pc.dim)
         g[pc.idx["pr"]] = (-pc.grd / (LN2 * (1.0 + pr * pc.grd))
                            + pc.gre / (LN2 * (1.0 + pr * pc.gre))) * pc.u_r
@@ -351,7 +389,8 @@ def _original_power_program(scn: Scenario, pc: _Pieces):
         return (lambda pr: np.log2(1.0 + pr * gain),
                 lambda pr: gain / (LN2 * (1.0 + pr * gain)))
 
-    buffers = _buffers(scn, pc, rate(pc.grd), rate(pc.gre), curved=False)
+    buffers = _buffers(scn, pc, at, rate(pc.grd), rate(pc.gre),
+                       curved=False)
     return (_program(pc, buffers, objective=objective, gradient=gradient),
             buffers)
 

@@ -38,9 +38,12 @@ factors the same band; its bordered program gets its own plan.
 Finite bounds never become Jacobian rows: they enter the Newton matrix
 as diagonal entries and the residuals as a scatter.  Each Newton point
 is evaluated once: the constraint values of the start are handed over
-from the start check, and the gradient, Jacobian and constraint values
-of the accepted line-search trial are carried into the next step and
-into the optimality checks.
+from the start check, and the gradient, Jacobian, constraint values and
+dual residual grad f + J^T lam of the accepted line-search trial are
+carried into the next step and into the optimality checks (only the
+centering residual is rebuilt when mu drops).  Within one point, the
+callbacks of a program can share their common terms through a
+``PointCache``, as the stage programs do.
 """
 from __future__ import annotations
 
@@ -95,6 +98,29 @@ class SymSparse:
     rows: Array
     cols: Array
     vals: Array
+
+
+class PointCache:
+    """The terms that the callbacks of one program share at one point.
+
+    ``cache(z)`` returns ``terms(z)``, computed once per point and kept
+    for the last point only.  The key is the point's bytes
+    (``z.tobytes()``), not the array, so a caller that writes into an
+    array it passed before still gets fresh terms.  Callbacks must not
+    write into the terms they read.
+    """
+
+    def __init__(self, terms: Callable[[Array], object]):
+        self.terms = terms
+        self._key: Optional[bytes] = None
+        self._value = None
+
+    def __call__(self, z: Array):
+        key = z.tobytes()
+        if key != self._key:
+            self._value = self.terms(z)
+            self._key = key
+        return self._value
 
 
 def diag_hessian(idx: Array, vals: Array) -> SymSparse:
@@ -542,7 +568,8 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
     if x0 is None:
         x0 = np.asarray(prog.strictly_feasible_start, dtype=float)
     x = x0.copy()
-    # Derivatives at x; each later point gets them from its line search.
+    # Derivatives and residuals at x; each later point gets them from its
+    # line search.
     g = blocks.value(x) if g0 is None else g0
     grad_f = prog.gradient(x)
     J = blocks.jacobian(x)
@@ -550,6 +577,7 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
     mu = float(np.mean(lam * (-g))) if g.size else 0.0
     mu = max(mu, 1e-3)
     mu_min = 0.05 * opts.tol
+    r_dual, r_cent = _pd_residual(blocks, grad_f, J, g, lam, mu)
 
     f_x = float(prog.objective(x))
     history: list[float] = [f_x]
@@ -560,7 +588,6 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
         # Inner: damped Newton on the perturbed KKT system at this mu.
         inner_target = max(0.5 * mu, 0.1 * opts.tol)
         for _ in range(INNER_MAX):
-            r_dual, r_cent = _pd_residual(blocks, grad_f, J, g, lam, mu)
             r_norm = max(
                 float(np.max(np.abs(r_dual))),
                 float(np.max(np.abs(r_cent))) if g.size else 0.0)
@@ -604,6 +631,7 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
                 stalled = True
                 break
             x, lam, g, grad_f, J = x_t, lam_t, g_t, grad_t, J_t
+            r_dual, r_cent = rd_t, rc_t
             f_x = None
             n_newton += 1
             if n_newton >= opts.max_iter:
@@ -612,7 +640,7 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
             f_x = float(prog.objective(x))
         history.append(f_x)
         # Unperturbed KKT residual decides optimality.
-        kkt0 = _kkt_residual_raw(blocks, grad_f, J, g, lam)
+        kkt0 = _kkt_residual_raw(r_dual, g, lam)
         if stop_early is not None and stop_early(x):
             status = "early"
             break
@@ -624,8 +652,9 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
                       else "numerical_failure")
             break
         mu = max(mu * MU_FACTOR, mu_min) if mu > mu_min else mu * 0.5
+        r_cent = -lam * g - mu     # the dual residual does not depend on mu
 
-    kkt0 = _kkt_residual_raw(blocks, grad_f, J, g, lam)
+    kkt0 = _kkt_residual_raw(r_dual, g, lam)
     duals = lam[:blocks.n_ineq]
     bduals = lam[blocks.n_ineq:]
     return SolverResult(
@@ -634,10 +663,9 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
         objective_value=f_x, objective_history=history)
 
 
-def _kkt_residual_raw(blocks: _Blocks, grad_f: Array, J: _Jacobian,
-                      g: Array, lam: Array) -> float:
-    stat = (float(np.max(np.abs(grad_f + blocks.jt(J, lam))))
-            if grad_f.size else 0.0)
+def _kkt_residual_raw(r_dual: Array, g: Array, lam: Array) -> float:
+    """Unperturbed KKT residual from the dual residual grad f + J^T lam."""
+    stat = float(np.max(np.abs(r_dual))) if r_dual.size else 0.0
     if g.size == 0:
         return stat
     return max(
@@ -696,5 +724,5 @@ def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
     duals = np.asarray(duals, dtype=float).reshape(-1)
     lam[:duals.size] = duals
     g = blocks.value(x)
-    return _kkt_residual_raw(blocks, prog.gradient(x), blocks.jacobian(x), g,
-                             lam)
+    r_dual = prog.gradient(x) + blocks.jt(blocks.jacobian(x), lam)
+    return _kkt_residual_raw(r_dual, g, lam)

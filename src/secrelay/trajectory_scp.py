@@ -25,11 +25,20 @@ the start's extra outflow stays within ``CAUS_RELAX`` / 4 over every
 prefix, and each buffer at ``buffer_start`` of its prefix surpluses
 there.  It is strictly feasible whenever the base point is feasible with
 every hop strictly below ``v_max``; phase I then does not run.
+
+Each step program computes its per-point terms once per point
+(``_StepPoint``): the unpacked displacements and slacks, both rate and
+both distance lower bounds, the slack outflows and the displaced
+positions.  The objective, gradient, Hessian and block callbacks read
+them from one ``solver.PointCache`` per program, keyed on the point's
+bytes, so a caller that writes into an array it passed before still
+gets fresh terms.  The parts of the bounds that depend on the iterate
+only are computed once per SCP step, in ``make_iterate``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,8 +47,9 @@ from .model import (PowerAllocation, Scenario, Trajectory,
                     restore_feasibility)
 from .power_dc import LN2, Buffer, buffer_start
 from .report import RunReport
-from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
-                     SolverOptions, SymSparse, diag_hessian, solve)
+from .solver import (ConstraintBlock, PointCache, RowSparse,
+                     SmoothConvexProgram, SolverOptions, SymSparse,
+                     diag_hessian, solve)
 
 
 SUBPROBLEM = SolverOptions(tol=1e-6)
@@ -54,7 +64,14 @@ class ScpOptions:
 
 @dataclass(frozen=True)
 class TrajIterate:
-    """Trajectory with all per-slot quantities cached for one SCP step."""
+    """Trajectory with all per-slot quantities cached for one SCP step.
+
+    Besides the rates and curvatures, it holds the iterate-only parts of
+    the lower bounds (``rate_lower_bounds``, ``distance_lower_bounds``):
+    the squared distances zeta and eta, and the gradients of the squared
+    ground distances in the bounds' linear terms, each an (x, y) pair of
+    per-slot arrays.
+    """
 
     traj: Trajectory
     r_relay: np.ndarray    # reception rate at the relay
@@ -64,6 +81,10 @@ class TrajIterate:
     gamma_r: np.ndarray    # ref_snr * p_r
     c_relay: np.ndarray    # curvature of the relay-rate lower bound
     c_bob: np.ndarray      # curvature of the Bob-rate lower bound
+    grad_ar: tuple         # 2 (x - x_A), 2 (y - y_A)
+    grad_rb: tuple         # 2 ((x - x_A) - (x_B - x_A)), same in y
+    grad_zeta: tuple       # 2 (x - x_E), 2 (y - y_E)
+    grad_eta: tuple        # 2 (x - x_B), 2 (y - y_B)
     objective: float
 
 
@@ -73,15 +94,23 @@ def make_iterate(scn: Scenario, traj: Trajectory,
     rp = model.rate_profile(scn, traj, pw)
     d_ar2, d_rd2 = ch.d_ar ** 2, ch.d_rd ** 2
     gamma_s, gamma_r = scn.ref_snr * pw.p_s, scn.ref_snr * pw.p_r
+    x, y = traj.x - scn.alice_xy[0], traj.y - scn.alice_xy[1]
+    d_bob = scn.bob_xy - scn.alice_xy
+    ex, ey = scn.eve_xy
+    bx, by = scn.bob_xy
     return TrajIterate(
         traj=traj,
         r_relay=rp.r_relay,
         r_bob=rp.r_bob,
-        zeta=np.sum((scn.eve_xy - traj.xy) ** 2, axis=1),
-        eta=np.sum((scn.bob_xy - traj.xy) ** 2, axis=1),
+        zeta=(ex - traj.x) ** 2 + (ey - traj.y) ** 2,
+        eta=(bx - traj.x) ** 2 + (by - traj.y) ** 2,
         gamma_r=gamma_r,
         c_relay=gamma_s / ((d_ar2 + gamma_s) * d_ar2 * LN2),
         c_bob=gamma_r / ((d_rd2 + gamma_r) * d_rd2 * LN2),
+        grad_ar=(2 * x, 2 * y),
+        grad_rb=(2 * (x - d_bob[0]), 2 * (y - d_bob[1])),
+        grad_zeta=(2 * (traj.x - ex), 2 * (traj.y - ey)),
+        grad_eta=(2 * (traj.x - bx), 2 * (traj.y - by)),
         objective=rp.secrecy_sum,
     )
 
@@ -120,12 +149,11 @@ def rate_lower_bounds(scn: Scenario, it: TrajIterate,
     Returns (relay_lb, bob_lb) arrays over all slots, exact at zero
     displacement.
     """
-    x, y = it.traj.x - scn.alice_xy[0], it.traj.y - scn.alice_xy[1]
-    d_bob = scn.bob_xy - scn.alice_xy
+    g_ar, g_rb = it.grad_ar, it.grad_rb
     quad = delta ** 2 + xi ** 2
-    relay_lb = it.r_relay - it.c_relay * (quad + 2 * x * delta + 2 * y * xi)
-    bob_lb = it.r_bob - it.c_bob * (quad + 2 * (x - d_bob[0]) * delta
-                                    + 2 * (y - d_bob[1]) * xi)
+    relay_lb = it.r_relay - it.c_relay * (quad + g_ar[0] * delta
+                                          + g_ar[1] * xi)
+    bob_lb = it.r_bob - it.c_bob * (quad + g_rb[0] * delta + g_rb[1] * xi)
     return relay_lb, bob_lb
 
 
@@ -136,13 +164,9 @@ def distance_lower_bounds(scn: Scenario, it: TrajIterate,
     Returns (zeta_lb, eta_lb): tangent planes of the convex squares,
     exact at zero displacement.
     """
-    ex, ey = scn.eve_xy
-    bx, by = scn.bob_xy
-    x, y = it.traj.x, it.traj.y
-    zeta_lb = ((ex - x) ** 2 + (ey - y) ** 2
-               + 2 * (x - ex) * delta + 2 * (y - ey) * xi)
-    eta_lb = ((bx - x) ** 2 + (by - y) ** 2
-              + 2 * (x - bx) * delta + 2 * (y - by) * xi)
+    g_zeta, g_eta = it.grad_zeta, it.grad_eta
+    zeta_lb = it.zeta + g_zeta[0] * delta + g_zeta[1] * xi
+    eta_lb = it.eta + g_eta[0] * delta + g_eta[1] * xi
     return zeta_lb, eta_lb
 
 
@@ -195,45 +219,84 @@ SLACK_LB = -0.5
 SEED_MARGIN = 1e-3
 
 
-def _causality_buffers(scn: Scenario, it: TrajIterate,
-                       lay: _Layout) -> list[Buffer]:
+class _StepPoint(NamedTuple):
+    """Terms of a convex step at one point, shared by its callbacks: the
+    unpacked variables, the rate and distance lower bounds, h^2 plus
+    each slack, the outflows log2(1 + g / (h^2 + slack)) and the
+    displaced positions (scaled by h) with their hops."""
+
+    delta: np.ndarray
+    xi: np.ndarray
+    relay_lb: np.ndarray
+    bob_lb: np.ndarray
+    zeta_lb: np.ndarray
+    eta_lb: np.ndarray
+    a_eps: np.ndarray
+    a_tau: np.ndarray
+    out_eps: np.ndarray
+    out_tau: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    hop_x: np.ndarray
+    hop_y: np.ndarray
+
+
+def _step_point(scn: Scenario, it: TrajIterate, lay: _Layout) -> PointCache:
+    """One program's cache of its ``_StepPoint`` terms."""
+    g_act = it.gamma_r[lay.active]
+    xs, ys = it.traj.x / lay.h, it.traj.y / lay.h
+
+    def terms(z):
+        delta, xi, eps, tau = lay.unpack(z)
+        a_eps, a_tau = lay.h2 + eps, lay.h2 + tau
+        px, py = xs + z[lay.i_delta], ys + z[lay.i_xi]
+        return _StepPoint(
+            delta, xi, *rate_lower_bounds(scn, it, delta, xi),
+            *distance_lower_bounds(scn, it, delta, xi), a_eps, a_tau,
+            np.log2(1.0 + g_act / a_eps), np.log2(1.0 + g_act / a_tau),
+            px, py, np.diff(px), np.diff(py))
+    return PointCache(terms)
+
+
+def _causality_buffers(scn: Scenario, it: TrajIterate, lay: _Layout,
+                       at: PointCache) -> list[Buffer]:
     """Bob's and Eve's relay buffers of the convex step.
 
     Row j (prefix ending at slot j+1, 0-based) takes in the relay-rate
     lower bound of slot j (quadratic in its displacement) and sends out
     log2(1 + g/(h2 + slack)) of slot j+1 when the relay transmits there.
+    The terms at a point come from ``at``.
     """
     h, h2 = lay.h, lay.h2
-    x = it.traj.x - scn.alice_xy[0]
-    y = it.traj.y - scn.alice_xy[1]
+    g_x, g_y = (g[:-1] for g in it.grad_ar)
     c_r = it.c_relay[:-1]
     g_act = it.gamma_r[lay.active]
     rows = lay.active - 1                 # row whose outflow slot is active
     i_d, i_x = lay.i_delta[:-1], lay.i_xi[:-1]
 
-    def flow(i_slack):
+    def flow(i_slack, slack):
         cols = np.stack([i_d, i_d, i_x], axis=1)
         cols[rows, 0] = i_slack           # silent rows repeat delta, value 0
         hess_idx = np.concatenate([i_slack, i_d, i_x])
+        a_name, out_name = "a_" + slack, "out_" + slack
 
         def value(z):
-            delta, xi, _, _ = lay.unpack(z)
-            relay_lb, _ = rate_lower_bounds(scn, it, delta, xi)
-            f = -relay_lb[:-1]
-            f[rows] += np.log2(1.0 + g_act / (h2 + z[i_slack] * h2))
+            t = at(z)
+            f = -t.relay_lb[:-1]
+            f[rows] += getattr(t, out_name)
             return f
 
         def jacobian(z):
-            delta, xi, _, _ = lay.unpack(z)
-            a = h2 + z[i_slack] * h2
+            t = at(z)
+            a = getattr(t, a_name)
             vals = np.zeros((lay.n - 1, 3))
             vals[rows, 0] = -g_act / (LN2 * a * (a + g_act)) * h2
-            vals[:, 1] = c_r * (2 * delta[:-1] + 2 * x[:-1]) * h
-            vals[:, 2] = c_r * (2 * xi[:-1] + 2 * y[:-1]) * h
+            vals[:, 1] = c_r * (2 * t.delta[:-1] + g_x) * h
+            vals[:, 2] = c_r * (2 * t.xi[:-1] + g_y) * h
             return RowSparse(cols, vals)
 
         def hess_weighted(z, w):
-            a = h2 + z[i_slack] * h2
+            a = getattr(at(z), a_name)
             hs = w[rows] * (g_act * (2 * a + g_act)
                             / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2)
             dq = 2.0 * c_r * w * h * h
@@ -242,9 +305,9 @@ def _causality_buffers(scn: Scenario, it: TrajIterate,
         return ConstraintBlock(m=lay.n - 1, value=value, jacobian=jacobian,
                                hess_weighted=hess_weighted)
 
-    return [Buffer(flow(lay.i_eps), lay.i_bob, "bob_causality",
+    return [Buffer(flow(lay.i_eps, "eps"), lay.i_bob, "bob_causality",
                    initial=CAUS_RELAX),
-            Buffer(flow(lay.i_tau), lay.i_eve, "eve_causality",
+            Buffer(flow(lay.i_tau, "tau"), lay.i_eve, "eve_causality",
                    initial=CAUS_RELAX)]
 
 
@@ -261,30 +324,27 @@ def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
 def _build_subproblem(scn: Scenario, it: TrajIterate,
                       lay: _Layout) -> SmoothConvexProgram:
     n, h, h2 = lay.n, lay.h, lay.h2
-    x = it.traj.x - scn.alice_xy[0]
-    y = it.traj.y - scn.alice_xy[1]
-    d_bob = scn.bob_xy - scn.alice_xy
+    g_rb = it.grad_rb
     c_d = it.c_bob
     act = lay.active
     g_act = it.gamma_r[act]
     v = scn.slot_travel
+    at = _step_point(scn, it, lay)
 
     # --- objective: -(sum bob rate lb) + sum log2(1 + g/(h2 + tau)) ---
     def objective(z):
-        delta, xi, _, tau = lay.unpack(z)
-        _, bob_lb = rate_lower_bounds(scn, it, delta, xi)
-        eve = np.log2(1.0 + g_act / (h2 + tau))
-        return float(-np.sum(bob_lb[1:]) + np.sum(eve))
+        t = at(z)
+        return float(-np.sum(t.bob_lb[1:]) + np.sum(t.out_tau))
 
     def gradient(z):
-        delta, xi, _, tau = lay.unpack(z)
+        t = at(z)
         g = np.zeros(lay.dim)
-        gd = c_d * (2 * delta + 2 * (x - d_bob[0]))
-        gx = c_d * (2 * xi + 2 * (y - d_bob[1]))
+        gd = c_d * (2 * t.delta + g_rb[0])
+        gx = c_d * (2 * t.xi + g_rb[1])
         gd[0] = gx[0] = 0.0        # slot 1 carries no relay power
         g[lay.i_delta] = gd * h
         g[lay.i_xi] = gx * h
-        den = (h2 + tau) * (h2 + tau + g_act)
+        den = t.a_tau * (t.a_tau + g_act)
         g[lay.i_tau] = -g_act / (LN2 * den) * h2
         return g
 
@@ -293,7 +353,7 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     hess_idx = np.concatenate([lay.i_delta, lay.i_xi, lay.i_tau])
 
     def hessian(z):
-        a = h2 + z[lay.i_tau] * h2
+        a = at(z).a_tau
         ht = g_act * (2 * a + g_act) / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2
         return diag_hessian(hess_idx, np.concatenate([dd0, dd0, ht]))
 
@@ -308,8 +368,6 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     m_mob = (n - 1) + len(anchors)
     v2s = (v / h) ** 2  # scaled squared travel budget
 
-    xs = it.traj.x / h
-    ys = it.traj.y / h
     i_d, i_x = lay.i_delta, lay.i_xi
     mob_cols = np.stack([i_d[:-1], i_d[1:], i_x[:-1], i_x[1:]], axis=1)
     for _, idx in anchors:
@@ -321,21 +379,20 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     mob_cols_h = np.concatenate([i_d, i_x, i_d[:-1], i_x[:-1]])
 
     def mob_value(z):
-        px = xs + z[i_d]
-        py = ys + z[i_x]
-        hops = (np.diff(px) ** 2 + np.diff(py) ** 2) - v2s
-        ends = (px[a_idx] - a_xy[:, 0]) ** 2 + (py[a_idx] - a_xy[:, 1]) ** 2
+        t = at(z)
+        hops = (t.hop_x ** 2 + t.hop_y ** 2) - v2s
+        ends = ((t.px[a_idx] - a_xy[:, 0]) ** 2
+                + (t.py[a_idx] - a_xy[:, 1]) ** 2)
         return np.concatenate([hops, ends - v2s])
 
     def mob_jacobian(z):
-        px = xs + z[i_d]
-        py = ys + z[i_x]
-        ddx = 2 * np.diff(px)
-        ddy = 2 * np.diff(py)
+        t = at(z)
+        ddx = 2 * t.hop_x
+        ddy = 2 * t.hop_y
         vals = np.zeros((m_mob, 4))
         vals[:n - 1] = np.stack([-ddx, ddx, -ddy, ddy], axis=1)
-        vals[n - 1:, 0] = 2 * (px[a_idx] - a_xy[:, 0])
-        vals[n - 1:, 1] = 2 * (py[a_idx] - a_xy[:, 1])
+        vals[n - 1:, 0] = 2 * (t.px[a_idx] - a_xy[:, 0])
+        vals[n - 1:, 1] = 2 * (t.py[a_idx] - a_xy[:, 1])
         return RowSparse(mob_cols, vals)
 
     def mob_hess(z, w):
@@ -352,29 +409,27 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
                                   hess_weighted=mob_hess, name="mobility"))
 
     # --- causality: Bob's and Eve's relay buffers ---
-    buffers = _causality_buffers(scn, it, lay)
+    buffers = _causality_buffers(scn, it, lay, at)
     blocks += [b.block() for b in buffers]
 
     # --- affine couplings: tau <= zeta_lb, eps <= eta_lb ---
-    def couple_factory(i_slack, ref, which):
-        gx = 2 * (it.traj.x[act] - ref[0])    # d bound / d delta
-        gy = 2 * (it.traj.y[act] - ref[1])
+    def couple_factory(i_slack, grad, which):
+        gx, gy = grad[0][act], grad[1][act]    # d bound / d delta, xi
         J = RowSparse(np.stack([i_slack, i_d[act], i_x[act]], axis=1),
                       np.stack([np.ones(lay.na), -gx * h / h2, -gy * h / h2],
                                axis=1))
+        name = which + "_lb"
 
         def value(z):
-            delta, xi, _, _ = lay.unpack(z)
-            zeta_lb, eta_lb = distance_lower_bounds(scn, it, delta, xi)
-            bound = zeta_lb if which == "zeta" else eta_lb
+            bound = getattr(at(z), name)
             return (z[i_slack] * h2 - bound[act]) / h2
 
         return value, lambda z: J
 
-    for nm, i_slack, ref, which in (
-            ("tau_le_zeta", lay.i_tau, scn.eve_xy, "zeta"),
-            ("eps_le_eta", lay.i_eps, scn.bob_xy, "eta")):
-        val, jac = couple_factory(i_slack, ref, which)
+    for nm, i_slack, grad, which in (
+            ("tau_le_zeta", lay.i_tau, it.grad_zeta, "zeta"),
+            ("eps_le_eta", lay.i_eps, it.grad_eta, "eta")):
+        val, jac = couple_factory(i_slack, grad, which)
         blocks.append(ConstraintBlock(m=lay.na, value=val, jacobian=jac,
                                       name=nm))
 

@@ -6,7 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from secrelay.model import PowerAllocation, Scenario, Trajectory
+from secrelay.model import (PowerAllocation, Scenario, Trajectory,
+                            benchmark_scenario, equal_power_allocation)
+from secrelay.power_dc import build_dc_surrogate
+from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
+                                     make_iterate, restore_feasibility)
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -63,6 +67,22 @@ def random_power(rng: np.random.Generator, scn: Scenario) -> PowerAllocation:
     return PowerAllocation(p_s=p_s, p_r=p_r)
 
 
+def stage_programs(n_slots):
+    """Stage programs of the fixed-endpoint benchmark at N = n_slots
+    (1 s slots): the power surrogate, the trajectory subproblem at half
+    the causality-tight relay power (strictly feasible start), and at the
+    tight power itself (phase I runs)."""
+    scn = benchmark_scenario(float(n_slots), 1.0, fixed_endpoints=True)
+    traj = initial_trajectory(scn)
+    pw = restore_feasibility(scn, traj, equal_power_allocation(scn))
+    half = PowerAllocation(p_s=pw.p_s, p_r=0.5 * pw.p_r)
+    return {"power": build_dc_surrogate(scn, traj, pw),
+            "trajectory": build_subproblem(scn, half,
+                                           make_iterate(scn, traj, half)),
+            "trajectory phase I": build_subproblem(
+                scn, pw, make_iterate(scn, traj, pw))}
+
+
 def assert_wall_times(report) -> None:
     """Iteration wall times count up from the stage start, within the
     stage's total time."""
@@ -85,6 +105,24 @@ def power_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(power_dc, "solve", counting_solve)
     return calls
+
+
+@pytest.fixture
+def cache_fills(monkeypatch) -> list:
+    """Records the bytes of the point of every ``PointCache`` fill, for
+    the programs built after the fixture."""
+    from secrelay import solver
+    fills = []
+    init = solver.PointCache.__init__
+
+    def recording_init(self, terms):
+        def recorded(z):
+            fills.append(z.tobytes())
+            return terms(z)
+        init(self, recorded)
+
+    monkeypatch.setattr(solver.PointCache, "__init__", recording_init)
+    return fills
 
 
 @pytest.fixture

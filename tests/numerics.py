@@ -1,8 +1,10 @@
 """Test-only numerics for solver programs: dense forms of sparse
 callback outputs, scalar constraint blocks, finite-difference derivative
-checks and a sampled convexity check."""
+checks, a sampled convexity check, and the bytes of every callback
+output and of every point the callbacks see."""
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -126,3 +128,61 @@ def spot_check_convexity(prog: SmoothConvexProgram, points: Sequence[Array],
             if ev.min() < -tol_scale * scale:
                 return False
     return True
+
+
+def _as_bytes(out) -> bytes:
+    if isinstance(out, RowSparse):
+        return out.cols.tobytes() + out.vals.tobytes()
+    if isinstance(out, SymSparse):
+        return out.rows.tobytes() + out.cols.tobytes() + out.vals.tobytes()
+    return np.asarray(out, dtype=float).tobytes()
+
+
+def callback_outputs(prog: SmoothConvexProgram, z: Array,
+                     reverse: bool = False) -> dict:
+    """The bytes of every callback output of ``prog`` at z, by callback.
+
+    The callbacks run in program order (objective, gradient, Hessian,
+    then each block's value, Jacobian and weighted Hessian), or in the
+    reverse order.  Each weighted Hessian takes the weights 1 .. 2.
+    """
+    calls = [("objective", prog.objective), ("gradient", prog.gradient)]
+    if prog.hessian is not None:
+        calls.append(("hessian", prog.hessian))
+    for k, b in enumerate(prog.ineqs):
+        calls += [(f"value{k}", b.value), (f"jacobian{k}", b.jacobian)]
+        if b.hess_weighted is not None:
+            w = np.linspace(1.0, 2.0, b.m)
+            calls.append((f"hess_weighted{k}",
+                          lambda x, b=b, w=w: b.hess_weighted(x, w)))
+    if reverse:
+        calls.reverse()
+    return {name: _as_bytes(fn(z)) for name, fn in calls}
+
+
+def record_points(prog: SmoothConvexProgram
+                  ) -> tuple[SmoothConvexProgram, dict]:
+    """``prog`` with every callback wrapped to record the bytes of each
+    point it is called at, and the lists they go to, by callback (named
+    as in ``callback_outputs``)."""
+    seen = {}
+
+    def recording(name, fn):
+        if fn is None:
+            return None
+        points = seen.setdefault(name, [])
+
+        def wrapped(x, *args):
+            points.append(np.asarray(x).tobytes())
+            return fn(x, *args)
+        return wrapped
+
+    ineqs = [dataclasses.replace(
+        b, value=recording(f"value{k}", b.value),
+        jacobian=recording(f"jacobian{k}", b.jacobian),
+        hess_weighted=recording(f"hess_weighted{k}", b.hess_weighted))
+        for k, b in enumerate(prog.ineqs)]
+    return dataclasses.replace(
+        prog, objective=recording("objective", prog.objective),
+        gradient=recording("gradient", prog.gradient),
+        hessian=recording("hessian", prog.hessian), ineqs=ineqs), seen

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import (assert_wall_times, fail_power_solves,
                       random_feasible_trajectory, random_scenario,
-                      small_scenario)
-from numerics import as_dense, verify_derivatives
+                      small_scenario, stage_programs)
+from numerics import (as_dense, callback_outputs, record_points,
+                      verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
                                buffer_start, build_dc_surrogate, dc_allocate)
-from secrelay.solver import ConstraintBlock, RowSparse, SmoothConvexProgram
+from secrelay.solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
+                             solve)
 from secrelay.trajectory_scp import restore_feasibility
 
 # The surrogate program works on scaled variables p_s[1..N-1]/u_s and
@@ -97,6 +99,60 @@ class TestSurrogate:
         bad = PowerAllocation(p_s=np.zeros(n), p_r=p_r)
         with pytest.raises(ValueError):
             build_dc_surrogate(scn, traj, bad)
+
+
+def _cached_programs():
+    """Functions that build the power surrogate and the certification
+    program on a hover of the T = 40 s benchmark, each with a point."""
+    scn = benchmark_scenario(horizon_s=40.0, slot_len_s=2.0)
+    traj = _hover_traj(scn, (600.0, 40.0))
+    pw = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
+    pc = power_dc._pieces(scn, traj)
+    surrogate = build_dc_surrogate(scn, traj, pw)
+    orig, buffers = power_dc._original_power_program(scn, pc)
+    return {
+        "surrogate": (lambda: build_dc_surrogate(scn, traj, pw),
+                      np.asarray(surrogate.strictly_feasible_start)),
+        "certification": (
+            lambda: power_dc._original_power_program(scn, pc)[0],
+            power_dc._tight_point(pc, buffers, pw))}
+
+
+class TestPointCache:
+    """Each power program computes its shared per-point terms once per
+    point, keyed on the point's bytes."""
+
+    def test_write_into_point_gives_fresh_terms(self, rng):
+        """Callbacks called at z, then at the same array after a write
+        into it, give bit for bit what a fresh program gives there."""
+        for name, (build, z0) in _cached_programs().items():
+            z_new = z0 + 1e-3 * rng.uniform(0.0, 1.0, z0.size)
+            prog, z = build(), z0.copy()
+            before = callback_outputs(prog, z)
+            z[:] = z_new
+            after = callback_outputs(prog, z)
+            assert after != before, name
+            assert after == callback_outputs(build(), z_new.copy()), name
+
+    def test_callback_order_does_not_matter(self):
+        """All callbacks at one point, in program order and in reverse,
+        on the same program and on a fresh one: no callback writes into
+        a shared term."""
+        for name, (build, z) in _cached_programs().items():
+            prog = build()
+            forward = callback_outputs(prog, z)
+            assert callback_outputs(prog, z, reverse=True) == forward, name
+            assert callback_outputs(build(), z, reverse=True) == forward, name
+
+    def test_one_fill_per_point_in_solve(self, cache_fills):
+        """In a solve of the power stage program the shared terms are
+        computed once for each distinct point the callbacks see."""
+        prog, points = record_points(stage_programs(50)["power"])
+        cache_fills.clear()
+        res = solve(prog)
+        assert res.status == "optimal" and res.iterations > 0
+        assert len(cache_fills) == len(set(cache_fills))
+        assert set(cache_fills) == set().union(*points.values())
 
 
 def _feasible_random_power(rng, scn, traj):

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from numerics import (as_dense, scalar_ineq, spot_check_convexity,
-                      verify_derivatives)
+from conftest import stage_programs
+from numerics import (as_dense, record_points, scalar_ineq,
+                      spot_check_convexity, verify_derivatives)
 from secrelay import _blas, solver
-from secrelay.model import (PowerAllocation, benchmark_scenario,
-                            equal_power_allocation)
-from secrelay.power_dc import build_dc_surrogate
+from secrelay.model import PowerAllocation
 from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock, RowSparse,
                              SmoothConvexProgram, SolverOptions, SymSparse,
                              _Blocks, _factor_solve, _interior_values,
                              kkt_residual, solve)
-from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
-                                     make_iterate, restore_feasibility)
 
 LN2 = float(np.log(2.0))
 
@@ -173,31 +170,44 @@ class TestImplicitBounds:
 
 class TestEvaluationCount:
     def test_each_point_evaluated_once(self):
-        """Gradient, objective and each block's value and Jacobian see a
-        point once."""
-        prog, *_ = _random_two_var_family(np.random.default_rng(3))
-        seen = {"objective": [], "gradient": []}
-
-        def recording(name, fn):
-            seen.setdefault(name, [])
-
-            def wrapped(x, *args):
-                seen[name].append(np.asarray(x).tobytes())
-                return fn(x, *args)
-            return wrapped
-
-        prog.objective = recording("objective", prog.objective)
-        prog.gradient = recording("gradient", prog.gradient)
-        prog.ineqs = [ConstraintBlock(
-            m=b.m, value=recording(f"value{k}", b.value),
-            jacobian=recording(f"jacobian{k}", b.jacobian),
-            hess_weighted=b.hess_weighted, name=b.name)
-            for k, b in enumerate(prog.ineqs)]
+        """Every callback (objective, gradient, Hessian, and each block's
+        value, Jacobian and weighted Hessian) sees a point once."""
+        prog, seen = record_points(
+            _random_two_var_family(np.random.default_rng(3))[0])
         res = solve(prog)
         assert res.status == "optimal" and res.iterations > 0
         for name, points in seen.items():
             assert points, name
             assert len(set(points)) == len(points), name
+
+    def test_each_residual_computed_once(self, monkeypatch):
+        """J^T w is taken at most once per start (its dual residual), once
+        per Newton step (the right-hand side) and once per strictly
+        feasible line-search trial (its dual residual, which the next
+        step and the optimality checks reuse).  A start and each such
+        trial take one Jacobian, and each step one factorization."""
+        calls = {"jt": 0, "jacobian": 0, "factor": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(_Blocks, "jt", counting("jt", _Blocks.jt))
+        monkeypatch.setattr(_Blocks, "jacobian",
+                            counting("jacobian", _Blocks.jacobian))
+        monkeypatch.setattr(solver, "_factor_solve",
+                            counting("factor", solver._factor_solve))
+        programs = {"two-var": _random_two_var_family(
+            np.random.default_rng(3))[0], **stage_programs(50)}
+        for name, prog in programs.items():
+            for k in calls:
+                calls[k] = 0
+            res = solve(prog)
+            assert res.status == "optimal" and res.iterations > 0, name
+            assert calls["factor"] >= res.iterations, name
+            assert calls["jt"] <= calls["jacobian"] + calls["factor"], name
 
 
 class TestSlackLogTerm:
@@ -599,22 +609,6 @@ class TestBandedNewton:
         assert heights and set(heights) == {prog.dim}
 
 
-def _stage_programs(n_slots):
-    """Stage programs of the fixed-endpoint benchmark at N = n_slots
-    (1 s slots): the power surrogate, the trajectory subproblem at half
-    the causality-tight relay power (strictly feasible start), and at the
-    tight power itself (phase I runs)."""
-    scn = benchmark_scenario(float(n_slots), 1.0, fixed_endpoints=True)
-    traj = initial_trajectory(scn)
-    pw = restore_feasibility(scn, traj, equal_power_allocation(scn))
-    half = PowerAllocation(p_s=pw.p_s, p_r=0.5 * pw.p_r)
-    return {"power": build_dc_surrogate(scn, traj, pw),
-            "trajectory": build_subproblem(scn, half,
-                                           make_iterate(scn, traj, half)),
-            "trajectory phase I": build_subproblem(
-                scn, pw, make_iterate(scn, traj, pw))}
-
-
 class TestAssemblyPlan:
     """One Newton-matrix plan per solve of the stage programs."""
 
@@ -622,7 +616,7 @@ class TestAssemblyPlan:
         """The stage programs keep their pattern through a solve: one plan
         per solve, and one more for phase I's bordered program."""
         built = _count_plans(monkeypatch)
-        for name, prog in _stage_programs(50).items():
+        for name, prog in stage_programs(50).items():
             built.clear()
             res = solve(prog)
             assert res.status == "optimal" and res.iterations > 0, name
@@ -643,7 +637,7 @@ class TestAssemblyPlan:
             return out
 
         monkeypatch.setattr(_Blocks, "newton_band", recording)
-        prog = _stage_programs(50)["trajectory phase I"]
+        prog = stage_programs(50)["trajectory phase I"]
         solve(prog, SolverOptions(max_iter=3))
         assert len(seen) == 3
         rng = np.random.default_rng(15)
@@ -668,7 +662,7 @@ class TestAssemblyPlan:
     def test_repeat_solve_bit_identical(self):
         """A plan lives in one solve: solving a program again gives the
         same bits."""
-        for name, prog in _stage_programs(50).items():
+        for name, prog in stage_programs(50).items():
             first, second = solve(prog), solve(prog)
             assert first.x_opt.tobytes() == second.x_opt.tobytes(), name
 
@@ -688,7 +682,7 @@ class TestLinearScaling:
         monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
         seen = {}
         for n in (50, 400):
-            for name, prog in _stage_programs(n).items():
+            for name, prog in stage_programs(n).items():
                 heights.append(set())
                 solve(prog, SolverOptions(max_iter=3))
                 seen[name, n] = heights[-1]
@@ -702,12 +696,12 @@ class TestLinearScaling:
         edge) powers has no strictly feasible seed, so the bordered band
         of phase I is what the tests above run."""
         for n in (50, 400, 2000):
-            prog = _stage_programs(n)["trajectory phase I"]
+            prog = stage_programs(n)["trajectory phase I"]
             start = np.asarray(prog.strictly_feasible_start)
             assert _interior_values(_Blocks(prog), start) is None, n
 
     def test_memory_at_n_2000(self):
-        for prog in _stage_programs(2000).values():
+        for prog in stage_programs(2000).values():
             assert prog.dim > 10000
             tracemalloc.start()
             try:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import (assert_wall_times, random_feasible_trajectory,
-                      random_power, random_scenario, small_scenario)
-from numerics import verify_derivatives
+                      random_power, random_scenario, small_scenario,
+                      stage_programs)
+from numerics import callback_outputs, record_points, verify_derivatives
 from secrelay import benchmark_scenario, model, trajectory_scp
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.solver import solve
@@ -154,7 +155,8 @@ class TestSubproblem:
         h2 = scn.altitude_h ** 2
         z0[lay.i_eps] = it.eta[act] / h2
         z0[lay.i_tau] = it.zeta[act] / h2
-        for buf in _causality_buffers(scn, it, lay):
+        at = trajectory_scp._step_point(scn, it, lay)
+        for buf in _causality_buffers(scn, it, lay, at):
             z0[buf.idx] = buf.surplus(z0)
         # Surrogate objective (negated) equals the true secrecy sum.
         assert -prog.objective(z0) == pytest.approx(it.objective, abs=1e-9)
@@ -220,6 +222,59 @@ class TestSubproblem:
             pytest.skip("equal power happens to be causal here")
         with pytest.raises(ValueError):
             build_subproblem(scn, pw, make_iterate(scn, traj, pw))
+
+
+class TestPointCache:
+    """The trajectory step computes its shared per-point terms once per
+    point, keyed on the point's bytes."""
+
+    @staticmethod
+    def _build():
+        """A function that builds the fixed-endpoint step at N = 40 (half
+        the restored relay power), and the step's start."""
+        scn = benchmark_scenario(40.0, 1.0, fixed_endpoints=True)
+        traj = initial_trajectory(scn)
+        pw = restore_feasibility(scn, traj,
+                                 model.equal_power_allocation(scn))
+        half = PowerAllocation(p_s=pw.p_s, p_r=0.5 * pw.p_r)
+
+        def build():
+            return build_subproblem(scn, half, make_iterate(scn, traj, half))
+        return build, np.asarray(build().strictly_feasible_start)
+
+    def test_write_into_point_gives_fresh_terms(self, rng):
+        """Callbacks called at z, then at the same array after a write
+        into it, give bit for bit what a fresh program gives there."""
+        build, z0 = self._build()
+        z_new = z0 + 1e-3 * rng.uniform(0.0, 1.0, z0.size)
+        prog, z = build(), z0.copy()
+        before = callback_outputs(prog, z)
+        z[:] = z_new
+        after = callback_outputs(prog, z)
+        assert after != before
+        assert after == callback_outputs(build(), z_new.copy())
+
+    def test_callback_order_does_not_matter(self):
+        """All callbacks at one point, in program order and in reverse,
+        on the same program and on a fresh one: no callback writes into
+        a shared term."""
+        build, z = self._build()
+        prog = build()
+        forward = callback_outputs(prog, z)
+        assert callback_outputs(prog, z, reverse=True) == forward
+        assert callback_outputs(build(), z, reverse=True) == forward
+
+    @pytest.mark.parametrize("name", ["trajectory", "trajectory phase I"])
+    def test_one_fill_per_point_in_solve(self, name, cache_fills):
+        """In a solve of a trajectory stage program, phase I included,
+        the shared terms are computed once for each distinct point the
+        callbacks see."""
+        prog, points = record_points(stage_programs(50)[name])
+        cache_fills.clear()
+        res = solve(prog)
+        assert res.status == "optimal" and res.iterations > 0
+        assert len(cache_fills) == len(set(cache_fills))
+        assert set(cache_fills) == set().union(*points.values())
 
 
 class TestRestoreFeasibility:
