@@ -1,16 +1,18 @@
 """Run the Newton algebra on one OpenBLAS thread.
 
-The solver's results must not depend on the BLAS thread count.  The
-stage programs give ``RowSparse`` Jacobians, whose Newton matrices are
-summed by ``np.bincount`` and factored as a narrow band; their
-objectives and Newton step counts come out the same with and without
-this context at two threads.  A dense callback block does go through BLAS
-matrix products (J^T diag(s) J and J v), and a threaded OpenBLAS splits
-those sums differently per thread count: with a dense 300x300
-constraint block, ``solve`` without this context returns an ``x_opt``
-whose bits differ between ``OPENBLAS_NUM_THREADS=1`` and ``2``; with it
-the bits are identical (``tests/test_solver.py``,
-``test_dense_block_thread_count_independent``).
+The solver's results must not depend on the BLAS thread count.  A
+threaded OpenBLAS splits the sum of a dot product of more than 10,000
+entries (numpy's ``a @ b`` on 1-D arrays) between its threads, so the
+last bits of that sum follow the thread count.  The solver takes such
+products over all variables or rows: the Schur complement of phase I's
+border and the residual norms of the line search.  The stage programs
+are that long at N = 2000, and there, without this context, the
+trajectory phase-I program returns an ``x_opt`` whose bits differ
+between ``OPENBLAS_NUM_THREADS=1`` and ``2``; with it the bits are
+identical (``tests/test_solver.py``,
+``test_phase_one_thread_count_independent``).  On these short products
+the threads also cost time: on a 2-core host, the first N = 2000 power
+solve of a process took 1.07 s at two threads and 0.19 s on one.
 
 ``one_thread()`` lowers every OpenBLAS loaded into the process (numpy
 and scipy each ship their own) to one thread and restores the previous

@@ -33,7 +33,6 @@ class StaticGrid:
 
     @classmethod
     def default(cls, scn: Scenario) -> "StaticGrid":
-        d = float(np.linalg.norm(scn.bob_xy - scn.alice_xy))
         span = max(3.0 * abs(scn.eve_xy[1] - scn.alice_xy[1]),
                    scn.altitude_h)
         return cls(x_min=min(scn.alice_xy[0], scn.bob_xy[0]),

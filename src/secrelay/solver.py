@@ -12,34 +12,33 @@ step on the gradient (regularized when there is no Hessian).
 
 Problems are stated in minimize convention:
 
-    min f(x)  s.t.  g_k(x) <= 0,  lb <= x <= ub.
+    min f(x)  s.t.  g_k(x) <= 0,  lb <= x.
 
 Constraints are supplied in vectorized blocks (value, Jacobian and a
 weighted-Hessian-sum callback) so structured subproblems stay cheap.
-Jacobians may be dense arrays or ``RowSparse`` (a few nonzeros per row),
-Hessians dense arrays or ``SymSparse`` (lower-triangle triplets).  The
-Newton matrix J^T diag(lam / -g) J + H is assembled straight into
-LAPACK's lower banded storage and factored by
-``scipy.linalg.cholesky_banded``, so a program whose rows each touch
-variables close together in the ordering costs O(dim) time and memory
-per Newton step.  Where its entries land depends only on the pattern:
-the columns of the sparse Jacobians, the triplet positions of the
-sparse Hessians and the shapes of the dense parts.  A solve indexes its
-pattern once, on its first Newton step (``_Plan``: the flat band
-position of every entry), and each later step only gathers the values
-and scatters them with one ``np.bincount``; a pattern that changes
-costs a new plan.  A dense callback gives a full band (its block's
-J^T diag(s) J is one dense product, its lower triangle kept whole), so
-it suits programs small enough for a dense Newton matrix.  Phase I's
-slack enters every row: it is kept out of the band as a one-column
-border and eliminated through its scalar Schur complement, so phase I
-factors the same band; its bordered program gets its own plan.
+Every Jacobian is a ``RowSparse`` (a few nonzeros per row) and every
+Hessian a ``SymSparse`` (lower-triangle triplets); a callback that
+returns anything else raises ``TypeError``.  An upper bound x_j <= u is
+a one-entry ``RowSparse`` row.  The Newton matrix
+J^T diag(lam / -g) J + H is assembled straight into LAPACK's lower
+banded storage and factored by ``scipy.linalg.cholesky_banded``, so a
+program whose rows each touch variables close together in the ordering
+costs O(dim) time and memory per Newton step.  Where its entries land
+depends only on the pattern: the columns of the Jacobians and the
+triplet positions of the Hessians.  A solve indexes its pattern once,
+on its first Newton step (``_Plan``: the flat band position of every
+entry), and each later step only gathers the values and scatters them
+with one ``np.bincount``; a pattern that changes costs a new plan.
+Phase I's slack enters every row: it is kept out of the band as a
+one-column border and eliminated through its scalar Schur complement,
+so phase I factors the same band; its bordered program gets its own
+plan.
 
-Finite bounds never become Jacobian rows: they enter the Newton matrix
-as diagonal entries and the residuals as a scatter.  Each Newton point
-is evaluated once: the constraint values of the start are handed over
-from the start check, and the gradient, Jacobian, constraint values and
-dual residual grad f + J^T lam of the accepted line-search trial are
+Finite lower bounds never become Jacobian rows: they enter the Newton
+matrix as diagonal entries and the residuals as a scatter.  Each Newton
+point is evaluated once: the constraint values of the start are handed
+over from the start check, and the gradient, Jacobian, constraint values
+and dual residual grad f + J^T lam of the accepted line-search trial are
 carried into the next step and into the optimality checks (only the
 centering residual is rebuilt when mu drops).  Within one point, the
 callbacks of a program can share their common terms through a
@@ -129,21 +128,28 @@ def diag_hessian(idx: Array, vals: Array) -> SymSparse:
     return SymSparse(idx, idx, np.asarray(vals, dtype=float))
 
 
-def _rows_of(J, n: int):
-    """A block's Jacobian as ``RowSparse`` or a dense (m, n) array."""
-    if isinstance(J, RowSparse):
-        return J
-    return np.asarray(J, dtype=float).reshape(-1, n)
+def _checked(out, kind: type, callback: str, block=None):
+    """The output ``out`` of ``callback`` (of the ``ConstraintBlock``
+    ``block``), which must be a ``kind``."""
+    if not isinstance(out, kind):
+        where = "" if block is None else f" of block {block.name!r}"
+        raise TypeError(f"{callback}{where} returned {type(out).__name__}, "
+                        f"expected {kind.__name__}")
+    return out
+
+
+def _jacobian_of(b: ConstraintBlock, x: Array) -> RowSparse:
+    return _checked(b.jacobian(x), RowSparse, "jacobian", b)
 
 
 @dataclass
 class ConstraintBlock:
     """A vector inequality g(x) <= 0 with m components.
 
-    jacobian(x) returns the (m, dim) Jacobian, dense or ``RowSparse``.
-    hess_weighted(x, w) must return sum_k w[k] * hessian(g_k)(x), dense
-    (dim, dim) or ``SymSparse``.  Affine blocks may pass
-    hess_weighted=None.
+    jacobian(x) returns the (m, dim) Jacobian as a ``RowSparse`` (a
+    dense Jacobian is a ``RowSparse`` with every column in each row).
+    hess_weighted(x, w) must return sum_k w[k] * hessian(g_k)(x) as a
+    ``SymSparse``.  Affine blocks may pass hess_weighted=None.
 
     Pattern: a solve indexes the Newton-matrix positions of the
     ``RowSparse`` columns and ``SymSparse`` rows and columns once and
@@ -154,24 +160,25 @@ class ConstraintBlock:
 
     m: int
     value: Callable[[Array], Array]
-    jacobian: Callable[[Array], Array]
-    hess_weighted: Optional[Callable[[Array, Array], Array]] = None
+    jacobian: Callable[[Array], RowSparse]
+    hess_weighted: Optional[Callable[[Array, Array], SymSparse]] = None
     name: str = ""
 
 
 @dataclass
 class SmoothConvexProgram:
-    """``hessian(x)`` returns a dense (dim, dim) array or ``SymSparse``;
-    ``None`` means a zero Hessian (a curved objective of a program with
-    no rows or bounds then takes about 35 step halvings per Newton step)."""
+    """``hessian(x)`` returns a ``SymSparse``; ``None`` means a zero
+    Hessian (a curved objective of a program with no rows or bounds then
+    takes about 35 step halvings per Newton step).  ``lb`` holds the
+    lower bounds (-inf where there is none); an upper bound is a
+    one-entry row of a ``ConstraintBlock``."""
 
     dim: int
     objective: Callable[[Array], float]
     gradient: Callable[[Array], Array]
-    hessian: Optional[Callable[[Array], Array]] = None
+    hessian: Optional[Callable[[Array], SymSparse]] = None
     ineqs: Sequence[ConstraintBlock] = field(default_factory=list)
     lb: Optional[Array] = None
-    ub: Optional[Array] = None
     strictly_feasible_start: Optional[Array] = None
 
 
@@ -185,7 +192,7 @@ class SolverOptions:
 class SolverResult:
     x_opt: Array
     duals: Array                 # multipliers for prog.ineqs, concatenated
-    bound_duals: Array           # multipliers for the internal bound block
+    bound_duals: Array           # multipliers for the finite lb, by index
     # optimal | max_iter | infeasible | numerical_failure.  optimal means
     # kkt_residual <= tol, or <= STALL_TOL_FACTOR * tol when Newton stalled.
     status: str
@@ -196,12 +203,12 @@ class SolverResult:
 
 
 class _Blocks:
-    """Program inequalities plus bounds, flattened into one stack.
+    """Program inequalities plus lower bounds, flattened into one stack.
 
-    The stack is [program rows; lb_i - x_i; x_j - ub_j] <= 0 over the
-    finite bounds.  ``jacobian`` returns the program rows only (a
+    The stack is [program rows; lb_i - x_i] <= 0 over the finite lower
+    bounds.  ``jacobian`` returns the program rows only (a
     ``_Jacobian``); ``jt``, ``jv`` and ``newton_band`` apply the full
-    stack, the bound rows (-e_i and +e_j) added implicitly.
+    stack, the bound rows (-e_i) added implicitly.
     """
 
     def __init__(self, prog: SmoothConvexProgram):
@@ -214,64 +221,46 @@ class _Blocks:
         self._rows_for: tuple = (None, None)
         self._plan: Optional[_Plan] = None
         lb = prog.lb if prog.lb is not None else np.full(prog.dim, -np.inf)
-        ub = prog.ub if prog.ub is not None else np.full(prog.dim, np.inf)
-        lb = np.asarray(lb, dtype=float)
-        ub = np.asarray(ub, dtype=float)
-        self.lb_idx = np.flatnonzero(np.isfinite(lb))
-        self.ub_idx = np.flatnonzero(np.isfinite(ub))
-        self.lb = lb
-        self.ub = ub
-        self.n_lb = self.n_ineq + self.lb_idx.size   # end of the lb rows
-        self.m = self.n_lb + self.ub_idx.size
+        self.lb = np.asarray(lb, dtype=float)
+        self.lb_idx = np.flatnonzero(np.isfinite(self.lb))
+        self.m = self.n_ineq + self.lb_idx.size
 
     def value(self, x: Array) -> Array:
         parts = [b.value(x) for b in self.blocks]
         parts.append(self.lb[self.lb_idx] - x[self.lb_idx])
-        parts.append(x[self.ub_idx] - self.ub[self.ub_idx])
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(parts)
 
     def jacobian(self, x: Array) -> "_Jacobian":
         """Jacobian of the program rows."""
-        parts = [_rows_of(b.jacobian(x), self.prog.dim) for b in self.blocks]
-        sparse = [p for p in parts if isinstance(p, RowSparse)]
-        kinds = tuple(p.cols.shape[1] if isinstance(p, RowSparse) else -1
-                      for p in parts)
+        parts = [_jacobian_of(b, x) for b in self.blocks]
+        kinds = tuple(p.cols.shape[1] for p in parts)
         if kinds != self._rows_for[0]:
             self._rows_for = (kinds, np.repeat(
                 np.arange(self.n_ineq, dtype=np.int32),
-                np.repeat(np.maximum(np.array(kinds, dtype=int), 0),
-                          np.diff(self.starts))))
-        cols = np.concatenate([p.cols.ravel() for p in sparse]
+                np.repeat(np.array(kinds, dtype=int), np.diff(self.starts))))
+        cols = np.concatenate([p.cols.ravel() for p in parts]
                               or [np.zeros(0, dtype=int)])
-        vals = np.concatenate([p.vals.ravel() for p in sparse]
+        vals = np.concatenate([p.vals.ravel() for p in parts]
                               or [np.zeros(0)])
-        dense = [(a, b, p) for p, a, b in zip(parts, self.starts,
-                                              self.starts[1:])
-                 if not isinstance(p, RowSparse)]
-        return _Jacobian(parts, kinds, self._rows_for[1], cols, vals, dense)
+        return _Jacobian(parts, kinds, self._rows_for[1], cols, vals)
 
     def jt(self, J: "_Jacobian", w: Array) -> Array:
         """Full-stack J^T w."""
         out = np.bincount(J.cols, weights=J.vals * w[J.rows],
                           minlength=self.prog.dim).astype(float, copy=False)
-        for a, b, p in J.dense:
-            out += w[a:b] @ p
-        out[self.lb_idx] -= w[self.n_ineq:self.n_lb]
-        out[self.ub_idx] += w[self.n_lb:]
+        out[self.lb_idx] -= w[self.n_ineq:]
         return out
 
     def jv(self, J: "_Jacobian", v: Array) -> Array:
         """Full-stack J v."""
         out = np.bincount(J.rows, weights=J.vals * v[J.cols],
                           minlength=self.n_ineq).astype(float, copy=False)
-        for a, b, p in J.dense:
-            out[a:b] = p @ v
-        return np.concatenate([out, -v[self.lb_idx], v[self.ub_idx]])
+        return np.concatenate([out, -v[self.lb_idx]])
 
     def newton_band(self, J: "_Jacobian", s: Array, hess: list,
                     border: bool = False):
-        """Full-stack J^T diag(s) J plus the Hessian parts ``hess``
-        (``SymSparse`` or dense) in banded storage, see ``_Plan.band``.
+        """Full-stack J^T diag(s) J plus the ``SymSparse`` Hessian parts
+        ``hess`` in banded storage, see ``_Plan.band``.
 
         The plan of the last call is reused while the pattern stays the
         same and rebuilt when it changed.
@@ -281,39 +270,35 @@ class _Blocks:
         return self._plan.band(J, s, hess)
 
     def hess_weighted(self, x: Array, w: Array) -> list:
-        return [b.hess_weighted(x, w[a:a + b.m])
+        return [_checked(b.hess_weighted(x, w[a:a + b.m]), SymSparse,
+                         "hess_weighted", b)
                 for b, a in zip(self.blocks, self.starts)
                 if b.hess_weighted is not None]
 
 
 @dataclass(frozen=True)
 class _Jacobian:
-    """Program-row Jacobian: per-block parts (``RowSparse`` or dense) and
-    their kinds (entries per row, -1 for dense); the entries of the
-    sparse parts flat (row, column, value), so J^T w and J v take one
-    ``bincount`` each; and the dense parts with their row ranges (first
-    row, end row, array)."""
+    """Program-row Jacobian: per-block ``RowSparse`` parts and their
+    kinds (entries per row); and their entries flat (row, column,
+    value), so J^T w and J v take one ``bincount`` each."""
 
     parts: list
     kinds: tuple
     rows: Array
     cols: Array
     vals: Array
-    dense: list
 
 
 def _pattern(J: _Jacobian, hess: list) -> tuple:
     """What fixes where the Newton-matrix entries land: the Jacobian
-    kinds and columns, the triplet positions of each ``SymSparse``
-    Hessian and the shape of each dense one.  The index arrays enter as
-    shapes, dtypes and one joined bytes object: quick to compare, and
-    immune to later writes into the arrays."""
+    kinds and columns and the triplet positions of each Hessian.  The
+    index arrays enter as shapes, dtypes and one joined bytes object:
+    quick to compare, and immune to later writes into the arrays."""
     index = [J.cols]
     for h in hess:
-        index += [h.rows, h.cols] if isinstance(h, SymSparse) else []
-    shapes = [None if isinstance(h, SymSparse) else np.shape(h) for h in hess]
-    shapes += [(a.shape, a.dtype) for a in index]
-    return J.kinds, tuple(shapes), b"".join([a.tobytes() for a in index])
+        index += [h.rows, h.cols]
+    shapes = tuple((a.shape, a.dtype) for a in index)
+    return J.kinds, shapes, b"".join([a.tobytes() for a in index])
 
 
 def _row_pairs(cols: Array, itype) -> tuple[Array, Array]:
@@ -328,13 +313,10 @@ class _Plan:
     """Flat band positions of every Newton-matrix entry of one pattern.
 
     The entries, in order: J[r, a] s[r] J[r, b] for each row r of the
-    ``RowSparse`` parts and each pair of its entries with
-    cols[a] >= cols[b]; the full lower triangle of J^T diag(s) J of each
-    dense part; the bound diagonal; the triplets of each ``SymSparse``
-    Hessian and the full lower triangle of each dense one.  Zeros of
-    dense parts are kept, so their positions follow from their shapes.
-    ``band`` assembles any Newton point of the same pattern (``fits``)
-    from gathers of its values and one ``np.bincount``.
+    Jacobian and each pair of its entries with cols[a] >= cols[b]; the
+    bound diagonal; the triplets of each Hessian.  ``band`` assembles
+    any Newton point of the same pattern (``fits``) from gathers of its
+    values and one ``np.bincount``.
     """
 
     def __init__(self, blocks: _Blocks, J: _Jacobian, hess: list,
@@ -346,8 +328,6 @@ class _Plan:
                  else np.intp)
         self.n_ineq, self.border, self.nb = blocks.n_ineq, border, nb
         self.pattern = _pattern(J, hess)
-        # Lower-triangle positions in a dense (q, q) matrix, by q.
-        self.tril: dict = {}
         idx, self.bw = [], 0
 
         def place(i, j):
@@ -365,34 +345,20 @@ class _Plan:
                 self.bw = max(self.bw, int(off.max()))
             idx.append(pos.astype(itype))
 
-        def place_tril(q):
-            if q not in self.tril:
-                r, c = np.tril_indices(q)
-                self.tril[q] = (r * q + c).astype(itype)
-            src = self.tril[q]
-            place(src // q, src % q)
-
-        # Entry pairs of the sparse rows, as flat positions in J.vals.
+        # Entry pairs of the rows, as flat positions in J.vals.
         fa, fb, at = [], [], 0
         for p in J.parts:
-            if isinstance(p, RowSparse):
-                pa, pb = _row_pairs(p.cols, itype)
-                cf = p.cols.ravel()
-                place(cf[pa], cf[pb])
-                fa.append(pa + at)
-                fb.append(pb + at)
-                at += cf.size
+            pa, pb = _row_pairs(p.cols, itype)
+            cf = p.cols.ravel()
+            place(cf[pa], cf[pb])
+            fa.append(pa + at)
+            fb.append(pb + at)
+            at += cf.size
         self.fa = np.concatenate(fa or [np.zeros(0, dtype=itype)])
         self.fb = np.concatenate(fb or [np.zeros(0, dtype=itype)])
-        for _, _, p in J.dense:
-            place_tril(p.shape[1])
-        bound = np.concatenate([blocks.lb_idx, blocks.ub_idx])
-        place(bound, bound)
+        place(blocks.lb_idx, blocks.lb_idx)
         for h in hess:
-            if isinstance(h, SymSparse):
-                place(h.rows, h.cols)
-            else:
-                place_tril(np.shape(h)[0])
+            place(h.rows, h.cols)
         self.idx = np.concatenate(idx)
         self.size = (self.bw + 1) * nb + (nb + 1 if border else 0)
 
@@ -405,13 +371,8 @@ class _Plan:
         split off as the vector ``c`` and the corner scalar ``d``."""
         nb = self.nb
         sv = s[J.rows] * J.vals
-        vals = [sv[self.fa] * J.vals[self.fb]]
-        vals += [((p.T * s[a:b]) @ p).take(self.tril[p.shape[1]])
-                 for a, b, p in J.dense]
-        vals.append(s[self.n_ineq:])
-        vals += [h.vals if isinstance(h, SymSparse) else
-                 np.asarray(h, dtype=float).take(self.tril[np.shape(h)[0]])
-                 for h in hess]
+        vals = [sv[self.fa] * J.vals[self.fb], s[self.n_ineq:]]
+        vals += [h.vals for h in hess]
         # Empty weights give an int64 count; the band is float.
         out = np.bincount(self.idx, weights=np.concatenate(vals),
                           minlength=self.size).astype(float, copy=False)
@@ -482,13 +443,8 @@ def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
     else:
         x0 = np.zeros(dim)
     # Respect finite bounds in the seed (bounds are part of the stack).
-    lo, hi = blocks.lb, blocks.ub
-    mid_ok = np.isfinite(lo) & np.isfinite(hi)
-    x0[mid_ok] = 0.5 * (lo[mid_ok] + hi[mid_ok])
-    only_lo = np.isfinite(lo) & ~np.isfinite(hi)
-    x0[only_lo] = np.maximum(x0[only_lo], lo[only_lo] + 1.0)
-    only_hi = ~np.isfinite(lo) & np.isfinite(hi)
-    x0[only_hi] = np.minimum(x0[only_hi], hi[only_hi] - 1.0)
+    lbi = blocks.lb_idx
+    x0[lbi] = np.maximum(x0[lbi], blocks.lb[lbi] + 1.0)
 
     g0 = blocks.value(x0)
     s0 = float(np.max(g0)) if g0.size else -1.0
@@ -497,9 +453,7 @@ def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
     s_start = s0 + max(1.0, 0.1 * abs(s0))
     scale = max(1.0, abs(s0))
 
-    def with_slack(J):
-        if not isinstance(J, RowSparse):
-            return np.column_stack([J, np.full(J.shape[0], -1.0)])
+    def with_slack(J: RowSparse) -> RowSparse:
         m = J.cols.shape[0]
         return RowSparse(np.concatenate([J.cols, np.full((m, 1), dim)], 1),
                          np.concatenate([J.vals, np.full((m, 1), -1.0)], 1))
@@ -511,22 +465,16 @@ def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
                 return _b.hess_weighted(z[:dim], w)
         return ConstraintBlock(
             m=b.m, value=lambda z: b.value(z[:dim]) - z[dim],
-            jacobian=lambda z: with_slack(_rows_of(b.jacobian(z[:dim]), dim)),
+            jacobian=lambda z: with_slack(_jacobian_of(b, z[:dim])),
             hess_weighted=hw, name=b.name + "+slack")
 
     lifted = [lift_block(b) for b in blocks.blocks]
     # Bound rows of the original program, lifted with the same slack.
-    lbi, ubi = blocks.lb_idx, blocks.ub_idx
-    if lbi.size + ubi.size:
-        bounds_J = with_slack(RowSparse(
-            np.concatenate([lbi, ubi])[:, None],
-            np.concatenate([np.full(lbi.size, -1.0),
-                            np.ones(ubi.size)])[:, None]))
+    if lbi.size:
+        bounds_J = with_slack(RowSparse(lbi[:, None],
+                                        np.full((lbi.size, 1), -1.0)))
         lifted.append(ConstraintBlock(
-            m=lbi.size + ubi.size,
-            value=lambda z: np.concatenate([
-                blocks.lb[lbi] - z[lbi] - z[dim],
-                z[ubi] - blocks.ub[ubi] - z[dim]]),
+            m=lbi.size, value=lambda z: blocks.lb[lbi] - z[lbi] - z[dim],
             jacobian=lambda z: bounds_J, name="bounds+slack"))
 
     aux = SmoothConvexProgram(
@@ -550,7 +498,8 @@ def _newton_matrix(prog: SmoothConvexProgram, blocks: _Blocks, x: Array,
                    J: _Jacobian, lam: Array, sigma: Array,
                    border: bool):
     """Banded J^T diag(sigma) J + objective and constraint Hessians."""
-    hess = [] if prog.hessian is None else [prog.hessian(x)]
+    hess = [] if prog.hessian is None else [
+        _checked(prog.hessian(x), SymSparse, "hessian")]
     return blocks.newton_band(J, sigma, hess + blocks.hess_weighted(x, lam),
                               border)
 
@@ -686,7 +635,9 @@ def solve(prog: SmoothConvexProgram,
     ``numerical_failure``.
 
     The linear algebra runs on one OpenBLAS thread (see ``_blas``), so
-    the result does not depend on the BLAS thread count.
+    the result does not depend on the BLAS thread count: a threaded
+    OpenBLAS sums a dot product longer than 10,000 entries in an order
+    that follows the count, and the stage programs reach that length.
     """
     with one_thread():
         return _solve(prog, opts or SolverOptions())
@@ -705,7 +656,7 @@ def _solve(prog: SmoothConvexProgram, opts: SolverOptions) -> SolverResult:
         if x0 is None:
             return SolverResult(
                 x_opt=np.zeros(prog.dim), duals=np.zeros(blocks.n_ineq),
-                bound_duals=np.zeros(blocks.m - blocks.n_ineq),
+                bound_duals=np.zeros(blocks.lb_idx.size),
                 status="infeasible", kkt_residual=np.inf, iterations=0,
                 objective_value=np.nan)
     return _solve_interior(prog, opts, x0=x0, g0=g0)
@@ -714,10 +665,10 @@ def _solve(prog: SmoothConvexProgram, opts: SolverOptions) -> SolverResult:
 def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
     """Unperturbed KKT residual at (x, duals).
 
-    ``duals`` covers the scalar inequalities of prog.ineqs in order; if
-    the program has bounds, the bound multipliers follow (finite lower
-    bounds first, then finite upper bounds).  A short vector is padded
-    with zeros.
+    ``duals`` covers the scalar inequalities of prog.ineqs in order,
+    then the finite lower bounds by index (the order of
+    ``SolverResult.duals`` then ``bound_duals``).  A short vector is
+    padded with zeros.
     """
     blocks = _Blocks(prog)
     lam = np.zeros(blocks.m)

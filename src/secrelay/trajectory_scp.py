@@ -142,8 +142,7 @@ def initial_trajectory(scn: Scenario) -> Trajectory:
     return Trajectory(a + t[:, None] * (b - a))
 
 
-def rate_lower_bounds(scn: Scenario, it: TrajIterate,
-                      delta: np.ndarray, xi: np.ndarray):
+def rate_lower_bounds(it: TrajIterate, delta: np.ndarray, xi: np.ndarray):
     """Quadratic lower bounds on both reception rates at a displacement.
 
     Returns (relay_lb, bob_lb) arrays over all slots, exact at zero
@@ -157,8 +156,8 @@ def rate_lower_bounds(scn: Scenario, it: TrajIterate,
     return relay_lb, bob_lb
 
 
-def distance_lower_bounds(scn: Scenario, it: TrajIterate,
-                          delta: np.ndarray, xi: np.ndarray):
+def distance_lower_bounds(it: TrajIterate, delta: np.ndarray,
+                          xi: np.ndarray):
     """Affine lower bounds on the squared Eve/Bob ground distances.
 
     Returns (zeta_lb, eta_lb): tangent planes of the convex squares,
@@ -241,7 +240,7 @@ class _StepPoint(NamedTuple):
     hop_y: np.ndarray
 
 
-def _step_point(scn: Scenario, it: TrajIterate, lay: _Layout) -> PointCache:
+def _step_point(it: TrajIterate, lay: _Layout) -> PointCache:
     """One program's cache of its ``_StepPoint`` terms."""
     g_act = it.gamma_r[lay.active]
     xs, ys = it.traj.x / lay.h, it.traj.y / lay.h
@@ -251,14 +250,14 @@ def _step_point(scn: Scenario, it: TrajIterate, lay: _Layout) -> PointCache:
         a_eps, a_tau = lay.h2 + eps, lay.h2 + tau
         px, py = xs + z[lay.i_delta], ys + z[lay.i_xi]
         return _StepPoint(
-            delta, xi, *rate_lower_bounds(scn, it, delta, xi),
-            *distance_lower_bounds(scn, it, delta, xi), a_eps, a_tau,
+            delta, xi, *rate_lower_bounds(it, delta, xi),
+            *distance_lower_bounds(it, delta, xi), a_eps, a_tau,
             np.log2(1.0 + g_act / a_eps), np.log2(1.0 + g_act / a_tau),
             px, py, np.diff(px), np.diff(py))
     return PointCache(terms)
 
 
-def _causality_buffers(scn: Scenario, it: TrajIterate, lay: _Layout,
+def _causality_buffers(it: TrajIterate, lay: _Layout,
                        at: PointCache) -> list[Buffer]:
     """Bob's and Eve's relay buffers of the convex step.
 
@@ -329,7 +328,7 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     act = lay.active
     g_act = it.gamma_r[act]
     v = scn.slot_travel
-    at = _step_point(scn, it, lay)
+    at = _step_point(it, lay)
 
     # --- objective: -(sum bob rate lb) + sum log2(1 + g/(h2 + tau)) ---
     def objective(z):
@@ -409,7 +408,7 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
                                   hess_weighted=mob_hess, name="mobility"))
 
     # --- causality: Bob's and Eve's relay buffers ---
-    buffers = _causality_buffers(scn, it, lay, at)
+    buffers = _causality_buffers(it, lay, at)
     blocks += [b.block() for b in buffers]
 
     # --- affine couplings: tau <= zeta_lb, eps <= eta_lb ---
@@ -508,7 +507,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         rel = change / max(abs(it_new.objective), 1e-10)
         # Tightness diagnostic of the slack couplings at the optimum
         # (silent slots have no slacks and count as tight).
-        zeta_lb, eta_lb = distance_lower_bounds(scn, it, delta, xi)
+        zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
         slack_gap = float(np.max(np.minimum(zeta_lb[lay.active] - tau,
                                             eta_lb[lay.active] - eps),
                                  initial=0.0))

@@ -1,7 +1,7 @@
 """Test-only numerics for solver programs: dense forms of sparse
-callback outputs, scalar constraint blocks, finite-difference derivative
-checks, a sampled convexity check, and the bytes of every callback
-output and of every point the callbacks see."""
+callback outputs, scalar constraint blocks and bound rows,
+finite-difference derivative checks, a sampled convexity check, and the
+bytes of every callback output and of every point the callbacks see."""
 from __future__ import annotations
 
 import dataclasses
@@ -26,30 +26,40 @@ def as_dense(a, n: int) -> Array:
         np.add.at(out, (np.arange(a.cols.shape[0])[:, None], a.cols),
                   a.vals)
         return out
-    if isinstance(a, SymSparse):
-        out = np.zeros((n, n))
-        np.add.at(out, (a.rows, a.cols), a.vals)
-        off = a.rows != a.cols
-        np.add.at(out, (a.cols[off], a.rows[off]), a.vals[off])
-        return out
-    return np.asarray(a, dtype=float)
+    out = np.zeros((n, n))
+    np.add.at(out, (a.rows, a.cols), a.vals)
+    off = a.rows != a.cols
+    np.add.at(out, (a.cols[off], a.rows[off]), a.vals[off])
+    return out
 
 
 def scalar_ineq(value: Callable[[Array], float],
                 grad: Callable[[Array], Array],
-                hess: Optional[Callable[[Array], Array]] = None,
                 name: str = "") -> ConstraintBlock:
-    """Wrap a single scalar constraint g(x) <= 0 as a block."""
-    hw = None
-    if hess is not None:
-        hw = lambda x, w: w[0] * hess(x)
+    """Wrap a single affine scalar constraint g(x) <= 0 as a block whose
+    Jacobian is one ``RowSparse`` row over every variable."""
+    def jacobian(x):
+        row = np.asarray(grad(x), dtype=float).reshape(1, -1)
+        return RowSparse(np.arange(row.shape[1])[None, :], row)
+
     return ConstraintBlock(
         m=1,
         value=lambda x: np.atleast_1d(np.asarray(value(x), dtype=float)),
-        jacobian=lambda x: np.asarray(grad(x), dtype=float).reshape(1, -1),
-        hess_weighted=hw,
+        jacobian=jacobian,
         name=name,
     )
+
+
+def bound_rows(bound: Array, sign: float = 1.0) -> ConstraintBlock:
+    """sign * (x_j - bound_j) <= 0 over the finite bound_j, one row each
+    with one entry: upper bounds with sign 1, lower bounds with -1."""
+    bound = np.asarray(bound, dtype=float)
+    idx = np.flatnonzero(np.isfinite(bound))
+    J = RowSparse(idx[:, None], np.full((idx.size, 1), sign))
+    return ConstraintBlock(m=idx.size,
+                           value=lambda x: sign * (x[idx] - bound[idx]),
+                           jacobian=lambda x: J,
+                           name="ub" if sign > 0 else "lb")
 
 
 def verify_derivatives(prog: SmoothConvexProgram, x: Array,

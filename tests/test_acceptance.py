@@ -138,13 +138,13 @@ def test_criterion_1_lower_bound_soundness():
     delta, xi = disp[:, 0], disp[:, 1]
 
     rp_disp = model.rate_profile(scn, Trajectory(xy + disp), pw)
-    relay_lb, bob_lb = rate_lower_bounds(scn, it, delta, xi)
+    relay_lb, bob_lb = rate_lower_bounds(it, delta, xi)
     scale = 1.0 + np.abs(rp_disp.r_relay) + np.abs(rp_disp.r_bob)
     rate_sound = bool(
         np.all(relay_lb <= rp_disp.r_relay + 1e-9 * scale)
         and np.all(bob_lb <= rp_disp.r_bob + 1e-9 * scale))
 
-    zeta_lb, eta_lb = distance_lower_bounds(scn, it, delta, xi)
+    zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
     zeta_true = np.sum((scn.eve_xy - (xy + disp)) ** 2, axis=1)
     eta_true = np.sum((scn.bob_xy - (xy + disp)) ** 2, axis=1)
     dist_sound = bool(
@@ -153,8 +153,8 @@ def test_criterion_1_lower_bound_soundness():
 
     # Equality at zero displacement.
     zero = np.zeros(n)
-    r0, b0 = rate_lower_bounds(scn, it, zero, zero)
-    z0, e0 = distance_lower_bounds(scn, it, zero, zero)
+    r0, b0 = rate_lower_bounds(it, zero, zero)
+    z0, e0 = distance_lower_bounds(it, zero, zero)
     tight = bool(
         np.allclose(r0, it.r_relay, rtol=1e-12)
         and np.allclose(b0, it.r_bob, rtol=1e-12)
@@ -171,16 +171,16 @@ def test_criterion_1_lower_bound_soundness():
         rp_m = model.rate_profile(scn, Trajectory(xy - e), pw)
         fd_relay = (rp_p.r_relay - rp_m.r_relay) / (2 * h)
         fd_bob = (rp_p.r_bob - rp_m.r_bob) / (2 * h)
-        lb_p = rate_lower_bounds(scn, it, e[:, 0], e[:, 1])
-        lb_m = rate_lower_bounds(scn, it, -e[:, 0], -e[:, 1])
+        lb_p = rate_lower_bounds(it, e[:, 0], e[:, 1])
+        lb_m = rate_lower_bounds(it, -e[:, 0], -e[:, 1])
         sg_relay = (lb_p[0] - lb_m[0]) / (2 * h)
         sg_bob = (lb_p[1] - lb_m[1]) / (2 * h)
         ref = 1.0 + np.abs(fd_relay) + np.abs(fd_bob)
         grads_ok = grads_ok and bool(
             np.all(np.abs(sg_relay - fd_relay) <= 1e-5 * ref)
             and np.all(np.abs(sg_bob - fd_bob) <= 1e-5 * ref))
-        dz_p = distance_lower_bounds(scn, it, e[:, 0], e[:, 1])
-        dz_m = distance_lower_bounds(scn, it, -e[:, 0], -e[:, 1])
+        dz_p = distance_lower_bounds(it, e[:, 0], e[:, 1])
+        dz_m = distance_lower_bounds(it, -e[:, 0], -e[:, 1])
         fd_zeta = (np.sum((scn.eve_xy - (xy + e)) ** 2, axis=1)
                    - np.sum((scn.eve_xy - (xy - e)) ** 2, axis=1)) / (2 * h)
         fd_eta = (np.sum((scn.bob_xy - (xy + e)) ** 2, axis=1)

@@ -6,14 +6,14 @@ import pytest
 import scipy.linalg
 
 from conftest import stage_programs
-from numerics import (as_dense, record_points, scalar_ineq,
+from numerics import (as_dense, bound_rows, record_points, scalar_ineq,
                       spot_check_convexity, verify_derivatives)
 from secrelay import _blas, solver
 from secrelay.model import PowerAllocation
 from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock, RowSparse,
                              SmoothConvexProgram, SolverOptions, SymSparse,
                              _Blocks, _factor_solve, _interior_values,
-                             kkt_residual, solve)
+                             diag_hessian, kkt_residual, solve)
 
 LN2 = float(np.log(2.0))
 
@@ -26,7 +26,7 @@ def _quadratic_with_floor(scale=1.0):
         dim=1,
         objective=lambda x: float(scale * x[0] ** 2),
         gradient=lambda x: np.array([2.0 * scale * x[0]]),
-        hessian=lambda x: np.array([[2.0 * scale]]),
+        hessian=lambda x: diag_hessian([0], [2.0 * scale]),
         lb=np.array([1.0]),
         strictly_feasible_start=np.array([3.0]),
     )
@@ -54,7 +54,7 @@ class TestAnalytic:
             dim=2,
             objective=lambda x: float((x[0] - 1) ** 2 + 2 * (x[1] + 3) ** 2),
             gradient=lambda x: np.array([2 * (x[0] - 1), 4 * (x[1] + 3)]),
-            hessian=lambda x: np.diag([2.0, 4.0]),
+            hessian=lambda x: diag_hessian([0, 1], [2.0, 4.0]),
         )
         x = np.array([0.5, 0.0])
         grad = prog.gradient(x)
@@ -75,7 +75,8 @@ class TestAnalytic:
             dim=3,
             objective=lambda x: float(np.sum(np.exp(x)) - b @ x),
             gradient=lambda x: np.exp(x) - b,
-            hessian=(lambda x: np.diag(np.exp(x))) if with_hessian else None)
+            hessian=((lambda x: diag_hessian(np.arange(3), np.exp(x)))
+                     if with_hessian else None))
         res = solve(prog)
         assert res.status == "optimal"
         np.testing.assert_allclose(res.x_opt, np.log(b), rtol=0, atol=1e-5)
@@ -106,26 +107,24 @@ class TestStallStatus:
 def _boxed_program(explicit_bounds=False):
     """min |x - c|^2 + 0.5 x0 x1  s.t.  |x|^2 <= 4 and a box.
 
-    The box [-1, 0.6] x [-inf, 0.5] x [-0.2, inf] is given as bounds, or,
-    with ``explicit_bounds``, as one affine ConstraintBlock."""
+    The box is [-1, 0.6] x [-inf, 0.5] x [-0.2, inf].  Its upper sides
+    are one-entry rows; its lower sides are bounds or, with
+    ``explicit_bounds``, one-entry rows too."""
     c = np.array([2.0, 1.0, -1.0])
     lb = np.array([-1.0, -np.inf, -0.2])
     ub = np.array([0.6, 0.5, np.inf])
     ball = ConstraintBlock(
         m=1, value=lambda x: np.array([x @ x - 4.0]),
-        jacobian=lambda x: 2.0 * x.reshape(1, -1),
-        hess_weighted=lambda x, w: 2.0 * w[0] * np.eye(3), name="ball")
-    ineqs = [ball]
+        jacobian=lambda x: RowSparse(np.arange(3)[None, :], 2.0 * x[None, :]),
+        hess_weighted=lambda x, w: diag_hessian(np.arange(3),
+                                                np.full(3, 2.0 * w[0])),
+        name="ball")
+    ineqs = [ball, bound_rows(ub)]
     if explicit_bounds:
-        lbi = np.flatnonzero(np.isfinite(lb))
-        ubi = np.flatnonzero(np.isfinite(ub))
-        rows = np.vstack([-np.eye(3)[lbi], np.eye(3)[ubi]])
-        ineqs.append(ConstraintBlock(
-            m=rows.shape[0],
-            value=lambda x: np.concatenate([lb[lbi] - x[lbi],
-                                            x[ubi] - ub[ubi]]),
-            jacobian=lambda x: rows, name="box"))
-    hess = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        ineqs.append(bound_rows(lb, -1.0))
+    # Lower triangle of [[2, 0.5, 0], [0.5, 2, 0], [0, 0, 2]].
+    hess = SymSparse(np.array([0, 1, 1, 2]), np.array([0, 0, 1, 2]),
+                     np.array([2.0, 0.5, 2.0, 2.0]))
     return SmoothConvexProgram(
         dim=3,
         objective=lambda x: float((x - c) @ (x - c) + 0.5 * x[0] * x[1]),
@@ -133,7 +132,6 @@ def _boxed_program(explicit_bounds=False):
         hessian=lambda x: hess,
         ineqs=ineqs,
         lb=None if explicit_bounds else lb,
-        ub=None if explicit_bounds else ub,
         strictly_feasible_start=np.array([0.1, 0.0, 0.3]),
     )
 
@@ -152,13 +150,12 @@ class TestImplicitBounds:
         res = solve(prog)
         x = res.x_opt
         lam = np.concatenate([res.duals, res.bound_duals])
-        # Dense stack: program rows, then -e_i for finite lb, +e_j for ub.
+        # Dense stack: program rows, then -e_i for finite lb.
         lbi = np.flatnonzero(np.isfinite(prog.lb))
-        ubi = np.flatnonzero(np.isfinite(prog.ub))
-        J = np.vstack([prog.ineqs[0].jacobian(x), -np.eye(3)[lbi],
-                       np.eye(3)[ubi]])
-        g = np.concatenate([prog.ineqs[0].value(x), prog.lb[lbi] - x[lbi],
-                            x[ubi] - prog.ub[ubi]])
+        J = np.vstack([as_dense(b.jacobian(x), 3) for b in prog.ineqs]
+                      + [-np.eye(3)[lbi]])
+        g = np.concatenate([b.value(x) for b in prog.ineqs]
+                           + [prog.lb[lbi] - x[lbi]])
         for duals in (lam, lam * 1.01 + 1e-3, -lam):
             ref = max(float(np.max(np.abs(prog.gradient(x) + J.T @ duals))),
                       float(np.max(np.maximum(g, 0.0))),
@@ -230,10 +227,11 @@ class TestSlackLogTerm:
             objective=lambda z: float(f(z[0] * s)),
             gradient=lambda z: np.array(
                 [-g * s / (LN2 * (h2 + z[0] * s) * (h2 + z[0] * s + g))]),
-            hessian=lambda z: np.array(
-                [[g * s * s * (2 * (h2 + z[0] * s) + g)
-                  / (LN2 * ((h2 + z[0] * s) * (h2 + z[0] * s + g)) ** 2)]]),
-            lb=np.array([0.0]), ub=np.array([c / s]),
+            hessian=lambda z: diag_hessian(
+                [0], [g * s * s * (2 * (h2 + z[0] * s) + g)
+                      / (LN2 * ((h2 + z[0] * s) * (h2 + z[0] * s + g)) ** 2)]),
+            ineqs=[bound_rows(np.array([c / s]))],
+            lb=np.array([0.0]),
             strictly_feasible_start=np.array([0.5 * c / s]),
         )
         assert verify_derivatives(prog, np.array([0.4])) < 1e-6
@@ -273,7 +271,7 @@ class TestPhaseOne:
             dim=1,
             objective=lambda x: float(x[0]),
             gradient=lambda x: np.array([1.0]),
-            hessian=lambda x: np.zeros((1, 1)),
+            hessian=lambda x: diag_hessian([0], [0.0]),
             ineqs=[scalar_ineq(lambda x: x[0] - 1.0,
                                lambda x: np.array([1.0]))],
             lb=np.array([2.0]),     # x >= 2 and x <= 1: empty
@@ -303,13 +301,13 @@ def _random_two_var_family(rng):
         gradient=lambda x: np.array([
             2 * a * x[0] + b,
             -g / (LN2 * (h2 + x[1]) * (h2 + x[1] + g))]),
-        hessian=lambda x: np.array([
-            [2 * a, 0.0],
-            [0.0, g * (2 * (h2 + x[1]) + g)
-             / (LN2 * ((h2 + x[1]) * (h2 + x[1] + g)) ** 2)]]),
+        hessian=lambda x: diag_hessian([0, 1], [
+            2 * a, g * (2 * (h2 + x[1]) + g)
+            / (LN2 * ((h2 + x[1]) * (h2 + x[1] + g)) ** 2)]),
         ineqs=[scalar_ineq(lambda x: x[1] - (e0 + f * x[0]),
-                           lambda x: np.array([-f, 1.0]))],
-        lb=np.array([lo, 0.0]), ub=np.array([hi, np.inf]),
+                           lambda x: np.array([-f, 1.0])),
+               bound_rows(np.array([hi, np.inf]))],
+        lb=np.array([lo, 0.0]),
         strictly_feasible_start=np.array([0.0, min(0.5, 0.5 * e0)]),
     )
     return prog, obj_grid, (lo, hi), e0, f
@@ -379,10 +377,11 @@ class TestDeterminismAndMonotonicity:
         assert seen and all(n == [1] * len(controls) for n in seen)
         assert [get() for get, _ in controls] == before
 
-    def test_dense_block_thread_count_independent(self):
-        """A dense 300x300 block goes through BLAS matrix products, whose
-        summation order follows the thread count; inside ``solve`` the
-        solution is bit-identical at 1 and at 2 OpenBLAS threads."""
+    def test_phase_one_thread_count_independent(self):
+        """At N = 2000 the trajectory phase-I program's solution bits
+        follow the OpenBLAS thread count unless ``solve`` runs on one
+        thread; inside ``solve`` they are the same at 1 and at 2
+        OpenBLAS threads."""
         import os
         import subprocess
         import sys
@@ -390,26 +389,19 @@ class TestDeterminismAndMonotonicity:
 
         import secrelay
         src = str(Path(secrelay.__file__).resolve().parent.parent)
+        tests = str(Path(__file__).resolve().parent)
         code = """if True:
-            import numpy as np
-            from secrelay.solver import (ConstraintBlock,
-                                         SmoothConvexProgram, solve)
-            rng = np.random.default_rng(21)
-            n = 300
-            A = rng.normal(size=(n, n))
-            c = rng.normal(size=n) * 10.0
-            prog = SmoothConvexProgram(
-                dim=n, objective=lambda x: 0.5 * float((x - c) @ (x - c)),
-                gradient=lambda x: x - c, hessian=lambda x: np.eye(n),
-                ineqs=[ConstraintBlock(m=n, value=lambda x: A @ x - 1.0,
-                                       jacobian=lambda x: A)],
-                strictly_feasible_start=np.zeros(n))
-            res = solve(prog)
-            print(res.status, res.x_opt.tobytes().hex())
+            import hashlib
+            from conftest import stage_programs
+            from secrelay.solver import solve
+            res = solve(stage_programs(2000)["trajectory phase I"])
+            print(res.status, res.iterations,
+                  hashlib.sha256(res.x_opt.tobytes()).hexdigest())
         """
         outs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src,
+            env = {**os.environ,
+                   "PYTHONPATH": os.pathsep.join([src, tests]),
                    "OPENBLAS_NUM_THREADS": threads}
             out = subprocess.run([sys.executable, "-c", code], cwd=src,
                                  capture_output=True, text=True, check=True,
@@ -473,13 +465,14 @@ class TestBandedNewton:
                     for m, k in ((25, 3), (10, 5), (4, 1))]
         lb = np.where(rng.uniform(size=dim) < 0.5, 0.0, -np.inf)
         ub = np.where(rng.uniform(size=dim) < 0.3, 1.0, np.inf)
+        upper = bound_rows(ub)
         prog = SmoothConvexProgram(
             dim=dim, objective=lambda x: 0.0,
             gradient=lambda x: np.zeros(dim),
             ineqs=[ConstraintBlock(m=J.cols.shape[0], value=None,
                                    jacobian=lambda x, J=J: J)
-                   for J in blocks_J],
-            lb=lb, ub=ub)
+                   for J in blocks_J] + [upper],
+            lb=lb)
         blocks = _Blocks(prog)
         s = rng.uniform(0.1, 10.0, blocks.m)
         rows = rng.integers(0, dim, 40)
@@ -488,10 +481,11 @@ class TestBandedNewton:
         J = blocks.jacobian(np.zeros(dim))
         ab, c, d = blocks.newton_band(J, s, [H])
         assert ab.shape[0] <= width
-        # Dense reference: program rows, then -e_i for lb, +e_j for ub.
-        eye = np.eye(dim)
+        # Dense reference: program rows (upper bounds last), then -e_i for
+        # lb.
         Jd = np.vstack([as_dense(p, dim) for p in blocks_J]
-                       + [-eye[blocks.lb_idx], eye[blocks.ub_idx]])
+                       + [as_dense(upper.jacobian(None), dim),
+                          -np.eye(dim)[blocks.lb_idx]])
         ref = (Jd.T * s) @ Jd + as_dense(H, dim)
         np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
                                    atol=1e-12 * np.max(np.abs(ref)))
@@ -566,47 +560,29 @@ class TestBandedNewton:
         np.testing.assert_allclose(dx, np.linalg.solve(ref, rhs),
                                    rtol=1e-10, atol=1e-10)
 
-    def test_dense_block_in_quadratic_memory(self):
-        """A dense (m, dim) Jacobian block is multiplied out densely:
-        right entries, and memory O(m dim + dim^2), not O(m dim^2)."""
-        import tracemalloc
-        rng = np.random.default_rng(13)
-        dim = m = 300
-        Jd = rng.normal(size=(m, dim))
-        prog = SmoothConvexProgram(
-            dim=dim, objective=lambda x: 0.0,
-            gradient=lambda x: np.zeros(dim),
-            ineqs=[ConstraintBlock(m=m, value=None, jacobian=lambda x: Jd)])
-        blocks = _Blocks(prog)
-        s = rng.uniform(0.1, 10.0, m)
-        J = blocks.jacobian(np.zeros(dim))
-        tracemalloc.start()
-        try:
-            ab, _, _ = blocks.newton_band(J, s, [])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # Pair indices per row would need m dim^2 / 2 int64 triples (324 MB).
-        assert peak < 8 * 2 ** 20
-        ref = (Jd.T * s) @ Jd
-        np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
-                                   atol=1e-12 * np.max(np.abs(ref)))
 
-    def test_dense_callbacks_give_full_band(self):
-        """A dense Jacobian still works; its band spans the matrix."""
-        heights = []
-        real = scipy.linalg.cholesky_banded
+class TestCallbackTypes:
+    """Jacobians are ``RowSparse`` and Hessians ``SymSparse``; a dense
+    array from any callback is refused where it enters the solver."""
 
-        def recording(ab, *args, **kwargs):
-            heights.append(ab.shape[0])
-            return real(ab, *args, **kwargs)
-
-        prog = _boxed_program(explicit_bounds=True)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.linalg, "cholesky_banded", recording)
-            res = solve(prog)
-        assert res.status == "optimal"
-        assert heights and set(heights) == {prog.dim}
+    @pytest.mark.parametrize("callback, start, expected", [
+        ("jacobian", [0.1, 0.0, 0.3], "RowSparse"),
+        ("jacobian", [5.0, 5.0, 5.0], "RowSparse"),     # phase I runs
+        ("hess_weighted", [0.1, 0.0, 0.3], "SymSparse"),
+        ("hessian", [0.1, 0.0, 0.3], "SymSparse")])
+    def test_dense_output_raises_type_error(self, callback, start,
+                                            expected):
+        prog = _boxed_program()
+        prog.strictly_feasible_start = np.array(start)
+        ball = prog.ineqs[0]
+        if callback == "jacobian":
+            ball.jacobian = lambda x: 2.0 * x.reshape(1, -1)
+        elif callback == "hess_weighted":
+            ball.hess_weighted = lambda x, w: 2.0 * w[0] * np.eye(3)
+        else:
+            prog.hessian = lambda x: 2.0 * np.eye(3)
+        with pytest.raises(TypeError, match=f"ndarray, expected {expected}"):
+            solve(prog)
 
 
 class TestAssemblyPlan:
@@ -645,7 +621,7 @@ class TestAssemblyPlan:
             n = blocks.prog.dim
             eye = np.eye(n)
             Jd = np.vstack([as_dense(p, n) for p in J.parts]
-                           + [-eye[blocks.lb_idx], eye[blocks.ub_idx]])
+                           + [-eye[blocks.lb_idx]])
             ref = (Jd.T * s) @ Jd + sum(as_dense(h, n) for h in hess)
             A = np.zeros((n, n))
             A[:-1, :-1] = _band_to_dense(ab)
