@@ -16,17 +16,16 @@ from .model import (ChannelState, FeasibilityVerdict, PowerAllocation,
                     restore_feasibility, secrecy_sum, zero_power_allocation)
 from .power_dc import DcOptions, dc_allocate
 from .report import IterationRecord, RunReport
-from .solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
-                     SolverOptions, SolverResult, SymSparse, kkt_residual,
-                     solve)
+from .solver import (ConstraintBlock, SmoothConvexProgram, SolverOptions,
+                     SolverResult, kkt_residual, solve)
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 __all__ = [
     "AoOptions", "ChannelState", "ConstraintBlock", "DcOptions",
     "EvalSnapshot", "FeasibilityVerdict", "FerryResult", "IterationRecord",
-    "PowerAllocation", "RateProfile", "RowSparse", "RunReport", "Scenario",
+    "PowerAllocation", "RateProfile", "RunReport", "Scenario",
     "ScpOptions", "SmoothConvexProgram", "SolverOptions", "SolverResult",
-    "StaticGrid", "StaticResult", "SymSparse", "Trajectory",
+    "StaticGrid", "StaticResult", "Trajectory",
     "ao_optimize", "benchmark_scenario", "channel_state", "check_all",
     "check_causality", "check_mobility", "check_power_budget", "data_ferry",
     "dc_allocate", "equal_power_allocation", "evaluate", "ferry_plan",

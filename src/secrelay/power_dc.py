@@ -50,14 +50,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
 from .report import RunReport
-from .solver import (ConstraintBlock, PointCache, RowSparse,
-                     SmoothConvexProgram, SolverOptions, diag_hessian,
-                     kkt_residual, solve)
+from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
+                     SolverOptions, kkt_residual, multiplier_estimate, solve)
 
 LN2 = float(np.log(2.0))
 
@@ -66,12 +64,6 @@ LN2 = float(np.log(2.0))
 # to BOOST_MIN.
 BOOST_FIRST = 1.0
 BOOST_MIN = 1e-3
-
-# Rows within this much of their bound enter the multiplier estimate of
-# ``_certify``.  At an interior-point surrogate solution the rows that
-# are active in the limit are still slack by about the barrier parameter
-# over their multiplier; at 1e-6 the estimate misses some of them.
-ACTIVE_TOL = 1e-5
 
 # Subproblems are solved well below kkt_tol so the outer loop can keep
 # certifying progress without hitting the solver's noise floor.  tol=1e-8
@@ -99,9 +91,9 @@ class Buffer:
     held before plus what came in minus what went out.  The caller
     bounds b_j >= 0.  With each b_j at its prefix surplus
     (``surplus``) every row is tight, and b >= 0 is exactly the prefix
-    form sum_{i<=j} flow_i <= initial.  ``flow`` must return
-    ``RowSparse`` Jacobians with the same columns at every point, and
-    depend on no buffer variable.
+    form sum_{i<=j} flow_i <= initial.  ``flow`` must depend on no
+    buffer variable; the block's pattern is the flow's columns, then
+    b_j and b_{j-1}, and the flow's Hessian positions.
     """
 
     flow: ConstraintBlock
@@ -116,11 +108,9 @@ class Buffer:
     def block(self) -> ConstraintBlock:
         m, idx, flow = self.flow.m, self.idx, self.flow
         prev = np.concatenate([idx[:1], idx[:-1]])
-        cols = np.stack([idx, prev], axis=1)
         vals = np.ones((m, 2))
         vals[:, 1] = -1.0
         vals[0, 1] = 0.0       # b_{-1} is the constant ``initial``
-        joined = []            # the flow's columns, then ``cols``
 
         def value(z):
             b_prev = z[prev]
@@ -128,15 +118,13 @@ class Buffer:
             return z[idx] - b_prev + flow.value(z)
 
         def jacobian(z):
-            f = flow.jacobian(z)
-            if not joined:
-                joined.append(np.concatenate([f.cols, cols], axis=1))
-            return RowSparse(joined[0],
-                             np.concatenate([f.vals, vals], axis=1))
+            return np.concatenate([flow.jacobian(z), vals], axis=1)
 
-        return ConstraintBlock(m=m, value=value, jacobian=jacobian,
-                               hess_weighted=flow.hess_weighted,
-                               name=self.name)
+        return ConstraintBlock(
+            cols=np.concatenate([flow.cols, np.stack([idx, prev], axis=1)],
+                                axis=1),
+            value=value, jacobian=jacobian, hess_weighted=flow.hess_weighted,
+            hess_idx=flow.hess_idx, name=self.name)
 
 
 def buffer_start(surplus: np.ndarray) -> np.ndarray:
@@ -234,8 +222,6 @@ def _flow_block(pc: _Pieces, at: PointCache, out: Callable, d_out: Callable,
     the block carries the curvature of the inflow; the outflow must then
     be affine.  The terms at a point come from ``at``.
     """
-    cols = np.stack([pc.idx["pr"], pc.idx["ps"]], axis=1)
-
     def value(z):
         t = at(z)
         return out(t.pr) - t.inflow
@@ -245,21 +231,23 @@ def _flow_block(pc: _Pieces, at: PointCache, out: Callable, d_out: Callable,
         vals = np.empty((pc.n - 1, 2))
         vals[:, 0] = d_out(t.pr) * pc.u_r
         vals[:, 1] = -t.d_in
-        return RowSparse(cols, vals)
+        return vals
 
-    hw = None
+    hw = hess_idx = None
     if curved:
         def hw(z, w):
-            return diag_hessian(pc.idx["ps"], w * at(z).curv)
+            return w * at(z).curv
+        hess_idx = (pc.idx["ps"], pc.idx["ps"])
 
-    return ConstraintBlock(m=pc.n - 1, value=value, jacobian=jacobian,
-                           hess_weighted=hw)
+    return ConstraintBlock(
+        cols=np.stack([pc.idx["pr"], pc.idx["ps"]], axis=1), value=value,
+        jacobian=jacobian, hess_weighted=hw, hess_idx=hess_idx)
 
 
 def _energy_flow(pc: _Pieces, var: str) -> ConstraintBlock:
     i_p = pc.idx[var]
-    J = RowSparse(i_p[:, None], np.ones((i_p.size, 1)))
-    return ConstraintBlock(m=i_p.size, value=lambda z: z[i_p],
+    J = np.ones((i_p.size, 1))
+    return ConstraintBlock(cols=i_p[:, None], value=lambda z: z[i_p],
                            jacobian=lambda z: J)
 
 
@@ -350,8 +338,7 @@ def _build_surrogate(scn: Scenario, pc: _Pieces,
 
     def hessian(z):
         pr = at(z).pr
-        return diag_hessian(
-            i_pr, pc.grd ** 2 / (LN2 * (1.0 + pr * pc.grd) ** 2) * pc.u_r ** 2)
+        return pc.grd ** 2 / (LN2 * (1.0 + pr * pc.grd) ** 2) * pc.u_r ** 2
 
     buffers = _buffers(
         scn, pc, at,
@@ -365,7 +352,8 @@ def _build_surrogate(scn: Scenario, pc: _Pieces,
     for b in buffers:
         z0[b.idx] = buffer_start(b.surplus(z0))
     return _program(pc, buffers, objective=objective, gradient=gradient,
-                    hessian=hessian, strictly_feasible_start=z0)
+                    hessian=hessian, hess_idx=(i_pr, i_pr),
+                    strictly_feasible_start=z0)
 
 
 def _original_power_program(scn: Scenario, pc: _Pieces):
@@ -395,83 +383,18 @@ def _original_power_program(scn: Scenario, pc: _Pieces):
             buffers)
 
 
-def _multiplier_estimate(prog: SmoothConvexProgram,
-                         z: np.ndarray) -> np.ndarray:
-    """Least-squares multipliers of the rows active at z, clipped at 0.
-
-    Minimizes |grad f + J_A^T lam_A| over the rows A within ``ACTIVE_TOL``
-    of their bound (program rows with ``RowSparse`` Jacobians, then the
-    finite lower bounds, as ``kkt_residual`` orders them); every other
-    multiplier is 0.  The rows are sorted by their last column, so with
-    the slot-by-slot layout the normal matrix J_A J_A^T is banded and
-    one banded Cholesky solve (``solveh_banded``) costs O(dim).
-    """
-    lb_idx = np.flatnonzero(np.isfinite(prog.lb))
-    rows, cols, vals, last, g = [], [], [], [], []
-    start = 0
-    for b in prog.ineqs:
-        J = b.jacobian(z)
-        rows.append(np.repeat(np.arange(start, start + b.m), J.cols.shape[1]))
-        cols.append(J.cols.ravel())
-        vals.append(J.vals.ravel())
-        last.append(J.cols.max(axis=1))
-        g.append(b.value(z))
-        start += b.m
-    rows.append(np.arange(start, start + lb_idx.size))
-    cols.append(lb_idx)
-    vals.append(np.full(lb_idx.size, -1.0))
-    last.append(lb_idx)
-    g.append(prog.lb[lb_idx] - z[lb_idx])
-    rows, cols, vals, last, g = (np.concatenate(a)
-                                 for a in (rows, cols, vals, last, g))
-    lam = np.zeros(g.size)
-    active = np.flatnonzero(g >= -ACTIVE_TOL)
-    if active.size == 0:
-        return lam
-    # Band position of each active row (-1 for the others).
-    pos = np.full(g.size, -1)
-    pos[active[np.argsort(last[active], kind="stable")]] = np.arange(
-        active.size)
-    keep = pos[rows] >= 0
-    p, c, v = pos[rows[keep]], cols[keep], vals[keep]
-    # Lower band of J_A J_A^T: pairs of entries that share a column.  A
-    # row that repeats a column pairs with itself; that cross term counts
-    # twice.
-    by_col = np.argsort(c * active.size + p, kind="stable")
-    p, c, v = p[by_col], c[by_col], v[by_col]
-    pairs = [(p, p, v * v)]
-    k = 1
-    while k < c.size:
-        same = np.flatnonzero(c[k:] == c[:-k])
-        if same.size == 0:
-            break
-        hi, lo = p[same + k], p[same]
-        pairs.append((hi, lo, v[same + k] * v[same] * (1 + (hi == lo))))
-        k += 1
-    hi, lo, w = (np.concatenate(a) for a in zip(*pairs))
-    ab = np.zeros((int(np.max(hi - lo)) + 1, active.size))
-    np.add.at(ab, (hi - lo, lo), w)
-    # A tiny ridge keeps a rank-deficient active set factorable.
-    ab[0] += 1e-12 * max(float(np.max(ab[0])), 1.0)
-    rhs = -np.bincount(p, weights=v * prog.gradient(z)[c],
-                       minlength=active.size)
-    lam_a = scipy.linalg.solveh_banded(ab, rhs, lower=True)
-    lam[active] = np.maximum(lam_a[pos[active]], 0.0)
-    return lam
-
-
 def _certify(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
              pw: PowerAllocation) -> float:
     """KKT residual of pw for the true power problem ``orig``, with every
     buffer at its prefix surplus and the multipliers estimated by
-    ``_multiplier_estimate``.
+    ``solver.multiplier_estimate``.
 
     The residual is evaluated exactly (``solver.kkt_residual``), so a
     small value proves pw a KKT point whatever the estimate's quality; a
     poor estimate can only leave a KKT point uncertified.
     """
     z = _tight_point(pc, buffers, pw)
-    return kkt_residual(orig, z, _multiplier_estimate(orig, z))
+    return kkt_residual(orig, z, multiplier_estimate(orig, z))
 
 
 def _boost(scn: Scenario, traj: Trajectory, pc: _Pieces,

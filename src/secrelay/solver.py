@@ -16,23 +16,24 @@ Problems are stated in minimize convention:
 
 Constraints are supplied in vectorized blocks (value, Jacobian and a
 weighted-Hessian-sum callback) so structured subproblems stay cheap.
-Every Jacobian is a ``RowSparse`` (a few nonzeros per row) and every
-Hessian a ``SymSparse`` (lower-triangle triplets); a callback that
-returns anything else raises ``TypeError``.  An upper bound x_j <= u is
-a one-entry ``RowSparse`` row.  The Newton matrix
-J^T diag(lam / -g) J + H is assembled straight into LAPACK's lower
-banded storage and factored by ``scipy.linalg.cholesky_banded``, so a
-program whose rows each touch variables close together in the ordering
-costs O(dim) time and memory per Newton step.  Where its entries land
-depends only on the pattern: the columns of the Jacobians and the
-triplet positions of the Hessians.  A solve indexes its pattern once,
-on its first Newton step (``_Plan``: the flat band position of every
-entry), and each later step only gathers the values and scatters them
-with one ``np.bincount``; a pattern that changes costs a new plan.
-Phase I's slack enters every row: it is kept out of the band as a
-one-column border and eliminated through its scalar Schur complement,
-so phase I factors the same band; its bordered program gets its own
-plan.
+A program declares its sparsity pattern once, when it is built: each
+block the (m, k) columns of its Jacobian entries (``cols``, a few per
+row) and, if curved, the lower-triangle positions of its Hessian
+(``hess_idx``), and the program those of its objective Hessian.  The
+callbacks return the values at those positions only; a value of another
+type or shape raises ``TypeError``.  An upper bound x_j <= u is a
+one-entry row.  The Newton matrix J^T diag(lam / -g) J + H is assembled
+straight into LAPACK's lower banded storage and factored by
+``scipy.linalg.cholesky_banded``, so a program whose rows each touch
+variables close together in the ordering costs O(dim) time and memory
+per Newton step.  Where its entries land depends only on the pattern,
+so a solve copies the pattern once, indexes it on its first Newton step
+(``_Plan``: the flat band position of every entry), and each step only
+gathers the values and scatters them with one ``np.bincount``.  Phase
+I's slack enters every row: it is kept out of the band as a one-column
+border and eliminated through its scalar Schur complement, so phase I
+factors the same band; its bordered program, whose pattern is lifted by
+the slack column once, gets its own plan.
 
 Finite lower bounds never become Jacobian rows: they enter the Newton
 matrix as diagonal entries and the residuals as a scatter.  Each Newton
@@ -70,33 +71,11 @@ STALL_TOL_FACTOR = 10.0
 MU_FACTOR = 0.2
 INNER_MAX = 40
 FRAC_TO_BOUNDARY = 0.995
-
-
-@dataclass(frozen=True)
-class RowSparse:
-    """An (m, n) matrix with at most k nonzeros per row.
-
-    Row r holds ``vals[r, a]`` at column ``cols[r, a]``.  Repeated
-    columns add up, so a short row is padded by repeating one of its
-    columns with value 0.
-    """
-
-    cols: Array   # (m, k) integer
-    vals: Array   # (m, k) float
-
-
-@dataclass(frozen=True)
-class SymSparse:
-    """A symmetric matrix given by lower-triangle triplets.
-
-    ``vals[t]`` sits at (rows[t], cols[t]) with rows[t] >= cols[t], and
-    an off-diagonal entry also at its mirror position; repeated entries
-    add up.
-    """
-
-    rows: Array
-    cols: Array
-    vals: Array
+# Rows within this much of their bound enter ``multiplier_estimate``.
+# At an interior-point solution the rows that are active in the limit
+# are still slack by about the barrier parameter over their multiplier;
+# at 1e-6 the estimate misses some of them.
+ACTIVE_TOL = 1e-5
 
 
 class PointCache:
@@ -122,61 +101,76 @@ class PointCache:
         return self._value
 
 
-def diag_hessian(idx: Array, vals: Array) -> SymSparse:
-    """Diagonal matrix with ``vals`` at the positions ``idx``."""
-    idx = np.asarray(idx)
-    return SymSparse(idx, idx, np.asarray(vals, dtype=float))
-
-
-def _checked(out, kind: type, callback: str, block=None):
+def _checked(out, shape: tuple, callback: str, block=None) -> Array:
     """The output ``out`` of ``callback`` (of the ``ConstraintBlock``
-    ``block``), which must be a ``kind``."""
-    if not isinstance(out, kind):
+    ``block``), which must be an array of the declared ``shape``."""
+    if isinstance(out, np.ndarray) and out.shape == shape:
+        return out
+    where = "" if block is None else f" of block {block.name!r}"
+    got = type(out).__name__
+    if isinstance(out, np.ndarray):
+        got += f" of shape {out.shape}"
+    raise TypeError(f"{callback}{where} returned {got}, "
+                    f"expected an array of shape {shape}")
+
+
+def _positions(hess_idx, callback: str, block=None) -> tuple[Array, Array]:
+    """A copy of the (rows, cols) Hessian positions declared for
+    ``callback``."""
+    if hess_idx is None:
         where = "" if block is None else f" of block {block.name!r}"
-        raise TypeError(f"{callback}{where} returned {type(out).__name__}, "
-                        f"expected {kind.__name__}")
-    return out
-
-
-def _jacobian_of(b: ConstraintBlock, x: Array) -> RowSparse:
-    return _checked(b.jacobian(x), RowSparse, "jacobian", b)
+        raise TypeError(f"{callback}{where} is given without hess_idx")
+    rows, cols = hess_idx
+    return np.array(rows), np.array(cols)
 
 
 @dataclass
 class ConstraintBlock:
-    """A vector inequality g(x) <= 0 with m components.
+    """A vector inequality g(x) <= 0 with one component per row of
+    ``cols``.
 
-    jacobian(x) returns the (m, dim) Jacobian as a ``RowSparse`` (a
-    dense Jacobian is a ``RowSparse`` with every column in each row).
-    hess_weighted(x, w) must return sum_k w[k] * hessian(g_k)(x) as a
-    ``SymSparse``.  Affine blocks may pass hess_weighted=None.
+    ``cols`` is the (m, k) integer array of the Jacobian's columns: row r
+    has its entries at columns cols[r, 0..k-1].  Repeated columns add up,
+    so a short row is padded by repeating one of its columns with value
+    0; a dense Jacobian has every column in each row.  jacobian(x)
+    returns the (m, k) values at those positions.  A curved block also
+    declares ``hess_idx``, the (rows, cols) lower-triangle positions of
+    its Hessian (rows >= cols; an off-diagonal entry also sits at its
+    mirror position, repeated entries add up), and hess_weighted(x, w)
+    returns the values of sum_k w[k] * hessian(g_k)(x) there.  Affine
+    blocks leave both None.
 
-    Pattern: a solve indexes the Newton-matrix positions of the
-    ``RowSparse`` columns and ``SymSparse`` rows and columns once and
-    reuses them while they stay the same.  Callbacks may change them
-    from one point to the next (also by writing into an array they
-    returned before); each change costs a rebuild of that index, O(nnz).
+    The pattern is fixed: a solve copies ``cols`` and ``hess_idx`` when
+    it starts and never reads them again.
     """
 
-    m: int
+    cols: Array
     value: Callable[[Array], Array]
-    jacobian: Callable[[Array], RowSparse]
-    hess_weighted: Optional[Callable[[Array, Array], SymSparse]] = None
+    jacobian: Callable[[Array], Array]
+    hess_weighted: Optional[Callable[[Array, Array], Array]] = None
+    hess_idx: Optional[tuple[Array, Array]] = None
     name: str = ""
+
+    @property
+    def m(self) -> int:
+        """The number of rows."""
+        return len(self.cols)
 
 
 @dataclass
 class SmoothConvexProgram:
-    """``hessian(x)`` returns a ``SymSparse``; ``None`` means a zero
-    Hessian (a curved objective of a program with no rows or bounds then
-    takes about 35 step halvings per Newton step).  ``lb`` holds the
-    lower bounds (-inf where there is none); an upper bound is a
-    one-entry row of a ``ConstraintBlock``."""
+    """``hessian(x)`` returns the values of the objective Hessian at the
+    lower-triangle positions ``hess_idx`` (rows, cols), fixed like a
+    block's; ``None`` means a zero Hessian (a curved objective of a
+    program with no rows or bounds then takes about 35 step halvings per
+    Newton step).  ``lb`` holds the lower bounds (-inf where there is
+    none); an upper bound is a one-entry row of a ``ConstraintBlock``."""
 
     dim: int
     objective: Callable[[Array], float]
     gradient: Callable[[Array], Array]
-    hessian: Optional[Callable[[Array], SymSparse]] = None
+    hessian: Optional[Callable[[Array], Array]] = None
+    hess_idx: Optional[tuple[Array, Array]] = None
     ineqs: Sequence[ConstraintBlock] = field(default_factory=list)
     lb: Optional[Array] = None
     strictly_feasible_start: Optional[Array] = None
@@ -206,19 +200,41 @@ class _Blocks:
     """Program inequalities plus lower bounds, flattened into one stack.
 
     The stack is [program rows; lb_i - x_i] <= 0 over the finite lower
-    bounds.  ``jacobian`` returns the program rows only (a
-    ``_Jacobian``); ``jt``, ``jv`` and ``newton_band`` apply the full
-    stack, the bound rows (-e_i) added implicitly.
+    bounds.  The program's pattern is copied here once: each block's
+    columns (``block_cols``) and Hessian positions (``block_hess``, None
+    for an affine block), the row and column of every program-row
+    Jacobian entry, flat (``rows``, ``cols``), and all Hessian positions
+    (``hess_idx``: the objective's, then each curved block's).
+    ``jacobian`` returns the values of the program-row entries; ``jt``,
+    ``jv`` and ``newton_band`` apply the full stack, the bound rows
+    (-e_i) added implicitly.  With ``border`` the last variable is the
+    border of the Newton matrix (phase I's slack).
     """
 
-    def __init__(self, prog: SmoothConvexProgram):
-        self.prog = prog
+    def __init__(self, prog: SmoothConvexProgram, border: bool = False):
+        self.prog, self.border = prog, border
         self.blocks = list(prog.ineqs)
-        self.n_ineq = sum(b.m for b in prog.ineqs)
-        self.starts = np.cumsum([0] + [b.m for b in self.blocks])
-        # The row of each sparse Jacobian entry for the last ``kinds``,
-        # and the Newton-matrix plan of the last pattern.
-        self._rows_for: tuple = (None, None)
+        self.block_cols = [np.array(b.cols) for b in self.blocks]
+        sizes = [c.shape[0] for c in self.block_cols]
+        self.starts = np.cumsum([0] + sizes)
+        self.n_ineq = sum(sizes)
+        self.rows = np.repeat(
+            np.arange(self.n_ineq, dtype=np.int32),
+            np.repeat(np.array([c.shape[1] for c in self.block_cols],
+                               dtype=int), sizes))
+        self.cols = np.concatenate([c.ravel() for c in self.block_cols]
+                                   or [np.zeros(0, dtype=int)])
+        self.block_hess = [
+            None if b.hess_weighted is None
+            else _positions(b.hess_idx, "hess_weighted", b)
+            for b in self.blocks]
+        # Each curved block with its multipliers' slice and positions.
+        self.curved = [(b, slice(a, a + len(c)), h) for b, a, c, h in zip(
+            self.blocks, self.starts, self.block_cols, self.block_hess)
+            if h is not None]
+        self.hess_idx = [h for _, _, h in self.curved]
+        if prog.hessian is not None:
+            self.hess_idx.insert(0, _positions(prog.hess_idx, "hessian"))
         self._plan: Optional[_Plan] = None
         lb = prog.lb if prog.lb is not None else np.full(prog.dim, -np.inf)
         self.lb = np.asarray(lb, dtype=float)
@@ -230,75 +246,43 @@ class _Blocks:
         parts.append(self.lb[self.lb_idx] - x[self.lb_idx])
         return np.concatenate(parts)
 
-    def jacobian(self, x: Array) -> "_Jacobian":
-        """Jacobian of the program rows."""
-        parts = [_jacobian_of(b, x) for b in self.blocks]
-        kinds = tuple(p.cols.shape[1] for p in parts)
-        if kinds != self._rows_for[0]:
-            self._rows_for = (kinds, np.repeat(
-                np.arange(self.n_ineq, dtype=np.int32),
-                np.repeat(np.array(kinds, dtype=int), np.diff(self.starts))))
-        cols = np.concatenate([p.cols.ravel() for p in parts]
-                              or [np.zeros(0, dtype=int)])
-        vals = np.concatenate([p.vals.ravel() for p in parts]
-                              or [np.zeros(0)])
-        return _Jacobian(parts, kinds, self._rows_for[1], cols, vals)
+    def jacobian(self, x: Array) -> Array:
+        """Values of the program-row Jacobian entries, flat."""
+        return np.concatenate(
+            [_checked(b.jacobian(x), c.shape, "jacobian", b).ravel()
+             for b, c in zip(self.blocks, self.block_cols)] or [np.zeros(0)])
 
-    def jt(self, J: "_Jacobian", w: Array) -> Array:
-        """Full-stack J^T w."""
-        out = np.bincount(J.cols, weights=J.vals * w[J.rows],
+    def hessians(self, x: Array, lam: Array) -> list:
+        """Values of the objective Hessian and of each curved block's
+        weighted Hessian at (x, lam), in the order of ``hess_idx``."""
+        out = []
+        if self.prog.hessian is not None:
+            out.append(_checked(self.prog.hessian(x),
+                                self.hess_idx[0][0].shape, "hessian"))
+        return out + [_checked(b.hess_weighted(x, lam[rows]), idx[0].shape,
+                               "hess_weighted", b)
+                      for b, rows, idx in self.curved]
+
+    def jt(self, J: Array, w: Array) -> Array:
+        """Full-stack J^T w, J the program-row values."""
+        out = np.bincount(self.cols, weights=J * w[self.rows],
                           minlength=self.prog.dim).astype(float, copy=False)
         out[self.lb_idx] -= w[self.n_ineq:]
         return out
 
-    def jv(self, J: "_Jacobian", v: Array) -> Array:
-        """Full-stack J v."""
-        out = np.bincount(J.rows, weights=J.vals * v[J.cols],
+    def jv(self, J: Array, v: Array) -> Array:
+        """Full-stack J v, J the program-row values."""
+        out = np.bincount(self.rows, weights=J * v[self.cols],
                           minlength=self.n_ineq).astype(float, copy=False)
         return np.concatenate([out, -v[self.lb_idx]])
 
-    def newton_band(self, J: "_Jacobian", s: Array, hess: list,
-                    border: bool = False):
-        """Full-stack J^T diag(s) J plus the ``SymSparse`` Hessian parts
-        ``hess`` in banded storage, see ``_Plan.band``.
-
-        The plan of the last call is reused while the pattern stays the
-        same and rebuilt when it changed.
-        """
-        if self._plan is None or not self._plan.fits(J, hess, border):
-            self._plan = _Plan(self, J, hess, border)
+    def newton_band(self, J: Array, s: Array, hess: list):
+        """Full-stack J^T diag(s) J plus the Hessian values ``hess`` in
+        banded storage, see ``_Plan.band``; the plan is built on the
+        first call."""
+        if self._plan is None:
+            self._plan = _Plan(self)
         return self._plan.band(J, s, hess)
-
-    def hess_weighted(self, x: Array, w: Array) -> list:
-        return [_checked(b.hess_weighted(x, w[a:a + b.m]), SymSparse,
-                         "hess_weighted", b)
-                for b, a in zip(self.blocks, self.starts)
-                if b.hess_weighted is not None]
-
-
-@dataclass(frozen=True)
-class _Jacobian:
-    """Program-row Jacobian: per-block ``RowSparse`` parts and their
-    kinds (entries per row); and their entries flat (row, column,
-    value), so J^T w and J v take one ``bincount`` each."""
-
-    parts: list
-    kinds: tuple
-    rows: Array
-    cols: Array
-    vals: Array
-
-
-def _pattern(J: _Jacobian, hess: list) -> tuple:
-    """What fixes where the Newton-matrix entries land: the Jacobian
-    kinds and columns and the triplet positions of each Hessian.  The
-    index arrays enter as shapes, dtypes and one joined bytes object:
-    quick to compare, and immune to later writes into the arrays."""
-    index = [J.cols]
-    for h in hess:
-        index += [h.rows, h.cols]
-    shapes = tuple((a.shape, a.dtype) for a in index)
-    return J.kinds, shapes, b"".join([a.tobytes() for a in index])
 
 
 def _row_pairs(cols: Array, itype) -> tuple[Array, Array]:
@@ -310,24 +294,22 @@ def _row_pairs(cols: Array, itype) -> tuple[Array, Array]:
 
 
 class _Plan:
-    """Flat band positions of every Newton-matrix entry of one pattern.
+    """Flat band positions of every Newton-matrix entry of a program.
 
     The entries, in order: J[r, a] s[r] J[r, b] for each row r of the
     Jacobian and each pair of its entries with cols[a] >= cols[b]; the
-    bound diagonal; the triplets of each Hessian.  ``band`` assembles
-    any Newton point of the same pattern (``fits``) from gathers of its
-    values and one ``np.bincount``.
+    bound diagonal; the positions of each Hessian.  ``band`` assembles
+    any Newton point from gathers of its values and one ``np.bincount``.
     """
 
-    def __init__(self, blocks: _Blocks, J: _Jacobian, hess: list,
-                 border: bool):
-        dim = blocks.prog.dim
+    def __init__(self, blocks: _Blocks):
+        dim, border = blocks.prog.dim, blocks.border
         nb = dim - 1 if border else dim
         # int32 positions halve the plan's memory while they cannot overflow.
-        itype = (np.int32 if max(dim * dim, J.vals.size) < 2 ** 31
+        itype = (np.int32 if max(dim * dim, blocks.cols.size) < 2 ** 31
                  else np.intp)
-        self.n_ineq, self.border, self.nb = blocks.n_ineq, border, nb
-        self.pattern = _pattern(J, hess)
+        self.rows, self.n_ineq = blocks.rows, blocks.n_ineq
+        self.border, self.nb = border, nb
         idx, self.bw = [], 0
 
         def place(i, j):
@@ -345,11 +327,11 @@ class _Plan:
                 self.bw = max(self.bw, int(off.max()))
             idx.append(pos.astype(itype))
 
-        # Entry pairs of the rows, as flat positions in J.vals.
+        # Entry pairs of the rows, as flat positions in the values.
         fa, fb, at = [], [], 0
-        for p in J.parts:
-            pa, pb = _row_pairs(p.cols, itype)
-            cf = p.cols.ravel()
+        for cols in blocks.block_cols:
+            pa, pb = _row_pairs(cols, itype)
+            cf = cols.ravel()
             place(cf[pa], cf[pb])
             fa.append(pa + at)
             fb.append(pb + at)
@@ -357,22 +339,18 @@ class _Plan:
         self.fa = np.concatenate(fa or [np.zeros(0, dtype=itype)])
         self.fb = np.concatenate(fb or [np.zeros(0, dtype=itype)])
         place(blocks.lb_idx, blocks.lb_idx)
-        for h in hess:
-            place(h.rows, h.cols)
+        for rows, cols in blocks.hess_idx:
+            place(rows, cols)
         self.idx = np.concatenate(idx)
         self.size = (self.bw + 1) * nb + (nb + 1 if border else 0)
 
-    def fits(self, J: _Jacobian, hess: list, border: bool) -> bool:
-        return border == self.border and _pattern(J, hess) == self.pattern
-
-    def band(self, J: _Jacobian, s: Array, hess: list):
+    def band(self, J: Array, s: Array, hess: list):
         """(ab, c, d): ``ab[i - j, j] = A[i, j]`` in LAPACK lower banded
         storage for the leading block and, with a border, the last row
         split off as the vector ``c`` and the corner scalar ``d``."""
         nb = self.nb
-        sv = s[J.rows] * J.vals
-        vals = [sv[self.fa] * J.vals[self.fb], s[self.n_ineq:]]
-        vals += [h.vals for h in hess]
+        sv = s[self.rows] * J
+        vals = [sv[self.fa] * J[self.fb], s[self.n_ineq:]] + hess
         # Empty weights give an int64 count; the band is float.
         out = np.bincount(self.idx, weights=np.concatenate(vals),
                           minlength=self.size).astype(float, copy=False)
@@ -429,14 +407,16 @@ def _interior_values(blocks: _Blocks, x: Array) -> Optional[Array]:
     return g if g.size == 0 or float(np.max(g)) < 0.0 else None
 
 
-def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
-               opts: SolverOptions) -> tuple[Optional[Array], Optional[Array]]:
+def _phase_one(blocks: _Blocks, opts: SolverOptions
+               ) -> tuple[Optional[Array], Optional[Array]]:
     """Find a strictly feasible point by minimizing the max violation.
 
     Returns the point and its constraint values, or (None, None).  The
     slack is the last variable of the auxiliary program and the border
-    of its Newton matrix.
+    of its Newton matrix; the auxiliary rows are the stack's, each with
+    the slack's -1 appended to the copied pattern.
     """
+    prog = blocks.prog
     dim = prog.dim
     if prog.strictly_feasible_start is not None:
         x0 = np.asarray(prog.strictly_feasible_start, dtype=float).copy()
@@ -453,69 +433,54 @@ def _phase_one(prog: SmoothConvexProgram, blocks: _Blocks,
     s_start = s0 + max(1.0, 0.1 * abs(s0))
     scale = max(1.0, abs(s0))
 
-    def with_slack(J: RowSparse) -> RowSparse:
-        m = J.cols.shape[0]
-        return RowSparse(np.concatenate([J.cols, np.full((m, 1), dim)], 1),
-                         np.concatenate([J.vals, np.full((m, 1), -1.0)], 1))
+    def lifted(cols: Array) -> Array:
+        return np.concatenate([cols, np.full((len(cols), 1), dim)], 1)
 
-    def lift_block(b: ConstraintBlock) -> ConstraintBlock:
-        hw = None
-        if b.hess_weighted is not None:
-            def hw(z, w, _b=b):
-                return _b.hess_weighted(z[:dim], w)
+    def lift_block(b: ConstraintBlock, cols: Array, hess) -> ConstraintBlock:
+        slack = np.full((len(cols), 1), -1.0)
         return ConstraintBlock(
-            m=b.m, value=lambda z: b.value(z[:dim]) - z[dim],
-            jacobian=lambda z: with_slack(_jacobian_of(b, z[:dim])),
-            hess_weighted=hw, name=b.name + "+slack")
+            cols=lifted(cols), value=lambda z: b.value(z[:dim]) - z[dim],
+            jacobian=lambda z: np.concatenate([_checked(
+                b.jacobian(z[:dim]), cols.shape, "jacobian", b), slack], 1),
+            hess_weighted=None if hess is None else (
+                lambda z, w: b.hess_weighted(z[:dim], w)),
+            hess_idx=hess, name=b.name + "+slack")
 
-    lifted = [lift_block(b) for b in blocks.blocks]
+    lifted_blocks = [lift_block(*a) for a in zip(
+        blocks.blocks, blocks.block_cols, blocks.block_hess)]
     # Bound rows of the original program, lifted with the same slack.
     if lbi.size:
-        bounds_J = with_slack(RowSparse(lbi[:, None],
-                                        np.full((lbi.size, 1), -1.0)))
-        lifted.append(ConstraintBlock(
-            m=lbi.size, value=lambda z: blocks.lb[lbi] - z[lbi] - z[dim],
+        bounds_J = np.full((lbi.size, 2), -1.0)
+        lifted_blocks.append(ConstraintBlock(
+            cols=lifted(lbi[:, None]),
+            value=lambda z: blocks.lb[lbi] - z[lbi] - z[dim],
             jacobian=lambda z: bounds_J, name="bounds+slack"))
 
     aux = SmoothConvexProgram(
         dim=dim + 1,
         objective=lambda z: float(z[dim]),
         gradient=lambda z: np.concatenate([np.zeros(dim), [1.0]]),
-        ineqs=lifted,
+        ineqs=lifted_blocks,
         lb=np.concatenate([np.full(dim, -np.inf), [-scale]]),
-        strictly_feasible_start=np.concatenate([x0, [s_start]]),
     )
     p1_opts = dataclasses.replace(opts, tol=max(opts.tol, 1e-8))
-    res = _solve_interior(aux, p1_opts,
-                          stop_early=lambda z: z[dim] < -1e-6 * scale,
-                          border=True)
+    res = _solve_interior(_Blocks(aux, border=True), p1_opts,
+                          np.concatenate([x0, [s_start]]),
+                          stop_early=lambda z: z[dim] < -1e-6 * scale)
     x_found = res.x_opt[:dim]
     g = _interior_values(blocks, x_found)
     return (None, None) if g is None else (x_found, g)
 
 
-def _newton_matrix(prog: SmoothConvexProgram, blocks: _Blocks, x: Array,
-                   J: _Jacobian, lam: Array, sigma: Array,
-                   border: bool):
-    """Banded J^T diag(sigma) J + objective and constraint Hessians."""
-    hess = [] if prog.hessian is None else [
-        _checked(prog.hessian(x), SymSparse, "hessian")]
-    return blocks.newton_band(J, sigma, hess + blocks.hess_weighted(x, lam),
-                              border)
-
-
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
-                    x0: Optional[Array] = None, g0: Optional[Array] = None,
-                    stop_early=None, border: bool = False) -> SolverResult:
+def _solve_interior(blocks: _Blocks, opts: SolverOptions, x0: Array,
+                    g0: Optional[Array] = None,
+                    stop_early=None) -> SolverResult:
     """Path-following primal-dual loop from a strictly feasible x0.
 
     ``g0`` holds the constraint values at x0 when the caller has them.
-    With ``border`` the last variable is solved as a border of the band.
     """
-    blocks = _Blocks(prog)
-    if x0 is None:
-        x0 = np.asarray(prog.strictly_feasible_start, dtype=float)
+    prog = blocks.prog
     x = x0.copy()
     # Derivatives and residuals at x; each later point gets them from its
     # line search.
@@ -545,7 +510,7 @@ def _solve_interior(prog: SmoothConvexProgram, opts: SolverOptions,
             sigma = lam / np.maximum(-g, 1e-300)
             rhs = -r_dual - blocks.jt(J, r_cent / g)
             dx, _ = _factor_solve(
-                *_newton_matrix(prog, blocks, x, J, lam, sigma, border), rhs)
+                *blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs)
             if dx is None:
                 status = "numerical_failure"
                 stalled = True
@@ -652,14 +617,14 @@ def _solve(prog: SmoothConvexProgram, opts: SolverOptions) -> SolverResult:
         if g0 is not None:
             x0 = cand
     if x0 is None:
-        x0, g0 = _phase_one(prog, blocks, opts)
+        x0, g0 = _phase_one(blocks, opts)
         if x0 is None:
             return SolverResult(
                 x_opt=np.zeros(prog.dim), duals=np.zeros(blocks.n_ineq),
                 bound_duals=np.zeros(blocks.lb_idx.size),
                 status="infeasible", kkt_residual=np.inf, iterations=0,
                 objective_value=np.nan)
-    return _solve_interior(prog, opts, x0=x0, g0=g0)
+    return _solve_interior(blocks, opts, x0, g0)
 
 
 def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
@@ -677,3 +642,59 @@ def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
     g = blocks.value(x)
     r_dual = prog.gradient(x) + blocks.jt(blocks.jacobian(x), lam)
     return _kkt_residual_raw(r_dual, g, lam)
+
+
+def multiplier_estimate(prog: SmoothConvexProgram, x: Array) -> Array:
+    """Least-squares multipliers of the rows active at x, clipped at 0.
+
+    Minimizes |grad f + J_A^T lam_A| over the rows A of the stack
+    (program rows, then the finite lower bounds, in the order of
+    ``kkt_residual``'s duals) within ``ACTIVE_TOL`` of their bound;
+    every other multiplier is 0 (Nocedal & Wright, *Numerical
+    Optimization*, §12.3).  The rows are sorted by their last column, so
+    for a program whose rows each touch variables close together the
+    normal matrix J_A J_A^T is banded and one banded Cholesky solve
+    (``solveh_banded``) costs O(dim).
+    """
+    blocks = _Blocks(prog)
+    lb_idx = blocks.lb_idx
+    g = blocks.value(x)
+    rows = np.concatenate([blocks.rows, np.arange(blocks.n_ineq, blocks.m)])
+    cols = np.concatenate([blocks.cols, lb_idx])
+    vals = np.concatenate([blocks.jacobian(x), np.full(lb_idx.size, -1.0)])
+    last = np.concatenate([c.max(axis=1) for c in blocks.block_cols]
+                          + [lb_idx])
+    lam = np.zeros(g.size)
+    active = np.flatnonzero(g >= -ACTIVE_TOL)
+    if active.size == 0:
+        return lam
+    # Band position of each active row (-1 for the others).
+    pos = np.full(g.size, -1)
+    pos[active[np.argsort(last[active], kind="stable")]] = np.arange(
+        active.size)
+    keep = pos[rows] >= 0
+    p, c, v = pos[rows[keep]], cols[keep], vals[keep]
+    # Lower band of J_A J_A^T: pairs of entries that share a column.  A
+    # row that repeats a column pairs with itself; that cross term counts
+    # twice.
+    by_col = np.argsort(c * active.size + p, kind="stable")
+    p, c, v = p[by_col], c[by_col], v[by_col]
+    pairs = [(p, p, v * v)]
+    k = 1
+    while k < c.size:
+        same = np.flatnonzero(c[k:] == c[:-k])
+        if same.size == 0:
+            break
+        hi, lo = p[same + k], p[same]
+        pairs.append((hi, lo, v[same + k] * v[same] * (1 + (hi == lo))))
+        k += 1
+    hi, lo, w = (np.concatenate(a) for a in zip(*pairs))
+    ab = np.zeros((int(np.max(hi - lo)) + 1, active.size))
+    np.add.at(ab, (hi - lo, lo), w)
+    # A tiny ridge keeps a rank-deficient active set factorable.
+    ab[0] += 1e-12 * max(float(np.max(ab[0])), 1.0)
+    rhs = -np.bincount(p, weights=v * prog.gradient(x)[c],
+                       minlength=active.size)
+    lam_a = scipy.linalg.solveh_banded(ab, rhs, lower=True)
+    lam[active] = np.maximum(lam_a[pos[active]], 0.0)
+    return lam

@@ -47,9 +47,8 @@ from .model import (PowerAllocation, Scenario, Trajectory,
                     restore_feasibility)
 from .power_dc import LN2, Buffer, buffer_start
 from .report import RunReport
-from .solver import (ConstraintBlock, PointCache, RowSparse,
-                     SmoothConvexProgram, SolverOptions, SymSparse,
-                     diag_hessian, solve)
+from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
+                     SolverOptions, solve)
 
 
 SUBPROBLEM = SolverOptions(tol=1e-6)
@@ -292,17 +291,18 @@ def _causality_buffers(it: TrajIterate, lay: _Layout,
             vals[rows, 0] = -g_act / (LN2 * a * (a + g_act)) * h2
             vals[:, 1] = c_r * (2 * t.delta[:-1] + g_x) * h
             vals[:, 2] = c_r * (2 * t.xi[:-1] + g_y) * h
-            return RowSparse(cols, vals)
+            return vals
 
         def hess_weighted(z, w):
             a = getattr(at(z), a_name)
             hs = w[rows] * (g_act * (2 * a + g_act)
                             / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2)
             dq = 2.0 * c_r * w * h * h
-            return diag_hessian(hess_idx, np.concatenate([hs, dq, dq]))
+            return np.concatenate([hs, dq, dq])
 
-        return ConstraintBlock(m=lay.n - 1, value=value, jacobian=jacobian,
-                               hess_weighted=hess_weighted)
+        return ConstraintBlock(cols=cols, value=value, jacobian=jacobian,
+                               hess_weighted=hess_weighted,
+                               hess_idx=(hess_idx, hess_idx))
 
     return [Buffer(flow(lay.i_eps, "eps"), lay.i_bob, "bob_causality",
                    initial=CAUS_RELAX),
@@ -354,7 +354,7 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     def hessian(z):
         a = at(z).a_tau
         ht = g_act * (2 * a + g_act) / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2
-        return diag_hessian(hess_idx, np.concatenate([dd0, dd0, ht]))
+        return np.concatenate([dd0, dd0, ht])
 
     blocks = []
 
@@ -392,7 +392,7 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         vals[:n - 1] = np.stack([-ddx, ddx, -ddy, ddy], axis=1)
         vals[n - 1:, 0] = 2 * (t.px[a_idx] - a_xy[:, 0])
         vals[n - 1:, 1] = 2 * (t.py[a_idx] - a_xy[:, 1])
-        return RowSparse(mob_cols, vals)
+        return vals
 
     def mob_hess(z, w):
         dd = np.zeros(n)
@@ -400,12 +400,13 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         dd[:-1] += 2 * w[:n - 1]
         np.add.at(dd, a_idx, 2 * w[n - 1:])
         off = -2 * w[:n - 1]
-        return SymSparse(mob_rows, mob_cols_h,
-                         np.concatenate([dd, dd, off, off]))
+        return np.concatenate([dd, dd, off, off])
 
-    blocks.append(ConstraintBlock(m=m_mob, value=mob_value,
+    blocks.append(ConstraintBlock(cols=mob_cols, value=mob_value,
                                   jacobian=mob_jacobian,
-                                  hess_weighted=mob_hess, name="mobility"))
+                                  hess_weighted=mob_hess,
+                                  hess_idx=(mob_rows, mob_cols_h),
+                                  name="mobility"))
 
     # --- causality: Bob's and Eve's relay buffers ---
     buffers = _causality_buffers(it, lay, at)
@@ -414,9 +415,7 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     # --- affine couplings: tau <= zeta_lb, eps <= eta_lb ---
     def couple_factory(i_slack, grad, which):
         gx, gy = grad[0][act], grad[1][act]    # d bound / d delta, xi
-        J = RowSparse(np.stack([i_slack, i_d[act], i_x[act]], axis=1),
-                      np.stack([np.ones(lay.na), -gx * h / h2, -gy * h / h2],
-                               axis=1))
+        J = np.stack([np.ones(lay.na), -gx * h / h2, -gy * h / h2], axis=1)
         name = which + "_lb"
 
         def value(z):
@@ -429,8 +428,9 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
             ("tau_le_zeta", lay.i_tau, it.grad_zeta, "zeta"),
             ("eps_le_eta", lay.i_eps, it.grad_eta, "eta")):
         val, jac = couple_factory(i_slack, grad, which)
-        blocks.append(ConstraintBlock(m=lay.na, value=val, jacobian=jac,
-                                      name=nm))
+        blocks.append(ConstraintBlock(
+            cols=np.stack([i_slack, i_d[act], i_x[act]], axis=1), value=val,
+            jacobian=jac, name=nm))
 
     lb = np.full(lay.dim, -np.inf)
     lb[lay.i_eps] = lb[lay.i_tau] = SLACK_LB
@@ -454,7 +454,8 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
 
     return SmoothConvexProgram(
         dim=lay.dim, objective=objective, gradient=gradient, hessian=hessian,
-        ineqs=blocks, lb=lb, strictly_feasible_start=z0)
+        hess_idx=(hess_idx, hess_idx), ineqs=blocks, lb=lb,
+        strictly_feasible_start=z0)
 
 
 def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,

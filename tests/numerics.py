@@ -1,5 +1,5 @@
-"""Test-only numerics for solver programs: dense forms of sparse
-callback outputs, scalar constraint blocks and bound rows,
+"""Test-only numerics for solver programs: dense forms of callback
+values at their declared pattern, scalar constraint blocks and bound rows,
 finite-difference derivative checks, a sampled convexity check, and the
 bytes of every callback output and of every point the callbacks see."""
 from __future__ import annotations
@@ -9,43 +9,41 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from secrelay.solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
-                             SymSparse)
+from secrelay.solver import ConstraintBlock, SmoothConvexProgram
 
 Array = np.ndarray
 
 
-def as_dense(a, n: int) -> Array:
-    """A callback's Jacobian (m, n) or Hessian (n, n) as a dense array.
+def as_dense(pattern, vals: Array, n: int) -> Array:
+    """Callback values at their pattern as a dense array: Jacobian values
+    at the (m, k) columns ``pattern`` as an (m, n) array, or Hessian
+    values at the positions ``pattern`` = (rows, cols) as an (n, n) one.
 
-    Repeated entries of a ``RowSparse`` or ``SymSparse`` add up; an
-    off-diagonal ``SymSparse`` entry also sits at its mirror position.
+    Repeated entries add up; an off-diagonal Hessian entry also sits at
+    its mirror position.
     """
-    if isinstance(a, RowSparse):
-        out = np.zeros((a.cols.shape[0], n))
-        np.add.at(out, (np.arange(a.cols.shape[0])[:, None], a.cols),
-                  a.vals)
+    if not isinstance(pattern, tuple):
+        cols = np.asarray(pattern)
+        out = np.zeros((cols.shape[0], n))
+        np.add.at(out, (np.arange(cols.shape[0])[:, None], cols), vals)
         return out
+    rows, cols = (np.asarray(a) for a in pattern)
     out = np.zeros((n, n))
-    np.add.at(out, (a.rows, a.cols), a.vals)
-    off = a.rows != a.cols
-    np.add.at(out, (a.cols[off], a.rows[off]), a.vals[off])
+    np.add.at(out, (rows, cols), vals)
+    off = rows != cols
+    np.add.at(out, (cols[off], rows[off]), vals[off])
     return out
 
 
 def scalar_ineq(value: Callable[[Array], float],
-                grad: Callable[[Array], Array],
+                grad: Callable[[Array], Array], dim: int,
                 name: str = "") -> ConstraintBlock:
-    """Wrap a single affine scalar constraint g(x) <= 0 as a block whose
-    Jacobian is one ``RowSparse`` row over every variable."""
-    def jacobian(x):
-        row = np.asarray(grad(x), dtype=float).reshape(1, -1)
-        return RowSparse(np.arange(row.shape[1])[None, :], row)
-
+    """Wrap a single affine scalar constraint g(x) <= 0 over ``dim``
+    variables as a block whose Jacobian is one row over every variable."""
     return ConstraintBlock(
-        m=1,
+        cols=np.arange(dim)[None, :],
         value=lambda x: np.atleast_1d(np.asarray(value(x), dtype=float)),
-        jacobian=jacobian,
+        jacobian=lambda x: np.asarray(grad(x), dtype=float).reshape(1, -1),
         name=name,
     )
 
@@ -55,8 +53,8 @@ def bound_rows(bound: Array, sign: float = 1.0) -> ConstraintBlock:
     with one entry: upper bounds with sign 1, lower bounds with -1."""
     bound = np.asarray(bound, dtype=float)
     idx = np.flatnonzero(np.isfinite(bound))
-    J = RowSparse(idx[:, None], np.full((idx.size, 1), sign))
-    return ConstraintBlock(m=idx.size,
+    J = np.full((idx.size, 1), sign)
+    return ConstraintBlock(cols=idx[:, None],
                            value=lambda x: sign * (x[idx] - bound[idx]),
                            jacobian=lambda x: J,
                            name="ub" if sign > 0 else "lb")
@@ -84,7 +82,7 @@ def verify_derivatives(prog: SmoothConvexProgram, x: Array,
     worst = max(worst, rel(float(np.max(np.abs(grad - fd_grad))),
                            float(np.max(np.abs(grad), initial=0.0))))
     if prog.hessian is not None:
-        H = as_dense(prog.hessian(x), dim)
+        H = as_dense(prog.hess_idx, prog.hessian(x), dim)
         fd_H = np.zeros((dim, dim))
         for i in range(dim):
             e = np.zeros(dim)
@@ -95,7 +93,10 @@ def verify_derivatives(prog: SmoothConvexProgram, x: Array,
                                float(np.max(np.abs(H), initial=0.0))))
 
     for b in prog.ineqs:
-        J = as_dense(b.jacobian(x), dim)
+        def jac(y, b=b):
+            return as_dense(b.cols, b.jacobian(y), dim)
+
+        J = jac(x)
         fd_J = np.zeros_like(J)
         for i in range(dim):
             e = np.zeros(dim)
@@ -105,14 +106,12 @@ def verify_derivatives(prog: SmoothConvexProgram, x: Array,
                                float(np.max(np.abs(J), initial=0.0))))
         if b.hess_weighted is not None:
             w = np.ones(b.m)
-            Hw = as_dense(b.hess_weighted(x, w), dim)
+            Hw = as_dense(b.hess_idx, b.hess_weighted(x, w), dim)
             fd_Hw = np.zeros((dim, dim))
             for i in range(dim):
                 e = np.zeros(dim)
                 e[i] = h
-                fd_Hw[:, i] = (as_dense(b.jacobian(x + e), dim).T @ w
-                               - as_dense(b.jacobian(x - e), dim).T @ w
-                               ) / (2 * h)
+                fd_Hw[:, i] = (jac(x + e).T @ w - jac(x - e).T @ w) / (2 * h)
             fd_Hw = 0.5 * (fd_Hw + fd_Hw.T)
             worst = max(worst, rel(float(np.max(np.abs(Hw - fd_Hw))),
                                    float(np.max(np.abs(Hw), initial=0.0))))
@@ -125,27 +124,20 @@ def spot_check_convexity(prog: SmoothConvexProgram, points: Sequence[Array],
     for x in points:
         mats = []
         if prog.hessian is not None:
-            mats.append(as_dense(prog.hessian(x), prog.dim))
+            mats.append(as_dense(prog.hess_idx, prog.hessian(x), prog.dim))
         for b in prog.ineqs:
             if b.hess_weighted is not None:
                 for k in range(b.m):
                     w = np.zeros(b.m)
                     w[k] = 1.0
-                    mats.append(as_dense(b.hess_weighted(x, w), prog.dim))
+                    mats.append(as_dense(b.hess_idx, b.hess_weighted(x, w),
+                                         prog.dim))
         for H in mats:
             scale = max(1.0, float(np.max(np.abs(H))))
             ev = np.linalg.eigvalsh(0.5 * (H + H.T))
             if ev.min() < -tol_scale * scale:
                 return False
     return True
-
-
-def _as_bytes(out) -> bytes:
-    if isinstance(out, RowSparse):
-        return out.cols.tobytes() + out.vals.tobytes()
-    if isinstance(out, SymSparse):
-        return out.rows.tobytes() + out.cols.tobytes() + out.vals.tobytes()
-    return np.asarray(out, dtype=float).tobytes()
 
 
 def callback_outputs(prog: SmoothConvexProgram, z: Array,
@@ -167,7 +159,8 @@ def callback_outputs(prog: SmoothConvexProgram, z: Array,
                           lambda x, b=b, w=w: b.hess_weighted(x, w)))
     if reverse:
         calls.reverse()
-    return {name: _as_bytes(fn(z)) for name, fn in calls}
+    return {name: np.asarray(fn(z), dtype=float).tobytes()
+            for name, fn in calls}
 
 
 def record_points(prog: SmoothConvexProgram

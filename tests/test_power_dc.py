@@ -11,12 +11,12 @@ from conftest import (assert_wall_times, fail_power_solves,
                       small_scenario, stage_programs)
 from numerics import (as_dense, callback_outputs, record_points,
                       verify_derivatives)
-from secrelay import benchmark_scenario, model, power_dc
+from secrelay import benchmark_scenario, model, power_dc, solver
 from secrelay.model import PowerAllocation, Scenario, Trajectory
 from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
                                buffer_start, build_dc_surrogate, dc_allocate)
-from secrelay.solver import (ConstraintBlock, RowSparse, SmoothConvexProgram,
-                             solve)
+from secrelay.solver import (ConstraintBlock, SmoothConvexProgram,
+                             multiplier_estimate, solve)
 from secrelay.trajectory_scp import restore_feasibility
 
 # The surrogate program works on scaled variables p_s[1..N-1]/u_s and
@@ -466,31 +466,31 @@ class TestStartCertificate:
         orig, buffers = power_dc._original_power_program(scn, pc)
         z = power_dc._tight_point(pc, buffers, pw)
         has_lb = np.isfinite(orig.lb)
-        J = np.vstack([as_dense(b.jacobian(z), orig.dim) for b in orig.ineqs]
+        J = np.vstack([as_dense(b.cols, b.jacobian(z), orig.dim)
+                       for b in orig.ineqs]
                       + [-np.eye(orig.dim)[has_lb]])
         g = np.concatenate([b.value(z) for b in orig.ineqs]
                            + [orig.lb[has_lb] - z[has_lb]])
-        active = g >= -power_dc.ACTIVE_TOL
+        active = g >= -solver.ACTIVE_TOL
         ref = np.zeros(g.size)
         ref[active] = np.maximum(np.linalg.lstsq(
             J[active].T, -orig.gradient(z), rcond=None)[0], 0.0)
-        lam = power_dc._multiplier_estimate(orig, z)
+        lam = multiplier_estimate(orig, z)
         np.testing.assert_allclose(lam, ref, rtol=0.0, atol=1e-6)
         assert np.all(lam[~active] == 0.0)
 
     def test_repeated_columns_add_up(self):
-        """A ``RowSparse`` row that repeats a column holds the sum of its
-        entries there: J = [[3, 0], [1, 1]], stationary at lam = (1, 2)."""
+        """A row that repeats a column holds the sum of its entries there:
+        J = [[3, 0], [1, 1]], stationary at lam = (1, 2)."""
         block = ConstraintBlock(
-            m=2, value=lambda z: np.zeros(2),
-            jacobian=lambda z: RowSparse(np.array([[0, 0], [0, 1]]),
-                                         np.array([[1.0, 2.0], [1.0, 1.0]])))
+            cols=np.array([[0, 0], [0, 1]]), value=lambda z: np.zeros(2),
+            jacobian=lambda z: np.array([[1.0, 2.0], [1.0, 1.0]]))
         prog = SmoothConvexProgram(
             dim=2, objective=lambda z: 0.0,
             gradient=lambda z: np.array([-5.0, -2.0]), ineqs=[block],
             lb=np.full(2, -np.inf))
         np.testing.assert_allclose(
-            power_dc._multiplier_estimate(prog, np.zeros(2)), [1.0, 2.0],
+            multiplier_estimate(prog, np.zeros(2)), [1.0, 2.0],
             rtol=1e-9)
 
     @pytest.mark.parametrize("xy, start, end", [
@@ -532,9 +532,8 @@ def _fixed_flow_buffer(flow, initial):
     m = len(flow)
     f = np.asarray(flow, dtype=float)
     block = ConstraintBlock(
-        m=m, value=lambda z: f,
-        jacobian=lambda z: RowSparse(np.zeros((m, 1), dtype=int),
-                                     np.zeros((m, 1))))
+        cols=np.zeros((m, 1), dtype=int), value=lambda z: f,
+        jacobian=lambda z: np.zeros((m, 1)))
     return Buffer(block, np.arange(m), "buffer", initial=initial)
 
 

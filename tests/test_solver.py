@@ -10,10 +10,10 @@ from numerics import (as_dense, bound_rows, record_points, scalar_ineq,
                       spot_check_convexity, verify_derivatives)
 from secrelay import _blas, solver
 from secrelay.model import PowerAllocation
-from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock, RowSparse,
-                             SmoothConvexProgram, SolverOptions, SymSparse,
-                             _Blocks, _factor_solve, _interior_values,
-                             diag_hessian, kkt_residual, solve)
+from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock,
+                             SmoothConvexProgram, SolverOptions, _Blocks,
+                             _factor_solve, _interior_values, kkt_residual,
+                             solve)
 
 LN2 = float(np.log(2.0))
 
@@ -26,7 +26,8 @@ def _quadratic_with_floor(scale=1.0):
         dim=1,
         objective=lambda x: float(scale * x[0] ** 2),
         gradient=lambda x: np.array([2.0 * scale * x[0]]),
-        hessian=lambda x: diag_hessian([0], [2.0 * scale]),
+        hessian=lambda x: np.array([2.0 * scale]),
+        hess_idx=([0], [0]),
         lb=np.array([1.0]),
         strictly_feasible_start=np.array([3.0]),
     )
@@ -54,7 +55,8 @@ class TestAnalytic:
             dim=2,
             objective=lambda x: float((x[0] - 1) ** 2 + 2 * (x[1] + 3) ** 2),
             gradient=lambda x: np.array([2 * (x[0] - 1), 4 * (x[1] + 3)]),
-            hessian=lambda x: diag_hessian([0, 1], [2.0, 4.0]),
+            hessian=lambda x: np.array([2.0, 4.0]),
+            hess_idx=([0, 1], [0, 1]),
         )
         x = np.array([0.5, 0.0])
         grad = prog.gradient(x)
@@ -75,8 +77,8 @@ class TestAnalytic:
             dim=3,
             objective=lambda x: float(np.sum(np.exp(x)) - b @ x),
             gradient=lambda x: np.exp(x) - b,
-            hessian=((lambda x: diag_hessian(np.arange(3), np.exp(x)))
-                     if with_hessian else None))
+            hessian=np.exp if with_hessian else None,
+            hess_idx=(np.arange(3), np.arange(3)))
         res = solve(prog)
         assert res.status == "optimal"
         np.testing.assert_allclose(res.x_opt, np.log(b), rtol=0, atol=1e-5)
@@ -114,22 +116,21 @@ def _boxed_program(explicit_bounds=False):
     lb = np.array([-1.0, -np.inf, -0.2])
     ub = np.array([0.6, 0.5, np.inf])
     ball = ConstraintBlock(
-        m=1, value=lambda x: np.array([x @ x - 4.0]),
-        jacobian=lambda x: RowSparse(np.arange(3)[None, :], 2.0 * x[None, :]),
-        hess_weighted=lambda x, w: diag_hessian(np.arange(3),
-                                                np.full(3, 2.0 * w[0])),
-        name="ball")
+        cols=np.arange(3)[None, :], value=lambda x: np.array([x @ x - 4.0]),
+        jacobian=lambda x: 2.0 * x[None, :],
+        hess_weighted=lambda x, w: np.full(3, 2.0 * w[0]),
+        hess_idx=(np.arange(3), np.arange(3)), name="ball")
     ineqs = [ball, bound_rows(ub)]
     if explicit_bounds:
         ineqs.append(bound_rows(lb, -1.0))
     # Lower triangle of [[2, 0.5, 0], [0.5, 2, 0], [0, 0, 2]].
-    hess = SymSparse(np.array([0, 1, 1, 2]), np.array([0, 0, 1, 2]),
-                     np.array([2.0, 0.5, 2.0, 2.0]))
+    hess = np.array([2.0, 0.5, 2.0, 2.0])
     return SmoothConvexProgram(
         dim=3,
         objective=lambda x: float((x - c) @ (x - c) + 0.5 * x[0] * x[1]),
         gradient=lambda x: 2.0 * (x - c) + 0.5 * np.array([x[1], x[0], 0.0]),
         hessian=lambda x: hess,
+        hess_idx=(np.array([0, 1, 1, 2]), np.array([0, 0, 1, 2])),
         ineqs=ineqs,
         lb=None if explicit_bounds else lb,
         strictly_feasible_start=np.array([0.1, 0.0, 0.3]),
@@ -152,7 +153,8 @@ class TestImplicitBounds:
         lam = np.concatenate([res.duals, res.bound_duals])
         # Dense stack: program rows, then -e_i for finite lb.
         lbi = np.flatnonzero(np.isfinite(prog.lb))
-        J = np.vstack([as_dense(b.jacobian(x), 3) for b in prog.ineqs]
+        J = np.vstack([as_dense(b.cols, b.jacobian(x), 3)
+                       for b in prog.ineqs]
                       + [-np.eye(3)[lbi]])
         g = np.concatenate([b.value(x) for b in prog.ineqs]
                            + [prog.lb[lbi] - x[lbi]])
@@ -227,9 +229,10 @@ class TestSlackLogTerm:
             objective=lambda z: float(f(z[0] * s)),
             gradient=lambda z: np.array(
                 [-g * s / (LN2 * (h2 + z[0] * s) * (h2 + z[0] * s + g))]),
-            hessian=lambda z: diag_hessian(
-                [0], [g * s * s * (2 * (h2 + z[0] * s) + g)
-                      / (LN2 * ((h2 + z[0] * s) * (h2 + z[0] * s + g)) ** 2)]),
+            hessian=lambda z: np.array(
+                [g * s * s * (2 * (h2 + z[0] * s) + g)
+                 / (LN2 * ((h2 + z[0] * s) * (h2 + z[0] * s + g)) ** 2)]),
+            hess_idx=([0], [0]),
             ineqs=[bound_rows(np.array([c / s]))],
             lb=np.array([0.0]),
             strictly_feasible_start=np.array([0.5 * c / s]),
@@ -271,9 +274,10 @@ class TestPhaseOne:
             dim=1,
             objective=lambda x: float(x[0]),
             gradient=lambda x: np.array([1.0]),
-            hessian=lambda x: diag_hessian([0], [0.0]),
+            hessian=lambda x: np.array([0.0]),
+            hess_idx=([0], [0]),
             ineqs=[scalar_ineq(lambda x: x[0] - 1.0,
-                               lambda x: np.array([1.0]))],
+                               lambda x: np.array([1.0]), 1)],
             lb=np.array([2.0]),     # x >= 2 and x <= 1: empty
         )
         res = solve(prog)
@@ -301,11 +305,12 @@ def _random_two_var_family(rng):
         gradient=lambda x: np.array([
             2 * a * x[0] + b,
             -g / (LN2 * (h2 + x[1]) * (h2 + x[1] + g))]),
-        hessian=lambda x: diag_hessian([0, 1], [
+        hessian=lambda x: np.array([
             2 * a, g * (2 * (h2 + x[1]) + g)
             / (LN2 * ((h2 + x[1]) * (h2 + x[1] + g)) ** 2)]),
+        hess_idx=([0, 1], [0, 1]),
         ineqs=[scalar_ineq(lambda x: x[1] - (e0 + f * x[0]),
-                           lambda x: np.array([-f, 1.0])),
+                           lambda x: np.array([-f, 1.0]), 2),
                bound_rows(np.array([hi, np.inf]))],
         lb=np.array([lo, 0.0]),
         strictly_feasible_start=np.array([0.0, min(0.5, 0.5 * e0)]),
@@ -371,7 +376,7 @@ class TestDeterminismAndMonotonicity:
 
         prog = SmoothConvexProgram(
             dim=1, objective=objective, gradient=base.gradient,
-            hessian=base.hessian, lb=base.lb,
+            hessian=base.hessian, hess_idx=base.hess_idx, lb=base.lb,
             strictly_feasible_start=base.strictly_feasible_start)
         assert solve(prog).status == "optimal"
         assert seen and all(n == [1] * len(controls) for n in seen)
@@ -439,20 +444,35 @@ def _count_plans(monkeypatch):
     built = []
 
     class Counting(solver._Plan):
-        def __init__(self, blocks, J, hess, border):
-            built.append(border)
-            super().__init__(blocks, J, hess, border)
+        def __init__(self, blocks):
+            built.append(blocks.border)
+            super().__init__(blocks)
 
     monkeypatch.setattr(solver, "_Plan", Counting)
     return built
 
 
-def _random_row_sparse(rng, m, dim, k, width):
-    """Rows of k nonzeros within a window of ``width`` columns; columns
-    may repeat within a row."""
+def _random_pattern(rng, m, dim, k, width):
+    """Columns and values of rows of k entries within a window of
+    ``width`` columns; columns may repeat within a row."""
     lo = rng.integers(0, dim - width + 1, m)
-    return RowSparse(lo[:, None] + rng.integers(0, width, (m, k)),
-                     rng.normal(size=(m, k)))
+    return (lo[:, None] + rng.integers(0, width, (m, k)),
+            rng.normal(size=(m, k)))
+
+
+def _random_hessian(rng, dim, width, n):
+    """Lower-triangle positions and values of n entries within ``width``
+    of the diagonal."""
+    rows = rng.integers(0, dim, n)
+    return ((rows, np.maximum(rows - rng.integers(0, width, n), 0)),
+            rng.normal(size=n))
+
+
+def _dense_stack(blocks, J, n):
+    """The full stack's dense Jacobian from the program-row values J."""
+    out = np.zeros((blocks.n_ineq, n))
+    np.add.at(out, (blocks.rows, blocks.cols), J)
+    return np.vstack([out, -np.eye(n)[blocks.lb_idx]])
 
 
 class TestBandedNewton:
@@ -461,128 +481,151 @@ class TestBandedNewton:
     def test_band_matches_dense_reference(self):
         rng = np.random.default_rng(11)
         dim, width = 30, 5
-        blocks_J = [_random_row_sparse(rng, m, dim, k, width)
+        blocks_J = [_random_pattern(rng, m, dim, k, width)
                     for m, k in ((25, 3), (10, 5), (4, 1))]
         lb = np.where(rng.uniform(size=dim) < 0.5, 0.0, -np.inf)
         ub = np.where(rng.uniform(size=dim) < 0.3, 1.0, np.inf)
         upper = bound_rows(ub)
+        H_idx, H = _random_hessian(rng, dim, width, 40)
         prog = SmoothConvexProgram(
             dim=dim, objective=lambda x: 0.0,
             gradient=lambda x: np.zeros(dim),
-            ineqs=[ConstraintBlock(m=J.cols.shape[0], value=None,
-                                   jacobian=lambda x, J=J: J)
-                   for J in blocks_J] + [upper],
+            hessian=lambda x: H, hess_idx=H_idx,
+            ineqs=[ConstraintBlock(cols=c, value=None,
+                                   jacobian=lambda x, v=v: v)
+                   for c, v in blocks_J] + [upper],
             lb=lb)
         blocks = _Blocks(prog)
         s = rng.uniform(0.1, 10.0, blocks.m)
-        rows = rng.integers(0, dim, 40)
-        H = SymSparse(rows, np.maximum(rows - rng.integers(0, width, 40), 0),
-                      rng.normal(size=40))
-        J = blocks.jacobian(np.zeros(dim))
-        ab, c, d = blocks.newton_band(J, s, [H])
+        x = np.zeros(dim)
+        ab, c, d = blocks.newton_band(blocks.jacobian(x), s,
+                                      blocks.hessians(x, s))
         assert ab.shape[0] <= width
         # Dense reference: program rows (upper bounds last), then -e_i for
         # lb.
-        Jd = np.vstack([as_dense(p, dim) for p in blocks_J]
-                       + [as_dense(upper.jacobian(None), dim),
+        Jd = np.vstack([as_dense(c, v, dim) for c, v in blocks_J]
+                       + [as_dense(upper.cols, upper.jacobian(None), dim),
                           -np.eye(dim)[blocks.lb_idx]])
-        ref = (Jd.T * s) @ Jd + as_dense(H, dim)
+        ref = (Jd.T * s) @ Jd + as_dense(H_idx, H, dim)
         np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
                                    atol=1e-12 * np.max(np.abs(ref)))
 
-    def test_changed_pattern_rebuilds_plan(self, monkeypatch):
-        """A block whose columns change between Newton points, also when
-        written in place into the array it returned before, and a Hessian
-        whose positions change get a new plan; the band matches the dense
-        reference at every point."""
+    def test_pattern_copied_once(self, monkeypatch):
+        """A block whose ``jacobian`` callback overwrites the block's
+        ``cols`` and ``hess_idx`` arrays on every call still gets the band
+        of the pattern declared when the solve started, at every Newton
+        point, from one plan."""
         built = _count_plans(monkeypatch)
         rng = np.random.default_rng(14)
         dim, width, m = 30, 5, 20
-        J_at = [_random_row_sparse(rng, m, dim, k, width) for k in (3, 3, 4)]
-        assert not np.array_equal(J_at[0].cols, J_at[1].cols)
-        H_at = []
-        for _ in J_at:
-            rows = rng.integers(0, dim, 15)
-            H_at.append(SymSparse(
-                rows, np.maximum(rows - rng.integers(0, width, 15), 0),
-                rng.normal(size=15)))
-        shared = np.empty((m, 3), dtype=int)
+        cols0, _ = _random_pattern(rng, m, dim, 3, width)
+        (rows0, hcols0), _ = _random_hessian(rng, dim, width, 15)
+        cols, hess_idx = cols0.copy(), (rows0.copy(), hcols0.copy())
+        J_at = [rng.normal(size=(m, 3)) for _ in range(3)]
+        H_at = [rng.normal(size=15) for _ in range(3)]
 
         def jacobian(x):
-            J = J_at[int(x[0])]
-            if J.cols.shape != shared.shape:
-                return J
-            shared[:] = J.cols
-            return RowSparse(shared, J.vals)
+            cols[:] = _random_pattern(rng, m, dim, 3, width)[0]
+            for a in hess_idx:
+                a[:] = rng.integers(0, dim, a.size)
+            return J_at[int(x[0])]
 
         prog = SmoothConvexProgram(
             dim=dim, objective=lambda x: 0.0,
             gradient=lambda x: np.zeros(dim),
-            ineqs=[ConstraintBlock(m=m, value=None, jacobian=jacobian)],
+            ineqs=[ConstraintBlock(
+                cols=cols, value=None, jacobian=jacobian,
+                hess_weighted=lambda x, w: H_at[int(x[0])],
+                hess_idx=hess_idx)],
             lb=np.zeros(dim))
         blocks = _Blocks(prog)
         s = rng.uniform(0.1, 10.0, blocks.m)
         eye = np.eye(dim)
         for point in (0, 1, 1, 2, 0):
-            J = blocks.jacobian(np.full(dim, float(point)))
-            ab, _, _ = blocks.newton_band(J, s, [H_at[point]])
-            Jd = np.vstack([as_dense(J_at[point], dim), -eye])
-            ref = (Jd.T * s) @ Jd + as_dense(H_at[point], dim)
+            x = np.full(dim, float(point))
+            ab, _, _ = blocks.newton_band(blocks.jacobian(x), s,
+                                          blocks.hessians(x, s))
+            assert not np.array_equal(cols, cols0)
+            Jd = np.vstack([as_dense(cols0, J_at[point], dim), -eye])
+            ref = ((Jd.T * s) @ Jd
+                   + as_dense((rows0, hcols0), H_at[point], dim))
             np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
-        # The repeated point 1 reuses its plan; every other point rebuilds.
-        assert built == [False] * 4
+        assert built == [False]
 
     def test_border_solve_matches_dense_solve(self):
         """Phase I's slack column: a border eliminated by its Schur
         complement gives the dense solution."""
         rng = np.random.default_rng(12)
         dim = 25                      # the border is variable dim - 1
-        J = _random_row_sparse(rng, 40, dim - 1, 3, 4)
-        J = RowSparse(np.concatenate([J.cols, np.full((40, 1), dim - 1)], 1),
-                      np.concatenate([J.vals, np.full((40, 1), -1.0)], 1))
+        cols, vals = _random_pattern(rng, 40, dim - 1, 3, 4)
+        cols = np.concatenate([cols, np.full((40, 1), dim - 1)], 1)
+        vals = np.concatenate([vals, np.full((40, 1), -1.0)], 1)
+        diag = np.arange(dim - 1)
+        H = rng.uniform(0.1, 1.0, dim - 1)
         prog = SmoothConvexProgram(
             dim=dim, objective=lambda x: 0.0,
             gradient=lambda x: np.zeros(dim),
-            ineqs=[ConstraintBlock(m=40, value=None, jacobian=lambda x: J)])
-        blocks = _Blocks(prog)
+            hessian=lambda x: H, hess_idx=(diag, diag),
+            ineqs=[ConstraintBlock(cols=cols, value=None,
+                                   jacobian=lambda x: vals)])
+        blocks = _Blocks(prog, border=True)
         s = rng.uniform(0.5, 2.0, 40)
-        H = SymSparse(np.arange(dim - 1), np.arange(dim - 1),
-                      rng.uniform(0.1, 1.0, dim - 1))
-        ab, c, d = blocks.newton_band(blocks.jacobian(np.zeros(dim)), s, [H],
-                                      border=True)
+        ab, c, d = blocks.newton_band(blocks.jacobian(np.zeros(dim)), s, [H])
         assert ab.shape == (4, dim - 1)
         rhs = rng.normal(size=dim)
         dx, reg = _factor_solve(ab, c, d, rhs)
-        Jd = as_dense(J, dim)
-        ref = (Jd.T * s) @ Jd + as_dense(H, dim)
+        Jd = as_dense(cols, vals, dim)
+        ref = (Jd.T * s) @ Jd + as_dense((diag, diag), H, dim)
         assert reg == 0.0
         np.testing.assert_allclose(dx, np.linalg.solve(ref, rhs),
                                    rtol=1e-10, atol=1e-10)
 
 
 class TestCallbackTypes:
-    """Jacobians are ``RowSparse`` and Hessians ``SymSparse``; a dense
-    array from any callback is refused where it enters the solver."""
+    """Callbacks return value arrays of the declared shape; anything
+    else is refused, naming the callback, its block and the shape."""
 
-    @pytest.mark.parametrize("callback, start, expected", [
-        ("jacobian", [0.1, 0.0, 0.3], "RowSparse"),
-        ("jacobian", [5.0, 5.0, 5.0], "RowSparse"),     # phase I runs
-        ("hess_weighted", [0.1, 0.0, 0.3], "SymSparse"),
-        ("hessian", [0.1, 0.0, 0.3], "SymSparse")])
-    def test_dense_output_raises_type_error(self, callback, start,
-                                            expected):
+    INTERIOR, OUTSIDE = [0.1, 0.0, 0.3], [5.0, 5.0, 5.0]
+
+    @pytest.mark.parametrize("block, callback, start, returns, message", [
+        pytest.param(
+            0, "jacobian", INTERIOR, lambda x: 2.0 * x,
+            "jacobian of block 'ball' returned ndarray of shape (3,), "
+            "expected an array of shape (1, 3)", id="jacobian-wrong-shape"),
+        pytest.param(
+            1, "jacobian", INTERIOR, lambda x: np.eye(3)[:2],
+            "jacobian of block 'ub' returned ndarray of shape (2, 3), "
+            "expected an array of shape (2, 1)", id="jacobian-dense"),
+        pytest.param(
+            1, "jacobian", OUTSIDE, lambda x: np.eye(3)[:2],
+            "jacobian of block 'ub' returned ndarray of shape (2, 3), "
+            "expected an array of shape (2, 1)",
+            id="jacobian-dense-phase-one"),
+        pytest.param(
+            0, "jacobian", INTERIOR,
+            lambda x: (np.arange(3)[None, :], 2.0 * x[None, :]),
+            "jacobian of block 'ball' returned tuple, "
+            "expected an array of shape (1, 3)", id="jacobian-cols-vals"),
+        pytest.param(
+            0, "hess_weighted", INTERIOR,
+            lambda x, w: 2.0 * w[0] * np.eye(3),
+            "hess_weighted of block 'ball' returned ndarray of shape "
+            "(3, 3), expected an array of shape (3,)",
+            id="hess_weighted-dense"),
+        pytest.param(
+            None, "hessian", INTERIOR, lambda x: 2.0 * np.eye(3),
+            "hessian returned ndarray of shape (3, 3), "
+            "expected an array of shape (4,)", id="hessian-dense")])
+    def test_wrong_output_raises_type_error(self, block, callback, start,
+                                            returns, message):
         prog = _boxed_program()
         prog.strictly_feasible_start = np.array(start)
-        ball = prog.ineqs[0]
-        if callback == "jacobian":
-            ball.jacobian = lambda x: 2.0 * x.reshape(1, -1)
-        elif callback == "hess_weighted":
-            ball.hess_weighted = lambda x, w: 2.0 * w[0] * np.eye(3)
-        else:
-            prog.hessian = lambda x: 2.0 * np.eye(3)
-        with pytest.raises(TypeError, match=f"ndarray, expected {expected}"):
+        setattr(prog if block is None else prog.ineqs[block], callback,
+                returns)
+        with pytest.raises(TypeError) as err:
             solve(prog)
+        assert str(err.value) == message
 
 
 class TestAssemblyPlan:
@@ -606,9 +649,9 @@ class TestAssemblyPlan:
         seen = []
         real = _Blocks.newton_band
 
-        def recording(blocks, J, s, hess, border=False):
-            out = real(blocks, J, s, hess, border)
-            if border:
+        def recording(blocks, J, s, hess):
+            out = real(blocks, J, s, hess)
+            if blocks.border:
                 seen.append((blocks, J, s.copy(), hess, out))
             return out
 
@@ -619,10 +662,9 @@ class TestAssemblyPlan:
         rng = np.random.default_rng(15)
         for blocks, J, s, hess, (ab, c, d) in seen:
             n = blocks.prog.dim
-            eye = np.eye(n)
-            Jd = np.vstack([as_dense(p, n) for p in J.parts]
-                           + [-eye[blocks.lb_idx]])
-            ref = (Jd.T * s) @ Jd + sum(as_dense(h, n) for h in hess)
+            Jd = _dense_stack(blocks, J, n)
+            ref = (Jd.T * s) @ Jd + sum(as_dense(idx, h, n) for idx, h
+                                        in zip(blocks.hess_idx, hess))
             A = np.zeros((n, n))
             A[:-1, :-1] = _band_to_dense(ab)
             A[-1, :-1] = A[:-1, -1] = c
