@@ -13,8 +13,8 @@ from pathlib import Path
 
 from secrelay import model
 from secrelay.cli import benchmark_scenario, write_report_json, write_trajectory_csv
-from secrelay.trajectory_scp import (ScpOptions, initial_trajectory,
-                                     restore_feasibility, scp_optimize)
+from secrelay.model import restore_feasibility
+from secrelay.trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 
 def main() -> None:

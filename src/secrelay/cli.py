@@ -331,8 +331,9 @@ def cmd_ao(scn, run, out_dir, args) -> int:
     tol = opts.dc.feas_tol
     traj, pw, report = ao_optimize(scn, opts=opts)
     if report.status == "inner_stage_failure":
-        print(f"numerical failure in the power stage: "
-              f"{report.sub_reports[-1].status}", file=sys.stderr)
+        failed = report.sub_reports[-1]
+        print(f"numerical failure in stage {failed.stage}: {failed.status}",
+              file=sys.stderr)
         write_report_json(out_dir / "report.json", scn, run, report, traj,
                           pw, tol, time.perf_counter() - t0)
         return EXIT_NUMERICAL
@@ -344,9 +345,6 @@ def cmd_trajectory(scn, run, out_dir, args) -> int:
     opts = _options(run)
     tol = opts.dc.feas_tol
     traj0, pw = _load_traj(scn, args, tol)
-    if not model.check_causality(scn, traj0, pw, tol=tol).feasible:
-        # The stage would optimize rescaled powers, not the ones written.
-        raise ValueError("input powers violate information causality")
     cb = None
     if run.get("save_iterates"):
         cb = _iterate_snapshot_writer(scn, pw, out_dir)

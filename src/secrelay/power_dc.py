@@ -20,8 +20,8 @@ from the last surrogate solution instead.
 
 Before the first surrogate is built, ``_certify`` checks the start: it
 estimates the multipliers of the true power problem by least squares
-over the nearly active rows (Nocedal & Wright, *Numerical Optimization*,
-§12.3) and evaluates the exact KKT residual.  A start within ``kkt_tol``
+over the nearly active rows (``solver.multiplier_estimate``) and
+evaluates the exact KKT residual.  A start within ``kkt_tol``
 is returned unchanged without a solve.  Otherwise the stage returns the
 last surrogate solution, certified with its own solve's duals, or the
 start when the first step does not improve on it.

@@ -43,8 +43,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import model
-from .model import (PowerAllocation, Scenario, Trajectory,
-                    restore_feasibility)
+from .model import PowerAllocation, Scenario, Trajectory
 from .power_dc import LN2, Buffer, buffer_start
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
@@ -464,6 +463,9 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
                  ) -> tuple[Trajectory, RunReport]:
     """Sequential convex steps on the trajectory at fixed powers.
 
+    Raises ``ValueError`` when ``traj_0`` violates mobility or ``pw``
+    violates information causality on it at ``opts.feas_tol``; the
+    caller restores the powers (``model.restore_feasibility``).
     ``iteration_callback(traj)``, when given, is invoked with each
     accepted trajectory iterate (e.g. to snapshot the evolution).
     """
@@ -472,9 +474,10 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
 
     if not model.check_mobility(scn, traj_0, tol=opts.feas_tol).feasible:
         raise ValueError("initial trajectory violates mobility constraints")
-    pw_in = pw
-    pw = restore_feasibility(scn, traj_0, pw, tol=opts.feas_tol)
-    report.extras["power_rescaled"] = pw is not pw_in
+    verdict = model.check_causality(scn, traj_0, pw, tol=opts.feas_tol)
+    if not verdict.feasible:
+        raise ValueError(f"input powers violate information causality by "
+                         f"{verdict.worst:.3e}")
 
     it = make_iterate(scn, traj_0, pw)
     report.add(it.objective, feasible=True)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
-                            benchmark_scenario, equal_power_allocation)
+                            benchmark_scenario, equal_power_allocation,
+                            restore_feasibility)
 from secrelay.power_dc import build_dc_surrogate
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
-                                     make_iterate, restore_feasibility)
+                                     make_iterate)
 
 
 def small_scenario(**overrides) -> Scenario:

@@ -16,12 +16,13 @@ from secrelay import cli, model
 from secrelay.ao import ao_optimize
 from secrelay.baselines import data_ferry, static_relay_best, transit_slot_count
 from secrelay.cli import benchmark_scenario
-from secrelay.model import PowerAllocation, Scenario, Trajectory
+from secrelay.model import (PowerAllocation, Scenario, Trajectory,
+                            restore_feasibility)
 from secrelay.power_dc import build_dc_surrogate, dc_allocate
 from secrelay.trajectory_scp import (ScpOptions, build_subproblem,
                                      initial_trajectory, make_iterate,
                                      rate_lower_bounds, distance_lower_bounds,
-                                     restore_feasibility, scp_optimize)
+                                     scp_optimize)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -162,6 +162,20 @@ class TestExitCodes:
         assert "solver_numerical_failure" in capsys.readouterr().err
 
 
+    def test_ao_names_failed_trajectory_stage(self, tmp_path, capsys,
+                                              monkeypatch):
+        """An AO run that ends on a failed trajectory stage exits 4 and
+        names that stage, not the power stage."""
+        from conftest import fail_trajectory_solves
+        fail_trajectory_solves(monkeypatch)
+        cfg = _write(tmp_path, SMALL)
+        rc = cli.main(["ao", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "stage trajectory_scp: solver_numerical_failure" in err
+        assert "power" not in err
+
+
 class TestArtifacts:
     def test_trajectory_run_artifacts(self, tmp_path, capsys):
         doc = dict(SMALL, run={"save_iterates": True, "max_iter": 8})

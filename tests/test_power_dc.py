@@ -12,12 +12,12 @@ from conftest import (assert_wall_times, fail_power_solves,
 from numerics import (as_dense, callback_outputs, record_points,
                       verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc, solver
-from secrelay.model import PowerAllocation, Scenario, Trajectory
+from secrelay.model import (PowerAllocation, Scenario, Trajectory,
+                            restore_feasibility)
 from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
                                buffer_start, build_dc_surrogate, dc_allocate)
 from secrelay.solver import (ConstraintBlock, SmoothConvexProgram,
                              multiplier_estimate, solve)
-from secrelay.trajectory_scp import restore_feasibility
 
 # The surrogate program works on scaled variables p_s[1..N-1]/u_s and
 # p_r[2..N]/u_r with the equal-power scales u, laid out slot by slot
@@ -157,7 +157,6 @@ class TestPointCache:
 
 def _feasible_random_power(rng, scn, traj):
     """Random power allocation repaired to satisfy budgets and causality."""
-    from secrelay.trajectory_scp import restore_feasibility
     n = scn.n_slots
     p_s = rng.uniform(0.0, 1.0, n)
     p_s *= n * scn.p_bar_s / max(np.sum(p_s), 1e-12) * rng.uniform(0.3, 1.0)

@@ -9,13 +9,13 @@ from conftest import (assert_wall_times, random_feasible_trajectory,
                       stage_programs)
 from numerics import callback_outputs, record_points, verify_derivatives
 from secrelay import benchmark_scenario, model, trajectory_scp
-from secrelay.model import PowerAllocation, Scenario, Trajectory
+from secrelay.model import (PowerAllocation, Scenario, Trajectory,
+                            restore_feasibility)
 from secrelay.solver import solve
 from secrelay.trajectory_scp import (CAUS_RELAX, _causality_buffers, _Layout,
                                      build_subproblem, distance_lower_bounds,
                                      initial_trajectory, make_iterate,
-                                     rate_lower_bounds, restore_feasibility,
-                                     scp_optimize)
+                                     rate_lower_bounds, scp_optimize)
 
 
 class TestInitialTrajectory:
@@ -496,6 +496,19 @@ class TestScpOptimize:
         assert out is traj
         assert report.status == "converged"
         assert report.final_objective == 0.0
+
+    def test_causality_violating_powers_raise(self):
+        """Equal power on the T = 40 s hover start breaks information
+        causality: the stage raises instead of optimizing other powers
+        than the ones it was given."""
+        scn = benchmark_scenario(40.0, 2.0)
+        traj = initial_trajectory(scn)
+        pw = model.equal_power_allocation(scn)
+        opts = trajectory_scp.ScpOptions()
+        assert not model.check_causality(scn, traj, pw,
+                                         tol=opts.feas_tol).feasible
+        with pytest.raises(ValueError, match="causality"):
+            scp_optimize(scn, pw, traj, opts=opts)
 
     def test_monotone_feasible_ascent(self, rng):
         for _ in range(3):
