@@ -216,7 +216,7 @@ class _Blocks:
         self.blocks = list(prog.ineqs)
         self.block_cols = [np.array(b.cols) for b in self.blocks]
         sizes = [c.shape[0] for c in self.block_cols]
-        self.starts = np.cumsum([0] + sizes)
+        starts = np.cumsum([0] + sizes)
         self.n_ineq = sum(sizes)
         self.rows = np.repeat(
             np.arange(self.n_ineq, dtype=np.int32),
@@ -230,7 +230,7 @@ class _Blocks:
             for b in self.blocks]
         # Each curved block with its multipliers' slice and positions.
         self.curved = [(b, slice(a, a + len(c)), h) for b, a, c, h in zip(
-            self.blocks, self.starts, self.block_cols, self.block_hess)
+            self.blocks, starts, self.block_cols, self.block_hess)
             if h is not None]
         self.hess_idx = [h for _, _, h in self.curved]
         if prog.hessian is not None:
