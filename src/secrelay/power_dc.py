@@ -20,8 +20,8 @@ from the last surrogate solution instead.
 
 Before the first surrogate is built, ``_certify`` checks the start: it
 estimates the multipliers of the true power problem by least squares
-over the nearly active rows (``solver.multiplier_estimate``) and
-evaluates the exact KKT residual.  A start within ``kkt_tol``
+over the nearly active rows and evaluates the exact KKT residual
+(``solver.certify``).  A start within ``kkt_tol``
 is returned unchanged without a solve.  Otherwise the stage returns the
 last surrogate solution, certified with its own solve's duals, or the
 start when the first step does not improve on it.
@@ -33,9 +33,10 @@ The power budgets use the same form on the remaining energy
 r_j = N p_bar - e_j of the cumulative energy e_j >= e_{j-1} + p_j, with
 only r_{N-2} >= 0 bounded.  The variables are laid out slot by slot, so
 every row touches two neighbouring slots and the solver's Newton matrix
-is banded.  The start keeps near-equal source power and a tiny relay
-power and puts each buffer at ``buffer_start`` of its prefix surpluses,
-strictly inside whenever the prefix constraints hold strictly there.
+is banded.  Each surrogate starts strictly inside: the source powers of
+the linearization point moved a thousandth of the way to a near-equal
+level, a tiny relay power, and each buffer at ``buffer_start`` of its
+prefix surpluses (``_build_surrogate`` gives the argument).
 
 Each program computes its per-point terms once per point: the powers
 from the scaled variables, the relay inflow log2(1 + p_s g_ar), its
@@ -55,7 +56,7 @@ from . import model
 from .model import PowerAllocation, Scenario, Trajectory
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
-                     SolverOptions, kkt_residual, multiplier_estimate, solve)
+                     SolverOptions, certify, kkt_residual, solve)
 
 LN2 = float(np.log(2.0))
 
@@ -315,6 +316,22 @@ def build_dc_surrogate(scn: Scenario, traj: Trajectory,
 
 def _build_surrogate(scn: Scenario, pc: _Pieces,
                      pw_k: PowerAllocation) -> SmoothConvexProgram:
+    """The surrogate at pw_k with a strictly feasible start.
+
+    In scaled powers the start is (1 - t) A + t B, t = 1e-3, with A =
+    (source of pw_k, relay 1e-6) and B = (source 0.9, relay 1e-6).  Every
+    positivity bound is slack there, and so are the budgets whenever pw_k
+    spends less than 1 + t / 10 times the source budget.  A causality
+    prefix F is convex in the powers, so F(start) <= (1 - t) F(A) +
+    t F(B).  The outflow is the tangent at pw_k, so F(A) is pw_k's own
+    prefix excess (at most the tolerance it was accepted at) minus the
+    tangent slope c times the cut in relay power.  As c p_r >= t
+    log2(1 + g p_r) while g p_r < e^500, F(start) <= (1 - t) excess +
+    sum (c 1e-6 - t inflow at source 0.9): negative when a thousandth of
+    the inflow at 0.9 outweighs the start's relay outflow and pw_k's
+    excess over every prefix.  The buffers at ``buffer_start`` then
+    leave every row slack.
+    """
     i_pr = pc.idx["pr"]
     prk = pw_k.p_r[1:]
     c_d = pc.grd / (LN2 * (1.0 + prk * pc.grd))
@@ -344,10 +361,8 @@ def _build_surrogate(scn: Scenario, pc: _Pieces,
         scn, pc, at,
         (lambda pr: bob_const + c_d * pr, lambda pr: c_d),
         (lambda pr: eve_const + c_e * pr, lambda pr: c_e), curved=True)
-    # Near-equal source power, tiny relay power: strictly inside the
-    # budgets and (usually) the linearized causality prefixes.
     z0 = np.zeros(pc.dim)
-    z0[pc.idx["ps"]] = 0.9
+    z0[pc.idx["ps"]] = (1.0 - 1e-3) * pw_k.p_s[:-1] / pc.u_s + 1e-3 * 0.9
     z0[i_pr] = 1e-6
     for b in buffers:
         z0[b.idx] = buffer_start(b.surplus(z0))
@@ -384,17 +399,16 @@ def _original_power_program(scn: Scenario, pc: _Pieces):
 
 
 def _certify(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
-             pw: PowerAllocation) -> float:
+             pw: PowerAllocation, duals: Optional[np.ndarray] = None) -> float:
     """KKT residual of pw for the true power problem ``orig``, with every
-    buffer at its prefix surplus and the multipliers estimated by
-    ``solver.multiplier_estimate``.
+    buffer at its prefix surplus (``solver.certify``): the smaller of the
+    residuals with least-squares multipliers and with ``duals``.
 
-    The residual is evaluated exactly (``solver.kkt_residual``), so a
-    small value proves pw a KKT point whatever the estimate's quality; a
-    poor estimate can only leave a KKT point uncertified.
+    The residual is evaluated exactly, so a small value proves pw a KKT
+    point whatever the estimate's quality; a poor estimate can only leave
+    a KKT point uncertified.
     """
-    z = _tight_point(pc, buffers, pw)
-    return kkt_residual(orig, z, multiplier_estimate(orig, z))
+    return certify(orig, _tight_point(pc, buffers, pw), duals)
 
 
 def _boost(scn: Scenario, traj: Trajectory, pc: _Pieces,
@@ -497,9 +511,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             # can miss rows that are only nearly active.  The attempt
             # goes to the extras: ``iterations`` holds accepted iterates
             # only.
-            kkt_kept = min(
-                _certify(pc, orig, orig_buffers, pw),
-                kkt_residual(orig, _tight_point(pc, orig_buffers, pw), duals))
+            kkt_kept = _certify(pc, orig, orig_buffers, pw, duals)
             report.extras["rejected_step"] = {
                 "objective": obj_new, "subproblem_kkt": res.kkt_residual,
                 "subproblem_iters": res.iterations, "kept_kkt": kkt_kept}

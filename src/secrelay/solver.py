@@ -4,11 +4,14 @@ Replaces the off-the-shelf convex-programming call of the outer
 algorithms with a primal-dual interior-point method: damped Newton steps
 on the perturbed KKT system, barrier parameter reduced geometrically,
 fraction-to-boundary rule on the multipliers (``MU_FACTOR``,
-``INNER_MAX``, ``FRAC_TO_BOUNDARY``).  Infeasible starts go through a
-phase-I that minimizes the maximum constraint violation with the same
-machinery.  A program without inequalities or finite bounds runs the
-same loop: its barrier terms are empty, so each step is a damped Newton
-step on the gradient (regularized when there is no Hessian).
+``INNER_MAX``, ``FRAC_TO_BOUNDARY``).  Every program brings a strictly
+feasible start (``strictly_feasible_start``); ``solve`` raises
+``ValueError`` without one.  The stage programs are inner
+approximations built around a feasible point, so each has an interior
+by construction and builds its start from that point.  A program without
+inequalities or finite bounds runs the same loop: its barrier terms are
+empty, so each step is a damped Newton step on the gradient (regularized
+when there is no Hessian).
 
 Problems are stated in minimize convention:
 
@@ -29,11 +32,7 @@ variables close together in the ordering costs O(dim) time and memory
 per Newton step.  Where its entries land depends only on the pattern,
 so a solve copies the pattern once, indexes it on its first Newton step
 (``_Plan``: the flat band position of every entry), and each step only
-gathers the values and scatters them with one ``np.bincount``.  Phase
-I's slack enters every row: it is kept out of the band as a one-column
-border and eliminated through its scalar Schur complement, so phase I
-factors the same band; its bordered program, whose pattern is lifted by
-the slack column once, gets its own plan.
+gathers the values and scatters them with one ``np.bincount``.
 
 Finite lower bounds never become Jacobian rows: they enter the Newton
 matrix as diagonal entries and the residuals as a scatter.  Each Newton
@@ -44,17 +43,21 @@ carried into the next step and into the optimality checks (only the
 centering residual is rebuilt when mu drops).  Within one point, the
 callbacks of a program can share their common terms through a
 ``PointCache``, as the stage programs do.
+
+The result does not depend on the BLAS thread count: every sum over
+all variables or rows is a numpy reduction or a ``np.bincount``, never
+a BLAS dot product (which a threaded OpenBLAS splits between its threads
+beyond 10,000 entries), and the banded factorization and solves are
+LAPACK routines on a narrow band (at most 16 rows on the stage
+programs).
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-
-from ._blas import one_thread
 
 Array = np.ndarray
 
@@ -164,7 +167,10 @@ class SmoothConvexProgram:
     block's; ``None`` means a zero Hessian (a curved objective of a
     program with no rows or bounds then takes about 35 step halvings per
     Newton step).  ``lb`` holds the lower bounds (-inf where there is
-    none); an upper bound is a one-entry row of a ``ConstraintBlock``."""
+    none); an upper bound is a one-entry row of a ``ConstraintBlock``.
+    ``strictly_feasible_start`` is required: every row and every finite
+    bound must be strictly satisfied there, or ``solve`` raises
+    ``ValueError``."""
 
     dim: int
     objective: Callable[[Array], float]
@@ -187,7 +193,7 @@ class SolverResult:
     x_opt: Array
     duals: Array                 # multipliers for prog.ineqs, concatenated
     bound_duals: Array           # multipliers for the finite lb, by index
-    # optimal | max_iter | infeasible | numerical_failure.  optimal means
+    # optimal | max_iter | numerical_failure.  optimal means
     # kkt_residual <= tol, or <= STALL_TOL_FACTOR * tol when Newton stalled.
     status: str
     kkt_residual: float
@@ -207,12 +213,11 @@ class _Blocks:
     (``hess_idx``: the objective's, then each curved block's).
     ``jacobian`` returns the values of the program-row entries; ``jt``,
     ``jv`` and ``newton_band`` apply the full stack, the bound rows
-    (-e_i) added implicitly.  With ``border`` the last variable is the
-    border of the Newton matrix (phase I's slack).
+    (-e_i) added implicitly.
     """
 
-    def __init__(self, prog: SmoothConvexProgram, border: bool = False):
-        self.prog, self.border = prog, border
+    def __init__(self, prog: SmoothConvexProgram):
+        self.prog = prog
         self.blocks = list(prog.ineqs)
         self.block_cols = [np.array(b.cols) for b in self.blocks]
         sizes = [c.shape[0] for c in self.block_cols]
@@ -276,13 +281,22 @@ class _Blocks:
                           minlength=self.n_ineq).astype(float, copy=False)
         return np.concatenate([out, -v[self.lb_idx]])
 
-    def newton_band(self, J: Array, s: Array, hess: list):
+    def newton_band(self, J: Array, s: Array, hess: list) -> Array:
         """Full-stack J^T diag(s) J plus the Hessian values ``hess`` in
         banded storage, see ``_Plan.band``; the plan is built on the
         first call."""
         if self._plan is None:
             self._plan = _Plan(self)
         return self._plan.band(J, s, hess)
+
+    def row_name(self, k: int) -> str:
+        """Where row k of the stack comes from."""
+        if k >= self.n_ineq:
+            return f"the lower bound of x[{self.lb_idx[k - self.n_ineq]}]"
+        ends = np.cumsum([len(c) for c in self.block_cols])
+        i = int(np.searchsorted(ends, k, side="right"))
+        row = k - (ends[i] - len(self.block_cols[i]))
+        return f"row {row} of block {self.blocks[i].name!r}"
 
 
 def _row_pairs(cols: Array, itype) -> tuple[Array, Array]:
@@ -303,29 +317,19 @@ class _Plan:
     """
 
     def __init__(self, blocks: _Blocks):
-        dim, border = blocks.prog.dim, blocks.border
-        nb = dim - 1 if border else dim
+        dim = blocks.prog.dim
         # int32 positions halve the plan's memory while they cannot overflow.
         itype = (np.int32 if max(dim * dim, blocks.cols.size) < 2 ** 31
                  else np.intp)
-        self.rows, self.n_ineq = blocks.rows, blocks.n_ineq
-        self.border, self.nb = border, nb
+        self.rows, self.n_ineq, self.dim = blocks.rows, blocks.n_ineq, dim
         idx, self.bw = [], 0
 
         def place(i, j):
-            # Lower banded storage ab[i - j, j]; with a border, the last
-            # row (c, then the corner d) comes first, the band after it.
-            i = np.asarray(i, dtype=np.intp)
-            j = np.asarray(j, dtype=np.intp)
-            off = i - j
-            pos = off * nb + j
-            if border:
-                at = i == nb
-                pos = np.where(at, j, pos + nb + 1)
-                off = off[~at]
+            # Lower banded storage ab[i - j, j].
+            off = np.asarray(i, dtype=np.intp) - np.asarray(j, dtype=np.intp)
             if off.size:
                 self.bw = max(self.bw, int(off.max()))
-            idx.append(pos.astype(itype))
+            idx.append((off * dim + j).astype(itype))
 
         # Entry pairs of the rows, as flat positions in the values.
         fa, fb, at = [], [], 0
@@ -342,34 +346,26 @@ class _Plan:
         for rows, cols in blocks.hess_idx:
             place(rows, cols)
         self.idx = np.concatenate(idx)
-        self.size = (self.bw + 1) * nb + (nb + 1 if border else 0)
 
-    def band(self, J: Array, s: Array, hess: list):
-        """(ab, c, d): ``ab[i - j, j] = A[i, j]`` in LAPACK lower banded
-        storage for the leading block and, with a border, the last row
-        split off as the vector ``c`` and the corner scalar ``d``."""
-        nb = self.nb
+    def band(self, J: Array, s: Array, hess: list) -> Array:
+        """``ab`` with ``ab[i - j, j] = A[i, j]``: LAPACK lower banded
+        storage."""
         sv = s[self.rows] * J
         vals = [sv[self.fa] * J[self.fb], s[self.n_ineq:]] + hess
         # Empty weights give an int64 count; the band is float.
         out = np.bincount(self.idx, weights=np.concatenate(vals),
-                          minlength=self.size).astype(float, copy=False)
-        if not self.border:
-            return out.reshape(self.bw + 1, nb), None, 0.0
-        return out[nb + 1:].reshape(self.bw + 1, nb), out[:nb], float(out[nb])
+                          minlength=(self.bw + 1) * self.dim)
+        return out.astype(float, copy=False).reshape(self.bw + 1, self.dim)
 
 
-def _factor_solve(ab: Array, c: Optional[Array], d: float, rhs: Array):
-    """Solve the banded (optionally bordered) Newton system.
+def _factor_solve(ab: Array, rhs: Array) -> Optional[Array]:
+    """Solve the banded Newton system, or None.
 
     One ``cholesky_banded`` per attempt, with escalating diagonal
-    regularization after a failed one.  A border is eliminated through
-    its Schur complement, floored at a tiny positive value instead of
-    refactoring.
+    regularization after a failed one.
     """
-    nb = ab.shape[1]
-    dim = nb + (c is not None)
-    scale = max(1.0, (float(np.sum(ab[0])) + d) / max(dim, 1))
+    dim = ab.shape[1]
+    scale = max(1.0, float(np.sum(ab[0])) / max(dim, 1))
     reg = 0.0
     for _ in range(60):
         a = ab
@@ -382,17 +378,9 @@ def _factor_solve(ab: Array, c: Optional[Array], d: float, rhs: Array):
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
             reg = 1e-10 * scale if reg == 0.0 else reg * 2.0
             continue
-        if c is None:
-            return scipy.linalg.cho_solve_banded(
-                (cb, True), rhs, check_finite=False), reg
-        y = scipy.linalg.cho_solve_banded(
-            (cb, True), np.column_stack([rhs[:-1], c]), check_finite=False)
-        schur = d + reg - float(c @ y[:, 1])
-        if not schur > 1e-10 * scale:
-            schur = 1e-10 * scale
-        step = (rhs[-1] - float(c @ y[:, 0])) / schur
-        return np.append(y[:, 0] - step * y[:, 1], step), reg
-    return None, reg
+        return scipy.linalg.cho_solve_banded((cb, True), rhs,
+                                             check_finite=False)
+    return None
 
 
 def _pd_residual(blocks, grad_f, J, g, lam, mu):
@@ -401,90 +389,32 @@ def _pd_residual(blocks, grad_f, J, g, lam, mu):
     return r_dual, r_cent
 
 
-def _interior_values(blocks: _Blocks, x: Array) -> Optional[Array]:
-    """Constraint values at x if x is strictly feasible, else None."""
-    g = blocks.value(x)
-    return g if g.size == 0 or float(np.max(g)) < 0.0 else None
-
-
-def _phase_one(blocks: _Blocks, opts: SolverOptions
-               ) -> tuple[Optional[Array], Optional[Array]]:
-    """Find a strictly feasible point by minimizing the max violation.
-
-    Returns the point and its constraint values, or (None, None).  The
-    slack is the last variable of the auxiliary program and the border
-    of its Newton matrix; the auxiliary rows are the stack's, each with
-    the slack's -1 appended to the copied pattern.
-    """
-    prog = blocks.prog
-    dim = prog.dim
-    if prog.strictly_feasible_start is not None:
-        x0 = np.asarray(prog.strictly_feasible_start, dtype=float).copy()
-    else:
-        x0 = np.zeros(dim)
-    # Respect finite bounds in the seed (bounds are part of the stack).
-    lbi = blocks.lb_idx
-    x0[lbi] = np.maximum(x0[lbi], blocks.lb[lbi] + 1.0)
-
-    g0 = blocks.value(x0)
-    s0 = float(np.max(g0)) if g0.size else -1.0
-    if s0 < 0.0:
-        return x0, g0
-    s_start = s0 + max(1.0, 0.1 * abs(s0))
-    scale = max(1.0, abs(s0))
-
-    def lifted(cols: Array) -> Array:
-        return np.concatenate([cols, np.full((len(cols), 1), dim)], 1)
-
-    def lift_block(b: ConstraintBlock, cols: Array, hess) -> ConstraintBlock:
-        slack = np.full((len(cols), 1), -1.0)
-        return ConstraintBlock(
-            cols=lifted(cols), value=lambda z: b.value(z[:dim]) - z[dim],
-            jacobian=lambda z: np.concatenate([_checked(
-                b.jacobian(z[:dim]), cols.shape, "jacobian", b), slack], 1),
-            hess_weighted=None if hess is None else (
-                lambda z, w: b.hess_weighted(z[:dim], w)),
-            hess_idx=hess, name=b.name + "+slack")
-
-    lifted_blocks = [lift_block(*a) for a in zip(
-        blocks.blocks, blocks.block_cols, blocks.block_hess)]
-    # Bound rows of the original program, lifted with the same slack.
-    if lbi.size:
-        bounds_J = np.full((lbi.size, 2), -1.0)
-        lifted_blocks.append(ConstraintBlock(
-            cols=lifted(lbi[:, None]),
-            value=lambda z: blocks.lb[lbi] - z[lbi] - z[dim],
-            jacobian=lambda z: bounds_J, name="bounds+slack"))
-
-    aux = SmoothConvexProgram(
-        dim=dim + 1,
-        objective=lambda z: float(z[dim]),
-        gradient=lambda z: np.concatenate([np.zeros(dim), [1.0]]),
-        ineqs=lifted_blocks,
-        lb=np.concatenate([np.full(dim, -np.inf), [-scale]]),
-    )
-    p1_opts = dataclasses.replace(opts, tol=max(opts.tol, 1e-8))
-    res = _solve_interior(_Blocks(aux, border=True), p1_opts,
-                          np.concatenate([x0, [s_start]]),
-                          stop_early=lambda z: z[dim] < -1e-6 * scale)
-    x_found = res.x_opt[:dim]
-    g = _interior_values(blocks, x_found)
-    return (None, None) if g is None else (x_found, g)
-
-
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _solve_interior(blocks: _Blocks, opts: SolverOptions, x0: Array,
-                    g0: Optional[Array] = None,
-                    stop_early=None) -> SolverResult:
-    """Path-following primal-dual loop from a strictly feasible x0.
+def solve(prog: SmoothConvexProgram,
+          opts: Optional[SolverOptions] = None) -> SolverResult:
+    """Solve a smooth convex program to KKT residual <= opts.tol by the
+    path-following primal-dual loop from the program's start.
 
-    ``g0`` holds the constraint values at x0 when the caller has them.
+    Raises ``ValueError`` when the program has no start or its start is
+    not strictly feasible, naming the row that is furthest from it.  A
+    run whose Newton steps stall (line search or factorization gives up)
+    also ends ``optimal`` if its KKT residual is at most
+    ``STALL_TOL_FACTOR * opts.tol``; otherwise it ends
+    ``numerical_failure``.
     """
-    prog = blocks.prog
-    x = x0.copy()
+    opts = opts or SolverOptions()
+    blocks = _Blocks(prog)
+    if prog.strictly_feasible_start is None:
+        raise ValueError("the program has no strictly_feasible_start")
+    x = np.array(prog.strictly_feasible_start, dtype=float)
     # Derivatives and residuals at x; each later point gets them from its
     # line search.
-    g = blocks.value(x) if g0 is None else g0
+    g = blocks.value(x)
+    if g.size and not float(np.max(g)) < 0.0:
+        # NaN, from a start outside a callback's domain, is the maximum.
+        k = int(np.argmax(g))
+        raise ValueError(f"the start is not strictly feasible: "
+                         f"{blocks.row_name(k)} is {g[k]:.3e}")
     grad_f = prog.gradient(x)
     J = blocks.jacobian(x)
     lam = np.clip(1.0 / np.maximum(-g, 1e-10), 1e-8, 1e8)
@@ -509,8 +439,8 @@ def _solve_interior(blocks: _Blocks, opts: SolverOptions, x0: Array,
                 break
             sigma = lam / np.maximum(-g, 1e-300)
             rhs = -r_dual - blocks.jt(J, r_cent / g)
-            dx, _ = _factor_solve(
-                *blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs)
+            dx = _factor_solve(
+                blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs)
             if dx is None:
                 status = "numerical_failure"
                 stalled = True
@@ -523,7 +453,8 @@ def _solve_interior(blocks: _Blocks, opts: SolverOptions, x0: Array,
             if np.any(neg):
                 alpha = min(alpha, FRAC_TO_BOUNDARY *
                             float(np.min(-lam[neg] / dlam[neg])))
-            r0 = np.sqrt(float(r_dual @ r_dual + r_cent @ r_cent))
+            r0 = np.sqrt(float(np.sum(r_dual * r_dual)
+                               + np.sum(r_cent * r_cent)))
             accepted = False
             while alpha > 1e-13:
                 x_t = x + alpha * dx
@@ -536,7 +467,8 @@ def _solve_interior(blocks: _Blocks, opts: SolverOptions, x0: Array,
                 grad_t = prog.gradient(x_t)
                 J_t = blocks.jacobian(x_t)
                 rd_t, rc_t = _pd_residual(blocks, grad_t, J_t, g_t, lam_t, mu)
-                r_t = np.sqrt(float(rd_t @ rd_t + rc_t @ rc_t))
+                r_t = np.sqrt(float(np.sum(rd_t * rd_t)
+                                    + np.sum(rc_t * rc_t)))
                 if r_t <= (1.0 - 0.01 * alpha) * r0 or r_t <= inner_target:
                     accepted = True
                     break
@@ -555,9 +487,6 @@ def _solve_interior(blocks: _Blocks, opts: SolverOptions, x0: Array,
         history.append(f_x)
         # Unperturbed KKT residual decides optimality.
         kkt0 = _kkt_residual_raw(r_dual, g, lam)
-        if stop_early is not None and stop_early(x):
-            status = "early"
-            break
         if kkt0 <= opts.tol:
             status = "optimal"
             break
@@ -590,43 +519,6 @@ def _kkt_residual_raw(r_dual: Array, g: Array, lam: Array) -> float:
     )
 
 
-def solve(prog: SmoothConvexProgram,
-          opts: Optional[SolverOptions] = None) -> SolverResult:
-    """Solve a smooth convex program to KKT residual <= opts.tol.
-
-    A run whose Newton steps stall (line search or factorization gives
-    up) also ends ``optimal`` if its KKT residual is at most
-    ``STALL_TOL_FACTOR * opts.tol``; otherwise it ends
-    ``numerical_failure``.
-
-    The linear algebra runs on one OpenBLAS thread (see ``_blas``), so
-    the result does not depend on the BLAS thread count: a threaded
-    OpenBLAS sums a dot product longer than 10,000 entries in an order
-    that follows the count, and the stage programs reach that length.
-    """
-    with one_thread():
-        return _solve(prog, opts or SolverOptions())
-
-
-def _solve(prog: SmoothConvexProgram, opts: SolverOptions) -> SolverResult:
-    blocks = _Blocks(prog)
-    x0 = g0 = None
-    if prog.strictly_feasible_start is not None:
-        cand = np.asarray(prog.strictly_feasible_start, dtype=float)
-        g0 = _interior_values(blocks, cand)
-        if g0 is not None:
-            x0 = cand
-    if x0 is None:
-        x0, g0 = _phase_one(blocks, opts)
-        if x0 is None:
-            return SolverResult(
-                x_opt=np.zeros(prog.dim), duals=np.zeros(blocks.n_ineq),
-                bound_duals=np.zeros(blocks.lb_idx.size),
-                status="infeasible", kkt_residual=np.inf, iterations=0,
-                objective_value=np.nan)
-    return _solve_interior(blocks, opts, x0, g0)
-
-
 def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
     """Unperturbed KKT residual at (x, duals).
 
@@ -635,13 +527,36 @@ def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
     ``SolverResult.duals`` then ``bound_duals``).  A short vector is
     padded with zeros.
     """
+    return _residual(*_evaluate(prog, x), duals)
+
+
+def certify(prog: SmoothConvexProgram, x: Array,
+            duals: Optional[Array] = None) -> float:
+    """KKT residual at x with the better of two multiplier sets.
+
+    The smaller of the residuals with ``multiplier_estimate`` and with
+    ``duals`` (in the order of ``kkt_residual``), when given.  Each is
+    exact, so a small value proves x a KKT point whatever the estimate's
+    quality.  The program is evaluated at x once for both.
+    """
+    point = _evaluate(prog, x)
+    res = _residual(*point, _estimate(*point))
+    return res if duals is None else min(res, _residual(*point, duals))
+
+
+def _evaluate(prog: SmoothConvexProgram, x: Array) -> tuple:
+    """The stack of ``prog`` with its values, its program-row Jacobian
+    values and the objective gradient at x."""
     blocks = _Blocks(prog)
+    return blocks, blocks.value(x), blocks.jacobian(x), prog.gradient(x)
+
+
+def _residual(blocks: _Blocks, g: Array, J: Array, grad: Array,
+              duals: Array) -> float:
     lam = np.zeros(blocks.m)
     duals = np.asarray(duals, dtype=float).reshape(-1)
     lam[:duals.size] = duals
-    g = blocks.value(x)
-    r_dual = prog.gradient(x) + blocks.jt(blocks.jacobian(x), lam)
-    return _kkt_residual_raw(r_dual, g, lam)
+    return _kkt_residual_raw(grad + blocks.jt(J, lam), g, lam)
 
 
 def multiplier_estimate(prog: SmoothConvexProgram, x: Array) -> Array:
@@ -656,12 +571,14 @@ def multiplier_estimate(prog: SmoothConvexProgram, x: Array) -> Array:
     normal matrix J_A J_A^T is banded and one banded Cholesky solve
     (``solveh_banded``) costs O(dim).
     """
-    blocks = _Blocks(prog)
+    return _estimate(*_evaluate(prog, x))
+
+
+def _estimate(blocks: _Blocks, g: Array, J: Array, grad: Array) -> Array:
     lb_idx = blocks.lb_idx
-    g = blocks.value(x)
     rows = np.concatenate([blocks.rows, np.arange(blocks.n_ineq, blocks.m)])
     cols = np.concatenate([blocks.cols, lb_idx])
-    vals = np.concatenate([blocks.jacobian(x), np.full(lb_idx.size, -1.0)])
+    vals = np.concatenate([J, np.full(lb_idx.size, -1.0)])
     last = np.concatenate([c.max(axis=1) for c in blocks.block_cols]
                           + [lb_idx])
     lam = np.zeros(g.size)
@@ -693,7 +610,7 @@ def multiplier_estimate(prog: SmoothConvexProgram, x: Array) -> Array:
     np.add.at(ab, (hi - lo, lo), w)
     # A tiny ridge keeps a rank-deficient active set factorable.
     ab[0] += 1e-12 * max(float(np.max(ab[0])), 1.0)
-    rhs = -np.bincount(p, weights=v * prog.gradient(x)[c],
+    rhs = -np.bincount(p, weights=v * grad[c],
                        minlength=active.size)
     lam_a = scipy.linalg.solveh_banded(ab, rhs, lower=True)
     lam[active] = np.maximum(lam_a[pos[active]], 0.0)

@@ -23,8 +23,17 @@ for every displacement) keeps an interior.  The start is zero
 displacement, each slack a margin below its distance bound, sized so
 the start's extra outflow stays within ``CAUS_RELAX`` / 4 over every
 prefix, and each buffer at ``buffer_start`` of its prefix surpluses
-there.  It is strictly feasible whenever the base point is feasible with
-every hop strictly below ``v_max``; phase I then does not run.
+there.  Two hair-thin relaxations make it strictly feasible for every
+base point that ``build_subproblem`` accepts: each buffer starts with
+``CAUS_RELAX`` plus the start's worst prefix excess (powers restored by
+bisection to just inside the causality tolerance), and the squared
+travel budget is the larger of v_max's and the base point's longest
+move, times 1 + ``MOBILITY_RELAX`` (hops of exactly ``v_max``, as in the
+data-ferry start).  A step may thus reach points causal only to within
+its start's worst excess plus ``CAUS_RELAX``; ``scp_optimize`` accepts
+a step only if it passes ``model.check_all`` at ``feas_tol`` (otherwise
+the stage ends ``stalled``, ``infeasible_step``), so every accepted
+iterate is feasible at ``feas_tol``.
 
 Each step program computes its per-point terms once per point
 (``_StepPoint``): the unpacked displacements and slacks, both rate and
@@ -204,11 +213,14 @@ class _Layout:
         return delta, xi, eps, tau
 
 
-# Hair-thin relaxation (bits), the buffers' initial content, so a
-# causality-tight base point still leaves the interior-point method an
-# interior; stays far inside the model's 1e-6 feasibility tolerance.
-# The start's slack margins use at most a quarter of it.
+# Hair-thin relaxation (bits) of the buffers' initial content beyond the
+# seed's worst prefix excess, so a causality-tight base point still
+# leaves the interior-point method an interior.  The start's slack
+# margins use at most a quarter of it.
 CAUS_RELAX = 1e-8
+# Hair-thin relative relaxation of the squared travel budget, so a base
+# point with a move of exactly that budget keeps an interior.
+MOBILITY_RELAX = 1e-12
 # Lower bound of the slacks eps and tau, scaled by h^2.
 SLACK_LB = -0.5
 # Largest margin of a slack below its distance bound in the start
@@ -311,7 +323,13 @@ def _causality_buffers(it: TrajIterate, lay: _Layout,
 
 def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
                      feas_tol: float = 1e-6) -> SmoothConvexProgram:
-    """Convex displacement program around the iterate (minimize form)."""
+    """Convex displacement program around the iterate (minimize form).
+
+    Raises ``ValueError`` when the base point violates mobility or
+    causality at ``feas_tol``, as ``scp_optimize`` does for its input.
+    """
+    if not model.check_mobility(scn, it.traj, tol=feas_tol).feasible:
+        raise ValueError("base point violates mobility constraints")
     verdict = model.check_causality(scn, it.traj, pw, tol=feas_tol)
     if not verdict.feasible:
         raise ValueError(
@@ -364,8 +382,6 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     if scn.end_xy is not None:
         anchors.append((scn.end_xy, n - 1))
     m_mob = (n - 1) + len(anchors)
-    v2s = (v / h) ** 2  # scaled squared travel budget
-
     i_d, i_x = lay.i_delta, lay.i_xi
     mob_cols = np.stack([i_d[:-1], i_d[1:], i_x[:-1], i_x[1:]], axis=1)
     for _, idx in anchors:
@@ -376,12 +392,21 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     mob_rows = np.concatenate([i_d, i_x, i_d[1:], i_x[1:]])
     mob_cols_h = np.concatenate([i_d, i_x, i_d[:-1], i_x[:-1]])
 
+    def moves(px, py, hop_x, hop_y):
+        """Squared hops, then each anchored slot's squared distance to
+        its anchor (scaled by h)."""
+        ends = (px[a_idx] - a_xy[:, 0]) ** 2 + (py[a_idx] - a_xy[:, 1]) ** 2
+        return np.concatenate([hop_x ** 2 + hop_y ** 2, ends])
+
+    # Scaled squared travel budget: v_max's, or the base point's longest
+    # move if longer (accepted within feas_tol), times 1 + MOBILITY_RELAX.
+    xs, ys = it.traj.x / h, it.traj.y / h
+    v2s = (1.0 + MOBILITY_RELAX) * max((v / h) ** 2, float(np.max(
+        moves(xs, ys, np.diff(xs), np.diff(ys)), initial=0.0)))
+
     def mob_value(z):
         t = at(z)
-        hops = (t.hop_x ** 2 + t.hop_y ** 2) - v2s
-        ends = ((t.px[a_idx] - a_xy[:, 0]) ** 2
-                + (t.py[a_idx] - a_xy[:, 1]) ** 2)
-        return np.concatenate([hops, ends - v2s])
+        return moves(t.px, t.py, t.hop_x, t.hop_y) - v2s
 
     def mob_jacobian(z):
         t = at(z)
@@ -408,7 +433,25 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
                                   name="mobility"))
 
     # --- causality: Bob's and Eve's relay buffers ---
+    # Interior seed: zero displacement, each slack a margin below its
+    # distance bound, buffers strictly inside at that point.  Lowering a
+    # slack by m <= SEED_MARGIN raises its slot's outflow by at most m
+    # times the log term's slope at SEED_MARGIN below the bound, so the
+    # margin CAUS_RELAX / (4 N slope) keeps the extra outflow over any
+    # prefix below CAUS_RELAX / 4.  Each buffer starts with CAUS_RELAX
+    # plus the seed's worst prefix excess, so every prefix surplus of the
+    # seed is at least CAUS_RELAX.
+    z0 = np.zeros(lay.dim)
+    for i_slack, d2 in ((lay.i_eps, it.eta[act]), (lay.i_tau, it.zeta[act])):
+        a = h2 + d2 - SEED_MARGIN * h2
+        slope = g_act * h2 / (LN2 * a * (a + g_act))
+        z0[i_slack] = d2 / h2 - np.minimum(SEED_MARGIN,
+                                           CAUS_RELAX / (4 * n * slope))
     buffers = _causality_buffers(it, lay, at)
+    for b in buffers:
+        sent = np.cumsum(b.flow.value(z0))
+        b.initial += float(np.max(sent, initial=0.0))
+        z0[b.idx] = buffer_start(b.initial - sent)
     blocks += [b.block() for b in buffers]
 
     # --- affine couplings: tau <= zeta_lb, eps <= eta_lb ---
@@ -434,23 +477,6 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     lb = np.full(lay.dim, -np.inf)
     lb[lay.i_eps] = lb[lay.i_tau] = SLACK_LB
     lb[lay.i_bob] = lb[lay.i_eve] = 0.0
-
-    # Interior seed: zero displacement, each slack a margin below its
-    # distance bound, buffers strictly inside at that point.  Lowering a
-    # slack by m <= SEED_MARGIN raises its slot's outflow by at most m
-    # times the log term's slope at SEED_MARGIN below the bound, so the
-    # margin CAUS_RELAX / (4 N slope) keeps the extra outflow over any
-    # prefix below CAUS_RELAX / 4, and the buffers of a causal base point
-    # positive.
-    z0 = np.zeros(lay.dim)
-    for i_slack, d2 in ((lay.i_eps, it.eta[act]), (lay.i_tau, it.zeta[act])):
-        a = h2 + d2 - SEED_MARGIN * h2
-        slope = g_act * h2 / (LN2 * a * (a + g_act))
-        z0[i_slack] = d2 / h2 - np.minimum(SEED_MARGIN,
-                                           CAUS_RELAX / (4 * n * slope))
-    for b in buffers:
-        z0[b.idx] = buffer_start(b.surplus(z0))
-
     return SmoothConvexProgram(
         dim=lay.dim, objective=objective, gradient=gradient, hessian=hessian,
         hess_idx=(hess_idx, hess_idx), ineqs=blocks, lb=lb,

@@ -71,8 +71,9 @@ def random_power(rng: np.random.Generator, scn: Scenario) -> PowerAllocation:
 def stage_programs(n_slots):
     """Stage programs of the fixed-endpoint benchmark at N = n_slots
     (1 s slots): the power surrogate, the trajectory subproblem at half
-    the causality-tight relay power (strictly feasible start), and at the
-    tight power itself (phase I runs)."""
+    the causality-tight relay power, and at the tight power itself, whose
+    base point is causal only to within the restoring tolerance (the
+    causality edge)."""
     scn = benchmark_scenario(float(n_slots), 1.0, fixed_endpoints=True)
     traj = initial_trajectory(scn)
     pw = restore_feasibility(scn, traj, equal_power_allocation(scn))
@@ -80,7 +81,7 @@ def stage_programs(n_slots):
     return {"power": build_dc_surrogate(scn, traj, pw),
             "trajectory": build_subproblem(scn, half,
                                            make_iterate(scn, traj, half)),
-            "trajectory phase I": build_subproblem(
+            "trajectory causality edge": build_subproblem(
                 scn, pw, make_iterate(scn, traj, pw))}
 
 
@@ -126,19 +127,12 @@ def cache_fills(monkeypatch) -> list:
     return fills
 
 
-@pytest.fixture
-def phase_one_calls(monkeypatch) -> list:
-    """Records one entry per phase-I run of the solver."""
-    from secrelay import solver
-    calls = []
-    phase_one = solver._phase_one
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return phase_one(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_phase_one", counting)
-    return calls
+def start_margin(prog) -> float:
+    """How far the program's start is inside its rows and bounds: minus
+    the largest row value there (positive when strictly feasible)."""
+    from secrelay.solver import _Blocks
+    g = _Blocks(prog).value(np.asarray(prog.strictly_feasible_start))
+    return -float(np.max(g, initial=-np.inf))
 
 
 def _fail_solves(monkeypatch, stage, after: int) -> None:

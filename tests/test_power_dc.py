@@ -17,7 +17,7 @@ from secrelay.model import (PowerAllocation, Scenario, Trajectory,
 from secrelay.power_dc import (BOOST_MIN, LN2, Buffer, DcOptions, _layout,
                                buffer_start, build_dc_surrogate, dc_allocate)
 from secrelay.solver import (ConstraintBlock, SmoothConvexProgram,
-                             multiplier_estimate, solve)
+                             kkt_residual, multiplier_estimate, solve)
 
 # The surrogate program works on scaled variables p_s[1..N-1]/u_s and
 # p_r[2..N]/u_r with the equal-power scales u, laid out slot by slot
@@ -477,6 +477,35 @@ class TestStartCertificate:
         lam = multiplier_estimate(orig, z)
         np.testing.assert_allclose(lam, ref, rtol=0.0, atol=1e-6)
         assert np.all(lam[~active] == 0.0)
+
+    def test_certify_evaluates_once(self, monkeypatch):
+        """``solver.certify`` gives, bit for bit, the residual with the
+        multiplier estimate and the smaller of it and the residual with
+        given duals, from one stack and one call of each callback."""
+        scn, traj, pw = self._start((1800.0, 30.0), 0.98)
+        pc = power_dc._pieces(scn, traj)
+        orig, buffers = power_dc._original_power_program(scn, pc)
+        z = power_dc._tight_point(pc, buffers, pw)
+        estimated = kkt_residual(orig, z, multiplier_estimate(orig, z))
+        duals = np.random.default_rng(4).uniform(0.0, 1.0,
+                                                 solver._Blocks(orig).m)
+        given = kkt_residual(orig, z, duals)
+        stacks = []
+
+        class Counting(solver._Blocks):
+            def __init__(self, prog):
+                stacks.append(prog)
+                super().__init__(prog)
+
+        monkeypatch.setattr(solver, "_Blocks", Counting)
+        prog, seen = record_points(orig)
+        assert solver.certify(prog, z) == estimated
+        assert solver.certify(prog, z, duals) == min(estimated, given)
+        assert len(stacks) == 2
+        calls = {name: len(points) for name, points in seen.items()}
+        assert calls.pop("objective") == 0
+        assert calls == {"gradient": 2, **{f"{c}{k}": 2 for k in range(4)
+                                           for c in ("value", "jacobian")}}
 
     def test_repeated_columns_add_up(self):
         """A row that repeats a column holds the sum of its entries there:

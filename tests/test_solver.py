@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import stage_programs
+from conftest import stage_programs, start_margin
 from numerics import (as_dense, bound_rows, record_points, scalar_ineq,
                       spot_check_convexity, verify_derivatives)
-from secrelay import _blas, solver
+from secrelay import solver
 from secrelay.model import PowerAllocation
 from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock,
                              SmoothConvexProgram, SolverOptions, _Blocks,
-                             _factor_solve, _interior_values, kkt_residual,
-                             solve)
+                             kkt_residual, solve)
 
 LN2 = float(np.log(2.0))
 
@@ -57,6 +56,7 @@ class TestAnalytic:
             gradient=lambda x: np.array([2 * (x[0] - 1), 4 * (x[1] + 3)]),
             hessian=lambda x: np.array([2.0, 4.0]),
             hess_idx=([0, 1], [0, 1]),
+            strictly_feasible_start=np.zeros(2),
         )
         x = np.array([0.5, 0.0])
         grad = prog.gradient(x)
@@ -78,7 +78,8 @@ class TestAnalytic:
             objective=lambda x: float(np.sum(np.exp(x)) - b @ x),
             gradient=lambda x: np.exp(x) - b,
             hessian=np.exp if with_hessian else None,
-            hess_idx=(np.arange(3), np.arange(3)))
+            hess_idx=(np.arange(3), np.arange(3)),
+            strictly_feasible_start=np.zeros(3))
         res = solve(prog)
         assert res.status == "optimal"
         np.testing.assert_allclose(res.x_opt, np.log(b), rtol=0, atol=1e-5)
@@ -261,27 +262,35 @@ class TestSlackLogTerm:
         assert res.kkt_residual <= 1e-6
 
 
-class TestPhaseOne:
-    def test_no_start_point(self):
+class TestStart:
+    """``solve`` runs from the program's start and refuses one that is
+    missing or not strictly feasible, naming the worst row."""
+
+    def test_missing_start_raises(self):
         prog = _quadratic_with_floor()
         prog.strictly_feasible_start = None
-        res = solve(prog)
-        assert res.status == "optimal"
-        assert res.x_opt[0] == pytest.approx(1.0, abs=1e-6)
+        with pytest.raises(ValueError, match="no strictly_feasible_start"):
+            solve(prog)
 
-    def test_infeasible_certified(self):
+    @pytest.mark.parametrize("start, message", [
+        ([1.0, 7.0], "row 1 of block 'ub' is 2.000e+00"),
+        ([0.5, 1.0], "the lower bound of x[0] is 1.500e+00"),
+        ([np.nan, 1.0], "row 0 of block 'ub' is nan")],
+        ids=["row", "bound", "nan"])
+    def test_empty_interior_raises(self, start, message):
+        """x0 >= 2 and x0 <= 0.75: no start is strictly feasible."""
         prog = SmoothConvexProgram(
-            dim=1,
+            dim=2,
             objective=lambda x: float(x[0]),
-            gradient=lambda x: np.array([1.0]),
-            hessian=lambda x: np.array([0.0]),
-            hess_idx=([0], [0]),
-            ineqs=[scalar_ineq(lambda x: x[0] - 1.0,
-                               lambda x: np.array([1.0]), 1)],
-            lb=np.array([2.0]),     # x >= 2 and x <= 1: empty
+            gradient=lambda x: np.array([1.0, 0.0]),
+            ineqs=[bound_rows(np.array([0.75, 5.0]))],
+            lb=np.array([2.0, 0.0]),
+            strictly_feasible_start=np.array(start),
         )
-        res = solve(prog)
-        assert res.status == "infeasible"
+        with pytest.raises(ValueError) as err:
+            solve(prog)
+        assert str(err.value) == (
+            "the start is not strictly feasible: " + message)
 
 
 def _random_two_var_family(rng):
@@ -361,32 +370,12 @@ class TestDeterminismAndMonotonicity:
         assert r1.x_opt.tobytes() == r2.x_opt.tobytes()
         assert r1.objective_value == r2.objective_value
 
-    @pytest.mark.skipif(not _blas._find_controls(),
-                        reason="no OpenBLAS loaded in this process")
-    def test_one_blas_thread_inside_solve(self):
-        """The solve's callbacks see one thread; the caller's count returns."""
-        controls = _blas._find_controls()
-        before = [get() for get, _ in controls]
-        seen = []
-        base = _quadratic_with_floor()
-
-        def objective(x):
-            seen.append([get() for get, _ in controls])
-            return base.objective(x)
-
-        prog = SmoothConvexProgram(
-            dim=1, objective=objective, gradient=base.gradient,
-            hessian=base.hessian, hess_idx=base.hess_idx, lb=base.lb,
-            strictly_feasible_start=base.strictly_feasible_start)
-        assert solve(prog).status == "optimal"
-        assert seen and all(n == [1] * len(controls) for n in seen)
-        assert [get() for get, _ in controls] == before
-
-    def test_phase_one_thread_count_independent(self):
-        """At N = 2000 the trajectory phase-I program's solution bits
-        follow the OpenBLAS thread count unless ``solve`` runs on one
-        thread; inside ``solve`` they are the same at 1 and at 2
-        OpenBLAS threads."""
+    def test_thread_count_independent_at_n_2000(self):
+        """At N = 2000 the stage programs' sums over all variables or rows
+        pass 10,000 entries, beyond which a threaded OpenBLAS would split
+        a dot product between its threads.  The power and trajectory
+        solves give the same bits of ``x_opt``, ``duals`` and
+        ``bound_duals`` at 1 and at 2 OpenBLAS threads."""
         import os
         import subprocess
         import sys
@@ -399,9 +388,13 @@ class TestDeterminismAndMonotonicity:
             import hashlib
             from conftest import stage_programs
             from secrelay.solver import solve
-            res = solve(stage_programs(2000)["trajectory phase I"])
-            print(res.status, res.iterations,
-                  hashlib.sha256(res.x_opt.tobytes()).hexdigest())
+            progs = stage_programs(2000)
+            for name in ("power", "trajectory"):
+                res = solve(progs[name])
+                digest = hashlib.sha256()
+                for a in (res.x_opt, res.duals, res.bound_duals):
+                    digest.update(a.tobytes())
+                print(name, res.status, res.iterations, digest.hexdigest())
         """
         outs = []
         for threads in ("1", "2"):
@@ -412,7 +405,7 @@ class TestDeterminismAndMonotonicity:
                                  capture_output=True, text=True, check=True,
                                  env=env)
             outs.append(out.stdout.split())
-        assert outs[0][0] == "optimal"
+        assert outs[0][1] == outs[0][5] == "optimal"
         assert outs[0] == outs[1]
 
     def test_barrier_path_monotone(self, rng):
@@ -440,12 +433,12 @@ def _band_to_dense(ab):
 
 
 def _count_plans(monkeypatch):
-    """Record the border flag of every Newton-matrix plan built."""
+    """Record the program of every Newton-matrix plan built."""
     built = []
 
     class Counting(solver._Plan):
         def __init__(self, blocks):
-            built.append(blocks.border)
+            built.append(blocks.prog)
             super().__init__(blocks)
 
     monkeypatch.setattr(solver, "_Plan", Counting)
@@ -498,8 +491,7 @@ class TestBandedNewton:
         blocks = _Blocks(prog)
         s = rng.uniform(0.1, 10.0, blocks.m)
         x = np.zeros(dim)
-        ab, c, d = blocks.newton_band(blocks.jacobian(x), s,
-                                      blocks.hessians(x, s))
+        ab = blocks.newton_band(blocks.jacobian(x), s, blocks.hessians(x, s))
         assert ab.shape[0] <= width
         # Dense reference: program rows (upper bounds last), then -e_i for
         # lb.
@@ -543,84 +535,48 @@ class TestBandedNewton:
         eye = np.eye(dim)
         for point in (0, 1, 1, 2, 0):
             x = np.full(dim, float(point))
-            ab, _, _ = blocks.newton_band(blocks.jacobian(x), s,
-                                          blocks.hessians(x, s))
+            ab = blocks.newton_band(blocks.jacobian(x), s,
+                                    blocks.hessians(x, s))
             assert not np.array_equal(cols, cols0)
             Jd = np.vstack([as_dense(cols0, J_at[point], dim), -eye])
             ref = ((Jd.T * s) @ Jd
                    + as_dense((rows0, hcols0), H_at[point], dim))
             np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
-        assert built == [False]
-
-    def test_border_solve_matches_dense_solve(self):
-        """Phase I's slack column: a border eliminated by its Schur
-        complement gives the dense solution."""
-        rng = np.random.default_rng(12)
-        dim = 25                      # the border is variable dim - 1
-        cols, vals = _random_pattern(rng, 40, dim - 1, 3, 4)
-        cols = np.concatenate([cols, np.full((40, 1), dim - 1)], 1)
-        vals = np.concatenate([vals, np.full((40, 1), -1.0)], 1)
-        diag = np.arange(dim - 1)
-        H = rng.uniform(0.1, 1.0, dim - 1)
-        prog = SmoothConvexProgram(
-            dim=dim, objective=lambda x: 0.0,
-            gradient=lambda x: np.zeros(dim),
-            hessian=lambda x: H, hess_idx=(diag, diag),
-            ineqs=[ConstraintBlock(cols=cols, value=None,
-                                   jacobian=lambda x: vals)])
-        blocks = _Blocks(prog, border=True)
-        s = rng.uniform(0.5, 2.0, 40)
-        ab, c, d = blocks.newton_band(blocks.jacobian(np.zeros(dim)), s, [H])
-        assert ab.shape == (4, dim - 1)
-        rhs = rng.normal(size=dim)
-        dx, reg = _factor_solve(ab, c, d, rhs)
-        Jd = as_dense(cols, vals, dim)
-        ref = (Jd.T * s) @ Jd + as_dense((diag, diag), H, dim)
-        assert reg == 0.0
-        np.testing.assert_allclose(dx, np.linalg.solve(ref, rhs),
-                                   rtol=1e-10, atol=1e-10)
+        assert built == [prog]
 
 
 class TestCallbackTypes:
     """Callbacks return value arrays of the declared shape; anything
     else is refused, naming the callback, its block and the shape."""
 
-    INTERIOR, OUTSIDE = [0.1, 0.0, 0.3], [5.0, 5.0, 5.0]
-
-    @pytest.mark.parametrize("block, callback, start, returns, message", [
+    @pytest.mark.parametrize("block, callback, returns, message", [
         pytest.param(
-            0, "jacobian", INTERIOR, lambda x: 2.0 * x,
+            0, "jacobian", lambda x: 2.0 * x,
             "jacobian of block 'ball' returned ndarray of shape (3,), "
             "expected an array of shape (1, 3)", id="jacobian-wrong-shape"),
         pytest.param(
-            1, "jacobian", INTERIOR, lambda x: np.eye(3)[:2],
+            1, "jacobian", lambda x: np.eye(3)[:2],
             "jacobian of block 'ub' returned ndarray of shape (2, 3), "
             "expected an array of shape (2, 1)", id="jacobian-dense"),
         pytest.param(
-            1, "jacobian", OUTSIDE, lambda x: np.eye(3)[:2],
-            "jacobian of block 'ub' returned ndarray of shape (2, 3), "
-            "expected an array of shape (2, 1)",
-            id="jacobian-dense-phase-one"),
-        pytest.param(
-            0, "jacobian", INTERIOR,
+            0, "jacobian",
             lambda x: (np.arange(3)[None, :], 2.0 * x[None, :]),
             "jacobian of block 'ball' returned tuple, "
             "expected an array of shape (1, 3)", id="jacobian-cols-vals"),
         pytest.param(
-            0, "hess_weighted", INTERIOR,
+            0, "hess_weighted",
             lambda x, w: 2.0 * w[0] * np.eye(3),
             "hess_weighted of block 'ball' returned ndarray of shape "
             "(3, 3), expected an array of shape (3,)",
             id="hess_weighted-dense"),
         pytest.param(
-            None, "hessian", INTERIOR, lambda x: 2.0 * np.eye(3),
+            None, "hessian", lambda x: 2.0 * np.eye(3),
             "hessian returned ndarray of shape (3, 3), "
             "expected an array of shape (4,)", id="hessian-dense")])
-    def test_wrong_output_raises_type_error(self, block, callback, start,
-                                            returns, message):
+    def test_wrong_output_raises_type_error(self, block, callback, returns,
+                                            message):
         prog = _boxed_program()
-        prog.strictly_feasible_start = np.array(start)
         setattr(prog if block is None else prog.ineqs[block], callback,
                 returns)
         with pytest.raises(TypeError) as err:
@@ -633,49 +589,49 @@ class TestAssemblyPlan:
 
     def test_one_plan_per_solve(self, monkeypatch):
         """The stage programs keep their pattern through a solve: one plan
-        per solve, and one more for phase I's bordered program."""
+        per solve."""
         built = _count_plans(monkeypatch)
         for name, prog in stage_programs(50).items():
             built.clear()
             res = solve(prog)
             assert res.status == "optimal" and res.iterations > 0, name
-            phase_one = name == "trajectory phase I"
-            assert built == [True] * phase_one + [False], name
+            assert built == [prog], name
 
-    def test_phase_one_band_matches_dense_solve(self, monkeypatch):
-        """Phase I's bordered band, assembled through its plan, against
-        the dense Newton matrix of the same Jacobian, multipliers and
-        Hessians, and its bordered solve against the dense solve."""
+    def test_stage_band_matches_dense_solve(self, monkeypatch):
+        """A stage program's band, assembled through its plan, against the
+        dense Newton matrix of the same Jacobian, multipliers and
+        Hessians, and its banded solve against that matrix.  The matrices
+        are ill-conditioned near the boundary, so the solve is judged by
+        its backward error; the first step's, with multipliers clipped at
+        1e8 on rows 1e-10 from their bound, is not numerically positive
+        definite and is regularized, so only the later solves are
+        exact."""
         seen = []
         real = _Blocks.newton_band
 
         def recording(blocks, J, s, hess):
             out = real(blocks, J, s, hess)
-            if blocks.border:
-                seen.append((blocks, J, s.copy(), hess, out))
+            seen.append((blocks, J, s.copy(), hess, out))
             return out
 
         monkeypatch.setattr(_Blocks, "newton_band", recording)
-        prog = stage_programs(50)["trajectory phase I"]
+        prog = stage_programs(50)["trajectory causality edge"]
         solve(prog, SolverOptions(max_iter=3))
         assert len(seen) == 3
         rng = np.random.default_rng(15)
-        for blocks, J, s, hess, (ab, c, d) in seen:
+        for step, (blocks, J, s, hess, ab) in enumerate(seen):
             n = blocks.prog.dim
             Jd = _dense_stack(blocks, J, n)
             ref = (Jd.T * s) @ Jd + sum(as_dense(idx, h, n) for idx, h
                                         in zip(blocks.hess_idx, hess))
-            A = np.zeros((n, n))
-            A[:-1, :-1] = _band_to_dense(ab)
-            A[-1, :-1] = A[:-1, -1] = c
-            A[-1, -1] = d
-            np.testing.assert_allclose(A, ref, rtol=0,
+            np.testing.assert_allclose(_band_to_dense(ab), ref, rtol=0,
                                        atol=1e-12 * np.max(np.abs(ref)))
+            if step == 0:
+                continue
             rhs = rng.normal(size=n)
-            dx, reg = _factor_solve(ab, c, d, rhs)
-            assert reg == 0.0
-            np.testing.assert_allclose(dx, np.linalg.solve(ref, rhs),
-                                       rtol=1e-8, atol=1e-8)
+            dx = solver._factor_solve(ab, rhs)
+            scale = np.max(np.abs(ref)) * np.max(np.abs(dx)) + 1.0
+            assert np.max(np.abs(ref @ dx - rhs)) <= 1e-12 * scale
 
     def test_repeat_solve_bit_identical(self):
         """A plan lives in one solve: solving a program again gives the
@@ -704,19 +660,18 @@ class TestLinearScaling:
                 heights.append(set())
                 solve(prog, SolverOptions(max_iter=3))
                 seen[name, n] = heights[-1]
-        for name in ("power", "trajectory", "trajectory phase I"):
+        for name in ("power", "trajectory", "trajectory causality edge"):
             assert seen[name, 50], name
             assert seen[name, 50] == seen[name, 400], name
             assert max(seen[name, 50]) <= 16, name
 
-    def test_phase_one_program_starts_outside(self):
-        """The trajectory step at the restored (a hair past the causality
-        edge) powers has no strictly feasible seed, so the bordered band
-        of phase I is what the tests above run."""
+    def test_causality_edge_program_starts_inside(self):
+        """The trajectory step at the restored powers, whose base point is
+        causal only to within the restoring tolerance, still starts
+        strictly inside: its buffers take in the base point's excess."""
         for n in (50, 400, 2000):
-            prog = stage_programs(n)["trajectory phase I"]
-            start = np.asarray(prog.strictly_feasible_start)
-            assert _interior_values(_Blocks(prog), start) is None, n
+            prog = stage_programs(n)["trajectory causality edge"]
+            assert start_margin(prog) > 0.0, n
 
     def test_memory_at_n_2000(self):
         for prog in stage_programs(2000).values():

@@ -6,13 +6,14 @@ import pytest
 
 from conftest import (assert_wall_times, random_feasible_trajectory,
                       random_power, random_scenario, small_scenario,
-                      stage_programs)
+                      stage_programs, start_margin)
 from numerics import callback_outputs, record_points, verify_derivatives
 from secrelay import benchmark_scenario, model, trajectory_scp
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
 from secrelay.solver import solve
-from secrelay.trajectory_scp import (CAUS_RELAX, _causality_buffers, _Layout,
+from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions,
+                                     _causality_buffers, _Layout,
                                      build_subproblem, distance_lower_bounds,
                                      initial_trajectory, make_iterate,
                                      rate_lower_bounds, scp_optimize)
@@ -262,10 +263,10 @@ class TestPointCache:
         assert callback_outputs(prog, z, reverse=True) == forward
         assert callback_outputs(build(), z, reverse=True) == forward
 
-    @pytest.mark.parametrize("name", ["trajectory", "trajectory phase I"])
+    @pytest.mark.parametrize("name",
+                             ["trajectory", "trajectory causality edge"])
     def test_one_fill_per_point_in_solve(self, name, cache_fills):
-        """In a solve of a trajectory stage program, phase I included,
-        the shared terms are computed once for each distinct point the
+        """In a solve of a trajectory stage program, the shared terms are computed once for each distinct point the
         callbacks see."""
         prog, points = record_points(stage_programs(50)[name])
         cache_fills.clear()
@@ -625,11 +626,11 @@ class TestScpOptimize:
 
 
 class TestInterior:
-    """The step's start is strictly feasible whenever its base point is,
-    so phase I runs only on a base point on the boundary."""
+    """The step's start is strictly feasible whenever its base point is
+    accepted, also on the boundary."""
 
     @pytest.mark.parametrize("where", ["bob", "eve"])
-    def test_hover_above_receiver(self, where, phase_one_calls):
+    def test_hover_above_receiver(self, where):
         """Above Bob (Eve) the tangent bound on the squared distance is 0
         for every displacement; the slacks' negative bound keeps an
         interior."""
@@ -638,21 +639,29 @@ class TestInterior:
         traj = Trajectory(np.tile(xy, (scn.n_slots, 1)))
         pw = restore_feasibility(scn, traj,
                                  model.equal_power_allocation(scn), tol=0.0)
+        assert start_margin(
+            build_subproblem(scn, pw, make_iterate(scn, traj, pw))) > 0.0
         out, report = scp_optimize(scn, pw, traj)
         assert not report.status.startswith("solver_")
         assert len(report.iterations) >= 2
         assert report.final_objective > report.objectives[0]
-        assert phase_one_calls == []
         assert model.check_causality(scn, out, pw).feasible
 
-    def test_fixed_endpoints_at_most_one_phase_one(self, phase_one_calls):
-        """Powers restored to a hair past the causality edge put only the
-        first base point on the boundary."""
+    def test_first_step_from_restored_powers_accepted(self):
+        """Powers restored by bisection are causal only to within the
+        restoring tolerance, more than CAUS_RELAX past the edge.  The first
+        step from them is accepted, and its iterate is causal at
+        ``feas_tol``."""
         scn = benchmark_scenario(60.0, 1.0, fixed_endpoints=True)
         traj = initial_trajectory(scn)
         pw = restore_feasibility(scn, traj,
                                  model.equal_power_allocation(scn))
-        _, report = scp_optimize(scn, pw, traj)
+        assert model.check_causality(scn, traj, pw).worst > CAUS_RELAX
+        iterates = []
+        opts = ScpOptions()
+        _, report = scp_optimize(scn, pw, traj, opts=opts,
+                                 iteration_callback=iterates.append)
         assert report.status == "converged"
         assert len(report.iterations) >= 2
-        assert len(phase_one_calls) <= 1
+        assert model.check_all(scn, iterates[0], pw,
+                               tol=opts.feas_tol)["causality"].feasible
