@@ -10,6 +10,7 @@ from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             benchmark_scenario, equal_power_allocation,
                             restore_feasibility)
 from secrelay.power_dc import build_dc_surrogate
+from secrelay.solver import _Blocks
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate)
 
@@ -130,7 +131,6 @@ def cache_fills(monkeypatch) -> list:
 def start_margin(prog) -> float:
     """How far the program's start is inside its rows and bounds: minus
     the largest row value there (positive when strictly feasible)."""
-    from secrelay.solver import _Blocks
     g = _Blocks(prog).value(np.asarray(prog.strictly_feasible_start))
     return -float(np.max(g, initial=-np.inf))
 

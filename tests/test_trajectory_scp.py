@@ -266,8 +266,8 @@ class TestPointCache:
     @pytest.mark.parametrize("name",
                              ["trajectory", "trajectory causality edge"])
     def test_one_fill_per_point_in_solve(self, name, cache_fills):
-        """In a solve of a trajectory stage program, the shared terms are computed once for each distinct point the
-        callbacks see."""
+        """In a solve of a trajectory stage program, the shared terms are
+        computed once for each distinct point the callbacks see."""
         prog, points = record_points(stage_programs(50)[name])
         cache_fills.clear()
         res = solve(prog)
