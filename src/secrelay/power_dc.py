@@ -18,13 +18,27 @@ there.  The surrogate at a boosted point may end below that point by its
 solve's duality gap; the step is then dropped and the loop steps plainly
 from the last surrogate solution instead.
 
+CCP converges only linearly, and the surrogates only serve to reach a
+KKT point of the true problem.  So after the first surrogate step the
+stage tries one finish (``_finish``): one interior-point solve of the
+true, nonconvex power problem (``_original_power_program``, with its
+Hessians) from a strict interior point next to that step's solution
+(T. Lipp & S. Boyd, "Variations and extension of the convex-concave
+procedure", Optim. Eng. 17, 2016).  Its point is accepted only if the
+solve ends ``optimal``, the point is feasible at ``feas_tol``, its
+objective is at least the CCP iterate's and its certificate is within
+``kkt_tol``; the stage then ends ``converged`` there.  Otherwise CCP
+goes on exactly as without the finish, so the stage stays monotone and
+a rejected finish never sets a ``solver_*`` status.
+
 Before the first surrogate is built, ``_certify`` checks the start: it
 estimates the multipliers of the true power problem by least squares
 over the nearly active rows and evaluates the exact KKT residual
 (``solver.certify``).  A start within ``kkt_tol``
 is returned unchanged without a solve.  Otherwise the stage returns the
-last surrogate solution, certified with its own solve's duals, or the
-start when the first step does not improve on it.
+accepted finish, or the last surrogate solution, each certified with its
+own solve's duals, or the start when the first step does not improve on
+it.
 
 Information causality is stated with an explicit relay buffer
 (``Buffer``): one buffer for the rate forwarded to Bob and one for the
@@ -40,13 +54,15 @@ prefix surpluses (``_build_surrogate`` gives the argument).
 
 Each program computes its per-point terms once per point: the powers
 from the scaled variables, the relay inflow log2(1 + p_s g_ar), its
-derivative and its curvature (``_PowerPoint``).  The objective, gradient, Hessian and
-causality callbacks read them from one ``solver.PointCache`` per
-program, keyed on the point's bytes, so a caller that writes into an
-array it passed before still gets fresh terms.
+derivative and its curvature (``_PowerPoint``).  The objective,
+gradient, Hessian and causality callbacks read them from one
+``solver.PointCache`` per program, keyed on the point's bytes, so a
+caller that writes into an array it passed before still gets fresh
+terms.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -56,7 +72,8 @@ from . import model
 from .model import PowerAllocation, Scenario, Trajectory
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
-                     SolverOptions, certify, kkt_residual, solve)
+                     SolverOptions, certify, kkt_residual, solve,
+                     start_margin)
 
 LN2 = float(np.log(2.0))
 
@@ -72,6 +89,14 @@ BOOST_MIN = 1e-3
 # (10x) of it still counts as optimal, which leaves the loosened limit
 # (1e-7) two orders below kkt_tol.
 SUBPROBLEM = SolverOptions(tol=1e-8)
+
+# The finish starts from the first CCP iterate with its relay powers cut
+# by FINISH_CUT and its source powers by FINISH_CUT ** 2.  A concave rate
+# that is 0 at power 0 keeps at least (1 - cut) of itself, so each
+# inflow loses at most 0.25% while an outflow loses up to 5%: a tight
+# causality row usually turns slack.  ``_finish`` skips a start that is
+# not strictly inside.
+FINISH_CUT = 0.05
 
 
 @dataclass
@@ -216,12 +241,13 @@ def _power_point(pc: _Pieces) -> PointCache:
 
 
 def _flow_block(pc: _Pieces, at: PointCache, out: Callable, d_out: Callable,
-                curved: bool) -> ConstraintBlock:
+                dd_out: Optional[Callable] = None) -> ConstraintBlock:
     """Net outflow out(p_r) - log2(1 + p_s g_ar) of each power slot.
 
-    ``d_out`` is the derivative of ``out`` per watt.  With ``curved``
-    the block carries the curvature of the inflow; the outflow must then
-    be affine.  The terms at a point come from ``at``.
+    ``d_out`` and ``dd_out`` are the first and second derivatives of
+    ``out`` per watt; without ``dd_out`` the outflow is affine.  The
+    block carries the curvature of both flows.  The terms at a point
+    come from ``at``.
     """
     def value(z):
         t = at(z)
@@ -234,14 +260,21 @@ def _flow_block(pc: _Pieces, at: PointCache, out: Callable, d_out: Callable,
         vals[:, 1] = -t.d_in
         return vals
 
-    hw = hess_idx = None
-    if curved:
+    i_pr, i_ps = pc.idx["pr"], pc.idx["ps"]
+    if dd_out is None:
         def hw(z, w):
             return w * at(z).curv
-        hess_idx = (pc.idx["ps"], pc.idx["ps"])
+        hess_idx = (i_ps, i_ps)
+    else:
+        def hw(z, w):
+            t = at(z)
+            return np.concatenate([w * dd_out(t.pr) * pc.u_r ** 2,
+                                   w * t.curv])
+        both = np.concatenate([i_pr, i_ps])
+        hess_idx = (both, both)
 
     return ConstraintBlock(
-        cols=np.stack([pc.idx["pr"], pc.idx["ps"]], axis=1), value=value,
+        cols=np.stack([i_pr, i_ps], axis=1), value=value,
         jacobian=jacobian, hess_weighted=hw, hess_idx=hess_idx)
 
 
@@ -252,16 +285,15 @@ def _energy_flow(pc: _Pieces, var: str) -> ConstraintBlock:
                            jacobian=lambda z: J)
 
 
-def _buffers(scn: Scenario, pc: _Pieces, at: PointCache, bob, eve,
-             curved: bool) -> list[Buffer]:
-    """Both relay buffers, given (out, d_out) for Bob and for Eve, then
+def _buffers(scn: Scenario, pc: _Pieces, at: PointCache, bob,
+             eve) -> list[Buffer]:
+    """Both relay buffers, given the outflow and its derivatives
+    (``_flow_block``'s out, d_out[, dd_out]) for Bob and for Eve, then
     the remaining source and relay energy.  The one builder of the power
-    surrogate and of the program its KKT point is certified on."""
+    surrogate and of the true power program."""
     return [
-        Buffer(_flow_block(pc, at, *bob, curved), pc.idx["bob"],
-               "bob_causality"),
-        Buffer(_flow_block(pc, at, *eve, curved), pc.idx["eve"],
-               "eve_causality"),
+        Buffer(_flow_block(pc, at, *bob), pc.idx["bob"], "bob_causality"),
+        Buffer(_flow_block(pc, at, *eve), pc.idx["eve"], "eve_causality"),
         Buffer(_energy_flow(pc, "ps"), pc.idx["src_energy"], "source_budget",
                initial=scn.n_slots * scn.p_bar_s / pc.u_s),
         Buffer(_energy_flow(pc, "pr"), pc.idx["relay_energy"], "relay_budget",
@@ -360,7 +392,7 @@ def _build_surrogate(scn: Scenario, pc: _Pieces,
     buffers = _buffers(
         scn, pc, at,
         (lambda pr: bob_const + c_d * pr, lambda pr: c_d),
-        (lambda pr: eve_const + c_e * pr, lambda pr: c_e), curved=True)
+        (lambda pr: eve_const + c_e * pr, lambda pr: c_e))
     z0 = np.zeros(pc.dim)
     z0[pc.idx["ps"]] = (1.0 - 1e-3) * pw_k.p_s[:-1] / pc.u_s + 1e-3 * 0.9
     z0[i_pr] = 1e-6
@@ -372,29 +404,42 @@ def _build_surrogate(scn: Scenario, pc: _Pieces,
 
 
 def _original_power_program(scn: Scenario, pc: _Pieces):
-    """The true (nonconvex) power problem, for KKT certification only,
-    with its buffers."""
+    """The true (nonconvex) power problem, with its buffers.
+
+    ``_certify`` evaluates KKT residuals on it, and ``_finish`` solves
+    it.  Its objective Hessian is diagonal with mixed signs, and each
+    causality row carries the concave curvature of its outflow as well
+    as the convex curvature of its inflow.  It has no start; the finish
+    gives it one.
+    """
     at = _power_point(pc)
+    i_pr = pc.idx["pr"]
+
+    def rate(gain):
+        # log2(1 + p_r gain) and its first two derivatives per watt.
+        return (lambda pr: np.log2(1.0 + pr * gain),
+                lambda pr: gain / (LN2 * (1.0 + pr * gain)),
+                lambda pr: -gain ** 2 / (LN2 * (1.0 + pr * gain) ** 2))
+
+    bob, eve = rate(pc.grd), rate(pc.gre)
 
     def objective(z):
         pr = at(z).pr
-        return -float(np.sum(np.log2(1.0 + pr * pc.grd)
-                             - np.log2(1.0 + pr * pc.gre)))
+        return -float(np.sum(bob[0](pr) - eve[0](pr)))
 
     def gradient(z):
         pr = at(z).pr
         g = np.zeros(pc.dim)
-        g[pc.idx["pr"]] = (-pc.grd / (LN2 * (1.0 + pr * pc.grd))
-                           + pc.gre / (LN2 * (1.0 + pr * pc.gre))) * pc.u_r
+        g[i_pr] = (eve[1](pr) - bob[1](pr)) * pc.u_r
         return g
 
-    def rate(gain):
-        return (lambda pr: np.log2(1.0 + pr * gain),
-                lambda pr: gain / (LN2 * (1.0 + pr * gain)))
+    def hessian(z):
+        pr = at(z).pr
+        return (eve[2](pr) - bob[2](pr)) * pc.u_r ** 2
 
-    buffers = _buffers(scn, pc, at, rate(pc.grd), rate(pc.gre),
-                       curved=False)
-    return (_program(pc, buffers, objective=objective, gradient=gradient),
+    buffers = _buffers(scn, pc, at, bob, eve)
+    return (_program(pc, buffers, objective=objective, gradient=gradient,
+                     hessian=hessian, hess_idx=(i_pr, i_pr)),
             buffers)
 
 
@@ -442,6 +487,59 @@ def _boost(scn: Scenario, traj: Trajectory, pc: _Pieces,
     return pw_new, obj_new, 0.0
 
 
+def _finish(scn: Scenario, traj: Trajectory, pc: _Pieces,
+            orig: SmoothConvexProgram, buffers: list[Buffer],
+            pw: PowerAllocation, obj: float, opts: DcOptions
+            ) -> tuple[Optional[PowerAllocation], dict]:
+    """One solve of the true power problem ``orig`` from next to the CCP
+    iterate pw, whose objective is obj.
+
+    The start is pw with its powers cut (``FINISH_CUT``) and each buffer
+    at ``buffer_start``; a start that is not strictly inside is skipped
+    (no solve).  The solve's point is accepted only if the solve ends
+    ``optimal``, its powers pass causality and the budgets at
+    ``opts.feas_tol``, its objective is at least obj and its
+    ``_certify`` residual, with the solve's duals, is within
+    ``opts.kkt_tol``.  Returns the accepted powers (None otherwise) and
+    the attempt's record: the solve's ``status`` (None when skipped),
+    ``iterations`` and residual (``subproblem_kkt``), the point's
+    ``objective`` and certificate (``kkt_residual``, None when an earlier
+    check failed), ``accepted``, and the ``reason`` for a rejection.
+    """
+    cut = PowerAllocation(p_s=(1.0 - FINISH_CUT ** 2) * pw.p_s,
+                          p_r=(1.0 - FINISH_CUT) * pw.p_r)
+    z0 = _tight_point(pc, buffers, cut)
+    for b in buffers:
+        z0[b.idx] = buffer_start(z0[b.idx])
+    prog = dataclasses.replace(orig, strictly_feasible_start=z0)
+    rec = {"status": None, "iterations": 0, "subproblem_kkt": None,
+           "objective": None, "kkt_residual": None, "accepted": False,
+           "reason": None}
+    if not start_margin(prog) > 0.0:
+        rec["reason"] = "start not strictly inside"
+        return None, rec
+    res = solve(prog, SUBPROBLEM)
+    pw_fin = _pw_from_z(pc, res.x_opt)
+    checks = model.check_all(scn, traj, pw_fin, tol=opts.feas_tol)
+    rec.update(status=res.status, iterations=res.iterations,
+               subproblem_kkt=res.kkt_residual,
+               objective=model.secrecy_sum(scn, traj, pw_fin))
+    if res.status != "optimal":
+        rec["reason"] = f"solve ended {res.status}"
+    elif not all(v.feasible for k, v in checks.items() if k != "mobility"):
+        rec["reason"] = "infeasible at feas_tol"
+    elif not rec["objective"] >= obj:
+        rec["reason"] = "objective below the CCP iterate"
+    else:
+        rec["kkt_residual"] = _certify(
+            pc, orig, buffers, pw_fin,
+            np.concatenate([res.duals, res.bound_duals]))
+        if not rec["kkt_residual"] <= opts.kkt_tol:
+            rec["reason"] = "certificate above kkt_tol"
+    rec["accepted"] = rec["reason"] is None
+    return (pw_fin if rec["accepted"] else None), rec
+
+
 def dc_allocate(scn: Scenario, traj: Trajectory,
                 pw_0: Optional[PowerAllocation] = None,
                 opts: Optional[DcOptions] = None
@@ -452,13 +550,18 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     back until causality holds (``model.restore_feasibility``).
     Iteration 0 records the start's ``_certify`` residual; a start within
     ``opts.kkt_tol`` is returned unchanged (``converged``) and no
-    subproblem is solved.  Otherwise returns the last surrogate solution
-    (the start if no step is accepted), also when a subproblem solve is
-    not ``optimal``, which ends the stage ``solver_<status>``; each
-    accepted iterate records the ``boost`` applied beyond it.
-    ``report.extras`` counts the subproblem ``solves`` and, in
-    ``boost_reverts``, the boosted points whose surrogate step was
-    dropped.
+    subproblem is solved.  When the first surrogate step leaves the stage
+    running, the finish (``_finish``) is tried once from next to it; an
+    accepted finish is the last iterate, recorded with its solve's
+    residual as ``subproblem_kkt``, and ends the stage ``converged``.
+    Otherwise returns the last surrogate solution (the start if no step
+    is accepted), also when a surrogate solve is not ``optimal``, which
+    ends the stage ``solver_<status>``; each accepted surrogate iterate
+    records the ``boost`` applied beyond it (0 before an accepted
+    finish).  ``report.extras`` counts the ``solves`` (the finish's
+    included) and, in ``boost_reverts``, the boosted points whose
+    surrogate step was dropped; ``finish`` holds the attempt's record
+    (see ``_finish``).
     """
     opts = opts or DcOptions()
     report = RunReport(stage="power_dc", extras={"solves": 0})
@@ -477,8 +580,9 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     orig, orig_buffers = _original_power_program(scn, pc)
     obj = model.secrecy_sum(scn, traj, pw)
     # ``pw`` is the linearization point; ``sol`` the last surrogate
-    # solution (or the start), which is what every exit returns.  The two
-    # differ exactly when ``pw`` is a boosted point.
+    # solution (or the start, or an accepted finish), which is what every
+    # exit returns.  The two differ in the loop exactly when ``pw`` is a
+    # boosted point.
     sol = pw
     lam = 0.0                # last accepted boost
     kkt_0 = _certify(pc, orig, orig_buffers, pw)
@@ -528,8 +632,15 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             elif rel < 1e-13:
                 # Iterates stopped moving without certifying; report as is.
                 report.status = "stalled"
-        sol, boost = pw_new, 0.0
-        if report.status == "max_iter" and it + 1 < opts.max_iter:
+        sol, boost, finished = pw_new, 0.0, None
+        if report.status == "max_iter" and it == 0:
+            finished, fin = _finish(scn, traj, pc, orig, orig_buffers,
+                                    pw_new, obj_new, opts)
+            report.extras["finish"] = fin
+            if fin["status"] is not None:
+                report.extras["solves"] += 1
+        if (report.status == "max_iter" and finished is None
+                and it + 1 < opts.max_iter):
             pw, obj, boost = _boost(scn, traj, pc, pw, pw_new, obj_new,
                                     2.0 * lam or BOOST_FIRST)
             lam = boost or lam
@@ -538,6 +649,11 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
                                 if k != "mobility"),
                    subproblem_kkt=res.kkt_residual,
                    subproblem_iters=res.iterations, boost=boost)
+        if finished is not None:
+            report.add(fin["objective"], kkt_residual=fin["kkt_residual"],
+                       feasible=True, subproblem_kkt=fin["subproblem_kkt"],
+                       subproblem_iters=fin["iterations"], boost=0.0)
+            sol, report.status = finished, "converged"
         if report.status != "max_iter":
             break
     return sol, report.finish()

@@ -44,6 +44,19 @@ centering residual is rebuilt when mu drops).  Within one point, the
 callbacks of a program can share their common terms through a
 ``PointCache``, as the stage programs do.
 
+A nonconvex program (an indefinite objective Hessian, or a row with
+concave curvature, as in the true power problem that ``power_dc``
+solves once per stage) runs the same loop.  Its Newton matrix may be
+indefinite, and the only treatment is the escalating diagonal
+regularization in ``_factor_solve``: a Cholesky factorization that
+fails is retried with a growing multiple of the identity added.  There
+is no inertia correction (A. Wächter & L. T. Biegler, Math. Program.
+106, 2006, §3.1): nothing checks the inertia beyond the factorization's
+success, and no regularization is kept between steps.  Such a solve can
+end ``numerical_failure``; when it ends ``optimal`` its point satisfies
+the KKT conditions to ``tol``, a first-order point that need not be a
+local minimum.  The caller must check what it needs beyond that.
+
 The result does not depend on the BLAS thread count: every sum over
 all variables or rows is a numpy reduction or a ``np.bincount``, never
 a BLAS dot product (which a threaded OpenBLAS splits between its threads
@@ -170,7 +183,12 @@ class SmoothConvexProgram:
     none); an upper bound is a one-entry row of a ``ConstraintBlock``.
     ``strictly_feasible_start`` is required: every row and every finite
     bound must be strictly satisfied there, or ``solve`` raises
-    ``ValueError``."""
+    ``ValueError`` (``start_margin`` checks a start without solving).
+
+    The solver is built for convex programs.  A nonconvex one runs the
+    same loop, and its indefinite Newton matrix is handled only by the
+    escalating diagonal regularization in ``_factor_solve``; there is no
+    inertia correction (see the module docstring)."""
 
     dim: int
     objective: Callable[[Array], float]
@@ -362,7 +380,9 @@ def _factor_solve(ab: Array, rhs: Array) -> Optional[Array]:
     """Solve the banded Newton system, or None.
 
     One ``cholesky_banded`` per attempt, with escalating diagonal
-    regularization after a failed one.
+    regularization after a failed one.  This is all the solver does about
+    a matrix that is not positive definite, whether from rounding or from
+    a nonconvex program.
     """
     dim = ab.shape[1]
     scale = max(1.0, float(np.sum(ab[0])) / max(dim, 1))
@@ -383,6 +403,16 @@ def _factor_solve(ab: Array, rhs: Array) -> Optional[Array]:
     return None
 
 
+def start_margin(prog: SmoothConvexProgram) -> float:
+    """How far the program's start is inside its rows and finite bounds:
+    minus the largest value of the stack there.  Positive exactly when
+    ``solve`` accepts the start; NaN when a callback is outside its
+    domain there."""
+    g = _Blocks(prog).value(np.asarray(prog.strictly_feasible_start,
+                                       dtype=float))
+    return -float(np.max(g, initial=-np.inf))
+
+
 def _pd_residual(blocks, grad_f, J, g, lam, mu):
     r_dual = grad_f + blocks.jt(J, lam)
     r_cent = -lam * g - mu
@@ -393,7 +423,8 @@ def _pd_residual(blocks, grad_f, J, g, lam, mu):
 def solve(prog: SmoothConvexProgram,
           opts: Optional[SolverOptions] = None) -> SolverResult:
     """Solve a smooth convex program to KKT residual <= opts.tol by the
-    path-following primal-dual loop from the program's start.
+    path-following primal-dual loop from the program's start.  A
+    nonconvex program runs the same loop (see the module docstring).
 
     Raises ``ValueError`` when the program has no start or its start is
     not strictly feasible, naming the row that is furthest from it.  A

@@ -10,7 +10,6 @@ from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             benchmark_scenario, equal_power_allocation,
                             restore_feasibility)
 from secrelay.power_dc import build_dc_surrogate
-from secrelay.solver import _Blocks
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate)
 
@@ -128,13 +127,6 @@ def cache_fills(monkeypatch) -> list:
     return fills
 
 
-def start_margin(prog) -> float:
-    """How far the program's start is inside its rows and bounds: minus
-    the largest row value there (positive when strictly feasible)."""
-    g = _Blocks(prog).value(np.asarray(prog.strictly_feasible_start))
-    return -float(np.max(g, initial=-np.inf))
-
-
 def _fail_solves(monkeypatch, stage, after: int) -> None:
     calls = []
     solve = stage.solve
@@ -160,6 +152,32 @@ def fail_trajectory_solves(monkeypatch, after: int = 0) -> None:
     """The same for the trajectory stage's subproblem solves."""
     from secrelay import trajectory_scp
     _fail_solves(monkeypatch, trajectory_scp, after)
+
+
+def reject_power_finish(monkeypatch) -> list:
+    """Every finish of the power stage (one solve of the true power
+    problem) ends ``numerical_failure``, with the point the solver found,
+    so each stage that tries one goes on with CCP.  Returns a list that
+    is not empty while a finish runs."""
+    from secrelay import power_dc
+    finish, solve, inside = power_dc._finish, power_dc.solve, []
+
+    def marked_finish(*args):
+        inside.append(1)
+        try:
+            return finish(*args)
+        finally:
+            inside.pop()
+
+    def failing_solve(prog, opts):
+        res = solve(prog, opts)
+        if not inside:
+            return res
+        return dataclasses.replace(res, status="numerical_failure")
+
+    monkeypatch.setattr(power_dc, "_finish", marked_finish)
+    monkeypatch.setattr(power_dc, "solve", failing_solve)
+    return inside
 
 
 @pytest.fixture

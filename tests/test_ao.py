@@ -93,9 +93,10 @@ class TestAoOptimize:
 
 class TestStageContract:
     def test_power_stage_failure_keeps_last_iterate(self, monkeypatch):
-        """The first power stage fails at its second solve: AO ends
-        ``inner_stage_failure`` with its start and that start's objective,
-        and the failed stage report comes last."""
+        """The first power stage fails at its second surrogate solve (the
+        finish between the two surrogate solves fails too, and is
+        rejected): AO ends ``inner_stage_failure`` with its start and that
+        start's objective, and the failed stage report comes last."""
         scn = small_scenario()
         traj0 = initial_trajectory(scn)
         pw0 = model.restore_feasibility(scn, traj0,
@@ -105,7 +106,8 @@ class TestStageContract:
         assert report.status == "inner_stage_failure"
         assert [s.status for s in report.sub_reports] == [
             "solver_numerical_failure"]
-        assert report.sub_reports[-1].extras["solves"] == 2
+        assert report.sub_reports[-1].extras["solves"] == 3
+        assert not report.sub_reports[-1].extras["finish"]["accepted"]
         np.testing.assert_array_equal(traj.xy, traj0.xy)
         np.testing.assert_array_equal(pw.p_s, pw0.p_s)
         np.testing.assert_array_equal(pw.p_r, pw0.p_r)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (assert_wall_times, fail_power_solves,
                       random_feasible_trajectory, random_scenario,
-                      small_scenario, stage_programs)
+                      reject_power_finish, small_scenario, stage_programs)
 from numerics import (as_dense, callback_outputs, record_points,
                       verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc, solver
@@ -250,6 +250,16 @@ class TestDcAllocate:
         assert last_kkt <= 1e-5
 
 
+def _accounted_solves(report) -> int:
+    """The solves a power-stage report accounts for: one per accepted
+    iterate (an accepted finish is one), reverted boost and rejected
+    step, plus 1 per finish that was tried and rejected."""
+    finish = report.extras.get("finish", {})
+    return (len(report.iterations) - 1 + report.extras["boost_reverts"]
+            + ("rejected_step" in report.extras)
+            + (finish.get("status") is not None and not finish["accepted"]))
+
+
 def _straight_ferry(scn):
     """Hover at Alice, fly along the x axis to Bob at full speed, hover
     at Bob, with the flight centred in the horizon."""
@@ -345,9 +355,23 @@ class TestBoostedCcp:
             assert np.array_equal(pw.p_s, ref_pw.p_s)
             assert np.array_equal(pw.p_r, ref_pw.p_r)
 
+    def test_finish_rejected_on_the_ferry(self, ferry_run):
+        """On this path the finish after the first step ends
+        ``numerical_failure``; the stage goes on with CCP and its status
+        stays ``converged``, not ``solver_*``."""
+        *_, report = ferry_run
+        finish = report.extras["finish"]
+        assert finish["status"] == "numerical_failure"
+        assert not finish["accepted"]
+        assert finish["reason"] == "solve ended numerical_failure"
+        assert report.status == "converged"
+        assert report.extras["solves"] == _accounted_solves(report)
+
     def test_every_solve_accounted_for(self, rng, monkeypatch):
-        """Each subproblem solve is an accepted iterate, a reverted boost
-        or the one rejected step, and ``converged`` is always certified."""
+        """Each subproblem solve is an accepted iterate, a reverted boost,
+        the one rejected step or a rejected finish, and ``converged`` is
+        always certified.  The finish is rejected, so the CCP tail runs."""
+        reject_power_finish(monkeypatch)
         solves = []
 
         def counting_solve(prog, opts):
@@ -364,9 +388,7 @@ class TestBoostedCcp:
             pw, report = dc_allocate(
                 scn, traj, pw_0=_feasible_random_power(rng, scn, traj),
                 opts=opts)
-            assert len(solves) == (len(report.iterations) - 1
-                                   + report.extras["boost_reverts"]
-                                   + ("rejected_step" in report.extras))
+            assert len(solves) == _accounted_solves(report)
             assert model.secrecy_sum(scn, traj, pw) == report.final_objective
             if report.status == "converged":
                 kkt = report.extras.get("rejected_step", {}).get(
@@ -504,6 +526,9 @@ class TestStartCertificate:
         assert len(stacks) == 2
         calls = {name: len(points) for name, points in seen.items()}
         assert calls.pop("objective") == 0
+        # The certificate needs no second derivatives.
+        assert calls.pop("hessian") == 0
+        assert all(calls.pop(f"hess_weighted{k}") == 0 for k in range(2))
         assert calls == {"gradient": 2, **{f"{c}{k}": 2 for k in range(4)
                                            for c in ("value", "jacobian")}}
 
@@ -523,12 +548,15 @@ class TestStartCertificate:
 
     @pytest.mark.parametrize("xy, start, end", [
         ((1800.0, 30.0), 22.490, 22.887), ((1550.0, -60.0), 10.271, 10.428)])
-    def test_non_stationary_start_rejected(self, xy, start, end):
+    def test_non_stationary_start_rejected(self, xy, start, end,
+                                           monkeypatch):
         """With the relay power 2% below the scan's start, the start is
         feasible but not a KKT point: the certificate rejects it (about
-        0.89 and 0.18) and the stage climbs.  Its last step ends below the
-        kept point, which the multiplier estimate certifies (at
-        (1550, -60) the rejected subproblem's duals give only 1.1e-4)."""
+        0.89 and 0.18) and the stage climbs by CCP (the finish is
+        rejected).  Its last step ends below the kept point, which the
+        multiplier estimate certifies (at (1550, -60) the rejected
+        subproblem's duals give only 1.1e-4)."""
+        reject_power_finish(monkeypatch)
         scn, traj, pw98 = self._start(xy, 0.98)
         opts = DcOptions()
         assert opts.kkt_tol == 1e-5
@@ -553,6 +581,124 @@ class TestStartCertificate:
         np.testing.assert_array_equal(pw.p_s, pw98.p_s)
         np.testing.assert_array_equal(pw.p_r, pw98.p_r)
         assert report.objectives == [model.secrecy_sum(scn, traj, pw98)]
+
+
+def _skip_finish(monkeypatch) -> None:
+    """The power stage with every finish skipped: the pure CCP loop."""
+    monkeypatch.setattr(power_dc, "_finish",
+                        lambda *args: (None, {"status": None}))
+
+
+def _same_run(a, b) -> None:
+    """Two power-stage runs gave, bit for bit, the same powers,
+    objectives, certificates and status."""
+    (pw_a, rep_a), (pw_b, rep_b) = a, b
+    np.testing.assert_array_equal(pw_a.p_s, pw_b.p_s)
+    np.testing.assert_array_equal(pw_a.p_r, pw_b.p_r)
+    assert rep_a.objectives == rep_b.objectives
+    assert ([r.kkt_residual for r in rep_a.iterations]
+            == [r.kkt_residual for r in rep_b.iterations])
+    assert rep_a.status == rep_b.status
+
+
+class TestFinish:
+    """The one solve of the true power problem after the first CCP step,
+    at hover locations of the T = 130 s benchmark with the relay power 2%
+    below the scan's start (``TestStartCertificate``)."""
+
+    XY = [(1800.0, 30.0), (1550.0, -60.0)]
+
+    @pytest.mark.parametrize("xy", XY)
+    def test_accepted(self, xy):
+        """The finish ends the stage ``converged``, at or above the CCP
+        iterate it started next to, certified with its own duals, and is
+        recorded as the last iterate with its solve's residual."""
+        scn, traj, pw0 = TestStartCertificate._start(xy, 0.98)
+        opts = DcOptions()
+        pw, report = dc_allocate(scn, traj, pw_0=pw0, opts=opts)
+        finish = report.extras["finish"]
+        assert finish["accepted"] and finish["reason"] is None
+        assert finish["status"] == "optimal" and finish["iterations"] > 0
+        assert report.status == "converged"
+        assert report.extras["solves"] == 2
+        ccp, last = report.iterations[-2:]
+        assert len(report.iterations) == 3
+        assert last.objective == finish["objective"] >= ccp.objective
+        assert last.kkt_residual == finish["kkt_residual"] <= opts.kkt_tol
+        assert last.extras["subproblem_kkt"] == finish["subproblem_kkt"]
+        assert finish["subproblem_kkt"] <= 10.0 * power_dc.SUBPROBLEM.tol
+        assert last.feasible
+        assert model.secrecy_sum(scn, traj, pw) == report.final_objective
+        checks = model.check_all(scn, traj, pw, tol=opts.feas_tol)
+        assert all(v.feasible for v in checks.values())
+        assert report.extras["solves"] == _accounted_solves(report)
+
+    @pytest.mark.parametrize("xy", XY)
+    def test_rejected_finish_leaves_ccp_unchanged(self, xy, monkeypatch):
+        """A finish whose solve ends ``numerical_failure`` is recorded and
+        rejected; the stage then gives, bit for bit, what the pure CCP
+        loop gives, with one more solve and no ``solver_*`` status."""
+        scn, traj, pw0 = TestStartCertificate._start(xy, 0.98)
+        with monkeypatch.context() as m:
+            _skip_finish(m)
+            ccp = dc_allocate(scn, traj, pw_0=pw0)
+        reject_power_finish(monkeypatch)
+        run = dc_allocate(scn, traj, pw_0=pw0)
+        _same_run(run, ccp)
+        finish = run[1].extras["finish"]
+        assert finish["status"] == "numerical_failure"
+        assert not finish["accepted"]
+        assert finish["reason"] == "solve ended numerical_failure"
+        assert finish["kkt_residual"] is None
+        assert run[1].extras["solves"] == ccp[1].extras["solves"] + 1
+        assert run[1].status == "converged"
+
+    def test_start_not_inside_skipped(self, monkeypatch, power_solves):
+        """A finish start that is not strictly inside (here: source
+        powers cut to 0, on their bound) is skipped before any solve, not
+        raised, and the stage runs the pure CCP loop."""
+        scn, traj, pw0 = TestStartCertificate._start(self.XY[0], 0.98)
+        with monkeypatch.context() as m:
+            _skip_finish(m)
+            ccp = dc_allocate(scn, traj, pw_0=pw0)
+        n_ccp = len(power_solves)
+        monkeypatch.setattr(power_dc, "FINISH_CUT", 1.0)
+        run = dc_allocate(scn, traj, pw_0=pw0)
+        _same_run(run, ccp)
+        assert len(power_solves) == 2 * n_ccp
+        assert run[1].extras["finish"] == {
+            "status": None, "iterations": 0, "subproblem_kkt": None,
+            "objective": None, "kkt_residual": None, "accepted": False,
+            "reason": "start not strictly inside"}
+        assert run[1].extras["solves"] == _accounted_solves(run[1])
+
+    def test_every_solve_accounted_for(self, rng, power_solves):
+        """On random instances, with the finish left to decide: each solve
+        is an accepted iterate (an accepted finish is one), a reverted
+        boost, the one rejected step or a rejected finish; an accepted
+        finish never ends below the CCP iterate before it, and
+        ``converged`` is always certified."""
+        opts = DcOptions()
+        tried = 0
+        for _ in range(5):
+            scn = random_scenario(rng)
+            traj = random_feasible_trajectory(rng, scn)
+            power_solves.clear()
+            pw, report = dc_allocate(
+                scn, traj, pw_0=_feasible_random_power(rng, scn, traj),
+                opts=opts)
+            assert len(power_solves) == report.extras["solves"]
+            assert report.extras["solves"] == _accounted_solves(report)
+            assert model.secrecy_sum(scn, traj, pw) == report.final_objective
+            finish = report.extras.get("finish", {})
+            tried += finish.get("status") is not None
+            if finish.get("accepted"):
+                assert report.objectives[-1] >= report.objectives[-2]
+            if report.status == "converged":
+                kkt = report.extras.get("rejected_step", {}).get(
+                    "kept_kkt", report.iterations[-1].kkt_residual)
+                assert kkt <= opts.kkt_tol
+        assert tried > 0
 
 
 def _fixed_flow_buffer(flow, initial):

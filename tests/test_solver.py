@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import stage_programs, start_margin
+from conftest import stage_programs
 from numerics import (as_dense, bound_rows, record_points, scalar_ineq,
                       spot_check_convexity, verify_derivatives)
 from secrelay import solver
 from secrelay.model import PowerAllocation
 from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock,
                              SmoothConvexProgram, SolverOptions, _Blocks,
-                             kkt_residual, solve)
+                             kkt_residual, solve, start_margin)
 
 LN2 = float(np.log(2.0))
 
@@ -287,10 +287,68 @@ class TestStart:
             lb=np.array([2.0, 0.0]),
             strictly_feasible_start=np.array(start),
         )
+        assert not start_margin(prog) > 0.0
         with pytest.raises(ValueError) as err:
             solve(prog)
         assert str(err.value) == (
             "the start is not strictly feasible: " + message)
+
+
+class TestIndefiniteHessian:
+    """A nonconvex program runs the same loop; its indefinite Newton
+    matrix is handled only by the escalating diagonal regularization of
+    ``_factor_solve``.  The solve ends ``optimal`` at a point that
+    ``kkt_residual`` certifies, or ends ``numerical_failure``: never
+    ``optimal`` at a point that is not a KKT point."""
+
+    TOL = 1e-8
+
+    @staticmethod
+    def _program(seed: int, dim: int = 4):
+        """min x'Qx / 2 + c'x over the box [-1, 1]^dim, with Q random,
+        symmetric and indefinite, from a random start inside the box."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim))
+        q = 0.5 * (a + a.T)
+        c = rng.normal(size=dim)
+        rows, cols = np.tril_indices(dim)
+        prog = SmoothConvexProgram(
+            dim=dim, objective=lambda x: float(0.5 * x @ q @ x + c @ x),
+            gradient=lambda x: q @ x + c, hessian=lambda x: q[rows, cols],
+            hess_idx=(rows, cols), ineqs=[bound_rows(np.ones(dim))],
+            lb=-np.ones(dim),
+            strictly_feasible_start=rng.uniform(-0.5, 0.5, dim))
+        return prog, np.linalg.eigvalsh(q)
+
+    def test_optimal_only_at_kkt_points(self, monkeypatch):
+        failed_factors = []
+        factor = scipy.linalg.cholesky_banded
+
+        def counting_factor(*args, **kw):
+            try:
+                return factor(*args, **kw)
+            except np.linalg.LinAlgError:
+                failed_factors.append(1)
+                raise
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting_factor)
+        statuses = []
+        for seed in range(12):
+            prog, eig = self._program(seed)
+            assert eig[0] < 0.0 < eig[-1]
+            res = solve(prog, SolverOptions(tol=self.TOL))
+            statuses.append(res.status)
+            duals = np.concatenate([res.duals, res.bound_duals])
+            residual = kkt_residual(prog, res.x_opt, duals)
+            if res.status == "optimal":
+                assert residual <= STALL_TOL_FACTOR * self.TOL, seed
+                assert np.all(np.abs(res.x_opt) <= 1.0), seed
+            else:
+                assert res.status == "numerical_failure", seed
+                assert residual > STALL_TOL_FACTOR * self.TOL, seed
+        # Both outcomes occur in this family, and the regularization ran.
+        assert set(statuses) == {"optimal", "numerical_failure"}
+        assert failed_factors
 
 
 def _random_two_var_family(rng):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import (random_feasible_trajectory, random_scenario,
-                      start_margin)
+                      reject_power_finish)
 from secrelay import model, power_dc
 from secrelay.model import PowerAllocation, Trajectory, restore_feasibility
 from secrelay.power_dc import build_dc_surrogate, dc_allocate
+from secrelay.solver import start_margin
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate)
 
@@ -104,7 +105,8 @@ def test_dc_battery_ninth_scenario(monkeypatch):
     linearization points give the old cold start (source power 0.9,
     relay power 1e-6) no interior, since Bob's causality prefix at that
     start is positive whatever the buffers hold.  Every surrogate of the
-    run starts strictly inside."""
+    run starts strictly inside.  The finish is rejected, so the run
+    reaches those points."""
     rng = np.random.default_rng(20240903)
     for _ in range(9):
         scn = random_scenario(rng)
@@ -112,9 +114,12 @@ def test_dc_battery_ninth_scenario(monkeypatch):
     pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
     idx, _ = power_dc._layout(scn.n_slots)
     margins, cold_prefix = [], []
+    finishing = reject_power_finish(monkeypatch)
     real = power_dc.solve
 
     def recording(prog, opts):
+        if finishing:
+            return real(prog, opts)
         margins.append(start_margin(prog))
         z = np.array(prog.strictly_feasible_start)
         z[idx["ps"]], z[idx["pr"]], z[idx["bob"]] = 0.9, 1e-6, 0.0

@@ -6,12 +6,12 @@ import pytest
 
 from conftest import (assert_wall_times, random_feasible_trajectory,
                       random_power, random_scenario, small_scenario,
-                      stage_programs, start_margin)
+                      stage_programs)
 from numerics import callback_outputs, record_points, verify_derivatives
 from secrelay import benchmark_scenario, model, trajectory_scp
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
-from secrelay.solver import solve
+from secrelay.solver import solve, start_margin
 from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions,
                                      _causality_buffers, _Layout,
                                      build_subproblem, distance_lower_bounds,
