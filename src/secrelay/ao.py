@@ -86,8 +86,10 @@ def _ao_single(scn: Scenario, traj: Trajectory,
         rel = change / max(abs(obj_new), 1e-10)
         feas = all(v.feasible for v in
                    model.check_all(scn, traj, pw, tol).values())
+        # The trajectory solve's residual says nothing about stationarity
+        # of the AO problem, so AO records no kkt_residual.
         report.add(obj_new, feasible=feas,
-                   kkt_residual=scp_rep.extras.get("final_subproblem_kkt"))
+                   subproblem_kkt=scp_rep.extras.get("final_subproblem_kkt"))
         obj = obj_new
         if scp_rep.status.startswith("solver_"):
             # The stage's last iterate is feasible and recorded above;

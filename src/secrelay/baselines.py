@@ -113,7 +113,7 @@ def _solve_location(scn: Scenario, xy, opts: DcOptions
                     ) -> tuple[float, PowerAllocation, RunReport]:
     traj = _constant_traj(scn, xy)
     pw, report = dc_allocate(scn, traj, opts=opts)
-    return model.secrecy_sum(scn, traj, pw), pw, report
+    return report.final_objective, pw, report
 
 
 def scan_options(**overrides) -> DcOptions:

@@ -8,28 +8,19 @@ surrogate is tight at the linearization point and minorizes the true
 objective, so the true objective ascends monotonically and the limit is
 a KKT point of the power allocation problem.
 
-Each accepted step pw_k -> pw_{k+1} is boosted (F. J. Aragón Artacho,
-R. M. T. Fleming & P. T. Vuong, "Accelerating the DC algorithm for
-smooth functions", Math. Program. 169, 2018): a backtracking line search
-along d = pw_{k+1} - pw_k takes the first pw_{k+1} + lam d that is
-exactly feasible (causality and budgets at tolerance 0, so the next
-surrogate contains it) and strictly better, and the loop linearizes
-there.  The surrogate at a boosted point may end below that point by its
-solve's duality gap; the step is then dropped and the loop steps plainly
-from the last surrogate solution instead.
-
 CCP converges only linearly, and the surrogates only serve to reach a
-KKT point of the true problem.  So after the first surrogate step the
-stage tries one finish (``_finish``): one interior-point solve of the
-true, nonconvex power problem (``_original_power_program``, with its
-Hessians) from a strict interior point next to that step's solution
-(T. Lipp & S. Boyd, "Variations and extension of the convex-concave
-procedure", Optim. Eng. 17, 2016).  Its point is accepted only if the
-solve ends ``optimal``, the point is feasible at ``feas_tol``, its
-objective is at least the CCP iterate's and its certificate is within
-``kkt_tol``; the stage then ends ``converged`` there.  Otherwise CCP
-goes on exactly as without the finish, so the stage stays monotone and
-a rejected finish never sets a ``solver_*`` status.
+KKT point of the true problem.  So after each surrogate step that leaves
+the stage running, the stage tries a finish (``_finish``): one
+interior-point solve of the true, nonconvex power problem
+(``_original_power_program``, with its Hessians) from a strict interior
+point next to that step's solution (T. Lipp & S. Boyd, "Variations and
+extension of the convex-concave procedure", Optim. Eng. 17, 2016).  Its
+point is accepted only if the solve ends ``optimal``, the point is
+feasible at ``feas_tol``, its objective is at least the CCP iterate's
+and its certificate is within ``kkt_tol``; the stage then ends
+``converged`` there.  Otherwise CCP takes its next step exactly as
+without the finish and tries again after it, so the stage stays
+monotone and a rejected finish never sets a ``solver_*`` status.
 
 Before the first surrogate is built, ``_certify`` checks the start: it
 estimates the multipliers of the true power problem by least squares
@@ -77,12 +68,6 @@ from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
 
 LN2 = float(np.log(2.0))
 
-# Boosted CCP: the line search beyond each accepted step starts at twice
-# the last accepted step length (BOOST_FIRST at first) and halves it down
-# to BOOST_MIN.
-BOOST_FIRST = 1.0
-BOOST_MIN = 1e-3
-
 # Subproblems are solved well below kkt_tol so the outer loop can keep
 # certifying progress without hitting the solver's noise floor.  tol=1e-8
 # sits close to that floor; a Newton stall within solver.STALL_TOL_FACTOR
@@ -90,8 +75,8 @@ BOOST_MIN = 1e-3
 # (1e-7) two orders below kkt_tol.
 SUBPROBLEM = SolverOptions(tol=1e-8)
 
-# The finish starts from the first CCP iterate with its relay powers cut
-# by FINISH_CUT and its source powers by FINISH_CUT ** 2.  A concave rate
+# Each finish starts from a CCP iterate with its relay powers cut by
+# FINISH_CUT and its source powers by FINISH_CUT ** 2.  A concave rate
 # that is 0 at power 0 keeps at least (1 - cut) of itself, so each
 # inflow loses at most 0.25% while an outflow loses up to 5%: a tight
 # causality row usually turns slack.  ``_finish`` skips a start that is
@@ -180,7 +165,6 @@ class _Pieces:
     """
 
     n: int
-    ch: model.ChannelState
     gar: np.ndarray   # alice->relay gain, slots 1..N-1
     grd: np.ndarray   # relay->bob gain,   slots 2..N
     gre: np.ndarray   # relay->eve gain,   slots 2..N
@@ -204,7 +188,7 @@ def _pieces(scn: Scenario, traj: Trajectory) -> _Pieces:
     u_r = max(n * scn.p_bar_r / (n - 1), 1e-9)
     idx, dim = _layout(n)
     return _Pieces(
-        n=n, ch=ch, gar=ch.gamma_ar[:-1], grd=ch.gamma_rd[1:],
+        n=n, gar=ch.gamma_ar[:-1], grd=ch.gamma_rd[1:],
         gre=ch.gamma_re[1:], u_s=u_s, u_r=u_r, idx=idx, dim=dim)
 
 
@@ -456,37 +440,6 @@ def _certify(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
     return certify(orig, _tight_point(pc, buffers, pw), duals)
 
 
-def _boost(scn: Scenario, traj: Trajectory, pc: _Pieces,
-           pw_k: PowerAllocation, pw_new: PowerAllocation, obj_new: float,
-           lam: float) -> tuple[PowerAllocation, float, float]:
-    """Line search beyond a CCP step pw_k -> pw_new along their difference.
-
-    Tries pw_new + lam (pw_new - pw_k), halving lam down to ``BOOST_MIN``,
-    and takes the first point that is exactly feasible (powers clipped at
-    0, structural zeros kept, causality and budgets at tol 0, so the
-    surrogate there contains it) and strictly better than pw_new.
-    Causality is checked on the stage's channel gains ``pc.ch``.
-    Returns (point, objective, lam), or (pw_new, obj_new, 0) if none is.
-    """
-    d_s = pw_new.p_s - pw_k.p_s
-    d_r = pw_new.p_r - pw_k.p_r
-    while lam >= BOOST_MIN:
-        p_s = np.maximum(pw_new.p_s + lam * d_s, 0.0)
-        p_r = np.maximum(pw_new.p_r + lam * d_r, 0.0)
-        p_s[-1] = 0.0
-        p_r[0] = 0.0
-        cand = PowerAllocation(p_s=p_s, p_r=p_r)
-        gaps = model.causality_gaps(pc.ch, p_r,
-                                    model.received_prefix(pc.ch, p_s))
-        if (model.causality_verdict(gaps, tol=0.0).feasible
-                and model.check_power_budget(scn, cand, tol=0.0).feasible):
-            obj = model.secrecy_sum(scn, traj, cand)
-            if obj > obj_new:
-                return cand, obj, lam
-        lam *= 0.5
-    return pw_new, obj_new, 0.0
-
-
 def _finish(scn: Scenario, traj: Trajectory, pc: _Pieces,
             orig: SmoothConvexProgram, buffers: list[Buffer],
             pw: PowerAllocation, obj: float, opts: DcOptions
@@ -550,21 +503,18 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     back until causality holds (``model.restore_feasibility``).
     Iteration 0 records the start's ``_certify`` residual; a start within
     ``opts.kkt_tol`` is returned unchanged (``converged``) and no
-    subproblem is solved.  When the first surrogate step leaves the stage
-    running, the finish (``_finish``) is tried once from next to it; an
+    subproblem is solved.  After each surrogate step that leaves the
+    stage running, the finish (``_finish``) is tried from next to it; an
     accepted finish is the last iterate, recorded with its solve's
     residual as ``subproblem_kkt``, and ends the stage ``converged``.
     Otherwise returns the last surrogate solution (the start if no step
     is accepted), also when a surrogate solve is not ``optimal``, which
-    ends the stage ``solver_<status>``; each accepted surrogate iterate
-    records the ``boost`` applied beyond it (0 before an accepted
-    finish).  ``report.extras`` counts the ``solves`` (the finish's
-    included) and, in ``boost_reverts``, the boosted points whose
-    surrogate step was dropped; ``finish`` holds the attempt's record
-    (see ``_finish``).
+    ends the stage ``solver_<status>``.  ``report.extras`` counts the
+    ``solves`` (the finishes' included); ``finish`` lists the record of
+    each attempt in order (see ``_finish``).
     """
     opts = opts or DcOptions()
-    report = RunReport(stage="power_dc", extras={"solves": 0})
+    report = RunReport(stage="power_dc", extras={"solves": 0, "finish": []})
 
     if scn.p_bar_s <= 0.0 or scn.p_bar_r <= 0.0:
         report.add(0.0, kkt_residual=0.0, feasible=True)
@@ -579,20 +529,13 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     pc = _pieces(scn, traj)
     orig, orig_buffers = _original_power_program(scn, pc)
     obj = model.secrecy_sum(scn, traj, pw)
-    # ``pw`` is the linearization point; ``sol`` the last surrogate
-    # solution (or the start, or an accepted finish), which is what every
-    # exit returns.  The two differ in the loop exactly when ``pw`` is a
-    # boosted point.
-    sol = pw
-    lam = 0.0                # last accepted boost
     kkt_0 = _certify(pc, orig, orig_buffers, pw)
     report.add(obj, kkt_residual=kkt_0, feasible=True)
-    report.extras["boost_reverts"] = 0
     if kkt_0 <= opts.kkt_tol:
         # The start is already a KKT point: CCP would not move it.
         return pw, report.finish("converged")
     report.status = "max_iter"
-    for it in range(opts.max_iter):
+    for _ in range(opts.max_iter):
         prog = _build_surrogate(scn, pc, pw)
         res = solve(prog, SUBPROBLEM)
         report.extras["solves"] += 1
@@ -602,12 +545,6 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         duals = np.concatenate([res.duals, res.bound_duals])
         pw_new = _pw_from_z(pc, res.x_opt)
         obj_new = model.secrecy_sum(scn, traj, pw_new)
-        if obj_new < obj - 1e-9 and pw is not sol:
-            # The solve's duality gap exceeds 1e-9: drop the boost and
-            # take a plain step from the last surrogate solution.
-            report.extras["boost_reverts"] += 1
-            pw, obj = sol, report.final_objective
-            continue
         if obj_new < obj - 1e-9:
             # Solver-tolerance hiccup: keep the better point and stop.
             # Certify it with its own multiplier estimate and with the
@@ -632,28 +569,21 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             elif rel < 1e-13:
                 # Iterates stopped moving without certifying; report as is.
                 report.status = "stalled"
-        sol, boost, finished = pw_new, 0.0, None
-        if report.status == "max_iter" and it == 0:
-            finished, fin = _finish(scn, traj, pc, orig, orig_buffers,
-                                    pw_new, obj_new, opts)
-            report.extras["finish"] = fin
-            if fin["status"] is not None:
-                report.extras["solves"] += 1
-        if (report.status == "max_iter" and finished is None
-                and it + 1 < opts.max_iter):
-            pw, obj, boost = _boost(scn, traj, pc, pw, pw_new, obj_new,
-                                    2.0 * lam or BOOST_FIRST)
-            lam = boost or lam
         report.add(obj_new, kkt_residual=kkt_orig,
                    feasible=all(v.feasible for k, v in feas.items()
                                 if k != "mobility"),
                    subproblem_kkt=res.kkt_residual,
-                   subproblem_iters=res.iterations, boost=boost)
+                   subproblem_iters=res.iterations)
+        pw, obj = pw_new, obj_new
+        if report.status != "max_iter":
+            break
+        finished, fin = _finish(scn, traj, pc, orig, orig_buffers, pw, obj,
+                                opts)
+        report.extras["finish"].append(fin)
+        report.extras["solves"] += fin["status"] is not None
         if finished is not None:
             report.add(fin["objective"], kkt_residual=fin["kkt_residual"],
                        feasible=True, subproblem_kkt=fin["subproblem_kkt"],
-                       subproblem_iters=fin["iterations"], boost=0.0)
-            sol, report.status = finished, "converged"
-        if report.status != "max_iter":
-            break
-    return sol, report.finish()
+                       subproblem_iters=fin["iterations"])
+            return finished, report.finish("converged")
+    return pw, report.finish()

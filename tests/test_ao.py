@@ -28,6 +28,12 @@ class TestAoOptimize:
         assert snap.feasible
         assert snap.objective == pytest.approx(report.final_objective,
                                                abs=1e-9)
+        # AO has no stationarity certificate: the trajectory solve's
+        # residual is kept as ``subproblem_kkt``, not as ``kkt_residual``.
+        assert all(r.kkt_residual is None for r in report.iterations)
+        scp = [s for s in report.sub_reports if s.stage == "trajectory_scp"]
+        assert ([r.extras["subproblem_kkt"] for r in report.iterations[1:]]
+                == [s.extras.get("final_subproblem_kkt") for s in scp])
 
     def test_free_endpoints_dominate_fixed(self, rng):
         # Dropping the endpoint anchors relaxes the problem; with the
@@ -107,7 +113,8 @@ class TestStageContract:
         assert [s.status for s in report.sub_reports] == [
             "solver_numerical_failure"]
         assert report.sub_reports[-1].extras["solves"] == 3
-        assert not report.sub_reports[-1].extras["finish"]["accepted"]
+        [finish] = report.sub_reports[-1].extras["finish"]
+        assert not finish["accepted"]
         np.testing.assert_array_equal(traj.xy, traj0.xy)
         np.testing.assert_array_equal(pw.p_s, pw0.p_s)
         np.testing.assert_array_equal(pw.p_r, pw0.p_r)

@@ -60,13 +60,17 @@ class TestStaticRelay:
             calls.append(at_bad)
             if at_bad:
                 # A first solve that fails returns the stage's start, by
-                # default dc_allocate's equal-power start.
+                # default dc_allocate's equal-power start, recorded as the
+                # report's only iterate.
                 start = pw_0 if pw_0 is not None else model.restore_feasibility(
                     scn_, traj, model.equal_power_allocation(scn_),
                     tol=opts.feas_tol)
-                return start, RunReport(stage="power_dc",
-                                        status="solver_numerical_failure",
-                                        extras={"solves": 1})
+                report = RunReport(stage="power_dc",
+                                   status="solver_numerical_failure",
+                                   extras={"solves": 1, "finish": []})
+                report.add(model.secrecy_sum(scn_, traj, start),
+                           feasible=True)
+                return start, report
             return real(scn_, traj, pw_0=pw_0, opts=opts)
 
         monkeypatch.setattr(baselines, "dc_allocate", flaky)
