@@ -8,8 +8,11 @@ slots), runs ``ao``, ``trajectory``, ``power``, ``baseline static``,
 per run: configuration, command, exit code, the SHA-256 of
 ``trajectory.csv`` plus ``report.json`` with the timing fields
 (``wall_time``, ``wall_time_s``, ``total_time``) stripped, the run's
-``objective`` from ``report.json`` (``repr``, all digits) and its stage
-statuses (the run's, then each sub-stage's, depth first).
+``objective`` from ``report.json`` (``repr``, all digits), its stage
+statuses (the run's, then each sub-stage's, depth first) and its total
+Newton steps (``newton_steps``: for ``ao`` the sum over every multistart
+run, else over the stages of its report; ``-`` when the report counts
+none, as for ``baseline``, ``eval`` and ``check``).
 
 A refactor that keeps the artifacts prints the same lines.  Run it
 against two source trees and diff the output::
@@ -20,7 +23,8 @@ against two source trees and diff the output::
 
 A change that moves only the last bits (say, a new summation order)
 changes digests; the objectives and statuses on the same lines let two
-trees be compared at a tolerance.
+trees be compared at a tolerance.  Run at several ``OPENBLAS_NUM_THREADS``
+values, identical lines also pin the step counts to the thread count.
 """
 import contextlib
 import hashlib
@@ -83,14 +87,29 @@ def _statuses(report) -> list:
         s for sub in report.get("sub_reports", []) for s in _statuses(sub)]
 
 
+def _newton_steps(report) -> list:
+    """The ``newton_steps`` counts of the report: its multistart runs'
+    when it has them, else its own and each sub-report's, depth first."""
+    if not isinstance(report, dict):
+        return []
+    extras = report.get("extras", {})
+    if "multistart_runs" in extras:
+        return [r["newton_steps"] for r in extras["multistart_runs"]]
+    own = [extras["newton_steps"]] if "newton_steps" in extras else []
+    return own + [n for sub in report.get("sub_reports", [])
+                  for n in _newton_steps(sub)]
+
+
 def objective_fields(out_dir: Path) -> str:
-    """The run's objective (``repr``) and stage statuses."""
+    """The run's objective (``repr``), stage statuses and Newton steps."""
     report_path = out_dir / "report.json"
     if not report_path.exists():
         return "objective=<no report>"
     doc = json.loads(report_path.read_text())
     statuses = ",".join(map(str, _statuses(doc.get("report"))))
-    return f"objective={doc.get('objective')!r} statuses={statuses or '-'}"
+    steps = _newton_steps(doc.get("report"))
+    return (f"objective={doc.get('objective')!r} statuses={statuses or '-'} "
+            f"newton_steps={sum(steps) if steps else '-'}")
 
 
 def main() -> None:

@@ -124,7 +124,8 @@ def ao_optimize(scn: Scenario, opts: Optional[AoOptions] = None,
     """Alternate power allocation and trajectory steps until the secrecy
     objective settles; with several starting trajectories, keeps the best
     run (multi-start).  ``report.extras["multistart_runs"]`` sums up every
-    run, in start order."""
+    run, in start order, with the ``solves`` and ``newton_steps`` of its
+    stages."""
     opts = opts or AoOptions()
     if init_trajs is None:
         init_trajs = default_starts(scn)
@@ -139,7 +140,9 @@ def ao_optimize(scn: Scenario, opts: Optional[AoOptions] = None,
     report.extras["multistart_runs"] = [
         {"objective": r.final_objective, "status": r.status,
          "total_time": r.total_time,
-         "stage_statuses": [s.status for s in r.sub_reports]}
+         "stage_statuses": [s.status for s in r.sub_reports],
+         **{k: sum(s.extras[k] for s in r.sub_reports)
+            for k in ("solves", "newton_steps")}}
         for _, _, r in runs]
     if len(runs) > 1:
         report.extras["multistart_objectives"] = [

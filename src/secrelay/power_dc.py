@@ -20,7 +20,10 @@ feasible at ``feas_tol``, its objective is at least the CCP iterate's
 and its certificate is within ``kkt_tol``; the stage then ends
 ``converged`` there.  Otherwise CCP takes its next step exactly as
 without the finish and tries again after it, so the stage stays
-monotone and a rejected finish never sets a ``solver_*`` status.
+monotone and a rejected finish never sets a ``solver_*`` status.  After
+a finish whose point falls below the CCP iterate no finish is tried
+again: CCP is at least as far along, and each retry would land on the
+same KKT point.
 
 Before the first surrogate is built, ``_certify`` checks the start: it
 estimates the multipliers of the true power problem by least squares
@@ -440,6 +443,14 @@ def _certify(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
     return certify(orig, _tight_point(pc, buffers, pw), duals)
 
 
+def finish_record() -> dict:
+    """The record of a finish attempt before its solve, as both stages
+    keep it in ``extras["finish"]`` (see ``_finish``)."""
+    return {"status": None, "iterations": 0, "subproblem_kkt": None,
+            "objective": None, "kkt_residual": None, "accepted": False,
+            "reason": None}
+
+
 def _finish(scn: Scenario, traj: Trajectory, pc: _Pieces,
             orig: SmoothConvexProgram, buffers: list[Buffer],
             pw: PowerAllocation, obj: float, opts: DcOptions
@@ -465,9 +476,7 @@ def _finish(scn: Scenario, traj: Trajectory, pc: _Pieces,
     for b in buffers:
         z0[b.idx] = buffer_start(z0[b.idx])
     prog = dataclasses.replace(orig, strictly_feasible_start=z0)
-    rec = {"status": None, "iterations": 0, "subproblem_kkt": None,
-           "objective": None, "kkt_residual": None, "accepted": False,
-           "reason": None}
+    rec = finish_record()
     if not start_margin(prog) > 0.0:
         rec["reason"] = "start not strictly inside"
         return None, rec
@@ -509,12 +518,15 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     residual as ``subproblem_kkt``, and ends the stage ``converged``.
     Otherwise returns the last surrogate solution (the start if no step
     is accepted), also when a surrogate solve is not ``optimal``, which
-    ends the stage ``solver_<status>``.  ``report.extras`` counts the
-    ``solves`` (the finishes' included); ``finish`` lists the record of
-    each attempt in order (see ``_finish``).
+    ends the stage ``solver_<status>``.  No finish follows one that
+    ended below its CCP iterate.  ``report.extras`` counts the
+    ``solves`` and their ``newton_steps`` (the finishes' included);
+    ``finish`` lists the record of each attempt in order (see
+    ``_finish``).
     """
     opts = opts or DcOptions()
-    report = RunReport(stage="power_dc", extras={"solves": 0, "finish": []})
+    report = RunReport(stage="power_dc",
+                       extras={"solves": 0, "newton_steps": 0, "finish": []})
 
     if scn.p_bar_s <= 0.0 or scn.p_bar_r <= 0.0:
         report.add(0.0, kkt_residual=0.0, feasible=True)
@@ -535,10 +547,12 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         # The start is already a KKT point: CCP would not move it.
         return pw, report.finish("converged")
     report.status = "max_iter"
+    retry = True
     for _ in range(opts.max_iter):
         prog = _build_surrogate(scn, pc, pw)
         res = solve(prog, SUBPROBLEM)
         report.extras["solves"] += 1
+        report.extras["newton_steps"] += res.iterations
         if res.status != "optimal":
             report.status = f"solver_{res.status}"
             break
@@ -577,10 +591,16 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         pw, obj = pw_new, obj_new
         if report.status != "max_iter":
             break
+        if not retry:
+            continue
         finished, fin = _finish(scn, traj, pc, orig, orig_buffers, pw, obj,
                                 opts)
         report.extras["finish"].append(fin)
         report.extras["solves"] += fin["status"] is not None
+        report.extras["newton_steps"] += fin["iterations"]
+        # A finish that reached a KKT point below the CCP iterate shows
+        # CCP at least as far along; a later one would land there again.
+        retry = fin["reason"] != "objective below the CCP iterate"
         if finished is not None:
             report.add(fin["objective"], kkt_residual=fin["kkt_residual"],
                        feasible=True, subproblem_kkt=fin["subproblem_kkt"],

@@ -6,7 +6,11 @@ on the perturbed KKT system, barrier parameter reduced geometrically,
 fraction-to-boundary rule on the multipliers (``MU_FACTOR``,
 ``INNER_MAX``, ``FRAC_TO_BOUNDARY``).  Every program brings a strictly
 feasible start (``strictly_feasible_start``); ``solve`` raises
-``ValueError`` without one.  The stage programs are inner
+``ValueError`` without one.  The start is centred: each row's multiplier
+is ``MU_START`` over its slack, capped at ``LAM_START_MAX``, and mu
+starts at the mean of their products, so a row that starts a hair from
+its bound neither dominates the first Newton matrix nor its dual
+residual.  The stage programs are inner
 approximations built around a feasible point, so each has an interior
 by construction and builds its start from that point.  A program without
 inequalities or finite bounds runs the same loop: its barrier terms are
@@ -45,14 +49,15 @@ callbacks of a program can share their common terms through a
 ``PointCache``, as the stage programs do.
 
 A nonconvex program (an indefinite objective Hessian, or a row with
-concave curvature, as in the true power problem that ``power_dc``
-solves once per stage) runs the same loop.  Its Newton matrix may be
-indefinite, and the only treatment is the escalating diagonal
-regularization in ``_factor_solve``: a Cholesky factorization that
-fails is retried with a growing multiple of the identity added.  There
-is no inertia correction (A. Wächter & L. T. Biegler, Math. Program.
-106, 2006, §3.1): nothing checks the inertia beyond the factorization's
-success, and no regularization is kept between steps.  Such a solve can
+concave curvature, as in the true power and trajectory problems that
+the finishes of ``power_dc`` and ``trajectory_scp`` solve) runs the same
+loop.  Its Newton matrix may be indefinite, and the only treatment is
+the escalating diagonal regularization in ``_factor_solve``: a Cholesky
+factorization that fails is retried with a growing multiple of the
+identity added, starting from a quarter of the previous step's shift.
+There is no inertia correction (A. Wächter & L. T. Biegler, Math.
+Program. 106, 2006, §3.1): nothing checks the inertia beyond the
+factorization's success.  Such a solve can
 end ``numerical_failure``; when it ends ``optimal`` its point satisfies
 the KKT conditions to ``tol``, a first-order point that need not be a
 local minimum.  The caller must check what it needs beyond that.
@@ -87,6 +92,21 @@ STALL_TOL_FACTOR = 10.0
 MU_FACTOR = 0.2
 INNER_MAX = 40
 FRAC_TO_BOUNDARY = 0.995
+# Centred start: each multiplier is MU_START over its row's slack, capped
+# at LAM_START_MAX, and mu starts at their mean product.  A row within
+# 1e-10 of its bound gets LAM_START_MAX, not 1 / slack, so the first
+# Newton matrix factors without regularization and the first dual
+# residual stays moderate.  MU_START = MU_FACTOR keeps the barrier levels
+# at powers of MU_FACTOR, as the earlier start (mu = 1) had them, for
+# every program whose rows all start at least MU_START / LAM_START_MAX
+# inside, so each such solve stops at the same level relative to its
+# tol: at 0.1 a level of 1.02e-8 sits just under the power solves' tol
+# of 1e-8, and they end less precise.  At seed 0 of the benchmark, every
+# MU_START from 0.03 to 0.3 with caps from 1e1 to 1e3 took fewer Newton
+# steps than 1 / slack; at MU_START = 1e-2 the first fixed-endpoint
+# trajectory step ends ``max_iter``.
+MU_START = MU_FACTOR
+LAM_START_MAX = 1e2
 # Rows within this much of their bound enter ``multiplier_estimate``.
 # At an interior-point solution the rows that are active in the limit
 # are still slack by about the barrier parameter over their multiplier;
@@ -376,13 +396,18 @@ class _Plan:
         return out.astype(float, copy=False).reshape(self.bw + 1, self.dim)
 
 
-def _factor_solve(ab: Array, rhs: Array) -> Optional[Array]:
-    """Solve the banded Newton system, or None.
+def _factor_solve(ab: Array, rhs: Array,
+                  reg_last: float) -> tuple[Optional[Array], float]:
+    """Solve the banded Newton system, or None, and the diagonal shift
+    that made it factor (0.0 when none was needed).
 
-    One ``cholesky_banded`` per attempt, with escalating diagonal
-    regularization after a failed one.  This is all the solver does about
-    a matrix that is not positive definite, whether from rounding or from
-    a nonconvex program.
+    One ``cholesky_banded`` per attempt: first unshifted, then with a
+    shift that starts at a quarter of the last step's shift ``reg_last``
+    (at least 1e-10 times the mean diagonal) and doubles after each
+    failure.  This is all the solver does about a matrix that is not
+    positive definite, whether from rounding or from a nonconvex
+    program; carrying the shift over spares a nonconvex solve the same
+    climb of failed factorizations at every step.
     """
     dim = ab.shape[1]
     scale = max(1.0, float(np.sum(ab[0])) / max(dim, 1))
@@ -396,11 +421,12 @@ def _factor_solve(ab: Array, rhs: Array) -> Optional[Array]:
             cb = scipy.linalg.cholesky_banded(a, lower=True,
                                               check_finite=False)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            reg = 1e-10 * scale if reg == 0.0 else reg * 2.0
+            reg = (max(1e-10 * scale, 0.25 * reg_last) if reg == 0.0
+                   else reg * 2.0)
             continue
         return scipy.linalg.cho_solve_banded((cb, True), rhs,
-                                             check_finite=False)
-    return None
+                                             check_finite=False), reg
+    return None, reg
 
 
 def start_margin(prog: SmoothConvexProgram) -> float:
@@ -448,15 +474,15 @@ def solve(prog: SmoothConvexProgram,
                          f"{blocks.row_name(k)} is {g[k]:.3e}")
     grad_f = prog.gradient(x)
     J = blocks.jacobian(x)
-    lam = np.clip(1.0 / np.maximum(-g, 1e-10), 1e-8, 1e8)
-    mu = float(np.mean(lam * (-g))) if g.size else 0.0
-    mu = max(mu, 1e-3)
+    lam = np.clip(MU_START / -g, 1e-8, LAM_START_MAX)
+    mu = float(np.mean(lam * (-g))) if g.size else MU_START
     mu_min = 0.05 * opts.tol
     r_dual, r_cent = _pd_residual(blocks, grad_f, J, g, lam, mu)
 
     f_x = float(prog.objective(x))
     history: list[float] = [f_x]
     n_newton = 0
+    reg_last = 0.0
     status = "max_iter"
     stalled = False
     while n_newton < opts.max_iter:
@@ -470,8 +496,9 @@ def solve(prog: SmoothConvexProgram,
                 break
             sigma = lam / np.maximum(-g, 1e-300)
             rhs = -r_dual - blocks.jt(J, r_cent / g)
-            dx = _factor_solve(
-                blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs)
+            dx, reg_last = _factor_solve(
+                blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs,
+                reg_last)
             if dx is None:
                 status = "numerical_failure"
                 stalled = True

@@ -9,6 +9,25 @@ solves the resulting convex program over the per-slot displacements, and
 moves the trajectory.  Every surrogate inequality implies the original
 one, so all iterates stay feasible and the true secrecy rate ascends.
 
+SCP converges only linearly, and the surrogates only serve to reach a
+KKT point of the true problem.  So after the first step that leaves the
+stage running, the stage tries one finish (``_finish``): one
+interior-point solve of the true, nonconvex trajectory problem at the
+fixed powers (``_true_program``: the displacements and both buffers, no
+slacks, exact 2 x 2 per-slot Hessians), from zero displacement with the
+step's own two relaxations (below).  Its point is accepted only if the
+solve ends ``optimal``, the point passes mobility and causality at
+``feas_tol``, its objective is at least the SCP iterate's and its KKT
+residual on the unrelaxed problem, with the solve's duals
+(``solver.certify``), is within ``kkt_tol``; the stage then ends
+``converged`` there, with that certificate as the iterate's
+``kkt_residual``.  Otherwise SCP goes on exactly as without the finish
+and tries none again in that stage (a retry after every step costs more
+than it saves).  A step that falls below its iterate (beyond 1e-9) is
+dropped; the stage ends ``converged`` there when the fall is within the
+stop rule (``rel_tol``; near a stationary point a surrogate solution
+loses about its duality gap), and ``stalled`` (``regressed``) otherwise.
+
 Information causality is stated with relay buffers (``power_dc.Buffer``)
 for Bob's and Eve's rate: b_n >= 0 with b_n <= b_{n-1} + R_in,n-1 -
 R_out,n, fed by the relay-rate lower bound and drained by the slack-form
@@ -53,13 +72,15 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import LN2, Buffer, buffer_start
+from .power_dc import LN2, Buffer, buffer_start, finish_record
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
-                     SolverOptions, solve)
+                     SolverOptions, certify, solve, start_margin)
 
 
 SUBPROBLEM = SolverOptions(tol=1e-6)
+# The finish solve of the true trajectory problem (``_finish``).
+FINISH = SolverOptions(tol=1e-6, max_iter=100)
 
 
 @dataclass
@@ -67,6 +88,7 @@ class ScpOptions:
     rel_tol: float = 1e-4
     max_iter: int = 100
     feas_tol: float = 1e-6
+    kkt_tol: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -183,17 +205,19 @@ class _Layout:
     and the relay transmits in it, eps_n / H^2 and tau_n / H^2 (silent
     slots contribute nothing to rates or causality); then, if n >= 1,
     Bob's and Eve's buffer after slot n (bits).  The ``i_*`` arrays give
-    the positions.
+    the positions.  Without ``slacks`` (the true problem of ``_finish``)
+    no slot holds eps and tau.
     """
 
-    def __init__(self, scn: Scenario, it: TrajIterate):
+    def __init__(self, scn: Scenario, it: TrajIterate, slacks: bool = True):
         n = self.n = scn.n_slots
         self.h = scn.altitude_h
         self.h2 = self.h ** 2
         self.active = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1  # slot index
         self.na = self.active.size
         act = np.zeros(n, dtype=int)
-        act[self.active] = 1
+        if slacks:
+            act[self.active] = 1
         buf = (np.arange(n) >= 1).astype(int)
         count = 2 + 2 * act + 2 * buf
         off = np.concatenate([[0], np.cumsum(count)[:-1]])
@@ -321,6 +345,83 @@ def _causality_buffers(it: TrajIterate, lay: _Layout,
                    initial=CAUS_RELAX)]
 
 
+def _mobility_block(scn: Scenario, it: TrajIterate, lay: _Layout,
+                    at: PointCache, relax: bool = True) -> ConstraintBlock:
+    """Squared hops of the displaced trajectory, then each anchored
+    slot's squared distance to its anchor, at most the squared travel
+    budget (all scaled by h).  The budget is v_max's or, with ``relax``,
+    the larger of that and the base point's longest move (accepted
+    within feas_tol), times 1 + ``MOBILITY_RELAX``.  The displaced
+    positions and hops (``px``, ``py``, ``hop_x``, ``hop_y``) at a point
+    come from ``at``.  The one mobility builder of the convex step and
+    of the true problem."""
+    n, h = lay.n, lay.h
+    anchors = []
+    if scn.start_xy is not None:
+        anchors.append((scn.start_xy, 0))
+    if scn.end_xy is not None:
+        anchors.append((scn.end_xy, n - 1))
+    m_mob = (n - 1) + len(anchors)
+    i_d, i_x = lay.i_delta, lay.i_xi
+    mob_cols = np.stack([i_d[:-1], i_d[1:], i_x[:-1], i_x[1:]], axis=1)
+    for _, idx in anchors:
+        mob_cols = np.vstack([mob_cols, [i_d[idx], i_x[idx], i_x[idx],
+                                         i_x[idx]]])
+    a_idx = np.array([idx for _, idx in anchors], dtype=int)
+    a_xy = np.array([anchor / h for anchor, _ in anchors]).reshape(-1, 2)
+    mob_rows = np.concatenate([i_d, i_x, i_d[1:], i_x[1:]])
+    mob_cols_h = np.concatenate([i_d, i_x, i_d[:-1], i_x[:-1]])
+
+    def moves(px, py, hop_x, hop_y):
+        """Squared hops, then each anchored slot's squared distance to
+        its anchor (scaled by h)."""
+        ends = (px[a_idx] - a_xy[:, 0]) ** 2 + (py[a_idx] - a_xy[:, 1]) ** 2
+        return np.concatenate([hop_x ** 2 + hop_y ** 2, ends])
+
+    v2s = (scn.slot_travel / h) ** 2
+    if relax:
+        xs, ys = it.traj.x / h, it.traj.y / h
+        v2s = (1.0 + MOBILITY_RELAX) * max(v2s, float(np.max(
+            moves(xs, ys, np.diff(xs), np.diff(ys)), initial=0.0)))
+
+    def mob_value(z):
+        t = at(z)
+        return moves(t.px, t.py, t.hop_x, t.hop_y) - v2s
+
+    def mob_jacobian(z):
+        t = at(z)
+        ddx = 2 * t.hop_x
+        ddy = 2 * t.hop_y
+        vals = np.zeros((m_mob, 4))
+        vals[:n - 1] = np.stack([-ddx, ddx, -ddy, ddy], axis=1)
+        vals[n - 1:, 0] = 2 * (t.px[a_idx] - a_xy[:, 0])
+        vals[n - 1:, 1] = 2 * (t.py[a_idx] - a_xy[:, 1])
+        return vals
+
+    def mob_hess(z, w):
+        dd = np.zeros(n)
+        dd[1:] += 2 * w[:n - 1]
+        dd[:-1] += 2 * w[:n - 1]
+        np.add.at(dd, a_idx, 2 * w[n - 1:])
+        off = -2 * w[:n - 1]
+        return np.concatenate([dd, dd, off, off])
+
+    return ConstraintBlock(cols=mob_cols, value=mob_value,
+                           jacobian=mob_jacobian, hess_weighted=mob_hess,
+                           hess_idx=(mob_rows, mob_cols_h), name="mobility")
+
+
+def _seed_buffers(buffers: list[Buffer], z0: np.ndarray) -> None:
+    """Raise each buffer's initial content by the worst prefix excess of
+    its flow at z0 and put the buffer at ``buffer_start`` in z0, so
+    every prefix surplus of z0 is at least the buffer's own initial
+    content (``CAUS_RELAX``)."""
+    for b in buffers:
+        sent = np.cumsum(b.flow.value(z0))
+        b.initial += float(np.max(sent, initial=0.0))
+        z0[b.idx] = buffer_start(b.initial - sent)
+
+
 def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
                      feas_tol: float = 1e-6) -> SmoothConvexProgram:
     """Convex displacement program around the iterate (minimize form).
@@ -344,7 +445,6 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     c_d = it.c_bob
     act = lay.active
     g_act = it.gamma_r[act]
-    v = scn.slot_travel
     at = _step_point(it, lay)
 
     # --- objective: -(sum bob rate lb) + sum log2(1 + g/(h2 + tau)) ---
@@ -373,64 +473,8 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         ht = g_act * (2 * a + g_act) / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2
         return np.concatenate([dd0, dd0, ht])
 
-    blocks = []
-
-    # --- mobility: squared hops of the displaced trajectory ---
-    anchors = []
-    if scn.start_xy is not None:
-        anchors.append((scn.start_xy, 0))
-    if scn.end_xy is not None:
-        anchors.append((scn.end_xy, n - 1))
-    m_mob = (n - 1) + len(anchors)
+    blocks = [_mobility_block(scn, it, lay, at)]
     i_d, i_x = lay.i_delta, lay.i_xi
-    mob_cols = np.stack([i_d[:-1], i_d[1:], i_x[:-1], i_x[1:]], axis=1)
-    for _, idx in anchors:
-        mob_cols = np.vstack([mob_cols, [i_d[idx], i_x[idx], i_x[idx],
-                                         i_x[idx]]])
-    a_idx = np.array([idx for _, idx in anchors], dtype=int)
-    a_xy = np.array([anchor / h for anchor, _ in anchors]).reshape(-1, 2)
-    mob_rows = np.concatenate([i_d, i_x, i_d[1:], i_x[1:]])
-    mob_cols_h = np.concatenate([i_d, i_x, i_d[:-1], i_x[:-1]])
-
-    def moves(px, py, hop_x, hop_y):
-        """Squared hops, then each anchored slot's squared distance to
-        its anchor (scaled by h)."""
-        ends = (px[a_idx] - a_xy[:, 0]) ** 2 + (py[a_idx] - a_xy[:, 1]) ** 2
-        return np.concatenate([hop_x ** 2 + hop_y ** 2, ends])
-
-    # Scaled squared travel budget: v_max's, or the base point's longest
-    # move if longer (accepted within feas_tol), times 1 + MOBILITY_RELAX.
-    xs, ys = it.traj.x / h, it.traj.y / h
-    v2s = (1.0 + MOBILITY_RELAX) * max((v / h) ** 2, float(np.max(
-        moves(xs, ys, np.diff(xs), np.diff(ys)), initial=0.0)))
-
-    def mob_value(z):
-        t = at(z)
-        return moves(t.px, t.py, t.hop_x, t.hop_y) - v2s
-
-    def mob_jacobian(z):
-        t = at(z)
-        ddx = 2 * t.hop_x
-        ddy = 2 * t.hop_y
-        vals = np.zeros((m_mob, 4))
-        vals[:n - 1] = np.stack([-ddx, ddx, -ddy, ddy], axis=1)
-        vals[n - 1:, 0] = 2 * (t.px[a_idx] - a_xy[:, 0])
-        vals[n - 1:, 1] = 2 * (t.py[a_idx] - a_xy[:, 1])
-        return vals
-
-    def mob_hess(z, w):
-        dd = np.zeros(n)
-        dd[1:] += 2 * w[:n - 1]
-        dd[:-1] += 2 * w[:n - 1]
-        np.add.at(dd, a_idx, 2 * w[n - 1:])
-        off = -2 * w[:n - 1]
-        return np.concatenate([dd, dd, off, off])
-
-    blocks.append(ConstraintBlock(cols=mob_cols, value=mob_value,
-                                  jacobian=mob_jacobian,
-                                  hess_weighted=mob_hess,
-                                  hess_idx=(mob_rows, mob_cols_h),
-                                  name="mobility"))
 
     # --- causality: Bob's and Eve's relay buffers ---
     # Interior seed: zero displacement, each slack a margin below its
@@ -448,10 +492,7 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         z0[i_slack] = d2 / h2 - np.minimum(SEED_MARGIN,
                                            CAUS_RELAX / (4 * n * slope))
     buffers = _causality_buffers(it, lay, at)
-    for b in buffers:
-        sent = np.cumsum(b.flow.value(z0))
-        b.initial += float(np.max(sent, initial=0.0))
-        z0[b.idx] = buffer_start(b.initial - sent)
+    _seed_buffers(buffers, z0)
     blocks += [b.block() for b in buffers]
 
     # --- affine couplings: tau <= zeta_lb, eps <= eta_lb ---
@@ -483,6 +524,194 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         strictly_feasible_start=z0)
 
 
+class _Rate(NamedTuple):
+    """A reception rate log2(1 + g / (h^2 + |q - c|^2)) per slot, with
+    its gradient (gx, gy) and the lower triangle of its 2 x 2 Hessian
+    (hxx, hyy, hxy) in the slot's scaled displacement (delta, xi) / h."""
+
+    r: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    hxx: np.ndarray
+    hyy: np.ndarray
+    hxy: np.ndarray
+
+
+def _rate(x: np.ndarray, y: np.ndarray, c: np.ndarray, g: np.ndarray,
+          h: float) -> _Rate:
+    """``_Rate`` of the receiver at c with SNR numerator g per slot, at
+    the positions (x, y)."""
+    dx, dy = x - c[0], y - c[1]
+    u = h * h + dx * dx + dy * dy
+    # First and second derivatives of the rate in u.
+    r_u = -g / (LN2 * u * (u + g))
+    r_uu = g * (2 * u + g) / (LN2 * (u * (u + g)) ** 2)
+    h2 = h * h
+    return _Rate(np.log2(1.0 + g / u), 2 * r_u * dx * h, 2 * r_u * dy * h,
+                 (4 * r_uu * dx * dx + 2 * r_u) * h2,
+                 (4 * r_uu * dy * dy + 2 * r_u) * h2, 4 * r_uu * dx * dy * h2)
+
+
+class _TruePoint(NamedTuple):
+    """Terms of the true problem at one point, shared by its callbacks:
+    the displaced positions (scaled by h) with their hops, and the three
+    reception rates."""
+
+    px: np.ndarray
+    py: np.ndarray
+    hop_x: np.ndarray
+    hop_y: np.ndarray
+    relay: _Rate
+    bob: _Rate
+    eve: _Rate
+
+
+def _true_point(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
+                lay: _Layout) -> PointCache:
+    """One program's cache of its ``_TruePoint`` terms."""
+    h = lay.h
+    xs, ys = it.traj.x / h, it.traj.y / h
+    g_s = scn.ref_snr * pw.p_s
+
+    def terms(z):
+        zx, zy = z[lay.i_delta], z[lay.i_xi]
+        px, py = xs + zx, ys + zy
+        x, y = it.traj.x + zx * h, it.traj.y + zy * h
+        return _TruePoint(
+            px, py, np.diff(px), np.diff(py),
+            _rate(x, y, scn.alice_xy, g_s, h),
+            _rate(x, y, scn.bob_xy, it.gamma_r, h),
+            _rate(x, y, scn.eve_xy, it.gamma_r, h))
+    return PointCache(terms)
+
+
+def _true_flow(lay: _Layout, at: PointCache, out: str) -> ConstraintBlock:
+    """Net outflow R_out(q_{j+1}) - R_relay(q_j) of row j, with R_out
+    the rate ``out`` ("bob" or "eve") and the curvature of both rates.
+    The terms at a point come from ``at``."""
+    i_d, i_x = lay.i_delta, lay.i_xi
+    cols = np.stack([i_d[:-1], i_x[:-1], i_d[1:], i_x[1:]], axis=1)
+    rows = np.concatenate([i_d[:-1], i_x[:-1], i_x[:-1],
+                           i_d[1:], i_x[1:], i_x[1:]])
+    hcols = np.concatenate([i_d[:-1], i_x[:-1], i_d[:-1],
+                            i_d[1:], i_x[1:], i_d[1:]])
+
+    def value(z):
+        t = at(z)
+        return getattr(t, out).r[1:] - t.relay.r[:-1]
+
+    def jacobian(z):
+        t = at(z)
+        o, r = getattr(t, out), t.relay
+        return np.stack([-r.gx[:-1], -r.gy[:-1], o.gx[1:], o.gy[1:]], axis=1)
+
+    def hess_weighted(z, w):
+        t = at(z)
+        o, r = getattr(t, out), t.relay
+        return np.concatenate([-w * r.hxx[:-1], -w * r.hyy[:-1],
+                               -w * r.hxy[:-1], w * o.hxx[1:],
+                               w * o.hyy[1:], w * o.hxy[1:]])
+
+    return ConstraintBlock(cols=cols, value=value, jacobian=jacobian,
+                           hess_weighted=hess_weighted,
+                           hess_idx=(rows, hcols))
+
+
+def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
+                  lay: _Layout, relax: bool = True) -> SmoothConvexProgram:
+    """The true (nonconvex) trajectory problem at the powers pw, in the
+    displacements from the iterate it (a layout without slacks).
+
+    It maximizes sum (R_bob - R_eve) with Bob's and Eve's relay buffers
+    fed by the relay's rate and drained by each receiver's.  With
+    ``relax`` it carries the convex step's relaxations (each buffer
+    starts with ``CAUS_RELAX`` plus the start's worst prefix excess; the
+    relaxed travel budget) and starts strictly inside at zero
+    displacement.  Without, it is the problem itself, with no start:
+    ``_finish`` certifies on it.
+    """
+    at = _true_point(scn, pw, it, lay)
+    i_d, i_x = lay.i_delta, lay.i_xi
+
+    def objective(z):
+        t = at(z)
+        return -float(np.sum(t.bob.r[1:] - t.eve.r[1:]))
+
+    def gradient(z):
+        t = at(z)
+        g = np.zeros(lay.dim)
+        g[i_d] = t.eve.gx - t.bob.gx
+        g[i_x] = t.eve.gy - t.bob.gy
+        return g
+
+    def hessian(z):
+        t = at(z)
+        return np.concatenate([t.eve.hxx - t.bob.hxx, t.eve.hyy - t.bob.hyy,
+                               t.eve.hxy - t.bob.hxy])
+
+    initial = CAUS_RELAX if relax else 0.0
+    buffers = [Buffer(_true_flow(lay, at, "bob"), lay.i_bob, "bob_causality",
+                      initial=initial),
+               Buffer(_true_flow(lay, at, "eve"), lay.i_eve, "eve_causality",
+                      initial=initial)]
+    z0 = None
+    if relax:
+        z0 = np.zeros(lay.dim)
+        _seed_buffers(buffers, z0)
+    lb = np.full(lay.dim, -np.inf)
+    lb[lay.i_bob] = lb[lay.i_eve] = 0.0
+    return SmoothConvexProgram(
+        dim=lay.dim, objective=objective, gradient=gradient, hessian=hessian,
+        hess_idx=(np.concatenate([i_d, i_x, i_x]),
+                  np.concatenate([i_d, i_x, i_d])),
+        ineqs=[_mobility_block(scn, it, lay, at, relax)]
+        + [b.block() for b in buffers],
+        lb=lb, strictly_feasible_start=z0)
+
+
+def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
+            opts: ScpOptions) -> tuple[Optional[TrajIterate], dict]:
+    """One solve of the true trajectory problem (``_true_program``) from
+    the SCP iterate it.
+
+    A start that is not strictly inside is skipped (no solve).  The
+    solve's point is accepted only if the solve ends ``optimal``, the
+    point passes mobility and causality at ``opts.feas_tol``, its
+    objective is at least the iterate's and its KKT residual on the
+    unrelaxed problem (``solver.certify`` with the solve's duals) is
+    within ``opts.kkt_tol``.  Returns the accepted iterate (None
+    otherwise) and the attempt's record (``power_dc.finish_record``,
+    filled in as ``power_dc._finish`` does).
+    """
+    lay = _Layout(scn, it, slacks=False)
+    prog = _true_program(scn, pw, it, lay)
+    rec = finish_record()
+    if not start_margin(prog) > 0.0:
+        rec["reason"] = "start not strictly inside"
+        return None, rec
+    res = solve(prog, FINISH)
+    z = res.x_opt
+    step = np.stack([z[lay.i_delta], z[lay.i_xi]], axis=1) * lay.h
+    it_fin = make_iterate(scn, Trajectory(it.traj.xy + step), pw)
+    checks = model.check_all(scn, it_fin.traj, pw, tol=opts.feas_tol)
+    rec.update(status=res.status, iterations=res.iterations,
+               subproblem_kkt=res.kkt_residual, objective=it_fin.objective)
+    if res.status != "optimal":
+        rec["reason"] = f"solve ended {res.status}"
+    elif not (checks["mobility"].feasible and checks["causality"].feasible):
+        rec["reason"] = "infeasible at feas_tol"
+    elif not it_fin.objective >= it.objective:
+        rec["reason"] = "objective below the SCP iterate"
+    else:
+        rec["kkt_residual"] = certify(
+            _true_program(scn, pw, it, lay, relax=False), z,
+            np.concatenate([res.duals, res.bound_duals]))
+        if not rec["kkt_residual"] <= opts.kkt_tol:
+            rec["reason"] = "certificate above kkt_tol"
+    rec["accepted"] = rec["reason"] is None
+    return (it_fin if rec["accepted"] else None), rec
+
+
 def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
                  opts: Optional[ScpOptions] = None,
                  iteration_callback=None
@@ -493,10 +722,18 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     violates information causality on it at ``opts.feas_tol``; the
     caller restores the powers (``model.restore_feasibility``).
     ``iteration_callback(traj)``, when given, is invoked with each
-    accepted trajectory iterate (e.g. to snapshot the evolution).
+    accepted trajectory iterate (e.g. to snapshot the evolution), an
+    accepted finish included.  ``report.extras`` counts the ``solves``
+    and their ``newton_steps`` (the finish's included), lists the finish
+    attempt (at most one) under ``finish`` (see ``_finish``), keeps a
+    dropped step under ``rejected_step`` and the last accepted solve's
+    residual as ``final_subproblem_kkt``.  Each iterate records its
+    solve's residual as ``subproblem_kkt``; its ``kkt_residual`` is that
+    residual too, except an accepted finish's, which is its certificate.
     """
     opts = opts or ScpOptions()
-    report = RunReport(stage="trajectory_scp")
+    report = RunReport(stage="trajectory_scp",
+                       extras={"solves": 0, "newton_steps": 0, "finish": []})
 
     if not model.check_mobility(scn, traj_0, tol=opts.feas_tol).feasible:
         raise ValueError("initial trajectory violates mobility constraints")
@@ -517,6 +754,8 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         lay = _Layout(scn, it)
         prog = _build_subproblem(scn, it, lay)
         res = solve(prog, SUBPROBLEM)
+        report.extras["solves"] += 1
+        report.extras["newton_steps"] += res.iterations
         if res.status != "optimal":
             # Stay on the last feasible iterate; a vanishing interior at
             # a causality-tight point means a (near-)stationary step.
@@ -527,14 +766,25 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         it_new = make_iterate(scn, traj_new, pw)
         checks = model.check_all(scn, traj_new, pw, tol=opts.feas_tol)
         ok = checks["mobility"].feasible and checks["causality"].feasible
-        if it_new.objective < it.objective - 1e-9 or not ok:
-            # Numerical regression; keep the last good iterate.
-            report.status = "stalled"
-            report.extras["stall_reason"] = ("regressed" if ok
-                                             else "infeasible_step")
-            break
         change = abs(it_new.objective - it.objective)
         rel = change / max(abs(it_new.objective), 1e-10)
+        settled = rel < opts.rel_tol or change <= model.OBJ_ABS_TOL
+        if it_new.objective < it.objective - 1e-9 or not ok:
+            # Numerical regression; keep the last good iterate.  A fall
+            # the stop rule calls settled (near a stationary point the
+            # step loses about the surrogate's duality gap) ends the
+            # stage ``converged`` there, as an ascent that small would.
+            report.extras["rejected_step"] = {
+                "objective": it_new.objective,
+                "subproblem_kkt": res.kkt_residual,
+                "subproblem_iters": res.iterations}
+            if ok and settled:
+                report.status = "converged"
+            else:
+                report.status = "stalled"
+                report.extras["stall_reason"] = ("regressed" if ok
+                                                 else "infeasible_step")
+            break
         # Tightness diagnostic of the slack couplings at the optimum
         # (silent slots have no slacks and count as tight).
         zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
@@ -545,12 +795,29 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         if iteration_callback is not None:
             iteration_callback(it.traj)
         report.add(it.objective, kkt_residual=res.kkt_residual, feasible=ok,
+                   subproblem_kkt=res.kkt_residual,
                    subproblem_iters=res.iterations,
                    slack_tightness_gap=slack_gap,
                    step_norm=float(np.max(np.abs(
                        np.concatenate([delta, xi])))))
-        if rel < opts.rel_tol or change <= model.OBJ_ABS_TOL:
+        if settled:
             report.status = "converged"
             break
-    report.extras["final_subproblem_kkt"] = report.iterations[-1].kkt_residual
+        if report.extras["finish"]:
+            continue
+        finished, fin = _finish(scn, pw, it, opts)
+        report.extras["finish"].append(fin)
+        report.extras["solves"] += fin["status"] is not None
+        report.extras["newton_steps"] += fin["iterations"]
+        if finished is not None:
+            it = finished
+            if iteration_callback is not None:
+                iteration_callback(it.traj)
+            report.add(it.objective, kkt_residual=fin["kkt_residual"],
+                       feasible=True, subproblem_kkt=fin["subproblem_kkt"],
+                       subproblem_iters=fin["iterations"])
+            report.status = "converged"
+            break
+    report.extras["final_subproblem_kkt"] = (
+        report.iterations[-1].extras.get("subproblem_kkt"))
     return it.traj, report.finish()

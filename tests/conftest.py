@@ -154,13 +154,8 @@ def fail_trajectory_solves(monkeypatch, after: int = 0) -> None:
     _fail_solves(monkeypatch, trajectory_scp, after)
 
 
-def reject_power_finish(monkeypatch) -> list:
-    """Every finish of the power stage (one solve of the true power
-    problem) ends ``numerical_failure``, with the point the solver found,
-    so each stage that tries one goes on with CCP.  Returns a list that
-    is not empty while a finish runs."""
-    from secrelay import power_dc
-    finish, solve, inside = power_dc._finish, power_dc.solve, []
+def _reject_finish(monkeypatch, stage) -> list:
+    finish, solve, inside = stage._finish, stage.solve, []
 
     def marked_finish(*args):
         inside.append(1)
@@ -175,9 +170,26 @@ def reject_power_finish(monkeypatch) -> list:
             return res
         return dataclasses.replace(res, status="numerical_failure")
 
-    monkeypatch.setattr(power_dc, "_finish", marked_finish)
-    monkeypatch.setattr(power_dc, "solve", failing_solve)
+    monkeypatch.setattr(stage, "_finish", marked_finish)
+    monkeypatch.setattr(stage, "solve", failing_solve)
     return inside
+
+
+def reject_power_finish(monkeypatch) -> list:
+    """Every finish of the power stage (one solve of the true power
+    problem) ends ``numerical_failure``, with the point the solver found,
+    so each stage that tries one goes on with CCP.  Returns a list that
+    is not empty while a finish runs."""
+    from secrelay import power_dc
+    return _reject_finish(monkeypatch, power_dc)
+
+
+def reject_trajectory_finish(monkeypatch) -> list:
+    """The same for the trajectory stage's finish (one solve of the true
+    trajectory problem): it ends ``numerical_failure``, so the stage goes
+    on with SCP."""
+    from secrelay import trajectory_scp
+    return _reject_finish(monkeypatch, trajectory_scp)
 
 
 @pytest.fixture

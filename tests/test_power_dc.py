@@ -531,7 +531,9 @@ class TestStartCertificate:
 def _skip_finish(monkeypatch) -> None:
     """The power stage with every finish skipped: the pure CCP loop."""
     monkeypatch.setattr(power_dc, "_finish",
-                        lambda *args: (None, {"status": None}))
+                        lambda *args: (None, {"status": None,
+                                              "iterations": 0,
+                                              "reason": None}))
 
 
 def _same_run(a, b) -> None:
@@ -604,6 +606,26 @@ class TestFinish:
             assert finish["kkt_residual"] is None
         assert run[1].extras["solves"] == ccp[1].extras["solves"] + steps
         assert run[1].status == "converged"
+
+    def test_no_retry_after_finish_below_ccp(self, monkeypatch):
+        """After a finish that reached a point below the CCP iterate, no
+        finish is tried again; CCP runs on alone, bit for bit."""
+        scn, traj, pw0 = TestStartCertificate._start(self.XY[0], 0.98)
+        with monkeypatch.context() as m:
+            _skip_finish(m)
+            ccp = dc_allocate(scn, traj, pw_0=pw0)
+        below = {"status": "optimal", "iterations": 7, "subproblem_kkt": 0.0,
+                 "objective": 0.0, "kkt_residual": None, "accepted": False,
+                 "reason": "objective below the CCP iterate"}
+        monkeypatch.setattr(power_dc, "_finish",
+                            lambda *args: (None, dict(below)))
+        run = dc_allocate(scn, traj, pw_0=pw0)
+        _same_run(run, ccp)
+        assert len(ccp[1].iterations) - 1 > 1
+        assert run[1].extras["finish"] == [below]
+        assert run[1].extras["solves"] == ccp[1].extras["solves"] + 1
+        assert (run[1].extras["newton_steps"]
+                == ccp[1].extras["newton_steps"] + 7)
 
     def test_start_not_inside_skipped(self, monkeypatch, power_solves):
         """A finish start that is not strictly inside (here: source

@@ -687,7 +687,7 @@ class TestAssemblyPlan:
             if step == 0:
                 continue
             rhs = rng.normal(size=n)
-            dx = solver._factor_solve(ab, rhs)
+            dx, _ = solver._factor_solve(ab, rhs, 0.0)
             scale = np.max(np.abs(ref)) * np.max(np.abs(dx)) + 1.0
             assert np.max(np.abs(ref @ dx - rhs)) <= 1e-12 * scale
 
@@ -697,6 +697,36 @@ class TestAssemblyPlan:
         for name, prog in stage_programs(50).items():
             first, second = solve(prog), solve(prog)
             assert first.x_opt.tobytes() == second.x_opt.tobytes(), name
+
+
+class TestCentredStart:
+    """The start multipliers, ``MU_START`` over each slack capped at
+    ``LAM_START_MAX``, keep the first Newton matrix positive definite."""
+
+    @pytest.mark.parametrize("name", ["trajectory",
+                                      "trajectory causality edge"])
+    def test_first_newton_matrix_factors(self, name, monkeypatch):
+        """The N = 50 trajectory steps have rows within 1e-10 of their
+        bound at the start; uncapped multipliers (1 / slack) made their
+        first Newton matrix fail ``cholesky_banded`` and take
+        regularization."""
+        real = scipy.linalg.cholesky_banded
+        factored = []
+
+        def recording(ab, *args, **kwargs):
+            try:
+                out = real(ab, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                factored.append(False)
+                raise
+            factored.append(True)
+            return out
+
+        prog = stage_programs(50)[name]
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+        res = solve(prog)
+        assert res.status == "optimal"
+        assert factored[0]
 
 
 class TestLinearScaling:

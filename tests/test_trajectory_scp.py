@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import (assert_wall_times, random_feasible_trajectory,
-                      random_power, random_scenario, small_scenario,
+                      random_power, random_scenario,
+                      reject_trajectory_finish, small_scenario,
                       stage_programs)
-from numerics import callback_outputs, record_points, verify_derivatives
+from numerics import (as_dense, callback_outputs, record_points,
+                      verify_derivatives)
 from secrelay import benchmark_scenario, model, trajectory_scp
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
@@ -625,6 +627,35 @@ class TestScpOptimize:
         assert len(report.iterations) == 1
 
 
+    def test_settled_regression_converges(self, rng, monkeypatch):
+        """A step that falls below its iterate by more than 1e-9 but by
+        less than the stop rule (``rel_tol``) counts as settled: the
+        stage keeps the iterate, records the step and ends
+        ``converged``, as an ascent that small would."""
+        scn = small_scenario()
+        traj = random_feasible_trajectory(rng, scn)
+        pw = restore_feasibility(scn, traj,
+                                 model.equal_power_allocation(scn))
+        real = trajectory_scp.make_iterate
+        start = real(scn, traj, pw).objective
+
+        def slightly_worse(scn, traj_n, pw):
+            it = real(scn, traj_n, pw)
+            if traj_n is traj:
+                return it
+            return dataclasses.replace(it, objective=start - 1e-6)
+
+        monkeypatch.setattr(trajectory_scp, "make_iterate", slightly_worse)
+        out, report = scp_optimize(scn, pw, traj)
+        assert out is traj
+        assert report.status == "converged"
+        assert "stall_reason" not in report.extras
+        assert report.extras["rejected_step"]["objective"] == start - 1e-6
+        assert len(report.iterations) == 1
+        assert report.extras["solves"] == 1
+        assert report.extras["finish"] == []
+
+
 class TestInterior:
     """The step's start is strictly feasible whenever its base point is
     accepted, also on the boundary."""
@@ -665,3 +696,144 @@ class TestInterior:
         assert len(report.iterations) >= 2
         assert model.check_all(scn, iterates[0], pw,
                                tol=opts.feas_tol)["causality"].feasible
+
+
+def _fixed_start():
+    """The fixed-endpoint benchmark at T = 50 s (1 s slots) from its
+    straight line, with the relay scaled back to causality."""
+    scn = benchmark_scenario(50.0, 1.0, fixed_endpoints=True)
+    traj = initial_trajectory(scn)
+    return scn, traj, restore_feasibility(
+        scn, traj, model.equal_power_allocation(scn))
+
+
+def _skip_finish(monkeypatch) -> None:
+    """The trajectory stage with its finish skipped: the pure SCP loop."""
+    monkeypatch.setattr(trajectory_scp, "_finish",
+                        lambda *args: (None, {"status": None,
+                                              "iterations": 0}))
+
+
+def _same_run(a, b) -> None:
+    """Two trajectory-stage runs gave, bit for bit, the same trajectory,
+    objectives, residuals and status."""
+    (traj_a, rep_a), (traj_b, rep_b) = a, b
+    np.testing.assert_array_equal(traj_a.xy, traj_b.xy)
+    assert rep_a.objectives == rep_b.objectives
+    assert ([r.kkt_residual for r in rep_a.iterations]
+            == [r.kkt_residual for r in rep_b.iterations])
+    assert rep_a.status == rep_b.status
+
+
+class TestTrajectoryFinish:
+    """The one solve of the true trajectory problem per stage, after the
+    first SCP step that leaves the stage running."""
+
+    def test_true_program_derivatives(self, rng):
+        """Gradients, Jacobians and Hessians of the true program, relaxed
+        and not, match central differences, including the xy entries of
+        each slot's 2 x 2 Hessians."""
+        for _ in range(3):
+            scn = random_scenario(rng, n_slots=6)
+            traj = random_feasible_trajectory(rng, scn)
+            pw = restore_feasibility(scn, traj,
+                                     model.equal_power_allocation(scn))
+            it = make_iterate(scn, traj, pw)
+            lay = _Layout(scn, it, slacks=False)
+            assert lay.dim == 2 * scn.n_slots + 2 * (scn.n_slots - 1)
+            for relax in (True, False):
+                prog = trajectory_scp._true_program(scn, pw, it, lay, relax)
+                z = rng.uniform(-0.3, 0.3, prog.dim)
+                assert verify_derivatives(prog, z) < 1e-5
+                H = as_dense(prog.hess_idx, prog.hessian(z), prog.dim)
+                # Slot 1 carries no relay power.
+                assert np.all(H[lay.i_xi[1:], lay.i_delta[1:]] != 0.0)
+                bob = prog.ineqs[1]
+                Hw = as_dense(bob.hess_idx,
+                              bob.hess_weighted(z, np.ones(bob.m)), prog.dim)
+                assert np.all(Hw[lay.i_xi, lay.i_delta] != 0.0)
+
+    def test_accepted(self):
+        """On a fixed-endpoint config the finish after the first step is
+        accepted: at or above that iterate, certified within ``kkt_tol``
+        on the unrelaxed problem, the last iterate, and the stage ends
+        ``converged``."""
+        scn, traj, pw = _fixed_start()
+        opts = ScpOptions()
+        seen = []
+        out, report = scp_optimize(scn, pw, traj, opts=opts,
+                                   iteration_callback=seen.append)
+        [finish] = report.extras["finish"]
+        assert finish["accepted"] and finish["reason"] is None
+        assert finish["status"] == "optimal" and finish["iterations"] > 0
+        assert report.status == "converged"
+        assert len(report.iterations) == 3
+        step, last = report.iterations[-2:]
+        assert last.objective == finish["objective"] >= step.objective
+        assert last.kkt_residual == finish["kkt_residual"] <= opts.kkt_tol
+        assert last.extras["subproblem_kkt"] == finish["subproblem_kkt"]
+        assert (report.extras["final_subproblem_kkt"]
+                == finish["subproblem_kkt"])
+        assert seen[-1] is out
+        assert model.secrecy_sum(scn, out, pw) == report.final_objective
+        checks = model.check_all(scn, out, pw, tol=opts.feas_tol)
+        assert all(v.feasible for v in checks.values())
+        assert report.extras["solves"] == 2
+        assert report.extras["newton_steps"] == sum(
+            r.extras["subproblem_iters"] for r in report.iterations[1:])
+
+    def test_rejected_finish_leaves_scp_unchanged(self, monkeypatch):
+        """A finish whose solve ends ``numerical_failure`` is recorded and
+        rejected; the stage then gives, bit for bit, what pure SCP gives,
+        with one more solve, and tries no second finish."""
+        scn, traj, pw = _fixed_start()
+        with monkeypatch.context() as m:
+            _skip_finish(m)
+            scp = scp_optimize(scn, pw, traj)
+        reject_trajectory_finish(monkeypatch)
+        run = scp_optimize(scn, pw, traj)
+        _same_run(run, scp)
+        assert len(scp[1].iterations) > 3
+        [finish] = run[1].extras["finish"]
+        assert finish["status"] == "numerical_failure"
+        assert not finish["accepted"]
+        assert finish["reason"] == "solve ended numerical_failure"
+        assert finish["kkt_residual"] is None
+        assert run[1].extras["solves"] == scp[1].extras["solves"] + 1
+        assert (run[1].extras["newton_steps"]
+                == scp[1].extras["newton_steps"] + finish["iterations"])
+        assert run[1].status == "converged"
+
+    def test_start_not_inside_skipped(self, monkeypatch):
+        """A finish start that is not strictly inside (here: a buffer
+        below its bound) is skipped before any solve, once, and the stage
+        runs the pure SCP loop."""
+        scn, traj, pw = _fixed_start()
+        with monkeypatch.context() as m:
+            _skip_finish(m)
+            scp = scp_optimize(scn, pw, traj)
+        true_program = trajectory_scp._true_program
+
+        def outside(scn, pw, it, lay, relax=True):
+            prog = true_program(scn, pw, it, lay, relax)
+            if relax:
+                prog.strictly_feasible_start[lay.i_bob[0]] = -1.0
+            return prog
+
+        monkeypatch.setattr(trajectory_scp, "_true_program", outside)
+        solves = []
+        solve = trajectory_scp.solve
+
+        def counting_solve(prog, opts):
+            solves.append(1)
+            return solve(prog, opts)
+
+        monkeypatch.setattr(trajectory_scp, "solve", counting_solve)
+        run = scp_optimize(scn, pw, traj)
+        _same_run(run, scp)
+        assert len(solves) == run[1].extras["solves"]
+        assert run[1].extras["solves"] == scp[1].extras["solves"]
+        assert run[1].extras["finish"] == [{
+            "status": None, "iterations": 0, "subproblem_kkt": None,
+            "objective": None, "kkt_residual": None, "accepted": False,
+            "reason": "start not strictly inside"}]
