@@ -54,13 +54,13 @@ the finishes of ``power_dc`` and ``trajectory_scp`` solve) runs the same
 loop.  Its Newton matrix may be indefinite, and the only treatment is
 the escalating diagonal regularization in ``_factor_solve``: a Cholesky
 factorization that fails is retried with a growing multiple of the
-identity added, starting from a quarter of the previous step's shift.
-There is no inertia correction (A. Wächter & L. T. Biegler, Math.
-Program. 106, 2006, §3.1): nothing checks the inertia beyond the
-factorization's success.  Such a solve can
-end ``numerical_failure``; when it ends ``optimal`` its point satisfies
-the KKT conditions to ``tol``, a first-order point that need not be a
-local minimum.  The caller must check what it needs beyond that.
+identity added.  There is no inertia correction (A. Wächter & L. T.
+Biegler, Math. Program. 106, 2006, §3.1): nothing checks the inertia
+beyond the factorization's success, and no regularization is kept
+between steps.  Such a solve can end ``numerical_failure``; when it
+ends ``optimal`` its point satisfies the KKT conditions to ``tol``, a
+first-order point that need not be a local minimum.  The caller must
+check what it needs beyond that.
 
 The result does not depend on the BLAS thread count: every sum over
 all variables or rows is a numpy reduction or a ``np.bincount``, never
@@ -96,16 +96,20 @@ FRAC_TO_BOUNDARY = 0.995
 # at LAM_START_MAX, and mu starts at their mean product.  A row within
 # 1e-10 of its bound gets LAM_START_MAX, not 1 / slack, so the first
 # Newton matrix factors without regularization and the first dual
-# residual stays moderate.  MU_START = MU_FACTOR keeps the barrier levels
-# at powers of MU_FACTOR, as the earlier start (mu = 1) had them, for
-# every program whose rows all start at least MU_START / LAM_START_MAX
-# inside, so each such solve stops at the same level relative to its
-# tol: at 0.1 a level of 1.02e-8 sits just under the power solves' tol
-# of 1e-8, and they end less precise.  At seed 0 of the benchmark, every
-# MU_START from 0.03 to 0.3 with caps from 1e1 to 1e3 took fewer Newton
-# steps than 1 / slack; at MU_START = 1e-2 the first fixed-endpoint
-# trajectory step ends ``max_iter``.
-MU_START = MU_FACTOR
+# residual stays moderate.  For a program whose rows all start at least
+# MU_START / LAM_START_MAX inside, the barrier levels are MU_START times
+# powers of MU_FACTOR, so MU_START decides the last level a solve
+# reaches below its tol.  On the fixed-endpoint SCP of the benchmark
+# (N = 100, its finish skipped), every MU_START from 0.03 to 0.3 with
+# caps from 1e1 to 1e4 took 338 to 437 Newton steps, against 531 from
+# 1 / slack; at MU_START = 1e-2 (a cliff) its first step ends
+# ``max_iter``.  The power solves (tol 1e-8) end at the last level of
+# about 4e-9 or less only for MU_START from about 0.11 to 0.2 (the
+# earlier start's levels); at 0.1 they end at 1.02e-8, at 0.25 at
+# 5.1e-9, and their points lose up to 4e-9 of relative objective.
+# Within that window, whether a given nonconvex finish ends ``optimal``
+# turns on the exact value (see CHANGES.md).
+MU_START = 0.18
 LAM_START_MAX = 1e2
 # Rows within this much of their bound enter ``multiplier_estimate``.
 # At an interior-point solution the rows that are active in the limit
@@ -396,18 +400,13 @@ class _Plan:
         return out.astype(float, copy=False).reshape(self.bw + 1, self.dim)
 
 
-def _factor_solve(ab: Array, rhs: Array,
-                  reg_last: float) -> tuple[Optional[Array], float]:
-    """Solve the banded Newton system, or None, and the diagonal shift
-    that made it factor (0.0 when none was needed).
+def _factor_solve(ab: Array, rhs: Array) -> Optional[Array]:
+    """Solve the banded Newton system, or None.
 
-    One ``cholesky_banded`` per attempt: first unshifted, then with a
-    shift that starts at a quarter of the last step's shift ``reg_last``
-    (at least 1e-10 times the mean diagonal) and doubles after each
-    failure.  This is all the solver does about a matrix that is not
-    positive definite, whether from rounding or from a nonconvex
-    program; carrying the shift over spares a nonconvex solve the same
-    climb of failed factorizations at every step.
+    One ``cholesky_banded`` per attempt, with escalating diagonal
+    regularization after a failed one.  This is all the solver does about
+    a matrix that is not positive definite, whether from rounding or from
+    a nonconvex program.
     """
     dim = ab.shape[1]
     scale = max(1.0, float(np.sum(ab[0])) / max(dim, 1))
@@ -421,12 +420,11 @@ def _factor_solve(ab: Array, rhs: Array,
             cb = scipy.linalg.cholesky_banded(a, lower=True,
                                               check_finite=False)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            reg = (max(1e-10 * scale, 0.25 * reg_last) if reg == 0.0
-                   else reg * 2.0)
+            reg = 1e-10 * scale if reg == 0.0 else reg * 2.0
             continue
         return scipy.linalg.cho_solve_banded((cb, True), rhs,
-                                             check_finite=False), reg
-    return None, reg
+                                             check_finite=False)
+    return None
 
 
 def start_margin(prog: SmoothConvexProgram) -> float:
@@ -482,7 +480,6 @@ def solve(prog: SmoothConvexProgram,
     f_x = float(prog.objective(x))
     history: list[float] = [f_x]
     n_newton = 0
-    reg_last = 0.0
     status = "max_iter"
     stalled = False
     while n_newton < opts.max_iter:
@@ -496,9 +493,8 @@ def solve(prog: SmoothConvexProgram,
                 break
             sigma = lam / np.maximum(-g, 1e-300)
             rhs = -r_dual - blocks.jt(J, r_cent / g)
-            dx, reg_last = _factor_solve(
-                blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs,
-                reg_last)
+            dx = _factor_solve(
+                blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs)
             if dx is None:
                 status = "numerical_failure"
                 stalled = True

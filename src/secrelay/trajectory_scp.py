@@ -19,7 +19,7 @@ step's own two relaxations (below).  Its point is accepted only if the
 solve ends ``optimal``, the point passes mobility and causality at
 ``feas_tol``, its objective is at least the SCP iterate's and its KKT
 residual on the unrelaxed problem, with the solve's duals
-(``solver.certify``), is within ``kkt_tol``; the stage then ends
+(``solver.certify``), is within ``FINISH_KKT_TOL``; the stage then ends
 ``converged`` there, with that certificate as the iterate's
 ``kkt_residual``.  Otherwise SCP goes on exactly as without the finish
 and tries none again in that stage (a retry after every step costs more
@@ -79,8 +79,11 @@ from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
 
 
 SUBPROBLEM = SolverOptions(tol=1e-6)
-# The finish solve of the true trajectory problem (``_finish``).
+# The finish solve of the true trajectory problem (``_finish``), and the
+# KKT residual on the unrelaxed problem within which its point is
+# accepted (``DcOptions.kkt_tol``'s value).
 FINISH = SolverOptions(tol=1e-6, max_iter=100)
+FINISH_KKT_TOL = 1e-5
 
 
 @dataclass
@@ -88,7 +91,6 @@ class ScpOptions:
     rel_tol: float = 1e-4
     max_iter: int = 100
     feas_tol: float = 1e-6
-    kkt_tol: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ class _Layout:
     slots contribute nothing to rates or causality); then, if n >= 1,
     Bob's and Eve's buffer after slot n (bits).  The ``i_*`` arrays give
     the positions.  Without ``slacks`` (the true problem of ``_finish``)
-    no slot holds eps and tau.
+    no slot holds eps and tau, and ``i_eps`` and ``i_tau`` are empty.
     """
 
     def __init__(self, scn: Scenario, it: TrajIterate, slacks: bool = True):
@@ -215,17 +217,17 @@ class _Layout:
         self.h2 = self.h ** 2
         self.active = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1  # slot index
         self.na = self.active.size
+        slotted = self.active if slacks else self.active[:0]
         act = np.zeros(n, dtype=int)
-        if slacks:
-            act[self.active] = 1
+        act[slotted] = 1
         buf = (np.arange(n) >= 1).astype(int)
         count = 2 + 2 * act + 2 * buf
         off = np.concatenate([[0], np.cumsum(count)[:-1]])
         self.dim = int(np.sum(count))
         self.i_delta = off
         self.i_xi = off + 1
-        self.i_eps = off[self.active] + 2
-        self.i_tau = off[self.active] + 3
+        self.i_eps = off[slotted] + 2
+        self.i_tau = off[slotted] + 3
         self.i_bob = off[1:] + 2 + 2 * act[1:]
         self.i_eve = self.i_bob + 1
 
@@ -679,7 +681,7 @@ def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
     point passes mobility and causality at ``opts.feas_tol``, its
     objective is at least the iterate's and its KKT residual on the
     unrelaxed problem (``solver.certify`` with the solve's duals) is
-    within ``opts.kkt_tol``.  Returns the accepted iterate (None
+    within ``FINISH_KKT_TOL``.  Returns the accepted iterate (None
     otherwise) and the attempt's record (``power_dc.finish_record``,
     filled in as ``power_dc._finish`` does).
     """
@@ -706,8 +708,8 @@ def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
         rec["kkt_residual"] = certify(
             _true_program(scn, pw, it, lay, relax=False), z,
             np.concatenate([res.duals, res.bound_duals]))
-        if not rec["kkt_residual"] <= opts.kkt_tol:
-            rec["reason"] = "certificate above kkt_tol"
+        if not rec["kkt_residual"] <= FINISH_KKT_TOL:
+            rec["reason"] = "certificate above FINISH_KKT_TOL"
     rec["accepted"] = rec["reason"] is None
     return (it_fin if rec["accepted"] else None), rec
 

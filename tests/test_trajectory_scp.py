@@ -741,6 +741,7 @@ class TestTrajectoryFinish:
             it = make_iterate(scn, traj, pw)
             lay = _Layout(scn, it, slacks=False)
             assert lay.dim == 2 * scn.n_slots + 2 * (scn.n_slots - 1)
+            assert lay.i_eps.size == lay.i_tau.size == 0
             for relax in (True, False):
                 prog = trajectory_scp._true_program(scn, pw, it, lay, relax)
                 z = rng.uniform(-0.3, 0.3, prog.dim)
@@ -755,9 +756,9 @@ class TestTrajectoryFinish:
 
     def test_accepted(self):
         """On a fixed-endpoint config the finish after the first step is
-        accepted: at or above that iterate, certified within ``kkt_tol``
-        on the unrelaxed problem, the last iterate, and the stage ends
-        ``converged``."""
+        accepted: at or above that iterate, certified within
+        ``FINISH_KKT_TOL`` on the unrelaxed problem, the last iterate,
+        and the stage ends ``converged``."""
         scn, traj, pw = _fixed_start()
         opts = ScpOptions()
         seen = []
@@ -770,7 +771,8 @@ class TestTrajectoryFinish:
         assert len(report.iterations) == 3
         step, last = report.iterations[-2:]
         assert last.objective == finish["objective"] >= step.objective
-        assert last.kkt_residual == finish["kkt_residual"] <= opts.kkt_tol
+        assert (last.kkt_residual == finish["kkt_residual"]
+                <= trajectory_scp.FINISH_KKT_TOL)
         assert last.extras["subproblem_kkt"] == finish["subproblem_kkt"]
         assert (report.extras["final_subproblem_kkt"]
                 == finish["subproblem_kkt"])
