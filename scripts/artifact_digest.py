@@ -12,7 +12,9 @@ per run: configuration, command, exit code, the SHA-256 of
 statuses (the run's, then each sub-stage's, depth first) and its total
 Newton steps (``newton_steps``: for ``ao`` the sum over every multistart
 run, else over the stages of its report; ``-`` when the report counts
-none, as for ``baseline``, ``eval`` and ``check``).
+none, as for ``baseline``, ``eval`` and ``check``).  ``baseline static``
+lines end with the number of locations whose power stage the scan ran
+(``locations_evaluated``).
 
 A refactor that keeps the artifacts prints the same lines.  Run it
 against two source trees and diff the output::
@@ -24,7 +26,8 @@ against two source trees and diff the output::
 A change that moves only the last bits (say, a new summation order)
 changes digests; the objectives and statuses on the same lines let two
 trees be compared at a tolerance.  Run at several ``OPENBLAS_NUM_THREADS``
-values, identical lines also pin the step counts to the thread count.
+values, identical lines also pin the step counts and the static scan's
+work to the thread count.
 """
 import contextlib
 import hashlib
@@ -101,15 +104,20 @@ def _newton_steps(report) -> list:
 
 
 def objective_fields(out_dir: Path) -> str:
-    """The run's objective (``repr``), stage statuses and Newton steps."""
+    """The run's objective (``repr``), stage statuses and Newton steps,
+    and the static scan's ``locations_evaluated`` where it has one."""
     report_path = out_dir / "report.json"
     if not report_path.exists():
         return "objective=<no report>"
     doc = json.loads(report_path.read_text())
     statuses = ",".join(map(str, _statuses(doc.get("report"))))
     steps = _newton_steps(doc.get("report"))
-    return (f"objective={doc.get('objective')!r} statuses={statuses or '-'} "
-            f"newton_steps={sum(steps) if steps else '-'}")
+    fields = (f"objective={doc.get('objective')!r} "
+              f"statuses={statuses or '-'} "
+              f"newton_steps={sum(steps) if steps else '-'}")
+    if "locations_evaluated" in doc:
+        fields += f" locations_evaluated={doc['locations_evaluated']}"
+    return fields
 
 
 def main() -> None:

@@ -3,6 +3,15 @@
 Both ignore endpoint constraints (the relay is deployed wherever the
 scheme wants it), matching how they are compared against the mobile
 relay with free endpoints.
+
+The static scan runs a power stage only where a location can beat the
+incumbent.  At a fixed location every channel gain is constant, so the
+power problem has a closed-form global optimum (``_hover_bounds``): 0
+when Eve's gain is at least Bob's, else equal relay powers, capped by
+the relay budget and by what the source can deliver over the N-1
+receive slots (Jensen), with causality and both budgets loosened by the
+check tolerance.  A location whose optimum is at most the incumbent is
+skipped; the result is that of a scan that evaluates it.
 """
 from __future__ import annotations
 
@@ -50,7 +59,8 @@ class StaticResult:
     location: np.ndarray
     pw: PowerAllocation
     objective: float
-    evaluated: int          # locations where the power problem was solved
+    evaluated: int          # power stages run: the locations not skipped,
+                            # plus the winner's re-solve
     failed: int             # of those, where the power stage ended
                             # ``solver_*``; its last iterate is scored
     certified: int          # of those, where the start was certified a
@@ -74,39 +84,68 @@ def _constant_traj(scn: Scenario, xy) -> Trajectory:
     return Trajectory(np.tile(np.asarray(xy, dtype=float), (scn.n_slots, 1)))
 
 
-def _location_upper_bound(scn: Scenario, xy) -> float:
-    """Secrecy upper bound at a fixed location.
+def _hover_bounds(scn: Scenario, xy: np.ndarray, tol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Two caps on the secrecy sum of a relay hovering at each row of
+    ``xy``, from one pass over the channel gains a = g_ar, b = g_rd and
+    e = g_re: the ranking bound and the hover optimum, both 0 where
+    b <= e (every relay power then loses secrecy).
 
-    Two caps, both by concavity of the rate in the power: the deliverable
-    secrecy with the full relay budget split equally over the N-1
-    transmit slots, and the total receivable from the source with its
-    budget split equally over the N-1 receive slots (causality forbids
-    forwarding more than was received)."""
+    The ranking bound is the smaller of two caps, each by concavity of
+    the rate in the power: the deliverable secrecy with the relay budget
+    split equally over the N-1 transmit slots, and what the relay can
+    receive with the source budget split equally over the N-1 receive
+    slots (causality forbids forwarding more than was received).
+
+    The hover optimum is the exact optimum of the power problem at the
+    location, with causality and both budgets loosened by ``tol``, the
+    tolerance at which ``dc_allocate``'s output is checked.  Keep only
+    Bob's last causality prefix and the budgets.  By Jensen the relay
+    receives at most R = (N-1) log2(1 + a (N p_bar_s + tol)/(N-1)).  In
+    r_i = log2(1 + b p_i) the per-slot secrecy
+    r - log2(1 + (2^r - 1) e/b) is concave and increasing and the power
+    (2^r - 1)/b convex, so the relaxed optimum has every r_i at
+    r* = min((R + tol)/(N-1), log2(1 + b (N p_bar_r + tol)/(N-1))) and
+    the value (N-1) (r* - log2(1 + (2^r* - 1) e/b)).  Equal powers
+    attain it and keep Eve's rows, as e < b, so no power allocation that
+    passes the checks at ``tol`` scores more.
+    """
     h2 = scn.altitude_h ** 2
-    xy = np.asarray(xy, dtype=float)
-    g_rd = scn.ref_snr / (h2 + np.sum((xy - scn.bob_xy) ** 2))
-    g_re = scn.ref_snr / (h2 + np.sum((xy - scn.eve_xy) ** 2))
-    if g_rd <= g_re:
-        return 0.0
+    a, b, e = (scn.ref_snr / (h2 + np.sum((xy - p) ** 2, axis=1))
+               for p in (scn.alice_xy, scn.bob_xy, scn.eve_xy))
     n = scn.n_slots
     p_r = n * scn.p_bar_r / (n - 1)
-    deliver = (n - 1) * float(np.log2(1 + p_r * g_rd)
-                              - np.log2(1 + p_r * g_re))
-    g_ar = scn.ref_snr / (h2 + np.sum((xy - scn.alice_xy) ** 2))
+    deliver = (n - 1) * (np.log2(1 + p_r * b) - np.log2(1 + p_r * e))
     p_s = n * scn.p_bar_s / (n - 1)
-    receive = (n - 1) * float(np.log2(1 + p_s * g_ar))
-    return min(deliver, receive)
+    receive = (n - 1) * np.log2(1 + p_s * a)
+    inflow = (n - 1) * np.log2(1 + a * (n * scn.p_bar_s + tol) / (n - 1))
+    r = np.minimum((inflow + tol) / (n - 1),
+                   np.log2(1 + b * (n * scn.p_bar_r + tol) / (n - 1)))
+    optimum = (n - 1) * (r - np.log2(1 + (2.0 ** r - 1) * (e / b)))
+    wins = b > e
+    return (np.where(wins, np.minimum(deliver, receive), 0.0),
+            np.where(wins, optimum, 0.0))
+
+
+def _ranked(scn: Scenario, grid: StaticGrid, tol: float
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's hover locations with their ``_hover_bounds`` at
+    ``tol``, in decreasing order of the ranking bound (ties in grid
+    order)."""
+    xs, ys = grid.axes()
+    cand = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    bounds, optima = _hover_bounds(scn, cand, tol)
+    order = np.argsort(-bounds, kind="stable")
+    return cand[order], bounds[order], optima[order]
 
 
 def ranked_locations(scn: Scenario, grid: StaticGrid
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's hover locations and their ``_location_upper_bound``,
-    both in decreasing order of the bound (ties in grid order)."""
-    xs, ys = grid.axes()
-    cand = np.array([(x, y) for x in xs for y in ys])
-    bounds = np.array([_location_upper_bound(scn, c) for c in cand])
-    order = np.argsort(-bounds, kind="stable")
-    return cand[order], bounds[order]
+    """The grid's hover locations and their ranking bound
+    (``_hover_bounds``), both in decreasing order of the bound (ties in
+    grid order)."""
+    cand, bounds, _ = _ranked(scn, grid, model.DEFAULT_FEAS_TOL)
+    return cand, bounds
 
 
 def _solve_location(scn: Scenario, xy, opts: DcOptions
@@ -127,9 +166,15 @@ def static_relay_best(scn: Scenario,
                       run_keys: Optional[dict] = None) -> StaticResult:
     """Best fixed relay location at altitude H with optimized powers.
 
-    Scans the grid in decreasing order of a cheap secrecy upper bound and
-    prunes locations whose bound cannot beat the incumbent, then refines
-    locally with the grid step halved twice.  A location whose power
+    Scans the grid in decreasing order of the ranking bound of
+    ``_hover_bounds`` and stops at the first location whose bound cannot
+    beat the incumbent, then refines locally with the grid step halved
+    twice.  A location whose hover optimum (``_hover_bounds`` at the
+    scan's ``feas_tol``) is at most the incumbent is skipped without a
+    power stage: no allocation the stage can return there scores more,
+    so the incumbents, the winner and its re-solve are those of a scan
+    that evaluates it.  ``StaticResult.evaluated`` counts the power
+    stages run, the winner's re-solve included.  A location whose power
     stage ends ``solver_*`` is scored at the last iterate the stage
     returns and counted in ``StaticResult.failed``; the scan goes on.
     One whose start is certified a KKT point without a solve is counted
@@ -142,7 +187,7 @@ def static_relay_best(scn: Scenario,
     grid = grid or StaticGrid.default(scn)
     run_keys = run_keys or {}
     scan_opts = scan_options(**run_keys)
-    cand, bounds = ranked_locations(scn, grid)
+    cand, bounds, optima = _ranked(scn, grid, scan_opts.feas_tol)
 
     best_obj = 0.0
     best_xy = cand[0]
@@ -160,9 +205,11 @@ def static_relay_best(scn: Scenario,
                       and report.extras["solves"] == 0)
         return obj, pw
 
-    for xy, bound in zip(cand, bounds):
+    for xy, bound, optimum in zip(cand, bounds, optima):
         if bound <= best_obj + 1e-12:
             break
+        if optimum <= best_obj + 1e-12:
+            continue
         obj, pw = evaluate(xy, scan_opts)
         if obj > best_obj:
             best_obj, best_xy, best_pw = obj, xy, pw
@@ -179,7 +226,9 @@ def static_relay_best(scn: Scenario,
                 if dx == 0.0 and dy == 0.0:
                     continue
                 xy = best_xy + np.array([dx, dy])
-                if _location_upper_bound(scn, xy) <= best_obj:
+                (bound,), (optimum,) = _hover_bounds(scn, xy[None],
+                                                     scan_opts.feas_tol)
+                if bound <= best_obj or optimum <= best_obj + 1e-12:
                     continue
                 obj, pw = evaluate(xy, scan_opts)
                 if obj > best_obj:

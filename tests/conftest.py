@@ -154,11 +154,13 @@ def fail_trajectory_solves(monkeypatch, after: int = 0) -> None:
     _fail_solves(monkeypatch, trajectory_scp, after)
 
 
-def _reject_finish(monkeypatch, stage) -> list:
-    finish, solve, inside = stage._finish, stage.solve, []
+def _reject_finish(monkeypatch, stage, attempts: float = float("inf")
+                   ) -> list:
+    finish, solve, inside, tried = stage._finish, stage.solve, [], []
 
     def marked_finish(*args):
-        inside.append(1)
+        tried.append(1)
+        inside.append(len(tried) <= attempts)
         try:
             return finish(*args)
         finally:
@@ -166,7 +168,7 @@ def _reject_finish(monkeypatch, stage) -> list:
 
     def failing_solve(prog, opts):
         res = solve(prog, opts)
-        if not inside:
+        if not (inside and inside[-1]):
             return res
         return dataclasses.replace(res, status="numerical_failure")
 
@@ -182,6 +184,13 @@ def reject_power_finish(monkeypatch) -> list:
     is not empty while a finish runs."""
     from secrelay import power_dc
     return _reject_finish(monkeypatch, power_dc)
+
+
+def reject_first_power_finish(monkeypatch) -> list:
+    """The same for the first power finish tried after the call only;
+    later finishes run as they would."""
+    from secrelay import power_dc
+    return _reject_finish(monkeypatch, power_dc, attempts=1)
 
 
 def reject_trajectory_finish(monkeypatch) -> list:
