@@ -13,8 +13,9 @@ statuses (the run's, then each sub-stage's, depth first) and its total
 Newton steps (``newton_steps``: for ``ao`` the sum over every multistart
 run, else over the stages of its report; ``-`` when the report counts
 none, as for ``baseline``, ``eval`` and ``check``).  ``baseline static``
-lines end with the number of locations whose power stage the scan ran
-(``locations_evaluated``).
+lines end with the number of locations whose closed-form hover optimum
+the scan scored (``locations_evaluated``: the grid and the refinement
+neighbours).
 
 A refactor that keeps the artifacts prints the same lines.  Run it
 against two source trees and diff the output::

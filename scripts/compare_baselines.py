@@ -13,9 +13,9 @@ import csv
 import time
 from pathlib import Path
 
+from secrelay import benchmark_scenario
 from secrelay.ao import ao_optimize
 from secrelay.baselines import data_ferry, static_relay_best, transit_slot_count
-from secrelay.cli import benchmark_scenario
 
 
 def main() -> None:

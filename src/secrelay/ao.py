@@ -113,7 +113,7 @@ def default_starts(scn: Scenario) -> list[Trajectory]:
         if ferry.load_slots > 0:
             starts.append(ferry.traj)
         # The hover start sits at the top of the ranking bound, not at the
-        # best hover optimum the static scan skips by.  On the
+        # best hover optimum the static scan picks by.  On the
         # free-endpoint benchmarks that optimum is at (1800, 0), and a
         # hover start there drops AO on free-T40 from 20.404824 to
         # 13.352013 and takes the hover run on free-T100 from 1,043 to

@@ -4,14 +4,24 @@ Both ignore endpoint constraints (the relay is deployed wherever the
 scheme wants it), matching how they are compared against the mobile
 relay with free endpoints.
 
-The static scan runs a power stage only where a location can beat the
-incumbent.  At a fixed location every channel gain is constant, so the
-power problem has a closed-form global optimum (``_hover_bounds``): 0
-when Eve's gain is at least Bob's, else equal relay powers, capped by
-the relay budget and by what the source can deliver over the N-1
-receive slots (Jensen), with causality and both budgets loosened by the
-check tolerance.  A location whose optimum is at most the incumbent is
-skipped; the result is that of a scan that evaluates it.
+The static relay needs no power stage.  At a fixed location every
+channel gain is constant, so the power problem has a closed-form
+optimum (``_hover_bounds``), and the scan picks the location by it.  The
+winner's powers are equal powers with the relay scaled back until
+causality holds (``model.restore_feasibility``), and they attain that
+optimum up to the feasibility tolerance tol:
+
+* at equal powers the relay receives r_in and forwards r_out to Bob in
+  each of its N-1 slots, so causality prefix j has the gap
+  (j-1) (r_out - r_in), largest at the last prefix, and Eve's rows are
+  looser (Eve's gain is below Bob's wherever the optimum is positive);
+* the restore therefore leaves r_out at min(r_in + tol/(N-1), the
+  rate of the equal relay budget), up to its bisection's 2^-40 of the
+  scale, which lies between the hover optimum's r* at tolerance 0 and
+  at tol;
+* the secrecy is increasing in r_out, so the powers score between the
+  optimum at tolerance 0 and at tol, and no allocation that passes the
+  checks at tol scores more.
 """
 from __future__ import annotations
 
@@ -24,8 +34,6 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import DcOptions, dc_allocate
-from .report import RunReport
 
 
 @dataclass
@@ -59,12 +67,8 @@ class StaticResult:
     location: np.ndarray
     pw: PowerAllocation
     objective: float
-    evaluated: int          # power stages run: the locations not skipped,
-                            # plus the winner's re-solve
-    failed: int             # of those, where the power stage ended
-                            # ``solver_*``; its last iterate is scored
-    certified: int          # of those, where the start was certified a
-                            # KKT point and no subproblem was solved
+    evaluated: int          # locations whose hover optimum was scored:
+                            # the grid and the refinement neighbours
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,9 @@ def _hover_bounds(scn: Scenario, xy: np.ndarray, tol: float
     slots (causality forbids forwarding more than was received).
 
     The hover optimum is the exact optimum of the power problem at the
-    location, with causality and both budgets loosened by ``tol``, the
-    tolerance at which ``dc_allocate``'s output is checked.  Keep only
+    location, with causality and both budgets loosened by ``tol``: the
+    static scan picks its location by it at ``tol`` 0, and at a check
+    tolerance it caps every allocation that passes.  Keep only
     Bob's last causality prefix and the budgets.  By Jensen the relay
     receives at most R = (N-1) log2(1 + a (N p_bar_s + tol)/(N-1)).  In
     r_i = log2(1 + b p_i) the per-slot secrecy
@@ -127,14 +132,14 @@ def _hover_bounds(scn: Scenario, xy: np.ndarray, tol: float
             np.where(wins, optimum, 0.0))
 
 
-def _ranked(scn: Scenario, grid: StaticGrid, tol: float
+def _ranked(scn: Scenario, grid: StaticGrid
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's hover locations with their ``_hover_bounds`` at
-    ``tol``, in decreasing order of the ranking bound (ties in grid
-    order)."""
+    """The grid's hover locations with their ranking bounds and exact
+    hover optima (``_hover_bounds`` at tolerance 0), in decreasing order
+    of the ranking bound (ties in grid order)."""
     xs, ys = grid.axes()
     cand = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    bounds, optima = _hover_bounds(scn, cand, tol)
+    bounds, optima = _hover_bounds(scn, cand, 0.0)
     order = np.argsort(-bounds, kind="stable")
     return cand[order], bounds[order], optima[order]
 
@@ -144,77 +149,37 @@ def ranked_locations(scn: Scenario, grid: StaticGrid
     """The grid's hover locations and their ranking bound
     (``_hover_bounds``), both in decreasing order of the bound (ties in
     grid order)."""
-    cand, bounds, _ = _ranked(scn, grid, model.DEFAULT_FEAS_TOL)
+    cand, bounds, _ = _ranked(scn, grid)
     return cand, bounds
-
-
-def _solve_location(scn: Scenario, xy, opts: DcOptions
-                    ) -> tuple[float, PowerAllocation, RunReport]:
-    traj = _constant_traj(scn, xy)
-    pw, report = dc_allocate(scn, traj, opts=opts)
-    return report.final_objective, pw, report
-
-
-def scan_options(**overrides) -> DcOptions:
-    """Power-stage options of the static scan, loose by default (the
-    winner is re-solved); ``overrides`` replace single fields."""
-    return DcOptions(**{"rel_tol": 1e-4, "max_iter": 40, **overrides})
 
 
 def static_relay_best(scn: Scenario,
                       grid: Optional[StaticGrid] = None,
-                      run_keys: Optional[dict] = None) -> StaticResult:
+                      feas_tol: float = model.DEFAULT_FEAS_TOL
+                      ) -> StaticResult:
     """Best fixed relay location at altitude H with optimized powers.
 
-    Scans the grid in decreasing order of the ranking bound of
-    ``_hover_bounds`` and stops at the first location whose bound cannot
-    beat the incumbent, then refines locally with the grid step halved
-    twice.  A location whose hover optimum (``_hover_bounds`` at the
-    scan's ``feas_tol``) is at most the incumbent is skipped without a
-    power stage: no allocation the stage can return there scores more,
-    so the incumbents, the winner and its re-solve are those of a scan
-    that evaluates it.  ``StaticResult.evaluated`` counts the power
-    stages run, the winner's re-solve included.  A location whose power
-    stage ends ``solver_*`` is scored at the last iterate the stage
-    returns and counted in ``StaticResult.failed``; the scan goes on.
-    One whose start is certified a KKT point without a solve is counted
-    in ``StaticResult.certified``.  ``run_keys`` are ``DcOptions`` fields (a
-    config's ``run.rel_tol``, ``max_iter``, ``feas_tol``): the scan runs
-    with ``scan_options(**run_keys)``, the final re-solve of the winner
-    with ``DcOptions(**run_keys)``.
+    Picks the grid location with the largest exact hover optimum
+    (``_hover_bounds`` at tolerance 0), the first in the order of
+    ``ranked_locations`` on a tie, then refines locally with the grid
+    step halved ``grid.refine_halvings`` times, moving to a neighbour
+    only if its optimum is larger.  ``StaticResult.evaluated`` counts the
+    locations scored: the grid and the refinement neighbours.
+
+    The winner's powers are the equal-power start with the relay scaled
+    back until causality holds at ``feas_tol``
+    (``model.restore_feasibility``), and they attain its optimum up to
+    ``feas_tol`` (module docstring).  If no location has a positive
+    optimum, the relay stays silent at the top-ranked location.
     """
     scn = _free_endpoints(scn)
     grid = grid or StaticGrid.default(scn)
-    run_keys = run_keys or {}
-    scan_opts = scan_options(**run_keys)
-    cand, bounds, optima = _ranked(scn, grid, scan_opts.feas_tol)
+    cand, _, optima = _ranked(scn, grid)
+    k = int(np.argmax(optima))
+    best_xy, best_opt = cand[k], optima[k]
+    evaluated = len(cand)
 
-    best_obj = 0.0
-    best_xy = cand[0]
-    best_pw = model.zero_power_allocation(scn)
-    evaluated = 0
-    failed = 0
-    certified = 0
-
-    def evaluate(xy, opts):
-        nonlocal evaluated, failed, certified
-        evaluated += 1
-        obj, pw, report = _solve_location(scn, xy, opts)
-        failed += report.status.startswith("solver_")
-        certified += (report.status == "converged"
-                      and report.extras["solves"] == 0)
-        return obj, pw
-
-    for xy, bound, optimum in zip(cand, bounds, optima):
-        if bound <= best_obj + 1e-12:
-            break
-        if optimum <= best_obj + 1e-12:
-            continue
-        obj, pw = evaluate(xy, scan_opts)
-        if obj > best_obj:
-            best_obj, best_xy, best_pw = obj, xy, pw
-
-    # Local refinement around the incumbent, step halved twice.
+    # Local refinement around the incumbent, step halved each time.
     xs, ys = grid.axes()
     step_x = (xs[1] - xs[0]) if grid.nx > 1 else scn.altitude_h
     step_y = (ys[1] - ys[0]) if grid.ny > 1 else scn.altitude_h
@@ -226,22 +191,20 @@ def static_relay_best(scn: Scenario,
                 if dx == 0.0 and dy == 0.0:
                     continue
                 xy = best_xy + np.array([dx, dy])
-                (bound,), (optimum,) = _hover_bounds(scn, xy[None],
-                                                     scan_opts.feas_tol)
-                if bound <= best_obj or optimum <= best_obj + 1e-12:
-                    continue
-                obj, pw = evaluate(xy, scan_opts)
-                if obj > best_obj:
-                    best_obj, best_xy, best_pw = obj, xy, pw
+                _, (optimum,) = _hover_bounds(scn, xy[None], 0.0)
+                evaluated += 1
+                if optimum > best_opt:
+                    best_opt, best_xy = optimum, xy
 
-    # Tighten the winner with default tolerances and the run keys.
-    if best_obj > 0.0:
-        obj, pw = evaluate(best_xy, DcOptions(**run_keys))
-        if obj >= best_obj:
-            best_obj, best_pw = obj, pw
-    return StaticResult(location=np.asarray(best_xy, dtype=float),
-                        pw=best_pw, objective=best_obj, evaluated=evaluated,
-                        failed=failed, certified=certified)
+    # Every optimum is >= 0; if none is positive, best_xy is cand[0].
+    traj = _constant_traj(scn, best_xy)
+    pw = (model.restore_feasibility(scn, traj,
+                                    model.equal_power_allocation(scn),
+                                    tol=feas_tol)
+          if best_opt > 0.0 else model.zero_power_allocation(scn))
+    return StaticResult(location=np.asarray(best_xy, dtype=float), pw=pw,
+                        objective=model.secrecy_sum(scn, traj, pw),
+                        evaluated=evaluated)
 
 
 def transit_slot_count(scn: Scenario) -> int:

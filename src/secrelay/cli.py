@@ -9,7 +9,8 @@ writes machine-readable artifacts:
 * optional ``trajectory_iter_<l>.csv`` snapshots of the trajectory after
   each outer iteration.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible problem,
+Exit codes: 0 success, 2 configuration error (a ``--trajectory`` file
+whose slot count is not the scenario's included), 3 infeasible problem,
 4 numerical failure.
 
 Configuration format (YAML)::
@@ -29,10 +30,15 @@ Configuration format (YAML)::
       end_xy_m: [1800, -100]      # optional
     run:                          # all optional
       out_dir: out
-      save_iterates: false
-      rel_tol: 1.0e-4
-      max_iter: 100
+      save_iterates: false        # trajectory only
+      rel_tol: 1.0e-4             # ao, trajectory and power only
+      max_iter: 100               # ao, trajectory and power only
       feas_tol: 1.0e-6
+
+Every command reads ``feas_tol``, the tolerance of its feasibility
+checks.  The optimizing commands ``ao``, ``trajectory`` and ``power``
+also read ``rel_tol`` and ``max_iter``; ``baseline``, ``eval`` and
+``check`` run no iterative stage, so they read only ``feas_tol``.
 """
 from __future__ import annotations
 
@@ -298,11 +304,15 @@ def _options(run: dict) -> AoOptions:
 
 def _load_traj(scn: Scenario, args,
                tol: float) -> tuple[Trajectory, PowerAllocation]:
-    """Trajectory and powers from ``--trajectory``; without it, the
-    initial trajectory with equal power, the relay scaled down until
-    causality holds."""
+    """Trajectory and powers from ``--trajectory``, which must have one
+    row per slot of ``scn``; without it, the initial trajectory with
+    equal power, the relay scaled down until causality holds."""
     if getattr(args, "trajectory", None):
-        return read_trajectory_csv(Path(args.trajectory))
+        traj, pw = read_trajectory_csv(Path(args.trajectory))
+        if len(traj) != scn.n_slots:
+            raise ConfigError(f"{args.trajectory}: {len(traj)} slots, "
+                              f"the scenario has {scn.n_slots}")
+        return traj, pw
     traj = initial_trajectory(scn)
     return traj, model.restore_feasibility(
         scn, traj, model.equal_power_allocation(scn), tol=tol)
@@ -366,18 +376,11 @@ def cmd_baseline(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     tol = _options(run).dc.feas_tol
     if args.scheme == "static":
-        # The run keys the config sets, over the scan's and the final
-        # solve's own defaults.
-        given = {k: conv(run[k]) for k, conv in
-                 (("rel_tol", float), ("max_iter", int), ("feas_tol", float))
-                 if k in run}
-        res = static_relay_best(scn, run_keys=given)
+        res = static_relay_best(scn, feas_tol=tol)
         traj = Trajectory(np.tile(res.location, (scn.n_slots, 1)))
         extra = {"scheme": "static",
                  "location_m": [float(v) for v in res.location],
-                 "locations_evaluated": res.evaluated,
-                 "locations_failed": res.failed,
-                 "locations_certified": res.certified}
+                 "locations_evaluated": res.evaluated}
         pw = res.pw
     else:
         res = data_ferry(scn)

@@ -17,7 +17,7 @@ point next to that step's solution (T. Lipp & S. Boyd, "Variations and
 extension of the convex-concave procedure", Optim. Eng. 17, 2016).  Its
 point is accepted only if the solve ends ``optimal``, the point is
 feasible at ``feas_tol``, its objective is at least the CCP iterate's
-and its certificate is within ``kkt_tol``; the stage then ends
+and its certificate is within ``KKT_TOL``; the stage then ends
 ``converged`` there.  Otherwise CCP takes its next step exactly as
 without the finish and tries again after it, so the stage stays
 monotone and a rejected finish never sets a ``solver_*`` status.  After
@@ -28,7 +28,7 @@ same KKT point.
 Before the first surrogate is built, ``_certify`` checks the start: it
 estimates the multipliers of the true power problem by least squares
 over the nearly active rows and evaluates the exact KKT residual
-(``solver.certify``).  A start within ``kkt_tol``
+(``solver.certify``).  A start within ``KKT_TOL``
 is returned unchanged without a solve.  Otherwise the stage returns the
 accepted finish, or the last surrogate solution, each certified with its
 own solve's duals, or the start when the first step does not improve on
@@ -71,11 +71,16 @@ from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
 
 LN2 = float(np.log(2.0))
 
-# Subproblems are solved well below kkt_tol so the outer loop can keep
+# The KKT residual within which a point of the true power problem (and,
+# in ``trajectory_scp``, of the true trajectory problem) is accepted as a
+# KKT point: a certified start, a finish or a converged stop.
+KKT_TOL = 1e-5
+
+# Subproblems are solved well below KKT_TOL so the outer loop can keep
 # certifying progress without hitting the solver's noise floor.  tol=1e-8
 # sits close to that floor; a Newton stall within solver.STALL_TOL_FACTOR
 # (10x) of it still counts as optimal, which leaves the loosened limit
-# (1e-7) two orders below kkt_tol.
+# (1e-7) two orders below KKT_TOL.
 SUBPROBLEM = SolverOptions(tol=1e-8)
 
 # Each finish starts from a CCP iterate with its relay powers cut by
@@ -91,7 +96,6 @@ FINISH_CUT = 0.05
 class DcOptions:
     rel_tol: float = 1e-5
     max_iter: int = 100
-    kkt_tol: float = 1e-5
     feas_tol: float = 1e-6
 
 
@@ -464,7 +468,7 @@ def _finish(scn: Scenario, traj: Trajectory, pc: _Pieces,
     ``optimal``, its powers pass causality and the budgets at
     ``opts.feas_tol``, its objective is at least obj and its
     ``_certify`` residual, with the solve's duals, is within
-    ``opts.kkt_tol``.  Returns the accepted powers (None otherwise) and
+    ``KKT_TOL``.  Returns the accepted powers (None otherwise) and
     the attempt's record: the solve's ``status`` (None when skipped),
     ``iterations`` and residual (``subproblem_kkt``), the point's
     ``objective`` and certificate (``kkt_residual``, None when an earlier
@@ -496,8 +500,8 @@ def _finish(scn: Scenario, traj: Trajectory, pc: _Pieces,
         rec["kkt_residual"] = _certify(
             pc, orig, buffers, pw_fin,
             np.concatenate([res.duals, res.bound_duals]))
-        if not rec["kkt_residual"] <= opts.kkt_tol:
-            rec["reason"] = "certificate above kkt_tol"
+        if not rec["kkt_residual"] <= KKT_TOL:
+            rec["reason"] = "certificate above KKT_TOL"
     rec["accepted"] = rec["reason"] is None
     return (pw_fin if rec["accepted"] else None), rec
 
@@ -511,7 +515,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     Starts from ``pw_0``, by default equal power with the relay scaled
     back until causality holds (``model.restore_feasibility``).
     Iteration 0 records the start's ``_certify`` residual; a start within
-    ``opts.kkt_tol`` is returned unchanged (``converged``) and no
+    ``KKT_TOL`` is returned unchanged (``converged``) and no
     subproblem is solved.  After each surrogate step that leaves the
     stage running, the finish (``_finish``) is tried from next to it; an
     accepted finish is the last iterate, recorded with its solve's
@@ -543,7 +547,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     obj = model.secrecy_sum(scn, traj, pw)
     kkt_0 = _certify(pc, orig, orig_buffers, pw)
     report.add(obj, kkt_residual=kkt_0, feasible=True)
-    if kkt_0 <= opts.kkt_tol:
+    if kkt_0 <= KKT_TOL:
         # The start is already a KKT point: CCP would not move it.
         return pw, report.finish("converged")
     report.status = "max_iter"
@@ -570,7 +574,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             report.extras["rejected_step"] = {
                 "objective": obj_new, "subproblem_kkt": res.kkt_residual,
                 "subproblem_iters": res.iterations, "kept_kkt": kkt_kept}
-            report.status = ("converged" if kkt_kept <= opts.kkt_tol
+            report.status = ("converged" if kkt_kept <= KKT_TOL
                              else "stalled")
             break
         kkt_orig = kkt_residual(
@@ -578,7 +582,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         feas = model.check_all(scn, traj, pw_new, tol=opts.feas_tol)
         rel = abs(obj_new - obj) / max(abs(obj_new), 1e-10)
         if rel < opts.rel_tol:
-            if kkt_orig <= opts.kkt_tol:
+            if kkt_orig <= KKT_TOL:
                 report.status = "converged"
             elif rel < 1e-13:
                 # Iterates stopped moving without certifying; report as is.

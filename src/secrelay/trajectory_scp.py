@@ -19,8 +19,8 @@ step's own two relaxations (below).  Its point is accepted only if the
 solve ends ``optimal``, the point passes mobility and causality at
 ``feas_tol``, its objective is at least the SCP iterate's and its KKT
 residual on the unrelaxed problem, with the solve's duals
-(``solver.certify``), is within ``FINISH_KKT_TOL``; the stage then ends
-``converged`` there, with that certificate as the iterate's
+(``solver.certify``), is within ``power_dc.KKT_TOL``; the stage then
+ends ``converged`` there, with that certificate as the iterate's
 ``kkt_residual``.  Otherwise SCP goes on exactly as without the finish
 and tries none again in that stage (a retry after every step costs more
 than it saves).  A step that falls below its iterate (beyond 1e-9) is
@@ -72,18 +72,16 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import LN2, Buffer, buffer_start, finish_record
+from .power_dc import KKT_TOL, LN2, Buffer, buffer_start, finish_record
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
                      SolverOptions, certify, solve, start_margin)
 
 
 SUBPROBLEM = SolverOptions(tol=1e-6)
-# The finish solve of the true trajectory problem (``_finish``), and the
-# KKT residual on the unrelaxed problem within which its point is
-# accepted (``DcOptions.kkt_tol``'s value).
+# The finish solve of the true trajectory problem (``_finish``); its
+# point is accepted within ``power_dc.KKT_TOL`` on the unrelaxed problem.
 FINISH = SolverOptions(tol=1e-6, max_iter=100)
-FINISH_KKT_TOL = 1e-5
 
 
 @dataclass
@@ -681,7 +679,7 @@ def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
     point passes mobility and causality at ``opts.feas_tol``, its
     objective is at least the iterate's and its KKT residual on the
     unrelaxed problem (``solver.certify`` with the solve's duals) is
-    within ``FINISH_KKT_TOL``.  Returns the accepted iterate (None
+    within ``KKT_TOL``.  Returns the accepted iterate (None
     otherwise) and the attempt's record (``power_dc.finish_record``,
     filled in as ``power_dc._finish`` does).
     """
@@ -708,8 +706,8 @@ def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
         rec["kkt_residual"] = certify(
             _true_program(scn, pw, it, lay, relax=False), z,
             np.concatenate([res.duals, res.bound_duals]))
-        if not rec["kkt_residual"] <= FINISH_KKT_TOL:
-            rec["reason"] = "certificate above FINISH_KKT_TOL"
+        if not rec["kkt_residual"] <= KKT_TOL:
+            rec["reason"] = "certificate above KKT_TOL"
     rec["accepted"] = rec["reason"] is None
     return (it_fin if rec["accepted"] else None), rec
 

@@ -7,15 +7,27 @@ import pytest
 from conftest import random_scenario, small_scenario
 from secrelay import benchmark_scenario, model
 from secrelay.ao import ao_optimize
-from secrelay.baselines import (StaticGrid, _solve_location, data_ferry,
-                                ferry_plan, scan_options, static_relay_best,
-                                transit_slot_count)
-from secrelay.model import Scenario
-from secrelay.power_dc import DcOptions
+from secrelay.baselines import (StaticGrid, _constant_traj, data_ferry,
+                                ferry_plan, ranked_locations,
+                                static_relay_best, transit_slot_count)
+from secrelay.power_dc import DcOptions, dc_allocate
+
+# The five benchmark configurations: free endpoints at T = 40, 70, 100
+# and 130 s with 2 s slots, fixed endpoints at T = 100 s with 1 s slots
+# (the static relay frees them).
+BENCHMARKS = {"free-T40": (40.0, 2.0), "free-T70": (70.0, 2.0),
+              "free-T100": (100.0, 2.0), "free-T130": (130.0, 2.0),
+              "fixed-T100": (100.0, 1.0)}
 
 
 def _free(scn):
     return dataclasses.replace(scn, start_xy=None, end_xy=None)
+
+
+def _stage(scn, xy, opts=None, pw_0=None):
+    """The power stage on the relay hovering at xy, endpoints freed."""
+    scn = _free(scn)
+    return dc_allocate(scn, _constant_traj(scn, xy), pw_0=pw_0, opts=opts)
 
 
 class TestStaticRelay:
@@ -45,75 +57,46 @@ class TestStaticRelay:
         _, _, rep = ao_optimize(_free(scn))
         assert rep.final_objective >= res.objective - 1e-6
 
-    def test_stage_failure_scored_and_counted(self, monkeypatch):
-        # The power stage fails at one grid location; the scan scores the
-        # stage's last iterate there and goes on.
-        import secrelay.baselines as baselines
-        from secrelay.report import RunReport
-        scn = small_scenario(n_slots=5)
-        grid = StaticGrid(x_min=0.0, x_max=400.0, y_min=-120.0, y_max=120.0,
-                          nx=7, ny=5, refine_halvings=1)
-        # Scanned once (the hover optimum skips most of the grid), not
-        # the winner.
-        bad_xy = np.array([400.0, 0.0])
-        real = baselines.dc_allocate
-        calls = []
-
-        def flaky(scn_, traj, pw_0=None, opts=None):
-            at_bad = np.array_equal(traj.xy[0], bad_xy)
-            calls.append(at_bad)
-            if at_bad:
-                # A first solve that fails returns the stage's start, by
-                # default dc_allocate's equal-power start, recorded as the
-                # report's only iterate.
-                start = pw_0 if pw_0 is not None else model.restore_feasibility(
-                    scn_, traj, model.equal_power_allocation(scn_),
-                    tol=opts.feas_tol)
-                report = RunReport(stage="power_dc",
-                                   status="solver_numerical_failure",
-                                   extras={"solves": 1, "finish": []})
-                report.add(model.secrecy_sum(scn_, traj, start),
-                           feasible=True)
-                return start, report
-            return real(scn_, traj, pw_0=pw_0, opts=opts)
-
-        monkeypatch.setattr(baselines, "dc_allocate", flaky)
-        res = static_relay_best(scn, grid=grid)
-        assert sum(calls) == 1
-        assert not np.array_equal(res.location, bad_xy)
-        assert res.failed == 1
-        assert res.evaluated == len(calls)
-        traj = model.Trajectory(np.tile(res.location, (scn.n_slots, 1)))
-        checks = model.check_all(_free(scn), traj, res.pw)
-        assert all(v.feasible for v in checks.values())
-        assert res.objective == pytest.approx(
-            model.secrecy_sum(_free(scn), traj, res.pw), abs=1e-9)
+    @pytest.mark.parametrize("config, objective", [
+        ("free-T40", 7.0270499061424365),
+        ("free-T70", 12.335180953661137),
+        ("free-T100", 17.642758585646487),
+        ("free-T130", 22.95017096347572),
+        ("fixed-T100", 35.33391180026328)])
+    def test_benchmark_result_pinned(self, config, objective):
+        """Location and objective on the benchmark configs, bit for bit."""
+        res = static_relay_best(benchmark_scenario(*BENCHMARKS[config]))
+        assert res.location.tolist() == [1800.0, -7.5]
+        assert res.objective == objective
 
     def test_benchmark_scan_certified_without_solves(self, power_solves):
-        """On the T = 130 s benchmark every scanned start is already a KKT
-        point of its power problem: no subproblem is solved.  The hover
-        optimum leaves 14 grid and refinement locations to scan, plus the
-        winner's re-solve."""
-        res = static_relay_best(benchmark_scenario(130.0, 2.0))
+        """On the benchmark configs the power stage, started at the
+        returned powers, certifies them a KKT point of the power problem
+        and returns them unchanged, with no solve."""
+        for horizon, slot in BENCHMARKS.values():
+            scn = benchmark_scenario(horizon, slot)
+            res = static_relay_best(scn)
+            pw, report = _stage(scn, res.location, pw_0=res.pw)
+            assert report.status == "converged"
+            assert report.extras["solves"] == 0
+            assert report.final_objective == res.objective
+            assert np.array_equal(pw.p_s, res.pw.p_s)
+            assert np.array_equal(pw.p_r, res.pw.p_r)
         assert power_solves == []
-        assert res.certified == res.evaluated == 15
-        assert res.failed == 0
-        assert res.objective == pytest.approx(22.95017096347572, rel=1e-12)
 
     def test_pruning_matches_exhaustive_scan(self):
-        # The bound-ordered scan with pruning returns the same winner as
-        # evaluating every grid cell.
-        scn = small_scenario(n_slots=5)
-        grid = StaticGrid(x_min=0.0, x_max=400.0, y_min=-120.0, y_max=120.0,
-                          nx=7, ny=5, refine_halvings=0)
-        res = static_relay_best(scn, grid=grid)
-        best = 0.0
-        opts = DcOptions(rel_tol=1e-4, max_iter=40)
-        for x in np.linspace(0.0, 400.0, 7):
-            for y in np.linspace(-120.0, 120.0, 5):
-                obj, *_ = _solve_location(_free(scn), [x, y], opts)
-                best = max(best, obj)
-        assert res.objective >= best - 1e-6
+        """No power stage at a grid location beats the static result on
+        that grid: the closed form stands in for an exhaustive scan."""
+        rng = np.random.default_rng(5)
+        for scn in [small_scenario(n_slots=5)] + [
+                random_scenario(rng) for _ in range(3)]:
+            grid = dataclasses.replace(StaticGrid.default(scn), nx=7, ny=5,
+                                       refine_halvings=0)
+            res = static_relay_best(scn, grid=grid)
+            xs, ys = grid.axes()
+            best = max(_stage(scn, [x, y])[1].final_objective
+                       for x in xs for y in ys)
+            assert best <= res.objective + 1e-9
 
 
 def _scalar_rank_bound(scn, xy):
@@ -133,7 +116,6 @@ def _scalar_rank_bound(scn, xy):
 
 class TestRankedLocations:
     def test_bound_order_ties_in_grid_order(self):
-        from secrelay.baselines import ranked_locations
         scn = small_scenario(n_slots=5)
         grid = StaticGrid(x_min=0.0, x_max=400.0, y_min=-120.0, y_max=120.0,
                           nx=7, ny=5)
@@ -146,25 +128,15 @@ class TestRankedLocations:
         assert all(b1 > b2 or (b1 == b2 and p1 < p2) for b1, b2, p1, p2
                    in zip(bounds, bounds[1:], pos, pos[1:]))
 
-    def test_scan_and_ao_hover_start_share_the_top(self, monkeypatch):
-        """The scan evaluates the top-ranked location first, and AO's
-        hover start sits there."""
-        import secrelay.baselines as baselines
+    def test_scan_and_ao_hover_start_share_the_top(self):
+        """AO's hover start sits at the top-ranked location, where the
+        scan also leaves a silent relay when no location has a positive
+        optimum."""
         from secrelay.ao import default_starts
         scn = small_scenario(n_slots=6)
-        top = baselines.ranked_locations(scn, StaticGrid.default(scn))[0][0]
+        top = ranked_locations(scn, StaticGrid.default(scn))[0][0]
         assert np.array_equal(default_starts(scn)[-1].xy,
                               np.tile(top, (scn.n_slots, 1)))
-        seen = []
-        real = baselines._solve_location
-
-        def recording(scn_, xy, opts):
-            seen.append(np.array(xy))
-            return real(scn_, xy, opts)
-
-        monkeypatch.setattr(baselines, "_solve_location", recording)
-        static_relay_best(scn)
-        assert np.array_equal(seen[0], top)
 
 
 def _hover_optimum(scn, xy, tol):
@@ -177,16 +149,18 @@ class TestHoverOptimum:
     """The closed-form optimum of the power problem at a fixed location,
     with causality and the budgets loosened by the check tolerance."""
 
-    @pytest.mark.parametrize("opts", [scan_options(), DcOptions()],
+    @pytest.mark.parametrize("opts", [DcOptions(rel_tol=1e-4, max_iter=40),
+                                      DcOptions()],
                              ids=["scan", "default"])
     def test_no_stage_output_above_it(self, opts):
+        """The iterative power stage never scores above the optimum."""
         rng = np.random.default_rng(7)
         for _ in range(6):
             scn = random_scenario(rng)
             xs, ys = StaticGrid.default(scn).axes()
             for _ in range(4):
                 xy = [rng.choice(xs), rng.choice(ys)]
-                *_, report = _solve_location(scn, xy, opts)
+                _, report = _stage(scn, xy, opts)
                 assert report.final_objective <= _hover_optimum(
                     scn, xy, opts.feas_tol)
 
@@ -196,53 +170,47 @@ class TestHoverOptimum:
         lands just below the padded one."""
         scn = benchmark_scenario(horizon, 2.0)
         opts = DcOptions()
-        *_, report = _solve_location(scn, [1800.0, -7.5], opts)
+        _, report = _stage(scn, [1800.0, -7.5], opts)
         assert report.status == "converged"
         gap = _hover_optimum(scn, [1800.0, -7.5], opts.feas_tol) \
             - report.final_objective
         assert 0.0 <= gap <= 5e-5
 
+    def test_static_result_attains_it(self):
+        """The static relay's restored equal powers score between the
+        optimum at its location at tolerance 0 and at ``feas_tol``."""
+        rng = np.random.default_rng(3)
+        tol = DcOptions().feas_tol
+        for scn in [small_scenario(n_slots=6)] + [
+                random_scenario(rng, n_slots=int(rng.integers(4, 40)))
+                for _ in range(8)]:
+            res = static_relay_best(scn)
+            lo = _hover_optimum(scn, res.location, 0.0)
+            assert lo > 0.0
+            assert lo * (1.0 - 1e-12) <= res.objective <= _hover_optimum(
+                scn, res.location, tol)
+
     def test_above_bob_and_above_eve(self):
         scn = small_scenario(n_slots=6)
         tol = DcOptions().feas_tol
-        *_, report = _solve_location(scn, scn.bob_xy, DcOptions())
+        _, report = _stage(scn, scn.bob_xy, DcOptions())
         assert 0.0 < report.final_objective <= _hover_optimum(
             scn, scn.bob_xy, tol)
         assert _hover_optimum(scn, scn.eve_xy, tol) == 0.0
 
     @pytest.mark.parametrize("budget", ["p_bar_s", "p_bar_r"])
     def test_zero_budget(self, budget):
-        """Only the padding's tol watts and bits are left to send."""
+        """Only the padding's tol watts and bits are left to send; the
+        relay stays silent at the top-ranked location."""
         scn = small_scenario(n_slots=6, **{budget: 0.0})
         assert _hover_optimum(scn, [300.0, -50.0], 0.0) == 0.0
         assert 0.0 < _hover_optimum(scn, [300.0, -50.0],
                                     DcOptions().feas_tol) < 1e-3
         res = static_relay_best(scn)
         assert res.objective == 0.0
-        assert res.evaluated == 0
+        assert np.array_equal(
+            res.location, ranked_locations(scn, StaticGrid.default(scn))[0][0])
         assert not np.any(res.pw.p_r)
-
-    @pytest.mark.parametrize("scn", [benchmark_scenario(40.0, 2.0),
-                                     small_scenario(n_slots=6)],
-                             ids=["free-T40", "small"])
-    def test_skip_changes_no_result(self, scn, monkeypatch):
-        """With no location skipped by its hover optimum, the scan
-        evaluates more locations and returns the same result."""
-        import secrelay.baselines as baselines
-        res = static_relay_best(scn)
-        bounds = baselines._hover_bounds
-
-        def no_skip(scn_, xy, tol):
-            rank, optimum = bounds(scn_, xy, tol)
-            return rank, np.full_like(optimum, np.inf)
-
-        monkeypatch.setattr(baselines, "_hover_bounds", no_skip)
-        full = static_relay_best(scn)
-        assert full.evaluated > res.evaluated
-        assert np.array_equal(full.location, res.location)
-        assert full.objective == res.objective
-        assert np.array_equal(full.pw.p_s, res.pw.p_s)
-        assert np.array_equal(full.pw.p_r, res.pw.p_r)
 
 
 class TestDataFerry:

@@ -6,7 +6,6 @@ import pytest
 import yaml
 
 from secrelay import cli
-from secrelay.baselines import scan_options
 from secrelay.cli import (ConfigError, benchmark_scenario, parse_power,
                           parse_scenario, read_trajectory_csv,
                           resolved_config)
@@ -152,6 +151,26 @@ class TestExitCodes:
         assert "causality" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command",
+                             ["eval", "check", "power", "trajectory"])
+    def test_wrong_slot_count_exit_2(self, tmp_path, capsys, command):
+        """A ``--trajectory`` file with fewer rows than the scenario has
+        slots is a configuration error naming both counts, not an
+        infeasible problem."""
+        from secrelay import model
+        scn = parse_scenario(dict(SMALL["scenario"], n_slots=2))
+        traj = model.Trajectory(np.array([[100.0, 0.0], [150.0, 0.0]]))
+        tpath = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(tpath, scn, traj,
+                                 model.equal_power_allocation(scn))
+        cfg = _write(tmp_path, SMALL)
+        rc = cli.main([command, str(cfg), "--trajectory", str(tpath),
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "2 slots, the scenario has 6" in err
+
     def test_power_stage_failure_exit_4(self, tmp_path, capsys,
                                         monkeypatch):
         from conftest import fail_power_solves
@@ -246,85 +265,32 @@ class TestArtifacts:
 
 
 class TestBaselineOptions:
-    def _captured_opts(self, monkeypatch, tmp_path, run):
-        """The ``run_keys`` that ``secrelay baseline static`` hands to
-        ``static_relay_best``, and the options of each power solve of a
-        one-point grid (the scan, then the winner's re-solve)."""
-        import secrelay.baselines as baselines
-        from secrelay.baselines import StaticGrid, static_relay_best
-        seen, used = [], []
-        real = baselines.dc_allocate
-        # Closer to Bob than to Eve: positive secrecy, so a winner exists.
-        xy = (350.0, -30.0)
-
-        def recorder(scn, grid=None, run_keys=None):
-            seen.append(run_keys)
-            one_point = StaticGrid(x_min=xy[0], x_max=xy[0], y_min=xy[1],
-                                   y_max=xy[1], nx=1, ny=1,
-                                   refine_halvings=0)
-            return static_relay_best(scn, grid=one_point, run_keys=run_keys)
-
-        def recording(scn, traj, pw_0=None, opts=None):
-            used.append(opts)
-            return real(scn, traj, pw_0=pw_0, opts=opts)
-
-        monkeypatch.setattr(cli, "static_relay_best", recorder)
-        monkeypatch.setattr(baselines, "dc_allocate", recording)
-        cfg = _write(tmp_path, dict(SMALL, run=run))
-        rc = cli.main(["baseline", "static", str(cfg),
-                       "--out-dir", str(tmp_path / "o")])
-        assert rc == 0
-        assert len(seen) == 1
-        return seen[0], used
-
     def test_run_keys_reach_static_scan(self, monkeypatch, tmp_path, capsys):
-        _, used = self._captured_opts(monkeypatch, tmp_path, {"max_iter": 1})
-        opts = used[0]
-        assert opts.max_iter == 1
-        assert opts.rel_tol == 1e-4       # the scan default, not DcOptions'
-        _, used = self._captured_opts(monkeypatch, tmp_path,
-                                      {"rel_tol": 1e-3, "feas_tol": 1e-7})
-        opts = used[0]
-        assert (opts.rel_tol, opts.max_iter, opts.feas_tol) == (1e-3, 40, 1e-7)
+        """``baseline static`` restores the winner's equal powers at the
+        config's ``feas_tol`` (the one run key it reads), and reports the
+        locations the scan scored: the 41 x 21 grid and 2 x 8 refinement
+        neighbours."""
+        from secrelay import model
+        tols = []
+        real = model.restore_feasibility
 
-    def test_empty_run_keeps_scan_defaults(self, monkeypatch, tmp_path,
-                                           capsys):
-        run_keys, used = self._captured_opts(monkeypatch, tmp_path, {})
-        assert not run_keys
-        assert used[0] == scan_options()
+        def recording(scn, traj, pw, tol=model.DEFAULT_FEAS_TOL):
+            tols.append(tol)
+            return real(scn, traj, pw, tol=tol)
 
-    def test_final_solve_gets_default_options(self, monkeypatch, tmp_path,
-                                              capsys):
-        """With only feas_tol set, the winner is re-solved with
-        DcOptions() plus that key, not with the loose scan options."""
-        _, used = self._captured_opts(monkeypatch, tmp_path,
-                                      {"feas_tol": 1e-7})
-        assert len(used) == 2            # the one grid point, then the winner
-        scan, final = used
-        assert (scan.rel_tol, scan.max_iter, scan.feas_tol) == (1e-4, 40, 1e-7)
-        assert (final.rel_tol, final.max_iter, final.feas_tol) == (
-            1e-5, 100, 1e-7)
-
-    def test_certified_locations_reported(self, monkeypatch, tmp_path,
-                                          capsys):
-        """``locations_certified`` counts the power stages that returned
-        their start without a solve."""
-        import secrelay.baselines as baselines
-        reports = []
-        real = baselines.dc_allocate
-
-        def recording(scn, traj, pw_0=None, opts=None):
-            pw, report = real(scn, traj, pw_0=pw_0, opts=opts)
-            reports.append(report)
-            return pw, report
-
-        monkeypatch.setattr(baselines, "dc_allocate", recording)
-        self._captured_opts(monkeypatch, tmp_path, {})
-        rep = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert rep["locations_evaluated"] == len(reports) == 2
-        assert rep["locations_certified"] == sum(
-            r.status == "converged" and r.extras["solves"] == 0
-            for r in reports)
+        monkeypatch.setattr(model, "restore_feasibility", recording)
+        for run, tol in (({}, 1e-6), ({"feas_tol": 1e-7, "rel_tol": 1e-3,
+                                       "max_iter": 1}, 1e-7)):
+            tols.clear()
+            cfg = _write(tmp_path, dict(SMALL, run=run))
+            out = tmp_path / "o"
+            rc = cli.main(["baseline", "static", str(cfg),
+                           "--out-dir", str(out)])
+            assert rc == 0
+            assert tols == [tol]
+            rep = json.loads((out / "report.json").read_text())
+            assert rep["objective"] > 0.0
+            assert rep["locations_evaluated"] == 41 * 21 + 16
 
 
 class TestImportFootprint:

@@ -314,7 +314,7 @@ class TestBoostedCcp:
         assert model.secrecy_sum(scn, traj, pw) == report.final_objective
         checks = model.check_all(scn, traj, pw, tol=DcOptions().feas_tol)
         assert all(v.feasible for v in checks.values())
-        assert report.iterations[-1].kkt_residual <= DcOptions().kkt_tol
+        assert report.iterations[-1].kkt_residual <= power_dc.KKT_TOL
 
     def test_wall_times(self, ferry_run):
         assert_wall_times(ferry_run[3])
@@ -345,7 +345,7 @@ class TestBoostedCcp:
             if report.status == "converged":
                 kkt = report.extras.get("rejected_step", {}).get(
                     "kept_kkt", report.iterations[-1].kkt_residual)
-                assert kkt <= opts.kkt_tol
+                assert kkt <= power_dc.KKT_TOL
 
 
 class TestNoiseFloorStall:
@@ -392,23 +392,25 @@ class TestNoiseFloorStall:
         assert report.status == "converged"
         np.testing.assert_array_equal(pw.p_s, pw0.p_s)
         np.testing.assert_array_equal(pw.p_r, pw0.p_r)
-        assert report.iterations[0].kkt_residual <= opts.kkt_tol
+        assert report.iterations[0].kkt_residual <= power_dc.KKT_TOL
 
     @pytest.mark.parametrize("eve_xy, xy", LOCATIONS)
-    def test_non_improving_step_recorded_and_certified(self, eve_xy, xy):
+    def test_non_improving_step_recorded_and_certified(self, eve_xy, xy,
+                                                        monkeypatch):
         """A subproblem that ends below the start is recorded, and the
         kept start is converged only if its certificate passes.  At
-        ``kkt_tol`` 1e-7 the start (residual about 1e-6, the causality
+        ``KKT_TOL`` 1e-7 the start (residual about 1e-6, the causality
         tolerance of ``restore_feasibility``) is not certified up front,
         so the subproblem is solved."""
-        opts = DcOptions(rel_tol=1e-4, max_iter=40, kkt_tol=1e-7)
+        monkeypatch.setattr(power_dc, "KKT_TOL", 1e-7)
+        opts = DcOptions(rel_tol=1e-4, max_iter=40)
         *_, pw0, pw, report = self._run(eve_xy, xy, opts)
         rejected = report.extras["rejected_step"]
         assert rejected["subproblem_kkt"] <= 1e-7
         assert rejected["subproblem_iters"] > 0
         assert rejected["objective"] < report.final_objective
         assert report.status == ("converged"
-                                 if rejected["kept_kkt"] <= opts.kkt_tol
+                                 if rejected["kept_kkt"] <= power_dc.KKT_TOL
                                  else "stalled")
         # Only accepted iterates are recorded.
         assert all("subproblem_kkt" in r.extras
@@ -511,14 +513,14 @@ class TestStartCertificate:
         reject_power_finish(monkeypatch)
         scn, traj, pw98 = self._start(xy, 0.98)
         opts = DcOptions()
-        assert opts.kkt_tol == 1e-5
+        assert power_dc.KKT_TOL == 1e-5
         pw, report = dc_allocate(scn, traj, pw_0=pw98, opts=opts)
-        assert report.iterations[0].kkt_residual > 100 * opts.kkt_tol
+        assert report.iterations[0].kkt_residual > 100 * power_dc.KKT_TOL
         assert report.extras["solves"] >= 1
         assert report.objectives[0] == pytest.approx(start, abs=1e-3)
         assert report.final_objective == pytest.approx(end, abs=1e-3)
         assert model.secrecy_sum(scn, traj, pw) == report.final_objective
-        assert report.extras["rejected_step"]["kept_kkt"] <= opts.kkt_tol
+        assert report.extras["rejected_step"]["kept_kkt"] <= power_dc.KKT_TOL
         assert report.status == "converged"
 
     def test_failed_solve_returns_start(self, monkeypatch):
@@ -578,7 +580,7 @@ class TestFinish:
         ccp, last = report.iterations[-2:]
         assert len(report.iterations) == 3
         assert last.objective == finish["objective"] >= ccp.objective
-        assert last.kkt_residual == finish["kkt_residual"] <= opts.kkt_tol
+        assert last.kkt_residual == finish["kkt_residual"] <= power_dc.KKT_TOL
         assert last.extras["subproblem_kkt"] == finish["subproblem_kkt"]
         assert finish["subproblem_kkt"] <= 10.0 * power_dc.SUBPROBLEM.tol
         assert last.feasible
@@ -680,7 +682,7 @@ class TestFinish:
             if report.status == "converged":
                 kkt = report.extras.get("rejected_step", {}).get(
                     "kept_kkt", report.iterations[-1].kkt_residual)
-                assert kkt <= opts.kkt_tol
+                assert kkt <= power_dc.KKT_TOL
         assert tried > 0
 
 

@@ -10,7 +10,7 @@ from conftest import (assert_wall_times, random_feasible_trajectory,
                       stage_programs)
 from numerics import (as_dense, callback_outputs, record_points,
                       verify_derivatives)
-from secrelay import benchmark_scenario, model, trajectory_scp
+from secrelay import benchmark_scenario, model, power_dc, trajectory_scp
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
 from secrelay.solver import solve, start_margin
@@ -757,7 +757,7 @@ class TestTrajectoryFinish:
     def test_accepted(self):
         """On a fixed-endpoint config the finish after the first step is
         accepted: at or above that iterate, certified within
-        ``FINISH_KKT_TOL`` on the unrelaxed problem, the last iterate,
+        ``power_dc.KKT_TOL`` on the unrelaxed problem, the last iterate,
         and the stage ends ``converged``."""
         scn, traj, pw = _fixed_start()
         opts = ScpOptions()
@@ -772,7 +772,7 @@ class TestTrajectoryFinish:
         step, last = report.iterations[-2:]
         assert last.objective == finish["objective"] >= step.objective
         assert (last.kkt_residual == finish["kkt_residual"]
-                <= trajectory_scp.FINISH_KKT_TOL)
+                <= power_dc.KKT_TOL)
         assert last.extras["subproblem_kkt"] == finish["subproblem_kkt"]
         assert (report.extras["final_subproblem_kkt"]
                 == finish["subproblem_kkt"])
