@@ -13,9 +13,13 @@ statuses (the run's, then each sub-stage's, depth first) and its total
 Newton steps (``newton_steps``: for ``ao`` the sum over every multistart
 run, else over the stages of its report; ``-`` when the report counts
 none, as for ``baseline``, ``eval`` and ``check``).  ``baseline static``
-lines end with the number of locations whose closed-form hover optimum
+lines then give the number of locations whose closed-form hover optimum
 the scan scored (``locations_evaluated``: the grid and the refinement
-neighbours).
+neighbours).  Every line ends with the stage finishes
+(``finishes=<accepted>/<tried>``: the attempt records in
+``extras.finish``, skipped ones included, summed over every stage report
+in ``report.json``, which for ``ao`` holds the winning run's stages;
+``-`` when no report lists finishes).
 
 A refactor that keeps the artifacts prints the same lines.  Run it
 against two source trees and diff the output::
@@ -104,9 +108,21 @@ def _newton_steps(report) -> list:
                   for n in _newton_steps(sub)]
 
 
+def _finish_lists(report) -> list:
+    """The ``finish`` lists of the report and its sub-reports, depth
+    first."""
+    if not isinstance(report, dict):
+        return []
+    extras = report.get("extras", {})
+    own = [extras["finish"]] if "finish" in extras else []
+    return own + [f for sub in report.get("sub_reports", [])
+                  for f in _finish_lists(sub)]
+
+
 def objective_fields(out_dir: Path) -> str:
     """The run's objective (``repr``), stage statuses and Newton steps,
-    and the static scan's ``locations_evaluated`` where it has one."""
+    the static scan's ``locations_evaluated`` where it has one, and the
+    stage finishes, accepted over tried."""
     report_path = out_dir / "report.json"
     if not report_path.exists():
         return "objective=<no report>"
@@ -118,7 +134,11 @@ def objective_fields(out_dir: Path) -> str:
               f"newton_steps={sum(steps) if steps else '-'}")
     if "locations_evaluated" in doc:
         fields += f" locations_evaluated={doc['locations_evaluated']}"
-    return fields
+    lists = _finish_lists(doc.get("report"))
+    finishes = [f for fs in lists for f in fs]
+    accepted = sum(f["accepted"] for f in finishes)
+    return fields + (f" finishes={accepted}/{len(finishes)}" if lists
+                     else " finishes=-")
 
 
 def main() -> None:

@@ -212,10 +212,12 @@ def transit_slot_count(scn: Scenario) -> int:
     return int(math.ceil(dist / scn.slot_travel - 1e-12))
 
 
-def ferry_plan(scn: Scenario, load_slots: int) -> tuple[Trajectory, PowerAllocation]:
+def ferry_plan(scn: Scenario, load_slots: int,
+               feas_tol: float = model.DEFAULT_FEAS_TOL
+               ) -> tuple[Trajectory, PowerAllocation]:
     """Three-phase plan: load above the source, fly silent, unload above
     the destination; equal power within each active phase, relay power
-    capped to respect causality."""
+    capped to respect causality at ``feas_tol``."""
     n = scn.n_slots
     transit = transit_slot_count(scn)
     unload = n - load_slots - transit
@@ -236,13 +238,13 @@ def ferry_plan(scn: Scenario, load_slots: int) -> tuple[Trajectory, PowerAllocat
     p_r = np.zeros(n)
     p_r[load_slots + transit:] = n * scn.p_bar_r / unload
     pw = PowerAllocation(p_s=p_s, p_r=p_r)
-    pw = model.restore_feasibility(scn, traj, pw)
-    return traj, pw
+    return traj, model.restore_feasibility(scn, traj, pw, tol=feas_tol)
 
 
-def data_ferry(scn: Scenario,
-               load_slot_sweep: Optional[range] = None) -> FerryResult:
-    """Best load/fly/unload split, swept over the loading-phase length."""
+def data_ferry(scn: Scenario, load_slot_sweep: Optional[range] = None,
+               feas_tol: float = model.DEFAULT_FEAS_TOL) -> FerryResult:
+    """Best load/fly/unload split, swept over the loading-phase length,
+    each plan's powers causal at ``feas_tol``."""
     scn = _free_endpoints(scn)
     n = scn.n_slots
     transit = transit_slot_count(scn)
@@ -257,7 +259,7 @@ def data_ferry(scn: Scenario,
     sweep = load_slot_sweep or range(1, max_load + 1)
     best: Optional[FerryResult] = None
     for n1 in sweep:
-        traj, pw = ferry_plan(scn, n1)
+        traj, pw = ferry_plan(scn, n1, feas_tol)
         obj = model.secrecy_sum(scn, traj, pw)
         if best is None or obj > best.objective:
             best = FerryResult(traj=traj, pw=pw, objective=obj, load_slots=n1)

@@ -383,7 +383,7 @@ def cmd_baseline(scn, run, out_dir, args) -> int:
                  "locations_evaluated": res.evaluated}
         pw = res.pw
     else:
-        res = data_ferry(scn)
+        res = data_ferry(scn, feas_tol=tol)
         traj, pw = res.traj, res.pw
         extra = {"scheme": "ferry", "load_slots": res.load_slots}
         if res.diagnostic:

@@ -14,25 +14,33 @@ the stage running, the stage tries a finish (``_finish``): one
 interior-point solve of the true, nonconvex power problem
 (``_original_power_program``, with its Hessians) from a strict interior
 point next to that step's solution (T. Lipp & S. Boyd, "Variations and
-extension of the convex-concave procedure", Optim. Eng. 17, 2016).  Its
-point is accepted only if the solve ends ``optimal``, the point is
-feasible at ``feas_tol``, its objective is at least the CCP iterate's
-and its certificate is within ``KKT_TOL``; the stage then ends
-``converged`` there.  Otherwise CCP takes its next step exactly as
-without the finish and tries again after it, so the stage stays
-monotone and a rejected finish never sets a ``solver_*`` status.  After
-a finish whose point falls below the CCP iterate no finish is tried
-again: CCP is at least as far along, and each retry would land on the
-same KKT point.
+extension of the convex-concave procedure", Optim. Eng. 17, 2016).
+``finish`` is the guarded solve of both stages (``trajectory_scp``
+calls it too): its point is accepted only if the solve ends
+``optimal``, the point is feasible at ``feas_tol``, its objective is at
+least the stage iterate's and its certificate is within ``KKT_TOL``; the
+stage then ends ``converged`` there.  Otherwise CCP takes its next step
+exactly as without the finish and tries again after it, so the stage
+stays monotone and a rejected finish never sets a ``solver_*`` status.
+After a finish whose point falls below the CCP iterate
+(``BELOW_ITERATE``, "objective below the stage iterate") no finish is
+tried again: CCP is at least as far along, and each retry would land on
+the same KKT point.  One map of a solver point to powers, objective and
+feasibility (``_judge``) serves the surrogate steps and the finish.
 
-Before the first surrogate is built, ``_certify`` checks the start: it
+Before the first surrogate is built, the stage certifies the start: it
 estimates the multipliers of the true power problem by least squares
 over the nearly active rows and evaluates the exact KKT residual
-(``solver.certify``).  A start within ``KKT_TOL``
-is returned unchanged without a solve.  Otherwise the stage returns the
-accepted finish, or the last surrogate solution, each certified with its
-own solve's duals, or the start when the first step does not improve on
-it.
+(``solver.certify``).  A start within ``KKT_TOL`` is returned unchanged
+without a solve.  Otherwise the stage returns the accepted finish, or
+the last surrogate solution, each certified with its own solve's duals,
+or the start when the first step does not improve on it.
+
+One builder (``_power_program``) makes the true problem and the
+surrogate from rate triples (value, first and second derivative per
+watt): the true problem has the exact rates, and the surrogate replaces
+Eve's rate and both outflows by their tangents at the linearization
+point (second derivative 0).
 
 Information causality is stated with an explicit relay buffer
 (``Buffer``): one buffer for the rate forwarded to Bob and one for the
@@ -75,6 +83,9 @@ LN2 = float(np.log(2.0))
 # in ``trajectory_scp``, of the true trajectory problem) is accepted as a
 # KKT point: a certified start, a finish or a converged stop.
 KKT_TOL = 1e-5
+# The reason a finish is rejected when its point scores below the stage
+# iterate it started next to (``finish``).
+BELOW_ITERATE = "objective below the stage iterate"
 
 # Subproblems are solved well below KKT_TOL so the outer loop can keep
 # certifying progress without hitting the solver's noise floor.  tol=1e-8
@@ -90,6 +101,63 @@ SUBPROBLEM = SolverOptions(tol=1e-8)
 # causality row usually turns slack.  ``_finish`` skips a start that is
 # not strictly inside.
 FINISH_CUT = 0.05
+
+
+def finish(prog: SmoothConvexProgram, opts: SolverOptions, obj: float,
+           judge: Callable, certificate: Callable) -> tuple[object, dict]:
+    """One guarded solve of a stage's true problem ``prog`` (with its
+    start), the finish of both stages.
+
+    ``judge(z)`` gives the stage's point at a solver point z, its
+    objective and whether it passes at ``feas_tol``; obj is the stage
+    iterate's objective.  A start that is not strictly inside is skipped
+    (no solve).  The point is accepted only if the solve ends
+    ``optimal``, the point passes, its objective is at least obj and,
+    checked last, ``certificate(point, z, duals)`` (its KKT residual on
+    the unrelaxed problem with the solve's duals) is within ``KKT_TOL``.
+    Returns the accepted point (None otherwise) and the attempt's
+    record: the solve's ``status`` (None when skipped), ``iterations``
+    and residual (``subproblem_kkt``), the point's ``objective`` and
+    certificate (``kkt_residual``, None when an earlier check failed),
+    ``accepted``, and the ``reason`` for a rejection.
+    """
+    rec = {"status": None, "iterations": 0, "subproblem_kkt": None,
+           "objective": None, "kkt_residual": None, "accepted": False,
+           "reason": None}
+    if not start_margin(prog) > 0.0:
+        rec["reason"] = "start not strictly inside"
+        return None, rec
+    res = solve(prog, opts)
+    point, objective, feasible = judge(res.x_opt)
+    rec.update(status=res.status, iterations=res.iterations,
+               subproblem_kkt=res.kkt_residual, objective=objective)
+    if res.status != "optimal":
+        rec["reason"] = f"solve ended {res.status}"
+    elif not feasible:
+        rec["reason"] = "infeasible at feas_tol"
+    elif not objective >= obj:
+        rec["reason"] = BELOW_ITERATE
+    else:
+        rec["kkt_residual"] = certificate(
+            point, res.x_opt, np.concatenate([res.duals, res.bound_duals]))
+        if not rec["kkt_residual"] <= KKT_TOL:
+            rec["reason"] = "certificate above KKT_TOL"
+    rec["accepted"] = rec["reason"] is None
+    return (point if rec["accepted"] else None), rec
+
+
+def record_finish(report: RunReport, point, rec: dict) -> None:
+    """Append a finish attempt's record to ``report.extras["finish"]``,
+    count its solve and Newton steps, and add an accepted point (not
+    None) as the last iterate, with its solve's residual as
+    ``subproblem_kkt``."""
+    report.extras["finish"].append(rec)
+    report.extras["solves"] += rec["status"] is not None
+    report.extras["newton_steps"] += rec["iterations"]
+    if point is not None:
+        report.add(rec["objective"], kkt_residual=rec["kkt_residual"],
+                   feasible=True, subproblem_kkt=rec["subproblem_kkt"],
+                   subproblem_iters=rec["iterations"])
 
 
 @dataclass
@@ -232,13 +300,12 @@ def _power_point(pc: _Pieces) -> PointCache:
 
 
 def _flow_block(pc: _Pieces, at: PointCache, out: Callable, d_out: Callable,
-                dd_out: Optional[Callable] = None) -> ConstraintBlock:
+                dd_out: Callable) -> ConstraintBlock:
     """Net outflow out(p_r) - log2(1 + p_s g_ar) of each power slot.
 
     ``d_out`` and ``dd_out`` are the first and second derivatives of
-    ``out`` per watt; without ``dd_out`` the outflow is affine.  The
-    block carries the curvature of both flows.  The terms at a point
-    come from ``at``.
+    ``out`` per watt (``dd_out`` is 0 for a tangent).  The block carries
+    the curvature of both flows.  The terms at a point come from ``at``.
     """
     def value(z):
         t = at(z)
@@ -251,22 +318,15 @@ def _flow_block(pc: _Pieces, at: PointCache, out: Callable, d_out: Callable,
         vals[:, 1] = -t.d_in
         return vals
 
-    i_pr, i_ps = pc.idx["pr"], pc.idx["ps"]
-    if dd_out is None:
-        def hw(z, w):
-            return w * at(z).curv
-        hess_idx = (i_ps, i_ps)
-    else:
-        def hw(z, w):
-            t = at(z)
-            return np.concatenate([w * dd_out(t.pr) * pc.u_r ** 2,
-                                   w * t.curv])
-        both = np.concatenate([i_pr, i_ps])
-        hess_idx = (both, both)
+    def hw(z, w):
+        t = at(z)
+        return np.concatenate([w * dd_out(t.pr) * pc.u_r ** 2, w * t.curv])
 
+    i_pr, i_ps = pc.idx["pr"], pc.idx["ps"]
+    both = np.concatenate([i_pr, i_ps])
     return ConstraintBlock(
         cols=np.stack([i_pr, i_ps], axis=1), value=value,
-        jacobian=jacobian, hess_weighted=hw, hess_idx=hess_idx)
+        jacobian=jacobian, hess_weighted=hw, hess_idx=(both, both))
 
 
 def _energy_flow(pc: _Pieces, var: str) -> ConstraintBlock:
@@ -274,22 +334,6 @@ def _energy_flow(pc: _Pieces, var: str) -> ConstraintBlock:
     J = np.ones((i_p.size, 1))
     return ConstraintBlock(cols=i_p[:, None], value=lambda z: z[i_p],
                            jacobian=lambda z: J)
-
-
-def _buffers(scn: Scenario, pc: _Pieces, at: PointCache, bob,
-             eve) -> list[Buffer]:
-    """Both relay buffers, given the outflow and its derivatives
-    (``_flow_block``'s out, d_out[, dd_out]) for Bob and for Eve, then
-    the remaining source and relay energy.  The one builder of the power
-    surrogate and of the true power program."""
-    return [
-        Buffer(_flow_block(pc, at, *bob), pc.idx["bob"], "bob_causality"),
-        Buffer(_flow_block(pc, at, *eve), pc.idx["eve"], "eve_causality"),
-        Buffer(_energy_flow(pc, "ps"), pc.idx["src_energy"], "source_budget",
-               initial=scn.n_slots * scn.p_bar_s / pc.u_s),
-        Buffer(_energy_flow(pc, "pr"), pc.idx["relay_energy"], "relay_budget",
-               initial=scn.n_slots * scn.p_bar_r / pc.u_r),
-    ]
 
 
 def _lower_bounds(pc: _Pieces) -> np.ndarray:
@@ -301,11 +345,6 @@ def _lower_bounds(pc: _Pieces) -> np.ndarray:
     lb[pc.idx["src_energy"][-1]] = 0.0
     lb[pc.idx["relay_energy"][-1]] = 0.0
     return lb
-
-
-def _program(pc: _Pieces, buffers: list[Buffer], **kw) -> SmoothConvexProgram:
-    return SmoothConvexProgram(dim=pc.dim, ineqs=[b.block() for b in buffers],
-                               lb=_lower_bounds(pc), **kw)
 
 
 def _tight_point(pc: _Pieces, buffers: list[Buffer],
@@ -337,82 +376,37 @@ def build_dc_surrogate(scn: Scenario, traj: Trajectory,
     return _build_surrogate(scn, pc, pw_k)
 
 
-def _build_surrogate(scn: Scenario, pc: _Pieces,
-                     pw_k: PowerAllocation) -> SmoothConvexProgram:
-    """The surrogate at pw_k with a strictly feasible start.
-
-    In scaled powers the start is (1 - t) A + t B, t = 1e-3, with A =
-    (source of pw_k, relay 1e-6) and B = (source 0.9, relay 1e-6).  Every
-    positivity bound is slack there, and so are the budgets whenever pw_k
-    spends less than 1 + t / 10 times the source budget.  A causality
-    prefix F is convex in the powers, so F(start) <= (1 - t) F(A) +
-    t F(B).  The outflow is the tangent at pw_k, so F(A) is pw_k's own
-    prefix excess (at most the tolerance it was accepted at) minus the
-    tangent slope c times the cut in relay power.  As c p_r >= t
-    log2(1 + g p_r) while g p_r < e^500, F(start) <= (1 - t) excess +
-    sum (c 1e-6 - t inflow at source 0.9): negative when a thousandth of
-    the inflow at 0.9 outweighs the start's relay outflow and pw_k's
-    excess over every prefix.  The buffers at ``buffer_start`` then
-    leave every row slack.
-    """
-    i_pr = pc.idx["pr"]
-    prk = pw_k.p_r[1:]
-    c_d = pc.grd / (LN2 * (1.0 + prk * pc.grd))
-    c_e = pc.gre / (LN2 * (1.0 + prk * pc.gre))
-    bob_const = np.log2(1.0 + prk * pc.grd) - c_d * prk
-    eve_const = np.log2(1.0 + prk * pc.gre) - c_e * prk
-    eve_lin_total = float(np.sum(eve_const))
-    at = _power_point(pc)
-
-    def objective(z):
-        pr = at(z).pr
-        bob = np.sum(np.log2(1.0 + pr * pc.grd))
-        eve_lin = eve_lin_total + np.sum(c_e * pr)
-        return -(bob - eve_lin)
-
-    def gradient(z):
-        pr = at(z).pr
-        g = np.zeros(pc.dim)
-        g[i_pr] = (-pc.grd / (LN2 * (1.0 + pr * pc.grd)) + c_e) * pc.u_r
-        return g
-
-    def hessian(z):
-        pr = at(z).pr
-        return pc.grd ** 2 / (LN2 * (1.0 + pr * pc.grd) ** 2) * pc.u_r ** 2
-
-    buffers = _buffers(
-        scn, pc, at,
-        (lambda pr: bob_const + c_d * pr, lambda pr: c_d),
-        (lambda pr: eve_const + c_e * pr, lambda pr: c_e))
-    z0 = np.zeros(pc.dim)
-    z0[pc.idx["ps"]] = (1.0 - 1e-3) * pw_k.p_s[:-1] / pc.u_s + 1e-3 * 0.9
-    z0[i_pr] = 1e-6
-    for b in buffers:
-        z0[b.idx] = buffer_start(b.surplus(z0))
-    return _program(pc, buffers, objective=objective, gradient=gradient,
-                    hessian=hessian, hess_idx=(i_pr, i_pr),
-                    strictly_feasible_start=z0)
+def _rate(gain: np.ndarray) -> tuple:
+    """log2(1 + p_r gain) and its first two derivatives per watt."""
+    return (lambda pr: np.log2(1.0 + pr * gain),
+            lambda pr: gain / (LN2 * (1.0 + pr * gain)),
+            lambda pr: -gain ** 2 / (LN2 * (1.0 + pr * gain) ** 2))
 
 
-def _original_power_program(scn: Scenario, pc: _Pieces):
-    """The true (nonconvex) power problem, with its buffers.
+def _tangent(gain: np.ndarray, pr_k: np.ndarray) -> tuple:
+    """The tangent of ``_rate(gain)`` at the relay powers pr_k, as the
+    same triple."""
+    rate, slope, _ = _rate(gain)
+    c = slope(pr_k)
+    const = rate(pr_k) - c * pr_k
+    return lambda pr: const + c * pr, lambda pr: c, np.zeros_like
 
-    ``_certify`` evaluates KKT residuals on it, and ``_finish`` solves
-    it.  Its objective Hessian is diagonal with mixed signs, and each
-    causality row carries the concave curvature of its outflow as well
-    as the convex curvature of its inflow.  It has no start; the finish
-    gives it one.
+
+def _power_program(scn: Scenario, pc: _Pieces, eve: tuple, bob_out: tuple
+                   ) -> tuple[SmoothConvexProgram, list[Buffer]]:
+    """A power program without a start, and its buffers (Bob's, Eve's,
+    then the remaining source and relay energy).
+
+    It maximizes sum (R_bob - eve) with Bob's buffer drained by
+    ``bob_out`` and Eve's by ``eve``, each a rate triple (``_rate``) and
+    R_bob Bob's exact rate.  The one builder of the true power problem
+    (exact rates: ``_original_power_program``) and of the CCP surrogate
+    (tangents at pw_k: ``_build_surrogate``).  The objective Hessian is
+    diagonal, with mixed signs in the true problem.
     """
     at = _power_point(pc)
     i_pr = pc.idx["pr"]
-
-    def rate(gain):
-        # log2(1 + p_r gain) and its first two derivatives per watt.
-        return (lambda pr: np.log2(1.0 + pr * gain),
-                lambda pr: gain / (LN2 * (1.0 + pr * gain)),
-                lambda pr: -gain ** 2 / (LN2 * (1.0 + pr * gain) ** 2))
-
-    bob, eve = rate(pc.grd), rate(pc.gre)
+    bob = _rate(pc.grd)
 
     def objective(z):
         pr = at(z).pr
@@ -428,82 +422,87 @@ def _original_power_program(scn: Scenario, pc: _Pieces):
         pr = at(z).pr
         return (eve[2](pr) - bob[2](pr)) * pc.u_r ** 2
 
-    buffers = _buffers(scn, pc, at, bob, eve)
-    return (_program(pc, buffers, objective=objective, gradient=gradient,
-                     hessian=hessian, hess_idx=(i_pr, i_pr)),
-            buffers)
+    buffers = [
+        Buffer(_flow_block(pc, at, *bob_out), pc.idx["bob"], "bob_causality"),
+        Buffer(_flow_block(pc, at, *eve), pc.idx["eve"], "eve_causality"),
+        Buffer(_energy_flow(pc, "ps"), pc.idx["src_energy"], "source_budget",
+               initial=scn.n_slots * scn.p_bar_s / pc.u_s),
+        Buffer(_energy_flow(pc, "pr"), pc.idx["relay_energy"], "relay_budget",
+               initial=scn.n_slots * scn.p_bar_r / pc.u_r),
+    ]
+    prog = SmoothConvexProgram(
+        dim=pc.dim, objective=objective, gradient=gradient, hessian=hessian,
+        hess_idx=(i_pr, i_pr), ineqs=[b.block() for b in buffers],
+        lb=_lower_bounds(pc))
+    return prog, buffers
 
 
-def _certify(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
-             pw: PowerAllocation, duals: Optional[np.ndarray] = None) -> float:
-    """KKT residual of pw for the true power problem ``orig``, with every
-    buffer at its prefix surplus (``solver.certify``): the smaller of the
-    residuals with least-squares multipliers and with ``duals``.
+def _build_surrogate(scn: Scenario, pc: _Pieces,
+                     pw_k: PowerAllocation) -> SmoothConvexProgram:
+    """The surrogate at pw_k with a strictly feasible start.
 
-    The residual is evaluated exactly, so a small value proves pw a KKT
-    point whatever the estimate's quality; a poor estimate can only leave
-    a KKT point uncertified.
+    Eve's rate and both outflows are their tangents at pw_k.  In scaled
+    powers the start is (1 - t) A + t B, t = 1e-3, with A = (source of
+    pw_k, relay 1e-6) and B = (source 0.9, relay 1e-6).  Every
+    positivity bound is slack there, and so are the budgets whenever pw_k
+    spends less than 1 + t / 10 times the source budget.  A causality
+    prefix F is convex in the powers, so F(start) <= (1 - t) F(A) +
+    t F(B).  The outflow is the tangent at pw_k, so F(A) is pw_k's own
+    prefix excess (at most the tolerance it was accepted at) minus the
+    tangent slope c times the cut in relay power.  As c p_r >= t
+    log2(1 + g p_r) while g p_r < e^500, F(start) <= (1 - t) excess +
+    sum (c 1e-6 - t inflow at source 0.9): negative when a thousandth of
+    the inflow at 0.9 outweighs the start's relay outflow and pw_k's
+    excess over every prefix.  The buffers at ``buffer_start`` then
+    leave every row slack.
     """
-    return certify(orig, _tight_point(pc, buffers, pw), duals)
+    prk = pw_k.p_r[1:]
+    prog, buffers = _power_program(scn, pc, _tangent(pc.gre, prk),
+                                   _tangent(pc.grd, prk))
+    z0 = np.zeros(pc.dim)
+    z0[pc.idx["ps"]] = (1.0 - 1e-3) * pw_k.p_s[:-1] / pc.u_s + 1e-3 * 0.9
+    z0[pc.idx["pr"]] = 1e-6
+    for b in buffers:
+        z0[b.idx] = buffer_start(b.surplus(z0))
+    return dataclasses.replace(prog, strictly_feasible_start=z0)
 
 
-def finish_record() -> dict:
-    """The record of a finish attempt before its solve, as both stages
-    keep it in ``extras["finish"]`` (see ``_finish``)."""
-    return {"status": None, "iterations": 0, "subproblem_kkt": None,
-            "objective": None, "kkt_residual": None, "accepted": False,
-            "reason": None}
+def _original_power_program(scn: Scenario, pc: _Pieces):
+    """The true (nonconvex) power problem and its buffers: every point
+    is certified on it, and ``_finish`` solves it from a start it gives.
+    """
+    return _power_program(scn, pc, _rate(pc.gre), _rate(pc.grd))
 
 
-def _finish(scn: Scenario, traj: Trajectory, pc: _Pieces,
-            orig: SmoothConvexProgram, buffers: list[Buffer],
-            pw: PowerAllocation, obj: float, opts: DcOptions
+def _judge(scn: Scenario, traj: Trajectory, pc: _Pieces,
+           feas_tol: float) -> Callable:
+    """The stage's map of a solver point z to its powers, their
+    objective and whether they pass causality and the budgets at
+    ``feas_tol``: of a surrogate step and of a finish alike."""
+    def judge(z):
+        pw = _pw_from_z(pc, z)
+        checks = model.check_all(scn, traj, pw, tol=feas_tol)
+        return (pw, model.secrecy_sum(scn, traj, pw),
+                all(v.feasible for k, v in checks.items() if k != "mobility"))
+    return judge
+
+
+def _finish(pc: _Pieces, orig: SmoothConvexProgram, buffers: list[Buffer],
+            pw: PowerAllocation, obj: float, judge: Callable
             ) -> tuple[Optional[PowerAllocation], dict]:
-    """One solve of the true power problem ``orig`` from next to the CCP
-    iterate pw, whose objective is obj.
-
-    The start is pw with its powers cut (``FINISH_CUT``) and each buffer
-    at ``buffer_start``; a start that is not strictly inside is skipped
-    (no solve).  The solve's point is accepted only if the solve ends
-    ``optimal``, its powers pass causality and the budgets at
-    ``opts.feas_tol``, its objective is at least obj and its
-    ``_certify`` residual, with the solve's duals, is within
-    ``KKT_TOL``.  Returns the accepted powers (None otherwise) and
-    the attempt's record: the solve's ``status`` (None when skipped),
-    ``iterations`` and residual (``subproblem_kkt``), the point's
-    ``objective`` and certificate (``kkt_residual``, None when an earlier
-    check failed), ``accepted``, and the ``reason`` for a rejection.
-    """
+    """``finish`` on the true power problem ``orig`` from next to the
+    CCP iterate pw, whose objective is obj: pw with its powers cut
+    (``FINISH_CUT``) and each buffer at ``buffer_start``.  The point is
+    certified with every buffer at its prefix surplus."""
     cut = PowerAllocation(p_s=(1.0 - FINISH_CUT ** 2) * pw.p_s,
                           p_r=(1.0 - FINISH_CUT) * pw.p_r)
     z0 = _tight_point(pc, buffers, cut)
     for b in buffers:
         z0[b.idx] = buffer_start(z0[b.idx])
-    prog = dataclasses.replace(orig, strictly_feasible_start=z0)
-    rec = finish_record()
-    if not start_margin(prog) > 0.0:
-        rec["reason"] = "start not strictly inside"
-        return None, rec
-    res = solve(prog, SUBPROBLEM)
-    pw_fin = _pw_from_z(pc, res.x_opt)
-    checks = model.check_all(scn, traj, pw_fin, tol=opts.feas_tol)
-    rec.update(status=res.status, iterations=res.iterations,
-               subproblem_kkt=res.kkt_residual,
-               objective=model.secrecy_sum(scn, traj, pw_fin))
-    if res.status != "optimal":
-        rec["reason"] = f"solve ended {res.status}"
-    elif not all(v.feasible for k, v in checks.items() if k != "mobility"):
-        rec["reason"] = "infeasible at feas_tol"
-    elif not rec["objective"] >= obj:
-        rec["reason"] = "objective below the CCP iterate"
-    else:
-        rec["kkt_residual"] = _certify(
-            pc, orig, buffers, pw_fin,
-            np.concatenate([res.duals, res.bound_duals]))
-        if not rec["kkt_residual"] <= KKT_TOL:
-            rec["reason"] = "certificate above KKT_TOL"
-    rec["accepted"] = rec["reason"] is None
-    return (pw_fin if rec["accepted"] else None), rec
+    return finish(
+        dataclasses.replace(orig, strictly_feasible_start=z0), SUBPROBLEM,
+        obj, judge, lambda pw_fin, z, duals: certify(
+            orig, _tight_point(pc, buffers, pw_fin), duals))
 
 
 def dc_allocate(scn: Scenario, traj: Trajectory,
@@ -514,19 +513,19 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
 
     Starts from ``pw_0``, by default equal power with the relay scaled
     back until causality holds (``model.restore_feasibility``).
-    Iteration 0 records the start's ``_certify`` residual; a start within
-    ``KKT_TOL`` is returned unchanged (``converged``) and no
-    subproblem is solved.  After each surrogate step that leaves the
-    stage running, the finish (``_finish``) is tried from next to it; an
-    accepted finish is the last iterate, recorded with its solve's
-    residual as ``subproblem_kkt``, and ends the stage ``converged``.
-    Otherwise returns the last surrogate solution (the start if no step
-    is accepted), also when a surrogate solve is not ``optimal``, which
-    ends the stage ``solver_<status>``.  No finish follows one that
-    ended below its CCP iterate.  ``report.extras`` counts the
+    Iteration 0 records the start's certificate (``solver.certify`` on
+    the true problem); a start within ``KKT_TOL`` is returned unchanged
+    (``converged``) and no subproblem is solved.  After each surrogate
+    step that leaves the stage running, the finish (``_finish``) is
+    tried from next to it; an accepted finish is the last iterate and
+    ends the stage ``converged`` (``record_finish``).  Otherwise returns
+    the last surrogate solution (the start if no step is accepted), also
+    when a surrogate solve is not ``optimal``, which ends the stage
+    ``solver_<status>``.  No finish follows one that ended below its CCP
+    iterate (``BELOW_ITERATE``).  ``report.extras`` counts the
     ``solves`` and their ``newton_steps`` (the finishes' included);
     ``finish`` lists the record of each attempt in order (see
-    ``_finish``).
+    ``finish``).
     """
     opts = opts or DcOptions()
     report = RunReport(stage="power_dc",
@@ -544,8 +543,9 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
 
     pc = _pieces(scn, traj)
     orig, orig_buffers = _original_power_program(scn, pc)
+    judge = _judge(scn, traj, pc, opts.feas_tol)
     obj = model.secrecy_sum(scn, traj, pw)
-    kkt_0 = _certify(pc, orig, orig_buffers, pw)
+    kkt_0 = certify(orig, _tight_point(pc, orig_buffers, pw))
     report.add(obj, kkt_residual=kkt_0, feasible=True)
     if kkt_0 <= KKT_TOL:
         # The start is already a KKT point: CCP would not move it.
@@ -561,8 +561,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             report.status = f"solver_{res.status}"
             break
         duals = np.concatenate([res.duals, res.bound_duals])
-        pw_new = _pw_from_z(pc, res.x_opt)
-        obj_new = model.secrecy_sum(scn, traj, pw_new)
+        pw_new, obj_new, feasible = judge(res.x_opt)
         if obj_new < obj - 1e-9:
             # Solver-tolerance hiccup: keep the better point and stop.
             # Certify it with its own multiplier estimate and with the
@@ -570,7 +569,8 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             # can miss rows that are only nearly active.  The attempt
             # goes to the extras: ``iterations`` holds accepted iterates
             # only.
-            kkt_kept = _certify(pc, orig, orig_buffers, pw, duals)
+            kkt_kept = certify(orig, _tight_point(pc, orig_buffers, pw),
+                               duals)
             report.extras["rejected_step"] = {
                 "objective": obj_new, "subproblem_kkt": res.kkt_residual,
                 "subproblem_iters": res.iterations, "kept_kkt": kkt_kept}
@@ -579,7 +579,6 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             break
         kkt_orig = kkt_residual(
             orig, _tight_point(pc, orig_buffers, pw_new), duals)
-        feas = model.check_all(scn, traj, pw_new, tol=opts.feas_tol)
         rel = abs(obj_new - obj) / max(abs(obj_new), 1e-10)
         if rel < opts.rel_tol:
             if kkt_orig <= KKT_TOL:
@@ -587,9 +586,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             elif rel < 1e-13:
                 # Iterates stopped moving without certifying; report as is.
                 report.status = "stalled"
-        report.add(obj_new, kkt_residual=kkt_orig,
-                   feasible=all(v.feasible for k, v in feas.items()
-                                if k != "mobility"),
+        report.add(obj_new, kkt_residual=kkt_orig, feasible=feasible,
                    subproblem_kkt=res.kkt_residual,
                    subproblem_iters=res.iterations)
         pw, obj = pw_new, obj_new
@@ -597,17 +594,11 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
             break
         if not retry:
             continue
-        finished, fin = _finish(scn, traj, pc, orig, orig_buffers, pw, obj,
-                                opts)
-        report.extras["finish"].append(fin)
-        report.extras["solves"] += fin["status"] is not None
-        report.extras["newton_steps"] += fin["iterations"]
+        finished, fin = _finish(pc, orig, orig_buffers, pw, obj, judge)
+        record_finish(report, finished, fin)
         # A finish that reached a KKT point below the CCP iterate shows
         # CCP at least as far along; a later one would land there again.
-        retry = fin["reason"] != "objective below the CCP iterate"
+        retry = fin["reason"] != BELOW_ITERATE
         if finished is not None:
-            report.add(fin["objective"], kkt_residual=fin["kkt_residual"],
-                       feasible=True, subproblem_kkt=fin["subproblem_kkt"],
-                       subproblem_iters=fin["iterations"])
             return finished, report.finish("converged")
     return pw, report.finish()

@@ -11,22 +11,25 @@ one, so all iterates stay feasible and the true secrecy rate ascends.
 
 SCP converges only linearly, and the surrogates only serve to reach a
 KKT point of the true problem.  So after the first step that leaves the
-stage running, the stage tries one finish (``_finish``): one
-interior-point solve of the true, nonconvex trajectory problem at the
-fixed powers (``_true_program``: the displacements and both buffers, no
-slacks, exact 2 x 2 per-slot Hessians), from zero displacement with the
-step's own two relaxations (below).  Its point is accepted only if the
-solve ends ``optimal``, the point passes mobility and causality at
-``feas_tol``, its objective is at least the SCP iterate's and its KKT
-residual on the unrelaxed problem, with the solve's duals
-(``solver.certify``), is within ``power_dc.KKT_TOL``; the stage then
-ends ``converged`` there, with that certificate as the iterate's
-``kkt_residual``.  Otherwise SCP goes on exactly as without the finish
-and tries none again in that stage (a retry after every step costs more
-than it saves).  A step that falls below its iterate (beyond 1e-9) is
-dropped; the stage ends ``converged`` there when the fall is within the
-stop rule (``rel_tol``; near a stationary point a surrogate solution
-loses about its duality gap), and ``stalled`` (``regressed``) otherwise.
+stage running, the stage tries one finish (``_finish``): the guarded
+solve of both stages (``power_dc.finish``) on the true, nonconvex
+trajectory problem at the fixed powers (``_true_program``: the
+displacements and both buffers, no slacks, exact 2 x 2 per-slot
+Hessians), from zero displacement with the step's own two relaxations
+(below).  Its point is accepted only if the solve ends ``optimal``, the
+point passes mobility and causality at ``feas_tol``, its objective is at
+least the SCP iterate's and its KKT residual on the unrelaxed problem,
+with the solve's duals (``solver.certify``), is within
+``power_dc.KKT_TOL``; the stage then ends ``converged`` there, with that
+certificate as the iterate's ``kkt_residual``.  Otherwise SCP goes on
+exactly as without the finish and tries none again in that stage (a
+retry after every step costs more than it saves).  One map of a solver
+point to iterate, objective and feasibility (``_judge``) serves the SCP
+steps and the finish.  A step that falls below its iterate (beyond
+1e-9) is dropped; the stage ends ``converged`` there when the fall is
+within the stop rule (``rel_tol``; near a stationary point a surrogate
+solution loses about its duality gap), and ``stalled`` (``regressed``)
+otherwise.
 
 Information causality is stated with relay buffers (``power_dc.Buffer``)
 for Bob's and Eve's rate: b_n >= 0 with b_n <= b_{n-1} + R_in,n-1 -
@@ -72,10 +75,10 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import KKT_TOL, LN2, Buffer, buffer_start, finish_record
+from .power_dc import LN2, Buffer, buffer_start, finish, record_finish
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
-                     SolverOptions, certify, solve, start_margin)
+                     SolverOptions, certify, solve)
 
 
 SUBPROBLEM = SolverOptions(tol=1e-6)
@@ -669,47 +672,33 @@ def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
         lb=lb, strictly_feasible_start=z0)
 
 
+def _judge(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
+           lay: _Layout, feas_tol: float):
+    """The stage's map of a solver point z over ``lay`` to the iterate
+    it reaches from it, its objective and whether it passes mobility
+    and causality at ``feas_tol``: of an SCP step and of the finish
+    alike."""
+    def judge(z):
+        delta, xi, _, _ = lay.unpack(z)
+        it_new = make_iterate(
+            scn, Trajectory(it.traj.xy + np.stack([delta, xi], axis=1)), pw)
+        checks = model.check_all(scn, it_new.traj, pw, tol=feas_tol)
+        return it_new, it_new.objective, (checks["mobility"].feasible
+                                          and checks["causality"].feasible)
+    return judge
+
+
 def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
             opts: ScpOptions) -> tuple[Optional[TrajIterate], dict]:
-    """One solve of the true trajectory problem (``_true_program``) from
-    the SCP iterate it.
-
-    A start that is not strictly inside is skipped (no solve).  The
-    solve's point is accepted only if the solve ends ``optimal``, the
-    point passes mobility and causality at ``opts.feas_tol``, its
-    objective is at least the iterate's and its KKT residual on the
-    unrelaxed problem (``solver.certify`` with the solve's duals) is
-    within ``KKT_TOL``.  Returns the accepted iterate (None
-    otherwise) and the attempt's record (``power_dc.finish_record``,
-    filled in as ``power_dc._finish`` does).
-    """
+    """``power_dc.finish`` on the true trajectory problem
+    (``_true_program``, relaxed, from zero displacement) from the SCP
+    iterate it; the point is certified on the unrelaxed problem."""
     lay = _Layout(scn, it, slacks=False)
-    prog = _true_program(scn, pw, it, lay)
-    rec = finish_record()
-    if not start_margin(prog) > 0.0:
-        rec["reason"] = "start not strictly inside"
-        return None, rec
-    res = solve(prog, FINISH)
-    z = res.x_opt
-    step = np.stack([z[lay.i_delta], z[lay.i_xi]], axis=1) * lay.h
-    it_fin = make_iterate(scn, Trajectory(it.traj.xy + step), pw)
-    checks = model.check_all(scn, it_fin.traj, pw, tol=opts.feas_tol)
-    rec.update(status=res.status, iterations=res.iterations,
-               subproblem_kkt=res.kkt_residual, objective=it_fin.objective)
-    if res.status != "optimal":
-        rec["reason"] = f"solve ended {res.status}"
-    elif not (checks["mobility"].feasible and checks["causality"].feasible):
-        rec["reason"] = "infeasible at feas_tol"
-    elif not it_fin.objective >= it.objective:
-        rec["reason"] = "objective below the SCP iterate"
-    else:
-        rec["kkt_residual"] = certify(
-            _true_program(scn, pw, it, lay, relax=False), z,
-            np.concatenate([res.duals, res.bound_duals]))
-        if not rec["kkt_residual"] <= KKT_TOL:
-            rec["reason"] = "certificate above KKT_TOL"
-    rec["accepted"] = rec["reason"] is None
-    return (it_fin if rec["accepted"] else None), rec
+    return finish(
+        _true_program(scn, pw, it, lay), FINISH, it.objective,
+        _judge(scn, pw, it, lay, opts.feas_tol),
+        lambda _, z, duals: certify(
+            _true_program(scn, pw, it, lay, relax=False), z, duals))
 
 
 def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
@@ -725,7 +714,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     accepted trajectory iterate (e.g. to snapshot the evolution), an
     accepted finish included.  ``report.extras`` counts the ``solves``
     and their ``newton_steps`` (the finish's included), lists the finish
-    attempt (at most one) under ``finish`` (see ``_finish``), keeps a
+    attempt (at most one) under ``finish`` (see ``power_dc.finish``), keeps a
     dropped step under ``rejected_step`` and the last accepted solve's
     residual as ``final_subproblem_kkt``.  Each iterate records its
     solve's residual as ``subproblem_kkt``; its ``kkt_residual`` is that
@@ -761,11 +750,8 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             # a causality-tight point means a (near-)stationary step.
             report.status = f"solver_{res.status}"
             break
+        it_new, _, ok = _judge(scn, pw, it, lay, opts.feas_tol)(res.x_opt)
         delta, xi, eps, tau = lay.unpack(res.x_opt)
-        traj_new = Trajectory(it.traj.xy + np.stack([delta, xi], axis=1))
-        it_new = make_iterate(scn, traj_new, pw)
-        checks = model.check_all(scn, traj_new, pw, tol=opts.feas_tol)
-        ok = checks["mobility"].feasible and checks["causality"].feasible
         change = abs(it_new.objective - it.objective)
         rel = change / max(abs(it_new.objective), 1e-10)
         settled = rel < opts.rel_tol or change <= model.OBJ_ABS_TOL
@@ -806,16 +792,11 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         if report.extras["finish"]:
             continue
         finished, fin = _finish(scn, pw, it, opts)
-        report.extras["finish"].append(fin)
-        report.extras["solves"] += fin["status"] is not None
-        report.extras["newton_steps"] += fin["iterations"]
+        record_finish(report, finished, fin)
         if finished is not None:
             it = finished
             if iteration_callback is not None:
                 iteration_callback(it.traj)
-            report.add(it.objective, kkt_residual=fin["kkt_residual"],
-                       feasible=True, subproblem_kkt=fin["subproblem_kkt"],
-                       subproblem_iters=fin["iterations"])
             report.status = "converged"
             break
     report.extras["final_subproblem_kkt"] = (

@@ -156,7 +156,10 @@ def fail_trajectory_solves(monkeypatch, after: int = 0) -> None:
 
 def _reject_finish(monkeypatch, stage, attempts: float = float("inf")
                    ) -> list:
-    finish, solve, inside, tried = stage._finish, stage.solve, [], []
+    # Both stages' finishes run ``power_dc.finish``, which calls the
+    # ``solve`` of ``power_dc``.
+    from secrelay import power_dc
+    finish, solve, inside, tried = stage._finish, power_dc.solve, [], []
 
     def marked_finish(*args):
         tried.append(1)
@@ -173,7 +176,7 @@ def _reject_finish(monkeypatch, stage, attempts: float = float("inf")
         return dataclasses.replace(res, status="numerical_failure")
 
     monkeypatch.setattr(stage, "_finish", marked_finish)
-    monkeypatch.setattr(stage, "solve", failing_solve)
+    monkeypatch.setattr(power_dc, "solve", failing_solve)
     return inside
 
 

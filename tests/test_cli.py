@@ -293,6 +293,26 @@ class TestBaselineOptions:
             assert rep["locations_evaluated"] == 41 * 21 + 16
 
 
+    def test_ferry_plans_at_feas_tol(self, tmp_path, capsys):
+        """``baseline ferry`` restores its plans at the config's
+        ``feas_tol``: on the free-endpoint T = 100 s benchmark at 1e-9 its
+        report is feasible and ``check`` accepts its trajectory."""
+        doc = {"scenario": {
+            "bob_xy_m": [2000.0, 0.0], "eve_xy_m": [1000.0, 100.0],
+            "altitude_m": 100.0, "horizon_s": 100.0, "slot_len_s": 2.0,
+            "v_max_mps": 50.0, "ref_snr_db": 80.0, "p_bar_s": "10 dBm",
+            "p_bar_r": "10 dBm"}, "run": {"feas_tol": 1.0e-9}}
+        cfg = _write(tmp_path, doc)
+        out = tmp_path / "ferry"
+        assert cli.main(["baseline", "ferry", str(cfg),
+                         "--out-dir", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["objective"] > 0.0
+        assert all(v["feasible"] for v in rep["feasibility"].values())
+        assert cli.main(["check", str(cfg), "--trajectory",
+                         str(out / "trajectory.csv"),
+                         "--out-dir", str(tmp_path / "check")]) == 0
+
 class TestImportFootprint:
     def test_package_import_leaves_cli_and_yaml_out(self):
         """``import secrelay`` loads neither the CLI nor YAML, nor

@@ -830,7 +830,10 @@ class TestTrajectoryFinish:
             solves.append(1)
             return solve(prog, opts)
 
+        # SCP steps call the stage's ``solve``, the finish the one of
+        # ``power_dc``.
         monkeypatch.setattr(trajectory_scp, "solve", counting_solve)
+        monkeypatch.setattr(power_dc, "solve", counting_solve)
         run = scp_optimize(scn, pw, traj)
         _same_run(run, scp)
         assert len(solves) == run[1].extras["solves"]
