@@ -3,16 +3,19 @@
 
 Runs each tree's own ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` from that tree's root, K pairs, alternating which side runs
-first, and prints each pair's ``wall_s``, each side's median and
-quartiles, the change's wins (ties count for neither side) and whether
-the gain rule holds: the change wins at least nine tenths of the pairs,
-and the parent's median exceeds the change's by more than the parent's
+first.  Pair k runs seed k mod the number of ``--seeds`` (default: seed 0
+alone); on the AO workload a change's gain can belong to one seed's
+path, so a claim there should span several.  It prints each pair's
+seed, ``wall_s`` and ratio, each side's median and quartiles, the
+change's wins (ties count for neither side) and whether the gain rule
+holds: the change wins at least nine tenths of the pairs, and the
+parent's median exceeds the change's by more than the parent's
 interquartile range.  It also prints each side's median of the other
 end-to-end metrics (``objective``, ``ok_frac``, ``setup_s``,
 ``peak_rss_mb``) and whether every run's output check passed.
 
     python3 scripts/paired_wall.py ../parent . --workload ao-free-T100 \\
-        --seed 0 --pairs 10
+        --seeds 0,3,7 --pairs 12
 
 Each run writes its result file into its own tree's ``perfbench/results``.
 One pair takes about twice the run length plus the benchmark's set-up
@@ -66,25 +69,29 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="root of the parent's tree")
     ap.add_argument("change", type=Path, help="root of the change's tree")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seeds", default="0",
+                    help="comma-separated seeds; pair k runs seed k mod "
+                         "their number")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10.0)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
+    seeds = [int(s) for s in args.seeds.split(",")]
 
     runs = {"parent": [], "change": []}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    print(f"workload {args.workload}, seed {args.seed}, "
+    print(f"workload {args.workload}, seeds {seeds}, "
           f"{args.pairs} pairs of {args.seconds:g} s runs")
     for i in range(args.pairs):
+        seed = seeds[i % len(seeds)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(trees[side], args.workload, args.seed,
+            runs[side].append(run_once(trees[side], args.workload, seed,
                                        args.seconds))
         p, c = runs["parent"][-1]["wall_s"], runs["change"][-1]["wall_s"]
-        print(f"pair {i + 1:2d} ({order[0]} first): parent {p:.4f} s, "
-              f"change {c:.4f} s, ratio {c / p:.3f}", flush=True)
+        print(f"pair {i + 1:2d} (seed {seed}, {order[0]} first): parent "
+              f"{p:.4f} s, change {c:.4f} s, ratio {c / p:.3f}", flush=True)
 
     wall = {side: [r["wall_s"] for r in rs] for side, rs in runs.items()}
     for side in ("parent", "change"):

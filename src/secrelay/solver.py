@@ -14,7 +14,7 @@ residual.  The stage programs are inner
 approximations built around a feasible point, so each has an interior
 by construction and builds its start from that point.  A program without
 inequalities or finite bounds runs the same loop: its barrier terms are
-empty, so each step is a damped Newton step on the gradient (regularized
+empty, so each step is a damped Newton step on the gradient (shifted
 when there is no Hessian).
 
 Problems are stated in minimize convention:
@@ -41,24 +41,32 @@ gathers the values and scatters them with one ``np.bincount``.
 Finite lower bounds never become Jacobian rows: they enter the Newton
 matrix as diagonal entries and the residuals as a scatter.  Each Newton
 point is evaluated once: the constraint values of the start are handed
-over from the start check, and the gradient, Jacobian, constraint values
-and dual residual grad f + J^T lam of the accepted line-search trial are
-carried into the next step and into the optimality checks (only the
-centering residual is rebuilt when mu drops).  Within one point, the
-callbacks of a program can share their common terms through a
-``PointCache``, as the stage programs do.
+over from the start check, a line-search trial takes its constraint
+values and objective, and the gradient, Jacobian and dual residual
+grad f + J^T lam are taken at the accepted trial only and carried into
+the next step and into the optimality checks (only the centering
+residual is rebuilt when mu drops).  Within one point, the callbacks of
+a program can share their common terms through a ``PointCache``, as the
+stage programs do.
 
-A nonconvex program (an indefinite objective Hessian, or a row with
-concave curvature, as in the true power and trajectory problems that
-the finishes of ``power_dc`` and ``trajectory_scp`` solve) runs the same
-loop.  Its Newton matrix may be indefinite, and the only treatment is
-the escalating diagonal regularization in ``_factor_solve``: a Cholesky
-factorization that fails is retried with a growing multiple of the
-identity added.  There is no inertia correction (A. Wächter & L. T.
-Biegler, Math. Program. 106, 2006, §3.1): nothing checks the inertia
-beyond the factorization's success, and no regularization is kept
-between steps.  Such a solve can end ``numerical_failure``; when it
-ends ``optimal`` its point satisfies the KKT conditions to ``tol``, a
+Every step is judged by the barrier function phi_mu = f - mu sum log(-g)
+over all rows and finite bounds (J. Nocedal & S. J. Wright, *Numerical
+Optimization*, 2006, §19.4): a trial is accepted on an Armijo decrease
+(``ARMIJO``).  The Newton right-hand side is -grad phi_mu, so any
+positive definite matrix gives a descent step.  A matrix that is not
+(from rounding, or from a nonconvex program: an indefinite objective
+Hessian, or a row with concave curvature, as in the true power and
+trajectory problems that the finishes of ``power_dc`` and
+``trajectory_scp`` solve) is shifted by the lowest rung of a ladder of
+multiples of the identity on which it factors, and a shifted step is
+bounded by ``STEP_CAP``, a crude trust region (§4.3); see
+``_factor_solve``.  Where phi_mu's rounding hides the step's decrease,
+the step is judged by the perturbed KKT residual instead, so a solve at
+the noise floor stalls rather than stepping in place.  The shift is not
+an inertia correction (A. Wächter & L. T. Biegler, Math. Program. 106,
+2006, §3.1): nothing checks the inertia beyond the factorization's
+success.  Such a solve can end ``numerical_failure``; when it ends
+``optimal`` its point satisfies the KKT conditions to ``tol``, a
 first-order point that need not be a local minimum.  The caller must
 check what it needs beyond that.
 
@@ -95,7 +103,7 @@ FRAC_TO_BOUNDARY = 0.995
 # Centred start: each multiplier is MU_START over its row's slack, capped
 # at LAM_START_MAX, and mu starts at their mean product.  A row within
 # 1e-10 of its bound gets LAM_START_MAX, not 1 / slack, so the first
-# Newton matrix factors without regularization and the first dual
+# Newton matrix factors without a shift and the first dual
 # residual stays moderate.  For a program whose rows all start at least
 # MU_START / LAM_START_MAX inside, the barrier levels are MU_START times
 # powers of MU_FACTOR, so MU_START decides the last level a solve
@@ -107,10 +115,30 @@ FRAC_TO_BOUNDARY = 0.995
 # about 4e-9 or less only for MU_START from about 0.11 to 0.2 (the
 # earlier start's levels); at 0.1 they end at 1.02e-8, at 0.25 at
 # 5.1e-9, and their points lose up to 4e-9 of relative objective.
-# Within that window, whether a given nonconvex finish ends ``optimal``
-# turns on the exact value (see CHANGES.md).
+# Within that window the exact value still decides whether a nonconvex
+# finish ends ``optimal``: AO's hover-start trajectory finish on the
+# T = 100 s free-endpoint benchmark (Eve moved by seeds 0-9) fails at 4
+# of the 10 seeds at 0.12 or 0.15, and at none at 0.18 or 0.2.
 MU_START = 0.18
 LAM_START_MAX = 1e2
+# Line search: a trial is accepted when phi_mu = f - mu sum log(-g)
+# falls by at least ARMIJO times the decrease its slope predicts.  When
+# the full step's predicted decrease is at most NOISE times the size of
+# phi_mu's terms (its rounding level), phi_mu cannot judge the step, and
+# a trial is accepted instead when it lowers the perturbed KKT residual
+# by 1% of alpha; at the noise floor neither holds, and the solve stalls.
+ARMIJO = 1e-4
+NOISE = 10 * float(np.finfo(float).eps)
+# Shift ladder of ``_factor_solve``: 0, then SHIFT_FIRST times the mean
+# diagonal times 2^j, LADDER rungs in all.  A shifted step is kept
+# within STEP_CAP in the max norm of the program's variables.  Over
+# seeds 0-39 of the benchmark (Eve moved), caps of 30, 40 and 50 leave
+# 2, 1 and 2 AO runs at about the Newton steps of the residual line
+# search (at 40 one takes 7% more), and a cap of 10 costs the
+# fixed-endpoint SCP 17% more steps than 30.
+SHIFT_FIRST = 1e-10
+LADDER = 60
+STEP_CAP = 30.0
 # Rows within this much of their bound enter ``multiplier_estimate``.
 # At an interior-point solution the rows that are active in the limit
 # are still slack by about the barrier parameter over their multiplier;
@@ -210,9 +238,9 @@ class SmoothConvexProgram:
     ``ValueError`` (``start_margin`` checks a start without solving).
 
     The solver is built for convex programs.  A nonconvex one runs the
-    same loop, and its indefinite Newton matrix is handled only by the
-    escalating diagonal regularization in ``_factor_solve``; there is no
-    inertia correction (see the module docstring)."""
+    same loop: its indefinite Newton matrix gets the shifted, capped
+    step of ``_factor_solve``, and every step must lower the barrier
+    function (see the module docstring)."""
 
     dim: int
     objective: Callable[[Array], float]
@@ -400,31 +428,65 @@ class _Plan:
         return out.astype(float, copy=False).reshape(self.bw + 1, self.dim)
 
 
-def _factor_solve(ab: Array, rhs: Array) -> Optional[Array]:
-    """Solve the banded Newton system, or None.
+class _Rung:
+    """Where a solve's next shift search starts: the rung of the shift
+    ladder that its last Newton matrix took (0 before the first)."""
 
-    One ``cholesky_banded`` per attempt, with escalating diagonal
-    regularization after a failed one.  This is all the solver does about
-    a matrix that is not positive definite, whether from rounding or from
-    a nonconvex program.
+    def __init__(self):
+        self.k = 0
+
+
+def _factor_solve(ab: Array, rhs: Array,
+                  rung: Optional[_Rung] = None) -> Optional[Array]:
+    """Solve the banded Newton system, its diagonal shifted by the lowest
+    rung of the ladder 0, 2^j ``SHIFT_FIRST`` scale (j < ``LADDER`` - 1,
+    scale the mean diagonal, at least 1) on which ``cholesky_banded``
+    succeeds; None when none does.
+
+    The search starts at ``rung.k`` (0 without ``rung``) and goes down
+    while the matrix factors, up while it fails, so it lands on the rung
+    the climb from 0 finds (the shifted matrix stays positive definite
+    as the shift grows) with fewer failed factorizations; ``rung.k`` is
+    set to it.  A shifted step longer than ``STEP_CAP`` in the max norm
+    is solved again with the shift times 4 (two rungs up) until it is
+    not: a crude trust region, since far from a local minimum of the
+    barrier problem the lowest positive definite shift leaves the step
+    almost unbounded.
     """
     dim = ab.shape[1]
     scale = max(1.0, float(np.sum(ab[0])) / max(dim, 1))
-    reg = 0.0
-    for _ in range(60):
+
+    def factor(k):
         a = ab
-        if reg:
+        if k:
             a = ab.copy()
-            a[0] += reg
+            a[0] += SHIFT_FIRST * scale * 2.0 ** (k - 1)
         try:
-            cb = scipy.linalg.cholesky_banded(a, lower=True,
-                                              check_finite=False)
+            return scipy.linalg.cholesky_banded(a, lower=True,
+                                                check_finite=False)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            reg = 1e-10 * scale if reg == 0.0 else reg * 2.0
-            continue
-        return scipy.linalg.cho_solve_banded((cb, True), rhs,
-                                             check_finite=False)
-    return None
+            return None
+
+    k = rung.k if rung is not None else 0
+    cb = factor(k)
+    while cb is not None and k > 0 and (lower := factor(k - 1)) is not None:
+        k, cb = k - 1, lower
+    while cb is None and k < LADDER - 1:
+        k += 1
+        cb = factor(k)
+    if cb is None:
+        return None
+    if rung is not None:
+        rung.k = k
+    dx = scipy.linalg.cho_solve_banded((cb, True), rhs, check_finite=False)
+    while k and k + 2 < LADDER and float(np.max(np.abs(dx))) > STEP_CAP:
+        k += 2
+        cb = factor(k)
+        if cb is None:
+            return None
+        dx = scipy.linalg.cho_solve_banded((cb, True), rhs,
+                                           check_finite=False)
+    return dx
 
 
 def start_margin(prog: SmoothConvexProgram) -> float:
@@ -441,6 +503,11 @@ def _pd_residual(blocks, grad_f, J, g, lam, mu):
     r_dual = grad_f + blocks.jt(J, lam)
     r_cent = -lam * g - mu
     return r_dual, r_cent
+
+
+def _norm(r_dual: Array, r_cent: Array) -> float:
+    """Euclidean norm of the perturbed KKT residual."""
+    return np.sqrt(float(np.sum(r_dual * r_dual) + np.sum(r_cent * r_cent)))
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
@@ -462,23 +529,29 @@ def solve(prog: SmoothConvexProgram,
     if prog.strictly_feasible_start is None:
         raise ValueError("the program has no strictly_feasible_start")
     x = np.array(prog.strictly_feasible_start, dtype=float)
-    # Derivatives and residuals at x; each later point gets them from its
-    # line search.
     g = blocks.value(x)
     if g.size and not float(np.max(g)) < 0.0:
         # NaN, from a start outside a callback's domain, is the maximum.
         k = int(np.argmax(g))
         raise ValueError(f"the start is not strictly feasible: "
                          f"{blocks.row_name(k)} is {g[k]:.3e}")
-    grad_f = prog.gradient(x)
-    J = blocks.jacobian(x)
     lam = np.clip(MU_START / -g, 1e-8, LAM_START_MAX)
     mu = float(np.mean(lam * (-g))) if g.size else MU_START
     mu_min = 0.05 * opts.tol
-    r_dual, r_cent = _pd_residual(blocks, grad_f, J, g, lam, mu)
 
+    def derivatives(x, g, lam):
+        """Gradient, Jacobian values and the residuals at the current mu
+        of an accepted point (or of a trial judged by its residual)."""
+        grad_f, J = prog.gradient(x), blocks.jacobian(x)
+        return (grad_f, J) + _pd_residual(blocks, grad_f, J, g, lam, mu)
+
+    # Values, derivatives and residuals at x; each later point gets them
+    # from its line search.
+    grad_f, J, r_dual, r_cent = derivatives(x, g, lam)
     f_x = float(prog.objective(x))
+    logs = float(np.sum(np.log(-g)))
     history: list[float] = [f_x]
+    rung = _Rung()
     n_newton = 0
     status = "max_iter"
     stalled = False
@@ -492,23 +565,29 @@ def solve(prog: SmoothConvexProgram,
             if r_norm <= inner_target:
                 break
             sigma = lam / np.maximum(-g, 1e-300)
+            # -grad phi_mu at x.
             rhs = -r_dual - blocks.jt(J, r_cent / g)
             dx = _factor_solve(
-                blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs)
+                blocks.newton_band(J, sigma, blocks.hessians(x, lam)), rhs,
+                rung)
             if dx is None:
                 status = "numerical_failure"
                 stalled = True
                 break
             dlam = (r_cent - lam * blocks.jv(J, dx)) / g
             # Fraction-to-boundary on the multipliers, then primal
-            # strict feasibility, then residual decrease.
+            # strict feasibility, then sufficient decrease of phi_mu.
             alpha = 1.0
             neg = dlam < 0
             if np.any(neg):
                 alpha = min(alpha, FRAC_TO_BOUNDARY *
                             float(np.min(-lam[neg] / dlam[neg])))
-            r0 = np.sqrt(float(np.sum(r_dual * r_dual)
-                               + np.sum(r_cent * r_cent)))
+            slope = -float(np.sum(rhs * dx))
+            phi = f_x - mu * logs
+            # Below phi_mu's rounding level its values cannot judge a step.
+            flat = -slope <= NOISE * (abs(f_x) + abs(mu * logs))
+            if flat:
+                r0 = _norm(r_dual, r_cent)
             accepted = False
             while alpha > 1e-13:
                 x_t = x + alpha * dx
@@ -517,27 +596,29 @@ def solve(prog: SmoothConvexProgram,
                 if g_t.size and not float(np.max(g_t)) < 0.0:
                     alpha *= 0.5
                     continue
+                f_t = float(prog.objective(x_t))
+                logs_t = float(np.sum(np.log(-g_t)))
                 lam_t = lam + alpha * dlam
-                grad_t = prog.gradient(x_t)
-                J_t = blocks.jacobian(x_t)
-                rd_t, rc_t = _pd_residual(blocks, grad_t, J_t, g_t, lam_t, mu)
-                r_t = np.sqrt(float(np.sum(rd_t * rd_t)
-                                    + np.sum(rc_t * rc_t)))
-                if r_t <= (1.0 - 0.01 * alpha) * r0 or r_t <= inner_target:
-                    accepted = True
+                if flat:
+                    point = derivatives(x_t, g_t, lam_t)
+                    accepted = (_norm(*point[2:])
+                                <= (1.0 - 0.01 * alpha) * r0)
+                else:
+                    accepted = (f_t - mu * logs_t
+                                <= phi + ARMIJO * alpha * slope)
+                if accepted:
                     break
                 alpha *= 0.5
             if not accepted:
                 stalled = True
                 break
-            x, lam, g, grad_f, J = x_t, lam_t, g_t, grad_t, J_t
-            r_dual, r_cent = rd_t, rc_t
-            f_x = None
+            if not flat:
+                point = derivatives(x_t, g_t, lam_t)
+            x, lam, g, f_x, logs = x_t, lam_t, g_t, f_t, logs_t
+            grad_f, J, r_dual, r_cent = point
             n_newton += 1
             if n_newton >= opts.max_iter:
                 break
-        if f_x is None:
-            f_x = float(prog.objective(x))
         history.append(f_x)
         # Unperturbed KKT residual decides optimality.
         kkt0 = _kkt_residual_raw(r_dual, g, lam)

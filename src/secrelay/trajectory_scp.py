@@ -68,6 +68,7 @@ only are computed once per SCP step, in ``make_iterate``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -527,12 +528,9 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         strictly_feasible_start=z0)
 
 
-class _Rate(NamedTuple):
-    """A reception rate log2(1 + g / (h^2 + |q - c|^2)) per slot, with
-    its gradient (gx, gy) and the lower triangle of its 2 x 2 Hessian
-    (hxx, hyy, hxy) in the slot's scaled displacement (delta, xi) / h."""
+class _RateDerivatives(NamedTuple):
+    """The derivatives of a ``_Rate``."""
 
-    r: np.ndarray
     gx: np.ndarray
     gy: np.ndarray
     hxx: np.ndarray
@@ -540,19 +538,32 @@ class _Rate(NamedTuple):
     hxy: np.ndarray
 
 
-def _rate(x: np.ndarray, y: np.ndarray, c: np.ndarray, g: np.ndarray,
-          h: float) -> _Rate:
-    """``_Rate`` of the receiver at c with SNR numerator g per slot, at
-    the positions (x, y)."""
-    dx, dy = x - c[0], y - c[1]
-    u = h * h + dx * dx + dy * dy
-    # First and second derivatives of the rate in u.
-    r_u = -g / (LN2 * u * (u + g))
-    r_uu = g * (2 * u + g) / (LN2 * (u * (u + g)) ** 2)
-    h2 = h * h
-    return _Rate(np.log2(1.0 + g / u), 2 * r_u * dx * h, 2 * r_u * dy * h,
-                 (4 * r_uu * dx * dx + 2 * r_u) * h2,
-                 (4 * r_uu * dy * dy + 2 * r_u) * h2, 4 * r_uu * dx * dy * h2)
+class _Rate:
+    """A reception rate log2(1 + g / (h^2 + |q - c|^2)) per slot (``r``)
+    and, computed on first use, its gradient (gx, gy) and the lower
+    triangle of its 2 x 2 Hessian (hxx, hyy, hxy) in the slot's scaled
+    displacement (delta, xi) / h (``d``): a trial point of the line
+    search needs the rate alone."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, c: np.ndarray,
+                 g: np.ndarray, h: float):
+        """The receiver at c with SNR numerator g per slot, at the
+        positions (x, y)."""
+        self.dx, self.dy, self.g, self.h = x - c[0], y - c[1], g, h
+        self.u = h * h + self.dx * self.dx + self.dy * self.dy
+        self.r = np.log2(1.0 + g / self.u)
+
+    @functools.cached_property
+    def d(self) -> _RateDerivatives:
+        dx, dy, g, u, h = self.dx, self.dy, self.g, self.u, self.h
+        # First and second derivatives of the rate in u.
+        r_u = -g / (LN2 * u * (u + g))
+        r_uu = g * (2 * u + g) / (LN2 * (u * (u + g)) ** 2)
+        h2 = h * h
+        return _RateDerivatives(
+            2 * r_u * dx * h, 2 * r_u * dy * h,
+            (4 * r_uu * dx * dx + 2 * r_u) * h2,
+            (4 * r_uu * dy * dy + 2 * r_u) * h2, 4 * r_uu * dx * dy * h2)
 
 
 class _TruePoint(NamedTuple):
@@ -582,9 +593,9 @@ def _true_point(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
         x, y = it.traj.x + zx * h, it.traj.y + zy * h
         return _TruePoint(
             px, py, np.diff(px), np.diff(py),
-            _rate(x, y, scn.alice_xy, g_s, h),
-            _rate(x, y, scn.bob_xy, it.gamma_r, h),
-            _rate(x, y, scn.eve_xy, it.gamma_r, h))
+            _Rate(x, y, scn.alice_xy, g_s, h),
+            _Rate(x, y, scn.bob_xy, it.gamma_r, h),
+            _Rate(x, y, scn.eve_xy, it.gamma_r, h))
     return PointCache(terms)
 
 
@@ -605,12 +616,12 @@ def _true_flow(lay: _Layout, at: PointCache, out: str) -> ConstraintBlock:
 
     def jacobian(z):
         t = at(z)
-        o, r = getattr(t, out), t.relay
+        o, r = getattr(t, out).d, t.relay.d
         return np.stack([-r.gx[:-1], -r.gy[:-1], o.gx[1:], o.gy[1:]], axis=1)
 
     def hess_weighted(z, w):
         t = at(z)
-        o, r = getattr(t, out), t.relay
+        o, r = getattr(t, out).d, t.relay.d
         return np.concatenate([-w * r.hxx[:-1], -w * r.hyy[:-1],
                                -w * r.hxy[:-1], w * o.hxx[1:],
                                w * o.hyy[1:], w * o.hxy[1:]])
@@ -642,15 +653,17 @@ def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
 
     def gradient(z):
         t = at(z)
+        eve, bob = t.eve.d, t.bob.d
         g = np.zeros(lay.dim)
-        g[i_d] = t.eve.gx - t.bob.gx
-        g[i_x] = t.eve.gy - t.bob.gy
+        g[i_d] = eve.gx - bob.gx
+        g[i_x] = eve.gy - bob.gy
         return g
 
     def hessian(z):
         t = at(z)
-        return np.concatenate([t.eve.hxx - t.bob.hxx, t.eve.hyy - t.bob.hyy,
-                               t.eve.hxy - t.bob.hxy])
+        eve, bob = t.eve.d, t.bob.d
+        return np.concatenate([eve.hxx - bob.hxx, eve.hyy - bob.hyy,
+                               eve.hxy - bob.hxy])
 
     initial = CAUS_RELAX if relax else 0.0
     buffers = [Buffer(_true_flow(lay, at, "bob"), lay.i_bob, "bob_causality",

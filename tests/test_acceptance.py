@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_scenario, random_feasible_trajectory
 from numerics import verify_derivatives
-from secrelay import cli, model
+from secrelay import cli, model, power_dc
 from secrelay.ao import ao_optimize
 from secrelay.baselines import data_ferry, static_relay_best, transit_slot_count
 from secrelay.cli import benchmark_scenario
@@ -249,8 +249,17 @@ def test_criterion_3_dc_ascent_and_oracle(dc_battery):
 
 
 def test_criterion_4_solver_certification(scp_run, dc_battery):
-    kkts = [rec.kkt_residual for rec in scp_run["report"].iterations
-            if rec.kkt_residual is not None]
+    # An accepted trajectory finish is the last SCP iterate; its
+    # ``kkt_residual`` is the finish's certificate on the true problem,
+    # which ``power_dc.finish`` accepts up to ``KKT_TOL``.  Every other
+    # iterate after the start is an SCP step with its subproblem residual.
+    scp = scp_run["report"]
+    n_steps = len(scp.iterations) - sum(
+        rec["accepted"] for rec in scp.extras["finish"])
+    kkts = [rec.extras["subproblem_kkt"]
+            for rec in scp.iterations[1:n_steps]]
+    certs = [rec.kkt_residual for rec in scp.iterations[n_steps:]]
+    cert_ok = all(c <= power_dc.KKT_TOL for c in certs)
     for run in dc_battery["runs"] + [dc_battery["toy"]]:
         for rec in run["report"].iterations:
             sub = rec.extras.get("subproblem_kkt")
@@ -276,9 +285,11 @@ def test_criterion_4_solver_certification(scp_run, dc_battery):
                                   verify_derivatives(prog_t, zt))
     deriv_ok = max(worst.values()) <= 1e-5
 
-    ok = kkt_ok and deriv_ok
+    ok = kkt_ok and cert_ok and deriv_ok
     _verdict(4, "solver certification", ok,
              f"{len(kkts)} subproblems, max KKT {max(kkts):.2e}, "
+             f"{len(certs)} finish certificates, max "
+             f"{max(certs, default=0.0):.2e}, "
              f"deriv err power {worst['power']:.2e} / "
              f"traj {worst['trajectory']:.2e}")
 

@@ -199,6 +199,23 @@ class TestZeroSecrecyStart:
         assert len(report.iterations) - 1 < AoOptions().max_iter
 
 
+class TestHoverStart:
+    def test_first_trajectory_finish_accepted(self):
+        """From the hover start of the T = 100 s free benchmark, the first
+        trajectory stage's finish, a nonconvex solve that a line search on
+        the KKT residual leaves at a saddle of the barrier problem, is
+        accepted, and the whole run takes under 700 Newton steps (1,043
+        with that line search)."""
+        from secrelay.ao import default_starts
+        scn = benchmark_scenario(100.0, 2.0)
+        _, _, report = ao_optimize(scn, init_trajs=[default_starts(scn)[-1]])
+        first_scp = report.sub_reports[1]
+        assert first_scp.stage == "trajectory_scp"
+        assert first_scp.extras["finish"][0]["accepted"]
+        (run,) = report.extras["multistart_runs"]
+        assert run["newton_steps"] < 700
+
+
 class TestEvaluate:
     def test_mirrors_model_checks(self, rng):
         scn = small_scenario()

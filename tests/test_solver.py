@@ -296,21 +296,27 @@ class TestStart:
 
 class TestIndefiniteHessian:
     """A nonconvex program runs the same loop; its indefinite Newton
-    matrix is handled only by the escalating diagonal regularization of
-    ``_factor_solve``.  The solve ends ``optimal`` at a point that
-    ``kkt_residual`` certifies, or ends ``numerical_failure``: never
-    ``optimal`` at a point that is not a KKT point."""
+    matrix gets the shifted, capped steps of ``_factor_solve`` and every
+    step is judged by the barrier function.  The solve ends ``optimal``
+    at a point that ``kkt_residual`` certifies, or ends
+    ``numerical_failure``: never ``optimal`` at a point that is not a KKT
+    point."""
 
     TOL = 1e-8
+    # (seed, scale) of an instance that must fail: scaled by 1e10, its
+    # KKT residual cannot fall below about 3e-6 in double precision, far
+    # above STALL_TOL_FACTOR * TOL, so the solve stalls.
+    ROUNDING_FLOOR = (2, 1e10)
 
     @staticmethod
-    def _program(seed: int, dim: int = 4):
+    def _program(seed: int, dim: int = 4, scale: float = 1.0):
         """min x'Qx / 2 + c'x over the box [-1, 1]^dim, with Q random,
-        symmetric and indefinite, from a random start inside the box."""
+        symmetric and indefinite, from a random start inside the box;
+        Q and c are multiplied by ``scale``."""
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(dim, dim))
-        q = 0.5 * (a + a.T)
-        c = rng.normal(size=dim)
+        q = 0.5 * (a + a.T) * scale
+        c = rng.normal(size=dim) * scale
         rows, cols = np.tril_indices(dim)
         prog = SmoothConvexProgram(
             dim=dim, objective=lambda x: float(0.5 * x @ q @ x + c @ x),
@@ -332,12 +338,13 @@ class TestIndefiniteHessian:
                 raise
 
         monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting_factor)
-        statuses = []
-        for seed in range(12):
-            prog, eig = self._program(seed)
+        statuses = {}
+        for seed, scale in [(seed, 1.0) for seed in range(12)] + [
+                self.ROUNDING_FLOOR]:
+            prog, eig = self._program(seed, scale=scale)
             assert eig[0] < 0.0 < eig[-1]
             res = solve(prog, SolverOptions(tol=self.TOL))
-            statuses.append(res.status)
+            statuses[seed, scale] = res.status
             duals = np.concatenate([res.duals, res.bound_duals])
             residual = kkt_residual(prog, res.x_opt, duals)
             if res.status == "optimal":
@@ -346,9 +353,54 @@ class TestIndefiniteHessian:
             else:
                 assert res.status == "numerical_failure", seed
                 assert residual > STALL_TOL_FACTOR * self.TOL, seed
-        # Both outcomes occur in this family, and the regularization ran.
-        assert set(statuses) == {"optimal", "numerical_failure"}
+        # Every instance of the family reaches a KKT point, the one past
+        # its rounding floor fails, and the shift search ran.
+        assert statuses.pop(self.ROUNDING_FLOOR) == "numerical_failure"
+        assert set(statuses.values()) == {"optimal"}
         assert failed_factors
+
+
+class TestShiftSearch:
+    """``_factor_solve`` on random indefinite banded matrices, against a
+    dense reference of the shift ladder."""
+
+    @staticmethod
+    def _ladder_shift(ab, k):
+        scale = max(1.0, float(np.sum(ab[0])) / ab.shape[1])
+        return 0.0 if k == 0 else solver.SHIFT_FIRST * scale * 2.0 ** (k - 1)
+
+    def test_carried_rung_lands_on_lowest_and_step_capped(self):
+        rng = np.random.default_rng(21)
+        dim, height = 40, 4
+        shifted = 0
+        for _ in range(12):
+            ab = rng.normal(size=(height, dim))
+            A = _band_to_dense(ab)
+            assert np.linalg.eigvalsh(A)[0] < 0.0
+            rhs = rng.normal(scale=100.0, size=dim)
+            # The lowest rung on which the dense matrix is positive
+            # definite, climbing from 0.
+            low = next(k for k in range(solver.LADDER) if np.linalg.eigvalsh(
+                A + self._ladder_shift(ab, k) * np.eye(dim))[0] > 0.0)
+            # The reference step: two rungs up until within the cap.
+            k = low
+            while True:
+                ref = np.linalg.solve(
+                    A + self._ladder_shift(ab, k) * np.eye(dim), rhs)
+                if k == 0 or np.max(np.abs(ref)) <= solver.STEP_CAP:
+                    break
+                k += 2
+            shifted += k > low
+            for start in {0, max(low - 3, 0), max(low - 1, 0), low, low + 1,
+                          low + 9}:
+                rung = solver._Rung()
+                rung.k = start
+                dx = solver._factor_solve(ab, rhs, rung)
+                assert rung.k == low, start
+                np.testing.assert_allclose(dx, ref, rtol=1e-8, atol=0)
+                assert np.max(np.abs(dx)) <= solver.STEP_CAP
+        # The cap raised the shift on some of the matrices.
+        assert shifted
 
 
 def _random_two_var_family(rng):
