@@ -15,11 +15,12 @@ run, else over the stages of its report; ``-`` when the report counts
 none, as for ``baseline``, ``eval`` and ``check``).  ``baseline static``
 lines then give the number of locations whose closed-form hover optimum
 the scan scored (``locations_evaluated``: the grid and the refinement
-neighbours).  Every line ends with the stage finishes
+neighbours).  Every line ends with the trajectory stage's finishes
 (``finishes=<accepted>/<tried>``: the attempt records in
 ``extras.finish``, skipped ones included, summed over every stage report
 in ``report.json``, which for ``ao`` holds the winning run's stages;
-``-`` when no report lists finishes).
+``-`` when no report lists finishes, as for ``power``, whose stage
+solves one convex program and tries no finish).
 
 A refactor that keeps the artifacts prints the same lines.  Run it
 against two source trees and diff the output::

@@ -16,7 +16,7 @@ from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 @dataclass
 class AoOptions:
-    """AO restores each power start and judges feasibility at
+    """AO restores its first power start and judges feasibility at
     ``dc.feas_tol``, the tolerance of the stage that start feeds."""
 
     rel_tol: float = 1e-4
@@ -69,8 +69,7 @@ def _ao_single(scn: Scenario, traj: Trajectory,
 
     report.status = "max_iter"
     for _ in range(opts.max_iter):
-        pw_start = restore_feasibility(scn, traj, pw, tol=tol)
-        pw_dc, dc_rep = dc_allocate(scn, traj, pw_0=pw_start, opts=opts.dc)
+        pw_dc, dc_rep = dc_allocate(scn, traj, pw_0=pw, opts=opts.dc)
         report.sub_reports.append(dc_rep)
         if dc_rep.status.startswith("solver_"):
             # Keep the last AO iterate; the failed stage ends the report.

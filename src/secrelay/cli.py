@@ -31,14 +31,16 @@ Configuration format (YAML)::
     run:                          # all optional
       out_dir: out
       save_iterates: false        # trajectory only
-      rel_tol: 1.0e-4             # ao, trajectory and power only
-      max_iter: 100               # ao, trajectory and power only
+      rel_tol: 1.0e-4             # ao and trajectory only
+      max_iter: 100               # ao and trajectory only
       feas_tol: 1.0e-6
 
 Every command reads ``feas_tol``, the tolerance of its feasibility
-checks.  The optimizing commands ``ao``, ``trajectory`` and ``power``
-also read ``rel_tol`` and ``max_iter``; ``baseline``, ``eval`` and
-``check`` run no iterative stage, so they read only ``feas_tol``.
+checks.  The iterative commands ``ao`` and ``trajectory`` also read
+``rel_tol`` and ``max_iter`` (the trajectory stage's; ``ao`` also stops
+its outer loop on ``rel_tol``).  ``power`` solves one convex program,
+and ``baseline``, ``eval`` and ``check`` run no optimizer, so they read
+only ``feas_tol``.
 """
 from __future__ import annotations
 
@@ -295,10 +297,9 @@ def _options(run: dict) -> AoOptions:
     scp = ScpOptions(feas_tol=feas_tol)
     ao = AoOptions(dc=dc, scp=scp)
     if "rel_tol" in run:
-        dc.rel_tol = min(dc.rel_tol, float(run["rel_tol"]))
         scp.rel_tol = ao.rel_tol = float(run["rel_tol"])
     if "max_iter" in run:
-        dc.max_iter = scp.max_iter = int(run["max_iter"])
+        scp.max_iter = int(run["max_iter"])
     return ao
 
 

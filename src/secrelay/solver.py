@@ -55,14 +55,14 @@ Optimization*, 2006, §19.4): a trial is accepted on an Armijo decrease
 (``ARMIJO``).  The Newton right-hand side is -grad phi_mu, so any
 positive definite matrix gives a descent step.  A matrix that is not
 (from rounding, or from a nonconvex program: an indefinite objective
-Hessian, or a row with concave curvature, as in the true power and
-trajectory problems that the finishes of ``power_dc`` and
-``trajectory_scp`` solve) is shifted by the lowest rung of a ladder of
-multiples of the identity on which it factors, and a shifted step is
-bounded by ``STEP_CAP``, a crude trust region (§4.3); see
-``_factor_solve``.  Where phi_mu's rounding hides the step's decrease,
-the step is judged by the perturbed KKT residual instead, so a solve at
-the noise floor stalls rather than stepping in place.  The shift is not
+Hessian, or a row with concave curvature, as in the true trajectory
+problem that the finish of ``trajectory_scp`` solves) is shifted by
+the lowest rung of a ladder of multiples of the identity on which it
+factors, and a shifted step is bounded by ``STEP_CAP``, a crude trust
+region (§4.3); see ``_factor_solve``.  Where phi_mu's rounding hides
+the step's decrease, the step is judged by the perturbed KKT residual
+instead, so a solve at the noise floor stalls rather than stepping in
+place.  The shift is not
 an inertia correction (A. Wächter & L. T. Biegler, Math. Program. 106,
 2006, §3.1): nothing checks the inertia beyond the factorization's
 success.  Such a solve can end ``numerical_failure``; when it ends
@@ -111,11 +111,7 @@ FRAC_TO_BOUNDARY = 0.995
 # (N = 100, its finish skipped), every MU_START from 0.03 to 0.3 with
 # caps from 1e1 to 1e4 took 338 to 437 Newton steps, against 531 from
 # 1 / slack; at MU_START = 1e-2 (a cliff) its first step ends
-# ``max_iter``.  The power solves (tol 1e-8) end at the last level of
-# about 4e-9 or less only for MU_START from about 0.11 to 0.2 (the
-# earlier start's levels); at 0.1 they end at 1.02e-8, at 0.25 at
-# 5.1e-9, and their points lose up to 4e-9 of relative objective.
-# Within that window the exact value still decides whether a nonconvex
+# ``max_iter``.  The exact value also decides whether a nonconvex
 # finish ends ``optimal``: AO's hover-start trajectory finish on the
 # T = 100 s free-endpoint benchmark (Eve moved by seeds 0-9) fails at 4
 # of the 10 seeds at 0.12 or 0.15, and at none at 0.18 or 0.2.
@@ -129,9 +125,10 @@ LAM_START_MAX = 1e2
 # by 1% of alpha; at the noise floor neither holds, and the solve stalls.
 ARMIJO = 1e-4
 NOISE = 10 * float(np.finfo(float).eps)
-# Shift ladder of ``_factor_solve``: 0, then SHIFT_FIRST times the mean
-# diagonal times 2^j, LADDER rungs in all.  A shifted step is kept
-# within STEP_CAP in the max norm of the program's variables.  Over
+# Shift ladder of ``_factor_solve``: 0, then SHIFT_FIRST times the
+# magnitude of the mean diagonal times 2^j, LADDER rungs in all.  A
+# shifted step is kept within STEP_CAP in the max norm of the program's
+# variables.  Over
 # seeds 0-39 of the benchmark (Eve moved), caps of 30, 40 and 50 leave
 # 2, 1 and 2 AO runs at about the Newton steps of the residual line
 # search (at 40 one takes 7% more), and a cap of 10 costs the
@@ -440,8 +437,8 @@ def _factor_solve(ab: Array, rhs: Array,
                   rung: Optional[_Rung] = None) -> Optional[Array]:
     """Solve the banded Newton system, its diagonal shifted by the lowest
     rung of the ladder 0, 2^j ``SHIFT_FIRST`` scale (j < ``LADDER`` - 1,
-    scale the mean diagonal, at least 1) on which ``cholesky_banded``
-    succeeds; None when none does.
+    scale the magnitude of the mean diagonal, at least 1) on which
+    ``cholesky_banded`` succeeds; None when none does.
 
     The search starts at ``rung.k`` (0 without ``rung``) and goes down
     while the matrix factors, up while it fails, so it lands on the rung
@@ -454,7 +451,7 @@ def _factor_solve(ab: Array, rhs: Array,
     almost unbounded.
     """
     dim = ab.shape[1]
-    scale = max(1.0, float(np.sum(ab[0])) / max(dim, 1))
+    scale = max(1.0, abs(float(np.sum(ab[0]))) / max(dim, 1))
 
     def factor(k):
         a = ab

@@ -11,8 +11,8 @@ one, so all iterates stay feasible and the true secrecy rate ascends.
 
 SCP converges only linearly, and the surrogates only serve to reach a
 KKT point of the true problem.  So after the first step that leaves the
-stage running, the stage tries one finish (``_finish``): the guarded
-solve of both stages (``power_dc.finish``) on the true, nonconvex
+stage running, the stage tries one finish (``_finish``): one guarded
+solve (``finish``) of the true, nonconvex
 trajectory problem at the fixed powers (``_true_program``: the
 displacements and both buffers, no slacks, exact 2 x 2 per-slot
 Hessians), from zero displacement with the step's own two relaxations
@@ -76,16 +76,76 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import LN2, Buffer, buffer_start, finish, record_finish
+from .power_dc import KKT_TOL, LN2, Buffer, buffer_start
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
-                     SolverOptions, certify, solve)
+                     SolverOptions, certify, solve, start_margin)
 
 
 SUBPROBLEM = SolverOptions(tol=1e-6)
 # The finish solve of the true trajectory problem (``_finish``); its
 # point is accepted within ``power_dc.KKT_TOL`` on the unrelaxed problem.
 FINISH = SolverOptions(tol=1e-6, max_iter=100)
+# The reason a finish is rejected when its point scores below the stage
+# iterate it started from (``finish``).
+BELOW_ITERATE = "objective below the stage iterate"
+
+
+def finish(prog: SmoothConvexProgram, opts: SolverOptions, obj: float,
+           judge, certificate) -> tuple[object, dict]:
+    """One guarded solve of the stage's true problem ``prog`` (with its
+    start).
+
+    ``judge(z)`` gives the stage's point at a solver point z, its
+    objective and whether it passes at ``feas_tol``; obj is the stage
+    iterate's objective.  A start that is not strictly inside is skipped
+    (no solve).  The point is accepted only if the solve ends
+    ``optimal``, the point passes, its objective is at least obj and,
+    checked last, ``certificate(point, z, duals)`` (its KKT residual on
+    the unrelaxed problem with the solve's duals) is within ``KKT_TOL``.
+    Returns the accepted point (None otherwise) and the attempt's
+    record: the solve's ``status`` (None when skipped), ``iterations``
+    and residual (``subproblem_kkt``), the point's ``objective`` and
+    certificate (``kkt_residual``, None when an earlier check failed),
+    ``accepted``, and the ``reason`` for a rejection.
+    """
+    rec = {"status": None, "iterations": 0, "subproblem_kkt": None,
+           "objective": None, "kkt_residual": None, "accepted": False,
+           "reason": None}
+    if not start_margin(prog) > 0.0:
+        rec["reason"] = "start not strictly inside"
+        return None, rec
+    res = solve(prog, opts)
+    point, objective, feasible = judge(res.x_opt)
+    rec.update(status=res.status, iterations=res.iterations,
+               subproblem_kkt=res.kkt_residual, objective=objective)
+    if res.status != "optimal":
+        rec["reason"] = f"solve ended {res.status}"
+    elif not feasible:
+        rec["reason"] = "infeasible at feas_tol"
+    elif not objective >= obj:
+        rec["reason"] = BELOW_ITERATE
+    else:
+        rec["kkt_residual"] = certificate(
+            point, res.x_opt, np.concatenate([res.duals, res.bound_duals]))
+        if not rec["kkt_residual"] <= KKT_TOL:
+            rec["reason"] = "certificate above KKT_TOL"
+    rec["accepted"] = rec["reason"] is None
+    return (point if rec["accepted"] else None), rec
+
+
+def record_finish(report: RunReport, point, rec: dict) -> None:
+    """Append a finish attempt's record to ``report.extras["finish"]``,
+    count its solve and Newton steps, and add an accepted point (not
+    None) as the last iterate, with its solve's residual as
+    ``subproblem_kkt``."""
+    report.extras["finish"].append(rec)
+    report.extras["solves"] += rec["status"] is not None
+    report.extras["newton_steps"] += rec["iterations"]
+    if point is not None:
+        report.add(rec["objective"], kkt_residual=rec["kkt_residual"],
+                   feasible=True, subproblem_kkt=rec["subproblem_kkt"],
+                   subproblem_iters=rec["iterations"])
 
 
 @dataclass
@@ -703,7 +763,7 @@ def _judge(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
 
 def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
             opts: ScpOptions) -> tuple[Optional[TrajIterate], dict]:
-    """``power_dc.finish`` on the true trajectory problem
+    """``finish`` on the true trajectory problem
     (``_true_program``, relaxed, from zero displacement) from the SCP
     iterate it; the point is certified on the unrelaxed problem."""
     lay = _Layout(scn, it, slacks=False)
@@ -727,7 +787,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     accepted trajectory iterate (e.g. to snapshot the evolution), an
     accepted finish included.  ``report.extras`` counts the ``solves``
     and their ``newton_steps`` (the finish's included), lists the finish
-    attempt (at most one) under ``finish`` (see ``power_dc.finish``), keeps a
+    attempt (at most one) under ``finish`` (see ``finish``), keeps a
     dropped step under ``rejected_step`` and the last accepted solve's
     residual as ``final_subproblem_kkt``.  Each iterate records its
     solve's residual as ``subproblem_kkt``; its ``kkt_residual`` is that

@@ -9,7 +9,7 @@ import pytest
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             benchmark_scenario, equal_power_allocation,
                             restore_feasibility)
-from secrelay.power_dc import build_dc_surrogate
+from secrelay import power_dc
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate)
 
@@ -68,9 +68,14 @@ def random_power(rng: np.random.Generator, scn: Scenario) -> PowerAllocation:
     return PowerAllocation(p_s=p_s, p_r=p_r)
 
 
+def power_program(scn: Scenario, traj: Trajectory):
+    """The power stage's program at traj, with its start."""
+    return power_dc._power_program(scn, power_dc._pieces(scn, traj))[0]
+
+
 def stage_programs(n_slots):
     """Stage programs of the fixed-endpoint benchmark at N = n_slots
-    (1 s slots): the power surrogate, the trajectory subproblem at half
+    (1 s slots): the power program, the trajectory subproblem at half
     the causality-tight relay power, and at the tight power itself, whose
     base point is causal only to within the restoring tolerance (the
     causality edge)."""
@@ -78,7 +83,7 @@ def stage_programs(n_slots):
     traj = initial_trajectory(scn)
     pw = restore_feasibility(scn, traj, equal_power_allocation(scn))
     half = PowerAllocation(p_s=pw.p_s, p_r=0.5 * pw.p_r)
-    return {"power": build_dc_surrogate(scn, traj, pw),
+    return {"power": power_program(scn, traj),
             "trajectory": build_subproblem(scn, half,
                                            make_iterate(scn, traj, half)),
             "trajectory causality edge": build_subproblem(
@@ -132,6 +137,8 @@ def _fail_solves(monkeypatch, stage, after: int) -> None:
     solve = stage.solve
 
     def failing_solve(prog, opts):
+        if opts is getattr(stage, "FINISH", None):
+            return solve(prog, opts)
         calls.append(1)
         res = solve(prog, opts)
         if len(calls) <= after:
@@ -142,28 +149,29 @@ def _fail_solves(monkeypatch, stage, after: int) -> None:
 
 
 def fail_power_solves(monkeypatch, after: int = 0) -> None:
-    """Every power-stage subproblem solve after the first ``after`` ends
+    """Every power-stage solve after the first ``after`` ends
     ``numerical_failure`` (with the solution the solver found)."""
     from secrelay import power_dc
     _fail_solves(monkeypatch, power_dc, after)
 
 
 def fail_trajectory_solves(monkeypatch, after: int = 0) -> None:
-    """The same for the trajectory stage's subproblem solves."""
+    """The same for the trajectory stage's SCP step solves; its finish
+    (the solve with ``trajectory_scp.FINISH`` options) runs as it would."""
     from secrelay import trajectory_scp
     _fail_solves(monkeypatch, trajectory_scp, after)
 
 
-def _reject_finish(monkeypatch, stage, attempts: float = float("inf")
-                   ) -> list:
-    # Both stages' finishes run ``power_dc.finish``, which calls the
-    # ``solve`` of ``power_dc``.
-    from secrelay import power_dc
-    finish, solve, inside, tried = stage._finish, power_dc.solve, [], []
+def reject_trajectory_finish(monkeypatch) -> list:
+    """The trajectory stage's finish (one solve of the true trajectory
+    problem) ends ``numerical_failure``, with the point the solver found,
+    so the stage goes on with SCP.  Returns a list that is not empty
+    while a finish runs."""
+    from secrelay import trajectory_scp as stage
+    finish, solve, inside = stage._finish, stage.solve, []
 
     def marked_finish(*args):
-        tried.append(1)
-        inside.append(len(tried) <= attempts)
+        inside.append(1)
         try:
             return finish(*args)
         finally:
@@ -171,37 +179,13 @@ def _reject_finish(monkeypatch, stage, attempts: float = float("inf")
 
     def failing_solve(prog, opts):
         res = solve(prog, opts)
-        if not (inside and inside[-1]):
+        if not inside:
             return res
         return dataclasses.replace(res, status="numerical_failure")
 
     monkeypatch.setattr(stage, "_finish", marked_finish)
-    monkeypatch.setattr(power_dc, "solve", failing_solve)
+    monkeypatch.setattr(stage, "solve", failing_solve)
     return inside
-
-
-def reject_power_finish(monkeypatch) -> list:
-    """Every finish of the power stage (one solve of the true power
-    problem) ends ``numerical_failure``, with the point the solver found,
-    so each stage that tries one goes on with CCP.  Returns a list that
-    is not empty while a finish runs."""
-    from secrelay import power_dc
-    return _reject_finish(monkeypatch, power_dc)
-
-
-def reject_first_power_finish(monkeypatch) -> list:
-    """The same for the first power finish tried after the call only;
-    later finishes run as they would."""
-    from secrelay import power_dc
-    return _reject_finish(monkeypatch, power_dc, attempts=1)
-
-
-def reject_trajectory_finish(monkeypatch) -> list:
-    """The same for the trajectory stage's finish (one solve of the true
-    trajectory problem): it ends ``numerical_failure``, so the stage goes
-    on with SCP."""
-    from secrelay import trajectory_scp
-    return _reject_finish(monkeypatch, trajectory_scp)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from conftest import (assert_wall_times, fail_power_solves,
                       fail_trajectory_solves, random_scenario, small_scenario)
 from secrelay import benchmark_scenario, model
 from secrelay.ao import AoOptions, ao_optimize, evaluate
-from secrelay.model import Scenario
+from secrelay.model import Trajectory
 from secrelay.power_dc import DcOptions
 from secrelay.trajectory_scp import ScpOptions, initial_trajectory
 
@@ -99,22 +99,21 @@ class TestAoOptimize:
 
 class TestStageContract:
     def test_power_stage_failure_keeps_last_iterate(self, monkeypatch):
-        """The first power stage fails at its second surrogate solve (the
-        finish between the two surrogate solves fails too, and is
-        rejected): AO ends ``inner_stage_failure`` with its start and that
-        start's objective, and the failed stage report comes last."""
+        """The first power stage fails at its solve: AO ends
+        ``inner_stage_failure`` with its start and that start's objective,
+        and the failed stage report comes last.  The start flies towards
+        Bob, so the stage does not certify its start and solves."""
         scn = small_scenario()
-        traj0 = initial_trajectory(scn)
+        traj0 = Trajectory(np.stack([np.linspace(250.0, 390.0, 6),
+                                     np.full(6, -50.0)], axis=1))
         pw0 = model.restore_feasibility(scn, traj0,
                                         model.equal_power_allocation(scn))
-        fail_power_solves(monkeypatch, after=1)
+        fail_power_solves(monkeypatch)
         traj, pw, report = ao_optimize(scn, init_trajs=[traj0])
         assert report.status == "inner_stage_failure"
         assert [s.status for s in report.sub_reports] == [
             "solver_numerical_failure"]
-        assert report.sub_reports[-1].extras["solves"] == 3
-        [finish] = report.sub_reports[-1].extras["finish"]
-        assert not finish["accepted"]
+        assert report.sub_reports[-1].extras["solves"] == 1
         np.testing.assert_array_equal(traj.xy, traj0.xy)
         np.testing.assert_array_equal(pw.p_s, pw0.p_s)
         np.testing.assert_array_equal(pw.p_r, pw0.p_r)
@@ -124,9 +123,10 @@ class TestStageContract:
     def test_trajectory_stage_failure_ends_run(self, monkeypatch):
         """The second trajectory stage fails at its first solve: AO
         records that stage's last (feasible) iterate, its start, and ends
-        ``inner_stage_failure`` with the failed stage report last."""
+        ``inner_stage_failure`` with the failed stage report last.  The
+        start hovers where the relay has secrecy to gain."""
         scn = small_scenario()
-        traj0 = initial_trajectory(scn)
+        traj0 = Trajectory(np.tile([300.0, -50.0], (scn.n_slots, 1)))
         fail_trajectory_solves(monkeypatch, after=1)
         traj, pw, report = ao_optimize(scn, init_trajs=[traj0])
         assert report.status == "inner_stage_failure"

@@ -173,10 +173,20 @@ class TestExitCodes:
 
     def test_power_stage_failure_exit_4(self, tmp_path, capsys,
                                         monkeypatch):
+        """On a flight towards Bob the power stage solves; its failed
+        solve exits 4."""
         from conftest import fail_power_solves
+        from secrelay import model
         fail_power_solves(monkeypatch)
+        scn = parse_scenario(SMALL["scenario"])
+        traj = model.Trajectory(np.stack([np.linspace(250.0, 390.0, 6),
+                                          np.full(6, -50.0)], axis=1))
+        tpath = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(tpath, scn, traj,
+                                 model.equal_power_allocation(scn))
         cfg = _write(tmp_path, SMALL)
-        rc = cli.main(["power", str(cfg), "--out-dir", str(tmp_path / "o")])
+        rc = cli.main(["power", str(cfg), "--trajectory", str(tpath),
+                       "--out-dir", str(tmp_path / "o")])
         assert rc == 4
         assert "solver_numerical_failure" in capsys.readouterr().err
 
@@ -312,6 +322,26 @@ class TestBaselineOptions:
         assert cli.main(["check", str(cfg), "--trajectory",
                          str(out / "trajectory.csv"),
                          "--out-dir", str(tmp_path / "check")]) == 0
+
+class TestPowerCommand:
+    def test_silent_relay_exactly_zero(self, tmp_path, capsys):
+        """On the free-endpoint T = 100 s benchmark the power command
+        starts from the midway hover, where Eve's link beats Bob's in
+        every slot: the relay stays silent and the objective is exactly
+        0, with no solve."""
+        doc = {"scenario": {
+            "bob_xy_m": [2000.0, 0.0], "eve_xy_m": [1000.0, 100.0],
+            "altitude_m": 100.0, "horizon_s": 100.0, "slot_len_s": 2.0,
+            "v_max_mps": 50.0, "ref_snr_db": 80.0, "p_bar_s": "10 dBm",
+            "p_bar_r": "10 dBm"}}
+        cfg = _write(tmp_path, doc)
+        out = tmp_path / "power"
+        assert cli.main(["power", str(cfg), "--out-dir", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["objective"] == 0.0
+        assert rep["report"]["status"] == "converged"
+        assert rep["report"]["extras"]["solves"] == 0
+
 
 class TestImportFootprint:
     def test_package_import_leaves_cli_and_yaml_out(self):

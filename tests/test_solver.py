@@ -340,7 +340,7 @@ class TestIndefiniteHessian:
         monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting_factor)
         statuses = {}
         for seed, scale in [(seed, 1.0) for seed in range(12)] + [
-                self.ROUNDING_FLOOR]:
+                (8, 1e7), (9, 1e7), self.ROUNDING_FLOOR]:
             prog, eig = self._program(seed, scale=scale)
             assert eig[0] < 0.0 < eig[-1]
             res = solve(prog, SolverOptions(tol=self.TOL))
@@ -366,7 +366,7 @@ class TestShiftSearch:
 
     @staticmethod
     def _ladder_shift(ab, k):
-        scale = max(1.0, float(np.sum(ab[0])) / ab.shape[1])
+        scale = max(1.0, abs(float(np.sum(ab[0]))) / ab.shape[1])
         return 0.0 if k == 0 else solver.SHIFT_FIRST * scale * 2.0 ** (k - 1)
 
     def test_carried_rung_lands_on_lowest_and_step_capped(self):

@@ -5,11 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (random_feasible_trajectory, random_scenario,
-                      reject_power_finish)
-from secrelay import model, power_dc
+from conftest import (power_program, random_feasible_trajectory,
+                      random_scenario)
+from secrelay import model
 from secrelay.model import PowerAllocation, Trajectory, restore_feasibility
-from secrelay.power_dc import build_dc_surrogate, dc_allocate
 from secrelay.solver import start_margin
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate)
@@ -80,8 +79,9 @@ def _inputs(seed: int, free_endpoints: bool):
                          ids=["free", "fixed"])
 def test_every_seed_strictly_feasible(free_endpoints):
     """Random scenarios and trajectories, hops of exactly v_max and a
-    hair past it, and powers straight from ``restore_feasibility``: both
-    stage programs built on them start strictly inside."""
+    hair past it, and powers straight from ``restore_feasibility``: the
+    power program on each trajectory and the trajectory step on each
+    pair start strictly inside."""
     checked = 0
     for seed in range(100):
         for scn, kind, traj, powers in _inputs(seed, free_endpoints):
@@ -89,46 +89,11 @@ def test_every_seed_strictly_feasible(free_endpoints):
             if kind == "v_max":
                 hops = np.hypot(*np.diff(traj.xy, axis=0).T)
                 np.testing.assert_allclose(hops, scn.slot_travel, rtol=1e-12)
+            assert start_margin(power_program(scn, traj)) > 0.0, (seed, kind)
             for name, pw in powers.items():
                 where = (seed, kind, name)
-                assert start_margin(build_dc_surrogate(scn, traj, pw)) > 0.0, \
-                    where
                 it = make_iterate(scn, traj, pw)
                 assert start_margin(build_subproblem(scn, pw, it)) > 0.0, \
                     where
                 checked += 1
     assert checked == 100 * (3 if free_endpoints else 2) * 2
-
-
-def test_dc_battery_ninth_scenario(monkeypatch):
-    """The ninth power run of the acceptance DC battery: its last
-    linearization points give the old cold start (source power 0.9,
-    relay power 1e-6) no interior, since Bob's causality prefix at that
-    start is positive whatever the buffers hold.  Every surrogate of the
-    run starts strictly inside.  The finish is rejected, so the run
-    reaches those points."""
-    rng = np.random.default_rng(20240903)
-    for _ in range(9):
-        scn = random_scenario(rng)
-        traj = random_feasible_trajectory(rng, scn)
-    pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
-    idx, _ = power_dc._layout(scn.n_slots)
-    margins, cold_prefix = [], []
-    finishing = reject_power_finish(monkeypatch)
-    real = power_dc.solve
-
-    def recording(prog, opts):
-        if finishing:
-            return real(prog, opts)
-        margins.append(start_margin(prog))
-        z = np.array(prog.strictly_feasible_start)
-        z[idx["ps"]], z[idx["pr"]], z[idx["bob"]] = 0.9, 1e-6, 0.0
-        bob = next(b for b in prog.ineqs if b.name == "bob_causality")
-        cold_prefix.append(float(np.max(np.cumsum(bob.value(z)))))
-        return real(prog, opts)
-
-    monkeypatch.setattr(power_dc, "solve", recording)
-    _, report = dc_allocate(scn, traj, pw_0=pw0)
-    assert report.status == "converged"
-    assert margins and min(margins) > 0.0
-    assert max(cold_prefix) > 1e-3

@@ -8,12 +8,14 @@ from conftest import (assert_wall_times, random_feasible_trajectory,
                       random_power, random_scenario,
                       reject_trajectory_finish, small_scenario,
                       stage_programs)
-from numerics import (as_dense, callback_outputs, record_points,
+from numerics import (as_dense, bound_rows, callback_outputs, record_points,
                       verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc, trajectory_scp
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
-from secrelay.solver import solve, start_margin
+from secrelay.report import RunReport
+from secrelay.solver import (SmoothConvexProgram, SolverOptions, certify,
+                             solve, start_margin)
 from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions,
                                      _causality_buffers, _Layout,
                                      build_subproblem, distance_lower_bounds,
@@ -830,10 +832,7 @@ class TestTrajectoryFinish:
             solves.append(1)
             return solve(prog, opts)
 
-        # SCP steps call the stage's ``solve``, the finish the one of
-        # ``power_dc``.
         monkeypatch.setattr(trajectory_scp, "solve", counting_solve)
-        monkeypatch.setattr(power_dc, "solve", counting_solve)
         run = scp_optimize(scn, pw, traj)
         _same_run(run, scp)
         assert len(solves) == run[1].extras["solves"]
@@ -842,3 +841,103 @@ class TestTrajectoryFinish:
             "status": None, "iterations": 0, "subproblem_kkt": None,
             "objective": None, "kkt_residual": None, "accepted": False,
             "reason": "start not strictly inside"}]
+
+
+def _tiny_program(start=0.5):
+    """min (x - 2)^2 s.t. x <= 1 and x >= 0, from ``start``: its one KKT
+    point is x = 1, with multiplier 2 on the row."""
+    return SmoothConvexProgram(
+        dim=1, objective=lambda x: float((x[0] - 2.0) ** 2),
+        gradient=lambda x: 2.0 * (x - 2.0), hessian=lambda x: np.array([2.0]),
+        hess_idx=(np.array([0]), np.array([0])),
+        ineqs=[bound_rows(np.array([1.0]))], lb=np.zeros(1),
+        strictly_feasible_start=np.array([start]))
+
+
+class TestSharedFinish:
+    """``trajectory_scp.finish``, the guarded solve of the finish, on a
+    tiny convex program with a stub judge: each check in its order, and
+    the certificate computed only when every earlier check passed."""
+
+    OPTS = SolverOptions(tol=1e-8)
+
+    @classmethod
+    def _run(cls, start=0.5, opts=None, obj=-2.0, feasible=True,
+             residual=None):
+        """``finish`` with a judge that scores a point by -(x - 2)^2 and
+        passes it as ``feasible`` says; the certificate is the true
+        residual, or ``residual`` when given.  Returns the point, the
+        record and the certificates computed."""
+        prog = _tiny_program(start)
+        certificates = []
+
+        def judge(z):
+            return z.copy(), -float((z[0] - 2.0) ** 2), feasible
+
+        def certificate(point, z, duals):
+            np.testing.assert_array_equal(point, z)
+            certificates.append(certify(prog, z, duals))
+            return certificates[-1] if residual is None else residual
+
+        point, rec = trajectory_scp.finish(prog, opts or cls.OPTS, obj,
+                                           judge, certificate)
+        return point, rec, certificates
+
+    def test_accepted(self):
+        point, rec, certificates = self._run()
+        assert point[0] == pytest.approx(1.0, abs=1e-6)
+        assert rec["accepted"] and rec["reason"] is None
+        assert rec["status"] == "optimal" and rec["iterations"] > 0
+        assert rec["subproblem_kkt"] <= 10.0 * self.OPTS.tol
+        assert rec["objective"] == -float((point[0] - 2.0) ** 2) >= -2.0
+        assert certificates == [rec["kkt_residual"]]
+        assert rec["kkt_residual"] <= power_dc.KKT_TOL
+
+    def test_skipped(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(trajectory_scp, "solve",
+                            lambda *args: solves.append(1))
+        point, rec, certificates = self._run(start=0.0)
+        assert point is None and solves == [] and certificates == []
+        assert rec == {"status": None, "iterations": 0,
+                       "subproblem_kkt": None, "objective": None,
+                       "kkt_residual": None, "accepted": False,
+                       "reason": "start not strictly inside"}
+
+    @pytest.mark.parametrize("kw, reason", [
+        ({"opts": SolverOptions(tol=1e-8, max_iter=1)},
+         "solve ended max_iter"),
+        ({"feasible": False}, "infeasible at feas_tol"),
+        ({"obj": 0.0}, trajectory_scp.BELOW_ITERATE),
+    ])
+    def test_rejected_before_the_certificate(self, kw, reason):
+        point, rec, certificates = self._run(**kw)
+        assert point is None and not rec["accepted"]
+        assert rec["reason"] == reason
+        assert rec["status"] is not None and rec["objective"] is not None
+        assert rec["kkt_residual"] is None and certificates == []
+
+    def test_certificate_above_tolerance(self):
+        point, rec, certificates = self._run(residual=2.0 * power_dc.KKT_TOL)
+        assert point is None and not rec["accepted"]
+        assert rec["status"] == "optimal"
+        assert rec["reason"] == "certificate above KKT_TOL"
+        assert rec["kkt_residual"] == 2.0 * power_dc.KKT_TOL
+        assert len(certificates) == 1
+
+    def test_record_finish(self):
+        """``record_finish`` counts a partial record's solve and steps,
+        and adds the point as an iterate only when there is one."""
+        report = RunReport(stage="trajectory_scp", extras={
+            "solves": 0, "newton_steps": 0, "finish": []})
+        skipped = {"status": None, "iterations": 0}
+        trajectory_scp.record_finish(report, None, skipped)
+        _, rec, _ = self._run()
+        trajectory_scp.record_finish(report, np.ones(1), rec)
+        assert report.extras == {"solves": 1,
+                                 "newton_steps": rec["iterations"],
+                                 "finish": [skipped, rec]}
+        [last] = report.iterations
+        assert last.objective == rec["objective"]
+        assert last.kkt_residual == rec["kkt_residual"]
+        assert last.extras["subproblem_kkt"] == rec["subproblem_kkt"]
