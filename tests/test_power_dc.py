@@ -1,11 +1,13 @@
 """Power allocation at a fixed trajectory: one convex program in Bob's
 rate."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (fail_power_solves, power_program,
+from conftest import (assert_wall_times, fail_power_solves, power_program,
                       random_feasible_trajectory, random_power,
                       random_scenario, small_scenario, stage_programs)
 from numerics import (as_dense, callback_outputs, record_points,
@@ -258,6 +260,100 @@ class TestDcAllocate:
         last_kkt = [r.kkt_residual for r in report.iterations
                     if r.kkt_residual is not None][-1]
         assert last_kkt <= 1e-5
+
+
+def _straight_ferry(scn):
+    """Hover at Alice, fly along the x axis to Bob at full speed, hover
+    at Bob, with the flight centred in the horizon."""
+    n = scn.n_slots
+    step = scn.v_max * scn.slot_len
+    k = (n - int(np.ceil(scn.bob_xy[0] / step))) // 2
+    x = np.clip((np.arange(n) - k) * step, 0.0, scn.bob_xy[0])
+    return Trajectory(np.stack([x, np.zeros(n)], axis=1))
+
+
+class TestBoostedCcp:
+    """The straight ferry path of the T = 100 s benchmark, where CCP on
+    the power problem converged only linearly and needed a boosted line
+    search (Aragón Artacho et al., 2018).  The stage solves its convex
+    program there once."""
+
+    @pytest.fixture(scope="class")
+    def ferry_run(self):
+        scn = benchmark_scenario(100.0, 2.0)
+        traj = _straight_ferry(scn)
+        pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
+        pw, report = dc_allocate(scn, traj, pw_0=pw0)
+        return scn, traj, pw, report
+
+    def test_objectives_nondecreasing(self, ferry_run):
+        report = ferry_run[3]
+        assert report.status == "converged"
+        assert report.extras["solves"] == 1
+        objs = report.objectives
+        assert all(b >= a for a, b in zip(objs, objs[1:]))
+
+    def test_wall_times(self, ferry_run):
+        assert_wall_times(ferry_run[3])
+
+    def test_every_solve_accounted_for(self, rng, power_solves):
+        """Each call solves at most once, the report counts that solve,
+        and ``converged`` is always certified."""
+        for _ in range(5):
+            scn = random_scenario(rng)
+            traj = random_feasible_trajectory(rng, scn)
+            power_solves.clear()
+            pw0 = restore_feasibility(scn, traj, random_power(rng, scn))
+            pw, report = dc_allocate(scn, traj, pw_0=pw0)
+            assert len(power_solves) == report.extras["solves"] <= 1
+            assert model.secrecy_sum(scn, traj, pw) == report.final_objective
+            if report.status == "converged":
+                assert report.iterations[-1].kkt_residual <= power_dc.KKT_TOL
+
+
+class TestNoiseFloorStall:
+    """Hover locations of the static scan whose first CCP subproblem
+    stalled a little above the solver tolerance (1e-8): near (1800, 30)
+    with two BLAS threads, near (1800, -16.5) with a moved Eve at any
+    thread count.  The start there is a KKT point up to the causality
+    tolerance of ``restore_feasibility``, so the stage takes it."""
+
+    LOCATIONS = [
+        ((1000.7554842675484, 109.97142133908135),
+         (1800.0, -16.495713200862212)),
+        (None, (1800.0, 30.0)),
+    ]
+
+    @staticmethod
+    def _run(eve_xy, xy):
+        scn = benchmark_scenario(horizon_s=130.0, slot_len_s=2.0)
+        if eve_xy is not None:
+            scn = dataclasses.replace(scn, eve_xy=np.asarray(eve_xy))
+        traj = _hover_traj(scn, xy)
+        pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
+        pw, report = dc_allocate(scn, traj, pw_0=pw0)
+        return scn, traj, pw0, pw, report
+
+    @pytest.mark.parametrize("eve_xy, xy", LOCATIONS)
+    def test_static_scan_location(self, eve_xy, xy):
+        scn, traj, pw0, pw, report = self._run(eve_xy, xy)
+        checks = model.check_all(scn, traj, pw, tol=1e-6)
+        assert all(v.feasible for v in checks.values())
+        assert (model.secrecy_sum(scn, traj, pw)
+                >= model.secrecy_sum(scn, traj, pw0) - 1e-9)
+        for rec in report.iterations:
+            if "subproblem_kkt" in rec.extras:
+                assert rec.extras["subproblem_kkt"] <= 1e-7
+
+    @pytest.mark.parametrize("eve_xy, xy", LOCATIONS)
+    def test_start_certified_without_solve(self, eve_xy, xy, power_solves):
+        """The scan's start is returned as is, with no solve."""
+        *_, pw0, pw, report = self._run(eve_xy, xy)
+        assert power_solves == []
+        assert report.status == "converged"
+        np.testing.assert_array_equal(pw.p_s, pw0.p_s)
+        np.testing.assert_array_equal(pw.p_r, pw0.p_r)
+        assert report.iterations[0].kkt_residual <= power_dc.KKT_TOL
 
 
 class TestStartCertificate:

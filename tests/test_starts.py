@@ -7,8 +7,9 @@ import pytest
 
 from conftest import (power_program, random_feasible_trajectory,
                       random_scenario)
-from secrelay import model
+from secrelay import model, power_dc
 from secrelay.model import PowerAllocation, Trajectory, restore_feasibility
+from secrelay.power_dc import dc_allocate
 from secrelay.solver import start_margin
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate)
@@ -97,3 +98,20 @@ def test_every_seed_strictly_feasible(free_endpoints):
                     where
                 checked += 1
     assert checked == 100 * (3 if free_endpoints else 2) * 2
+
+
+def test_dc_battery_ninth_scenario():
+    """The ninth power run of the acceptance DC battery, where the last
+    CCP linearization points left the CCP cold start (source power 0.9,
+    relay power 1e-6) no interior.  The program starts strictly inside
+    there, and the stage solves it once to a certified optimum."""
+    rng = np.random.default_rng(20240903)
+    for _ in range(9):
+        scn = random_scenario(rng)
+        traj = random_feasible_trajectory(rng, scn)
+    assert start_margin(power_program(scn, traj)) > 0.0
+    pw0 = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
+    _, report = dc_allocate(scn, traj, pw_0=pw0)
+    assert report.status == "converged"
+    assert report.extras["solves"] == 1
+    assert report.iterations[-1].kkt_residual <= power_dc.KKT_TOL
