@@ -301,10 +301,11 @@ def causality_gaps(ch: ChannelState, p_r: np.ndarray,
     Row 0 is Bob's and row 1 Eve's: entry n-2 (n = 2..N) is what the
     relay has forwarded by slot n, sum_{2<=i<=n} r[i], minus what it had
     received by slot n-1, ``received`` (from ``received_prefix``).  A
-    positive gap is a violation.
+    positive gap is a violation.  A (K, N) stack of relay powers gives
+    a (K, 2, N-1) stack of gaps.
     """
-    sent = np.log2(1.0 + p_r[1:] * ch.gamma_out[:, 1:]).cumsum(axis=1)
-    return sent - received
+    sent = np.log2(1.0 + p_r[..., None, 1:] * ch.gamma_out[:, 1:])
+    return sent.cumsum(axis=-1) - received
 
 
 def causality_verdict(gaps: np.ndarray,
@@ -365,22 +366,35 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
     ``check_causality``; returns the input unchanged when it is already
     feasible.  Neither the channel gains nor what the relay receives
     depend on the scale, so ``channel_state`` and ``received_prefix``
-    run once per call and each probe only evaluates ``causality_gaps``.
+    run once per call.  Each round evaluates the midpoints of the next
+    three levels below (lo, hi), 7 scales, in one ``causality_gaps``
+    pass, then walks down them as one step at a time would: the same
+    midpoints, the same decisions, the same scale, in a third of the
+    passes.
     """
     ch = channel_state(scn, traj)
     received = received_prefix(ch, pw.p_s)
 
-    def feasible(p_r: np.ndarray) -> bool:
-        return causality_verdict(causality_gaps(ch, p_r, received),
-                                 tol).feasible
+    def feasible(scales: list) -> np.ndarray:
+        p_r = np.array(scales)[:, None] * pw.p_r
+        return causality_gaps(ch, p_r, received).max(
+            axis=(1, 2), initial=0.0) <= tol
 
-    if feasible(pw.p_r):
+    if feasible([1.0])[0]:
         return pw
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid * pw.p_r):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, left = 0.0, 1.0, 40
+    while left:
+        levels = min(3, left)
+        pts = [lo, hi]           # lo, the midpoints in order, hi
+        for _ in range(levels):
+            pts = [pts[0]] + [v for a, b in zip(pts, pts[1:])
+                              for v in (0.5 * (a + b), b)]
+        ok, i, step = feasible(pts[1:-1]), 0, 2 ** levels
+        for _ in range(levels):  # pts[i] is lo, pts[i + 2 step] hi
+            step //= 2
+            if ok[i + step - 1]:
+                lo, i = pts[i + step], i + step
+            else:
+                hi = pts[i + step]
+        left -= levels
     return PowerAllocation(p_s=pw.p_s, p_r=lo * pw.p_r)

@@ -18,8 +18,13 @@ interior-point solve gives that optimum, and its KKT residual
 Information causality is stated with a relay buffer (``Buffer``) for
 the rate forwarded to Bob and one for the rate leaked to Eve, the
 budgets with the remaining energies in the same form, all laid out slot
-by slot, so the Newton matrix is banded.  The callbacks share the terms
-at a point (``_PowerPoint``) through one ``solver.PointCache``.
+by slot, so the Newton matrix is banded.  Bob's and Eve's buffers form
+one block, the two energies another.  The program evaluates a point in
+one pass (``_PowerPoint``: the objective, its gradient and Hessian, and
+every flow with its Jacobian values and curvatures) through one
+``solver.PointCache``; the callbacks read their parts, and the
+constant Jacobian entries are filled once, in templates each point
+copies.
 """
 from __future__ import annotations
 
@@ -51,42 +56,52 @@ class DcOptions:
 
 @dataclass
 class Buffer:
-    """A stock (relay buffer, remaining energy) drained per slot by the
-    net outflow ``flow``.
+    """Stocks (relay buffers, remaining energies), each drained per slot
+    by its net outflow in ``flow``.
 
-    Row j of ``block()`` is b_j - b_{j-1} + flow_j(z) <= 0 with
-    b_{-1} = ``initial``: the buffer after slot j holds at most what it
-    held before plus what came in minus what went out.  The caller
-    bounds b_j >= 0.  With each b_j at its prefix surplus
+    ``idx`` holds the positions of b_0 .. b_{m-1} in z, one row per
+    stock ((m,) for one stock), and the rows of ``flow`` run stock by
+    stock.  Row j of a stock in ``block()`` is
+    b_j - b_{j-1} + flow_j(z) <= 0 with b_{-1} its ``initial`` (a value
+    per stock, or one for all): the buffer after slot j holds at most
+    what it held before plus what came in minus what went out.  The
+    caller bounds b_j >= 0.  With each b_j at its prefix surplus
     (``surplus``) every row is tight, and b >= 0 is exactly the prefix
     form sum_{i<=j} flow_i <= initial.  ``flow`` must depend on no
-    buffer variable; the block's pattern is the flow's columns, then
-    b_j and b_{j-1}, and the flow's Hessian positions.
+    buffer variable; the block's pattern is the flow's columns, then b_j
+    and b_{j-1}, and the flow's Hessian positions.
     """
 
     flow: ConstraintBlock
-    idx: np.ndarray           # positions of b_0 .. b_{m-1} in z
+    idx: np.ndarray
     name: str
-    initial: float = 0.0
+    initial: float | np.ndarray = 0.0
 
     def surplus(self, z: np.ndarray) -> np.ndarray:
-        """Prefix surpluses initial - sum_{i<=j} flow_i(z)."""
-        return self.initial - np.cumsum(self.flow.value(z))
+        """Prefix surpluses initial - sum_{i<=j} flow_i(z), shaped like
+        ``idx``."""
+        sent = np.cumsum(self.flow.value(z).reshape(self.idx.shape), axis=-1)
+        return np.asarray(self.initial)[..., None] - sent
 
     def block(self) -> ConstraintBlock:
-        m, idx, flow = self.flow.m, self.idx, self.flow
-        prev = np.concatenate([idx[:1], idx[:-1]])
-        vals = np.ones((m, 2))
-        vals[:, 1] = -1.0
-        vals[0, 1] = 0.0       # b_{-1} is the constant ``initial``
+        """The rows, their ±1 buffer entries filled once here."""
+        idx = self.idx.reshape(-1, self.idx.shape[-1])
+        first = np.arange(idx.shape[0]) * idx.shape[1]   # b_{-1} rows
+        prev = np.concatenate([idx[:, :1], idx[:, :-1]], axis=1).ravel()
+        idx, flow, w = idx.ravel(), self.flow, self.flow.cols.shape[1]
+        jac = np.zeros((idx.size, w + 2))
+        jac[:, w], jac[:, w + 1] = 1.0, -1.0
+        jac[first, w + 1] = 0.0    # b_{-1} is the constant ``initial``
 
         def value(z):
             b_prev = z[prev]
-            b_prev[0] = self.initial
+            b_prev[first] = self.initial
             return z[idx] - b_prev + flow.value(z)
 
         def jacobian(z):
-            return np.concatenate([flow.jacobian(z), vals], axis=1)
+            out = jac.copy()
+            out[:, :w] = flow.jacobian(z)
+            return out
 
         return ConstraintBlock(
             cols=np.concatenate([flow.cols, np.stack([idx, prev], axis=1)],
@@ -96,14 +111,15 @@ class Buffer:
 
 
 def buffer_start(surplus: np.ndarray) -> np.ndarray:
-    """Strictly feasible buffer contents from the prefix surpluses S.
+    """Strictly feasible buffer contents from the prefix surpluses S
+    (along the last axis, one stock per row).
 
     b_n = S_n - n * min_{j>=n} S_j / (m+1), n = 1..m: positive, and
     S_n - b_n grows strictly with n, so every buffer row is slack,
     whenever every S_n > 0.
     """
-    m = surplus.size
-    tail_min = np.minimum.accumulate(surplus[::-1])[::-1]
+    m = surplus.shape[-1]
+    tail_min = np.minimum.accumulate(surplus[..., ::-1], axis=-1)[..., ::-1]
     return surplus - np.arange(1, m + 1) * tail_min / (m + 1)
 
 
@@ -157,66 +173,65 @@ def _tight_point(pc: _Pieces, buffers: list[Buffer],
 
 
 class _PowerPoint(NamedTuple):
-    """The terms at one point: the inflow with its slope and negated
-    curvature, each outflow and the scaled relay energy with theirs."""
+    """The program at one point: the objective with its gradient and
+    Hessian values, the inflow, and each block's flows (``flow``: Bob's
+    outflow minus the inflow, then Eve's; ``spend``: the scaled source
+    power, then the scaled relay energy) with their Jacobian values and
+    curvatures."""
 
+    objective: float
+    gradient: np.ndarray
+    hessian: np.ndarray
     inflow: np.ndarray
-    d_in: np.ndarray
-    curv: np.ndarray
-    bob: tuple             # (value, d/dr, d^2/dr^2)
-    eve: tuple             # the same
-    energy: np.ndarray
-    d_energy: np.ndarray   # d/dr; LN2 times it is d^2/dr^2
+    flow: np.ndarray
+    d_flow: np.ndarray     # (2m, 2): d/dr, d/dps
+    curv: np.ndarray       # (2, 2, m): Bob's d^2/dr^2, d^2/dps^2, Eve's
+    spend: np.ndarray
+    d_spend: np.ndarray    # (2m, 1): 1, then d/dr of the energy
+    d_energy: np.ndarray   # LN2 times it is the energy's d^2/dr^2
 
 
 def _power_point(pc: _Pieces) -> PointCache:
-    """The program's cache of its ``_PowerPoint`` terms.  Eve's outflow
-    is log2(1 + c (2^r - 1)) where c < 1, its tangent c r elsewhere."""
+    """The program's cache of its ``_PowerPoint``, one pass per point.
+    Eve's outflow is log2(1 + c (2^r - 1)) where c < 1, its tangent c r
+    elsewhere.  The constant Jacobian entries (Bob's d/dr, the source's
+    d/dps) are filled once."""
     active = pc.c < 1.0
-    one, zero = np.ones(pc.c.size), np.zeros(pc.c.size)
+    i_ps, i_pr, m = pc.idx["ps"], pc.idx["pr"], pc.c.size
+    d_flow, d_spend = np.zeros((2 * m, 2)), np.zeros((2 * m, 1))
+    d_flow[:m, 0] = d_spend[:m, 0] = 1.0
+    curv = np.zeros((2, 2, m))
 
     def terms(z):
-        ps, r = pc.u_s * z[pc.idx["ps"]], z[pc.idx["pr"]]
+        ps, r = pc.u_s * z[i_ps], z[i_pr]
         inner = 1.0 + ps * pc.gar
         two, grow = np.exp2(r), np.expm1(LN2 * r)
         s = np.where(active, pc.c * two / (1.0 + pc.c * grow), pc.c)
+        eve = np.where(active, np.log1p(pc.c * grow) / LN2, pc.c * r)
+        inflow = np.log2(inner)
+        grad, jac, jac_spend = np.zeros(pc.dim), d_flow.copy(), d_spend.copy()
+        grad[i_pr] = s - 1.0
+        jac[m:, 0] = s
+        jac.reshape(2, m, 2)[:, :, 1] = -(pc.gar / (LN2 * inner) * pc.u_s)
+        hess, c = np.where(active, LN2 * s * (1.0 - s), 0.0), curv.copy()
+        c[:, 1] = pc.gar ** 2 / (LN2 * inner ** 2) * pc.u_s ** 2
+        c[1, 0] = hess
+        d_energy = LN2 * two / (pc.grd * pc.u_r)
+        jac_spend[m:, 0] = d_energy
         return _PowerPoint(
-            inflow=np.log2(inner), d_in=pc.gar / (LN2 * inner) * pc.u_s,
-            curv=pc.gar ** 2 / (LN2 * inner ** 2) * pc.u_s ** 2,
-            bob=(r, one, zero),
-            eve=(np.where(active, np.log1p(pc.c * grow) / LN2, pc.c * r),
-                 s, np.where(active, LN2 * s * (1.0 - s), 0.0)),
-            energy=grow / (pc.grd * pc.u_r),
-            d_energy=LN2 * two / (pc.grd * pc.u_r))
+            -float((r - eve).sum()), grad, hess, inflow,
+            (np.concatenate([r, eve]).reshape(2, m) - inflow).ravel(), jac,
+            c, np.concatenate([z[i_ps], grow / (pc.grd * pc.u_r)]),
+            jac_spend, d_energy)
     return PointCache(terms)
-
-
-def _flow_block(pc: _Pieces, at: PointCache, out: str) -> ConstraintBlock:
-    """Net outflow of each power slot: Bob's or Eve's outflow (``out``)
-    minus the inflow, with the curvature of both."""
-    def value(z):
-        t = at(z)
-        return getattr(t, out)[0] - t.inflow
-
-    def jacobian(z):
-        t = at(z)
-        return np.stack([getattr(t, out)[1], -t.d_in], axis=1)
-
-    def hw(z, w):
-        t = at(z)
-        return np.concatenate([w * getattr(t, out)[2], w * t.curv])
-
-    i_pr, i_ps = pc.idx["pr"], pc.idx["ps"]
-    both = np.concatenate([i_pr, i_ps])
-    return ConstraintBlock(
-        cols=np.stack([i_pr, i_ps], axis=1), value=value,
-        jacobian=jacobian, hess_weighted=hw, hess_idx=(both, both))
 
 
 def _power_program(scn: Scenario, pc: _Pieces
                    ) -> tuple[SmoothConvexProgram, list[Buffer]]:
     """The power program, maximizing sum (r - Eve's outflow), with its
-    start, and its buffers (Bob's, Eve's, the source and relay energy).
+    start, and its buffers: Bob's and Eve's in one block, the source and
+    relay energy in another (blocks of equal width, in the order of one
+    block per buffer, so the Newton matrix is the same to the bit).
 
     The start: source power 0.9 (scaled), r = min(1e-6, inflow / 2,
     g_rd u_r / 2) / max(1, c), so no outflow exceeds half the inflow and
@@ -225,27 +240,24 @@ def _power_program(scn: Scenario, pc: _Pieces
     inside whenever the budgets are positive.
     """
     at = _power_point(pc)
-    i_ps, i_pr = pc.idx["ps"], pc.idx["pr"]
-
-    def gradient(z):
-        g = np.zeros(pc.dim)
-        g[i_pr] = at(z).eve[1] - 1.0
-        return g
-
-    source = ConstraintBlock(cols=i_ps[:, None], value=lambda z: z[i_ps],
-                             jacobian=lambda z: np.ones((i_ps.size, 1)))
-    relay = ConstraintBlock(
-        cols=i_pr[:, None], value=lambda z: at(z).energy,
-        jacobian=lambda z: at(z).d_energy[:, None],
-        hess_weighted=lambda z, w: w * LN2 * at(z).d_energy,
+    i_ps, i_pr, m = pc.idx["ps"], pc.idx["pr"], pc.c.size
+    both = np.tile(np.concatenate([i_pr, i_ps]), 2)
+    flow = ConstraintBlock(
+        cols=np.tile(np.stack([i_pr, i_ps], axis=1), (2, 1)),
+        value=lambda z: at(z).flow, jacobian=lambda z: at(z).d_flow,
+        hess_weighted=lambda z, w: (w.reshape(2, 1, m) * at(z).curv).ravel(),
+        hess_idx=(both, both))
+    spend = ConstraintBlock(
+        cols=np.concatenate([i_ps, i_pr])[:, None],
+        value=lambda z: at(z).spend, jacobian=lambda z: at(z).d_spend,
+        hess_weighted=lambda z, w: w[m:] * LN2 * at(z).d_energy,
         hess_idx=(i_pr, i_pr))
     buffers = [
-        Buffer(_flow_block(pc, at, "bob"), pc.idx["bob"], "bob_causality"),
-        Buffer(_flow_block(pc, at, "eve"), pc.idx["eve"], "eve_causality"),
-        Buffer(source, pc.idx["src_energy"], "source_budget",
-               initial=scn.n_slots * scn.p_bar_s / pc.u_s),
-        Buffer(relay, pc.idx["relay_energy"], "relay_budget",
-               initial=scn.n_slots * scn.p_bar_r / pc.u_r)]
+        Buffer(flow, np.stack([pc.idx["bob"], pc.idx["eve"]]), "causality"),
+        Buffer(spend, np.stack([pc.idx["src_energy"],
+                                pc.idx["relay_energy"]]), "budgets",
+               initial=np.array([scn.n_slots * scn.p_bar_s / pc.u_s,
+                                 scn.n_slots * scn.p_bar_r / pc.u_r]))]
     lb = np.full(pc.dim, -np.inf)   # of the energies, only the budget row
     lb[np.concatenate([pc.idx[v] for v in ("ps", "pr", "bob", "eve")])] = 0.0
     lb[[pc.idx["src_energy"][-1], pc.idx["relay_energy"][-1]]] = 0.0
@@ -256,10 +268,9 @@ def _power_program(scn: Scenario, pc: _Pieces
     for b in buffers:
         z0[b.idx] = buffer_start(b.surplus(z0))
     prog = SmoothConvexProgram(
-        dim=pc.dim, gradient=gradient,
-        objective=lambda z: -float(np.sum(at(z).bob[0] - at(z).eve[0])),
-        hessian=lambda z: at(z).eve[2], hess_idx=(i_pr, i_pr),
-        ineqs=[b.block() for b in buffers], lb=lb,
+        dim=pc.dim, objective=lambda z: at(z).objective,
+        gradient=lambda z: at(z).gradient, hessian=lambda z: at(z).hessian,
+        hess_idx=(i_pr, i_pr), ineqs=[b.block() for b in buffers], lb=lb,
         strictly_feasible_start=z0)
     return prog, buffers
 

@@ -30,8 +30,9 @@ row) and, if curved, the lower-triangle positions of its Hessian
 callbacks return the values at those positions only; a value of another
 type or shape raises ``TypeError``.  An upper bound x_j <= u is a
 one-entry row.  The Newton matrix J^T diag(lam / -g) J + H is assembled
-straight into LAPACK's lower banded storage and factored by
-``scipy.linalg.cholesky_banded``, so a program whose rows each touch
+straight into LAPACK's lower banded storage and factored by LAPACK
+``dpbtrf`` (its ``info`` code says whether it failed; ``SolverResult``
+counts both), so a program whose rows each touch
 variables close together in the ordering costs O(dim) time and memory
 per Newton step.  Where its entries land depends only on the pattern,
 so a solve copies the pattern once, indexes it on its first Newton step
@@ -46,8 +47,11 @@ values and objective, and the gradient, Jacobian and dual residual
 grad f + J^T lam are taken at the accepted trial only and carried into
 the next step and into the optimality checks (only the centering
 residual is rebuilt when mu drops).  Within one point, the callbacks of
-a program can share their common terms through a ``PointCache``, as the
-stage programs do.
+a program can share their common terms through a ``PointCache``: the
+stage programs evaluate each point in one pass there, and each callback
+reads its part.  A callback must return an array that no later call
+writes into (the stage programs copy their Jacobian templates): a
+caller may hold it across points.
 
 Every step is judged by the barrier function phi_mu = f - mu sum log(-g)
 over all rows and finite bounds (J. Nocedal & S. J. Wright, *Numerical
@@ -84,6 +88,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 Array = np.ndarray
 
@@ -267,6 +272,11 @@ class SolverResult:
     iterations: int
     objective_value: float
     objective_history: list[float] = field(default_factory=list)
+    # Banded Cholesky factorizations (``dpbtrf``) of the Newton matrices,
+    # the shift search's and the step cap's included, and how many of
+    # them failed (a nonzero ``info`` code).
+    factorizations: int = 0
+    failed_factorizations: int = 0
 
 
 class _Blocks:
@@ -311,11 +321,12 @@ class _Blocks:
         lb = prog.lb if prog.lb is not None else np.full(prog.dim, -np.inf)
         self.lb = np.asarray(lb, dtype=float)
         self.lb_idx = np.flatnonzero(np.isfinite(self.lb))
+        self.lb_finite = self.lb[self.lb_idx]
         self.m = self.n_ineq + self.lb_idx.size
 
     def value(self, x: Array) -> Array:
         parts = [b.value(x) for b in self.blocks]
-        parts.append(self.lb[self.lb_idx] - x[self.lb_idx])
+        parts.append(self.lb_finite - x[self.lb_idx])
         return np.concatenate(parts)
 
     def jacobian(self, x: Array) -> Array:
@@ -427,10 +438,13 @@ class _Plan:
 
 class _Rung:
     """Where a solve's next shift search starts: the rung of the shift
-    ladder that its last Newton matrix took (0 before the first)."""
+    ladder that its last Newton matrix took (0 before the first); and
+    how many factorizations the solve has made, and how many failed."""
 
     def __init__(self):
         self.k = 0
+        self.factorizations = 0
+        self.failed = 0
 
 
 def _factor_solve(ab: Array, rhs: Array,
@@ -438,33 +452,35 @@ def _factor_solve(ab: Array, rhs: Array,
     """Solve the banded Newton system, its diagonal shifted by the lowest
     rung of the ladder 0, 2^j ``SHIFT_FIRST`` scale (j < ``LADDER`` - 1,
     scale the magnitude of the mean diagonal, at least 1) on which
-    ``cholesky_banded`` succeeds; None when none does.
+    LAPACK ``dpbtrf`` succeeds; None when none does.
 
     The search starts at ``rung.k`` (0 without ``rung``) and goes down
     while the matrix factors, up while it fails, so it lands on the rung
     the climb from 0 finds (the shifted matrix stays positive definite
     as the shift grows) with fewer failed factorizations; ``rung.k`` is
-    set to it.  A shifted step longer than ``STEP_CAP`` in the max norm
+    set to it, and ``rung`` counts every factorization by its ``info``
+    code.  A shifted step longer than ``STEP_CAP`` in the max norm
     is solved again with the shift times 4 (two rungs up) until it is
     not: a crude trust region, since far from a local minimum of the
     barrier problem the lowest positive definite shift leaves the step
     almost unbounded.
     """
+    rung = rung if rung is not None else _Rung()
     dim = ab.shape[1]
-    scale = max(1.0, abs(float(np.sum(ab[0]))) / max(dim, 1))
+    scale = max(1.0, abs(float(ab[0].sum())) / max(dim, 1))
 
     def factor(k):
         a = ab
         if k:
             a = ab.copy()
             a[0] += SHIFT_FIRST * scale * 2.0 ** (k - 1)
-        try:
-            return scipy.linalg.cholesky_banded(a, lower=True,
-                                                check_finite=False)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            return None
+        # The unshifted ab is kept for the shifts; a shifted copy is not.
+        cb, info = dpbtrf(a, lower=1, overwrite_ab=k > 0)
+        rung.factorizations += 1
+        rung.failed += info != 0
+        return cb if info == 0 else None
 
-    k = rung.k if rung is not None else 0
+    k = rung.k
     cb = factor(k)
     while cb is not None and k > 0 and (lower := factor(k - 1)) is not None:
         k, cb = k - 1, lower
@@ -473,16 +489,14 @@ def _factor_solve(ab: Array, rhs: Array,
         cb = factor(k)
     if cb is None:
         return None
-    if rung is not None:
-        rung.k = k
-    dx = scipy.linalg.cho_solve_banded((cb, True), rhs, check_finite=False)
-    while k and k + 2 < LADDER and float(np.max(np.abs(dx))) > STEP_CAP:
+    rung.k = k
+    dx = dpbtrs(cb, rhs, lower=1)[0]
+    while k and k + 2 < LADDER and float(np.abs(dx).max()) > STEP_CAP:
         k += 2
         cb = factor(k)
         if cb is None:
             return None
-        dx = scipy.linalg.cho_solve_banded((cb, True), rhs,
-                                           check_finite=False)
+        dx = dpbtrs(cb, rhs, lower=1)[0]
     return dx
 
 
@@ -504,7 +518,7 @@ def _pd_residual(blocks, grad_f, J, g, lam, mu):
 
 def _norm(r_dual: Array, r_cent: Array) -> float:
     """Euclidean norm of the perturbed KKT residual."""
-    return np.sqrt(float(np.sum(r_dual * r_dual) + np.sum(r_cent * r_cent)))
+    return np.sqrt(float((r_dual * r_dual).sum() + (r_cent * r_cent).sum()))
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
@@ -527,7 +541,7 @@ def solve(prog: SmoothConvexProgram,
         raise ValueError("the program has no strictly_feasible_start")
     x = np.array(prog.strictly_feasible_start, dtype=float)
     g = blocks.value(x)
-    if g.size and not float(np.max(g)) < 0.0:
+    if g.size and not float(g.max()) < 0.0:
         # NaN, from a start outside a callback's domain, is the maximum.
         k = int(np.argmax(g))
         raise ValueError(f"the start is not strictly feasible: "
@@ -546,7 +560,7 @@ def solve(prog: SmoothConvexProgram,
     # from its line search.
     grad_f, J, r_dual, r_cent = derivatives(x, g, lam)
     f_x = float(prog.objective(x))
-    logs = float(np.sum(np.log(-g)))
+    logs = float(np.log(-g).sum())
     history: list[float] = [f_x]
     rung = _Rung()
     n_newton = 0
@@ -557,8 +571,8 @@ def solve(prog: SmoothConvexProgram,
         inner_target = max(0.5 * mu, 0.1 * opts.tol)
         for _ in range(INNER_MAX):
             r_norm = max(
-                float(np.max(np.abs(r_dual))),
-                float(np.max(np.abs(r_cent))) if g.size else 0.0)
+                float(np.abs(r_dual).max()),
+                float(np.abs(r_cent).max()) if g.size else 0.0)
             if r_norm <= inner_target:
                 break
             sigma = lam / np.maximum(-g, 1e-300)
@@ -576,10 +590,10 @@ def solve(prog: SmoothConvexProgram,
             # strict feasibility, then sufficient decrease of phi_mu.
             alpha = 1.0
             neg = dlam < 0
-            if np.any(neg):
+            if neg.any():
                 alpha = min(alpha, FRAC_TO_BOUNDARY *
-                            float(np.min(-lam[neg] / dlam[neg])))
-            slope = -float(np.sum(rhs * dx))
+                            float((-lam[neg] / dlam[neg]).min()))
+            slope = -float((rhs * dx).sum())
             phi = f_x - mu * logs
             # Below phi_mu's rounding level its values cannot judge a step.
             flat = -slope <= NOISE * (abs(f_x) + abs(mu * logs))
@@ -590,11 +604,11 @@ def solve(prog: SmoothConvexProgram,
                 x_t = x + alpha * dx
                 g_t = blocks.value(x_t)
                 # NaN from an out-of-domain trial point counts as infeasible.
-                if g_t.size and not float(np.max(g_t)) < 0.0:
+                if g_t.size and not float(g_t.max()) < 0.0:
                     alpha *= 0.5
                     continue
                 f_t = float(prog.objective(x_t))
-                logs_t = float(np.sum(np.log(-g_t)))
+                logs_t = float(np.log(-g_t).sum())
                 lam_t = lam + alpha * dlam
                 if flat:
                     point = derivatives(x_t, g_t, lam_t)
@@ -635,19 +649,21 @@ def solve(prog: SmoothConvexProgram,
     return SolverResult(
         x_opt=x, duals=duals, bound_duals=bduals, status=status,
         kkt_residual=kkt0, iterations=n_newton,
-        objective_value=f_x, objective_history=history)
+        objective_value=f_x, objective_history=history,
+        factorizations=rung.factorizations,
+        failed_factorizations=rung.failed)
 
 
 def _kkt_residual_raw(r_dual: Array, g: Array, lam: Array) -> float:
     """Unperturbed KKT residual from the dual residual grad f + J^T lam."""
-    stat = float(np.max(np.abs(r_dual))) if r_dual.size else 0.0
+    stat = float(np.abs(r_dual).max()) if r_dual.size else 0.0
     if g.size == 0:
         return stat
     return max(
         stat,
-        float(np.max(np.maximum(g, 0.0))),
-        float(np.max(np.abs(lam * g))),
-        float(np.max(np.maximum(-lam, 0.0))),
+        float(np.maximum(g, 0.0).max()),
+        float(np.abs(lam * g).max()),
+        float(np.maximum(-lam, 0.0).max()),
     )
 
 

@@ -57,14 +57,18 @@ a step only if it passes ``model.check_all`` at ``feas_tol`` (otherwise
 the stage ends ``stalled``, ``infeasible_step``), so every accepted
 iterate is feasible at ``feas_tol``.
 
-Each step program computes its per-point terms once per point
-(``_StepPoint``): the unpacked displacements and slacks, both rate and
-both distance lower bounds, the slack outflows and the displaced
-positions.  The objective, gradient, Hessian and block callbacks read
-them from one ``solver.PointCache`` per program, keyed on the point's
-bytes, so a caller that writes into an array it passed before still
-gets fresh terms.  The parts of the bounds that depend on the iterate
-only are computed once per SCP step, in ``make_iterate``.
+Each step program evaluates a point in one pass (``_StepPoint``): the
+unpacked displacements, the objective, Bob's and Eve's flows, the
+coupling rows, the slack outflows' curvatures (shared by the objective
+Hessian and the flows') and the displaced positions.  The true problem
+computes its three rates (``_Rate``, Bob's and Eve's as one stack) and,
+on first use, their derivatives.  The callbacks of a program read their
+parts from its one ``solver.PointCache``, keyed on the point's bytes, so
+a caller that writes into an array it passed before still gets fresh
+terms; blocks of equal width share one ``ConstraintBlock`` in the order
+of one block each (Bob's and Eve's buffers; the two couplings).  The
+parts of the bounds that depend on the iterate only are computed once
+per SCP step, in ``make_iterate``.
 """
 from __future__ import annotations
 
@@ -318,20 +322,19 @@ SEED_MARGIN = 1e-3
 
 class _StepPoint(NamedTuple):
     """Terms of a convex step at one point, shared by its callbacks: the
-    unpacked variables, the rate and distance lower bounds, h^2 plus
-    each slack, the outflows log2(1 + g / (h^2 + slack)) and the
-    displaced positions (scaled by h) with their hops."""
+    unpacked displacements, the objective, the causality flows (Bob's
+    rows, then Eve's) and the coupling rows (tau's, then eps's), h^2
+    plus each slack (eps's row, then tau's) with the curvature of its
+    outflow log2(1 + g / (h^2 + slack)), and the displaced positions
+    (scaled by h) with their hops."""
 
     delta: np.ndarray
     xi: np.ndarray
-    relay_lb: np.ndarray
-    bob_lb: np.ndarray
-    zeta_lb: np.ndarray
-    eta_lb: np.ndarray
-    a_eps: np.ndarray
-    a_tau: np.ndarray
-    out_eps: np.ndarray
-    out_tau: np.ndarray
+    objective: float
+    flow: np.ndarray
+    couple: np.ndarray
+    a: np.ndarray
+    curv: np.ndarray
     px: np.ndarray
     py: np.ndarray
     hop_x: np.ndarray
@@ -340,73 +343,75 @@ class _StepPoint(NamedTuple):
 
 def _step_point(it: TrajIterate, lay: _Layout) -> PointCache:
     """One program's cache of its ``_StepPoint`` terms."""
-    g_act = it.gamma_r[lay.active]
-    xs, ys = it.traj.x / lay.h, it.traj.y / lay.h
+    h, h2, act = lay.h, lay.h2, lay.active
+    g_act = it.gamma_r[act]
+    xs, ys = it.traj.x / h, it.traj.y / h
+    i_slack = np.stack([lay.i_eps, lay.i_tau])
+    i_couple = np.concatenate([lay.i_tau, lay.i_eps])
+    rows = act - 1                        # row whose outflow slot is active
 
     def terms(z):
-        delta, xi, eps, tau = lay.unpack(z)
-        a_eps, a_tau = lay.h2 + eps, lay.h2 + tau
+        delta, xi = z[lay.i_delta] * h, z[lay.i_xi] * h
+        relay_lb, bob_lb = rate_lower_bounds(it, delta, xi)
+        zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
+        a = h2 + z[i_slack] * h2
+        out = np.log2(1.0 + g_act / a)
+        flow = np.empty((2, lay.n - 1))
+        flow[:] = -relay_lb[:-1]
+        flow[:, rows] += out
+        couple = (z[i_couple] * h2
+                  - np.concatenate([zeta_lb[act], eta_lb[act]])) / h2
+        curv = (g_act * (2 * a + g_act) / (LN2 * (a * (a + g_act)) ** 2)
+                * h2 * h2)
         px, py = xs + z[lay.i_delta], ys + z[lay.i_xi]
         return _StepPoint(
-            delta, xi, *rate_lower_bounds(it, delta, xi),
-            *distance_lower_bounds(it, delta, xi), a_eps, a_tau,
-            np.log2(1.0 + g_act / a_eps), np.log2(1.0 + g_act / a_tau),
-            px, py, np.diff(px), np.diff(py))
+            delta, xi, float(-bob_lb[1:].sum() + out[1].sum()),
+            flow.ravel(), couple, a, curv, px, py, px[1:] - px[:-1],
+            py[1:] - py[:-1])
     return PointCache(terms)
 
 
-def _causality_buffers(it: TrajIterate, lay: _Layout,
-                       at: PointCache) -> list[Buffer]:
-    """Bob's and Eve's relay buffers of the convex step.
+def _causality_buffer(it: TrajIterate, lay: _Layout,
+                      at: PointCache) -> Buffer:
+    """Bob's and Eve's relay buffers of the convex step, in one block.
 
     Row j (prefix ending at slot j+1, 0-based) takes in the relay-rate
     lower bound of slot j (quadratic in its displacement) and sends out
     log2(1 + g/(h2 + slack)) of slot j+1 when the relay transmits there.
     The terms at a point come from ``at``.
     """
-    h, h2 = lay.h, lay.h2
+    h, h2, m, na = lay.h, lay.h2, lay.n - 1, lay.na
     g_x, g_y = (g[:-1] for g in it.grad_ar)
     c_r = it.c_relay[:-1]
     g_act = it.gamma_r[lay.active]
     rows = lay.active - 1                 # row whose outflow slot is active
     i_d, i_x = lay.i_delta[:-1], lay.i_xi[:-1]
+    cols = np.stack([i_d, i_d, i_x], axis=1)
+    cols = np.stack([cols, cols])
+    cols[0, rows, 0], cols[1, rows, 0] = lay.i_eps, lay.i_tau
+    hess_idx = np.concatenate([lay.i_eps, i_d, i_x, lay.i_tau, i_d, i_x])
 
-    def flow(i_slack, slack):
-        cols = np.stack([i_d, i_d, i_x], axis=1)
-        cols[rows, 0] = i_slack           # silent rows repeat delta, value 0
-        hess_idx = np.concatenate([i_slack, i_d, i_x])
-        a_name, out_name = "a_" + slack, "out_" + slack
+    def jacobian(z):
+        t = at(z)
+        vals = np.zeros((2, m, 3))    # silent rows repeat delta, value 0
+        vals[:, rows, 0] = -g_act / (LN2 * t.a * (t.a + g_act)) * h2
+        vals[:, :, 1] = c_r * (2 * t.delta[:-1] + g_x) * h
+        vals[:, :, 2] = c_r * (2 * t.xi[:-1] + g_y) * h
+        return vals.reshape(2 * m, 3)
 
-        def value(z):
-            t = at(z)
-            f = -t.relay_lb[:-1]
-            f[rows] += getattr(t, out_name)
-            return f
+    def hess_weighted(z, w):
+        w = w.reshape(2, m)
+        out = np.empty((2, na + 2 * m))
+        out[:, :na] = w[:, rows] * at(z).curv
+        out[:, na:na + m] = out[:, na + m:] = 2.0 * c_r * w * h * h
+        return out.ravel()
 
-        def jacobian(z):
-            t = at(z)
-            a = getattr(t, a_name)
-            vals = np.zeros((lay.n - 1, 3))
-            vals[rows, 0] = -g_act / (LN2 * a * (a + g_act)) * h2
-            vals[:, 1] = c_r * (2 * t.delta[:-1] + g_x) * h
-            vals[:, 2] = c_r * (2 * t.xi[:-1] + g_y) * h
-            return vals
-
-        def hess_weighted(z, w):
-            a = getattr(at(z), a_name)
-            hs = w[rows] * (g_act * (2 * a + g_act)
-                            / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2)
-            dq = 2.0 * c_r * w * h * h
-            return np.concatenate([hs, dq, dq])
-
-        return ConstraintBlock(cols=cols, value=value, jacobian=jacobian,
-                               hess_weighted=hess_weighted,
-                               hess_idx=(hess_idx, hess_idx))
-
-    return [Buffer(flow(lay.i_eps, "eps"), lay.i_bob, "bob_causality",
-                   initial=CAUS_RELAX),
-            Buffer(flow(lay.i_tau, "tau"), lay.i_eve, "eve_causality",
-                   initial=CAUS_RELAX)]
+    flow = ConstraintBlock(
+        cols=cols.reshape(2 * m, 3), value=lambda z: at(z).flow,
+        jacobian=jacobian, hess_weighted=hess_weighted,
+        hess_idx=(hess_idx, hess_idx))
+    return Buffer(flow, np.stack([lay.i_bob, lay.i_eve]), "causality",
+                  initial=CAUS_RELAX)
 
 
 def _mobility_block(scn: Scenario, it: TrajIterate, lay: _Layout,
@@ -439,8 +444,11 @@ def _mobility_block(scn: Scenario, it: TrajIterate, lay: _Layout,
     def moves(px, py, hop_x, hop_y):
         """Squared hops, then each anchored slot's squared distance to
         its anchor (scaled by h)."""
-        ends = (px[a_idx] - a_xy[:, 0]) ** 2 + (py[a_idx] - a_xy[:, 1]) ** 2
-        return np.concatenate([hop_x ** 2 + hop_y ** 2, ends])
+        out = np.empty(m_mob)
+        out[:n - 1] = hop_x ** 2 + hop_y ** 2
+        out[n - 1:] = ((px[a_idx] - a_xy[:, 0]) ** 2
+                       + (py[a_idx] - a_xy[:, 1]) ** 2)
+        return out
 
     v2s = (scn.slot_travel / h) ** 2
     if relax:
@@ -454,36 +462,37 @@ def _mobility_block(scn: Scenario, it: TrajIterate, lay: _Layout,
 
     def mob_jacobian(z):
         t = at(z)
-        ddx = 2 * t.hop_x
-        ddy = 2 * t.hop_y
         vals = np.zeros((m_mob, 4))
-        vals[:n - 1] = np.stack([-ddx, ddx, -ddy, ddy], axis=1)
+        vals[:n - 1, 1] = 2 * t.hop_x
+        vals[:n - 1, 3] = 2 * t.hop_y
+        vals[:n - 1, 0:3:2] = -vals[:n - 1, 1::2]
         vals[n - 1:, 0] = 2 * (t.px[a_idx] - a_xy[:, 0])
         vals[n - 1:, 1] = 2 * (t.py[a_idx] - a_xy[:, 1])
         return vals
 
     def mob_hess(z, w):
-        dd = np.zeros(n)
+        out = np.zeros(4 * n - 2)
+        dd = out[:n]
         dd[1:] += 2 * w[:n - 1]
         dd[:-1] += 2 * w[:n - 1]
         np.add.at(dd, a_idx, 2 * w[n - 1:])
-        off = -2 * w[:n - 1]
-        return np.concatenate([dd, dd, off, off])
+        out[n:2 * n] = dd
+        out[2 * n:3 * n - 1] = out[3 * n - 1:] = -2 * w[:n - 1]
+        return out
 
     return ConstraintBlock(cols=mob_cols, value=mob_value,
                            jacobian=mob_jacobian, hess_weighted=mob_hess,
                            hess_idx=(mob_rows, mob_cols_h), name="mobility")
 
 
-def _seed_buffers(buffers: list[Buffer], z0: np.ndarray) -> None:
-    """Raise each buffer's initial content by the worst prefix excess of
-    its flow at z0 and put the buffer at ``buffer_start`` in z0, so
-    every prefix surplus of z0 is at least the buffer's own initial
+def _seed_buffer(b: Buffer, z0: np.ndarray) -> None:
+    """Raise each stock's initial content by the worst prefix excess of
+    its flow at z0 and put the buffers at ``buffer_start`` in z0, so
+    every prefix surplus of z0 is at least the stock's own initial
     content (``CAUS_RELAX``)."""
-    for b in buffers:
-        sent = np.cumsum(b.flow.value(z0))
-        b.initial += float(np.max(sent, initial=0.0))
-        z0[b.idx] = buffer_start(b.initial - sent)
+    sent = np.cumsum(b.flow.value(z0).reshape(b.idx.shape), axis=-1)
+    b.initial = b.initial + np.max(sent, axis=-1, initial=0.0)
+    z0[b.idx] = buffer_start(b.initial[..., None] - sent)
 
 
 def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
@@ -504,6 +513,8 @@ def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
 
 def _build_subproblem(scn: Scenario, it: TrajIterate,
                       lay: _Layout) -> SmoothConvexProgram:
+    """The convex step: its blocks are the mobility rows, Bob's and
+    Eve's buffers, and the couplings tau <= zeta_lb, eps <= eta_lb."""
     n, h, h2 = lay.n, lay.h, lay.h2
     g_rb = it.grad_rb
     c_d = it.c_bob
@@ -512,10 +523,6 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
     at = _step_point(it, lay)
 
     # --- objective: -(sum bob rate lb) + sum log2(1 + g/(h2 + tau)) ---
-    def objective(z):
-        t = at(z)
-        return float(-np.sum(t.bob_lb[1:]) + np.sum(t.out_tau))
-
     def gradient(z):
         t = at(z)
         g = np.zeros(lay.dim)
@@ -524,21 +531,19 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         gd[0] = gx[0] = 0.0        # slot 1 carries no relay power
         g[lay.i_delta] = gd * h
         g[lay.i_xi] = gx * h
-        den = t.a_tau * (t.a_tau + g_act)
+        den = t.a[1] * (t.a[1] + g_act)
         g[lay.i_tau] = -g_act / (LN2 * den) * h2
         return g
 
-    dd0 = 2.0 * c_d * h * h
-    dd0[0] = 0.0
+    hess = np.zeros(2 * n + lay.na)
+    hess[:n] = hess[n:2 * n] = 2.0 * c_d * h * h
+    hess[0] = hess[n] = 0.0
     hess_idx = np.concatenate([lay.i_delta, lay.i_xi, lay.i_tau])
 
     def hessian(z):
-        a = at(z).a_tau
-        ht = g_act * (2 * a + g_act) / (LN2 * (a * (a + g_act)) ** 2) * h2 * h2
-        return np.concatenate([dd0, dd0, ht])
-
-    blocks = [_mobility_block(scn, it, lay, at)]
-    i_d, i_x = lay.i_delta, lay.i_xi
+        out = hess.copy()
+        out[2 * n:] = at(z).curv[1]
+        return out
 
     # --- causality: Bob's and Eve's relay buffers ---
     # Interior seed: zero displacement, each slack a margin below its
@@ -555,89 +560,79 @@ def _build_subproblem(scn: Scenario, it: TrajIterate,
         slope = g_act * h2 / (LN2 * a * (a + g_act))
         z0[i_slack] = d2 / h2 - np.minimum(SEED_MARGIN,
                                            CAUS_RELAX / (4 * n * slope))
-    buffers = _causality_buffers(it, lay, at)
-    _seed_buffers(buffers, z0)
-    blocks += [b.block() for b in buffers]
+    buffer = _causality_buffer(it, lay, at)
+    _seed_buffer(buffer, z0)
 
-    # --- affine couplings: tau <= zeta_lb, eps <= eta_lb ---
-    def couple_factory(i_slack, grad, which):
-        gx, gy = grad[0][act], grad[1][act]    # d bound / d delta, xi
-        J = np.stack([np.ones(lay.na), -gx * h / h2, -gy * h / h2], axis=1)
-        name = which + "_lb"
-
-        def value(z):
-            bound = getattr(at(z), name)
-            return (z[i_slack] * h2 - bound[act]) / h2
-
-        return value, lambda z: J
-
-    for nm, i_slack, grad, which in (
-            ("tau_le_zeta", lay.i_tau, it.grad_zeta, "zeta"),
-            ("eps_le_eta", lay.i_eps, it.grad_eta, "eta")):
-        val, jac = couple_factory(i_slack, grad, which)
-        blocks.append(ConstraintBlock(
-            cols=np.stack([i_slack, i_d[act], i_x[act]], axis=1), value=val,
-            jacobian=jac, name=nm))
+    # --- affine couplings: tau <= zeta_lb, then eps <= eta_lb ---
+    i_d, i_x = lay.i_delta[act], lay.i_xi[act]
+    jac = np.concatenate([np.stack(
+        [np.ones(lay.na), -grad[0][act] * h / h2, -grad[1][act] * h / h2],
+        axis=1) for grad in (it.grad_zeta, it.grad_eta)])
+    couple = ConstraintBlock(
+        cols=np.concatenate([np.stack([i_slack, i_d, i_x], axis=1)
+                             for i_slack in (lay.i_tau, lay.i_eps)]),
+        value=lambda z: at(z).couple, jacobian=lambda z: jac, name="couplings")
 
     lb = np.full(lay.dim, -np.inf)
     lb[lay.i_eps] = lb[lay.i_tau] = SLACK_LB
     lb[lay.i_bob] = lb[lay.i_eve] = 0.0
     return SmoothConvexProgram(
-        dim=lay.dim, objective=objective, gradient=gradient, hessian=hessian,
-        hess_idx=(hess_idx, hess_idx), ineqs=blocks, lb=lb,
-        strictly_feasible_start=z0)
-
-
-class _RateDerivatives(NamedTuple):
-    """The derivatives of a ``_Rate``."""
-
-    gx: np.ndarray
-    gy: np.ndarray
-    hxx: np.ndarray
-    hyy: np.ndarray
-    hxy: np.ndarray
+        dim=lay.dim, objective=lambda z: at(z).objective, gradient=gradient,
+        hessian=hessian, hess_idx=(hess_idx, hess_idx),
+        ineqs=[_mobility_block(scn, it, lay, at), buffer.block(), couple],
+        lb=lb, strictly_feasible_start=z0)
 
 
 class _Rate:
-    """A reception rate log2(1 + g / (h^2 + |q - c|^2)) per slot (``r``)
-    and, computed on first use, its gradient (gx, gy) and the lower
-    triangle of its 2 x 2 Hessian (hxx, hyy, hxy) in the slot's scaled
-    displacement (delta, xi) / h (``d``): a trial point of the line
-    search needs the rate alone."""
+    """Reception rates log2(1 + g / (h^2 + |q - c|^2)) per slot (``r``)
+    and, computed on first use, their gradients (``grad``: d/dx, d/dy)
+    and the lower triangles of their 2 x 2 Hessians (``hess``: xx, yy,
+    xy) in the slot's scaled displacement (delta, xi) / h: a trial point
+    of the line search needs the rates alone.  Receivers stacked along
+    the first axis of (cx, cy) give a stack of rates."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, c: np.ndarray,
+    def __init__(self, x: np.ndarray, y: np.ndarray, cx, cy,
                  g: np.ndarray, h: float):
-        """The receiver at c with SNR numerator g per slot, at the
-        positions (x, y)."""
-        self.dx, self.dy, self.g, self.h = x - c[0], y - c[1], g, h
+        """The receivers at (cx, cy) with SNR numerator g per slot, at
+        the positions (x, y)."""
+        self.dx, self.dy, self.g, self.h = x - cx, y - cy, g, h
         self.u = h * h + self.dx * self.dx + self.dy * self.dy
         self.r = np.log2(1.0 + g / self.u)
 
     @functools.cached_property
-    def d(self) -> _RateDerivatives:
+    def _d(self) -> tuple[np.ndarray, np.ndarray]:
         dx, dy, g, u, h = self.dx, self.dy, self.g, self.u, self.h
         # First and second derivatives of the rate in u.
         r_u = -g / (LN2 * u * (u + g))
         r_uu = g * (2 * u + g) / (LN2 * (u * (u + g)) ** 2)
         h2 = h * h
-        return _RateDerivatives(
-            2 * r_u * dx * h, 2 * r_u * dy * h,
-            (4 * r_uu * dx * dx + 2 * r_u) * h2,
-            (4 * r_uu * dy * dy + 2 * r_u) * h2, 4 * r_uu * dx * dy * h2)
+        grad, hess = np.empty((2,) + u.shape), np.empty((3,) + u.shape)
+        grad[0], grad[1] = 2 * r_u * dx * h, 2 * r_u * dy * h
+        hess[0] = (4 * r_uu * dx * dx + 2 * r_u) * h2
+        hess[1] = (4 * r_uu * dy * dy + 2 * r_u) * h2
+        hess[2] = 4 * r_uu * dx * dy * h2
+        return grad, hess
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._d[0]
+
+    @property
+    def hess(self) -> np.ndarray:
+        return self._d[1]
 
 
 class _TruePoint(NamedTuple):
     """Terms of the true problem at one point, shared by its callbacks:
-    the displaced positions (scaled by h) with their hops, and the three
-    reception rates."""
+    the displaced positions (scaled by h) with their hops, the relay's
+    reception rate, and Bob's (row 0) and Eve's (row 1)."""
 
     px: np.ndarray
     py: np.ndarray
     hop_x: np.ndarray
     hop_y: np.ndarray
     relay: _Rate
-    bob: _Rate
-    eve: _Rate
+    out: _Rate
 
 
 def _true_point(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
@@ -646,24 +641,24 @@ def _true_point(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
     h = lay.h
     xs, ys = it.traj.x / h, it.traj.y / h
     g_s = scn.ref_snr * pw.p_s
+    cx, cy = np.array([scn.bob_xy, scn.eve_xy]).T[:, :, None]
 
     def terms(z):
         zx, zy = z[lay.i_delta], z[lay.i_xi]
         px, py = xs + zx, ys + zy
         x, y = it.traj.x + zx * h, it.traj.y + zy * h
         return _TruePoint(
-            px, py, np.diff(px), np.diff(py),
-            _Rate(x, y, scn.alice_xy, g_s, h),
-            _Rate(x, y, scn.bob_xy, it.gamma_r, h),
-            _Rate(x, y, scn.eve_xy, it.gamma_r, h))
+            px, py, px[1:] - px[:-1], py[1:] - py[:-1],
+            _Rate(x, y, *scn.alice_xy, g_s, h),
+            _Rate(x, y, cx, cy, it.gamma_r, h))
     return PointCache(terms)
 
 
-def _true_flow(lay: _Layout, at: PointCache, out: str) -> ConstraintBlock:
-    """Net outflow R_out(q_{j+1}) - R_relay(q_j) of row j, with R_out
-    the rate ``out`` ("bob" or "eve") and the curvature of both rates.
-    The terms at a point come from ``at``."""
-    i_d, i_x = lay.i_delta, lay.i_xi
+def _true_flow(lay: _Layout, at: PointCache) -> ConstraintBlock:
+    """Net outflows R_out(q_{j+1}) - R_relay(q_j), Bob's rows then
+    Eve's, with the curvature of both rates.  The terms at a point come
+    from ``at``."""
+    i_d, i_x, m = lay.i_delta, lay.i_xi, lay.n - 1
     cols = np.stack([i_d[:-1], i_x[:-1], i_d[1:], i_x[1:]], axis=1)
     rows = np.concatenate([i_d[:-1], i_x[:-1], i_x[:-1],
                            i_d[1:], i_x[1:], i_x[1:]])
@@ -672,23 +667,26 @@ def _true_flow(lay: _Layout, at: PointCache, out: str) -> ConstraintBlock:
 
     def value(z):
         t = at(z)
-        return getattr(t, out).r[1:] - t.relay.r[:-1]
+        return (t.out.r[:, 1:] - t.relay.r[:-1]).ravel()
 
     def jacobian(z):
         t = at(z)
-        o, r = getattr(t, out).d, t.relay.d
-        return np.stack([-r.gx[:-1], -r.gy[:-1], o.gx[1:], o.gy[1:]], axis=1)
+        vals = np.empty((2, m, 4))
+        vals[:, :, :2] = -t.relay.grad[:, :-1].T
+        vals[:, :, 2:] = t.out.grad[:, :, 1:].transpose(1, 2, 0)
+        return vals.reshape(2 * m, 4)
 
     def hess_weighted(z, w):
         t = at(z)
-        o, r = getattr(t, out).d, t.relay.d
-        return np.concatenate([-w * r.hxx[:-1], -w * r.hyy[:-1],
-                               -w * r.hxy[:-1], w * o.hxx[1:],
-                               w * o.hyy[1:], w * o.hxy[1:]])
+        w = w.reshape(2, 1, m)
+        out = np.empty((2, 6, m))
+        out[:, :3] = -w * t.relay.hess[:, :-1]
+        out[:, 3:] = w * t.out.hess[:, :, 1:].transpose(1, 0, 2)
+        return out.ravel()
 
-    return ConstraintBlock(cols=cols, value=value, jacobian=jacobian,
-                           hess_weighted=hess_weighted,
-                           hess_idx=(rows, hcols))
+    return ConstraintBlock(cols=np.tile(cols, (2, 1)), value=value,
+                           jacobian=jacobian, hess_weighted=hess_weighted,
+                           hess_idx=(np.tile(rows, 2), np.tile(hcols, 2)))
 
 
 def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
@@ -705,43 +703,35 @@ def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
     ``_finish`` certifies on it.
     """
     at = _true_point(scn, pw, it, lay)
-    i_d, i_x = lay.i_delta, lay.i_xi
+    i_dx = np.stack([lay.i_delta, lay.i_xi])
 
     def objective(z):
-        t = at(z)
-        return -float(np.sum(t.bob.r[1:] - t.eve.r[1:]))
+        r = at(z).out.r
+        return -float((r[0, 1:] - r[1, 1:]).sum())
 
     def gradient(z):
-        t = at(z)
-        eve, bob = t.eve.d, t.bob.d
+        grad = at(z).out.grad
         g = np.zeros(lay.dim)
-        g[i_d] = eve.gx - bob.gx
-        g[i_x] = eve.gy - bob.gy
+        g[i_dx] = grad[:, 1] - grad[:, 0]
         return g
 
     def hessian(z):
-        t = at(z)
-        eve, bob = t.eve.d, t.bob.d
-        return np.concatenate([eve.hxx - bob.hxx, eve.hyy - bob.hyy,
-                               eve.hxy - bob.hxy])
+        hess = at(z).out.hess
+        return (hess[:, 1] - hess[:, 0]).ravel()
 
-    initial = CAUS_RELAX if relax else 0.0
-    buffers = [Buffer(_true_flow(lay, at, "bob"), lay.i_bob, "bob_causality",
-                      initial=initial),
-               Buffer(_true_flow(lay, at, "eve"), lay.i_eve, "eve_causality",
-                      initial=initial)]
+    buffer = Buffer(_true_flow(lay, at), np.stack([lay.i_bob, lay.i_eve]),
+                    "causality", initial=CAUS_RELAX if relax else 0.0)
     z0 = None
     if relax:
         z0 = np.zeros(lay.dim)
-        _seed_buffers(buffers, z0)
+        _seed_buffer(buffer, z0)
     lb = np.full(lay.dim, -np.inf)
     lb[lay.i_bob] = lb[lay.i_eve] = 0.0
     return SmoothConvexProgram(
         dim=lay.dim, objective=objective, gradient=gradient, hessian=hessian,
-        hess_idx=(np.concatenate([i_d, i_x, i_x]),
-                  np.concatenate([i_d, i_x, i_d])),
-        ineqs=[_mobility_block(scn, it, lay, at, relax)]
-        + [b.block() for b in buffers],
+        hess_idx=(np.concatenate([lay.i_delta, lay.i_xi, lay.i_xi]),
+                  np.concatenate([lay.i_delta, lay.i_xi, lay.i_delta])),
+        ineqs=[_mobility_block(scn, it, lay, at, relax), buffer.block()],
         lb=lb, strictly_feasible_start=z0)
 
 

@@ -140,9 +140,9 @@ def spot_check_convexity(prog: SmoothConvexProgram, points: Sequence[Array],
     return True
 
 
-def callback_outputs(prog: SmoothConvexProgram, z: Array,
+def callback_results(prog: SmoothConvexProgram, z: Array,
                      reverse: bool = False) -> dict:
-    """The bytes of every callback output of ``prog`` at z, by callback.
+    """Every callback output of ``prog`` at z, by callback.
 
     The callbacks run in program order (objective, gradient, Hessian,
     then each block's value, Jacobian and weighted Hessian), or in the
@@ -159,8 +159,27 @@ def callback_outputs(prog: SmoothConvexProgram, z: Array,
                           lambda x, b=b, w=w: b.hess_weighted(x, w)))
     if reverse:
         calls.reverse()
-    return {name: np.asarray(fn(z), dtype=float).tobytes()
-            for name, fn in calls}
+    return {name: fn(z) for name, fn in calls}
+
+
+def callback_outputs(prog: SmoothConvexProgram, z: Array,
+                     reverse: bool = False) -> dict:
+    """The bytes of every callback output of ``prog`` at z, by callback
+    (see ``callback_results``)."""
+    return {name: np.asarray(out, dtype=float).tobytes()
+            for name, out in callback_results(prog, z, reverse).items()}
+
+
+def assert_outputs_stay_fresh(prog: SmoothConvexProgram, z1: Array,
+                              z2: Array) -> None:
+    """Every array a callback of ``prog`` returned at z1 holds, bit for
+    bit, what it held then after every callback ran at z2: no callback
+    hands out an array that a later call writes into."""
+    first = callback_results(prog, z1)
+    saved = {name: np.asarray(out).tobytes() for name, out in first.items()}
+    assert callback_outputs(prog, z2) != saved
+    for name, out in first.items():
+        assert np.asarray(out).tobytes() == saved[name], name
 
 
 def record_points(prog: SmoothConvexProgram

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import (assert_wall_times, fail_power_solves, power_program,
                       random_feasible_trajectory, random_power,
                       random_scenario, small_scenario, stage_programs)
-from numerics import (as_dense, callback_outputs, record_points,
-                      spot_check_convexity, verify_derivatives)
+from numerics import (as_dense, assert_outputs_stay_fresh, callback_outputs,
+                      record_points, spot_check_convexity,
+                      verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc, solver
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
@@ -106,6 +107,14 @@ class TestPointCache:
             forward = callback_outputs(prog, z)
             assert callback_outputs(prog, z, reverse=True) == forward, name
             assert callback_outputs(build(), z, reverse=True) == forward, name
+
+    def test_outputs_stay_fresh(self, rng):
+        """An array a callback returned at one point is unchanged, bit
+        for bit, after every callback ran at another: the Jacobian
+        templates are copied, never handed out."""
+        for name, (build, z0) in _cached_programs().items():
+            z1 = z0 + 1e-3 * rng.uniform(0.0, 1.0, z0.size)
+            assert_outputs_stay_fresh(build(), z0, z1)
 
     def test_one_fill_per_point_in_solve(self, cache_fills):
         """In a solve of the power stage program the shared terms are
@@ -417,9 +426,10 @@ class TestStartCertificate:
         assert calls.pop("objective") == 0
         # The certificate needs no second derivatives.
         assert calls.pop("hessian") == 0
-        # Bob's and Eve's flows and the relay energy are curved.
-        assert all(calls.pop(f"hess_weighted{k}") == 0 for k in (0, 1, 3))
-        assert calls == {"gradient": 2, **{f"{c}{k}": 2 for k in range(4)
+        # Both blocks are curved: Bob's and Eve's flows, and the relay
+        # energy next to the source power.
+        assert all(calls.pop(f"hess_weighted{k}") == 0 for k in (0, 1))
+        assert calls == {"gradient": 2, **{f"{c}{k}": 2 for k in range(2)
                                            for c in ("value", "jacobian")}}
 
     def test_repeated_columns_add_up(self):

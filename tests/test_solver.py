@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import stage_programs
 from numerics import (as_dense, bound_rows, record_points, scalar_ineq,
                       spot_check_convexity, verify_derivatives)
-from secrelay import solver
-from secrelay.model import PowerAllocation
+from secrelay import benchmark_scenario, solver, trajectory_scp
+from secrelay.model import (PowerAllocation, equal_power_allocation,
+                            restore_feasibility)
 from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock,
                              SmoothConvexProgram, SolverOptions, _Blocks,
                              kkt_residual, solve, start_margin)
@@ -326,18 +326,8 @@ class TestIndefiniteHessian:
             strictly_feasible_start=rng.uniform(-0.5, 0.5, dim))
         return prog, np.linalg.eigvalsh(q)
 
-    def test_optimal_only_at_kkt_points(self, monkeypatch):
+    def test_optimal_only_at_kkt_points(self):
         failed_factors = []
-        factor = scipy.linalg.cholesky_banded
-
-        def counting_factor(*args, **kw):
-            try:
-                return factor(*args, **kw)
-            except np.linalg.LinAlgError:
-                failed_factors.append(1)
-                raise
-
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting_factor)
         statuses = {}
         for seed, scale in [(seed, 1.0) for seed in range(12)] + [
                 (8, 1e7), (9, 1e7), self.ROUNDING_FLOOR]:
@@ -345,6 +335,7 @@ class TestIndefiniteHessian:
             assert eig[0] < 0.0 < eig[-1]
             res = solve(prog, SolverOptions(tol=self.TOL))
             statuses[seed, scale] = res.status
+            failed_factors.append(res.failed_factorizations)
             duals = np.concatenate([res.duals, res.bound_duals])
             residual = kkt_residual(prog, res.x_opt, duals)
             if res.status == "optimal":
@@ -357,7 +348,7 @@ class TestIndefiniteHessian:
         # its rounding floor fails, and the shift search ran.
         assert statuses.pop(self.ROUNDING_FLOOR) == "numerical_failure"
         assert set(statuses.values()) == {"optimal"}
-        assert failed_factors
+        assert sum(failed_factors)
 
 
 class TestShiftSearch:
@@ -760,25 +751,61 @@ class TestCentredStart:
     def test_first_newton_matrix_factors(self, name, monkeypatch):
         """The N = 50 trajectory steps have rows within 1e-10 of their
         bound at the start; uncapped multipliers (1 / slack) made their
-        first Newton matrix fail ``cholesky_banded`` and take
+        first Newton matrix fail LAPACK ``dpbtrf`` and take
         regularization."""
-        real = scipy.linalg.cholesky_banded
+        real = solver.dpbtrf
         factored = []
 
         def recording(ab, *args, **kwargs):
-            try:
-                out = real(ab, *args, **kwargs)
-            except np.linalg.LinAlgError:
-                factored.append(False)
-                raise
-            factored.append(True)
+            out = real(ab, *args, **kwargs)
+            factored.append(out[1] == 0)
             return out
 
         prog = stage_programs(50)[name]
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+        monkeypatch.setattr(solver, "dpbtrf", recording)
         res = solve(prog)
         assert res.status == "optimal"
         assert factored[0]
+
+
+class TestFactorizationCounts:
+    """``SolverResult`` counts the banded factorizations of a solve by
+    LAPACK's info code."""
+
+    def test_one_per_newton_step_on_convex_stage_programs(self):
+        """The convex stage programs (the power program and both
+        trajectory steps) factor each Newton matrix once, unshifted."""
+        for name, prog in stage_programs(50).items():
+            res = solve(prog)
+            assert res.status == "optimal" and res.iterations > 0, name
+            assert res.factorizations == res.iterations, name
+            assert res.failed_factorizations == 0, name
+
+    def test_finish_counts_its_shift_search(self, monkeypatch):
+        """The true trajectory problem is nonconvex: its finish solve from
+        the fixed-endpoint straight line searches the shift ladder, so it
+        factors more often than it steps, and some factorizations fail;
+        the counts are those of the calls to ``dpbtrf``."""
+        real, infos = solver.dpbtrf, []
+
+        def recording(ab, *args, **kwargs):
+            out = real(ab, *args, **kwargs)
+            infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver, "dpbtrf", recording)
+        scn = benchmark_scenario(50.0, 1.0, fixed_endpoints=True)
+        traj = trajectory_scp.initial_trajectory(scn)
+        pw = restore_feasibility(scn, traj, equal_power_allocation(scn))
+        it = trajectory_scp.make_iterate(scn, traj, pw)
+        res = solve(trajectory_scp._true_program(
+            scn, pw, it, trajectory_scp._Layout(scn, it, slacks=False)),
+            trajectory_scp.FINISH)
+        assert res.status == "optimal" and res.iterations > 0
+        assert res.factorizations > res.iterations
+        assert 0 < res.failed_factorizations < res.factorizations
+        assert res.factorizations == len(infos)
+        assert res.failed_factorizations == sum(i != 0 for i in infos)
 
 
 class TestLinearScaling:
@@ -786,14 +813,14 @@ class TestLinearScaling:
     height, and memory far below one dense matrix."""
 
     def test_band_height_independent_of_n(self, monkeypatch):
-        real = scipy.linalg.cholesky_banded
+        real = solver.dpbtrf
         heights = []
 
         def recording(ab, *args, **kwargs):
             heights[-1].add(ab.shape[0])
             return real(ab, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+        monkeypatch.setattr(solver, "dpbtrf", recording)
         seen = {}
         for n in (50, 400):
             for name, prog in stage_programs(n).items():

@@ -8,8 +8,8 @@ from conftest import (assert_wall_times, random_feasible_trajectory,
                       random_power, random_scenario,
                       reject_trajectory_finish, small_scenario,
                       stage_programs)
-from numerics import (as_dense, bound_rows, callback_outputs, record_points,
-                      verify_derivatives)
+from numerics import (as_dense, assert_outputs_stay_fresh, bound_rows,
+                      callback_outputs, record_points, verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc, trajectory_scp
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
@@ -17,7 +17,7 @@ from secrelay.report import RunReport
 from secrelay.solver import (SmoothConvexProgram, SolverOptions, certify,
                              solve, start_margin)
 from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions,
-                                     _causality_buffers, _Layout,
+                                     _causality_buffer, _Layout,
                                      build_subproblem, distance_lower_bounds,
                                      initial_trajectory, make_iterate,
                                      rate_lower_bounds, scp_optimize)
@@ -161,8 +161,8 @@ class TestSubproblem:
         z0[lay.i_eps] = it.eta[act] / h2
         z0[lay.i_tau] = it.zeta[act] / h2
         at = trajectory_scp._step_point(it, lay)
-        for buf in _causality_buffers(it, lay, at):
-            z0[buf.idx] = buf.surplus(z0)
+        buf = _causality_buffer(it, lay, at)
+        z0[buf.idx] = buf.surplus(z0)
         # Surrogate objective (negated) equals the true secrecy sum.
         assert -prog.objective(z0) == pytest.approx(it.objective, abs=1e-9)
         # All surrogate constraints hold at the base point, within the
@@ -266,6 +266,22 @@ class TestPointCache:
         forward = callback_outputs(prog, z)
         assert callback_outputs(prog, z, reverse=True) == forward
         assert callback_outputs(build(), z, reverse=True) == forward
+
+    def test_outputs_stay_fresh(self, rng):
+        """On the convex step and on the true problem, an array a
+        callback returned at one point is unchanged, bit for bit, after
+        every callback ran at another: the Jacobian templates are
+        copied, never handed out."""
+        build, z0 = self._build()
+        z1 = z0 + 1e-3 * rng.uniform(0.0, 1.0, z0.size)
+        assert_outputs_stay_fresh(build(), z0, z1)
+        scn, traj, pw = _fixed_start()
+        it = make_iterate(scn, traj, pw)
+        prog = trajectory_scp._true_program(scn, pw, it,
+                                            _Layout(scn, it, slacks=False))
+        z0 = np.asarray(prog.strictly_feasible_start)
+        z1 = z0 + 1e-3 * rng.uniform(-1.0, 1.0, z0.size)
+        assert_outputs_stay_fresh(prog, z0, z1)
 
     @pytest.mark.parametrize("name",
                              ["trajectory", "trajectory causality edge"])
@@ -372,6 +388,21 @@ class TestRestoreFeasibilityOracle:
             pw = self._overdriven(rng, scn)
             rescaled += self._assert_same(scn, traj, pw) is not pw
         assert rescaled >= 50
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_tolerances_and_silent_slots(self, tol):
+        """Other tolerances, and relays silent in some slots: each round
+        of 7 midpoints walks the path of the one-step bisection."""
+        rng = np.random.default_rng(14)
+        for n in rng.integers(2, 120, 20):
+            scn, traj = self._instance(rng, int(n))
+            pw = self._overdriven(rng, scn)
+            p_r = np.where(rng.uniform(size=int(n)) < 0.3, 0.0, pw.p_r)
+            pw = PowerAllocation(p_s=pw.p_s, p_r=p_r)
+            got = restore_feasibility(scn, traj, pw, tol=tol)
+            ref = _reference_restore(scn, traj, pw, tol=tol)
+            assert got.p_r.tobytes() == ref.p_r.tobytes()
+            assert model.check_causality(scn, traj, got, tol=tol).feasible
 
     @pytest.mark.parametrize("where", ["bob", "eve"])
     def test_hover_above_receiver(self, where):
@@ -751,9 +782,10 @@ class TestTrajectoryFinish:
                 H = as_dense(prog.hess_idx, prog.hessian(z), prog.dim)
                 # Slot 1 carries no relay power.
                 assert np.all(H[lay.i_xi[1:], lay.i_delta[1:]] != 0.0)
-                bob = prog.ineqs[1]
-                Hw = as_dense(bob.hess_idx,
-                              bob.hess_weighted(z, np.ones(bob.m)), prog.dim)
+                flows = prog.ineqs[1]     # Bob's and Eve's buffers
+                Hw = as_dense(flows.hess_idx,
+                              flows.hess_weighted(z, np.ones(flows.m)),
+                              prog.dim)
                 assert np.all(Hw[lay.i_xi, lay.i_delta] != 0.0)
 
     def test_accepted(self):
