@@ -9,7 +9,7 @@ import numpy as np
 from . import model
 from .model import (PowerAllocation, Scenario, Trajectory,
                     restore_feasibility)
-from .power_dc import DcOptions, dc_allocate
+from .power_dc import COUNTERS, DcOptions, dc_allocate
 from .report import RunReport
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
@@ -17,7 +17,10 @@ from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 @dataclass
 class AoOptions:
     """AO restores its first power start and judges feasibility at
-    ``dc.feas_tol``, the tolerance of the stage that start feeds."""
+    ``dc.feas_tol``, the tolerance of the stage that start feeds.  A run
+    stops ``converged`` when the objective changes by less than
+    ``rel_tol`` (relative) or ``model.OBJ_ABS_TOL``, or when the
+    trajectory stage returns its input trajectory unchanged."""
 
     rel_tol: float = 1e-4
     max_iter: int = 30
@@ -78,6 +81,7 @@ def _ao_single(scn: Scenario, traj: Trajectory,
         # The trajectory stage runs at its own tolerance; restore here so
         # AO keeps and scores the powers the trajectory is planned for.
         pw = restore_feasibility(scn, traj, pw_dc, tol=opts.scp.feas_tol)
+        traj_0 = traj
         traj, scp_rep = scp_optimize(scn, pw, traj, opts=opts.scp)
         report.sub_reports.append(scp_rep)
         obj_new = model.secrecy_sum(scn, traj, pw)
@@ -95,7 +99,10 @@ def _ao_single(scn: Scenario, traj: Trajectory,
             # the failed stage ends the report.
             report.status = "inner_stage_failure"
             break
-        if rel < opts.rel_tol or change <= model.OBJ_ABS_TOL:
+        # An unchanged trajectory is a fixed point: the power stage gives
+        # it these powers again, so a next iteration would repeat this one.
+        if (np.array_equal(traj.xy, traj_0.xy) or rel < opts.rel_tol
+                or change <= model.OBJ_ABS_TOL):
             report.status = "converged"
             break
     return traj, pw, report.finish()
@@ -127,9 +134,10 @@ def ao_optimize(scn: Scenario, opts: Optional[AoOptions] = None,
                 init_trajs: Optional[Sequence[Trajectory]] = None
                 ) -> tuple[Trajectory, PowerAllocation, RunReport]:
     """Alternate power allocation and trajectory steps until the secrecy
-    objective settles; with several starting trajectories, keeps the best
+    objective settles or the trajectory stops moving (see
+    ``AoOptions``); with several starting trajectories, keeps the best
     run (multi-start).  ``report.extras["multistart_runs"]`` sums up every
-    run, in start order, with the ``solves`` and ``newton_steps`` of its
+    run, in start order, with the solver counters (``COUNTERS``) of its
     stages."""
     opts = opts or AoOptions()
     if init_trajs is None:
@@ -147,7 +155,7 @@ def ao_optimize(scn: Scenario, opts: Optional[AoOptions] = None,
          "total_time": r.total_time,
          "stage_statuses": [s.status for s in r.sub_reports],
          **{k: sum(s.extras[k] for s in r.sub_reports)
-            for k in ("solves", "newton_steps")}}
+            for k in COUNTERS}}
         for _, _, r in runs]
     if len(runs) > 1:
         report.extras["multistart_objectives"] = [

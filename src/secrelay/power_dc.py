@@ -37,7 +37,7 @@ from . import model
 from .model import PowerAllocation, Scenario, Trajectory
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
-                     SolverOptions, certify, solve)
+                     SolverOptions, SolverResult, certify, solve)
 
 LN2 = float(np.log(2.0))
 
@@ -47,6 +47,18 @@ KKT_TOL = 1e-5
 
 # Well below KKT_TOL, even with a stall's STALL_TOL_FACTOR (10x) slack.
 SUBPROBLEM = SolverOptions(tol=1e-8)
+
+# The solver work each stage sums in ``RunReport.extras`` (``count_solve``).
+COUNTERS = ("solves", "newton_steps", "factorizations",
+            "failed_factorizations")
+
+
+def count_solve(extras: dict, res: SolverResult) -> None:
+    """Add one solve's work to a stage's ``COUNTERS``."""
+    extras["solves"] += 1
+    extras["newton_steps"] += res.iterations
+    extras["factorizations"] += res.factorizations
+    extras["failed_factorizations"] += res.failed_factorizations
 
 
 @dataclass
@@ -297,8 +309,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         checks = model.check_all(scn, traj, pw, tol=opts.feas_tol)
         return all(v.feasible for k, v in checks.items() if k != "mobility")
 
-    report = RunReport(stage="power_dc",
-                       extras={"solves": 0, "newton_steps": 0})
+    report = RunReport(stage="power_dc", extras=dict.fromkeys(COUNTERS, 0))
     pc = _pieces(scn, traj)
     if scn.p_bar_s <= 0.0 or scn.p_bar_r <= 0.0 or not np.any(pc.c < 1.0):
         report.add(0.0, kkt_residual=0.0, feasible=True)
@@ -316,7 +327,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         return pw, report.finish("converged")
 
     res = solve(prog, SUBPROBLEM)
-    report.extras.update(solves=1, newton_steps=res.iterations)
+    count_solve(report.extras, res)
     if res.status != "optimal":
         return pw, report.finish(f"solver_{res.status}")
     pw_opt = _pw_from_z(pc, res.x_opt)

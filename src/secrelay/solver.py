@@ -454,47 +454,58 @@ def _factor_solve(ab: Array, rhs: Array,
     scale the magnitude of the mean diagonal, at least 1) on which
     LAPACK ``dpbtrf`` succeeds; None when none does.
 
-    The search starts at ``rung.k`` (0 without ``rung``) and goes down
-    while the matrix factors, up while it fails, so it lands on the rung
-    the climb from 0 finds (the shifted matrix stays positive definite
-    as the shift grows) with fewer failed factorizations; ``rung.k`` is
-    set to it, and ``rung`` counts every factorization by its ``info``
-    code.  A shifted step longer than ``STEP_CAP`` in the max norm
-    is solved again with the shift times 4 (two rungs up) until it is
-    not: a crude trust region, since far from a local minimum of the
-    barrier problem the lowest positive definite shift leaves the step
-    almost unbounded.
+    The search gallops from ``rung.k`` (0 without ``rung``), down by 1,
+    2, 4, ... rungs while the matrix factors and up while it fails, then
+    bisects between the highest failing rung and the lowest factoring
+    one.  It lands on the rung the climb from 0 finds (the shifted matrix
+    stays positive definite as the shift grows) in at most
+    2 ceil(log2 ``LADDER``) + 1 factorizations; ``rung.k`` is set to it,
+    and ``rung`` counts every factorization by its ``info`` code.  A
+    shifted step longer than ``STEP_CAP`` in the max norm is solved
+    again with the shift times 4 (two rungs up) until it is not: a crude
+    trust region, since far from a local minimum of the barrier problem
+    the lowest positive definite shift leaves the step almost unbounded.
     """
     rung = rung if rung is not None else _Rung()
     dim = ab.shape[1]
     scale = max(1.0, abs(float(ab[0].sum())) / max(dim, 1))
+    lo, hi, cb = -1, LADDER, None
 
-    def factor(k):
+    def probe(k):
+        """Whether rung k factors; it sets lo, or hi and its factor cb."""
+        nonlocal lo, hi, cb
         a = ab
         if k:
             a = ab.copy()
             a[0] += SHIFT_FIRST * scale * 2.0 ** (k - 1)
         # The unshifted ab is kept for the shifts; a shifted copy is not.
-        cb, info = dpbtrf(a, lower=1, overwrite_ab=k > 0)
+        c, info = dpbtrf(a, lower=1, overwrite_ab=k > 0)
         rung.factorizations += 1
         rung.failed += info != 0
-        return cb if info == 0 else None
+        if info:
+            lo = k
+        else:
+            hi, cb = k, c
+        return not info
 
-    k = rung.k
-    cb = factor(k)
-    while cb is not None and k > 0 and (lower := factor(k - 1)) is not None:
-        k, cb = k - 1, lower
-    while cb is None and k < LADDER - 1:
-        k += 1
-        cb = factor(k)
+    k, step = rung.k, 1
+    if probe(k):
+        while lo < 0 < hi:
+            probe(max(k - step, 0))
+            step *= 2
+    else:
+        while hi == LADDER and lo < LADDER - 1:
+            probe(min(k + step, LADDER - 1))
+            step *= 2
+    while hi - lo > 1:
+        probe((lo + hi) // 2)
     if cb is None:
         return None
-    rung.k = k
+    rung.k = k = hi
     dx = dpbtrs(cb, rhs, lower=1)[0]
     while k and k + 2 < LADDER and float(np.abs(dx).max()) > STEP_CAP:
         k += 2
-        cb = factor(k)
-        if cb is None:
+        if not probe(k):
             return None
         dx = dpbtrs(cb, rhs, lower=1)[0]
     return dx

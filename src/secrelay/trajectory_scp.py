@@ -80,7 +80,8 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import KKT_TOL, LN2, Buffer, buffer_start
+from .power_dc import (COUNTERS, KKT_TOL, LN2, Buffer, buffer_start,
+                       count_solve)
 from .report import RunReport
 from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
                      SolverOptions, certify, solve, start_margin)
@@ -108,12 +109,14 @@ def finish(prog: SmoothConvexProgram, opts: SolverOptions, obj: float,
     checked last, ``certificate(point, z, duals)`` (its KKT residual on
     the unrelaxed problem with the solve's duals) is within ``KKT_TOL``.
     Returns the accepted point (None otherwise) and the attempt's
-    record: the solve's ``status`` (None when skipped), ``iterations``
-    and residual (``subproblem_kkt``), the point's ``objective`` and
+    record: the solve's ``status`` (None when skipped), ``iterations``,
+    ``factorizations``, ``failed_factorizations`` and residual
+    (``subproblem_kkt``), the point's ``objective`` and
     certificate (``kkt_residual``, None when an earlier check failed),
     ``accepted``, and the ``reason`` for a rejection.
     """
-    rec = {"status": None, "iterations": 0, "subproblem_kkt": None,
+    rec = {"status": None, "iterations": 0, "factorizations": 0,
+           "failed_factorizations": 0, "subproblem_kkt": None,
            "objective": None, "kkt_residual": None, "accepted": False,
            "reason": None}
     if not start_margin(prog) > 0.0:
@@ -122,6 +125,8 @@ def finish(prog: SmoothConvexProgram, opts: SolverOptions, obj: float,
     res = solve(prog, opts)
     point, objective, feasible = judge(res.x_opt)
     rec.update(status=res.status, iterations=res.iterations,
+               factorizations=res.factorizations,
+               failed_factorizations=res.failed_factorizations,
                subproblem_kkt=res.kkt_residual, objective=objective)
     if res.status != "optimal":
         rec["reason"] = f"solve ended {res.status}"
@@ -140,12 +145,14 @@ def finish(prog: SmoothConvexProgram, opts: SolverOptions, obj: float,
 
 def record_finish(report: RunReport, point, rec: dict) -> None:
     """Append a finish attempt's record to ``report.extras["finish"]``,
-    count its solve and Newton steps, and add an accepted point (not
-    None) as the last iterate, with its solve's residual as
-    ``subproblem_kkt``."""
+    count its solve, Newton steps and factorizations (``COUNTERS``), and
+    add an accepted point (not None) as the last iterate, with its
+    solve's residual as ``subproblem_kkt``."""
     report.extras["finish"].append(rec)
     report.extras["solves"] += rec["status"] is not None
     report.extras["newton_steps"] += rec["iterations"]
+    report.extras["factorizations"] += rec["factorizations"]
+    report.extras["failed_factorizations"] += rec["failed_factorizations"]
     if point is not None:
         report.add(rec["objective"], kkt_residual=rec["kkt_residual"],
                    feasible=True, subproblem_kkt=rec["subproblem_kkt"],
@@ -775,8 +782,8 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     caller restores the powers (``model.restore_feasibility``).
     ``iteration_callback(traj)``, when given, is invoked with each
     accepted trajectory iterate (e.g. to snapshot the evolution), an
-    accepted finish included.  ``report.extras`` counts the ``solves``
-    and their ``newton_steps`` (the finish's included), lists the finish
+    accepted finish included.  ``report.extras`` sums the solver's
+    ``COUNTERS`` (the finish's included), lists the finish
     attempt (at most one) under ``finish`` (see ``finish``), keeps a
     dropped step under ``rejected_step`` and the last accepted solve's
     residual as ``final_subproblem_kkt``.  Each iterate records its
@@ -785,7 +792,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     """
     opts = opts or ScpOptions()
     report = RunReport(stage="trajectory_scp",
-                       extras={"solves": 0, "newton_steps": 0, "finish": []})
+                       extras={**dict.fromkeys(COUNTERS, 0), "finish": []})
 
     if not model.check_mobility(scn, traj_0, tol=opts.feas_tol).feasible:
         raise ValueError("initial trajectory violates mobility constraints")
@@ -806,8 +813,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
         lay = _Layout(scn, it)
         prog = _build_subproblem(scn, it, lay)
         res = solve(prog, SUBPROBLEM)
-        report.extras["solves"] += 1
-        report.extras["newton_steps"] += res.iterations
+        count_solve(report.extras, res)
         if res.status != "optimal":
             # Stay on the last feasible iterate; a vanishing interior at
             # a causality-tight point means a (near-)stationary step.

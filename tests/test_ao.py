@@ -85,6 +85,9 @@ class TestAoOptimize:
         assert winner["total_time"] == report.total_time
         assert winner["stage_statuses"] == [
             s.status for s in report.sub_reports]
+        from secrelay.power_dc import COUNTERS
+        for k in COUNTERS:
+            assert winner[k] == sum(s.extras[k] for s in report.sub_reports)
         for r in runs:
             assert r["total_time"] > 0.0 and r["stage_statuses"]
 
@@ -214,6 +217,64 @@ class TestHoverStart:
         assert first_scp.extras["finish"][0]["accepted"]
         (run,) = report.extras["multistart_runs"]
         assert run["newton_steps"] < 700
+
+
+class TestFixedPointStop:
+    """AO stops ``converged`` as soon as its trajectory stage returns the
+    trajectory unchanged, since the next iteration would repeat it."""
+
+    def test_hover_start_stops_one_iteration_early(self):
+        """From the hover start of the T = 100 s free benchmark the third
+        trajectory stage returns its input: the run stops there after 3
+        AO iterations, and one more power stage, restore and trajectory
+        stage reproduce its plan bit for bit."""
+        from secrelay.ao import _ao_single, default_starts
+        from secrelay.power_dc import dc_allocate
+        from secrelay.trajectory_scp import scp_optimize
+        scn = benchmark_scenario(100.0, 2.0)
+        opts = AoOptions()
+        traj, pw, report = _ao_single(scn, default_starts(scn)[-1], opts)
+        assert report.status == "converged"
+        assert len(report.iterations) - 1 == 3
+        pw_dc, dc_rep = dc_allocate(scn, traj, pw_0=pw, opts=opts.dc)
+        assert dc_rep.status == "converged"
+        pw_next = model.restore_feasibility(scn, traj, pw_dc,
+                                            tol=opts.scp.feas_tol)
+        traj_next, scp_rep = scp_optimize(scn, pw_next, traj, opts=opts.scp)
+        assert scp_rep.status == "converged"
+        np.testing.assert_array_equal(traj_next.xy, traj.xy)
+        np.testing.assert_array_equal(pw_next.p_s, pw.p_s)
+        np.testing.assert_array_equal(pw_next.p_r, pw.p_r)
+
+    @pytest.mark.parametrize("max_iter", [1, 30])
+    def test_still_trajectory_stops_above_rel_tol(self, monkeypatch,
+                                                  max_iter):
+        """A trajectory stage that returns (a copy of) its input stops AO
+        ``converged`` after one iteration although the power stage moved
+        the objective by far more than ``rel_tol``, also when that
+        iteration is the last one ``max_iter`` allows."""
+        from secrelay import ao
+        from secrelay.power_dc import COUNTERS
+        from secrelay.report import RunReport
+
+        def still(scn, pw, traj, opts=None):
+            rep = RunReport(stage="trajectory_scp", extras={
+                **dict.fromkeys(COUNTERS, 0), "finish": []})
+            rep.add(model.secrecy_sum(scn, traj, pw), feasible=True)
+            return Trajectory(traj.xy.copy()), rep.finish("converged")
+
+        monkeypatch.setattr(ao, "scp_optimize", still)
+        # Flying towards Bob, the power stage solves from its start.
+        scn = small_scenario()
+        traj0 = Trajectory(np.stack([np.linspace(250.0, 390.0, 6),
+                                     np.full(6, -50.0)], axis=1))
+        opts = AoOptions(max_iter=max_iter)
+        traj, pw, report = ao._ao_single(scn, traj0, opts)
+        assert report.status == "converged"
+        assert len(report.iterations) == 2
+        before, after = report.objectives
+        assert abs(after - before) / abs(after) > 100 * opts.rel_tol
+        np.testing.assert_array_equal(traj.xy, traj0.xy)
 
 
 class TestEvaluate:

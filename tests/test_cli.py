@@ -248,6 +248,26 @@ class TestArtifacts:
             outs.append((out / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_report_shows_solver_counters(self, tmp_path, capsys):
+        """``report.json`` of ``ao`` shows each stage's solver counters
+        and, per multistart run, their sums over its stages."""
+        cfg = _write(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert cli.main(["ao", str(cfg), "--out-dir", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())["report"]
+        counters = ("solves", "newton_steps", "factorizations",
+                    "failed_factorizations")
+        assert rep["sub_reports"]
+        for sub in rep["sub_reports"]:
+            assert sub["extras"]["factorizations"] >= sub["extras"][
+                "newton_steps"]
+        runs = rep["extras"]["multistart_runs"]
+        assert any(r["factorizations"] > 0 for r in runs)
+        winner = max(runs, key=lambda r: r["objective"])
+        for k in counters:
+            assert winner[k] == sum(s["extras"][k]
+                                    for s in rep["sub_reports"])
+
     def test_eval_matches_optimizer_output(self, tmp_path, capsys):
         cfg = _write(tmp_path, SMALL)
         out = tmp_path / "out"

@@ -224,6 +224,36 @@ class TestDcAllocate:
         assert all(v.feasible for v in checks.values())
         assert model.secrecy_sum(scn, traj, pw) == report.final_objective
 
+    def test_counts_its_solve(self, monkeypatch):
+        """A stage that solves reports its solve, Newton steps and
+        factorizations in ``report.extras``; one that does not reports
+        zeros.  The solve is made to report one failed factorization
+        more, which a convex power solve never has, so the sum shows
+        it."""
+        scn = small_scenario()
+        traj = _hover_traj(scn, [350.0, -60.0])
+        results, solve = [], power_dc.solve
+
+        def recording_solve(prog, opts):
+            res = solve(prog, opts)
+            results.append(dataclasses.replace(
+                res, factorizations=res.factorizations + 1,
+                failed_factorizations=res.failed_factorizations + 1))
+            return results[-1]
+
+        monkeypatch.setattr(power_dc, "solve", recording_solve)
+        _, report = dc_allocate(scn, traj,
+                                pw_0=model.zero_power_allocation(scn))
+        [res] = results
+        assert report.extras == {
+            "solves": 1, "newton_steps": res.iterations,
+            "factorizations": res.factorizations,
+            "failed_factorizations": res.failed_factorizations}
+        assert res.factorizations > res.iterations > 0
+        assert res.failed_factorizations == 1
+        _, silent = dc_allocate(small_scenario(p_bar_r=0.0), traj)
+        assert silent.extras == dict.fromkeys(power_dc.COUNTERS, 0)
+
     def test_at_least_any_feasible_allocation(self, rng):
         """On random instances the stage scores at least every random
         allocation that passes the checks at tolerance 0, within 1e-7

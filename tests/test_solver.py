@@ -393,6 +393,96 @@ class TestShiftSearch:
         # The cap raised the shift on some of the matrices.
         assert shifted
 
+    @staticmethod
+    def _linear_walk(ab, rhs, k):
+        """The search one rung at a time (down while the matrix factors,
+        up while it fails) and the step cap, as ``_factor_solve`` did
+        before it galloped: the step (None when no rung factors), the
+        rung the search lands on, and the cap's factorizations."""
+        scale = max(1.0, abs(float(ab[0].sum())) / ab.shape[1])
+
+        def factor(j):
+            a = ab.copy()
+            a[0] += 0.0 if j == 0 else (
+                solver.SHIFT_FIRST * scale * 2.0 ** (j - 1))
+            cb, info = solver.dpbtrf(a, lower=1)
+            return cb if info == 0 else None
+
+        cb = factor(k)
+        while cb is not None and k > 0 and (lower := factor(k - 1)) is not None:
+            k, cb = k - 1, lower
+        while cb is None and k < solver.LADDER - 1:
+            k += 1
+            cb = factor(k)
+        if cb is None:
+            return None, k, 0
+        low, capped = k, 0
+        dx = solver.dpbtrs(cb, rhs, lower=1)[0]
+        while (k and k + 2 < solver.LADDER
+               and float(np.abs(dx).max()) > solver.STEP_CAP):
+            k += 2
+            capped += 1
+            cb = factor(k)
+            if cb is None:
+                return None, low, capped
+            dx = solver.dpbtrs(cb, rhs, lower=1)[0]
+        return dx, low, capped
+
+    def test_gallop_matches_linear_walk(self):
+        """From the ends of the ladder and from near the lowest rung, on
+        matrices whose lowest rung lies anywhere from 0 to high up, the
+        galloping search lands on the rung of the one-rung walk, gives
+        its step bit for bit (the cap's rungs included), and factors at
+        most 2 ceil(log2 LADDER) + 1 times plus the cap's."""
+        rng = np.random.default_rng(29)
+        dim, height = 30, 3
+        bound = 2 * int(np.ceil(np.log2(solver.LADDER))) + 1
+        lows, capped_any = set(), False
+        for depth in np.logspace(-9, 1, 16):
+            ab = rng.normal(size=(height, dim))
+            ab[0] += depth - np.linalg.eigvalsh(_band_to_dense(ab))[0]
+            ab[0] -= 2.0 * depth     # the lowest eigenvalue is -depth
+            rhs = rng.normal(scale=100.0, size=dim)
+            ref, low, capped = self._linear_walk(ab, rhs, 0)
+            lows.add(low)
+            capped_any |= capped > 0
+            for start in (0, solver.LADDER - 1, max(low - 1, 0), low,
+                          min(low + 1, solver.LADDER - 1)):
+                rung = solver._Rung()
+                rung.k = start
+                dx = solver._factor_solve(ab, rhs, rung)
+                assert rung.k == low, (depth, start)
+                assert np.array_equal(dx, ref), (depth, start)
+                assert rung.factorizations <= bound + capped, (depth, start)
+                # The walk from this start agrees with the one from 0.
+                again, low_again, _ = self._linear_walk(ab, rhs, start)
+                assert low_again == low and np.array_equal(again, ref)
+        # Lowest rungs far from both ends of the ladder, and the cap.
+        assert min(lows) < solver.LADDER // 2 < max(lows)
+        assert max(lows) < solver.LADDER - 10 and capped_any
+
+    def test_gallop_ends(self):
+        """A matrix that no rung factors (a diagonal of +-1e30, whose mean
+        leaves the shifts unscaled) gives None from both ends,
+        climbing in at most ceil(log2 LADDER) + 2 factorizations; a
+        positive definite one lands on rung 0 from the top in as few."""
+        limit = int(np.ceil(np.log2(solver.LADDER))) + 2
+        never = np.vstack([np.tile([1e30, -1e30], 4), np.zeros(8)])
+        pd = np.vstack([np.full(8, 4.0), np.full(8, 1.0)])
+        for start in (0, solver.LADDER - 1):
+            rung = solver._Rung()
+            rung.k = start
+            assert solver._factor_solve(never, np.ones(8), rung) is None
+            assert rung.failed == rung.factorizations <= limit
+        rung = solver._Rung()
+        rung.k = solver.LADDER - 1
+        dx = solver._factor_solve(pd, np.ones(8), rung)
+        assert rung.k == 0 and rung.failed == 0
+        assert rung.factorizations <= limit
+        np.testing.assert_array_equal(
+            dx, solver.dpbtrs(solver.dpbtrf(pd, lower=1)[0], np.ones(8),
+                              lower=1)[0])
+
 
 def _random_two_var_family(rng):
     """Subproblem-shaped 2-variable instance: quadratic displacement cost

@@ -743,8 +743,10 @@ def _fixed_start():
 def _skip_finish(monkeypatch) -> None:
     """The trajectory stage with its finish skipped: the pure SCP loop."""
     monkeypatch.setattr(trajectory_scp, "_finish",
-                        lambda *args: (None, {"status": None,
-                                              "iterations": 0}))
+                        lambda *args: (None, {
+                            "status": None, "iterations": 0,
+                            "factorizations": 0,
+                            "failed_factorizations": 0}))
 
 
 def _same_run(a, b) -> None:
@@ -840,6 +842,38 @@ class TestTrajectoryFinish:
                 == scp[1].extras["newton_steps"] + finish["iterations"])
         assert run[1].status == "converged"
 
+    def test_counts_every_solve_and_factorization(self, monkeypatch):
+        """The stage sums its solves' Newton steps and factorizations,
+        the finish's included, in ``report.extras``.  From the hover
+        start of the T = 40 s free benchmark the finish of the true
+        (nonconvex) problem fails some factorizations, and its record
+        holds its own counts."""
+        from secrelay.ao import default_starts
+        scn = benchmark_scenario(40.0, 2.0)
+        traj = default_starts(scn)[-1]
+        pw = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
+        results, solve = [], trajectory_scp.solve
+
+        def recording_solve(prog, opts):
+            results.append(solve(prog, opts))
+            return results[-1]
+
+        monkeypatch.setattr(trajectory_scp, "solve", recording_solve)
+        _, report = scp_optimize(scn, pw, traj)
+        [finish] = report.extras["finish"]
+        assert finish["accepted"]
+        extras = report.extras
+        assert extras["solves"] == len(results) > 1
+        assert extras["newton_steps"] == sum(r.iterations for r in results)
+        assert extras["factorizations"] == sum(
+            r.factorizations for r in results)
+        assert extras["failed_factorizations"] == sum(
+            r.failed_factorizations for r in results) > 0
+        assert (finish["factorizations"], finish["failed_factorizations"]
+                ) == (results[-1].factorizations,
+                      results[-1].failed_factorizations)
+        assert finish["failed_factorizations"] > 0
+
     def test_start_not_inside_skipped(self, monkeypatch):
         """A finish start that is not strictly inside (here: a buffer
         below its bound) is skipped before any solve, once, and the stage
@@ -870,7 +904,8 @@ class TestTrajectoryFinish:
         assert len(solves) == run[1].extras["solves"]
         assert run[1].extras["solves"] == scp[1].extras["solves"]
         assert run[1].extras["finish"] == [{
-            "status": None, "iterations": 0, "subproblem_kkt": None,
+            "status": None, "iterations": 0, "factorizations": 0,
+            "failed_factorizations": 0, "subproblem_kkt": None,
             "objective": None, "kkt_residual": None, "accepted": False,
             "reason": "start not strictly inside"}]
 
@@ -932,6 +967,7 @@ class TestSharedFinish:
         point, rec, certificates = self._run(start=0.0)
         assert point is None and solves == [] and certificates == []
         assert rec == {"status": None, "iterations": 0,
+                       "factorizations": 0, "failed_factorizations": 0,
                        "subproblem_kkt": None, "objective": None,
                        "kkt_residual": None, "accepted": False,
                        "reason": "start not strictly inside"}
@@ -958,17 +994,22 @@ class TestSharedFinish:
         assert len(certificates) == 1
 
     def test_record_finish(self):
-        """``record_finish`` counts a partial record's solve and steps,
-        and adds the point as an iterate only when there is one."""
+        """``record_finish`` counts a partial record's solve, steps and
+        factorizations, and adds the point as an iterate only when there
+        is one."""
         report = RunReport(stage="trajectory_scp", extras={
-            "solves": 0, "newton_steps": 0, "finish": []})
-        skipped = {"status": None, "iterations": 0}
+            **dict.fromkeys(power_dc.COUNTERS, 0), "finish": []})
+        skipped = {"status": None, "iterations": 0, "factorizations": 0,
+                   "failed_factorizations": 0}
         trajectory_scp.record_finish(report, None, skipped)
         _, rec, _ = self._run()
         trajectory_scp.record_finish(report, np.ones(1), rec)
-        assert report.extras == {"solves": 1,
-                                 "newton_steps": rec["iterations"],
-                                 "finish": [skipped, rec]}
+        assert rec["factorizations"] >= rec["iterations"] > 0
+        assert report.extras == {
+            "solves": 1, "newton_steps": rec["iterations"],
+            "factorizations": rec["factorizations"],
+            "failed_factorizations": rec["failed_factorizations"],
+            "finish": [skipped, rec]}
         [last] = report.iterations
         assert last.objective == rec["objective"]
         assert last.kkt_residual == rec["kkt_residual"]
