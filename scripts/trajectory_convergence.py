@@ -13,7 +13,6 @@ from pathlib import Path
 
 from secrelay import model
 from secrelay.cli import benchmark_scenario, write_report_json, write_trajectory_csv
-from secrelay.model import restore_feasibility
 from secrelay.trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 
@@ -28,7 +27,7 @@ def main() -> None:
                              slot_len_s=args.slot_len_s,
                              fixed_endpoints=True)
     traj0 = initial_trajectory(scn)
-    pw = restore_feasibility(scn, traj0, model.equal_power_allocation(scn))
+    pw = model.equal_power_start(scn, traj0)
 
     t0 = time.perf_counter()
     traj, report = scp_optimize(scn, pw, traj0, opts=ScpOptions(max_iter=50))

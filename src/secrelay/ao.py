@@ -1,31 +1,20 @@
 """Alternating optimization driver over powers and trajectory."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import model
-from .model import (PowerAllocation, Scenario, Trajectory,
-                    restore_feasibility)
-from .power_dc import COUNTERS, DcOptions, dc_allocate
+from .model import PowerAllocation, Scenario, Trajectory
+from .power_dc import COUNTERS, dc_allocate
 from .report import RunReport
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
-
-@dataclass
-class AoOptions:
-    """AO restores its first power start and judges feasibility at
-    ``dc.feas_tol``, the tolerance of the stage that start feeds.  A run
-    stops ``converged`` when the objective changes by less than
-    ``rel_tol`` (relative) or ``model.OBJ_ABS_TOL``, or when the
-    trajectory stage returns its input trajectory unchanged."""
-
-    rel_tol: float = 1e-4
-    max_iter: int = 30
-    dc: DcOptions = field(default_factory=DcOptions)
-    scp: ScpOptions = field(default_factory=ScpOptions)
+# AO's cap on its outer iterations (``ScpOptions.max_iter`` caps each
+# trajectory stage).
+MAX_ITER = 30
 
 
 @dataclass(frozen=True)
@@ -56,13 +45,18 @@ def evaluate(scn: Scenario, traj: Trajectory,
 
 
 def _ao_single(scn: Scenario, traj: Trajectory,
-               opts: AoOptions) -> tuple[Trajectory, PowerAllocation, RunReport]:
+               opts: ScpOptions) -> tuple[Trajectory, PowerAllocation, RunReport]:
+    """One AO run from traj; every stage and check at ``opts.feas_tol``.
+
+    It stops ``converged`` when the objective changes by less than
+    ``opts.rel_tol`` (relative) or ``model.OBJ_ABS_TOL``, or when the
+    trajectory stage returns its input trajectory unchanged.  Every
+    allocation the power stage returns passes causality at
+    ``opts.feas_tol``, so the trajectory stage takes it as it is.
+    """
     report = RunReport(stage="ao")
-    tol = opts.dc.feas_tol
-    # Feasible warm start for the first power step: equal power, relay
-    # scaled down until causality holds on the initial trajectory.
-    pw = restore_feasibility(scn, traj, model.equal_power_allocation(scn),
-                             tol=tol)
+    tol = opts.feas_tol
+    pw = model.equal_power_start(scn, traj, tol)
     obj = model.secrecy_sum(scn, traj, pw)
     report.add(obj, feasible=True)
 
@@ -71,18 +65,16 @@ def _ao_single(scn: Scenario, traj: Trajectory,
             "converged")
 
     report.status = "max_iter"
-    for _ in range(opts.max_iter):
-        pw_dc, dc_rep = dc_allocate(scn, traj, pw_0=pw, opts=opts.dc)
+    for _ in range(MAX_ITER):
+        pw_dc, dc_rep = dc_allocate(scn, traj, pw_0=pw, feas_tol=tol)
         report.sub_reports.append(dc_rep)
         if dc_rep.status.startswith("solver_"):
             # Keep the last AO iterate; the failed stage ends the report.
             report.status = "inner_stage_failure"
             break
-        # The trajectory stage runs at its own tolerance; restore here so
-        # AO keeps and scores the powers the trajectory is planned for.
-        pw = restore_feasibility(scn, traj, pw_dc, tol=opts.scp.feas_tol)
+        pw = pw_dc
         traj_0 = traj
-        traj, scp_rep = scp_optimize(scn, pw, traj, opts=opts.scp)
+        traj, scp_rep = scp_optimize(scn, pw, traj, opts=opts)
         report.sub_reports.append(scp_rep)
         obj_new = model.secrecy_sum(scn, traj, pw)
         change = abs(obj_new - obj)
@@ -130,16 +122,17 @@ def default_starts(scn: Scenario) -> list[Trajectory]:
     return starts
 
 
-def ao_optimize(scn: Scenario, opts: Optional[AoOptions] = None,
+def ao_optimize(scn: Scenario, opts: Optional[ScpOptions] = None,
                 init_trajs: Optional[Sequence[Trajectory]] = None
                 ) -> tuple[Trajectory, PowerAllocation, RunReport]:
-    """Alternate power allocation and trajectory steps until the secrecy
-    objective settles or the trajectory stops moving (see
-    ``AoOptions``); with several starting trajectories, keeps the best
+    """Alternate power allocation and trajectory steps, at most
+    ``MAX_ITER`` times, until the secrecy objective settles or the
+    trajectory stops moving (``_ao_single``), with the one set of
+    options ``opts``; with several starting trajectories, keeps the best
     run (multi-start).  ``report.extras["multistart_runs"]`` sums up every
     run, in start order, with the solver counters (``COUNTERS``) of its
     stages."""
-    opts = opts or AoOptions()
+    opts = opts or ScpOptions()
     if init_trajs is None:
         init_trajs = default_starts(scn)
     best = None

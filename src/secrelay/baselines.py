@@ -8,7 +8,7 @@ The static relay needs no power stage.  At a fixed location every
 channel gain is constant, so the power problem has a closed-form
 optimum (``_hover_bounds``), and the scan picks the location by it.  The
 winner's powers are equal powers with the relay scaled back until
-causality holds (``model.restore_feasibility``), and they attain that
+causality holds (``model.equal_power_start``), and they attain that
 optimum up to the feasibility tolerance tol:
 
 * at equal powers the relay receives r_in and forwards r_out to Bob in
@@ -166,11 +166,10 @@ def static_relay_best(scn: Scenario,
     only if its optimum is larger.  ``StaticResult.evaluated`` counts the
     locations scored: the grid and the refinement neighbours.
 
-    The winner's powers are the equal-power start with the relay scaled
-    back until causality holds at ``feas_tol``
-    (``model.restore_feasibility``), and they attain its optimum up to
-    ``feas_tol`` (module docstring).  If no location has a positive
-    optimum, the relay stays silent at the top-ranked location.
+    The winner's powers are ``model.equal_power_start`` at ``feas_tol``,
+    and they attain its optimum up to ``feas_tol`` (module docstring).
+    If no location has a positive optimum, the relay stays silent at the
+    top-ranked location.
     """
     scn = _free_endpoints(scn)
     grid = grid or StaticGrid.default(scn)
@@ -198,9 +197,7 @@ def static_relay_best(scn: Scenario,
 
     # Every optimum is >= 0; if none is positive, best_xy is cand[0].
     traj = _constant_traj(scn, best_xy)
-    pw = (model.restore_feasibility(scn, traj,
-                                    model.equal_power_allocation(scn),
-                                    tol=feas_tol)
+    pw = (model.equal_power_start(scn, traj, feas_tol)
           if best_opt > 0.0 else model.zero_power_allocation(scn))
     return StaticResult(location=np.asarray(best_xy, dtype=float), pw=pw,
                         objective=model.secrecy_sum(scn, traj, pw),
@@ -241,7 +238,7 @@ def ferry_plan(scn: Scenario, load_slots: int,
     return traj, model.restore_feasibility(scn, traj, pw, tol=feas_tol)
 
 
-def data_ferry(scn: Scenario, load_slot_sweep: Optional[range] = None,
+def data_ferry(scn: Scenario,
                feas_tol: float = model.DEFAULT_FEAS_TOL) -> FerryResult:
     """Best load/fly/unload split, swept over the loading-phase length,
     each plan's powers causal at ``feas_tol``."""
@@ -256,9 +253,8 @@ def data_ferry(scn: Scenario, load_slot_sweep: Optional[range] = None,
             load_slots=0,
             diagnostic=(f"transit needs {transit} of {n} slots; no time "
                         "left to load and unload"))
-    sweep = load_slot_sweep or range(1, max_load + 1)
     best: Optional[FerryResult] = None
-    for n1 in sweep:
+    for n1 in range(1, max_load + 1):
         traj, pw = ferry_plan(scn, n1, feas_tol)
         obj = model.secrecy_sum(scn, traj, pw)
         if best is None or obj > best.objective:

@@ -35,11 +35,13 @@ Configuration format (YAML)::
       max_iter: 100               # ao and trajectory only
       feas_tol: 1.0e-6
 
-Every command reads ``feas_tol``, the tolerance of its feasibility
-checks.  The iterative commands ``ao`` and ``trajectory`` also read
-``rel_tol`` and ``max_iter`` (the trajectory stage's; ``ao`` also stops
-its outer loop on ``rel_tol``).  ``power`` solves one convex program,
-and ``baseline``, ``eval`` and ``check`` run no optimizer, so they read
+The keys present set the run's one ``ScpOptions``, each key one field.
+Every command reads ``feas_tol``, the tolerance of all its feasibility
+checks and stages.  ``ao`` and ``trajectory`` also read ``rel_tol``,
+which stops each trajectory stage and AO's outer loop, and
+``max_iter``, which caps each trajectory stage (AO's own cap is
+``ao.MAX_ITER``).  ``power`` solves one convex program, and
+``baseline``, ``eval`` and ``check`` run no optimizer, so they read
 only ``feas_tol``.
 """
 from __future__ import annotations
@@ -57,11 +59,11 @@ import numpy as np
 import yaml
 
 from . import model
-from .ao import AoOptions, ao_optimize, evaluate
+from .ao import ao_optimize, evaluate
 from .baselines import data_ferry, static_relay_best
 from .model import PowerAllocation, Scenario, Trajectory
 from .model import benchmark_scenario  # noqa: F401  (kept importable here)
-from .power_dc import DcOptions, dc_allocate
+from .power_dc import dc_allocate
 from .report import RunReport
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
@@ -289,25 +291,18 @@ def _iterate_snapshot_writer(scn: Scenario, pw: PowerAllocation,
 # Subcommands
 
 
-def _options(run: dict) -> AoOptions:
-    """The options of every command from the run keys; each command takes
-    its feasibility tolerance from ``.dc.feas_tol``."""
-    feas_tol = float(run.get("feas_tol", 1e-6))
-    dc = DcOptions(feas_tol=feas_tol)
-    scp = ScpOptions(feas_tol=feas_tol)
-    ao = AoOptions(dc=dc, scp=scp)
-    if "rel_tol" in run:
-        scp.rel_tol = ao.rel_tol = float(run["rel_tol"])
-    if "max_iter" in run:
-        scp.max_iter = int(run["max_iter"])
-    return ao
+def _options(run: dict) -> ScpOptions:
+    """The run's options from the run keys present, each key one field."""
+    return ScpOptions(**{k: cast(run[k]) for k, cast in (
+        ("rel_tol", float), ("max_iter", int), ("feas_tol", float))
+        if k in run})
 
 
 def _load_traj(scn: Scenario, args,
                tol: float) -> tuple[Trajectory, PowerAllocation]:
     """Trajectory and powers from ``--trajectory``, which must have one
     row per slot of ``scn``; without it, the initial trajectory with
-    equal power, the relay scaled down until causality holds."""
+    ``model.equal_power_start``."""
     if getattr(args, "trajectory", None):
         traj, pw = read_trajectory_csv(Path(args.trajectory))
         if len(traj) != scn.n_slots:
@@ -315,8 +310,7 @@ def _load_traj(scn: Scenario, args,
                               f"the scenario has {scn.n_slots}")
         return traj, pw
     traj = initial_trajectory(scn)
-    return traj, model.restore_feasibility(
-        scn, traj, model.equal_power_allocation(scn), tol=tol)
+    return traj, model.equal_power_start(scn, traj, tol)
 
 
 def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
@@ -339,7 +333,7 @@ def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
 def cmd_ao(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     opts = _options(run)
-    tol = opts.dc.feas_tol
+    tol = opts.feas_tol
     traj, pw, report = ao_optimize(scn, opts=opts)
     if report.status == "inner_stage_failure":
         failed = report.sub_reports[-1]
@@ -354,28 +348,27 @@ def cmd_ao(scn, run, out_dir, args) -> int:
 def cmd_trajectory(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     opts = _options(run)
-    tol = opts.dc.feas_tol
+    tol = opts.feas_tol
     traj0, pw = _load_traj(scn, args, tol)
     cb = None
     if run.get("save_iterates"):
         cb = _iterate_snapshot_writer(scn, pw, out_dir)
-    traj, report = scp_optimize(scn, pw, traj0, opts=opts.scp,
+    traj, report = scp_optimize(scn, pw, traj0, opts=opts,
                                 iteration_callback=cb)
     return _finish(out_dir, scn, run, report, traj, pw, tol, t0)
 
 
 def cmd_power(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
-    opts = _options(run)
-    tol = opts.dc.feas_tol
+    tol = _options(run).feas_tol
     traj, pw0 = _load_traj(scn, args, tol)
-    pw, report = dc_allocate(scn, traj, pw_0=pw0, opts=opts.dc)
+    pw, report = dc_allocate(scn, traj, pw_0=pw0, feas_tol=tol)
     return _finish(out_dir, scn, run, report, traj, pw, tol, t0)
 
 
 def cmd_baseline(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
-    tol = _options(run).dc.feas_tol
+    tol = _options(run).feas_tol
     if args.scheme == "static":
         res = static_relay_best(scn, feas_tol=tol)
         traj = Trajectory(np.tile(res.location, (scn.n_slots, 1)))
@@ -397,7 +390,7 @@ def cmd_eval(scn, run, out_dir, args) -> int:
     """``eval`` and ``check``: re-evaluate a solution without optimizing;
     ``check`` also exits 3 when it is infeasible."""
     t0 = time.perf_counter()
-    tol = _options(run).dc.feas_tol
+    tol = _options(run).feas_tol
     traj, pw = _load_traj(scn, args, tol)
     snap = evaluate(scn, traj, pw, tol)
     _finish(out_dir, scn, run, None, traj, pw, tol, t0)

@@ -398,3 +398,12 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
                 hi = pts[i + step]
         left -= levels
     return PowerAllocation(p_s=pw.p_s, p_r=lo * pw.p_r)
+
+
+def equal_power_start(scn: Scenario, traj: Trajectory,
+                      tol: float = DEFAULT_FEAS_TOL) -> PowerAllocation:
+    """Equal power with the relay scaled back until causality holds on
+    traj at tol: the power start of AO, of the power stage and of the
+    CLI, and the static relay's powers."""
+    return restore_feasibility(scn, traj, equal_power_allocation(scn),
+                               tol=tol)

@@ -62,11 +62,6 @@ def count_solve(extras: dict, res: SolverResult) -> None:
 
 
 @dataclass
-class DcOptions:
-    feas_tol: float = 1e-6
-
-
-@dataclass
 class Buffer:
     """Stocks (relay buffers, remaining energies), each drained per slot
     by its net outflow in ``flow``.
@@ -289,24 +284,23 @@ def _power_program(scn: Scenario, pc: _Pieces
 
 def dc_allocate(scn: Scenario, traj: Trajectory,
                 pw_0: Optional[PowerAllocation] = None,
-                opts: Optional[DcOptions] = None
+                feas_tol: float = model.DEFAULT_FEAS_TOL
                 ) -> tuple[PowerAllocation, RunReport]:
     """The optimal power allocation at fixed traj.
 
     The silent relay, with no solve, when a budget is zero or no slot
-    has g_rd > g_re.  Else the start is ``pw_0`` (by default equal power,
-    the relay scaled back until causality holds), or the silent relay if
-    ``pw_0`` fails causality or the budgets at ``opts.feas_tol``; a start
+    has g_rd > g_re.  Else the start is ``pw_0`` (by default
+    ``model.equal_power_start``), or the silent relay if
+    ``pw_0`` fails causality or the budgets at ``feas_tol``; a start
     certified within ``KKT_TOL`` is returned.  Else one solve: the stage
     ends ``solver_<status>`` with the start if it is not ``optimal``,
     ``stalled`` with the start if its point fails the checks, and else
     ``converged`` when the point's certificate (buffers tight, the
-    solve's duals) is within ``KKT_TOL``, ``stalled`` otherwise.
+    solve's duals) is within ``KKT_TOL``, ``stalled`` otherwise.  So
+    every returned allocation passes causality at ``feas_tol``.
     """
-    opts = opts or DcOptions()
-
     def passes(pw):
-        checks = model.check_all(scn, traj, pw, tol=opts.feas_tol)
+        checks = model.check_all(scn, traj, pw, tol=feas_tol)
         return all(v.feasible for k, v in checks.items() if k != "mobility")
 
     report = RunReport(stage="power_dc", extras=dict.fromkeys(COUNTERS, 0))
@@ -315,8 +309,8 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
         report.add(0.0, kkt_residual=0.0, feasible=True)
         return model.zero_power_allocation(scn), report.finish("converged")
 
-    pw = pw_0 if pw_0 is not None else model.restore_feasibility(
-        scn, traj, model.equal_power_allocation(scn), tol=opts.feas_tol)
+    pw = pw_0 if pw_0 is not None else model.equal_power_start(
+        scn, traj, feas_tol)
     if not passes(pw):
         pw = model.zero_power_allocation(scn)
     prog, buffers = _power_program(scn, pc)

@@ -161,9 +161,17 @@ def record_finish(report: RunReport, point, rec: dict) -> None:
 
 @dataclass
 class ScpOptions:
+    """The options of a run, the one set ``ao_optimize``, every stage
+    and the CLI share.  ``feas_tol`` is the tolerance of every
+    feasibility check: the trajectory stage's, the power stage's
+    (``power_dc.dc_allocate(feas_tol=)``), AO's and its start's.
+    ``rel_tol`` stops the trajectory stage and AO's outer loop on a
+    relative change of the objective.  ``max_iter`` caps the steps of
+    each trajectory stage (AO's own cap is ``ao.MAX_ITER``)."""
+
     rel_tol: float = 1e-4
     max_iter: int = 100
-    feas_tol: float = 1e-6
+    feas_tol: float = model.DEFAULT_FEAS_TOL
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,9 @@ import pytest
 
 from conftest import (assert_wall_times, fail_power_solves,
                       fail_trajectory_solves, random_scenario, small_scenario)
-from secrelay import benchmark_scenario, model
-from secrelay.ao import AoOptions, ao_optimize, evaluate
+from secrelay import ao, benchmark_scenario, model
+from secrelay.ao import ao_optimize, evaluate
 from secrelay.model import Trajectory
-from secrelay.power_dc import DcOptions
 from secrelay.trajectory_scp import ScpOptions, initial_trajectory
 
 
@@ -53,7 +52,7 @@ class TestAoOptimize:
 
     def test_idempotent_at_convergence(self, rng):
         scn = random_scenario(rng, n_slots=6)
-        opts = AoOptions()
+        opts = ScpOptions()
         traj, pw, report = ao_optimize(scn, opts=opts)
         if report.status != "converged":
             pytest.skip("run did not converge inside the iteration cap")
@@ -145,42 +144,87 @@ class TestStageContract:
         assert evaluate(scn, traj, pw).feasible
 
     def test_start_restored_at_power_tolerance(self):
-        """AO restores its power start at ``dc.feas_tol``, so the start
-        it records is the power stage's own start."""
+        """AO restores its power start at the run's ``feas_tol``, loose
+        or strict, so the start it records is the power stage's own
+        start."""
         scn = benchmark_scenario(40.0, 2.0)
         traj0 = initial_trajectory(scn)
-        _, _, report = ao_optimize(scn, AoOptions(dc=DcOptions(feas_tol=1e-4)),
-                                   init_trajs=[traj0])
-        start = model.restore_feasibility(
-            scn, traj0, model.equal_power_allocation(scn), tol=1e-4)
-        assert report.iterations[0].objective == model.secrecy_sum(
-            scn, traj0, start)
+        for tol in (1e-4, 1e-8):
+            _, _, report = ao_optimize(scn, ScpOptions(feas_tol=tol),
+                                       init_trajs=[traj0])
+            start = model.restore_feasibility(
+                scn, traj0, model.equal_power_allocation(scn), tol=tol)
+            assert report.iterations[0].objective == model.secrecy_sum(
+                scn, traj0, start)
 
     def test_loose_power_tolerance_strict_trajectory(self):
-        """The stages' tolerances may differ; AO judges at the power
-        stage's."""
+        """At a loose and at a strict run tolerance AO converges, and
+        judges every iterate and the plan feasible at that tolerance."""
         scn = benchmark_scenario(40.0, 2.0)
-        opts = AoOptions(dc=DcOptions(feas_tol=1e-4),
-                         scp=ScpOptions(feas_tol=1e-8))
-        traj, pw, report = ao_optimize(scn, opts,
-                                       init_trajs=[initial_trajectory(scn)])
-        assert report.status == "converged"
-        assert all(r.feasible for r in report.iterations)
-        assert evaluate(scn, traj, pw, tol=1e-4).feasible
+        for tol in (1e-4, 1e-8):
+            traj, pw, report = ao_optimize(
+                scn, ScpOptions(feas_tol=tol),
+                init_trajs=[initial_trajectory(scn)])
+            assert report.status == "converged"
+            assert all(r.feasible for r in report.iterations)
+            assert evaluate(scn, traj, pw, tol=tol).feasible
 
     def test_trajectory_powers_restored_at_its_tolerance(self):
-        """AO restores the powers at the trajectory stage's tolerance
-        before that stage (which raises on others), and keeps those, so
-        the plan is causal at that tolerance."""
+        """The trajectory stage (which raises on powers that fail
+        causality) runs at the run's tolerance on the power stage's
+        output, and AO keeps those powers, so the multistart plan is
+        causal at that tolerance, loose or strict."""
         scn = benchmark_scenario(40.0, 2.0)
-        opts = AoOptions(dc=DcOptions(feas_tol=1e-4),
-                         scp=ScpOptions(feas_tol=1e-8))
-        traj, pw, report = ao_optimize(scn, opts)
-        scp_reports = [s for s in report.sub_reports
-                       if s.stage == "trajectory_scp"]
-        assert scp_reports
-        assert model.check_causality(scn, traj, pw, tol=1e-8).feasible
-        assert evaluate(scn, traj, pw, tol=1e-8).feasible
+        for tol in (1e-4, 1e-8):
+            traj, pw, report = ao_optimize(scn, ScpOptions(feas_tol=tol))
+            scp_reports = [s for s in report.sub_reports
+                           if s.stage == "trajectory_scp"]
+            assert scp_reports
+            assert model.check_causality(scn, traj, pw, tol=tol).feasible
+            assert evaluate(scn, traj, pw, tol=tol).feasible
+
+    def test_start_is_the_only_restore(self, monkeypatch):
+        """An AO run restores powers once, for its start: every power
+        the power stage returns already passes causality at the run
+        tolerance, and the trajectory stage gets that very allocation.
+        From the hover start the run takes 4 iterations."""
+        from secrelay.ao import default_starts
+        scn = benchmark_scenario(40.0, 2.0)
+        start = default_starts(scn)[-1]
+        for tol in (1e-4, 1e-8):
+            restored, handed, planned = [], [], []
+
+            def restore(scn, traj, pw, tol=model.DEFAULT_FEAS_TOL,
+                        _orig=model.restore_feasibility):
+                restored.append(pw)
+                return _orig(scn, traj, pw, tol=tol)
+
+            def power_stage(scn, traj, *args, _orig=ao.dc_allocate,
+                            **kwargs):
+                pw, rep = _orig(scn, traj, *args, **kwargs)
+                handed.append(pw)
+                assert model.check_causality(scn, traj, pw,
+                                             tol=tol).feasible
+                return pw, rep
+
+            def trajectory_stage(scn, pw, *args, _orig=ao.scp_optimize,
+                                 **kwargs):
+                planned.append(pw)
+                return _orig(scn, pw, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(model, "restore_feasibility", restore)
+                m.setattr(ao, "dc_allocate", power_stage)
+                m.setattr(ao, "scp_optimize", trajectory_stage)
+                _, _, report = ao_optimize(scn, ScpOptions(feas_tol=tol),
+                                           init_trajs=[start])
+            assert len(restored) == 1
+            equal = model.equal_power_allocation(scn)
+            np.testing.assert_array_equal(restored[0].p_s, equal.p_s)
+            np.testing.assert_array_equal(restored[0].p_r, equal.p_r)
+            assert len(report.iterations) - 1 >= 2
+            assert len(handed) == len(planned) == len(report.iterations) - 1
+            assert all(a is b for a, b in zip(handed, planned))
 
 
 class TestZeroSecrecyStart:
@@ -193,13 +237,13 @@ class TestZeroSecrecyStart:
         from secrelay.ao import _ao_single
         from secrelay.trajectory_scp import initial_trajectory
         scn = benchmark_scenario(100.0, 2.0)
-        _, _, report = _ao_single(scn, initial_trajectory(scn), AoOptions())
+        _, _, report = _ao_single(scn, initial_trajectory(scn), ScpOptions())
         first_scp = report.sub_reports[1]
         assert first_scp.stage == "trajectory_scp"
         assert len(first_scp.iterations) - 1 <= 2
         assert abs(first_scp.final_objective) <= 1e-6
         assert report.status == "converged"
-        assert len(report.iterations) - 1 < AoOptions().max_iter
+        assert len(report.iterations) - 1 < ao.MAX_ITER
 
 
 class TestHoverStart:
@@ -226,21 +270,20 @@ class TestFixedPointStop:
     def test_hover_start_stops_one_iteration_early(self):
         """From the hover start of the T = 100 s free benchmark the third
         trajectory stage returns its input: the run stops there after 3
-        AO iterations, and one more power stage, restore and trajectory
-        stage reproduce its plan bit for bit."""
+        AO iterations, and one more power stage and trajectory stage
+        reproduce its plan bit for bit."""
         from secrelay.ao import _ao_single, default_starts
         from secrelay.power_dc import dc_allocate
         from secrelay.trajectory_scp import scp_optimize
         scn = benchmark_scenario(100.0, 2.0)
-        opts = AoOptions()
+        opts = ScpOptions()
         traj, pw, report = _ao_single(scn, default_starts(scn)[-1], opts)
         assert report.status == "converged"
         assert len(report.iterations) - 1 == 3
-        pw_dc, dc_rep = dc_allocate(scn, traj, pw_0=pw, opts=opts.dc)
+        pw_next, dc_rep = dc_allocate(scn, traj, pw_0=pw,
+                                      feas_tol=opts.feas_tol)
         assert dc_rep.status == "converged"
-        pw_next = model.restore_feasibility(scn, traj, pw_dc,
-                                            tol=opts.scp.feas_tol)
-        traj_next, scp_rep = scp_optimize(scn, pw_next, traj, opts=opts.scp)
+        traj_next, scp_rep = scp_optimize(scn, pw_next, traj, opts=opts)
         assert scp_rep.status == "converged"
         np.testing.assert_array_equal(traj_next.xy, traj.xy)
         np.testing.assert_array_equal(pw_next.p_s, pw.p_s)
@@ -252,8 +295,7 @@ class TestFixedPointStop:
         """A trajectory stage that returns (a copy of) its input stops AO
         ``converged`` after one iteration although the power stage moved
         the objective by far more than ``rel_tol``, also when that
-        iteration is the last one ``max_iter`` allows."""
-        from secrelay import ao
+        iteration is the last one ``ao.MAX_ITER`` allows."""
         from secrelay.power_dc import COUNTERS
         from secrelay.report import RunReport
 
@@ -264,11 +306,12 @@ class TestFixedPointStop:
             return Trajectory(traj.xy.copy()), rep.finish("converged")
 
         monkeypatch.setattr(ao, "scp_optimize", still)
+        monkeypatch.setattr(ao, "MAX_ITER", max_iter)
         # Flying towards Bob, the power stage solves from its start.
         scn = small_scenario()
         traj0 = Trajectory(np.stack([np.linspace(250.0, 390.0, 6),
                                      np.full(6, -50.0)], axis=1))
-        opts = AoOptions(max_iter=max_iter)
+        opts = ScpOptions()
         traj, pw, report = ao._ao_single(scn, traj0, opts)
         assert report.status == "converged"
         assert len(report.iterations) == 2

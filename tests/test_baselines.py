@@ -10,7 +10,7 @@ from secrelay.ao import ao_optimize
 from secrelay.baselines import (StaticGrid, _constant_traj, data_ferry,
                                 ferry_plan, ranked_locations,
                                 static_relay_best, transit_slot_count)
-from secrelay.power_dc import DcOptions, dc_allocate
+from secrelay.power_dc import dc_allocate
 
 # The five benchmark configurations: free endpoints at T = 40, 70, 100
 # and 130 s with 2 s slots, fixed endpoints at T = 100 s with 1 s slots
@@ -24,10 +24,11 @@ def _free(scn):
     return dataclasses.replace(scn, start_xy=None, end_xy=None)
 
 
-def _stage(scn, xy, opts=None, pw_0=None):
+def _stage(scn, xy, feas_tol=model.DEFAULT_FEAS_TOL, pw_0=None):
     """The power stage on the relay hovering at xy, endpoints freed."""
     scn = _free(scn)
-    return dc_allocate(scn, _constant_traj(scn, xy), pw_0=pw_0, opts=opts)
+    return dc_allocate(scn, _constant_traj(scn, xy), pw_0=pw_0,
+                       feas_tol=feas_tol)
 
 
 class TestStaticRelay:
@@ -149,10 +150,9 @@ class TestHoverOptimum:
     """The closed-form optimum of the power problem at a fixed location,
     with causality and the budgets loosened by the check tolerance."""
 
-    @pytest.mark.parametrize("opts", [DcOptions(feas_tol=1e-4),
-                                      DcOptions()],
+    @pytest.mark.parametrize("tol", [1e-4, model.DEFAULT_FEAS_TOL],
                              ids=["loose", "default"])
-    def test_no_stage_output_above_it(self, opts):
+    def test_no_stage_output_above_it(self, tol):
         """The power stage never scores above the optimum at its check
         tolerance, nor below the optimum at tolerance 0 by more than
         1e-7 relative."""
@@ -162,9 +162,9 @@ class TestHoverOptimum:
             xs, ys = StaticGrid.default(scn).axes()
             for _ in range(4):
                 xy = [rng.choice(xs), rng.choice(ys)]
-                _, report = _stage(scn, xy, opts)
+                _, report = _stage(scn, xy, tol)
                 assert report.final_objective <= _hover_optimum(
-                    scn, xy, opts.feas_tol)
+                    scn, xy, tol)
                 exact = _hover_optimum(scn, xy, 0.0)
                 assert report.final_objective >= exact * (1.0 - 1e-7)
 
@@ -173,10 +173,9 @@ class TestHoverOptimum:
         """Equal powers attain the unpadded optimum, so a certified stage
         lands just below the padded one."""
         scn = benchmark_scenario(horizon, 2.0)
-        opts = DcOptions()
-        _, report = _stage(scn, [1800.0, -7.5], opts)
+        _, report = _stage(scn, [1800.0, -7.5])
         assert report.status == "converged"
-        gap = _hover_optimum(scn, [1800.0, -7.5], opts.feas_tol) \
+        gap = _hover_optimum(scn, [1800.0, -7.5], model.DEFAULT_FEAS_TOL) \
             - report.final_objective
         assert 0.0 <= gap <= 5e-5
 
@@ -184,7 +183,7 @@ class TestHoverOptimum:
         """The static relay's restored equal powers score between the
         optimum at its location at tolerance 0 and at ``feas_tol``."""
         rng = np.random.default_rng(3)
-        tol = DcOptions().feas_tol
+        tol = model.DEFAULT_FEAS_TOL
         for scn in [small_scenario(n_slots=6)] + [
                 random_scenario(rng, n_slots=int(rng.integers(4, 40)))
                 for _ in range(8)]:
@@ -196,8 +195,8 @@ class TestHoverOptimum:
 
     def test_above_bob_and_above_eve(self):
         scn = small_scenario(n_slots=6)
-        tol = DcOptions().feas_tol
-        _, report = _stage(scn, scn.bob_xy, DcOptions())
+        tol = model.DEFAULT_FEAS_TOL
+        _, report = _stage(scn, scn.bob_xy, tol)
         assert 0.0 < report.final_objective <= _hover_optimum(
             scn, scn.bob_xy, tol)
         assert _hover_optimum(scn, scn.eve_xy, tol) == 0.0
@@ -209,7 +208,7 @@ class TestHoverOptimum:
         scn = small_scenario(n_slots=6, **{budget: 0.0})
         assert _hover_optimum(scn, [300.0, -50.0], 0.0) == 0.0
         assert 0.0 < _hover_optimum(scn, [300.0, -50.0],
-                                    DcOptions().feas_tol) < 1e-3
+                                    model.DEFAULT_FEAS_TOL) < 1e-3
         res = static_relay_best(scn)
         assert res.objective == 0.0
         assert np.array_equal(

@@ -343,6 +343,54 @@ class TestBaselineOptions:
                          str(out / "trajectory.csv"),
                          "--out-dir", str(tmp_path / "check")]) == 0
 
+
+class TestRunOptions:
+    RUN = {"feas_tol": 1e-4, "rel_tol": 1e-3, "max_iter": 7}
+
+    @pytest.mark.parametrize("command, stages", [
+        ("ao", {"dc_allocate", "scp_optimize"}),
+        ("trajectory", {"scp_optimize"}), ("power", {"dc_allocate"})],
+        ids=["ao", "trajectory", "power"])
+    def test_run_keys_reach_every_stage(self, monkeypatch, tmp_path, capsys,
+                                        command, stages):
+        """``ao``, ``trajectory`` and ``power`` hand the run keys to every
+        power and trajectory stage they call, each key in exactly one
+        field: the power stage's ``feas_tol``, the trajectory stage's
+        ``ScpOptions``."""
+        import dataclasses
+        import inspect
+
+        from secrelay import ao
+        calls = []
+
+        def recording(fn):
+            sig = inspect.signature(fn)
+
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__,
+                              sig.bind(*args, **kwargs).arguments))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (ao, cli):
+            for name in ("dc_allocate", "scp_optimize"):
+                monkeypatch.setattr(mod, name, recording(getattr(mod, name)))
+        cfg = _write(tmp_path, dict(SMALL, run=self.RUN))
+        assert cli.main([command, str(cfg),
+                         "--out-dir", str(tmp_path / "o")]) == 0
+        assert {name for name, _ in calls} == stages
+        for name, args in calls:
+            if name == "dc_allocate":
+                assert args["feas_tol"] == self.RUN["feas_tol"]
+            else:
+                assert dataclasses.asdict(args["opts"]) == self.RUN
+
+    def test_absent_keys_keep_defaults(self):
+        from secrelay.trajectory_scp import ScpOptions
+        assert cli._options({}) == ScpOptions()
+        assert cli._options({"rel_tol": 1e-3}) == ScpOptions(rel_tol=1e-3)
+
+
 class TestPowerCommand:
     def test_silent_relay_exactly_zero(self, tmp_path, capsys):
         """On the free-endpoint T = 100 s benchmark the power command

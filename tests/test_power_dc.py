@@ -16,7 +16,7 @@ from numerics import (as_dense, assert_outputs_stay_fresh, callback_outputs,
 from secrelay import benchmark_scenario, model, power_dc, solver
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
-from secrelay.power_dc import Buffer, DcOptions, buffer_start, dc_allocate
+from secrelay.power_dc import Buffer, buffer_start, dc_allocate
 from secrelay.solver import (ConstraintBlock, SmoothConvexProgram,
                              kkt_residual, multiplier_estimate, solve)
 
@@ -220,7 +220,7 @@ class TestDcAllocate:
         assert report.status == "converged"
         assert report.extras["solves"] == 1
         assert report.objectives[0] == 0.0 < report.final_objective
-        checks = model.check_all(scn, traj, pw, tol=DcOptions().feas_tol)
+        checks = model.check_all(scn, traj, pw, tol=model.DEFAULT_FEAS_TOL)
         assert all(v.feasible for v in checks.values())
         assert model.secrecy_sum(scn, traj, pw) == report.final_objective
 
@@ -287,7 +287,7 @@ class TestDcAllocate:
         pw, report = dc_allocate(scn, traj)
         assert report.status == "converged"
         assert report.extras["solves"] == 1
-        checks = model.check_all(scn, traj, pw, tol=DcOptions().feas_tol)
+        checks = model.check_all(scn, traj, pw, tol=model.DEFAULT_FEAS_TOL)
         assert all(v.feasible for v in checks.values())
 
     def test_final_kkt_certified(self, rng):
