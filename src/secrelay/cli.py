@@ -359,9 +359,17 @@ def cmd_trajectory(scn, run, out_dir, args) -> int:
 
 
 def cmd_power(scn, run, out_dir, args) -> int:
+    """Exits 3 when the input powers fail causality or the budgets at
+    ``feas_tol``, as ``trajectory`` does, instead of optimizing from the
+    silent relay."""
     t0 = time.perf_counter()
     tol = _options(run).feas_tol
     traj, pw0 = _load_traj(scn, args, tol)
+    checks = model.check_all(scn, traj, pw0, tol)
+    for name in ("causality", "power_budget"):
+        if not checks[name].feasible:
+            raise ValueError(f"input powers violate {name} by "
+                             f"{checks[name].worst:.3e}")
     pw, report = dc_allocate(scn, traj, pw_0=pw0, feas_tol=tol)
     return _finish(out_dir, scn, run, report, traj, pw, tol, t0)
 

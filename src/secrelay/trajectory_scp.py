@@ -1,74 +1,72 @@
 """Trajectory optimization with the powers held fixed.
 
-Works on the slack reformulation of the secrecy problem: auxiliary
-variables stand in for the squared UAV-Eve and UAV-Bob ground distances,
-coupled to the trajectory through affine lower bounds of the convex
-squared-distance functions.  Each sequential step linearizes the
-reception rates around the current trajectory (quadratic lower bounds),
-solves the resulting convex program over the per-slot displacements, and
-moves the trajectory.  Every surrogate inequality implies the original
-one, so all iterates stay feasible and the true secrecy rate ascends.
+Each sequential step solves a convex program over the per-slot
+displacements around the current trajectory and moves the trajectory.
+The step is the true problem with its rates replaced by bounds built at
+the iterate, each exact at zero displacement (one builder, ``_program``,
+makes both): the relay's reception rate (the buffers' inflow) and Bob's
+(in the objective) by quadratic lower bounds (``_Quad``), and Bob's and
+Eve's rates as the buffers' outflows, Eve's also in the objective, by
+the upper bounds log2(1 + g / (h^2 + d)), d the affine tangent lower
+bound of the squared ground distance (``_Tangent``).  Every bound
+implies the original inequality, so all iterates stay feasible and the
+true secrecy rate ascends.  log2(1 + g / (h^2 + t)) is convex and
+decreasing in t where h^2 + t > 0, and an affine t keeps it convex
+(S. Boyd & L. Vandenberghe, *Convex Optimization*, §3.2.2), so the step
+is convex as it stands.  Its one extra block holds the affine domain
+rows zeta_lb, eta_lb >= ``SLACK_LB`` h^2 on the slots where the relay
+transmits: they keep h^2 + d > 0, also over a base point above Bob or
+Eve, where the tangent bound is 0 for every displacement.
 
-SCP converges only linearly, and the surrogates only serve to reach a
-KKT point of the true problem.  So after the first step that leaves the
+SCP converges only linearly, and the bounds only serve to reach a KKT
+point of the true problem.  So after the first step that leaves the
 stage running, the stage tries one finish (``_finish``): one guarded
-solve (``finish``) of the true, nonconvex
-trajectory problem at the fixed powers (``_true_program``: the
-displacements and both buffers, no slacks, exact 2 x 2 per-slot
-Hessians), from zero displacement with the step's own two relaxations
-(below).  Its point is accepted only if the solve ends ``optimal``, the
-point passes mobility and causality at ``feas_tol``, its objective is at
-least the SCP iterate's and its KKT residual on the unrelaxed problem,
-with the solve's duals (``solver.certify``), is within
-``power_dc.KKT_TOL``; the stage then ends ``converged`` there, with that
-certificate as the iterate's ``kkt_residual``.  Otherwise SCP goes on
-exactly as without the finish and tries none again in that stage (a
-retry after every step costs more than it saves).  One map of a solver
-point to iterate, objective and feasibility (``_judge``) serves the SCP
-steps and the finish.  A step that falls below its iterate (beyond
-1e-9) is dropped; the stage ends ``converged`` there when the fall is
-within the stop rule (``rel_tol``; near a stationary point a surrogate
-solution loses about its duality gap), and ``stalled`` (``regressed``)
-otherwise.
+solve (``finish``) of the true, nonconvex trajectory problem at the
+fixed powers (``_true_program``: exact 2 x 2 per-slot Hessians), from
+zero displacement with the step's own two relaxations (below).  Its
+point is accepted only if the solve ends ``optimal``, the point passes
+mobility and causality at ``feas_tol``, its objective is at least the
+SCP iterate's and its KKT residual on the unrelaxed problem, with the
+solve's duals (``solver.certify``), is within ``power_dc.KKT_TOL``; the
+stage then ends ``converged`` there, with that certificate as the
+iterate's ``kkt_residual``.  Otherwise SCP goes on exactly as without
+the finish and tries none again in that stage (a retry after every step
+costs more than it saves).  One map of a solver point to iterate,
+objective and feasibility (``_judge``) serves the SCP steps and the
+finish.  A step that falls below its iterate (beyond 1e-9) is dropped;
+the stage ends ``converged`` there when the fall is within the stop rule
+(``rel_tol``; near a stationary point a bound's solution loses about its
+duality gap), and ``stalled`` (``regressed``) otherwise.
 
 Information causality is stated with relay buffers (``power_dc.Buffer``)
 for Bob's and Eve's rate: b_n >= 0 with b_n <= b_{n-1} + R_in,n-1 -
-R_out,n, fed by the relay-rate lower bound and drained by the slack-form
-outflow.  The variables are laid out slot by slot (``_Layout``), so each
-row touches two neighbouring slots and the Newton matrix is banded.
+R_out,n (``_true_flow``, the one flow builder of both programs).  The
+variables are laid out slot by slot (``_Layout``), so each row touches
+two neighbouring slots and the Newton matrix is banded.
 
-The slacks are bounded below by ``SLACK_LB`` (scaled by h^2), not by 0:
-the log terms only need h^2 + slack > 0, and eps <= eta_lb <= eta and
-tau <= zeta_lb <= zeta still over-state Bob's outflow and Eve's rate.
-So a base point hovering above Bob or Eve (where the tangent bound is 0
-for every displacement) keeps an interior.  The start is zero
-displacement, each slack a margin below its distance bound, sized so
-the start's extra outflow stays within ``CAUS_RELAX`` / 4 over every
-prefix, and each buffer at ``buffer_start`` of its prefix surpluses
-there.  Two hair-thin relaxations make it strictly feasible for every
-base point that ``build_subproblem`` accepts: each buffer starts with
-``CAUS_RELAX`` plus the start's worst prefix excess (powers restored by
-bisection to just inside the causality tolerance), and the squared
-travel budget is the larger of v_max's and the base point's longest
-move, times 1 + ``MOBILITY_RELAX`` (hops of exactly ``v_max``, as in the
-data-ferry start).  A step may thus reach points causal only to within
-its start's worst excess plus ``CAUS_RELAX``; ``scp_optimize`` accepts
-a step only if it passes ``model.check_all`` at ``feas_tol`` (otherwise
-the stage ends ``stalled``, ``infeasible_step``), so every accepted
-iterate is feasible at ``feas_tol``.
+The start of both programs is zero displacement, each buffer at
+``buffer_start`` of its prefix surpluses there.  Two hair-thin
+relaxations make it strictly feasible for every base point that
+``build_subproblem`` accepts: each buffer starts with ``CAUS_RELAX`` plus
+the start's worst prefix excess (powers restored by bisection to just
+inside the causality tolerance), and the squared travel budget is the
+larger of v_max's and the base point's longest move, times 1 +
+``MOBILITY_RELAX`` (hops of exactly ``v_max``, as in the data-ferry
+start).  A step may thus reach points causal only to within its start's
+worst excess plus ``CAUS_RELAX``; ``scp_optimize`` accepts a step only if
+it passes ``model.check_all`` at ``feas_tol`` (otherwise the stage ends
+``stalled``, ``infeasible_step``), so every accepted iterate is feasible
+at ``feas_tol``.
 
-Each step program evaluates a point in one pass (``_StepPoint``): the
-unpacked displacements, the objective, Bob's and Eve's flows, the
-coupling rows, the slack outflows' curvatures (shared by the objective
-Hessian and the flows') and the displaced positions.  The true problem
-computes its three rates (``_Rate``, Bob's and Eve's as one stack) and,
-on first use, their derivatives.  The callbacks of a program read their
-parts from its one ``solver.PointCache``, keyed on the point's bytes, so
-a caller that writes into an array it passed before still gets fresh
-terms; blocks of equal width share one ``ConstraintBlock`` in the order
-of one block each (Bob's and Eve's buffers; the two couplings).  The
-parts of the bounds that depend on the iterate only are computed once
-per SCP step, in ``make_iterate``.
+Each program evaluates a point in one pass (``_Point``): the displaced
+positions and hops and its three rate objects, which compute their
+derivatives on first use (a trial point of the line search needs the
+values alone).  The callbacks of a program read their parts from its one
+``solver.PointCache``, keyed on the point's bytes, so a caller that
+writes into an array it passed before still gets fresh terms; Bob's and
+Eve's buffers share one ``ConstraintBlock``.  The parts of the bounds
+that depend on the iterate only are computed once per SCP step, in
+``make_iterate``.
 """
 from __future__ import annotations
 
@@ -282,151 +280,38 @@ def distance_lower_bounds(it: TrajIterate, delta: np.ndarray,
 
 
 class _Layout:
-    """Variable layout of the convex step, slot by slot.
+    """Variable layout of the trajectory programs, slot by slot.
 
-    Slot n (0-based) holds delta_n / H and xi_n / H; then, if n >= 1
-    and the relay transmits in it, eps_n / H^2 and tau_n / H^2 (silent
-    slots contribute nothing to rates or causality); then, if n >= 1,
+    Slot n (0-based) holds delta_n / H and xi_n / H; then, if n >= 1,
     Bob's and Eve's buffer after slot n (bits).  The ``i_*`` arrays give
-    the positions.  Without ``slacks`` (the true problem of ``_finish``)
-    no slot holds eps and tau, and ``i_eps`` and ``i_tau`` are empty.
+    the positions.  ``active`` lists the slots in which the relay
+    transmits (silent slots contribute nothing to rates or causality).
     """
 
-    def __init__(self, scn: Scenario, it: TrajIterate, slacks: bool = True):
+    def __init__(self, scn: Scenario, it: TrajIterate):
         n = self.n = scn.n_slots
         self.h = scn.altitude_h
-        self.h2 = self.h ** 2
         self.active = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1  # slot index
-        self.na = self.active.size
-        slotted = self.active if slacks else self.active[:0]
-        act = np.zeros(n, dtype=int)
-        act[slotted] = 1
-        buf = (np.arange(n) >= 1).astype(int)
-        count = 2 + 2 * act + 2 * buf
-        off = np.concatenate([[0], np.cumsum(count)[:-1]])
-        self.dim = int(np.sum(count))
-        self.i_delta = off
-        self.i_xi = off + 1
-        self.i_eps = off[slotted] + 2
-        self.i_tau = off[slotted] + 3
-        self.i_bob = off[1:] + 2 + 2 * act[1:]
+        self.dim = 4 * n - 2
+        self.i_delta = np.concatenate([[0], np.arange(2, self.dim, 4)])
+        self.i_xi = self.i_delta + 1
+        self.i_bob = self.i_delta[1:] + 2
         self.i_eve = self.i_bob + 1
 
     def unpack(self, z: np.ndarray):
-        delta = z[self.i_delta] * self.h
-        xi = z[self.i_xi] * self.h
-        eps = z[self.i_eps] * self.h2
-        tau = z[self.i_tau] * self.h2
-        return delta, xi, eps, tau
+        return z[self.i_delta] * self.h, z[self.i_xi] * self.h
 
 
 # Hair-thin relaxation (bits) of the buffers' initial content beyond the
-# seed's worst prefix excess, so a causality-tight base point still
-# leaves the interior-point method an interior.  The start's slack
-# margins use at most a quarter of it.
+# start's worst prefix excess, so a causality-tight base point still
+# leaves the interior-point method an interior.
 CAUS_RELAX = 1e-8
 # Hair-thin relative relaxation of the squared travel budget, so a base
 # point with a move of exactly that budget keeps an interior.
 MOBILITY_RELAX = 1e-12
-# Lower bound of the slacks eps and tau, scaled by h^2.
+# Lower bound of the convex step's tangent bounds zeta_lb and eta_lb on
+# active slots, scaled by h^2: their log terms need h^2 + bound > 0.
 SLACK_LB = -0.5
-# Largest margin of a slack below its distance bound in the start
-# (scaled by h^2).
-SEED_MARGIN = 1e-3
-
-
-class _StepPoint(NamedTuple):
-    """Terms of a convex step at one point, shared by its callbacks: the
-    unpacked displacements, the objective, the causality flows (Bob's
-    rows, then Eve's) and the coupling rows (tau's, then eps's), h^2
-    plus each slack (eps's row, then tau's) with the curvature of its
-    outflow log2(1 + g / (h^2 + slack)), and the displaced positions
-    (scaled by h) with their hops."""
-
-    delta: np.ndarray
-    xi: np.ndarray
-    objective: float
-    flow: np.ndarray
-    couple: np.ndarray
-    a: np.ndarray
-    curv: np.ndarray
-    px: np.ndarray
-    py: np.ndarray
-    hop_x: np.ndarray
-    hop_y: np.ndarray
-
-
-def _step_point(it: TrajIterate, lay: _Layout) -> PointCache:
-    """One program's cache of its ``_StepPoint`` terms."""
-    h, h2, act = lay.h, lay.h2, lay.active
-    g_act = it.gamma_r[act]
-    xs, ys = it.traj.x / h, it.traj.y / h
-    i_slack = np.stack([lay.i_eps, lay.i_tau])
-    i_couple = np.concatenate([lay.i_tau, lay.i_eps])
-    rows = act - 1                        # row whose outflow slot is active
-
-    def terms(z):
-        delta, xi = z[lay.i_delta] * h, z[lay.i_xi] * h
-        relay_lb, bob_lb = rate_lower_bounds(it, delta, xi)
-        zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
-        a = h2 + z[i_slack] * h2
-        out = np.log2(1.0 + g_act / a)
-        flow = np.empty((2, lay.n - 1))
-        flow[:] = -relay_lb[:-1]
-        flow[:, rows] += out
-        couple = (z[i_couple] * h2
-                  - np.concatenate([zeta_lb[act], eta_lb[act]])) / h2
-        curv = (g_act * (2 * a + g_act) / (LN2 * (a * (a + g_act)) ** 2)
-                * h2 * h2)
-        px, py = xs + z[lay.i_delta], ys + z[lay.i_xi]
-        return _StepPoint(
-            delta, xi, float(-bob_lb[1:].sum() + out[1].sum()),
-            flow.ravel(), couple, a, curv, px, py, px[1:] - px[:-1],
-            py[1:] - py[:-1])
-    return PointCache(terms)
-
-
-def _causality_buffer(it: TrajIterate, lay: _Layout,
-                      at: PointCache) -> Buffer:
-    """Bob's and Eve's relay buffers of the convex step, in one block.
-
-    Row j (prefix ending at slot j+1, 0-based) takes in the relay-rate
-    lower bound of slot j (quadratic in its displacement) and sends out
-    log2(1 + g/(h2 + slack)) of slot j+1 when the relay transmits there.
-    The terms at a point come from ``at``.
-    """
-    h, h2, m, na = lay.h, lay.h2, lay.n - 1, lay.na
-    g_x, g_y = (g[:-1] for g in it.grad_ar)
-    c_r = it.c_relay[:-1]
-    g_act = it.gamma_r[lay.active]
-    rows = lay.active - 1                 # row whose outflow slot is active
-    i_d, i_x = lay.i_delta[:-1], lay.i_xi[:-1]
-    cols = np.stack([i_d, i_d, i_x], axis=1)
-    cols = np.stack([cols, cols])
-    cols[0, rows, 0], cols[1, rows, 0] = lay.i_eps, lay.i_tau
-    hess_idx = np.concatenate([lay.i_eps, i_d, i_x, lay.i_tau, i_d, i_x])
-
-    def jacobian(z):
-        t = at(z)
-        vals = np.zeros((2, m, 3))    # silent rows repeat delta, value 0
-        vals[:, rows, 0] = -g_act / (LN2 * t.a * (t.a + g_act)) * h2
-        vals[:, :, 1] = c_r * (2 * t.delta[:-1] + g_x) * h
-        vals[:, :, 2] = c_r * (2 * t.xi[:-1] + g_y) * h
-        return vals.reshape(2 * m, 3)
-
-    def hess_weighted(z, w):
-        w = w.reshape(2, m)
-        out = np.empty((2, na + 2 * m))
-        out[:, :na] = w[:, rows] * at(z).curv
-        out[:, na:na + m] = out[:, na + m:] = 2.0 * c_r * w * h * h
-        return out.ravel()
-
-    flow = ConstraintBlock(
-        cols=cols.reshape(2 * m, 3), value=lambda z: at(z).flow,
-        jacobian=jacobian, hess_weighted=hess_weighted,
-        hess_idx=(hess_idx, hess_idx))
-    return Buffer(flow, np.stack([lay.i_bob, lay.i_eve]), "causality",
-                  initial=CAUS_RELAX)
 
 
 def _mobility_block(scn: Scenario, it: TrajIterate, lay: _Layout,
@@ -437,8 +322,7 @@ def _mobility_block(scn: Scenario, it: TrajIterate, lay: _Layout,
     the larger of that and the base point's longest move (accepted
     within feas_tol), times 1 + ``MOBILITY_RELAX``.  The displaced
     positions and hops (``px``, ``py``, ``hop_x``, ``hop_y``) at a point
-    come from ``at``.  The one mobility builder of the convex step and
-    of the true problem."""
+    come from ``at``."""
     n, h = lay.n, lay.h
     anchors = []
     if scn.start_xy is not None:
@@ -526,107 +410,19 @@ def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
     return _build_subproblem(scn, it, _Layout(scn, it))
 
 
-def _build_subproblem(scn: Scenario, it: TrajIterate,
-                      lay: _Layout) -> SmoothConvexProgram:
-    """The convex step: its blocks are the mobility rows, Bob's and
-    Eve's buffers, and the couplings tau <= zeta_lb, eps <= eta_lb."""
-    n, h, h2 = lay.n, lay.h, lay.h2
-    g_rb = it.grad_rb
-    c_d = it.c_bob
-    act = lay.active
-    g_act = it.gamma_r[act]
-    at = _step_point(it, lay)
-
-    # --- objective: -(sum bob rate lb) + sum log2(1 + g/(h2 + tau)) ---
-    def gradient(z):
-        t = at(z)
-        g = np.zeros(lay.dim)
-        gd = c_d * (2 * t.delta + g_rb[0])
-        gx = c_d * (2 * t.xi + g_rb[1])
-        gd[0] = gx[0] = 0.0        # slot 1 carries no relay power
-        g[lay.i_delta] = gd * h
-        g[lay.i_xi] = gx * h
-        den = t.a[1] * (t.a[1] + g_act)
-        g[lay.i_tau] = -g_act / (LN2 * den) * h2
-        return g
-
-    hess = np.zeros(2 * n + lay.na)
-    hess[:n] = hess[n:2 * n] = 2.0 * c_d * h * h
-    hess[0] = hess[n] = 0.0
-    hess_idx = np.concatenate([lay.i_delta, lay.i_xi, lay.i_tau])
-
-    def hessian(z):
-        out = hess.copy()
-        out[2 * n:] = at(z).curv[1]
-        return out
-
-    # --- causality: Bob's and Eve's relay buffers ---
-    # Interior seed: zero displacement, each slack a margin below its
-    # distance bound, buffers strictly inside at that point.  Lowering a
-    # slack by m <= SEED_MARGIN raises its slot's outflow by at most m
-    # times the log term's slope at SEED_MARGIN below the bound, so the
-    # margin CAUS_RELAX / (4 N slope) keeps the extra outflow over any
-    # prefix below CAUS_RELAX / 4.  Each buffer starts with CAUS_RELAX
-    # plus the seed's worst prefix excess, so every prefix surplus of the
-    # seed is at least CAUS_RELAX.
-    z0 = np.zeros(lay.dim)
-    for i_slack, d2 in ((lay.i_eps, it.eta[act]), (lay.i_tau, it.zeta[act])):
-        a = h2 + d2 - SEED_MARGIN * h2
-        slope = g_act * h2 / (LN2 * a * (a + g_act))
-        z0[i_slack] = d2 / h2 - np.minimum(SEED_MARGIN,
-                                           CAUS_RELAX / (4 * n * slope))
-    buffer = _causality_buffer(it, lay, at)
-    _seed_buffer(buffer, z0)
-
-    # --- affine couplings: tau <= zeta_lb, then eps <= eta_lb ---
-    i_d, i_x = lay.i_delta[act], lay.i_xi[act]
-    jac = np.concatenate([np.stack(
-        [np.ones(lay.na), -grad[0][act] * h / h2, -grad[1][act] * h / h2],
-        axis=1) for grad in (it.grad_zeta, it.grad_eta)])
-    couple = ConstraintBlock(
-        cols=np.concatenate([np.stack([i_slack, i_d, i_x], axis=1)
-                             for i_slack in (lay.i_tau, lay.i_eps)]),
-        value=lambda z: at(z).couple, jacobian=lambda z: jac, name="couplings")
-
-    lb = np.full(lay.dim, -np.inf)
-    lb[lay.i_eps] = lb[lay.i_tau] = SLACK_LB
-    lb[lay.i_bob] = lb[lay.i_eve] = 0.0
-    return SmoothConvexProgram(
-        dim=lay.dim, objective=lambda z: at(z).objective, gradient=gradient,
-        hessian=hessian, hess_idx=(hess_idx, hess_idx),
-        ineqs=[_mobility_block(scn, it, lay, at), buffer.block(), couple],
-        lb=lb, strictly_feasible_start=z0)
+def _log_slopes(g: np.ndarray, u: np.ndarray):
+    """First and second derivatives of log2(1 + g / u) in u."""
+    return (-g / (LN2 * u * (u + g)),
+            g * (2 * u + g) / (LN2 * (u * (u + g)) ** 2))
 
 
-class _Rate:
-    """Reception rates log2(1 + g / (h^2 + |q - c|^2)) per slot (``r``)
-    and, computed on first use, their gradients (``grad``: d/dx, d/dy)
-    and the lower triangles of their 2 x 2 Hessians (``hess``: xx, yy,
-    xy) in the slot's scaled displacement (delta, xi) / h: a trial point
-    of the line search needs the rates alone.  Receivers stacked along
-    the first axis of (cx, cy) give a stack of rates."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, cx, cy,
-                 g: np.ndarray, h: float):
-        """The receivers at (cx, cy) with SNR numerator g per slot, at
-        the positions (x, y)."""
-        self.dx, self.dy, self.g, self.h = x - cx, y - cy, g, h
-        self.u = h * h + self.dx * self.dx + self.dy * self.dy
-        self.r = np.log2(1.0 + g / self.u)
-
-    @functools.cached_property
-    def _d(self) -> tuple[np.ndarray, np.ndarray]:
-        dx, dy, g, u, h = self.dx, self.dy, self.g, self.u, self.h
-        # First and second derivatives of the rate in u.
-        r_u = -g / (LN2 * u * (u + g))
-        r_uu = g * (2 * u + g) / (LN2 * (u * (u + g)) ** 2)
-        h2 = h * h
-        grad, hess = np.empty((2,) + u.shape), np.empty((3,) + u.shape)
-        grad[0], grad[1] = 2 * r_u * dx * h, 2 * r_u * dy * h
-        hess[0] = (4 * r_uu * dx * dx + 2 * r_u) * h2
-        hess[1] = (4 * r_uu * dy * dy + 2 * r_u) * h2
-        hess[2] = 4 * r_uu * dx * dy * h2
-        return grad, hess
+class _Rates:
+    """Rates per slot (``r``; receivers stacked along the first axis
+    give a stack) and, computed on first use (``_d``), their gradients
+    (``grad``: d/dx, d/dy) and the lower triangles of their 2 x 2
+    Hessians (``hess``: xx, yy, xy) in the slot's scaled displacement
+    (delta, xi) / h: a trial point of the line search needs the rates
+    alone."""
 
     @property
     def grad(self) -> np.ndarray:
@@ -637,35 +433,113 @@ class _Rate:
         return self._d[1]
 
 
-class _TruePoint(NamedTuple):
-    """Terms of the true problem at one point, shared by its callbacks:
-    the displaced positions (scaled by h) with their hops, the relay's
-    reception rate, and Bob's (row 0) and Eve's (row 1)."""
+class _Rate(_Rates):
+    """Reception rates log2(1 + g / (h^2 + |q - c|^2)) of the receivers
+    at c = (cx, cy), with SNR numerator g per slot, at the positions
+    q = (x, y)."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, cx, cy,
+                 g: np.ndarray, h: float):
+        self.dx, self.dy, self.g, self.h = x - cx, y - cy, g, h
+        self.u = h * h + self.dx * self.dx + self.dy * self.dy
+        self.r = np.log2(1.0 + g / self.u)
+
+    @functools.cached_property
+    def _d(self) -> tuple[np.ndarray, np.ndarray]:
+        dx, dy, u, h = self.dx, self.dy, self.u, self.h
+        r_u, r_uu = _log_slopes(self.g, u)
+        h2 = h * h
+        grad, hess = np.empty((2,) + u.shape), np.empty((3,) + u.shape)
+        grad[0], grad[1] = 2 * r_u * dx * h, 2 * r_u * dy * h
+        hess[0] = (4 * r_uu * dx * dx + 2 * r_u) * h2
+        hess[1] = (4 * r_uu * dy * dy + 2 * r_u) * h2
+        hess[2] = 4 * r_uu * dx * dy * h2
+        return grad, hess
+
+
+class _Tangent(_Rates):
+    """Upper bounds log2(1 + g / (h^2 + d)) of reception rates, with d
+    affine lower bounds of the squared ground distances
+    (``distance_lower_bounds``) and gd = (d/d delta, d/d xi) their
+    slopes.  Convex in the displacement where h^2 + d > 0."""
+
+    def __init__(self, d: np.ndarray, gd: np.ndarray, g: np.ndarray,
+                 h: float):
+        self.gd, self.g, self.h = gd, g, h
+        self.u = h * h + d
+        self.r = np.log2(1.0 + g / self.u)
+
+    @functools.cached_property
+    def _d(self) -> tuple[np.ndarray, np.ndarray]:
+        (gx, gy), u, h = self.gd, self.u, self.h
+        r_u, r_uu = _log_slopes(self.g, u)
+        h2 = h * h
+        grad, hess = np.empty((2,) + u.shape), np.empty((3,) + u.shape)
+        grad[0], grad[1] = r_u * gx * h, r_u * gy * h
+        hess[0] = r_uu * gx * gx * h2
+        hess[1] = r_uu * gy * gy * h2
+        hess[2] = r_uu * gx * gy * h2
+        return grad, hess
+
+
+class _Quad(_Rates):
+    """Quadratic lower bounds r = r_0 - c (|p|^2 + gq . p) of reception
+    rates at the displacement p = (delta, xi) (``rate_lower_bounds``
+    gives r), with curvature c and gq the slopes of the squared
+    distance."""
+
+    def __init__(self, r: np.ndarray, c: np.ndarray, gq: tuple,
+                 delta: np.ndarray, xi: np.ndarray, h: float):
+        self.r, self.c, self.gq, self.h = r, c, gq, h
+        self.delta, self.xi = delta, xi
+
+    @functools.cached_property
+    def _d(self) -> tuple[np.ndarray, np.ndarray]:
+        ch = -self.c * self.h
+        grad = np.stack([ch * (2 * self.delta + self.gq[0]),
+                         ch * (2 * self.xi + self.gq[1])])
+        diag = 2 * ch * self.h
+        return grad, np.stack([diag, diag, np.zeros_like(diag)])
+
+
+class _Row(_Rates):
+    """Row k of a stack of rates."""
+
+    def __init__(self, rates: _Rates, k: int):
+        self.rates, self.k, self.r = rates, k, rates.r[k]
+
+    @functools.cached_property
+    def _d(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.rates.grad[:, self.k], self.rates.hess[:, self.k]
+
+
+class _Point(NamedTuple):
+    """Terms of a trajectory program at one point, shared by its
+    callbacks: the displaced positions (scaled by h) with their hops,
+    the relay's reception rate (the buffers' inflow), Bob's (row 0) and
+    Eve's (row 1) as the buffers' outflows (Eve's also in the
+    objective), and Bob's in the objective."""
 
     px: np.ndarray
     py: np.ndarray
     hop_x: np.ndarray
     hop_y: np.ndarray
-    relay: _Rate
-    out: _Rate
+    relay: _Rates
+    out: _Rates
+    bob: _Rates
 
 
-def _true_point(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
-                lay: _Layout) -> PointCache:
-    """One program's cache of its ``_TruePoint`` terms."""
+def _points(it: TrajIterate, lay: _Layout, rates) -> PointCache:
+    """One program's cache of its ``_Point`` terms; ``rates(delta, xi)``
+    gives its relay, out and bob rates at a displacement."""
     h = lay.h
     xs, ys = it.traj.x / h, it.traj.y / h
-    g_s = scn.ref_snr * pw.p_s
-    cx, cy = np.array([scn.bob_xy, scn.eve_xy]).T[:, :, None]
 
     def terms(z):
         zx, zy = z[lay.i_delta], z[lay.i_xi]
         px, py = xs + zx, ys + zy
-        x, y = it.traj.x + zx * h, it.traj.y + zy * h
-        return _TruePoint(
-            px, py, px[1:] - px[:-1], py[1:] - py[:-1],
-            _Rate(x, y, *scn.alice_xy, g_s, h),
-            _Rate(x, y, cx, cy, it.gamma_r, h))
+        return _Point(px, py, px[1:] - px[:-1], py[1:] - py[:-1],
+                      *rates(zx * h, zy * h))
     return PointCache(terms)
 
 
@@ -704,35 +578,35 @@ def _true_flow(lay: _Layout, at: PointCache) -> ConstraintBlock:
                            hess_idx=(np.tile(rows, 2), np.tile(hcols, 2)))
 
 
-def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
-                  lay: _Layout, relax: bool = True) -> SmoothConvexProgram:
-    """The true (nonconvex) trajectory problem at the powers pw, in the
-    displacements from the iterate it (a layout without slacks).
+def _program(scn: Scenario, it: TrajIterate, lay: _Layout, at: PointCache,
+             relax: bool = True, ineqs=()) -> SmoothConvexProgram:
+    """The trajectory problem at fixed powers in the displacements from
+    the iterate it, with the rates of ``at``: the one builder of the
+    convex step and of the true problem.
 
     It maximizes sum (R_bob - R_eve) with Bob's and Eve's relay buffers
-    fed by the relay's rate and drained by each receiver's.  With
-    ``relax`` it carries the convex step's relaxations (each buffer
-    starts with ``CAUS_RELAX`` plus the start's worst prefix excess; the
-    relaxed travel budget) and starts strictly inside at zero
-    displacement.  Without, it is the problem itself, with no start:
-    ``_finish`` certifies on it.
+    fed by the relay's rate and drained by each receiver's, within the
+    travel budget, and the further rows ``ineqs``.  With ``relax`` it
+    carries the hair-thin relaxations (each buffer starts with
+    ``CAUS_RELAX`` plus the start's worst prefix excess; the relaxed
+    travel budget) and starts strictly inside at zero displacement.
+    Without, it is the problem itself, with no start.
     """
-    at = _true_point(scn, pw, it, lay)
     i_dx = np.stack([lay.i_delta, lay.i_xi])
 
     def objective(z):
-        r = at(z).out.r
-        return -float((r[0, 1:] - r[1, 1:]).sum())
+        t = at(z)
+        return -float((t.bob.r[1:] - t.out.r[1, 1:]).sum())
 
     def gradient(z):
-        grad = at(z).out.grad
+        t = at(z)
         g = np.zeros(lay.dim)
-        g[i_dx] = grad[:, 1] - grad[:, 0]
+        g[i_dx] = t.out.grad[:, 1] - t.bob.grad
         return g
 
     def hessian(z):
-        hess = at(z).out.hess
-        return (hess[:, 1] - hess[:, 0]).ravel()
+        t = at(z)
+        return (t.out.hess[:, 1] - t.bob.hess).ravel()
 
     buffer = Buffer(_true_flow(lay, at), np.stack([lay.i_bob, lay.i_eve]),
                     "causality", initial=CAUS_RELAX if relax else 0.0)
@@ -746,8 +620,56 @@ def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
         dim=lay.dim, objective=objective, gradient=gradient, hessian=hessian,
         hess_idx=(np.concatenate([lay.i_delta, lay.i_xi, lay.i_xi]),
                   np.concatenate([lay.i_delta, lay.i_xi, lay.i_delta])),
-        ineqs=[_mobility_block(scn, it, lay, at, relax), buffer.block()],
+        ineqs=[_mobility_block(scn, it, lay, at, relax), buffer.block(),
+               *ineqs],
         lb=lb, strictly_feasible_start=z0)
+
+
+def _build_subproblem(scn: Scenario, it: TrajIterate,
+                      lay: _Layout) -> SmoothConvexProgram:
+    """The convex step: ``_program`` on the bounds of the rates, and the
+    affine domain rows eta_lb, zeta_lb >= ``SLACK_LB`` h^2 on active
+    slots (Bob's rows, then Eve's; scaled by h^2).  The relay's and
+    Bob's rates in the objective are ``_Quad`` lower bounds; Bob's and
+    Eve's outflows, Eve's rate in the objective with them, ``_Tangent``
+    upper bounds, zero on silent slots."""
+    h, act = lay.h, lay.active
+    on = np.zeros(lay.n)
+    on[act] = 1.0
+    gd = np.stack([it.grad_eta, it.grad_zeta], axis=1)
+
+    def rates(delta, xi):
+        relay_lb, bob_lb = rate_lower_bounds(it, delta, xi)
+        zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
+        return (_Quad(relay_lb, it.c_relay, it.grad_ar, delta, xi, h),
+                _Tangent(np.stack([eta_lb, zeta_lb]) * on, gd, it.gamma_r,
+                         h),
+                _Quad(bob_lb, it.c_bob, it.grad_rb, delta, xi, h))
+
+    at = _points(it, lay, rates)
+    top = (1.0 + SLACK_LB) * h * h       # h^2 + bound at the domain's edge
+    jac = -(gd[:, :, act] / h).transpose(1, 2, 0).reshape(-1, 2)
+    domain = ConstraintBlock(
+        cols=np.tile(np.stack([lay.i_delta[act], lay.i_xi[act]], axis=1),
+                     (2, 1)),
+        value=lambda z: (top - at(z).out.u[:, act].ravel()) / (h * h),
+        jacobian=lambda z: jac, name="domain")
+    return _program(scn, it, lay, at, ineqs=[domain])
+
+
+def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
+                  lay: _Layout, relax: bool = True) -> SmoothConvexProgram:
+    """The true (nonconvex) trajectory problem at the powers pw:
+    ``_program`` on the rates themselves.  ``_finish`` solves it relaxed
+    and certifies on it unrelaxed."""
+    g_s = scn.ref_snr * pw.p_s
+    cx, cy = np.array([scn.bob_xy, scn.eve_xy]).T[:, :, None]
+
+    def rates(delta, xi):
+        x, y = it.traj.x + delta, it.traj.y + xi
+        out = _Rate(x, y, cx, cy, it.gamma_r, lay.h)
+        return _Rate(x, y, *scn.alice_xy, g_s, lay.h), out, _Row(out, 0)
+    return _program(scn, it, lay, _points(it, lay, rates), relax)
 
 
 def _judge(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
@@ -757,7 +679,7 @@ def _judge(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
     and causality at ``feas_tol``: of an SCP step and of the finish
     alike."""
     def judge(z):
-        delta, xi, _, _ = lay.unpack(z)
+        delta, xi = lay.unpack(z)
         it_new = make_iterate(
             scn, Trajectory(it.traj.xy + np.stack([delta, xi], axis=1)), pw)
         checks = model.check_all(scn, it_new.traj, pw, tol=feas_tol)
@@ -771,7 +693,7 @@ def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
     """``finish`` on the true trajectory problem
     (``_true_program``, relaxed, from zero displacement) from the SCP
     iterate it; the point is certified on the unrelaxed problem."""
-    lay = _Layout(scn, it, slacks=False)
+    lay = _Layout(scn, it)
     return finish(
         _true_program(scn, pw, it, lay), FINISH, it.objective,
         _judge(scn, pw, it, lay, opts.feas_tol),
@@ -828,7 +750,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             report.status = f"solver_{res.status}"
             break
         it_new, _, ok = _judge(scn, pw, it, lay, opts.feas_tol)(res.x_opt)
-        delta, xi, eps, tau = lay.unpack(res.x_opt)
+        delta, xi = lay.unpack(res.x_opt)
         change = abs(it_new.objective - it.objective)
         rel = change / max(abs(it_new.objective), 1e-10)
         settled = rel < opts.rel_tol or change <= model.OBJ_ABS_TOL
@@ -848,19 +770,12 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
                 report.extras["stall_reason"] = ("regressed" if ok
                                                  else "infeasible_step")
             break
-        # Tightness diagnostic of the slack couplings at the optimum
-        # (silent slots have no slacks and count as tight).
-        zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
-        slack_gap = float(np.max(np.minimum(zeta_lb[lay.active] - tau,
-                                            eta_lb[lay.active] - eps),
-                                 initial=0.0))
         it = it_new
         if iteration_callback is not None:
             iteration_callback(it.traj)
         report.add(it.objective, kkt_residual=res.kkt_residual, feasible=ok,
                    subproblem_kkt=res.kkt_residual,
                    subproblem_iters=res.iterations,
-                   slack_tightness_gap=slack_gap,
                    step_norm=float(np.max(np.abs(
                        np.concatenate([delta, xi])))))
         if settled:

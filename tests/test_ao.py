@@ -1,4 +1,8 @@
 """Alternating optimization driver."""
+import dataclasses
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -261,6 +265,34 @@ class TestHoverStart:
         assert first_scp.extras["finish"][0]["accepted"]
         (run,) = report.extras["multistart_runs"]
         assert run["newton_steps"] < 700
+
+
+class TestHardInstances:
+    """Benchmark instances on which the SCP step once jammed or crawled
+    while it carried slack variables for the distances."""
+
+    @pytest.mark.parametrize("horizon", [350.0, 400.0])
+    def test_long_fixed_horizon_converges(self, horizon):
+        """On fixed endpoints with 1 s slots at T = 350 and 400 s, AO ends
+        ``converged`` with a feasible plan (``inner_stage_failure`` with
+        the slacks: a step solve ended ``max_iter``)."""
+        scn = benchmark_scenario(horizon, 1.0, fixed_endpoints=True)
+        traj, pw, report = ao_optimize(scn)
+        assert report.status == "converged"
+        assert all(v.feasible for v in model.check_all(scn, traj, pw).values())
+
+    @pytest.mark.parametrize("seed", [15, 25])
+    def test_free_horizon_seed_under_700_newton_steps(self, seed):
+        """AO on the T = 100 s free benchmark with Eve moved 10 m in a
+        direction drawn from the seed takes under 700 Newton steps over
+        all its multistart runs (1,143 and 1,162 with the slacks)."""
+        scn = benchmark_scenario(100.0, 2.0)
+        angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
+        scn = dataclasses.replace(scn, eve_xy=scn.eve_xy + 10.0 * np.array(
+            [math.cos(angle), math.sin(angle)]))
+        _, _, report = ao_optimize(scn)
+        assert sum(r["newton_steps"]
+                   for r in report.extras["multistart_runs"]) < 700
 
 
 class TestFixedPointStop:

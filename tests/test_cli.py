@@ -126,11 +126,12 @@ class TestExitCodes:
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["power", "trajectory"])
     def test_trajectory_rejects_causality_violating_powers(self, tmp_path,
-                                                           capsys):
+                                                           capsys, command):
         """Equal power on the T = 40 s hover start breaks information
-        causality; ``trajectory`` exits 3 as ``power`` does, instead of
-        optimizing rescaled powers and writing the given ones."""
+        causality; ``power`` and ``trajectory`` exit 3 naming it, instead
+        of optimizing other powers, and write no artifacts."""
         from secrelay import model
         from secrelay.trajectory_scp import initial_trajectory
         doc = {"scenario": {
@@ -145,11 +146,12 @@ class TestExitCodes:
         tpath = tmp_path / "traj.csv"
         cli.write_trajectory_csv(tpath, scn, traj, pw)
         out = tmp_path / "o"
-        rc = cli.main(["trajectory", str(_write(tmp_path, doc)),
+        rc = cli.main([command, str(_write(tmp_path, doc)),
                        "--trajectory", str(tpath), "--out-dir", str(out)])
         assert rc == 3
         assert "causality" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command",
                              ["eval", "check", "power", "trajectory"])
@@ -173,8 +175,8 @@ class TestExitCodes:
 
     def test_power_stage_failure_exit_4(self, tmp_path, capsys,
                                         monkeypatch):
-        """On a flight towards Bob the power stage solves; its failed
-        solve exits 4."""
+        """On a flight towards Bob the power stage solves from causal
+        input powers; its failed solve exits 4."""
         from conftest import fail_power_solves
         from secrelay import model
         fail_power_solves(monkeypatch)
@@ -183,7 +185,7 @@ class TestExitCodes:
                                           np.full(6, -50.0)], axis=1))
         tpath = tmp_path / "traj.csv"
         cli.write_trajectory_csv(tpath, scn, traj,
-                                 model.equal_power_allocation(scn))
+                                 model.equal_power_start(scn, traj))
         cfg = _write(tmp_path, SMALL)
         rc = cli.main(["power", str(cfg), "--trajectory", str(tpath),
                        "--out-dir", str(tmp_path / "o")])

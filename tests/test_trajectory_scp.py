@@ -9,15 +9,15 @@ from conftest import (assert_wall_times, random_feasible_trajectory,
                       reject_trajectory_finish, small_scenario,
                       stage_programs)
 from numerics import (as_dense, assert_outputs_stay_fresh, bound_rows,
-                      callback_outputs, record_points, verify_derivatives)
+                      callback_outputs, record_points, spot_check_convexity,
+                      verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc, trajectory_scp
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
 from secrelay.report import RunReport
 from secrelay.solver import (SmoothConvexProgram, SolverOptions, certify,
                              solve, start_margin)
-from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions,
-                                     _causality_buffer, _Layout,
+from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions, _Layout,
                                      build_subproblem, distance_lower_bounds,
                                      initial_trajectory, make_iterate,
                                      rate_lower_bounds, scp_optimize)
@@ -152,34 +152,25 @@ class TestSubproblem:
                                  model.equal_power_allocation(scn))
         it = make_iterate(scn, traj, pw)
         prog = build_subproblem(scn, pw, it)
-        # Base point: zero displacement, slacks at their affine bounds,
-        # buffers at their prefix surpluses.
+        # Base point: zero displacement, buffers at the model's prefix
+        # surpluses (CAUS_RELAX less its causality gaps).
         lay = _Layout(scn, it)
+        gaps = model.check_causality(scn, traj, pw).slacks
         z0 = np.zeros(prog.dim)
-        act = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1
-        h2 = scn.altitude_h ** 2
-        z0[lay.i_eps] = it.eta[act] / h2
-        z0[lay.i_tau] = it.zeta[act] / h2
-        at = trajectory_scp._step_point(it, lay)
-        buf = _causality_buffer(it, lay, at)
-        z0[buf.idx] = buf.surplus(z0)
-        # Surrogate objective (negated) equals the true secrecy sum.
+        z0[lay.i_bob] = CAUS_RELAX - gaps["bob_gaps"]
+        z0[lay.i_eve] = CAUS_RELAX - gaps["eve_gaps"]
+        # The bounds' objective (negated) equals the true secrecy sum.
         assert -prog.objective(z0) == pytest.approx(it.objective, abs=1e-9)
-        # All surrogate constraints hold at the base point, within the
-        # model feasibility tolerance the base point itself was checked at.
+        # All rows hold at the base point, within the model feasibility
+        # tolerance the base point itself was checked at.
         for block in prog.ineqs:
             assert np.all(block.value(z0) <= 2e-6)
-        # The buffer rows are tight by construction; the prefix constraints
-        # are the buffers' bounds b >= 0.
-        assert np.all(z0[lay.i_bob] >= -2e-6)
-        assert np.all(z0[lay.i_eve] >= -2e-6)
-        # At the base point the surrogate rates are the true rates, so the
-        # buffers hold the model's prefix surpluses.
-        gaps = model.check_causality(scn, traj, pw).slacks
-        np.testing.assert_allclose(z0[lay.i_bob],
-                                   CAUS_RELAX - gaps["bob_gaps"], atol=1e-9)
-        np.testing.assert_allclose(z0[lay.i_eve],
-                                   CAUS_RELAX - gaps["eve_gaps"], atol=1e-9)
+        # At the base point the bounds are the true rates, so the buffers
+        # hold the prefix surpluses: every buffer row after the first
+        # (which starts from the relaxed initial content) is tight.
+        [buffers] = [b for b in prog.ineqs if b.name == "causality"]
+        rows = buffers.value(z0).reshape(2, scn.n_slots - 1)
+        np.testing.assert_allclose(rows[:, 1:], 0.0, atol=1e-9)
         fin = np.isfinite(prog.lb)
         assert np.all(z0[fin] - prog.lb[fin] >= -2e-6)
 
@@ -192,30 +183,34 @@ class TestSubproblem:
         prog = build_subproblem(scn, pw, it)
         lay = _Layout(scn, it)
         z_stay = np.zeros(prog.dim)
-        act = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1
-        h2 = scn.altitude_h ** 2
-        for z in (z_stay,):
-            z[lay.i_eps] = it.eta[act] / h2
-            z[lay.i_tau] = it.zeta[act] / h2
         z_move = z_stay.copy()
         # Displace the last slot toward Bob by 10 m (scaled by H).
         z_move[lay.i_delta[-1]] = 10.0 / scn.altitude_h
         assert prog.objective(z_move) < prog.objective(z_stay)
 
     def test_derivatives(self, rng):
-        scn = small_scenario()
-        traj = random_feasible_trajectory(rng, scn)
-        pw = restore_feasibility(scn, traj,
-                                 model.equal_power_allocation(scn))
-        it = make_iterate(scn, traj, pw)
-        prog = build_subproblem(scn, pw, it)
-        slacks = np.concatenate([_Layout(scn, it).i_eps,
-                                 _Layout(scn, it).i_tau])
-        z0 = np.asarray(prog.strictly_feasible_start)
-        for _ in range(10):
-            z = z0 + rng.uniform(-0.05, 0.05, prog.dim)
-            z[slacks] = np.maximum(z[slacks], 0.05)
-            assert verify_derivatives(prog, z) < 1e-5
+        """Derivatives of the step match central differences, and its
+        objective and every curved row have positive semidefinite
+        Hessians, at points around the start: on random scenarios, and
+        on hovers above Bob and above Eve, where a tangent bound is 0 at
+        every displacement."""
+        cases = []
+        for scn in (small_scenario(), random_scenario(rng),
+                    random_scenario(rng)):
+            cases.append((scn, random_feasible_trajectory(rng, scn)))
+        scn = benchmark_scenario(20.0, 2.0)
+        cases += [(scn, Trajectory(np.tile(xy, (scn.n_slots, 1))))
+                  for xy in (scn.bob_xy, scn.eve_xy)]
+        for scn, traj in cases:
+            pw = restore_feasibility(scn, traj,
+                                     model.equal_power_allocation(scn))
+            prog = build_subproblem(scn, pw, make_iterate(scn, traj, pw))
+            z0 = np.asarray(prog.strictly_feasible_start)
+            points = [z0 + rng.uniform(-0.05, 0.05, prog.dim)
+                      for _ in range(3)]
+            for z in points:
+                assert verify_derivatives(prog, z) < 1e-5
+            assert spot_check_convexity(prog, [z0] + points)
 
     def test_infeasible_base_point_rejected(self):
         scn = small_scenario()
@@ -277,8 +272,7 @@ class TestPointCache:
         assert_outputs_stay_fresh(build(), z0, z1)
         scn, traj, pw = _fixed_start()
         it = make_iterate(scn, traj, pw)
-        prog = trajectory_scp._true_program(scn, pw, it,
-                                            _Layout(scn, it, slacks=False))
+        prog = trajectory_scp._true_program(scn, pw, it, _Layout(scn, it))
         z0 = np.asarray(prog.strictly_feasible_start)
         z1 = z0 + 1e-3 * rng.uniform(-1.0, 1.0, z0.size)
         assert_outputs_stay_fresh(prog, z0, z1)
@@ -696,8 +690,8 @@ class TestInterior:
     @pytest.mark.parametrize("where", ["bob", "eve"])
     def test_hover_above_receiver(self, where):
         """Above Bob (Eve) the tangent bound on the squared distance is 0
-        for every displacement; the slacks' negative bound keeps an
-        interior."""
+        for every displacement; the step's domain rows, at
+        ``SLACK_LB`` h^2 below it, keep an interior."""
         scn = benchmark_scenario(40.0, 2.0)
         xy = scn.bob_xy if where == "bob" else scn.eve_xy
         traj = Trajectory(np.tile(xy, (scn.n_slots, 1)))
@@ -774,9 +768,8 @@ class TestTrajectoryFinish:
             pw = restore_feasibility(scn, traj,
                                      model.equal_power_allocation(scn))
             it = make_iterate(scn, traj, pw)
-            lay = _Layout(scn, it, slacks=False)
+            lay = _Layout(scn, it)
             assert lay.dim == 2 * scn.n_slots + 2 * (scn.n_slots - 1)
-            assert lay.i_eps.size == lay.i_tau.size == 0
             for relax in (True, False):
                 prog = trajectory_scp._true_program(scn, pw, it, lay, relax)
                 z = rng.uniform(-0.3, 0.3, prog.dim)
