@@ -22,6 +22,28 @@ optimum up to the feasibility tolerance tol:
 * the secrecy is increasing in r_out, so the powers score between the
   optimum at tolerance 0 and at tol, and no allocation that passes the
   checks at tol scores more.
+
+The data ferry sweeps the loading-phase length n1 but restores only the
+splits that can still win.  A plan loads for n1 slots above Alice, where
+the gain to her is a, and unloads for u slots above Bob, where the gains
+to Bob and to Eve are b and e, with b >= e.  Its relay power is
+p = N p_bar_r / u before the restore, which only scales it down.  Two
+closed forms cap what the restored plan scores, and each split is
+capped by the smaller:
+
+* the deliverable secrecy u (log2(1 + p b) - log2(1 + p e)): the
+  per-slot secrecy does not fall as the power rises, since b >= e;
+* the received bits n1 log2(1 + (N p_bar_s / n1) a) + tol: Bob's last
+  causality prefix holds at tol after the restore, and Eve's rate is
+  never negative.
+
+The sweep restores the splits in decreasing order of cap (ties in
+increasing n1), keeps the smallest n1 on a tied objective, and stops at
+the first cap below the incumbent's objective, so it returns the split,
+powers and objective of the full sweep.  The comparison allows 1e-9 of
+Bob's gross rate u log2(1 + p b) for rounding: ``channel_state`` forms
+ref/(sqrt h^2)^2, not ref/h^2, and the secrecy sum adds the per-slot
+terms that the cap multiplies.
 """
 from __future__ import annotations
 
@@ -67,8 +89,10 @@ class StaticResult:
     location: np.ndarray
     pw: PowerAllocation
     objective: float
-    evaluated: int          # locations whose hover optimum was scored:
-                            # the grid and the refinement neighbours
+    evaluated: int          # locations compared by hover optimum: the
+                            # grid and the refinement neighbours, 8 per
+                            # round (a neighbour compared again around a
+                            # new incumbent counts once)
 
 
 @dataclass(frozen=True)
@@ -164,7 +188,7 @@ def static_relay_best(scn: Scenario,
     ``ranked_locations`` on a tie, then refines locally with the grid
     step halved ``grid.refine_halvings`` times, moving to a neighbour
     only if its optimum is larger.  ``StaticResult.evaluated`` counts the
-    locations scored: the grid and the refinement neighbours.
+    locations compared: the grid and 8 refinement neighbours per round.
 
     The winner's powers are ``model.equal_power_start`` at ``feas_tol``,
     and they attain its optimum up to ``feas_tol`` (module docstring).
@@ -178,22 +202,30 @@ def static_relay_best(scn: Scenario,
     best_xy, best_opt = cand[k], optima[k]
     evaluated = len(cand)
 
-    # Local refinement around the incumbent, step halved each time.
+    # Local refinement around the incumbent, step halved each time.  A
+    # round walks its neighbours in order and moves to each one that
+    # beats the incumbent; the neighbours after a move lie around the new
+    # incumbent.  One call scores every neighbour not yet walked, again
+    # after each move.
     xs, ys = grid.axes()
     step_x = (xs[1] - xs[0]) if grid.nx > 1 else scn.altitude_h
     step_y = (ys[1] - ys[0]) if grid.ny > 1 else scn.altitude_h
     for _ in range(grid.refine_halvings):
         step_x *= 0.5
         step_y *= 0.5
-        for dx in (-step_x, 0.0, step_x):
-            for dy in (-step_y, 0.0, step_y):
-                if dx == 0.0 and dy == 0.0:
-                    continue
-                xy = best_xy + np.array([dx, dy])
-                _, (optimum,) = _hover_bounds(scn, xy[None], 0.0)
-                evaluated += 1
-                if optimum > best_opt:
-                    best_opt, best_xy = optimum, xy
+        moves = np.array([(dx, dy) for dx in (-step_x, 0.0, step_x)
+                          for dy in (-step_y, 0.0, step_y)
+                          if dx != 0.0 or dy != 0.0])
+        evaluated += len(moves)
+        while len(moves):
+            xy = best_xy + moves
+            _, optima = _hover_bounds(scn, xy, 0.0)
+            wins = np.flatnonzero(optima > best_opt)
+            if not len(wins):
+                break
+            k = wins[0]
+            best_opt, best_xy = optima[k], xy[k]
+            moves = moves[k + 1:]
 
     # Every optimum is >= 0; if none is positive, best_xy is cand[0].
     traj = _constant_traj(scn, best_xy)
@@ -238,10 +270,29 @@ def ferry_plan(scn: Scenario, load_slots: int,
     return traj, model.restore_feasibility(scn, traj, pw, tol=feas_tol)
 
 
+def _ferry_caps(scn: Scenario, n1s: np.ndarray, tol: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Caps on the secrecy sum of ``ferry_plan`` at each loading-phase
+    length in ``n1s`` (module docstring), and the rounding slack to
+    allow when comparing a cap with a computed secrecy sum: 1e-9 of the
+    gross rate Bob receives at the unrestored powers."""
+    n = scn.n_slots
+    unload = n - n1s - transit_slot_count(scn)
+    h2 = scn.altitude_h ** 2
+    a = b = scn.ref_snr / h2
+    e = scn.ref_snr / (h2 + float(np.sum((scn.bob_xy - scn.eve_xy) ** 2)))
+    p = n * scn.p_bar_r / unload
+    to_bob = unload * np.log2(1 + p * b)
+    deliver = to_bob - unload * np.log2(1 + p * e)
+    receive = n1s * np.log2(1 + (n * scn.p_bar_s / n1s) * a) + tol
+    return np.minimum(deliver, receive), 1e-9 * to_bob
+
+
 def data_ferry(scn: Scenario,
                feas_tol: float = model.DEFAULT_FEAS_TOL) -> FerryResult:
     """Best load/fly/unload split, swept over the loading-phase length,
-    each plan's powers causal at ``feas_tol``."""
+    each plan's powers causal at ``feas_tol``.  Splits whose cap is below
+    the best restored objective are not restored (module docstring)."""
     scn = _free_endpoints(scn)
     n = scn.n_slots
     transit = transit_slot_count(scn)
@@ -253,10 +304,16 @@ def data_ferry(scn: Scenario,
             load_slots=0,
             diagnostic=(f"transit needs {transit} of {n} slots; no time "
                         "left to load and unload"))
+    n1s = np.arange(1, max_load + 1)
+    caps, slack = _ferry_caps(scn, n1s, feas_tol)
     best: Optional[FerryResult] = None
-    for n1 in range(1, max_load + 1):
+    for k in np.argsort(-caps, kind="stable"):
+        if best is not None and caps[k] + slack[k] < best.objective:
+            break
+        n1 = int(n1s[k])
         traj, pw = ferry_plan(scn, n1, feas_tol)
         obj = model.secrecy_sum(scn, traj, pw)
-        if best is None or obj > best.objective:
+        if best is None or obj > best.objective or (
+                obj == best.objective and n1 < best.load_slots):
             best = FerryResult(traj=traj, pw=pw, objective=obj, load_slots=n1)
     return best

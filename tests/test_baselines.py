@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_scenario, small_scenario
-from secrelay import benchmark_scenario, model
+from secrelay import baselines, benchmark_scenario, model
 from secrelay.ao import ao_optimize
-from secrelay.baselines import (StaticGrid, _constant_traj, data_ferry,
+from secrelay.baselines import (StaticGrid, _constant_traj, _ferry_caps,
+                                _hover_bounds, _ranked, data_ferry,
                                 ferry_plan, ranked_locations,
                                 static_relay_best, transit_slot_count)
 from secrelay.power_dc import dc_allocate
@@ -100,6 +101,63 @@ class TestStaticRelay:
             assert best <= res.objective + 1e-9
 
 
+def _walk_one_at_a_time(scn, grid):
+    """The static scan with the refinement scoring one neighbour per
+    ``_hover_bounds`` call: location, hover optimum, locations compared,
+    and whether a move happened before a round's last neighbour."""
+    cand, _, optima = _ranked(scn, grid)
+    k = int(np.argmax(optima))
+    best_xy, best_opt, evaluated = cand[k], optima[k], len(cand)
+    moved_mid_round = False
+    xs, ys = grid.axes()
+    step_x = (xs[1] - xs[0]) if grid.nx > 1 else scn.altitude_h
+    step_y = (ys[1] - ys[0]) if grid.ny > 1 else scn.altitude_h
+    for _ in range(grid.refine_halvings):
+        step_x *= 0.5
+        step_y *= 0.5
+        walked = 0
+        for dx in (-step_x, 0.0, step_x):
+            for dy in (-step_y, 0.0, step_y):
+                if dx == 0.0 and dy == 0.0:
+                    continue
+                xy = best_xy + np.array([dx, dy])
+                _, (optimum,) = _hover_bounds(scn, xy[None], 0.0)
+                evaluated += 1
+                walked += 1
+                if optimum > best_opt:
+                    best_opt, best_xy = optimum, xy
+                    moved_mid_round |= walked < 8
+    return best_xy, best_opt, evaluated, moved_mid_round
+
+
+class TestStaticRefinement:
+    @pytest.mark.parametrize("halvings", [1, 2, 3])
+    def test_matches_one_at_a_time_walk(self, halvings):
+        """Location bytes, objective and locations compared, bit for bit,
+        on the benchmark configs and random scenarios; some case moves
+        the incumbent before a round's last neighbour."""
+        rng = np.random.default_rng(11)
+        scns = [benchmark_scenario(*hs) for hs in BENCHMARKS.values()] + [
+            random_scenario(rng, n_slots=int(rng.integers(4, 40)))
+            for _ in range(12)]
+        moved = 0
+        for scn in scns:
+            scn = _free(scn)
+            grid = dataclasses.replace(StaticGrid.default(scn),
+                                       refine_halvings=halvings)
+            xy, opt, evaluated, mid = _walk_one_at_a_time(scn, grid)
+            res = static_relay_best(scn, grid=grid)
+            traj = _constant_traj(scn, xy)
+            pw = (model.equal_power_start(scn, traj) if opt > 0.0
+                  else model.zero_power_allocation(scn))
+            assert res.location.tobytes() == xy.tobytes()
+            assert res.objective == model.secrecy_sum(scn, traj, pw)
+            assert res.evaluated == evaluated == (
+                grid.nx * grid.ny + 8 * halvings)
+            moved += mid
+        assert moved > 0
+
+
 def _scalar_rank_bound(scn, xy):
     """The ranking bound of one location, one scalar at a time."""
     h2 = scn.altitude_h ** 2
@@ -141,7 +199,6 @@ class TestRankedLocations:
 
 
 def _hover_optimum(scn, xy, tol):
-    from secrelay.baselines import _hover_bounds
     return float(_hover_bounds(scn, np.asarray(xy, dtype=float)[None],
                                tol)[1][0])
 
@@ -236,20 +293,75 @@ class TestDataFerry:
         assert all(v.feasible for v in checks.values())
 
     def test_sweep_is_exhaustive(self):
-        # The returned split matches re-running every admissible split.
-        scn = small_scenario(n_slots=10, v_max=100.0)
-        res = data_ferry(scn)
-        scn_f = _free(scn)
-        transit = transit_slot_count(scn_f)
-        best = -np.inf
-        best_n1 = None
-        for n1 in range(1, scn.n_slots - transit):
-            traj, pw = ferry_plan(scn_f, n1)
-            obj = model.secrecy_sum(scn_f, traj, pw)
-            if obj > best:
-                best, best_n1 = obj, n1
-        assert res.objective == pytest.approx(best, abs=1e-12)
-        assert res.load_slots == best_n1
+        """The returned split matches re-running every admissible split,
+        trajectory and powers bit for bit, on random scenarios and the
+        benchmark configs."""
+        rng = np.random.default_rng(0)
+        scns = [small_scenario(n_slots=10, v_max=100.0)] + [
+            random_scenario(rng, n_slots=int(rng.integers(8, 60)))
+            for _ in range(3)] + [
+            benchmark_scenario(*hs) for hs in BENCHMARKS.values()]
+        for scn in scns:
+            res = data_ferry(scn)
+            scn_f = _free(scn)
+            transit = transit_slot_count(scn_f)
+            best = -np.inf
+            best_n1 = best_plan = None
+            for n1 in range(1, scn.n_slots - transit):
+                traj, pw = ferry_plan(scn_f, n1)
+                obj = model.secrecy_sum(scn_f, traj, pw)
+                if obj > best:
+                    best, best_n1, best_plan = obj, n1, (traj, pw)
+            if best_plan is None:   # free-T40: the transit takes every slot
+                assert (res.load_slots, res.objective) == (0, 0.0)
+                continue
+            assert res.objective == pytest.approx(best, abs=1e-12)
+            assert res.load_slots == best_n1
+            assert res.objective == best
+            traj, pw = best_plan
+            assert np.array_equal(res.traj.xy, traj.xy)
+            assert np.array_equal(res.pw.p_s, pw.p_s)
+            assert np.array_equal(res.pw.p_r, pw.p_r)
+
+    @pytest.mark.parametrize("feas_tol", [0.0, 1e-4, model.DEFAULT_FEAS_TOL],
+                             ids=["zero", "loose", "default"])
+    def test_cap_bounds_every_split(self, feas_tol):
+        """No restored split scores above its cap, rounding slack
+        included, also with Eve so far away that the received bits and
+        tol bind; with Eve above Bob every cap is 0."""
+        rng = np.random.default_rng(17)
+        scns = [random_scenario(rng, n_slots=int(rng.integers(8, 60)))
+                for _ in range(8)]
+        scns += [dataclasses.replace(scn, eve_xy=[0.0, 1e9])
+                 for scn in scns[:3]]
+        scns += [dataclasses.replace(scns[0], eve_xy=scns[0].bob_xy)]
+        for scn in scns:
+            scn = _free(scn)
+            n1s = np.arange(1, scn.n_slots - transit_slot_count(scn))
+            caps, slack = _ferry_caps(scn, n1s, feas_tol)
+            for n1, cap, pad in zip(n1s, caps, slack):
+                obj = model.secrecy_sum(scn, *ferry_plan(scn, int(n1),
+                                                         feas_tol))
+                assert obj <= cap + pad
+        assert np.all(caps == 0.0)
+
+    def test_tie_keeps_smallest_split(self, monkeypatch):
+        """With every split scoring the same, the sweep restores them all
+        and keeps the smallest n1, as the full sweep does."""
+        monkeypatch.setattr(model, "secrecy_sum", lambda *args: 0.0)
+        res = data_ferry(benchmark_scenario(*BENCHMARKS["free-T100"]))
+        assert res.load_slots == 1
+
+    def test_sweep_restores_four_splits_on_free_t100(self, monkeypatch):
+        calls = []
+
+        def counting_plan(scn, load_slots, feas_tol):
+            calls.append(load_slots)
+            return ferry_plan(scn, load_slots, feas_tol)
+
+        monkeypatch.setattr(baselines, "ferry_plan", counting_plan)
+        data_ferry(benchmark_scenario(*BENCHMARKS["free-T100"]))
+        assert len(calls) == 4
 
     def test_transit_slots_silent(self):
         scn = small_scenario(n_slots=10, v_max=100.0)
