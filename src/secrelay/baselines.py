@@ -16,9 +16,9 @@ optimum up to the feasibility tolerance tol:
   (j-1) (r_out - r_in), largest at the last prefix, and Eve's rows are
   looser (Eve's gain is below Bob's wherever the optimum is positive);
 * the restore therefore leaves r_out at min(r_in + tol/(N-1), the
-  rate of the equal relay budget), up to its bisection's 2^-40 of the
-  scale, which lies between the hover optimum's r* at tolerance 0 and
-  at tol;
+  rate of the equal relay budget), up to the 2^-40 grid of the
+  restored scale, which lies between the hover optimum's r* at
+  tolerance 0 and at tol;
 * the secrecy is increasing in r_out, so the powers score between the
   optimum at tolerance 0 and at tol, and no allocation that passes the
   checks at tol scores more.
@@ -105,6 +105,8 @@ class FerryResult:
 
 
 def _free_endpoints(scn: Scenario) -> Scenario:
+    if scn.start_xy is None and scn.end_xy is None:
+        return scn
     return dataclasses.replace(scn, start_xy=None, end_xy=None)
 
 

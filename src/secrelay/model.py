@@ -357,20 +357,72 @@ def check_all(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
     }
 
 
+def _scale_estimate(gains: np.ndarray, need: np.ndarray) -> float:
+    """Estimate, from below, of the largest relay scale c at which every
+    causality prefix holds.
+
+    ``gains`` holds a_i = p_r,i g_i over slots 2..N, one row per
+    receiver, shape (2, N-1), and ``need`` what prefix n may forward,
+    received_n + tol.  Each prefix F_n(c) = sum_{i<=n} log2(1 + c a_i)
+    - need_n is concave and increasing in c, and at most
+    m_n log2(1 + c max_{i<=n} a_i), m_n counting its positive a_i, so
+    c0 = min_n (2^(need_n/m_n) - 1) / max_{i<=n} a_i lies below every
+    root, and is the root when all a_i are equal (a hover at equal
+    power).  From below the root of a concave increasing function, a
+    Newton step never passes it, so moving c by the smallest step of
+    all 2(N-1) prefixes keeps it below the smallest root.  The steps
+    stop once one moves c by less than 2^-30 of itself (the next would
+    move it by about the square of that), or after 8.
+    """
+    top = np.maximum.accumulate(gains, axis=1)
+    live = top > 0.0            # prefixes with a positive slope
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = np.cumsum(gains > 0.0, axis=1)
+        bound = np.expm1(need * np.log(2.0) / m) / top
+        c = float(np.min(bound, where=live, initial=np.inf))
+        for _ in range(8):
+            rise = 1.0 + c * gains
+            f = np.log2(rise).cumsum(axis=1) - need
+            slope = (gains / rise).cumsum(axis=1) / np.log(2.0)
+            step = float(np.min(-f / slope, where=live, initial=np.inf))
+            c += step
+            if not step > 2.0 ** -30 * c:
+                break
+    return max(c, 0.0)
+
+
 def restore_feasibility(scn: Scenario, traj: Trajectory,
                         pw: PowerAllocation,
                         tol: float = DEFAULT_FEAS_TOL) -> PowerAllocation:
     """Scale the relay powers down until causality holds.
 
-    Bisection (40 steps) over the scale factor on the predicate of
-    ``check_causality``; returns the input unchanged when it is already
-    feasible.  Neither the channel gains nor what the relay receives
-    depend on the scale, so ``channel_state`` and ``received_prefix``
-    run once per call.  Each round evaluates the midpoints of the next
-    three levels below (lo, hi), 7 scales, in one ``causality_gaps``
-    pass, then walks down them as one step at a time would: the same
-    midpoints, the same decisions, the same scale, in a third of the
-    passes.
+    Returns the input unchanged when it is already feasible.  Otherwise
+    it returns the relay scale that a 40-step bisection over [0, 1] on
+    the predicate of ``check_causality`` finds, bit for bit: the largest
+    feasible point of the 2^-40 grid, or 0.  Neither the channel gains
+    nor what the relay receives depend on the scale, so
+    ``channel_state`` and ``received_prefix`` run once per call.
+
+    The bisection's nodes ``levels`` above the 2^-40 grid are the cells
+    [k w, (k+1) w] with w = 2^(levels-40); ``c // w`` is exact for a
+    power of two, so the ends are the bisection's own floats.  The call
+    takes the cell with ``levels`` = 2 that holds the root estimate
+    (``_scale_estimate``) and checks both ends in one ``causality_gaps``
+    pass.  If the lower end is 0 or feasible and the upper end is not,
+    then, the predicate being monotone in the scale, every coarser
+    midpoint at or below the lower end is feasible and every one at or
+    above the upper end is not; no coarser midpoint lies inside the
+    cell.  The bisection from [0, 1] thus reaches this cell, and the
+    loop below resumes it there.  A bracket centred on the estimate
+    instead would bisect off the 2^-40 grid and return other scales.
+    If the check fails, the cell with ``levels`` = 4 is tried, then
+    [0, 1] with all 40 levels.
+
+    Each round of the loop evaluates the midpoints of the next three
+    levels below (lo, hi), 7 scales, in one ``causality_gaps`` pass,
+    then walks down them as one step at a time would: the same
+    midpoints, the same decisions, the same scale.  A restore thus
+    takes 3 passes when the first cell holds.
     """
     ch = channel_state(scn, traj)
     received = received_prefix(ch, pw.p_s)
@@ -382,7 +434,16 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
 
     if feasible([1.0])[0]:
         return pw
-    lo, hi, left = 0.0, 1.0, 40
+    c = _scale_estimate(pw.p_r[1:] * ch.gamma_out[:, 1:], received + tol)
+    for left in (2, 4):
+        w = 2.0 ** (left - 40)
+        lo = min(c // w, 2.0 ** (40 - left) - 1.0) * w
+        hi = lo + w
+        ok = feasible([lo, hi])
+        if (lo == 0.0 or ok[0]) and not ok[1]:
+            break
+    else:
+        lo, hi, left = 0.0, 1.0, 40
     while left:
         levels = min(3, left)
         pts = [lo, hi]           # lo, the midpoints in order, hi

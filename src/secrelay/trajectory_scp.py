@@ -48,8 +48,8 @@ The start of both programs is zero displacement, each buffer at
 ``buffer_start`` of its prefix surpluses there.  Two hair-thin
 relaxations make it strictly feasible for every base point that
 ``build_subproblem`` accepts: each buffer starts with ``CAUS_RELAX`` plus
-the start's worst prefix excess (powers restored by bisection to just
-inside the causality tolerance), and the squared travel budget is the
+the start's worst prefix excess (powers restored on the 2^-40 grid of
+the relay scale to just inside the causality tolerance), and the squared travel budget is the
 larger of v_max's and the base point's longest move, times 1 +
 ``MOBILITY_RELAX`` (hops of exactly ``v_max``, as in the data-ferry
 start).  A step may thus reach points causal only to within its start's

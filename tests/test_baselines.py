@@ -375,6 +375,34 @@ class TestDataFerry:
         np.testing.assert_allclose(traj.xy[-1], scn.bob_xy)
 
 
+class TestFreeEndpoints:
+    def test_fixed_scenario_scores_as_its_free_twin(self):
+        """Both schemes ignore the endpoints: on fixed-T100 they return,
+        bit for bit, what they return with the endpoints left free."""
+        fixed = benchmark_scenario(*BENCHMARKS["fixed-T100"],
+                                   fixed_endpoints=True)
+        free = benchmark_scenario(*BENCHMARKS["fixed-T100"])
+        st_fixed, st_free = static_relay_best(fixed), static_relay_best(free)
+        assert st_fixed.location.tobytes() == st_free.location.tobytes()
+        assert st_fixed.objective == st_free.objective
+        assert st_fixed.evaluated == st_free.evaluated
+        assert st_fixed.pw.p_s.tobytes() == st_free.pw.p_s.tobytes()
+        assert st_fixed.pw.p_r.tobytes() == st_free.pw.p_r.tobytes()
+        fe_fixed, fe_free = data_ferry(fixed), data_ferry(free)
+        assert fe_fixed.load_slots == fe_free.load_slots
+        assert fe_fixed.objective == fe_free.objective
+        assert fe_fixed.traj.xy.tobytes() == fe_free.traj.xy.tobytes()
+        assert fe_fixed.pw.p_s.tobytes() == fe_free.pw.p_s.tobytes()
+        assert fe_fixed.pw.p_r.tobytes() == fe_free.pw.p_r.tobytes()
+
+    def test_free_scenario_passes_through(self):
+        scn = benchmark_scenario(*BENCHMARKS["free-T130"])
+        assert baselines._free_endpoints(scn) is scn
+        fixed = benchmark_scenario(100.0, 1.0, fixed_endpoints=True)
+        freed = baselines._free_endpoints(fixed)
+        assert freed.start_xy is None and freed.end_xy is None
+
+
 class TestDominance:
     def test_ao_beats_both_baselines(self, rng):
         # With a hover at the static winner and the ferry plan among the

@@ -12,6 +12,7 @@ from numerics import (as_dense, assert_outputs_stay_fresh, bound_rows,
                       callback_outputs, record_points, spot_check_convexity,
                       verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc, trajectory_scp
+from secrelay.baselines import _constant_traj, static_relay_best
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
 from secrelay.report import RunReport
@@ -367,9 +368,9 @@ class TestRestoreFeasibilityOracle:
         return PowerAllocation(p_s=pw.p_s * rng.uniform(0.01, 1.0),
                                p_r=pw.p_r * 10.0 ** rng.uniform(0.0, 4.0))
 
-    def _assert_same(self, scn, traj, pw):
-        got = restore_feasibility(scn, traj, pw)
-        ref = _reference_restore(scn, traj, pw)
+    def _assert_same(self, scn, traj, pw, tol=1e-6):
+        got = restore_feasibility(scn, traj, pw, tol=tol)
+        ref = _reference_restore(scn, traj, pw, tol=tol)
         assert np.array_equal(got.p_r, ref.p_r)
         assert np.array_equal(got.p_s, ref.p_s)
         return got
@@ -428,6 +429,131 @@ class TestRestoreFeasibilityOracle:
                                           self._overdriven(rng, scn))
             for pw in (silent, restored):
                 assert self._assert_same(scn, traj, pw) is pw
+
+    @staticmethod
+    def _hover_at_scale(scn, xy, scale, tol):
+        """A hover at xy with equal powers whose restored relay scale is
+        ``scale`` up to rounding: (N-1) log2(1 + scale p_r g) is what the
+        last prefix may forward, g the stronger receiver's gain."""
+        n = scn.n_slots
+        traj = Trajectory(np.tile(xy, (n, 1)))
+        ch = model.channel_state(scn, traj)
+        gain = max(ch.gamma_rd[0], ch.gamma_re[0])
+        p_s = model.equal_power_allocation(scn).p_s
+        need = model.received_prefix(ch, p_s)[-1] + tol
+        p = np.expm1(need * np.log(2.0) / (n - 1)) / (scale * gain)
+        return traj, PowerAllocation(p_s=p_s,
+                                     p_r=np.append(0.0, np.full(n - 1, p)))
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    @pytest.mark.parametrize("where", ["bob", "eve"])
+    def test_scales_at_the_grid_edges(self, tol, where):
+        """Hovers whose scale is chosen: within a few 2^-40 of 0, on and
+        next to the boundaries of the cells the restore checks first
+        (2^-38) and second (2^-36), and just below 1; also with some
+        relay slots silent."""
+        g = 2.0 ** -40
+        cell = round(0.4 / (4 * g)) * 4 * g
+        targets = [0.5 * g, g, 1.5 * g, 3 * g, 4 * g, 4.5 * g, 5 * g,
+                   cell - 0.5 * g, cell, cell + 0.5 * g,
+                   0.25 - g, 0.25 - 0.5 * g, 0.25 + 0.5 * g,
+                   0.625 + 16.5 * g, 0.625 + 15.5 * g,
+                   1.0 - 5 * g, 1.0 - 1.5 * g, 1.0 - g, 1.0 - 0.5 * g]
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 65):
+            scn, _ = self._instance(rng, n)
+            xy = scn.bob_xy if where == "bob" else scn.eve_xy
+            for t in targets:
+                traj, pw = self._hover_at_scale(scn, xy, t, tol)
+                got = self._assert_same(scn, traj, pw, tol)
+                assert abs(got.p_r[-1] / pw.p_r[-1] - t) <= 2 * g
+                if n > 2:
+                    p_r = pw.p_r.copy()
+                    p_r[1::2] = 0.0
+                    self._assert_same(
+                        scn, traj, PowerAllocation(p_s=pw.p_s, p_r=p_r), tol)
+
+    def test_scales_near_zero(self):
+        """A silent or 1e-7 W source with a 1-100 W relay at tolerance 0,
+        on random trajectories and hovering above Bob: scales of 0 and
+        within a few 2^-40 of it, also with N = 2."""
+        rng = np.random.default_rng(18)
+        scales = []
+        for n in (2, 3, 40, 200):
+            scn, traj = self._instance(rng, n)
+            above_bob = Trajectory(np.tile(scn.bob_xy, (n, 1)))
+            for tr in (traj, above_bob):
+                for source in (0.0, 1e-7):
+                    p_s = np.append(np.full(n - 1, source), 0.0)
+                    for relay in (1.0, 10.0, 100.0):
+                        p_r = np.append(0.0, np.full(n - 1, relay))
+                        got = self._assert_same(
+                            scn, tr, PowerAllocation(p_s=p_s, p_r=p_r), 0.0)
+                        scales.append(got.p_r[-1] / relay / 2.0 ** -40)
+        assert sum(s == 0.0 for s in scales) >= 24
+        assert sum(0.0 < s <= 8.0 for s in scales) >= 3
+
+    @staticmethod
+    def _count_passes(monkeypatch) -> list:
+        """One entry per ``model.causality_gaps`` pass from now on."""
+        passes = []
+        causality_gaps = model.causality_gaps
+
+        def counting(*args):
+            passes.append(1)
+            return causality_gaps(*args)
+
+        monkeypatch.setattr(model, "causality_gaps", counting)
+        return passes
+
+    @pytest.mark.parametrize("wrong", ["zero", "one", "above", "below"])
+    def test_wrong_estimate_falls_back(self, wrong, monkeypatch):
+        """With the root estimate replaced by a wrong one, both cells
+        fail their check and the restore bisects [0, 1]: the same powers
+        in 1 + 2 + 14 passes."""
+        estimate = model._scale_estimate
+        wrongs = {"zero": lambda c: 0.0, "one": lambda c: 1.0,
+                  "above": lambda c: c * (1 + 2.0 ** -30),
+                  "below": lambda c: c * (1 - 2.0 ** -30)}
+        monkeypatch.setattr(
+            model, "_scale_estimate",
+            lambda gains, need: wrongs[wrong](estimate(gains, need)))
+        passes = self._count_passes(monkeypatch)
+        rng = np.random.default_rng(19)
+        for n in (2, 3, 65, 300):
+            scn, traj = self._instance(rng, n)
+            # Scales above 2^-6, so that c (1 +- 2^-30) leaves both cells.
+            traj, pw = self._hover_at_scale(scn, traj.xy[0],
+                                            rng.uniform(0.02, 0.98), 1e-6)
+            ref = _reference_restore(scn, traj, pw)
+            passes.clear()
+            got = restore_feasibility(scn, traj, pw)
+            assert got.p_r.tobytes() == ref.p_r.tobytes()
+            assert len(passes) == 17
+
+    def test_three_passes_on_the_benchmark_inputs(self, monkeypatch):
+        """The equal-power restore on the five benchmark configs'
+        initial trajectories and the four free configs' static winners
+        makes 3 ``causality_gaps`` passes (a bisection from [0, 1]
+        makes 15), with the reference's powers."""
+        inputs = []
+        for horizon, slot, fixed in ((40.0, 2.0, False), (70.0, 2.0, False),
+                                     (100.0, 2.0, False),
+                                     (130.0, 2.0, False),
+                                     (100.0, 1.0, True)):
+            scn = benchmark_scenario(horizon, slot, fixed_endpoints=fixed)
+            inputs.append((scn, initial_trajectory(scn)))
+            if not fixed:
+                xy = static_relay_best(scn).location
+                inputs.append((scn, _constant_traj(scn, xy)))
+        passes = self._count_passes(monkeypatch)
+        for scn, traj in inputs:
+            pw = model.equal_power_allocation(scn)
+            passes.clear()
+            got = model.equal_power_start(scn, traj)
+            assert len(passes) == 3
+            ref = _reference_restore(scn, traj, pw)
+            assert got.p_r.tobytes() == ref.p_r.tobytes()
 
     def test_channel_state_once_per_call(self, monkeypatch):
         """The gains are computed once per call, not once per probe."""
