@@ -415,14 +415,14 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
     cell.  The bisection from [0, 1] thus reaches this cell, and the
     loop below resumes it there.  A bracket centred on the estimate
     instead would bisect off the 2^-40 grid and return other scales.
-    If the check fails, the cell with ``levels`` = 4 is tried, then
-    [0, 1] with all 40 levels.
+    If the check fails (the estimate sits within rounding of a cell
+    boundary, or is wrong), the loop bisects [0, 1] with all 40 levels.
 
     Each round of the loop evaluates the midpoints of the next three
     levels below (lo, hi), 7 scales, in one ``causality_gaps`` pass,
     then walks down them as one step at a time would: the same
     midpoints, the same decisions, the same scale.  A restore thus
-    takes 3 passes when the first cell holds.
+    takes 3 passes when the cell holds.
     """
     ch = channel_state(scn, traj)
     received = received_prefix(ch, pw.p_s)
@@ -435,14 +435,11 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
     if feasible([1.0])[0]:
         return pw
     c = _scale_estimate(pw.p_r[1:] * ch.gamma_out[:, 1:], received + tol)
-    for left in (2, 4):
-        w = 2.0 ** (left - 40)
-        lo = min(c // w, 2.0 ** (40 - left) - 1.0) * w
-        hi = lo + w
-        ok = feasible([lo, hi])
-        if (lo == 0.0 or ok[0]) and not ok[1]:
-            break
-    else:
+    left, w = 2, 2.0 ** -38
+    lo = min(c // w, 2.0 ** 38 - 1.0) * w
+    hi = lo + w
+    ok = feasible([lo, hi])
+    if not ((lo == 0.0 or ok[0]) and not ok[1]):
         lo, hi, left = 0.0, 1.0, 40
     while left:
         levels = min(3, left)

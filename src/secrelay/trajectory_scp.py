@@ -49,14 +49,14 @@ The start of both programs is zero displacement, each buffer at
 relaxations make it strictly feasible for every base point that
 ``build_subproblem`` accepts: each buffer starts with ``CAUS_RELAX`` plus
 the start's worst prefix excess (powers restored on the 2^-40 grid of
-the relay scale to just inside the causality tolerance), and the squared travel budget is the
-larger of v_max's and the base point's longest move, times 1 +
-``MOBILITY_RELAX`` (hops of exactly ``v_max``, as in the data-ferry
-start).  A step may thus reach points causal only to within its start's
-worst excess plus ``CAUS_RELAX``; ``scp_optimize`` accepts a step only if
-it passes ``model.check_all`` at ``feas_tol`` (otherwise the stage ends
-``stalled``, ``infeasible_step``), so every accepted iterate is feasible
-at ``feas_tol``.
+the relay scale to just inside the causality tolerance), and the
+squared travel budget is the larger of v_max's and the base point's
+longest move, times 1 + ``MOBILITY_RELAX`` (hops of exactly ``v_max``,
+as in the data-ferry start).  A step may thus reach points causal only
+to within its start's worst excess plus ``CAUS_RELAX``; ``scp_optimize``
+accepts a step only if it passes ``model.check_all`` at ``feas_tol``
+(otherwise the stage ends ``stalled``, ``infeasible_step``), so every
+accepted iterate is feasible at ``feas_tol``.
 
 Each program evaluates a point in one pass (``_Point``): the displaced
 positions and hops and its three rate objects, which compute their

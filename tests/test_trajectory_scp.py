@@ -449,9 +449,9 @@ class TestRestoreFeasibilityOracle:
     @pytest.mark.parametrize("where", ["bob", "eve"])
     def test_scales_at_the_grid_edges(self, tol, where):
         """Hovers whose scale is chosen: within a few 2^-40 of 0, on and
-        next to the boundaries of the cells the restore checks first
-        (2^-38) and second (2^-36), and just below 1; also with some
-        relay slots silent."""
+        next to the boundaries of the 2^-38 cells the restore checks and
+        of coarser nodes, and just below 1; also with some relay slots
+        silent."""
         g = 2.0 ** -40
         cell = round(0.4 / (4 * g)) * 4 * g
         targets = [0.5 * g, g, 1.5 * g, 3 * g, 4 * g, 4.5 * g, 5 * g,
@@ -508,9 +508,9 @@ class TestRestoreFeasibilityOracle:
 
     @pytest.mark.parametrize("wrong", ["zero", "one", "above", "below"])
     def test_wrong_estimate_falls_back(self, wrong, monkeypatch):
-        """With the root estimate replaced by a wrong one, both cells
-        fail their check and the restore bisects [0, 1]: the same powers
-        in 1 + 2 + 14 passes."""
+        """With the root estimate replaced by a wrong one, its cell fails
+        the check and the restore bisects [0, 1]: the same powers in
+        1 + 1 + 14 passes."""
         estimate = model._scale_estimate
         wrongs = {"zero": lambda c: 0.0, "one": lambda c: 1.0,
                   "above": lambda c: c * (1 + 2.0 ** -30),
@@ -522,14 +522,14 @@ class TestRestoreFeasibilityOracle:
         rng = np.random.default_rng(19)
         for n in (2, 3, 65, 300):
             scn, traj = self._instance(rng, n)
-            # Scales above 2^-6, so that c (1 +- 2^-30) leaves both cells.
+            # Scales above 2^-6, so that c (1 +- 2^-30) leaves its cell.
             traj, pw = self._hover_at_scale(scn, traj.xy[0],
                                             rng.uniform(0.02, 0.98), 1e-6)
             ref = _reference_restore(scn, traj, pw)
             passes.clear()
             got = restore_feasibility(scn, traj, pw)
             assert got.p_r.tobytes() == ref.p_r.tobytes()
-            assert len(passes) == 17
+            assert len(passes) == 16
 
     def test_three_passes_on_the_benchmark_inputs(self, monkeypatch):
         """The equal-power restore on the five benchmark configs'
