@@ -48,9 +48,9 @@ def _ao_single(scn: Scenario, traj: Trajectory,
                opts: ScpOptions) -> tuple[Trajectory, PowerAllocation, RunReport]:
     """One AO run from traj; every stage and check at ``opts.feas_tol``.
 
-    It stops ``converged`` when the objective changes by less than
-    ``opts.rel_tol`` (relative) or ``model.OBJ_ABS_TOL``, or when the
-    trajectory stage returns its input trajectory unchanged.  Every
+    It stops ``converged`` when the objective settles
+    (``model.settled`` at ``opts.rel_tol``), or when the trajectory
+    stage returns its input trajectory unchanged.  Every
     allocation the power stage returns passes causality at
     ``opts.feas_tol``, so the trajectory stage takes it as it is.
     """
@@ -77,8 +77,7 @@ def _ao_single(scn: Scenario, traj: Trajectory,
         traj, scp_rep = scp_optimize(scn, pw, traj, opts=opts)
         report.sub_reports.append(scp_rep)
         obj_new = model.secrecy_sum(scn, traj, pw)
-        change = abs(obj_new - obj)
-        rel = change / max(abs(obj_new), 1e-10)
+        settled = model.settled(obj, obj_new, opts.rel_tol)
         feas = all(v.feasible for v in
                    model.check_all(scn, traj, pw, tol).values())
         # The trajectory solve's residual says nothing about stationarity
@@ -93,8 +92,7 @@ def _ao_single(scn: Scenario, traj: Trajectory,
             break
         # An unchanged trajectory is a fixed point: the power stage gives
         # it these powers again, so a next iteration would repeat this one.
-        if (np.array_equal(traj.xy, traj_0.xy) or rel < opts.rel_tol
-                or change <= model.OBJ_ABS_TOL):
+        if np.array_equal(traj.xy, traj_0.xy) or settled:
             report.status = "converged"
             break
     return traj, pw, report.finish()

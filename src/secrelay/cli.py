@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
@@ -60,7 +59,7 @@ import yaml
 
 from . import model
 from .ao import ao_optimize, evaluate
-from .baselines import data_ferry, static_relay_best
+from .baselines import _free_endpoints, data_ferry, static_relay_best
 from .model import PowerAllocation, Scenario, Trajectory
 from .model import benchmark_scenario  # noqa: F401  (kept importable here)
 from .power_dc import dc_allocate
@@ -390,8 +389,8 @@ def cmd_baseline(scn, run, out_dir, args) -> int:
         extra = {"scheme": "ferry", "load_slots": res.load_slots}
         if res.diagnostic:
             extra["diagnostic"] = res.diagnostic
-    scn_free = dataclasses.replace(scn, start_xy=None, end_xy=None)
-    return _finish(out_dir, scn_free, run, None, traj, pw, tol, t0, extra)
+    return _finish(out_dir, _free_endpoints(scn), run, None, traj, pw, tol,
+                   t0, extra)
 
 
 def cmd_eval(scn, run, out_dir, args) -> int:

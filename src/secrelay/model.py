@@ -23,6 +23,14 @@ DEFAULT_FEAS_TOL = 1e-6
 OBJ_ABS_TOL = 1e-6
 
 
+def settled(old: float, new: float, rel_tol: float) -> bool:
+    """The stop rule of the outer loops (SCP, AO): the objective moved
+    from old to new by less than rel_tol relative to new, or by at most
+    ``OBJ_ABS_TOL``."""
+    change = abs(new - old)
+    return change / max(abs(new), 1e-10) < rel_tol or change <= OBJ_ABS_TOL
+
+
 def _as_xy(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.shape != (2,):

@@ -3,20 +3,24 @@
 Each sequential step solves a convex program over the per-slot
 displacements around the current trajectory and moves the trajectory.
 The step is the true problem with its rates replaced by bounds built at
-the iterate, each exact at zero displacement (one builder, ``_program``,
-makes both): the relay's reception rate (the buffers' inflow) and Bob's
-(in the objective) by quadratic lower bounds (``_Quad``), and Bob's and
-Eve's rates as the buffers' outflows, Eve's also in the objective, by
-the upper bounds log2(1 + g / (h^2 + d)), d the affine tangent lower
-bound of the squared ground distance (``_Tangent``).  Every bound
-implies the original inequality, so all iterates stay feasible and the
-true secrecy rate ascends.  log2(1 + g / (h^2 + t)) is convex and
-decreasing in t where h^2 + t > 0, and an affine t keeps it convex
-(S. Boyd & L. Vandenberghe, *Convex Optimization*, §3.2.2), so the step
-is convex as it stands.  Its one extra block holds the affine domain
-rows zeta_lb, eta_lb >= ``SLACK_LB`` h^2 on the slots where the relay
-transmits: they keep h^2 + d > 0, also over a base point above Bob or
-Eve, where the tangent bound is 0 for every displacement.
+the iterate (one builder, ``_program``, makes both).  Every rate is one
+formula (``_Rate``): log2(1 + g / w), with w = h^2 + |q0 + p - c|^2 the
+squared distance from the displaced relay q0 + p to the receiver c.  It
+is convex and decreasing in w, and w is convex in p, so each of its two
+tangents, exact at zero displacement, bounds it.  Its tangent in w,
+r0 + r'(w0) (w - w0), bounds it from below and is concave in p: the
+relay's reception rate (the buffers' inflow) and Bob's (in the
+objective).  Its value at the tangent of w in p, w0 + 2 (q0 - c) . p,
+bounds it from above: Bob's and Eve's rates as the buffers' outflows,
+Eve's also in the objective.  Every bound implies the original
+inequality, so all iterates stay feasible and the true secrecy rate
+ascends.  log2(1 + g / t) is convex and decreasing in t > 0, and an
+affine t keeps it convex (S. Boyd & L. Vandenberghe, *Convex
+Optimization*, §3.2.2), so the step is convex as it stands.  Its one
+extra block holds the affine domain rows w >= (1 + ``SLACK_LB``) h^2 of
+the upper bounds on the slots where the relay transmits: they keep
+w > 0, also over a base point above Bob or Eve, where the tangent of the
+squared ground distance is 0 for every displacement.
 
 SCP converges only linearly, and the bounds only serve to reach a KKT
 point of the true problem.  So after the first step that leaves the
@@ -59,14 +63,14 @@ accepts a step only if it passes ``model.check_all`` at ``feas_tol``
 accepted iterate is feasible at ``feas_tol``.
 
 Each program evaluates a point in one pass (``_Point``): the displaced
-positions and hops and its three rate objects, which compute their
-derivatives on first use (a trial point of the line search needs the
-values alone).  The callbacks of a program read their parts from its one
-``solver.PointCache``, keyed on the point's bytes, so a caller that
-writes into an array it passed before still gets fresh terms; Bob's and
-Eve's buffers share one ``ConstraintBlock``.  The parts of the bounds
-that depend on the iterate only are computed once per SCP step, in
-``make_iterate``.
+positions and hops and its two stacks of rates, which compute their
+derivatives on first use, by one chain rule for every form (a trial
+point of the line search needs the values alone).  The callbacks of a
+program read their parts from its one ``solver.PointCache``, keyed on
+the point's bytes, so a caller that writes into an array it passed
+before still gets fresh terms; Bob's and Eve's buffers share one
+``ConstraintBlock``.  The parts of the rates that depend on the iterate
+only are computed once per program, when its ``_Rate`` is built.
 """
 from __future__ import annotations
 
@@ -174,55 +178,20 @@ class ScpOptions:
 
 @dataclass(frozen=True)
 class TrajIterate:
-    """Trajectory with all per-slot quantities cached for one SCP step.
-
-    Besides the rates and curvatures, it holds the iterate-only parts of
-    the lower bounds (``rate_lower_bounds``, ``distance_lower_bounds``):
-    the squared distances zeta and eta, and the gradients of the squared
-    ground distances in the bounds' linear terms, each an (x, y) pair of
-    per-slot arrays.
-    """
+    """An SCP iterate: the trajectory, the SNR numerators of the relay's
+    reception (ref_snr p_s) and transmission (ref_snr p_r) per slot, and
+    the true objective."""
 
     traj: Trajectory
-    r_relay: np.ndarray    # reception rate at the relay
-    r_bob: np.ndarray      # reception rate at Bob
-    zeta: np.ndarray       # squared ground distance to Eve
-    eta: np.ndarray        # squared ground distance to Bob
-    gamma_r: np.ndarray    # ref_snr * p_r
-    c_relay: np.ndarray    # curvature of the relay-rate lower bound
-    c_bob: np.ndarray      # curvature of the Bob-rate lower bound
-    grad_ar: tuple         # 2 (x - x_A), 2 (y - y_A)
-    grad_rb: tuple         # 2 ((x - x_A) - (x_B - x_A)), same in y
-    grad_zeta: tuple       # 2 (x - x_E), 2 (y - y_E)
-    grad_eta: tuple        # 2 (x - x_B), 2 (y - y_B)
+    gamma_s: np.ndarray
+    gamma_r: np.ndarray
     objective: float
 
 
 def make_iterate(scn: Scenario, traj: Trajectory,
                  pw: PowerAllocation) -> TrajIterate:
-    ch = model.channel_state(scn, traj)
-    rp = model.rate_profile(scn, traj, pw)
-    d_ar2, d_rd2 = ch.d_ar ** 2, ch.d_rd ** 2
-    gamma_s, gamma_r = scn.ref_snr * pw.p_s, scn.ref_snr * pw.p_r
-    x, y = traj.x - scn.alice_xy[0], traj.y - scn.alice_xy[1]
-    d_bob = scn.bob_xy - scn.alice_xy
-    ex, ey = scn.eve_xy
-    bx, by = scn.bob_xy
-    return TrajIterate(
-        traj=traj,
-        r_relay=rp.r_relay,
-        r_bob=rp.r_bob,
-        zeta=(ex - traj.x) ** 2 + (ey - traj.y) ** 2,
-        eta=(bx - traj.x) ** 2 + (by - traj.y) ** 2,
-        gamma_r=gamma_r,
-        c_relay=gamma_s / ((d_ar2 + gamma_s) * d_ar2 * LN2),
-        c_bob=gamma_r / ((d_rd2 + gamma_r) * d_rd2 * LN2),
-        grad_ar=(2 * x, 2 * y),
-        grad_rb=(2 * (x - d_bob[0]), 2 * (y - d_bob[1])),
-        grad_zeta=(2 * (traj.x - ex), 2 * (traj.y - ey)),
-        grad_eta=(2 * (traj.x - bx), 2 * (traj.y - by)),
-        objective=rp.secrecy_sum,
-    )
+    return TrajIterate(traj, scn.ref_snr * pw.p_s, scn.ref_snr * pw.p_r,
+                       model.secrecy_sum(scn, traj, pw))
 
 
 def initial_trajectory(scn: Scenario) -> Trajectory:
@@ -252,33 +221,6 @@ def initial_trajectory(scn: Scenario) -> Trajectory:
     return Trajectory(a + t[:, None] * (b - a))
 
 
-def rate_lower_bounds(it: TrajIterate, delta: np.ndarray, xi: np.ndarray):
-    """Quadratic lower bounds on both reception rates at a displacement.
-
-    Returns (relay_lb, bob_lb) arrays over all slots, exact at zero
-    displacement.
-    """
-    g_ar, g_rb = it.grad_ar, it.grad_rb
-    quad = delta ** 2 + xi ** 2
-    relay_lb = it.r_relay - it.c_relay * (quad + g_ar[0] * delta
-                                          + g_ar[1] * xi)
-    bob_lb = it.r_bob - it.c_bob * (quad + g_rb[0] * delta + g_rb[1] * xi)
-    return relay_lb, bob_lb
-
-
-def distance_lower_bounds(it: TrajIterate, delta: np.ndarray,
-                          xi: np.ndarray):
-    """Affine lower bounds on the squared Eve/Bob ground distances.
-
-    Returns (zeta_lb, eta_lb): tangent planes of the convex squares,
-    exact at zero displacement.
-    """
-    g_zeta, g_eta = it.grad_zeta, it.grad_eta
-    zeta_lb = it.zeta + g_zeta[0] * delta + g_zeta[1] * xi
-    eta_lb = it.eta + g_eta[0] * delta + g_eta[1] * xi
-    return zeta_lb, eta_lb
-
-
 class _Layout:
     """Variable layout of the trajectory programs, slot by slot.
 
@@ -291,7 +233,7 @@ class _Layout:
     def __init__(self, scn: Scenario, it: TrajIterate):
         n = self.n = scn.n_slots
         self.h = scn.altitude_h
-        self.active = np.flatnonzero(it.gamma_r[1:] > 0.0) + 1  # slot index
+        self.active = np.flatnonzero(it.gamma_r > 0.0)
         self.dim = 4 * n - 2
         self.i_delta = np.concatenate([[0], np.arange(2, self.dim, 4)])
         self.i_xi = self.i_delta + 1
@@ -309,8 +251,8 @@ CAUS_RELAX = 1e-8
 # Hair-thin relative relaxation of the squared travel budget, so a base
 # point with a move of exactly that budget keeps an interior.
 MOBILITY_RELAX = 1e-12
-# Lower bound of the convex step's tangent bounds zeta_lb and eta_lb on
-# active slots, scaled by h^2: their log terms need h^2 + bound > 0.
+# The convex step keeps the w of its upper bounds (``_Rate``) at least
+# (1 + SLACK_LB) h^2 on active slots: their log terms need w > 0.
 SLACK_LB = -0.5
 
 
@@ -394,35 +336,103 @@ def _seed_buffer(b: Buffer, z0: np.ndarray) -> None:
     z0[b.idx] = buffer_start(b.initial[..., None] - sent)
 
 
+def _check_base(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
+                feas_tol: float) -> None:
+    """Raise ``ValueError`` when traj violates mobility or pw violates
+    information causality on it at ``feas_tol``."""
+    if not model.check_mobility(scn, traj, tol=feas_tol).feasible:
+        raise ValueError("trajectory violates mobility constraints")
+    verdict = model.check_causality(scn, traj, pw, tol=feas_tol)
+    if not verdict.feasible:
+        raise ValueError(f"powers violate information causality by "
+                         f"{verdict.worst:.3e}")
+
+
 def build_subproblem(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
-                     feas_tol: float = 1e-6) -> SmoothConvexProgram:
+                     feas_tol: float = model.DEFAULT_FEAS_TOL
+                     ) -> SmoothConvexProgram:
     """Convex displacement program around the iterate (minimize form).
 
     Raises ``ValueError`` when the base point violates mobility or
     causality at ``feas_tol``, as ``scp_optimize`` does for its input.
     """
-    if not model.check_mobility(scn, it.traj, tol=feas_tol).feasible:
-        raise ValueError("base point violates mobility constraints")
-    verdict = model.check_causality(scn, it.traj, pw, tol=feas_tol)
-    if not verdict.feasible:
-        raise ValueError(
-            f"base point violates causality by {verdict.worst:.3e}")
+    _check_base(scn, it.traj, pw, feas_tol)
     return _build_subproblem(scn, it, _Layout(scn, it))
 
 
-def _log_slopes(g: np.ndarray, u: np.ndarray):
-    """First and second derivatives of log2(1 + g / u) in u."""
-    return (-g / (LN2 * u * (u + g)),
-            g * (2 * u + g) / (LN2 * (u * (u + g)) ** 2))
+def _log_slopes(g: np.ndarray, w: np.ndarray):
+    """First and second derivatives of log2(1 + g / w) in w."""
+    return (-g / (LN2 * w * (w + g)),
+            g * (2 * w + g) / (LN2 * (w * (w + g)) ** 2))
 
 
-class _Rates:
-    """Rates per slot (``r``; receivers stacked along the first axis
-    give a stack) and, computed on first use (``_d``), their gradients
-    (``grad``: d/dx, d/dy) and the lower triangles of their 2 x 2
-    Hessians (``hess``: xx, yy, xy) in the slot's scaled displacement
-    (delta, xi) / h: a trial point of the line search needs the rates
-    alone."""
+class _Rate:
+    """Reception rates log2(1 + g / w) of the receivers at c, with SNR
+    numerator g per slot and w = h^2 + |q0 + p - c|^2, over the
+    displacements p = (delta, xi) from the positions q0; receivers
+    stacked along the first axis of c give a stack.  The rate is convex
+    and decreasing in w, and w is convex in p, so either tangent bounds
+    it.  It takes one of three forms:
+
+    - ``exact``: the rate itself;
+    - ``lower``: r0 + r'(w0) (w - w0), its tangent in w at p = 0, a
+      lower bound, concave in p;
+    - ``upper``: the rate at w0 + 2 (q0 - c) . p, the tangent of w in p,
+      an upper bound, convex in p where that tangent is positive.  It
+      holds w at w0 on slots with g = 0, whose rate is 0 in every form.
+
+    All three agree at p = 0, in value and gradient.  The terms of q0
+    alone (q0 - c, w0, r0, r'(w0)) are computed here, once per program;
+    ``at`` gives the rates at a displacement."""
+
+    def __init__(self, form: str, q0: np.ndarray, c, g: np.ndarray,
+                 h: float):
+        self.form, self.g, self.h = form, g, h
+        # q0 - c, indexed (x or y, receiver, slot)
+        e = q0.T[:, None] - np.asarray(c).T[:, :, None]
+        self.w0 = h * h + e[0] * e[0] + e[1] * e[1]
+        self.r0 = np.log2(1.0 + g / self.w0)
+        self.s0 = _log_slopes(g, self.w0)[0]
+        self.e = e * (g > 0.0) if form == "upper" else e
+
+    def at(self, p: np.ndarray) -> "_RateAt":
+        """The rates at the displacement p = (delta, xi), stacked."""
+        e = self.e
+        if self.form == "upper":
+            w = self.w0 + 2 * (e[0] * p[0] + e[1] * p[1])
+            return _RateAt(self, np.log2(1.0 + self.g / w), w, e)
+        dq = e + p[:, None]
+        w = self.h * self.h + dq[0] * dq[0] + dq[1] * dq[1]
+        r = (self.r0 + self.s0 * (w - self.w0) if self.form == "lower"
+             else np.log2(1.0 + self.g / w))
+        return _RateAt(self, r, w, dq)
+
+
+class _RateAt:
+    """A ``_Rate`` at one displacement: the rates ``r``, their w and,
+    computed on first use (``_d``), their gradients (``grad``: d/dx,
+    d/dy) and the lower triangles of their 2 x 2 Hessians (``hess``: xx,
+    yy, xy) in the slot's scaled displacement p / h: a trial point of
+    the line search needs the rates alone.  dq is half the gradient of w
+    in p."""
+
+    def __init__(self, rate: _Rate, r: np.ndarray, w: np.ndarray,
+                 dq: np.ndarray):
+        self.rate, self.r, self.w, self.dq = rate, r, w, dq
+
+    @functools.cached_property
+    def _d(self) -> tuple[np.ndarray, np.ndarray]:
+        """One chain rule for every form: with f the rate as a function
+        of w, the gradient f' grad w and the Hessian
+        f'' grad w grad w^T + f' hess w."""
+        rate, h = self.rate, self.rate.h
+        f1, f2 = ((rate.s0, 0.0) if rate.form == "lower"
+                  else _log_slopes(rate.g, self.w))
+        gw = 2 * h * self.dq                  # grad w, scaled by h
+        hess = f2 * gw[[0, 1, 0]] * gw[[0, 1, 1]]    # xx, yy, xy
+        if rate.form != "upper":              # hess w = 2 I
+            hess[:2] += 2 * h * h * f1
+        return f1 * gw, hess
 
     @property
     def grad(self) -> np.ndarray:
@@ -433,113 +443,43 @@ class _Rates:
         return self._d[1]
 
 
-class _Rate(_Rates):
-    """Reception rates log2(1 + g / (h^2 + |q - c|^2)) of the receivers
-    at c = (cx, cy), with SNR numerator g per slot, at the positions
-    q = (x, y)."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, cx, cy,
-                 g: np.ndarray, h: float):
-        self.dx, self.dy, self.g, self.h = x - cx, y - cy, g, h
-        self.u = h * h + self.dx * self.dx + self.dy * self.dy
-        self.r = np.log2(1.0 + g / self.u)
-
-    @functools.cached_property
-    def _d(self) -> tuple[np.ndarray, np.ndarray]:
-        dx, dy, u, h = self.dx, self.dy, self.u, self.h
-        r_u, r_uu = _log_slopes(self.g, u)
-        h2 = h * h
-        grad, hess = np.empty((2,) + u.shape), np.empty((3,) + u.shape)
-        grad[0], grad[1] = 2 * r_u * dx * h, 2 * r_u * dy * h
-        hess[0] = (4 * r_uu * dx * dx + 2 * r_u) * h2
-        hess[1] = (4 * r_uu * dy * dy + 2 * r_u) * h2
-        hess[2] = 4 * r_uu * dx * dy * h2
-        return grad, hess
-
-
-class _Tangent(_Rates):
-    """Upper bounds log2(1 + g / (h^2 + d)) of reception rates, with d
-    affine lower bounds of the squared ground distances
-    (``distance_lower_bounds``) and gd = (d/d delta, d/d xi) their
-    slopes.  Convex in the displacement where h^2 + d > 0."""
-
-    def __init__(self, d: np.ndarray, gd: np.ndarray, g: np.ndarray,
-                 h: float):
-        self.gd, self.g, self.h = gd, g, h
-        self.u = h * h + d
-        self.r = np.log2(1.0 + g / self.u)
-
-    @functools.cached_property
-    def _d(self) -> tuple[np.ndarray, np.ndarray]:
-        (gx, gy), u, h = self.gd, self.u, self.h
-        r_u, r_uu = _log_slopes(self.g, u)
-        h2 = h * h
-        grad, hess = np.empty((2,) + u.shape), np.empty((3,) + u.shape)
-        grad[0], grad[1] = r_u * gx * h, r_u * gy * h
-        hess[0] = r_uu * gx * gx * h2
-        hess[1] = r_uu * gy * gy * h2
-        hess[2] = r_uu * gx * gy * h2
-        return grad, hess
-
-
-class _Quad(_Rates):
-    """Quadratic lower bounds r = r_0 - c (|p|^2 + gq . p) of reception
-    rates at the displacement p = (delta, xi) (``rate_lower_bounds``
-    gives r), with curvature c and gq the slopes of the squared
-    distance."""
-
-    def __init__(self, r: np.ndarray, c: np.ndarray, gq: tuple,
-                 delta: np.ndarray, xi: np.ndarray, h: float):
-        self.r, self.c, self.gq, self.h = r, c, gq, h
-        self.delta, self.xi = delta, xi
-
-    @functools.cached_property
-    def _d(self) -> tuple[np.ndarray, np.ndarray]:
-        ch = -self.c * self.h
-        grad = np.stack([ch * (2 * self.delta + self.gq[0]),
-                         ch * (2 * self.xi + self.gq[1])])
-        diag = 2 * ch * self.h
-        return grad, np.stack([diag, diag, np.zeros_like(diag)])
-
-
-class _Row(_Rates):
-    """Row k of a stack of rates."""
-
-    def __init__(self, rates: _Rates, k: int):
-        self.rates, self.k, self.r = rates, k, rates.r[k]
-
-    @functools.cached_property
-    def _d(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.rates.grad[:, self.k], self.rates.hess[:, self.k]
+def _rates(scn: Scenario, it: TrajIterate, gain: str, out: str):
+    """The relay's and Bob's reception rates (rows 0 and 1: the buffers'
+    inflow and Bob's rate in the objective) in the form ``gain``, and
+    Bob's and Eve's (the buffers' outflows, Eve's also in the objective)
+    in the form ``out``, around the iterate it."""
+    xy, h = it.traj.xy, scn.altitude_h
+    return (_Rate(gain, xy, [scn.alice_xy, scn.bob_xy],
+                  np.stack([it.gamma_s, it.gamma_r]), h),
+            _Rate(out, xy, [scn.bob_xy, scn.eve_xy], it.gamma_r, h))
 
 
 class _Point(NamedTuple):
     """Terms of a trajectory program at one point, shared by its
     callbacks: the displaced positions (scaled by h) with their hops,
-    the relay's reception rate (the buffers' inflow), Bob's (row 0) and
-    Eve's (row 1) as the buffers' outflows (Eve's also in the
-    objective), and Bob's in the objective."""
+    and the two stacks of ``_rates`` there."""
 
     px: np.ndarray
     py: np.ndarray
     hop_x: np.ndarray
     hop_y: np.ndarray
-    relay: _Rates
-    out: _Rates
-    bob: _Rates
+    gain: _RateAt
+    out: _RateAt
 
 
-def _points(it: TrajIterate, lay: _Layout, rates) -> PointCache:
-    """One program's cache of its ``_Point`` terms; ``rates(delta, xi)``
-    gives its relay, out and bob rates at a displacement."""
+def _points(it: TrajIterate, lay: _Layout, gain: _Rate,
+            out: _Rate) -> PointCache:
+    """One program's cache of its ``_Point`` terms, with the rates
+    ``gain`` and ``out`` (``_rates``)."""
     h = lay.h
-    xs, ys = it.traj.x / h, it.traj.y / h
+    q0 = it.traj.xy.T / h
+    i_dx = np.stack([lay.i_delta, lay.i_xi])
 
     def terms(z):
-        zx, zy = z[lay.i_delta], z[lay.i_xi]
-        px, py = xs + zx, ys + zy
-        return _Point(px, py, px[1:] - px[:-1], py[1:] - py[:-1],
-                      *rates(zx * h, zy * h))
+        zp = z[i_dx]
+        q = q0 + zp
+        p = zp * h
+        return _Point(*q, *(q[:, 1:] - q[:, :-1]), gain.at(p), out.at(p))
     return PointCache(terms)
 
 
@@ -556,12 +496,12 @@ def _true_flow(lay: _Layout, at: PointCache) -> ConstraintBlock:
 
     def value(z):
         t = at(z)
-        return (t.out.r[:, 1:] - t.relay.r[:-1]).ravel()
+        return (t.out.r[:, 1:] - t.gain.r[0, :-1]).ravel()
 
     def jacobian(z):
         t = at(z)
         vals = np.empty((2, m, 4))
-        vals[:, :, :2] = -t.relay.grad[:, :-1].T
+        vals[:, :, :2] = -t.gain.grad[:, 0, :-1].T
         vals[:, :, 2:] = t.out.grad[:, :, 1:].transpose(1, 2, 0)
         return vals.reshape(2 * m, 4)
 
@@ -569,7 +509,7 @@ def _true_flow(lay: _Layout, at: PointCache) -> ConstraintBlock:
         t = at(z)
         w = w.reshape(2, 1, m)
         out = np.empty((2, 6, m))
-        out[:, :3] = -w * t.relay.hess[:, :-1]
+        out[:, :3] = -w * t.gain.hess[:, 0, :-1]
         out[:, 3:] = w * t.out.hess[:, :, 1:].transpose(1, 0, 2)
         return out.ravel()
 
@@ -596,17 +536,17 @@ def _program(scn: Scenario, it: TrajIterate, lay: _Layout, at: PointCache,
 
     def objective(z):
         t = at(z)
-        return -float((t.bob.r[1:] - t.out.r[1, 1:]).sum())
+        return -float((t.gain.r[1, 1:] - t.out.r[1, 1:]).sum())
 
     def gradient(z):
         t = at(z)
         g = np.zeros(lay.dim)
-        g[i_dx] = t.out.grad[:, 1] - t.bob.grad
+        g[i_dx] = t.out.grad[:, 1] - t.gain.grad[:, 1]
         return g
 
     def hessian(z):
         t = at(z)
-        return (t.out.hess[:, 1] - t.bob.hess).ravel()
+        return (t.out.hess[:, 1] - t.gain.hess[:, 1]).ravel()
 
     buffer = Buffer(_true_flow(lay, at), np.stack([lay.i_bob, lay.i_eve]),
                     "causality", initial=CAUS_RELAX if relax else 0.0)
@@ -627,49 +567,32 @@ def _program(scn: Scenario, it: TrajIterate, lay: _Layout, at: PointCache,
 
 def _build_subproblem(scn: Scenario, it: TrajIterate,
                       lay: _Layout) -> SmoothConvexProgram:
-    """The convex step: ``_program`` on the bounds of the rates, and the
-    affine domain rows eta_lb, zeta_lb >= ``SLACK_LB`` h^2 on active
-    slots (Bob's rows, then Eve's; scaled by h^2).  The relay's and
-    Bob's rates in the objective are ``_Quad`` lower bounds; Bob's and
-    Eve's outflows, Eve's rate in the objective with them, ``_Tangent``
-    upper bounds, zero on silent slots."""
+    """The convex step: ``_program`` on the ``lower`` forms of the
+    relay's and Bob's reception rates and the ``upper`` forms of Bob's
+    and Eve's outflows, with the affine domain rows w >= (1 +
+    ``SLACK_LB``) h^2 of the latter on active slots (Bob's rows, then
+    Eve's; scaled by h^2)."""
     h, act = lay.h, lay.active
-    on = np.zeros(lay.n)
-    on[act] = 1.0
-    gd = np.stack([it.grad_eta, it.grad_zeta], axis=1)
-
-    def rates(delta, xi):
-        relay_lb, bob_lb = rate_lower_bounds(it, delta, xi)
-        zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
-        return (_Quad(relay_lb, it.c_relay, it.grad_ar, delta, xi, h),
-                _Tangent(np.stack([eta_lb, zeta_lb]) * on, gd, it.gamma_r,
-                         h),
-                _Quad(bob_lb, it.c_bob, it.grad_rb, delta, xi, h))
-
-    at = _points(it, lay, rates)
-    top = (1.0 + SLACK_LB) * h * h       # h^2 + bound at the domain's edge
-    jac = -(gd[:, :, act] / h).transpose(1, 2, 0).reshape(-1, 2)
+    gain, out = _rates(scn, it, "lower", "upper")
+    at = _points(it, lay, gain, out)
+    top = (1.0 + SLACK_LB) * h * h       # w at the domain's edge
+    jac = -(2 * out.e[:, :, act] / h).transpose(1, 2, 0).reshape(-1, 2)
     domain = ConstraintBlock(
         cols=np.tile(np.stack([lay.i_delta[act], lay.i_xi[act]], axis=1),
                      (2, 1)),
-        value=lambda z: (top - at(z).out.u[:, act].ravel()) / (h * h),
+        value=lambda z: (top - at(z).out.w[:, act].ravel()) / (h * h),
         jacobian=lambda z: jac, name="domain")
     return _program(scn, it, lay, at, ineqs=[domain])
 
 
-def _true_program(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
-                  lay: _Layout, relax: bool = True) -> SmoothConvexProgram:
-    """The true (nonconvex) trajectory problem at the powers pw:
-    ``_program`` on the rates themselves.  ``_finish`` solves it relaxed
+def _true_program(scn: Scenario, it: TrajIterate, lay: _Layout,
+                  relax: bool = True) -> SmoothConvexProgram:
+    """The true (nonconvex) trajectory problem at the iterate's powers:
+    ``_program`` on the ``exact`` rates.  ``_finish`` solves it relaxed
     and certifies on it unrelaxed."""
-    g_s = scn.ref_snr * pw.p_s
-    cx, cy = np.array([scn.bob_xy, scn.eve_xy]).T[:, :, None]
-
-    def rates(delta, xi):
-        x, y = it.traj.x + delta, it.traj.y + xi
-        out = _Rate(x, y, cx, cy, it.gamma_r, lay.h)
-        return _Rate(x, y, *scn.alice_xy, g_s, lay.h), out, _Row(out, 0)
-    return _program(scn, it, lay, _points(it, lay, rates), relax)
+    return _program(scn, it, lay,
+                    _points(it, lay, *_rates(scn, it, "exact", "exact")),
+                    relax)
 
 
 def _judge(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
@@ -695,10 +618,10 @@ def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
     iterate it; the point is certified on the unrelaxed problem."""
     lay = _Layout(scn, it)
     return finish(
-        _true_program(scn, pw, it, lay), FINISH, it.objective,
+        _true_program(scn, it, lay), FINISH, it.objective,
         _judge(scn, pw, it, lay, opts.feas_tol),
         lambda _, z, duals: certify(
-            _true_program(scn, pw, it, lay, relax=False), z, duals))
+            _true_program(scn, it, lay, relax=False), z, duals))
 
 
 def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
@@ -724,12 +647,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     report = RunReport(stage="trajectory_scp",
                        extras={**dict.fromkeys(COUNTERS, 0), "finish": []})
 
-    if not model.check_mobility(scn, traj_0, tol=opts.feas_tol).feasible:
-        raise ValueError("initial trajectory violates mobility constraints")
-    verdict = model.check_causality(scn, traj_0, pw, tol=opts.feas_tol)
-    if not verdict.feasible:
-        raise ValueError(f"input powers violate information causality by "
-                         f"{verdict.worst:.3e}")
+    _check_base(scn, traj_0, pw, opts.feas_tol)
 
     it = make_iterate(scn, traj_0, pw)
     report.add(it.objective, feasible=True)
@@ -751,9 +669,8 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             break
         it_new, _, ok = _judge(scn, pw, it, lay, opts.feas_tol)(res.x_opt)
         delta, xi = lay.unpack(res.x_opt)
-        change = abs(it_new.objective - it.objective)
-        rel = change / max(abs(it_new.objective), 1e-10)
-        settled = rel < opts.rel_tol or change <= model.OBJ_ABS_TOL
+        settled = model.settled(it.objective, it_new.objective,
+                                opts.rel_tol)
         if it_new.objective < it.objective - 1e-9 or not ok:
             # Numerical regression; keep the last good iterate.  A fall
             # the stop rule calls settled (near a stationary point the

@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             benchmark_scenario, equal_power_allocation,
-                            restore_feasibility)
-from secrelay import power_dc
+                            rate_profile, restore_feasibility)
+from secrelay import power_dc, trajectory_scp
 from secrelay.trajectory_scp import (build_subproblem, initial_trajectory,
                                      make_iterate)
 
@@ -66,6 +67,33 @@ def random_power(rng: np.random.Generator, scn: Scenario) -> PowerAllocation:
     p_s[-1] = 0.0
     p_r[0] = 0.0
     return PowerAllocation(p_s=p_s, p_r=p_r)
+
+
+def rate_forms(scn: Scenario, it, delta, xi) -> dict:
+    """Every form of the trajectory stage's rates ("exact", "lower",
+    "upper") at the displacement (delta, xi) from the iterate it: its
+    rates ``r``, their w and their gradients ``grad`` (d/dx, d/dy in
+    meters), one row per receiver: the relay, Bob (with the relay's
+    power), then Bob and Eve as the buffers' outflows.  Where the upper
+    form's w is not positive, outside its domain, its rate is no bound
+    (and may be nan)."""
+    forms = {}
+    for form in ("exact", "lower", "upper"):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pts = [rate.at(np.stack([delta, xi]))
+                   for rate in trajectory_scp._rates(scn, it, form, form)]
+        forms[form] = SimpleNamespace(
+            r=np.concatenate([p.r for p in pts]),
+            w=np.concatenate([p.w for p in pts]),
+            grad=np.concatenate([p.grad for p in pts], axis=1)
+            / scn.altitude_h)
+    return forms
+
+
+def true_rates(scn: Scenario, traj: Trajectory, pw: PowerAllocation):
+    """The model's rates in the rows of ``rate_forms``."""
+    rp = rate_profile(scn, traj, pw)
+    return np.stack([rp.r_relay, rp.r_bob, rp.r_bob, rp.r_eve])
 
 
 def power_program(scn: Scenario, traj: Trajectory):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (power_program, random_feasible_trajectory,
-                      random_scenario)
+                      random_scenario, rate_forms, true_rates)
 from numerics import verify_derivatives
 from secrelay import cli, model, power_dc
 from secrelay.ao import ao_optimize
@@ -22,7 +22,6 @@ from secrelay.model import (PowerAllocation, Scenario, Trajectory,
 from secrelay.power_dc import dc_allocate
 from secrelay.trajectory_scp import (ScpOptions, build_subproblem,
                                      initial_trajectory, make_iterate,
-                                     rate_lower_bounds, distance_lower_bounds,
                                      scp_optimize)
 
 
@@ -139,58 +138,47 @@ def test_criterion_1_lower_bound_soundness():
     it = make_iterate(scn, Trajectory(xy), pw)
     delta, xi = disp[:, 0], disp[:, 1]
 
-    rp_disp = model.rate_profile(scn, Trajectory(xy + disp), pw)
-    relay_lb, bob_lb = rate_lower_bounds(it, delta, xi)
-    scale = 1.0 + np.abs(rp_disp.r_relay) + np.abs(rp_disp.r_bob)
+    # lower <= exact <= upper, the upper bound on its domain (w > 0).
+    r_disp = true_rates(scn, Trajectory(xy + disp), pw)
+    forms = rate_forms(scn, it, delta, xi)
+    scale = 1.0 + np.abs(r_disp)
+    dom = forms["upper"].w > 0.0
     rate_sound = bool(
-        np.all(relay_lb <= rp_disp.r_relay + 1e-9 * scale)
-        and np.all(bob_lb <= rp_disp.r_bob + 1e-9 * scale))
+        np.allclose(forms["exact"].r, r_disp, rtol=1e-12, atol=1e-12)
+        and np.all(forms["lower"].r <= r_disp + 1e-9 * scale)
+        and np.all(r_disp[dom] <= forms["upper"].r[dom] + 1e-9 * scale[dom])
+        and dom.mean() > 0.9)
 
-    zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
-    zeta_true = np.sum((scn.eve_xy - (xy + disp)) ** 2, axis=1)
-    eta_true = np.sum((scn.bob_xy - (xy + disp)) ** 2, axis=1)
-    dist_sound = bool(
-        np.all(zeta_lb <= zeta_true * (1 + 1e-9) + 1e-9)
-        and np.all(eta_lb <= eta_true * (1 + 1e-9) + 1e-9))
+    # The upper form's w lower-bounds the squared distance where the
+    # relay transmits.
+    on = np.broadcast_to(p_r > 0.0, (2, n))
+    w_lb, w_true = forms["upper"].w[2:][on], forms["exact"].w[2:][on]
+    dist_sound = bool(np.all(w_lb <= w_true * (1 + 1e-9) + 1e-9))
 
-    # Equality at zero displacement.
+    # Equality at zero displacement, in value and gradient.
     zero = np.zeros(n)
-    r0, b0 = rate_lower_bounds(it, zero, zero)
-    z0, e0 = distance_lower_bounds(it, zero, zero)
-    tight = bool(
-        np.allclose(r0, it.r_relay, rtol=1e-12)
-        and np.allclose(b0, it.r_bob, rtol=1e-12)
-        and np.allclose(z0, it.zeta, rtol=1e-12)
-        and np.allclose(e0, it.eta, rtol=1e-12))
+    forms0 = rate_forms(scn, it, zero, zero)
+    r0 = true_rates(scn, Trajectory(xy), pw)
+    tight = all(np.allclose(f.r, r0, rtol=1e-12) for f in forms0.values())
+    grads_ok = all(np.allclose(forms0[f].grad, forms0["exact"].grad,
+                               rtol=1e-12, atol=1e-15)
+                   for f in ("lower", "upper"))
 
     # Gradient match at zero displacement (central differences).
-    grads_ok = True
     h = 1e-3
     for axis in (0, 1):
         e = np.zeros((n, 2))
         e[:, axis] = h
-        rp_p = model.rate_profile(scn, Trajectory(xy + e), pw)
-        rp_m = model.rate_profile(scn, Trajectory(xy - e), pw)
-        fd_relay = (rp_p.r_relay - rp_m.r_relay) / (2 * h)
-        fd_bob = (rp_p.r_bob - rp_m.r_bob) / (2 * h)
-        lb_p = rate_lower_bounds(it, e[:, 0], e[:, 1])
-        lb_m = rate_lower_bounds(it, -e[:, 0], -e[:, 1])
-        sg_relay = (lb_p[0] - lb_m[0]) / (2 * h)
-        sg_bob = (lb_p[1] - lb_m[1]) / (2 * h)
-        ref = 1.0 + np.abs(fd_relay) + np.abs(fd_bob)
+        fd = (true_rates(scn, Trajectory(xy + e), pw)
+              - true_rates(scn, Trajectory(xy - e), pw)) / (2 * h)
+        ref = 1.0 + np.abs(fd)
+        plus = rate_forms(scn, it, e[:, 0], e[:, 1])
+        minus = rate_forms(scn, it, -e[:, 0], -e[:, 1])
         grads_ok = grads_ok and bool(
-            np.all(np.abs(sg_relay - fd_relay) <= 1e-5 * ref)
-            and np.all(np.abs(sg_bob - fd_bob) <= 1e-5 * ref))
-        dz_p = distance_lower_bounds(it, e[:, 0], e[:, 1])
-        dz_m = distance_lower_bounds(it, -e[:, 0], -e[:, 1])
-        fd_zeta = (np.sum((scn.eve_xy - (xy + e)) ** 2, axis=1)
-                   - np.sum((scn.eve_xy - (xy - e)) ** 2, axis=1)) / (2 * h)
-        fd_eta = (np.sum((scn.bob_xy - (xy + e)) ** 2, axis=1)
-                  - np.sum((scn.bob_xy - (xy - e)) ** 2, axis=1)) / (2 * h)
-        grads_ok = grads_ok and bool(
-            np.allclose((dz_p[0] - dz_m[0]) / (2 * h), fd_zeta, rtol=1e-5)
-            and np.allclose((dz_p[1] - dz_m[1]) / (2 * h), fd_eta,
-                            rtol=1e-5))
+            np.all(np.abs(forms0["exact"].grad[axis] - fd) <= 1e-5 * ref))
+        for f in ("lower", "upper"):
+            sg = (plus[f].r - minus[f].r) / (2 * h)
+            grads_ok = grads_ok and bool(np.all(np.abs(sg - fd) <= 1e-5 * ref))
 
     wall = time.perf_counter() - t0
     ok = rate_sound and dist_sound and tight and grads_ok and wall < 10.0

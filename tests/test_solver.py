@@ -889,7 +889,7 @@ class TestFactorizationCounts:
         pw = restore_feasibility(scn, traj, equal_power_allocation(scn))
         it = trajectory_scp.make_iterate(scn, traj, pw)
         res = solve(trajectory_scp._true_program(
-            scn, pw, it, trajectory_scp._Layout(scn, it)),
+            scn, it, trajectory_scp._Layout(scn, it)),
             trajectory_scp.FINISH)
         assert res.status == "optimal" and res.iterations > 0
         assert res.factorizations > res.iterations

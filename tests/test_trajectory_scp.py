@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import (assert_wall_times, random_feasible_trajectory,
-                      random_power, random_scenario,
+                      random_power, random_scenario, rate_forms,
                       reject_trajectory_finish, small_scenario,
-                      stage_programs)
+                      stage_programs, true_rates)
 from numerics import (as_dense, assert_outputs_stay_fresh, bound_rows,
                       callback_outputs, record_points, spot_check_convexity,
                       verify_derivatives)
@@ -19,9 +19,8 @@ from secrelay.report import RunReport
 from secrelay.solver import (SmoothConvexProgram, SolverOptions, certify,
                              solve, start_margin)
 from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions, _Layout,
-                                     build_subproblem, distance_lower_bounds,
-                                     initial_trajectory, make_iterate,
-                                     rate_lower_bounds, scp_optimize)
+                                     build_subproblem, initial_trajectory,
+                                     make_iterate, scp_optimize)
 
 
 class TestInitialTrajectory:
@@ -54,6 +53,10 @@ class TestInitialTrajectory:
 
 
 class TestRateLowerBounds:
+    """The three forms of the trajectory stage's rate: the exact rate,
+    its tangent in w (lower) and its value at the tangent of w in the
+    displacement (upper)."""
+
     def _setup(self, rng):
         scn = random_scenario(rng)
         traj = random_feasible_trajectory(rng, scn)
@@ -61,77 +64,108 @@ class TestRateLowerBounds:
         return scn, make_iterate(scn, traj, pw), pw
 
     def test_equality_at_zero_displacement(self, rng):
-        scn, it, _ = self._setup(rng)
+        scn, it, pw = self._setup(rng)
         z = np.zeros(scn.n_slots)
-        relay_lb, bob_lb = rate_lower_bounds(it, z, z)
-        np.testing.assert_allclose(relay_lb, it.r_relay, rtol=1e-12,
-                                   atol=1e-12)
-        np.testing.assert_allclose(bob_lb, it.r_bob, rtol=1e-12, atol=1e-12)
+        forms = rate_forms(scn, it, z, z)
+        truth = true_rates(scn, it.traj, pw)
+        for form in forms.values():
+            np.testing.assert_allclose(form.r, truth, rtol=1e-12,
+                                       atol=1e-12)
+        np.testing.assert_array_equal(forms["upper"].w, forms["exact"].w)
 
     def test_soundness_random_draws(self, rng):
-        # 10^4 (point, displacement) draws: bound never above the truth.
+        # 10^4 (point, displacement) draws: lower <= exact <= upper, the
+        # upper bound wherever its w is positive (its domain).
+        in_domain = draws = 0
         for _ in range(10):
             scn, it, pw = self._setup(rng)
             v = scn.slot_travel
             for _ in range(1000 // scn.n_slots + 1):
                 delta = rng.uniform(-v, v, scn.n_slots)
                 xi = rng.uniform(-v, v, scn.n_slots)
-                relay_lb, bob_lb = rate_lower_bounds(it, delta, xi)
+                forms = rate_forms(scn, it, delta, xi)
                 moved = Trajectory(it.traj.xy + np.stack([delta, xi], axis=1))
-                rp = model.rate_profile(scn, moved, pw)
-                assert np.all(relay_lb <= rp.r_relay + 1e-9 * (1 + rp.r_relay))
-                assert np.all(bob_lb <= rp.r_bob + 1e-9 * (1 + rp.r_bob))
+                truth = true_rates(scn, moved, pw)
+                tol = 1e-9 * (1 + truth)
+                np.testing.assert_allclose(forms["exact"].r, truth,
+                                           rtol=1e-12, atol=1e-12)
+                assert np.all(forms["lower"].r <= truth + tol)
+                dom = forms["upper"].w > 0.0
+                assert np.all(truth[dom] <= forms["upper"].r[dom] + tol[dom])
+                in_domain += dom.sum()
+                draws += dom.size
+        assert in_domain > 0.9 * draws
 
     def test_gradient_match_at_zero(self, rng):
         scn, it, pw = self._setup(rng)
+        z = np.zeros(scn.n_slots)
+        forms = rate_forms(scn, it, z, z)
+        for form in ("lower", "upper"):
+            np.testing.assert_allclose(forms[form].grad, forms["exact"].grad,
+                                       rtol=1e-12, atol=1e-15)
         h = 1e-5 * (1.0 + float(np.max(np.abs(it.traj.xy))))
         for axis in (0, 1):
             e = np.zeros((scn.n_slots, 2))
             e[:, axis] = h
-            rp_p = model.rate_profile(scn, Trajectory(it.traj.xy + e), pw)
-            rp_m = model.rate_profile(scn, Trajectory(it.traj.xy - e), pw)
-            for lb_idx, (true_p, true_m) in enumerate(
-                    [(rp_p.r_relay, rp_m.r_relay), (rp_p.r_bob, rp_m.r_bob)]):
-                fd = (true_p - true_m) / (2 * h)
-                step = np.zeros(scn.n_slots)
-                step[:] = h
-                zero = np.zeros(scn.n_slots)
-                args_p = (step, zero) if axis == 0 else (zero, step)
-                args_m = (-step, zero) if axis == 0 else (zero, -step)
-                lb_p = rate_lower_bounds(it, *args_p)[lb_idx]
-                lb_m = rate_lower_bounds(it, *args_m)[lb_idx]
-                an = (lb_p - lb_m) / (2 * h)
-                scale = 1.0 + np.abs(fd)
+            fd = (true_rates(scn, Trajectory(it.traj.xy + e), pw)
+                  - true_rates(scn, Trajectory(it.traj.xy - e), pw)) / (2 * h)
+            scale = 1.0 + np.abs(fd)
+            assert np.all(np.abs(forms["exact"].grad[axis] - fd)
+                          <= 1e-5 * scale)
+            plus = rate_forms(scn, it, e[:, 0], e[:, 1])
+            minus = rate_forms(scn, it, -e[:, 0], -e[:, 1])
+            for form in ("lower", "upper"):
+                an = (plus[form].r - minus[form].r) / (2 * h)
                 assert np.all(np.abs(an - fd) <= 1e-5 * scale)
 
 
 class TestDistanceLowerBounds:
+    """The upper form's w: the tangent of w = h^2 + |q - c|^2 in the
+    displacement, a lower bound of the squared distance."""
+
     def test_equality_and_soundness(self, rng):
         for _ in range(10):
             scn = random_scenario(rng)
             it = make_iterate(scn, random_feasible_trajectory(rng, scn),
                               random_power(rng, scn))
             z = np.zeros(scn.n_slots)
-            zeta_lb, eta_lb = distance_lower_bounds(it, z, z)
-            np.testing.assert_allclose(zeta_lb, it.zeta, rtol=1e-12)
-            np.testing.assert_allclose(eta_lb, it.eta, rtol=1e-12)
+            forms = rate_forms(scn, it, z, z)
+            ch = model.channel_state(scn, it.traj)
+            dist2 = np.stack([ch.d_ar, ch.d_rd, ch.d_rd, ch.d_re]) ** 2
+            np.testing.assert_allclose(forms["upper"].w, dist2, rtol=1e-12)
+            # The upper form holds w at w0 where the relay is silent.
+            w0 = forms["upper"].w[2:]
+            on = np.broadcast_to(it.gamma_r > 0.0, (2, scn.n_slots))
             v = scn.slot_travel
             for _ in range(1000 // scn.n_slots + 1):
                 delta = rng.uniform(-v, v, scn.n_slots)
                 xi = rng.uniform(-v, v, scn.n_slots)
-                zeta_lb, eta_lb = distance_lower_bounds(it, delta, xi)
-                moved = it.traj.xy + np.stack([delta, xi], axis=1)
-                zeta = np.sum((scn.eve_xy - moved) ** 2, axis=1)
-                eta = np.sum((scn.bob_xy - moved) ** 2, axis=1)
-                assert np.all(zeta_lb <= zeta + 1e-9 * (1 + zeta))
-                assert np.all(eta_lb <= eta + 1e-9 * (1 + eta))
+                forms = rate_forms(scn, it, delta, xi)
+                w_lb, w = forms["upper"].w[2:], forms["exact"].w[2:]
+                assert np.all(w_lb[on] <= w[on] + 1e-9 * (1 + w[on]))
+                np.testing.assert_array_equal(w_lb[~on], w0[~on])
 
-    def test_zero_at_eve(self):
+    def test_zero_at_eve(self, rng):
+        """Above Eve the tangent of her squared ground distance is 0 at
+        every displacement: her upper bound is exact at zero
+        displacement, and its domain row holds everywhere with the
+        margin ``SLACK_LB``."""
         scn = small_scenario(n_slots=2)
         traj = Trajectory(np.tile(scn.eve_xy, (2, 1)))
-        it = make_iterate(scn, traj, model.zero_power_allocation(scn))
-        zeta_lb, _ = distance_lower_bounds(it, np.zeros(2), np.zeros(2))
-        np.testing.assert_allclose(zeta_lb, 0.0, atol=1e-9)
+        pw = restore_feasibility(scn, traj, model.equal_power_allocation(scn))
+        it = make_iterate(scn, traj, pw)
+        assert it.gamma_r[1] > 0.0
+        z = np.zeros(2)
+        forms = rate_forms(scn, it, z, z)
+        np.testing.assert_allclose(forms["upper"].r[3], forms["exact"].r[3],
+                                   rtol=1e-12)
+        prog = build_subproblem(scn, pw, it)
+        [domain] = [b for b in prog.ineqs if b.name == "domain"]
+        for zz in (np.zeros(prog.dim), rng.uniform(-1.0, 1.0, prog.dim)):
+            bob_row, eve_row = domain.value(zz)
+            assert bob_row <= 0.0
+            assert eve_row == pytest.approx(trajectory_scp.SLACK_LB,
+                                            abs=1e-12)
 
 
 class TestSubproblem:
@@ -273,7 +307,7 @@ class TestPointCache:
         assert_outputs_stay_fresh(build(), z0, z1)
         scn, traj, pw = _fixed_start()
         it = make_iterate(scn, traj, pw)
-        prog = trajectory_scp._true_program(scn, pw, it, _Layout(scn, it))
+        prog = trajectory_scp._true_program(scn, it, _Layout(scn, it))
         z0 = np.asarray(prog.strictly_feasible_start)
         z1 = z0 + 1e-3 * rng.uniform(-1.0, 1.0, z0.size)
         assert_outputs_stay_fresh(prog, z0, z1)
@@ -897,7 +931,7 @@ class TestTrajectoryFinish:
             lay = _Layout(scn, it)
             assert lay.dim == 2 * scn.n_slots + 2 * (scn.n_slots - 1)
             for relax in (True, False):
-                prog = trajectory_scp._true_program(scn, pw, it, lay, relax)
+                prog = trajectory_scp._true_program(scn, it, lay, relax)
                 z = rng.uniform(-0.3, 0.3, prog.dim)
                 assert verify_derivatives(prog, z) < 1e-5
                 H = as_dense(prog.hess_idx, prog.hessian(z), prog.dim)
@@ -1003,8 +1037,8 @@ class TestTrajectoryFinish:
             scp = scp_optimize(scn, pw, traj)
         true_program = trajectory_scp._true_program
 
-        def outside(scn, pw, it, lay, relax=True):
-            prog = true_program(scn, pw, it, lay, relax)
+        def outside(scn, it, lay, relax=True):
+            prog = true_program(scn, it, lay, relax)
             if relax:
                 prog.strictly_feasible_start[lay.i_bob[0]] = -1.0
             return prog
