@@ -411,26 +411,15 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
     nor what the relay receives depend on the scale, so
     ``channel_state`` and ``received_prefix`` run once per call.
 
-    The bisection's nodes ``levels`` above the 2^-40 grid are the cells
-    [k w, (k+1) w] with w = 2^(levels-40); ``c // w`` is exact for a
-    power of two, so the ends are the bisection's own floats.  The call
-    takes the cell with ``levels`` = 2 that holds the root estimate
-    (``_scale_estimate``) and checks both ends in one ``causality_gaps``
-    pass.  If the lower end is 0 or feasible and the upper end is not,
-    then, the predicate being monotone in the scale, every coarser
-    midpoint at or below the lower end is feasible and every one at or
-    above the upper end is not; no coarser midpoint lies inside the
-    cell.  The bisection from [0, 1] thus reaches this cell, and the
-    loop below resumes it there.  A bracket centred on the estimate
-    instead would bisect off the 2^-40 grid and return other scales.
-    If the check fails (the estimate sits within rounding of a cell
-    boundary, or is wrong), the loop bisects [0, 1] with all 40 levels.
-
-    Each round of the loop evaluates the midpoints of the next three
-    levels below (lo, hi), 7 scales, in one ``causality_gaps`` pass,
-    then walks down them as one step at a time would: the same
-    midpoints, the same decisions, the same scale.  A restore thus
-    takes 3 passes when the cell holds.
+    The call checks the 2^-40 cell [lo, lo + 2^-40] that holds the root
+    estimate c (``_scale_estimate``), lo = (c // 2^-40) 2^-40 (exact for
+    a power of two), both ends in one ``causality_gaps`` pass.  If lo is
+    0 or feasible and lo + 2^-40 is not, lo is the answer: the predicate
+    being monotone in the scale, the bisection from [0, 1] returns that
+    same grid point.  A restore thus takes 2 passes, scale 1 and the
+    cell.  If the check fails (the estimate sits within rounding of a
+    cell boundary, or is wrong), the call bisects [0, 1] in 40 steps,
+    one scale per pass.
     """
     ch = channel_state(scn, traj)
     received = received_prefix(ch, pw.p_s)
@@ -443,26 +432,17 @@ def restore_feasibility(scn: Scenario, traj: Trajectory,
     if feasible([1.0])[0]:
         return pw
     c = _scale_estimate(pw.p_r[1:] * ch.gamma_out[:, 1:], received + tol)
-    left, w = 2, 2.0 ** -38
-    lo = min(c // w, 2.0 ** 38 - 1.0) * w
-    hi = lo + w
-    ok = feasible([lo, hi])
+    w = 2.0 ** -40
+    lo = min(c // w, 2.0 ** 40 - 1.0) * w
+    ok = feasible([lo, lo + w])
     if not ((lo == 0.0 or ok[0]) and not ok[1]):
-        lo, hi, left = 0.0, 1.0, 40
-    while left:
-        levels = min(3, left)
-        pts = [lo, hi]           # lo, the midpoints in order, hi
-        for _ in range(levels):
-            pts = [pts[0]] + [v for a, b in zip(pts, pts[1:])
-                              for v in (0.5 * (a + b), b)]
-        ok, i, step = feasible(pts[1:-1]), 0, 2 ** levels
-        for _ in range(levels):  # pts[i] is lo, pts[i + 2 step] hi
-            step //= 2
-            if ok[i + step - 1]:
-                lo, i = pts[i + step], i + step
+        lo, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if feasible([mid])[0]:
+                lo = mid
             else:
-                hi = pts[i + step]
-        left -= levels
+                hi = mid
     return PowerAllocation(p_s=pw.p_s, p_r=lo * pw.p_r)
 
 

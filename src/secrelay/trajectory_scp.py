@@ -24,23 +24,24 @@ squared ground distance is 0 for every displacement.
 
 SCP converges only linearly, and the bounds only serve to reach a KKT
 point of the true problem.  So after the first step that leaves the
-stage running, the stage tries one finish (``_finish``): one guarded
-solve (``finish``) of the true, nonconvex trajectory problem at the
-fixed powers (``_true_program``: exact 2 x 2 per-slot Hessians), from
-zero displacement with the step's own two relaxations (below).  Its
-point is accepted only if the solve ends ``optimal``, the point passes
-mobility and causality at ``feas_tol``, its objective is at least the
-SCP iterate's and its KKT residual on the unrelaxed problem, with the
-solve's duals (``solver.certify``), is within ``power_dc.KKT_TOL``; the
-stage then ends ``converged`` there, with that certificate as the
-iterate's ``kkt_residual``.  Otherwise SCP goes on exactly as without
-the finish and tries none again in that stage (a retry after every step
-costs more than it saves).  One map of a solver point to iterate,
-objective and feasibility (``_judge``) serves the SCP steps and the
-finish.  A step that falls below its iterate (beyond 1e-9) is dropped;
-the stage ends ``converged`` there when the fall is within the stop rule
-(``rel_tol``; near a stationary point a bound's solution loses about its
-duality gap), and ``stalled`` (``regressed``) otherwise.
+stage running, the stage tries one finish (``_finish``): one solve of
+the true, nonconvex trajectory problem at the fixed powers
+(``_true_program``: exact 2 x 2 per-slot Hessians), from zero
+displacement with the step's own two relaxations (below).  Its point is
+accepted only if the solve ends ``optimal``, the point passes mobility
+and causality at ``feas_tol``, its objective is at least the SCP
+iterate's and, checked last, its KKT residual on the unrelaxed problem,
+with the solve's duals (``solver.certify``), is within
+``power_dc.KKT_TOL``; the stage then ends ``converged`` there, with that
+certificate as the iterate's ``kkt_residual``.  Otherwise SCP goes on
+exactly as without the finish and tries none again in that stage (a
+retry after every step costs more than it saves).  One map of a solver
+point to the iterate it reaches and its feasibility (``_displaced``)
+serves the SCP steps and the finish.  A step that falls below its
+iterate (beyond 1e-9) is dropped; the stage ends ``converged`` there
+when the fall is within the stop rule (``rel_tol``; near a stationary
+point a bound's solution loses about its duality gap), and ``stalled``
+(``regressed``) otherwise.
 
 Information causality is stated with relay buffers (``power_dc.Buffer``)
 for Bob's and Eve's rate: b_n >= 0 with b_n <= b_{n-1} + R_in,n-1 -
@@ -93,72 +94,6 @@ SUBPROBLEM = SolverOptions(tol=1e-6)
 # The finish solve of the true trajectory problem (``_finish``); its
 # point is accepted within ``power_dc.KKT_TOL`` on the unrelaxed problem.
 FINISH = SolverOptions(tol=1e-6, max_iter=100)
-# The reason a finish is rejected when its point scores below the stage
-# iterate it started from (``finish``).
-BELOW_ITERATE = "objective below the stage iterate"
-
-
-def finish(prog: SmoothConvexProgram, opts: SolverOptions, obj: float,
-           judge, certificate) -> tuple[object, dict]:
-    """One guarded solve of the stage's true problem ``prog`` (with its
-    start).
-
-    ``judge(z)`` gives the stage's point at a solver point z, its
-    objective and whether it passes at ``feas_tol``; obj is the stage
-    iterate's objective.  A start that is not strictly inside is skipped
-    (no solve).  The point is accepted only if the solve ends
-    ``optimal``, the point passes, its objective is at least obj and,
-    checked last, ``certificate(point, z, duals)`` (its KKT residual on
-    the unrelaxed problem with the solve's duals) is within ``KKT_TOL``.
-    Returns the accepted point (None otherwise) and the attempt's
-    record: the solve's ``status`` (None when skipped), ``iterations``,
-    ``factorizations``, ``failed_factorizations`` and residual
-    (``subproblem_kkt``), the point's ``objective`` and
-    certificate (``kkt_residual``, None when an earlier check failed),
-    ``accepted``, and the ``reason`` for a rejection.
-    """
-    rec = {"status": None, "iterations": 0, "factorizations": 0,
-           "failed_factorizations": 0, "subproblem_kkt": None,
-           "objective": None, "kkt_residual": None, "accepted": False,
-           "reason": None}
-    if not start_margin(prog) > 0.0:
-        rec["reason"] = "start not strictly inside"
-        return None, rec
-    res = solve(prog, opts)
-    point, objective, feasible = judge(res.x_opt)
-    rec.update(status=res.status, iterations=res.iterations,
-               factorizations=res.factorizations,
-               failed_factorizations=res.failed_factorizations,
-               subproblem_kkt=res.kkt_residual, objective=objective)
-    if res.status != "optimal":
-        rec["reason"] = f"solve ended {res.status}"
-    elif not feasible:
-        rec["reason"] = "infeasible at feas_tol"
-    elif not objective >= obj:
-        rec["reason"] = BELOW_ITERATE
-    else:
-        rec["kkt_residual"] = certificate(
-            point, res.x_opt, np.concatenate([res.duals, res.bound_duals]))
-        if not rec["kkt_residual"] <= KKT_TOL:
-            rec["reason"] = "certificate above KKT_TOL"
-    rec["accepted"] = rec["reason"] is None
-    return (point if rec["accepted"] else None), rec
-
-
-def record_finish(report: RunReport, point, rec: dict) -> None:
-    """Append a finish attempt's record to ``report.extras["finish"]``,
-    count its solve, Newton steps and factorizations (``COUNTERS``), and
-    add an accepted point (not None) as the last iterate, with its
-    solve's residual as ``subproblem_kkt``."""
-    report.extras["finish"].append(rec)
-    report.extras["solves"] += rec["status"] is not None
-    report.extras["newton_steps"] += rec["iterations"]
-    report.extras["factorizations"] += rec["factorizations"]
-    report.extras["failed_factorizations"] += rec["failed_factorizations"]
-    if point is not None:
-        report.add(rec["objective"], kkt_residual=rec["kkt_residual"],
-                   feasible=True, subproblem_kkt=rec["subproblem_kkt"],
-                   subproblem_iters=rec["iterations"])
 
 
 @dataclass
@@ -197,27 +132,24 @@ def make_iterate(scn: Scenario, traj: Trajectory,
 def initial_trajectory(scn: Scenario) -> Trajectory:
     """Straight flight between the endpoints at constant speed.
 
-    With both endpoints free, hover midway between Alice and Bob.
+    With both endpoints free, hover midway between Alice and Bob; with
+    one fixed, hover at it.
     """
     if scn.start_xy is None and scn.end_xy is None:
         mid = 0.5 * (scn.alice_xy + scn.bob_xy)
         return Trajectory(np.tile(mid, (scn.n_slots, 1)))
-    a = scn.start_xy if scn.start_xy is not None else scn.end_xy
-    b = scn.end_xy if scn.end_xy is not None else scn.start_xy
+    if scn.start_xy is None or scn.end_xy is None:
+        anchor = scn.start_xy if scn.start_xy is not None else scn.end_xy
+        return Trajectory(np.tile(anchor, (scn.n_slots, 1)))
+    a, b = scn.start_xy, scn.end_xy
     dist = float(np.linalg.norm(b - a))
     budget = (scn.n_slots + 1) * scn.slot_travel
     if dist > budget:
         raise ValueError(
             f"endpoints {dist:.1f} m apart exceed the reachable "
             f"{budget:.1f} m over the horizon")
-    # N interior points of the N+2-point uniform subdivision; with one
-    # free endpoint the trajectory starts (or ends) on the anchor.
-    if scn.start_xy is not None and scn.end_xy is not None:
-        t = np.arange(1, scn.n_slots + 1) / (scn.n_slots + 1)
-    elif scn.start_xy is not None:
-        t = np.zeros(scn.n_slots)
-    else:
-        t = np.ones(scn.n_slots)
+    # N interior points of the N+2-point uniform subdivision.
+    t = np.arange(1, scn.n_slots + 1) / (scn.n_slots + 1)
     return Trajectory(a + t[:, None] * (b - a))
 
 
@@ -595,33 +527,71 @@ def _true_program(scn: Scenario, it: TrajIterate, lay: _Layout,
                     relax)
 
 
-def _judge(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
-           lay: _Layout, feas_tol: float):
-    """The stage's map of a solver point z over ``lay`` to the iterate
-    it reaches from it, its objective and whether it passes mobility
-    and causality at ``feas_tol``: of an SCP step and of the finish
-    alike."""
-    def judge(z):
-        delta, xi = lay.unpack(z)
-        it_new = make_iterate(
-            scn, Trajectory(it.traj.xy + np.stack([delta, xi], axis=1)), pw)
-        checks = model.check_all(scn, it_new.traj, pw, tol=feas_tol)
-        return it_new, it_new.objective, (checks["mobility"].feasible
-                                          and checks["causality"].feasible)
-    return judge
+def _displaced(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
+               lay: _Layout, z: np.ndarray,
+               feas_tol: float) -> tuple[TrajIterate, bool]:
+    """The iterate that the solver point z over ``lay`` reaches from it,
+    and whether it passes mobility and causality at ``feas_tol``: of an
+    SCP step and of the finish alike."""
+    delta, xi = lay.unpack(z)
+    it_new = make_iterate(
+        scn, Trajectory(it.traj.xy + np.stack([delta, xi], axis=1)), pw)
+    checks = model.check_all(scn, it_new.traj, pw, tol=feas_tol)
+    return it_new, (checks["mobility"].feasible
+                    and checks["causality"].feasible)
 
 
 def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
-            opts: ScpOptions) -> tuple[Optional[TrajIterate], dict]:
-    """``finish`` on the true trajectory problem
+            opts: ScpOptions, report: RunReport) -> Optional[TrajIterate]:
+    """One guarded solve, at ``FINISH``, of the true trajectory problem
     (``_true_program``, relaxed, from zero displacement) from the SCP
-    iterate it; the point is certified on the unrelaxed problem."""
+    iterate it, judged in the order the module docstring gives: a start
+    not strictly inside is skipped (no solve), and the certificate is
+    computed only once every other check passed.  Appends the record to
+    ``report.extras["finish"]``: the solve's ``status`` (None when
+    skipped), ``iterations``, ``factorizations``,
+    ``failed_factorizations`` and residual (``subproblem_kkt``), the
+    point's ``objective`` and certificate (``kkt_residual``), whether it
+    is ``accepted`` and the ``reason`` if not.  Counts the solve in
+    ``COUNTERS``; returns the accepted point, added as the last iterate,
+    or None.
+    """
+    rec = {"status": None, "iterations": 0, "factorizations": 0,
+           "failed_factorizations": 0, "subproblem_kkt": None,
+           "objective": None, "kkt_residual": None, "accepted": False,
+           "reason": None}
+    report.extras["finish"].append(rec)
     lay = _Layout(scn, it)
-    return finish(
-        _true_program(scn, it, lay), FINISH, it.objective,
-        _judge(scn, pw, it, lay, opts.feas_tol),
-        lambda _, z, duals: certify(
-            _true_program(scn, it, lay, relax=False), z, duals))
+    prog = _true_program(scn, it, lay)
+    if not start_margin(prog) > 0.0:
+        rec["reason"] = "start not strictly inside"
+        return None
+    res = solve(prog, FINISH)
+    count_solve(report.extras, res)
+    it_new, ok = _displaced(scn, pw, it, lay, res.x_opt, opts.feas_tol)
+    rec.update(status=res.status, iterations=res.iterations,
+               factorizations=res.factorizations,
+               failed_factorizations=res.failed_factorizations,
+               subproblem_kkt=res.kkt_residual, objective=it_new.objective)
+    if res.status != "optimal":
+        rec["reason"] = f"solve ended {res.status}"
+    elif not ok:
+        rec["reason"] = "infeasible at feas_tol"
+    elif not it_new.objective >= it.objective:
+        rec["reason"] = "objective below the stage iterate"
+    else:
+        rec["kkt_residual"] = certify(
+            _true_program(scn, it, lay, relax=False), res.x_opt,
+            np.concatenate([res.duals, res.bound_duals]))
+        if not rec["kkt_residual"] <= KKT_TOL:
+            rec["reason"] = "certificate above KKT_TOL"
+    rec["accepted"] = rec["reason"] is None
+    if not rec["accepted"]:
+        return None
+    report.add(it_new.objective, kkt_residual=rec["kkt_residual"],
+               feasible=True, subproblem_kkt=res.kkt_residual,
+               subproblem_iters=res.iterations)
+    return it_new
 
 
 def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
@@ -637,7 +607,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
     accepted trajectory iterate (e.g. to snapshot the evolution), an
     accepted finish included.  ``report.extras`` sums the solver's
     ``COUNTERS`` (the finish's included), lists the finish
-    attempt (at most one) under ``finish`` (see ``finish``), keeps a
+    attempt (at most one) under ``finish`` (see ``_finish``), keeps a
     dropped step under ``rejected_step`` and the last accepted solve's
     residual as ``final_subproblem_kkt``.  Each iterate records its
     solve's residual as ``subproblem_kkt``; its ``kkt_residual`` is that
@@ -667,7 +637,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             # a causality-tight point means a (near-)stationary step.
             report.status = f"solver_{res.status}"
             break
-        it_new, _, ok = _judge(scn, pw, it, lay, opts.feas_tol)(res.x_opt)
+        it_new, ok = _displaced(scn, pw, it, lay, res.x_opt, opts.feas_tol)
         delta, xi = lay.unpack(res.x_opt)
         settled = model.settled(it.objective, it_new.objective,
                                 opts.rel_tol)
@@ -700,8 +670,7 @@ def scp_optimize(scn: Scenario, pw: PowerAllocation, traj_0: Trajectory,
             break
         if report.extras["finish"]:
             continue
-        finished, fin = _finish(scn, pw, it, opts)
-        record_finish(report, finished, fin)
+        finished = _finish(scn, pw, it, opts, report)
         if finished is not None:
             it = finished
             if iteration_callback is not None:

@@ -198,10 +198,10 @@ def reject_trajectory_finish(monkeypatch) -> list:
     from secrelay import trajectory_scp as stage
     finish, solve, inside = stage._finish, stage.solve, []
 
-    def marked_finish(*args):
+    def marked_finish(scn, pw, it, opts, report):
         inside.append(1)
         try:
-            return finish(*args)
+            return finish(scn, pw, it, opts, report)
         finally:
             inside.pop()
 

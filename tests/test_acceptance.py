@@ -238,7 +238,7 @@ def test_criterion_3_dc_ascent_and_oracle(dc_battery):
 def test_criterion_4_solver_certification(scp_run, dc_battery):
     # An accepted trajectory finish is the last SCP iterate; its
     # ``kkt_residual`` is the finish's certificate on the true problem,
-    # which ``trajectory_scp.finish`` accepts up to ``KKT_TOL``.  Every
+    # which ``trajectory_scp._finish`` accepts up to ``KKT_TOL``.  Every
     # other iterate after the start is an SCP step with its subproblem
     # residual.
     scp = scp_run["report"]

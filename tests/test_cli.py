@@ -126,6 +126,27 @@ class TestExitCodes:
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
 
+    def test_overlong_hop_trajectory_exit_3(self, tmp_path, capsys):
+        """``trajectory`` on a file with a hop longer than one slot of
+        travel, at powers that hold causality there, exits 3 naming
+        mobility and writes no artifacts."""
+        from secrelay import model
+        scn = parse_scenario(SMALL["scenario"])
+        xy = np.tile([150.0, 30.0], (6, 1))
+        xy[3:, 0] += scn.slot_travel + 1.0
+        traj = model.Trajectory(xy)
+        tpath = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(tpath, scn, traj,
+                                 model.equal_power_start(scn, traj))
+        out = tmp_path / "o"
+        rc = cli.main(["trajectory", str(_write(tmp_path, SMALL)),
+                       "--trajectory", str(tpath), "--out-dir", str(out)])
+        assert rc == 3
+        assert ("infeasible: trajectory violates mobility constraints"
+                in capsys.readouterr().err)
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["power", "trajectory"])
     def test_trajectory_rejects_causality_violating_powers(self, tmp_path,
                                                            capsys, command):

@@ -506,6 +506,43 @@ class TestStartCertificate:
         assert report.objectives == [model.secrecy_sum(scn, traj, pw98)]
 
 
+    def test_failing_point_stalls_on_the_start(self, monkeypatch):
+        """A solved point that fails the checks (here its relay powers
+        doubled, which breaks causality) is not taken: the stage ends
+        ``stalled`` with the start unchanged and uncertified."""
+        scn, traj, pw98 = self._start((1800.0, 30.0), 0.98)
+        pw_from_z = power_dc._pw_from_z
+
+        def overdriven(pc, z):
+            pw = pw_from_z(pc, z)
+            return PowerAllocation(p_s=pw.p_s, p_r=2.0 * pw.p_r)
+
+        monkeypatch.setattr(power_dc, "_pw_from_z", overdriven)
+        pw, report = dc_allocate(scn, traj, pw_0=pw98)
+        assert report.status == "stalled"
+        assert report.extras["solves"] == 1
+        np.testing.assert_array_equal(pw.p_s, pw98.p_s)
+        np.testing.assert_array_equal(pw.p_r, pw98.p_r)
+        assert report.objectives == [model.secrecy_sum(scn, traj, pw98)]
+
+    def test_certificate_above_tolerance_stalls(self, monkeypatch):
+        """A solved point whose certificate exceeds ``KKT_TOL`` (here 0)
+        is returned, the stage ending ``stalled``: the same powers as
+        the ``converged`` run, with its certificate."""
+        scn, traj, pw98 = self._start((1800.0, 30.0), 0.98)
+        want, converged = dc_allocate(scn, traj, pw_0=pw98)
+        assert converged.status == "converged"
+        monkeypatch.setattr(power_dc, "KKT_TOL", 0.0)
+        pw, report = dc_allocate(scn, traj, pw_0=pw98)
+        assert report.status == "stalled"
+        assert report.extras["solves"] == 1
+        np.testing.assert_array_equal(pw.p_s, want.p_s)
+        np.testing.assert_array_equal(pw.p_r, want.p_r)
+        assert report.objectives == converged.objectives
+        assert (report.iterations[-1].kkt_residual
+                == converged.iterations[-1].kkt_residual > 0.0)
+
+
 def _fixed_flow_buffer(flow, initial):
     """A buffer over z = b whose net outflows are the constants ``flow``."""
     m = len(flow)

@@ -8,7 +8,7 @@ from conftest import (assert_wall_times, random_feasible_trajectory,
                       random_power, random_scenario, rate_forms,
                       reject_trajectory_finish, small_scenario,
                       stage_programs, true_rates)
-from numerics import (as_dense, assert_outputs_stay_fresh, bound_rows,
+from numerics import (as_dense, assert_outputs_stay_fresh,
                       callback_outputs, record_points, spot_check_convexity,
                       verify_derivatives)
 from secrelay import benchmark_scenario, model, power_dc, trajectory_scp
@@ -16,8 +16,7 @@ from secrelay.baselines import _constant_traj, static_relay_best
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
 from secrelay.report import RunReport
-from secrelay.solver import (SmoothConvexProgram, SolverOptions, certify,
-                             solve, start_margin)
+from secrelay.solver import solve, start_margin
 from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions, _Layout,
                                      build_subproblem, initial_trajectory,
                                      make_iterate, scp_optimize)
@@ -38,6 +37,21 @@ class TestInitialTrajectory:
                              end_xy=[30.0, 40.0])
         traj = initial_trajectory(scn)
         np.testing.assert_allclose(traj.xy, np.tile([30.0, 40.0], (5, 1)))
+
+    @pytest.mark.parametrize("end", ["start_xy", "end_xy"])
+    def test_one_anchor_hovers_at_it(self, end):
+        """With one endpoint fixed the start hovers at it; it is mobile
+        and the trajectory stage runs from it."""
+        anchor = [150.0, 30.0]
+        scn = small_scenario(**{end: anchor})
+        traj = initial_trajectory(scn)
+        assert np.array_equal(traj.xy, np.tile(anchor, (scn.n_slots, 1)))
+        assert model.check_mobility(scn, traj).feasible
+        pw = model.equal_power_start(scn, traj)
+        out, report = scp_optimize(scn, pw, traj)
+        assert report.status == "converged"
+        assert report.final_objective >= report.objectives[0]
+        assert model.check_mobility(scn, out).feasible
 
     def test_unreachable_endpoints_error(self):
         scn = small_scenario(n_slots=4, v_max=10.0, start_xy=[0.0, 0.0],
@@ -420,8 +434,7 @@ class TestRestoreFeasibilityOracle:
 
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
     def test_tolerances_and_silent_slots(self, tol):
-        """Other tolerances, and relays silent in some slots: each round
-        of 7 midpoints walks the path of the one-step bisection."""
+        """Other tolerances, and relays silent in some slots."""
         rng = np.random.default_rng(14)
         for n in rng.integers(2, 120, 20):
             scn, traj = self._instance(rng, int(n))
@@ -483,7 +496,7 @@ class TestRestoreFeasibilityOracle:
     @pytest.mark.parametrize("where", ["bob", "eve"])
     def test_scales_at_the_grid_edges(self, tol, where):
         """Hovers whose scale is chosen: within a few 2^-40 of 0, on and
-        next to the boundaries of the 2^-38 cells the restore checks and
+        next to the boundaries of the 2^-40 cells the restore checks and
         of coarser nodes, and just below 1; also with some relay slots
         silent."""
         g = 2.0 ** -40
@@ -543,8 +556,8 @@ class TestRestoreFeasibilityOracle:
     @pytest.mark.parametrize("wrong", ["zero", "one", "above", "below"])
     def test_wrong_estimate_falls_back(self, wrong, monkeypatch):
         """With the root estimate replaced by a wrong one, its cell fails
-        the check and the restore bisects [0, 1]: the same powers in
-        1 + 1 + 14 passes."""
+        the check and the restore bisects [0, 1], one scale per pass: the
+        same powers in 1 + 1 + 40 passes."""
         estimate = model._scale_estimate
         wrongs = {"zero": lambda c: 0.0, "one": lambda c: 1.0,
                   "above": lambda c: c * (1 + 2.0 ** -30),
@@ -563,13 +576,14 @@ class TestRestoreFeasibilityOracle:
             passes.clear()
             got = restore_feasibility(scn, traj, pw)
             assert got.p_r.tobytes() == ref.p_r.tobytes()
-            assert len(passes) == 16
+            assert len(passes) == 42
 
-    def test_three_passes_on_the_benchmark_inputs(self, monkeypatch):
+    def test_two_passes_on_the_benchmark_inputs(self, monkeypatch):
         """The equal-power restore on the five benchmark configs'
         initial trajectories and the four free configs' static winners
-        makes 3 ``causality_gaps`` passes (a bisection from [0, 1]
-        makes 15), with the reference's powers."""
+        makes 2 ``causality_gaps`` passes (scale 1, then the estimate's
+        2^-40 cell; a bisection from [0, 1] makes 41), with the
+        reference's powers."""
         inputs = []
         for horizon, slot, fixed in ((40.0, 2.0, False), (70.0, 2.0, False),
                                      (100.0, 2.0, False),
@@ -585,7 +599,7 @@ class TestRestoreFeasibilityOracle:
             pw = model.equal_power_allocation(scn)
             passes.clear()
             got = model.equal_power_start(scn, traj)
-            assert len(passes) == 3
+            assert len(passes) == 2
             ref = _reference_restore(scn, traj, pw)
             assert got.p_r.tobytes() == ref.p_r.tobytes()
 
@@ -699,6 +713,21 @@ class TestScpOptimize:
                                          tol=opts.feas_tol).feasible
         with pytest.raises(ValueError, match="causality"):
             scp_optimize(scn, pw, traj, opts=opts)
+
+    def test_overlong_hop_raises(self):
+        """A hop longer than one slot of travel (hops of exactly v_max
+        pass): the stage raises instead of optimizing, even with powers
+        that hold causality there."""
+        scn = small_scenario()
+        xy = np.tile([150.0, 30.0], (scn.n_slots, 1))
+        xy[3:, 0] += scn.slot_travel
+        pw = model.equal_power_start(scn, Trajectory(xy))
+        scp_optimize(scn, pw, Trajectory(xy))
+        xy[3:, 0] += 1.0
+        pw = model.equal_power_start(scn, Trajectory(xy))
+        with pytest.raises(ValueError, match="^trajectory violates "
+                           "mobility constraints$"):
+            scp_optimize(scn, pw, Trajectory(xy))
 
     def test_monotone_feasible_ascent(self, rng):
         for _ in range(3):
@@ -897,10 +926,7 @@ def _fixed_start():
 def _skip_finish(monkeypatch) -> None:
     """The trajectory stage with its finish skipped: the pure SCP loop."""
     monkeypatch.setattr(trajectory_scp, "_finish",
-                        lambda *args: (None, {
-                            "status": None, "iterations": 0,
-                            "factorizations": 0,
-                            "failed_factorizations": 0}))
+                        lambda scn, pw, it, opts, report: None)
 
 
 def _same_run(a, b) -> None:
@@ -1063,107 +1089,123 @@ class TestTrajectoryFinish:
             "reason": "start not strictly inside"}]
 
 
-def _tiny_program(start=0.5):
-    """min (x - 2)^2 s.t. x <= 1 and x >= 0, from ``start``: its one KKT
-    point is x = 1, with multiplier 2 on the row."""
-    return SmoothConvexProgram(
-        dim=1, objective=lambda x: float((x[0] - 2.0) ** 2),
-        gradient=lambda x: 2.0 * (x - 2.0), hessian=lambda x: np.array([2.0]),
-        hess_idx=(np.array([0]), np.array([0])),
-        ineqs=[bound_rows(np.array([1.0]))], lb=np.zeros(1),
-        strictly_feasible_start=np.array([start]))
+class TestFinishGuard:
+    """``trajectory_scp._finish`` called directly from ``_fixed_start()``:
+    each check in its order, the certificate computed only when every
+    earlier check passed, and the record, counters and iterate it leaves
+    in the report."""
 
+    @staticmethod
+    def _run(monkeypatch, opts=None, raise_objective=0.0):
+        """``_finish`` from the fixed start's iterate, its objective
+        raised by ``raise_objective``.  Returns that iterate, the
+        accepted point, the report and the certificates computed."""
+        scn, traj, pw = _fixed_start()
+        it = make_iterate(scn, traj, pw)
+        it = dataclasses.replace(it, objective=it.objective + raise_objective)
+        certificates, certify = [], trajectory_scp.certify
 
-class TestSharedFinish:
-    """``trajectory_scp.finish``, the guarded solve of the finish, on a
-    tiny convex program with a stub judge: each check in its order, and
-    the certificate computed only when every earlier check passed."""
+        def recording_certify(*args):
+            certificates.append(certify(*args))
+            return certificates[-1]
 
-    OPTS = SolverOptions(tol=1e-8)
-
-    @classmethod
-    def _run(cls, start=0.5, opts=None, obj=-2.0, feasible=True,
-             residual=None):
-        """``finish`` with a judge that scores a point by -(x - 2)^2 and
-        passes it as ``feasible`` says; the certificate is the true
-        residual, or ``residual`` when given.  Returns the point, the
-        record and the certificates computed."""
-        prog = _tiny_program(start)
-        certificates = []
-
-        def judge(z):
-            return z.copy(), -float((z[0] - 2.0) ** 2), feasible
-
-        def certificate(point, z, duals):
-            np.testing.assert_array_equal(point, z)
-            certificates.append(certify(prog, z, duals))
-            return certificates[-1] if residual is None else residual
-
-        point, rec = trajectory_scp.finish(prog, opts or cls.OPTS, obj,
-                                           judge, certificate)
-        return point, rec, certificates
-
-    def test_accepted(self):
-        point, rec, certificates = self._run()
-        assert point[0] == pytest.approx(1.0, abs=1e-6)
-        assert rec["accepted"] and rec["reason"] is None
-        assert rec["status"] == "optimal" and rec["iterations"] > 0
-        assert rec["subproblem_kkt"] <= 10.0 * self.OPTS.tol
-        assert rec["objective"] == -float((point[0] - 2.0) ** 2) >= -2.0
-        assert certificates == [rec["kkt_residual"]]
-        assert rec["kkt_residual"] <= power_dc.KKT_TOL
-
-    def test_skipped(self, monkeypatch):
-        solves = []
-        monkeypatch.setattr(trajectory_scp, "solve",
-                            lambda *args: solves.append(1))
-        point, rec, certificates = self._run(start=0.0)
-        assert point is None and solves == [] and certificates == []
-        assert rec == {"status": None, "iterations": 0,
-                       "factorizations": 0, "failed_factorizations": 0,
-                       "subproblem_kkt": None, "objective": None,
-                       "kkt_residual": None, "accepted": False,
-                       "reason": "start not strictly inside"}
-
-    @pytest.mark.parametrize("kw, reason", [
-        ({"opts": SolverOptions(tol=1e-8, max_iter=1)},
-         "solve ended max_iter"),
-        ({"feasible": False}, "infeasible at feas_tol"),
-        ({"obj": 0.0}, trajectory_scp.BELOW_ITERATE),
-    ])
-    def test_rejected_before_the_certificate(self, kw, reason):
-        point, rec, certificates = self._run(**kw)
-        assert point is None and not rec["accepted"]
-        assert rec["reason"] == reason
-        assert rec["status"] is not None and rec["objective"] is not None
-        assert rec["kkt_residual"] is None and certificates == []
-
-    def test_certificate_above_tolerance(self):
-        point, rec, certificates = self._run(residual=2.0 * power_dc.KKT_TOL)
-        assert point is None and not rec["accepted"]
-        assert rec["status"] == "optimal"
-        assert rec["reason"] == "certificate above KKT_TOL"
-        assert rec["kkt_residual"] == 2.0 * power_dc.KKT_TOL
-        assert len(certificates) == 1
-
-    def test_record_finish(self):
-        """``record_finish`` counts a partial record's solve, steps and
-        factorizations, and adds the point as an iterate only when there
-        is one."""
+        monkeypatch.setattr(trajectory_scp, "certify", recording_certify)
         report = RunReport(stage="trajectory_scp", extras={
             **dict.fromkeys(power_dc.COUNTERS, 0), "finish": []})
-        skipped = {"status": None, "iterations": 0, "factorizations": 0,
-                   "failed_factorizations": 0}
-        trajectory_scp.record_finish(report, None, skipped)
-        _, rec, _ = self._run()
-        trajectory_scp.record_finish(report, np.ones(1), rec)
+        point = trajectory_scp._finish(scn, pw, it, opts or ScpOptions(),
+                                       report)
+        return it, point, report, certificates
+
+    @staticmethod
+    def _assert_counted(report, rec) -> None:
+        """The report counts the finish's one solve, its Newton steps and
+        factorizations, and holds its record."""
         assert rec["factorizations"] >= rec["iterations"] > 0
         assert report.extras == {
             "solves": 1, "newton_steps": rec["iterations"],
             "factorizations": rec["factorizations"],
             "failed_factorizations": rec["failed_factorizations"],
-            "finish": [skipped, rec]}
+            "finish": [rec]}
+
+    def test_accepted(self, monkeypatch):
+        it, point, report, certificates = self._run(monkeypatch)
+        [rec] = report.extras["finish"]
+        assert rec["accepted"] and rec["reason"] is None
+        assert rec["status"] == "optimal" and rec["iterations"] > 0
+        assert rec["subproblem_kkt"] <= trajectory_scp.FINISH.tol
+        assert rec["objective"] == point.objective >= it.objective
+        assert certificates == [rec["kkt_residual"]]
+        assert rec["kkt_residual"] <= power_dc.KKT_TOL
+        self._assert_counted(report, rec)
         [last] = report.iterations
         assert last.objective == rec["objective"]
         assert last.kkt_residual == rec["kkt_residual"]
         assert last.extras["subproblem_kkt"] == rec["subproblem_kkt"]
+        assert last.extras["subproblem_iters"] == rec["iterations"]
+
+    def test_skipped(self, monkeypatch):
+        """A start that is not strictly inside (a buffer below its bound)
+        is skipped before any solve; the record is kept, nothing is
+        counted and no iterate is added."""
+        true_program = trajectory_scp._true_program
+
+        def outside(scn, it, lay, relax=True):
+            prog = true_program(scn, it, lay, relax)
+            if relax:
+                prog.strictly_feasible_start[lay.i_bob[0]] = -1.0
+            return prog
+
+        solves = []
+        monkeypatch.setattr(trajectory_scp, "_true_program", outside)
+        monkeypatch.setattr(trajectory_scp, "solve",
+                            lambda *args: solves.append(1))
+        _, point, report, certificates = self._run(monkeypatch)
+        assert point is None and solves == [] and certificates == []
+        assert report.extras == {
+            "solves": 0, "newton_steps": 0, "factorizations": 0,
+            "failed_factorizations": 0, "finish": [{
+                "status": None, "iterations": 0, "factorizations": 0,
+                "failed_factorizations": 0, "subproblem_kkt": None,
+                "objective": None, "kkt_residual": None,
+                "accepted": False, "reason": "start not strictly inside"}]}
+        assert report.iterations == []
+
+    @pytest.mark.parametrize("case, reason", [
+        ("max_iter", "solve ended max_iter"),
+        ("infeasible", "infeasible at feas_tol"),
+        ("below", "objective below the stage iterate"),
+    ])
+    def test_rejected_before_the_certificate(self, case, reason,
+                                             monkeypatch):
+        """A solve cut at one Newton step, a point that fails its check
+        (a negative ``feas_tol``) and an iterate whose objective is
+        raised above what the finish reaches: each is rejected with its
+        reason, counted, and never certified."""
+        kw = {}
+        if case == "max_iter":
+            monkeypatch.setattr(trajectory_scp, "FINISH", dataclasses.replace(
+                trajectory_scp.FINISH, max_iter=1))
+        elif case == "infeasible":
+            kw["opts"] = ScpOptions(feas_tol=-1.0)
+        else:
+            kw["raise_objective"] = 1e3
+        _, point, report, certificates = self._run(monkeypatch, **kw)
+        [rec] = report.extras["finish"]
+        assert point is None and not rec["accepted"]
+        assert rec["reason"] == reason
+        assert rec["status"] is not None and rec["objective"] is not None
+        assert rec["kkt_residual"] is None and certificates == []
+        self._assert_counted(report, rec)
+        assert report.iterations == []
+
+    def test_certificate_above_tolerance(self, monkeypatch):
+        monkeypatch.setattr(trajectory_scp, "KKT_TOL", 0.0)
+        _, point, report, certificates = self._run(monkeypatch)
+        [rec] = report.extras["finish"]
+        assert point is None and not rec["accepted"]
+        assert rec["status"] == "optimal"
+        assert rec["reason"] == "certificate above KKT_TOL"
+        assert certificates == [rec["kkt_residual"]]
+        assert rec["kkt_residual"] > 0.0
+        self._assert_counted(report, rec)
+        assert report.iterations == []
