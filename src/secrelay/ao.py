@@ -8,8 +8,8 @@ import numpy as np
 
 from . import model
 from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import COUNTERS, dc_allocate
-from .report import RunReport
+from .power_dc import dc_allocate
+from .report import COUNTERS, RunReport
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 # AO's cap on its outer iterations (``ScpOptions.max_iter`` caps each
@@ -59,11 +59,6 @@ def _ao_single(scn: Scenario, traj: Trajectory,
     pw = model.equal_power_start(scn, traj, tol)
     obj = model.secrecy_sum(scn, traj, pw)
     report.add(obj, feasible=True)
-
-    if scn.p_bar_r <= 0.0:
-        return traj, model.zero_power_allocation(scn), report.finish(
-            "converged")
-
     report.status = "max_iter"
     for _ in range(MAX_ITER):
         pw_dc, dc_rep = dc_allocate(scn, traj, pw_0=pw, feas_tol=tol)

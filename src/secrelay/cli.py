@@ -11,7 +11,7 @@ writes machine-readable artifacts:
 
 Exit codes: 0 success, 2 configuration error (a ``--trajectory`` file
 whose slot count is not the scenario's included), 3 infeasible problem,
-4 numerical failure.
+4 numerical failure in a stage (``report.json`` only).
 
 Configuration format (YAML)::
 
@@ -314,14 +314,18 @@ def _load_traj(scn: Scenario, args,
 
 def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
             tol: float, t0: float, extra: Optional[dict] = None) -> int:
-    """Writes the artifacts, or exits 4 if ``report`` ended ``solver_*``."""
-    if report is not None and report.status.startswith("solver_"):
-        print(f"numerical failure in subproblem: {report.status}",
+    """Writes ``report.json``; exits 4 if its stage, or AO's last (the
+    failed one), ended ``solver_*``; else writes ``trajectory.csv``."""
+    write_report_json(out_dir / "report.json", scn, run, report, traj, pw,
+                      tol, time.perf_counter() - t0, extra)
+    failed = report
+    if report is not None and report.status == "inner_stage_failure":
+        failed = report.sub_reports[-1]
+    if failed is not None and failed.status.startswith("solver_"):
+        print(f"numerical failure in stage {failed.stage}: {failed.status}",
               file=sys.stderr)
         return EXIT_NUMERICAL
     write_trajectory_csv(out_dir / "trajectory.csv", scn, traj, pw)
-    write_report_json(out_dir / "report.json", scn, run, report, traj, pw,
-                      tol, time.perf_counter() - t0, extra)
     snap = evaluate(scn, traj, pw, tol)
     print(f"objective {snap.objective:.6f} bits/s/Hz "
           f"(avg {snap.secrecy_avg:.6f}); feasible={snap.feasible}; "
@@ -332,16 +336,8 @@ def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
 def cmd_ao(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     opts = _options(run)
-    tol = opts.feas_tol
     traj, pw, report = ao_optimize(scn, opts=opts)
-    if report.status == "inner_stage_failure":
-        failed = report.sub_reports[-1]
-        print(f"numerical failure in stage {failed.stage}: {failed.status}",
-              file=sys.stderr)
-        write_report_json(out_dir / "report.json", scn, run, report, traj,
-                          pw, tol, time.perf_counter() - t0)
-        return EXIT_NUMERICAL
-    return _finish(out_dir, scn, run, report, traj, pw, tol, t0)
+    return _finish(out_dir, scn, run, report, traj, pw, opts.feas_tol, t0)
 
 
 def cmd_trajectory(scn, run, out_dir, args) -> int:
@@ -430,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         if traj_in:
             p.add_argument("--trajectory", type=Path, default=None,
                            help="trajectory.csv providing positions/powers")
-        p.set_defaults(func=func, takes_traj=traj_in)
+        p.set_defaults(func=func)
         return p
 
     add("ao", cmd_ao, "joint trajectory and power optimization",

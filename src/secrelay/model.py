@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+LN2 = float(np.log(2.0))
 DEFAULT_FEAS_TOL = 1e-6
 # Outer loops (SCP, AO) also stop once an iteration moves the secrecy sum
 # by at most this many bits: the feasibility checks resolve causality
@@ -386,12 +387,12 @@ def _scale_estimate(gains: np.ndarray, need: np.ndarray) -> float:
     live = top > 0.0            # prefixes with a positive slope
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = np.cumsum(gains > 0.0, axis=1)
-        bound = np.expm1(need * np.log(2.0) / m) / top
+        bound = np.expm1(need * LN2 / m) / top
         c = float(np.min(bound, where=live, initial=np.inf))
         for _ in range(8):
             rise = 1.0 + c * gains
             f = np.log2(rise).cumsum(axis=1) - need
-            slope = (gains / rise).cumsum(axis=1) / np.log(2.0)
+            slope = (gains / rise).cumsum(axis=1) / LN2
             step = float(np.min(-f / slope, where=live, initial=np.inf))
             c += step
             if not step > 2.0 ** -30 * c:

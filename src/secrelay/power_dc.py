@@ -34,100 +34,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import model
-from .model import PowerAllocation, Scenario, Trajectory
-from .report import RunReport
-from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
-                     SolverOptions, SolverResult, certify, solve)
-
-LN2 = float(np.log(2.0))
-
-# The KKT residual within which a point of the power problem (or of the
-# true trajectory problem) is accepted as a KKT point.
-KKT_TOL = 1e-5
+from .model import LN2, PowerAllocation, Scenario, Trajectory
+from .report import COUNTERS, RunReport, count_solve
+from .solver import (KKT_TOL, Buffer, ConstraintBlock, PointCache,
+                     SmoothConvexProgram, SolverOptions, buffer_start,
+                     certify, solve)
 
 # Well below KKT_TOL, even with a stall's STALL_TOL_FACTOR (10x) slack.
 SUBPROBLEM = SolverOptions(tol=1e-8)
-
-# The solver work each stage sums in ``RunReport.extras`` (``count_solve``).
-COUNTERS = ("solves", "newton_steps", "factorizations",
-            "failed_factorizations")
-
-
-def count_solve(extras: dict, res: SolverResult) -> None:
-    """Add one solve's work to a stage's ``COUNTERS``."""
-    extras["solves"] += 1
-    extras["newton_steps"] += res.iterations
-    extras["factorizations"] += res.factorizations
-    extras["failed_factorizations"] += res.failed_factorizations
-
-
-@dataclass
-class Buffer:
-    """Stocks (relay buffers, remaining energies), each drained per slot
-    by its net outflow in ``flow``.
-
-    ``idx`` holds the positions of b_0 .. b_{m-1} in z, one row per
-    stock ((m,) for one stock), and the rows of ``flow`` run stock by
-    stock.  Row j of a stock in ``block()`` is
-    b_j - b_{j-1} + flow_j(z) <= 0 with b_{-1} its ``initial`` (a value
-    per stock, or one for all): the buffer after slot j holds at most
-    what it held before plus what came in minus what went out.  The
-    caller bounds b_j >= 0.  With each b_j at its prefix surplus
-    (``surplus``) every row is tight, and b >= 0 is exactly the prefix
-    form sum_{i<=j} flow_i <= initial.  ``flow`` must depend on no
-    buffer variable; the block's pattern is the flow's columns, then b_j
-    and b_{j-1}, and the flow's Hessian positions.
-    """
-
-    flow: ConstraintBlock
-    idx: np.ndarray
-    name: str
-    initial: float | np.ndarray = 0.0
-
-    def surplus(self, z: np.ndarray) -> np.ndarray:
-        """Prefix surpluses initial - sum_{i<=j} flow_i(z), shaped like
-        ``idx``."""
-        sent = np.cumsum(self.flow.value(z).reshape(self.idx.shape), axis=-1)
-        return np.asarray(self.initial)[..., None] - sent
-
-    def block(self) -> ConstraintBlock:
-        """The rows, their ±1 buffer entries filled once here."""
-        idx = self.idx.reshape(-1, self.idx.shape[-1])
-        first = np.arange(idx.shape[0]) * idx.shape[1]   # b_{-1} rows
-        prev = np.concatenate([idx[:, :1], idx[:, :-1]], axis=1).ravel()
-        idx, flow, w = idx.ravel(), self.flow, self.flow.cols.shape[1]
-        jac = np.zeros((idx.size, w + 2))
-        jac[:, w], jac[:, w + 1] = 1.0, -1.0
-        jac[first, w + 1] = 0.0    # b_{-1} is the constant ``initial``
-
-        def value(z):
-            b_prev = z[prev]
-            b_prev[first] = self.initial
-            return z[idx] - b_prev + flow.value(z)
-
-        def jacobian(z):
-            out = jac.copy()
-            out[:, :w] = flow.jacobian(z)
-            return out
-
-        return ConstraintBlock(
-            cols=np.concatenate([flow.cols, np.stack([idx, prev], axis=1)],
-                                axis=1),
-            value=value, jacobian=jacobian, hess_weighted=flow.hess_weighted,
-            hess_idx=flow.hess_idx, name=self.name)
-
-
-def buffer_start(surplus: np.ndarray) -> np.ndarray:
-    """Strictly feasible buffer contents from the prefix surpluses S
-    (along the last axis, one stock per row).
-
-    b_n = S_n - n * min_{j>=n} S_j / (m+1), n = 1..m: positive, and
-    S_n - b_n grows strictly with n, so every buffer row is slack,
-    whenever every S_n > 0.
-    """
-    m = surplus.shape[-1]
-    tail_min = np.minimum.accumulate(surplus[..., ::-1], axis=-1)[..., ::-1]
-    return surplus - np.arange(1, m + 1) * tail_min / (m + 1)
 
 
 # Per-slot variables: the scaled source power, Bob's rate r in bits,

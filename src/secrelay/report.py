@@ -7,6 +7,19 @@ from typing import Optional
 
 import numpy as np
 
+# The solver work each stage sums in ``RunReport.extras`` (``count_solve``).
+COUNTERS = ("solves", "newton_steps", "factorizations",
+            "failed_factorizations")
+
+
+def count_solve(extras: dict, res) -> None:
+    """Add one solve's work (its ``solver.SolverResult``) to a stage's
+    ``COUNTERS``."""
+    extras["solves"] += 1
+    extras["newton_steps"] += res.iterations
+    extras["factorizations"] += res.factorizations
+    extras["failed_factorizations"] += res.failed_factorizations
+
 
 def _jsonable(v):
     if isinstance(v, np.ndarray):

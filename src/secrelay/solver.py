@@ -51,7 +51,9 @@ a program can share their common terms through a ``PointCache``: the
 stage programs evaluate each point in one pass there, and each callback
 reads its part.  A callback must return an array that no later call
 writes into (the stage programs copy their Jacobian templates): a
-caller may hold it across points.
+caller may hold it across points.  Both stages state their stocks
+(relay buffers, remaining energies) as ``Buffer`` rows, and accept a
+point whose KKT residual (``certify``) is within ``KKT_TOL``.
 
 Every step is judged by the barrier function phi_mu = f - mu sum log(-g)
 over all rows and finite bounds (J. Nocedal & S. J. Wright, *Numerical
@@ -225,6 +227,84 @@ class ConstraintBlock:
     def m(self) -> int:
         """The number of rows."""
         return len(self.cols)
+
+
+@dataclass
+class Buffer:
+    """Stocks (relay buffers, remaining energies), each drained per slot
+    by its net outflow in ``flow``.
+
+    ``idx`` holds the positions of b_0 .. b_{m-1} in z, one row per
+    stock ((m,) for one stock), and the rows of ``flow`` run stock by
+    stock.  Row j of a stock in ``block()`` is
+    b_j - b_{j-1} + flow_j(z) <= 0 with b_{-1} its ``initial`` (a value
+    per stock, or one for all): the buffer after slot j holds at most
+    what it held before plus what came in minus what went out.  The
+    caller bounds b_j >= 0.  With each b_j at its prefix surplus
+    (``surplus``) every row is tight, and b >= 0 is exactly the prefix
+    form sum_{i<=j} flow_i <= initial.  ``flow`` must depend on no
+    buffer variable; the block's pattern is the flow's columns, then b_j
+    and b_{j-1}, and the flow's Hessian positions.
+    """
+
+    flow: ConstraintBlock
+    idx: Array
+    name: str
+    initial: float | Array = 0.0
+
+    def surplus(self, z: Array) -> Array:
+        """Prefix surpluses initial - sum_{i<=j} flow_i(z), shaped like
+        ``idx``."""
+        sent = np.cumsum(self.flow.value(z).reshape(self.idx.shape), axis=-1)
+        return np.asarray(self.initial)[..., None] - sent
+
+    def seed(self, z: Array) -> None:
+        """Raise each stock's ``initial`` by the worst prefix excess of
+        its flow at z and put the buffers at ``buffer_start`` in z, so
+        every prefix surplus at z is at least the stock's former
+        ``initial``."""
+        sent = np.cumsum(self.flow.value(z).reshape(self.idx.shape), axis=-1)
+        self.initial = self.initial + np.max(sent, axis=-1, initial=0.0)
+        z[self.idx] = buffer_start(self.initial[..., None] - sent)
+
+    def block(self) -> ConstraintBlock:
+        """The rows, their ±1 buffer entries filled once here."""
+        idx = self.idx.reshape(-1, self.idx.shape[-1])
+        first = np.arange(idx.shape[0]) * idx.shape[1]   # b_{-1} rows
+        prev = np.concatenate([idx[:, :1], idx[:, :-1]], axis=1).ravel()
+        idx, flow, w = idx.ravel(), self.flow, self.flow.cols.shape[1]
+        jac = np.zeros((idx.size, w + 2))
+        jac[:, w], jac[:, w + 1] = 1.0, -1.0
+        jac[first, w + 1] = 0.0    # b_{-1} is the constant ``initial``
+
+        def value(z):
+            b_prev = z[prev]
+            b_prev[first] = self.initial
+            return z[idx] - b_prev + flow.value(z)
+
+        def jacobian(z):
+            out = jac.copy()
+            out[:, :w] = flow.jacobian(z)
+            return out
+
+        return ConstraintBlock(
+            cols=np.concatenate([flow.cols, np.stack([idx, prev], axis=1)],
+                                axis=1),
+            value=value, jacobian=jacobian, hess_weighted=flow.hess_weighted,
+            hess_idx=flow.hess_idx, name=self.name)
+
+
+def buffer_start(surplus: Array) -> Array:
+    """Strictly feasible buffer contents from the prefix surpluses S
+    (along the last axis, one stock per row).
+
+    b_n = S_n - n * min_{j>=n} S_j / (m+1), n = 1..m: positive, and
+    S_n - b_n grows strictly with n, so every buffer row is slack,
+    whenever every S_n > 0.
+    """
+    m = surplus.shape[-1]
+    tail_min = np.minimum.accumulate(surplus[..., ::-1], axis=-1)[..., ::-1]
+    return surplus - np.arange(1, m + 1) * tail_min / (m + 1)
 
 
 @dataclass
@@ -689,18 +769,20 @@ def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
     return _residual(*_evaluate(prog, x), duals)
 
 
+# A stage accepts a point whose residual (``certify``) is within this.
+KKT_TOL = 1e-5
+
+
 def certify(prog: SmoothConvexProgram, x: Array,
             duals: Optional[Array] = None) -> float:
-    """KKT residual at x with the better of two multiplier sets.
-
-    The smaller of the residuals with ``multiplier_estimate`` and with
-    ``duals`` (in the order of ``kkt_residual``), when given.  Each is
-    exact, so a small value proves x a KKT point whatever the estimate's
-    quality.  The program is evaluated at x once for both.
+    """KKT residual at x with one multiplier set: the solve's ``duals``
+    (in the order of ``kkt_residual``) when given, else
+    ``multiplier_estimate``.  Either is exact, so a small value proves x
+    a KKT point whatever the multipliers' quality.  The program is
+    evaluated at x once.
     """
     point = _evaluate(prog, x)
-    res = _residual(*point, _estimate(*point))
-    return res if duals is None else min(res, _residual(*point, duals))
+    return _residual(*point, _estimate(*point) if duals is None else duals)
 
 
 def _evaluate(prog: SmoothConvexProgram, x: Array) -> tuple:

@@ -32,7 +32,7 @@ accepted only if the solve ends ``optimal``, the point passes mobility
 and causality at ``feas_tol``, its objective is at least the SCP
 iterate's and, checked last, its KKT residual on the unrelaxed problem,
 with the solve's duals (``solver.certify``), is within
-``power_dc.KKT_TOL``; the stage then ends ``converged`` there, with that
+``solver.KKT_TOL``; the stage then ends ``converged`` there, with that
 certificate as the iterate's ``kkt_residual``.  Otherwise SCP goes on
 exactly as without the finish and tries none again in that stage (a
 retry after every step costs more than it saves).  One map of a solver
@@ -43,7 +43,7 @@ when the fall is within the stop rule (``rel_tol``; near a stationary
 point a bound's solution loses about its duality gap), and ``stalled``
 (``regressed``) otherwise.
 
-Information causality is stated with relay buffers (``power_dc.Buffer``)
+Information causality is stated with relay buffers (``solver.Buffer``)
 for Bob's and Eve's rate: b_n >= 0 with b_n <= b_{n-1} + R_in,n-1 -
 R_out,n (``_true_flow``, the one flow builder of both programs).  The
 variables are laid out slot by slot (``_Layout``), so each row touches
@@ -82,17 +82,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import model
-from .model import PowerAllocation, Scenario, Trajectory
-from .power_dc import (COUNTERS, KKT_TOL, LN2, Buffer, buffer_start,
-                       count_solve)
-from .report import RunReport
-from .solver import (ConstraintBlock, PointCache, SmoothConvexProgram,
-                     SolverOptions, certify, solve, start_margin)
+from .model import LN2, PowerAllocation, Scenario, Trajectory
+from .report import COUNTERS, RunReport, count_solve
+from .solver import (KKT_TOL, Buffer, ConstraintBlock, PointCache,
+                     SmoothConvexProgram, SolverOptions, certify, solve,
+                     start_margin)
 
 
 SUBPROBLEM = SolverOptions(tol=1e-6)
 # The finish solve of the true trajectory problem (``_finish``); its
-# point is accepted within ``power_dc.KKT_TOL`` on the unrelaxed problem.
+# point is accepted within ``solver.KKT_TOL`` on the unrelaxed problem.
 FINISH = SolverOptions(tol=1e-6, max_iter=100)
 
 
@@ -256,16 +255,6 @@ def _mobility_block(scn: Scenario, it: TrajIterate, lay: _Layout,
     return ConstraintBlock(cols=mob_cols, value=mob_value,
                            jacobian=mob_jacobian, hess_weighted=mob_hess,
                            hess_idx=(mob_rows, mob_cols_h), name="mobility")
-
-
-def _seed_buffer(b: Buffer, z0: np.ndarray) -> None:
-    """Raise each stock's initial content by the worst prefix excess of
-    its flow at z0 and put the buffers at ``buffer_start`` in z0, so
-    every prefix surplus of z0 is at least the stock's own initial
-    content (``CAUS_RELAX``)."""
-    sent = np.cumsum(b.flow.value(z0).reshape(b.idx.shape), axis=-1)
-    b.initial = b.initial + np.max(sent, axis=-1, initial=0.0)
-    z0[b.idx] = buffer_start(b.initial[..., None] - sent)
 
 
 def _check_base(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
@@ -485,7 +474,7 @@ def _program(scn: Scenario, it: TrajIterate, lay: _Layout, at: PointCache,
     z0 = None
     if relax:
         z0 = np.zeros(lay.dim)
-        _seed_buffer(buffer, z0)
+        buffer.seed(z0)
     lb = np.full(lay.dim, -np.inf)
     lb[lay.i_bob] = lb[lay.i_eve] = 0.0
     return SmoothConvexProgram(

@@ -13,7 +13,7 @@ import pytest
 from conftest import (power_program, random_feasible_trajectory,
                       random_scenario, rate_forms, true_rates)
 from numerics import verify_derivatives
-from secrelay import cli, model, power_dc
+from secrelay import cli, model, solver
 from secrelay.ao import ao_optimize
 from secrelay.baselines import data_ferry, static_relay_best, transit_slot_count
 from secrelay.cli import benchmark_scenario
@@ -247,7 +247,7 @@ def test_criterion_4_solver_certification(scp_run, dc_battery):
     kkts = [rec.extras["subproblem_kkt"]
             for rec in scp.iterations[1:n_steps]]
     certs = [rec.kkt_residual for rec in scp.iterations[n_steps:]]
-    cert_ok = all(c <= power_dc.KKT_TOL for c in certs)
+    cert_ok = all(c <= solver.KKT_TOL for c in certs)
     for run in dc_battery["runs"] + [dc_battery["toy"]]:
         for rec in run["report"].iterations:
             sub = rec.extras.get("subproblem_kkt")

@@ -15,11 +15,22 @@ from secrelay.trajectory_scp import ScpOptions, initial_trajectory
 
 
 class TestAoOptimize:
-    def test_zero_relay_budget(self):
-        scn = small_scenario(p_bar_r=0.0)
+    @pytest.mark.parametrize("budgets", [
+        {"p_bar_s": 0.0}, {"p_bar_r": 0.0}, {"p_bar_s": 0.0, "p_bar_r": 0.0}],
+        ids=["source", "relay", "both"])
+    def test_zero_budget(self, budgets):
+        """A zero budget runs through both stages, whose silent-relay
+        returns end every run ``converged`` at 0 with zero powers."""
+        scn = small_scenario(**budgets)
         traj, pw, report = ao_optimize(scn)
-        assert report.final_objective == pytest.approx(0.0, abs=1e-9)
-        assert np.all(pw.p_r == 0.0)
+        assert report.status == "converged"
+        assert report.final_objective == 0.0
+        assert np.all(pw.p_s == 0.0) and np.all(pw.p_r == 0.0)
+        assert all(r["status"] == "converged" and r["objective"] == 0.0
+                   for r in report.extras["multistart_runs"])
+        assert [s.stage for s in report.sub_reports] == [
+            "power_dc", "trajectory_scp"]
+        assert all(s.status == "converged" for s in report.sub_reports)
         assert evaluate(scn, traj, pw).feasible
 
     def test_outer_monotone_ascent_and_feasibility(self, rng):
@@ -88,7 +99,7 @@ class TestAoOptimize:
         assert winner["total_time"] == report.total_time
         assert winner["stage_statuses"] == [
             s.status for s in report.sub_reports]
-        from secrelay.power_dc import COUNTERS
+        from secrelay.report import COUNTERS
         for k in COUNTERS:
             assert winner[k] == sum(s.extras[k] for s in report.sub_reports)
         for r in runs:
@@ -328,8 +339,7 @@ class TestFixedPointStop:
         ``converged`` after one iteration although the power stage moved
         the objective by far more than ``rel_tol``, also when that
         iteration is the last one ``ao.MAX_ITER`` allows."""
-        from secrelay.power_dc import COUNTERS
-        from secrelay.report import RunReport
+        from secrelay.report import COUNTERS, RunReport
 
         def still(scn, pw, traj, opts=None):
             rep = RunReport(stage="trajectory_scp", extras={

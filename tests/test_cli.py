@@ -24,6 +24,13 @@ SMALL = {
 }
 
 
+def _scenario_yaml(drop=None, **changes):
+    """SMALL's scenario with ``changes`` and without the key ``drop``."""
+    scn = dict(SMALL["scenario"], **changes)
+    scn.pop(drop, None)
+    return yaml.safe_dump({"scenario": scn})
+
+
 def _write(tmp_path, doc, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -194,13 +201,12 @@ class TestExitCodes:
         assert "config error" in err
         assert "2 slots, the scenario has 6" in err
 
-    def test_power_stage_failure_exit_4(self, tmp_path, capsys,
-                                        monkeypatch):
-        """On a flight towards Bob the power stage solves from causal
-        input powers; its failed solve exits 4."""
-        from conftest import fail_power_solves
+    @staticmethod
+    def _stage_failure_exit_4(tmp_path, capsys, command, stage):
+        """On a flight towards Bob each stage solves from causal input
+        powers; its failed solve exits 4, names the stage and leaves
+        ``report.json`` with the failed status and no ``trajectory.csv``."""
         from secrelay import model
-        fail_power_solves(monkeypatch)
         scn = parse_scenario(SMALL["scenario"])
         traj = model.Trajectory(np.stack([np.linspace(250.0, 390.0, 6),
                                           np.full(6, -50.0)], axis=1))
@@ -208,11 +214,30 @@ class TestExitCodes:
         cli.write_trajectory_csv(tpath, scn, traj,
                                  model.equal_power_start(scn, traj))
         cfg = _write(tmp_path, SMALL)
-        rc = cli.main(["power", str(cfg), "--trajectory", str(tpath),
-                       "--out-dir", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = cli.main([command, str(cfg), "--trajectory", str(tpath),
+                       "--out-dir", str(out)])
         assert rc == 4
-        assert "solver_numerical_failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver_numerical_failure" in err
+        assert f"numerical failure in stage {stage}: " in err
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report["stage"] == stage
+        assert report["status"] == "solver_numerical_failure"
+        assert not (out / "trajectory.csv").exists()
 
+    def test_power_stage_failure_exit_4(self, tmp_path, capsys,
+                                        monkeypatch):
+        from conftest import fail_power_solves
+        fail_power_solves(monkeypatch)
+        self._stage_failure_exit_4(tmp_path, capsys, "power", "power_dc")
+
+    def test_trajectory_stage_failure_exit_4(self, tmp_path, capsys,
+                                             monkeypatch):
+        from conftest import fail_trajectory_solves
+        fail_trajectory_solves(monkeypatch)
+        self._stage_failure_exit_4(tmp_path, capsys, "trajectory",
+                                   "trajectory_scp")
 
     def test_ao_names_failed_trajectory_stage(self, tmp_path, capsys,
                                               monkeypatch):
@@ -221,11 +246,75 @@ class TestExitCodes:
         from conftest import fail_trajectory_solves
         fail_trajectory_solves(monkeypatch)
         cfg = _write(tmp_path, SMALL)
-        rc = cli.main(["ao", str(cfg), "--out-dir", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = cli.main(["ao", str(cfg), "--out-dir", str(out)])
         assert rc == 4
         err = capsys.readouterr().err
         assert "stage trajectory_scp: solver_numerical_failure" in err
         assert "power" not in err
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report["status"] == "inner_stage_failure"
+        assert (report["sub_reports"][-1]["status"]
+                == "solver_numerical_failure")
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("text, match", [
+        (_scenario_yaml(eve_xy_m=[1.0, 2.0, 3.0]),
+         "eve_xy_m must be a pair of coordinates"),
+        (_scenario_yaml(drop="altitude_m"),
+         "missing scenario key: altitude_m"),
+        (_scenario_yaml(horizon_s=6.0),
+         "give either n_slots or horizon_s, not both"),
+        (_scenario_yaml(drop="n_slots"),
+         "missing scenario key: horizon_s or n_slots"),
+        (_scenario_yaml(altitude_m=0.0), "altitude_h must be > 0"),
+        (None, "cannot read config"),
+        ("scenario: [1, 2\n", "invalid YAML"),
+        ("- 1\n- 2\n", "config must be a mapping"),
+        (yaml.safe_dump(dict(SMALL, solver={})), "unknown top-level keys"),
+        (yaml.safe_dump({"run": {"feas_tol": 1e-6}}),
+         "config must contain a 'scenario' mapping"),
+        (yaml.safe_dump(dict(SMALL, run=[1])), "'run' must be a mapping"),
+    ], ids=["non-pair", "missing-key", "n_slots-and-horizon",
+            "no-slot-count", "scenario-rejects", "unreadable",
+            "invalid-yaml", "not-a-mapping", "unknown-top-level",
+            "no-scenario", "run-not-a-mapping"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, text, match):
+        """Each malformed configuration exits 2 with its own message."""
+        cfg = tmp_path / "cfg.yaml"
+        if text is not None:
+            cfg.write_text(text)
+        rc = cli.main(["check", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+
+    @pytest.mark.parametrize("csv_text, match", [
+        ("", "empty trajectory file"),
+        (cli.CSV_HEADER + "\n", "empty trajectory file"),
+        ("slot,x,y\n1,0,0\n", "expected columns " + cli.CSV_HEADER),
+        (cli.CSV_HEADER + "\n1,0,zero,0,0,0,0,0\n",
+         "expected columns " + cli.CSV_HEADER),
+    ], ids=["empty", "header-only", "wrong-columns", "not-a-number"])
+    def test_bad_trajectory_file_exit_2(self, tmp_path, capsys, csv_text,
+                                        match):
+        tpath = tmp_path / "traj.csv"
+        tpath.write_text(csv_text)
+        rc = cli.main(["check", str(_write(tmp_path, SMALL)),
+                       "--trajectory", str(tpath),
+                       "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+
+    def test_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        rc = cli.main(["check", str(_write(tmp_path, SMALL)),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: cannot create out_dir"
+                in capsys.readouterr().err)
 
 
 class TestArtifacts:

@@ -113,6 +113,41 @@ class TestPowerAllocation:
             PowerAllocation(p_s=[-0.01, 0.0], p_r=[0.0, 0.01])
 
 
+class TestInputChecks:
+    """Each check on input from outside the package raises
+    ``ValueError`` with its own message."""
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"bob_xy": [400.0, 0.0, 0.0]}, r"bob_xy must be a 2-vector, got "
+                                        r"shape \(3,\)"),
+        ({"eve_xy": [np.nan, 60.0]}, "eve_xy must be finite"),
+        ({"n_slots": 1}, "n_slots must be an integer >= 2"),
+        ({"n_slots": 2.5}, "n_slots must be an integer >= 2"),
+        ({"v_max": 0.0}, "v_max must be > 0"),
+        ({"p_bar_r": -1e-3}, "average power limits must be >= 0"),
+        ({"bob_xy": [0.0, 0.0]}, "bob_xy must differ from alice_xy"),
+    ])
+    def test_scenario(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_scenario(**overrides)
+
+    @pytest.mark.parametrize("xy, match", [
+        (np.zeros((3, 3)), r"xy must have shape \(N, 2\), got \(3, 3\)"),
+        ([[0.0, np.inf], [1.0, 1.0]], "trajectory coordinates must be finite"),
+    ])
+    def test_trajectory(self, xy, match):
+        with pytest.raises(ValueError, match=match):
+            Trajectory(xy)
+
+    @pytest.mark.parametrize("p_s, p_r, match", [
+        ([0.01, 0.0], [0.0, 0.01, 0.0], "p_s and p_r must have equal length"),
+        ([np.nan, 0.0], [0.0, 0.01], "powers must be finite"),
+    ])
+    def test_power_allocation(self, p_s, p_r, match):
+        with pytest.raises(ValueError, match=match):
+            PowerAllocation(p_s=p_s, p_r=p_r)
+
+
 class TestMobility:
     def test_straight_line_feasible(self):
         scn = small_scenario(n_slots=5, start_xy=[0.0, 0.0],

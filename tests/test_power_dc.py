@@ -16,9 +16,11 @@ from numerics import (as_dense, assert_outputs_stay_fresh, callback_outputs,
 from secrelay import benchmark_scenario, model, power_dc, solver
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
-from secrelay.power_dc import Buffer, buffer_start, dc_allocate
-from secrelay.solver import (ConstraintBlock, SmoothConvexProgram,
-                             kkt_residual, multiplier_estimate, solve)
+from secrelay.power_dc import dc_allocate
+from secrelay.report import COUNTERS
+from secrelay.solver import (Buffer, ConstraintBlock, SmoothConvexProgram,
+                             buffer_start, kkt_residual, multiplier_estimate,
+                             solve)
 
 # The program works on the scaled source powers p_s[1..N-1]/u_s and on
 # Bob's rates r = log2(1 + p_r g_rd) of slots 2..N, laid out slot by slot
@@ -252,7 +254,7 @@ class TestDcAllocate:
         assert res.factorizations > res.iterations > 0
         assert res.failed_factorizations == 1
         _, silent = dc_allocate(small_scenario(p_bar_r=0.0), traj)
-        assert silent.extras == dict.fromkeys(power_dc.COUNTERS, 0)
+        assert silent.extras == dict.fromkeys(COUNTERS, 0)
 
     def test_at_least_any_feasible_allocation(self, rng):
         """On random instances the stage scores at least every random
@@ -347,7 +349,7 @@ class TestBoostedCcp:
             assert len(power_solves) == report.extras["solves"] <= 1
             assert model.secrecy_sum(scn, traj, pw) == report.final_objective
             if report.status == "converged":
-                assert report.iterations[-1].kkt_residual <= power_dc.KKT_TOL
+                assert report.iterations[-1].kkt_residual <= solver.KKT_TOL
 
 
 class TestNoiseFloorStall:
@@ -392,7 +394,7 @@ class TestNoiseFloorStall:
         assert report.status == "converged"
         np.testing.assert_array_equal(pw.p_s, pw0.p_s)
         np.testing.assert_array_equal(pw.p_r, pw0.p_r)
-        assert report.iterations[0].kkt_residual <= power_dc.KKT_TOL
+        assert report.iterations[0].kkt_residual <= solver.KKT_TOL
 
 
 class TestStartCertificate:
@@ -431,8 +433,9 @@ class TestStartCertificate:
 
     def test_certify_evaluates_once(self, monkeypatch):
         """``solver.certify`` gives, bit for bit, the residual with the
-        multiplier estimate and the smaller of it and the residual with
-        given duals, from one stack and one call of each callback."""
+        multiplier estimate, or with the duals when given, even where the
+        estimate's is smaller, from one stack and one call of each
+        callback."""
         scn, traj, pw = self._start((1800.0, 30.0), 0.98)
         orig, buffers, pc = _program(scn, traj)
         z = power_dc._tight_point(pc, buffers, pw)
@@ -440,6 +443,7 @@ class TestStartCertificate:
         duals = np.random.default_rng(4).uniform(0.0, 1.0,
                                                  solver._Blocks(orig).m)
         given = kkt_residual(orig, z, duals)
+        assert given > estimated
         stacks = []
 
         class Counting(solver._Blocks):
@@ -450,7 +454,7 @@ class TestStartCertificate:
         monkeypatch.setattr(solver, "_Blocks", Counting)
         prog, seen = record_points(orig)
         assert solver.certify(prog, z) == estimated
-        assert solver.certify(prog, z, duals) == min(estimated, given)
+        assert solver.certify(prog, z, duals) == given
         assert len(stacks) == 2
         calls = {name: len(points) for name, points in seen.items()}
         assert calls.pop("objective") == 0
@@ -483,14 +487,14 @@ class TestStartCertificate:
         feasible but not a KKT point: the certificate rejects it and the
         stage solves once, to a point certified with the solve's duals."""
         scn, traj, pw98 = self._start(xy, 0.98)
-        assert power_dc.KKT_TOL == 1e-5
+        assert solver.KKT_TOL == 1e-5
         pw, report = dc_allocate(scn, traj, pw_0=pw98)
-        assert report.iterations[0].kkt_residual > 100 * power_dc.KKT_TOL
+        assert report.iterations[0].kkt_residual > 100 * solver.KKT_TOL
         assert report.extras["solves"] == 1
         assert report.objectives[0] == pytest.approx(start, abs=1e-3)
         assert report.final_objective == pytest.approx(end, abs=1e-3)
         assert model.secrecy_sum(scn, traj, pw) == report.final_objective
-        assert report.iterations[-1].kkt_residual <= power_dc.KKT_TOL
+        assert report.iterations[-1].kkt_residual <= solver.KKT_TOL
         assert report.status == "converged"
 
     def test_failed_solve_returns_start(self, monkeypatch):
@@ -583,3 +587,17 @@ class TestBufferForm:
         b = buffer_start(surplus)
         assert np.all(b > 0.0)
         assert np.all(buf.block().value(b) < 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_FLOWS, st.sampled_from([1e-8, 0.5]))
+    def test_seed_strictly_feasible(self, flow, initial):
+        """``Buffer.seed`` raises ``initial`` by the worst prefix excess,
+        so every flow, causal or not, gets a strictly feasible start
+        whose prefix surpluses are at least the former ``initial``."""
+        buf = _fixed_flow_buffer(flow, initial)
+        z = np.zeros(len(flow))
+        buf.seed(z)
+        assert buf.initial == initial + max(0.0, np.max(np.cumsum(flow)))
+        assert np.all(buf.surplus(z) >= initial - 1e-12)
+        assert np.all(z > 0.0)
+        assert np.all(buf.block().value(z) < 0.0)

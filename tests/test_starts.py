@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (power_program, random_feasible_trajectory,
                       random_scenario)
-from secrelay import model, power_dc
+from secrelay import model, solver
 from secrelay.model import PowerAllocation, Trajectory, restore_feasibility
 from secrelay.power_dc import dc_allocate
 from secrelay.solver import start_margin
@@ -114,4 +114,4 @@ def test_dc_battery_ninth_scenario():
     _, report = dc_allocate(scn, traj, pw_0=pw0)
     assert report.status == "converged"
     assert report.extras["solves"] == 1
-    assert report.iterations[-1].kkt_residual <= power_dc.KKT_TOL
+    assert report.iterations[-1].kkt_residual <= solver.KKT_TOL

@@ -11,11 +11,11 @@ from conftest import (assert_wall_times, random_feasible_trajectory,
 from numerics import (as_dense, assert_outputs_stay_fresh,
                       callback_outputs, record_points, spot_check_convexity,
                       verify_derivatives)
-from secrelay import benchmark_scenario, model, power_dc, trajectory_scp
+from secrelay import benchmark_scenario, model, solver, trajectory_scp
 from secrelay.baselines import _constant_traj, static_relay_best
 from secrelay.model import (PowerAllocation, Scenario, Trajectory,
                             restore_feasibility)
-from secrelay.report import RunReport
+from secrelay.report import COUNTERS, RunReport
 from secrelay.solver import solve, start_margin
 from secrelay.trajectory_scp import (CAUS_RELAX, ScpOptions, _Layout,
                                      build_subproblem, initial_trajectory,
@@ -972,7 +972,7 @@ class TestTrajectoryFinish:
     def test_accepted(self):
         """On a fixed-endpoint config the finish after the first step is
         accepted: at or above that iterate, certified within
-        ``power_dc.KKT_TOL`` on the unrelaxed problem, the last iterate,
+        ``solver.KKT_TOL`` on the unrelaxed problem, the last iterate,
         and the stage ends ``converged``."""
         scn, traj, pw = _fixed_start()
         opts = ScpOptions()
@@ -987,7 +987,7 @@ class TestTrajectoryFinish:
         step, last = report.iterations[-2:]
         assert last.objective == finish["objective"] >= step.objective
         assert (last.kkt_residual == finish["kkt_residual"]
-                <= power_dc.KKT_TOL)
+                <= solver.KKT_TOL)
         assert last.extras["subproblem_kkt"] == finish["subproblem_kkt"]
         assert (report.extras["final_subproblem_kkt"]
                 == finish["subproblem_kkt"])
@@ -1111,7 +1111,7 @@ class TestFinishGuard:
 
         monkeypatch.setattr(trajectory_scp, "certify", recording_certify)
         report = RunReport(stage="trajectory_scp", extras={
-            **dict.fromkeys(power_dc.COUNTERS, 0), "finish": []})
+            **dict.fromkeys(COUNTERS, 0), "finish": []})
         point = trajectory_scp._finish(scn, pw, it, opts or ScpOptions(),
                                        report)
         return it, point, report, certificates
@@ -1135,7 +1135,7 @@ class TestFinishGuard:
         assert rec["subproblem_kkt"] <= trajectory_scp.FINISH.tol
         assert rec["objective"] == point.objective >= it.objective
         assert certificates == [rec["kkt_residual"]]
-        assert rec["kkt_residual"] <= power_dc.KKT_TOL
+        assert rec["kkt_residual"] <= solver.KKT_TOL
         self._assert_counted(report, rec)
         [last] = report.iterations
         assert last.objective == rec["objective"]
