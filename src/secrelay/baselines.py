@@ -6,7 +6,11 @@ relay with free endpoints.
 
 The static relay needs no power stage.  At a fixed location every
 channel gain is constant, so the power problem has a closed-form
-optimum (``_hover_bounds``), and the scan picks the location by it.  The
+optimum (``_hover_optimum``), and the scan scores every location by it
+alone.  A second closed form, the ranking bound (``_rank_bound``),
+orders the grid for AO's hover start (``ranked_locations``); the scan
+computes it only for the grid locations tied at the best optimum, when
+more than one ties, and takes the first of them in ranking order.  The
 winner's powers are equal powers with the relay scaled back until
 causality holds (``model.equal_power_start``), and they attain that
 optimum up to the feasibility tolerance tol:
@@ -114,23 +118,24 @@ def _constant_traj(scn: Scenario, xy) -> Trajectory:
     return Trajectory(np.tile(np.asarray(xy, dtype=float), (scn.n_slots, 1)))
 
 
-def _hover_bounds(scn: Scenario, xy: np.ndarray, tol: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Two caps on the secrecy sum of a relay hovering at each row of
-    ``xy``, from one pass over the channel gains a = g_ar, b = g_rd and
-    e = g_re: the ranking bound and the hover optimum, both 0 where
-    b <= e (every relay power then loses secrecy).
+def _gains(scn: Scenario, xy: np.ndarray) -> np.ndarray:
+    """The channel gains a = g_ar, b = g_rd and e = g_re of a relay
+    hovering at each row of ``xy``, one row each, shape (3, len(xy))."""
+    p = np.array([scn.alice_xy, scn.bob_xy, scn.eve_xy])
+    dx = xy[:, 0] - p[:, :1]
+    dy = xy[:, 1] - p[:, 1:]
+    return scn.ref_snr / (scn.altitude_h ** 2 + (dx * dx + dy * dy))
 
-    The ranking bound is the smaller of two caps, each by concavity of
-    the rate in the power: the deliverable secrecy with the relay budget
-    split equally over the N-1 transmit slots, and what the relay can
-    receive with the source budget split equally over the N-1 receive
-    slots (causality forbids forwarding more than was received).
 
-    The hover optimum is the exact optimum of the power problem at the
-    location, with causality and both budgets loosened by ``tol``: the
-    static scan picks its location by it at ``tol`` 0, and at a check
-    tolerance it caps every allocation that passes.  Keep only
+def _hover_optimum(scn: Scenario, gains: np.ndarray, tol: float
+                   ) -> np.ndarray:
+    """The exact optimum of the power problem of a relay hovering at each
+    location with the ``gains`` (a, b, e) of ``_gains``, with causality
+    and both budgets loosened by ``tol``; 0 where b <= e (every relay
+    power then loses secrecy).
+
+    The static scan picks its location by it at ``tol`` 0, and at a
+    check tolerance it caps every allocation that passes.  Keep only
     Bob's last causality prefix and the budgets.  By Jensen the relay
     receives at most R = (N-1) log2(1 + a (N p_bar_s + tol)/(N-1)).  In
     r_i = log2(1 + b p_i) the per-slot secrecy
@@ -141,42 +146,51 @@ def _hover_bounds(scn: Scenario, xy: np.ndarray, tol: float
     attain it and keep Eve's rows, as e < b, so no power allocation that
     passes the checks at ``tol`` scores more.
     """
-    h2 = scn.altitude_h ** 2
-    a, b, e = (scn.ref_snr / (h2 + np.sum((xy - p) ** 2, axis=1))
-               for p in (scn.alice_xy, scn.bob_xy, scn.eve_xy))
+    a, b, e = gains
+    n = scn.n_slots
+    inflow = (n - 1) * np.log2(1 + a * (n * scn.p_bar_s + tol) / (n - 1))
+    r = np.minimum((inflow + tol) / (n - 1),
+                   np.log2(1 + b * (n * scn.p_bar_r + tol) / (n - 1)))
+    optimum = (n - 1) * (r - np.log2(1 + (2.0 ** r - 1) * (e / b)))
+    return np.where(b > e, optimum, 0.0)
+
+
+def _rank_bound(scn: Scenario, gains: np.ndarray) -> np.ndarray:
+    """The ranking bound on the secrecy sum of a relay hovering at each
+    location with the ``gains`` (a, b, e) of ``_gains``; 0 where b <= e.
+
+    It is the smaller of two caps, each by concavity of the rate in the
+    power: the deliverable secrecy with the relay budget split equally
+    over the N-1 transmit slots, and what the relay can receive with the
+    source budget split equally over the N-1 receive slots (causality
+    forbids forwarding more than was received).
+    """
+    a, b, e = gains
     n = scn.n_slots
     p_r = n * scn.p_bar_r / (n - 1)
     deliver = (n - 1) * (np.log2(1 + p_r * b) - np.log2(1 + p_r * e))
     p_s = n * scn.p_bar_s / (n - 1)
     receive = (n - 1) * np.log2(1 + p_s * a)
-    inflow = (n - 1) * np.log2(1 + a * (n * scn.p_bar_s + tol) / (n - 1))
-    r = np.minimum((inflow + tol) / (n - 1),
-                   np.log2(1 + b * (n * scn.p_bar_r + tol) / (n - 1)))
-    optimum = (n - 1) * (r - np.log2(1 + (2.0 ** r - 1) * (e / b)))
-    wins = b > e
-    return (np.where(wins, np.minimum(deliver, receive), 0.0),
-            np.where(wins, optimum, 0.0))
+    return np.where(b > e, np.minimum(deliver, receive), 0.0)
 
 
-def _ranked(scn: Scenario, grid: StaticGrid
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's hover locations with their ranking bounds and exact
-    hover optima (``_hover_bounds`` at tolerance 0), in decreasing order
-    of the ranking bound (ties in grid order)."""
-    xs, ys = grid.axes()
-    cand = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    bounds, optima = _hover_bounds(scn, cand, 0.0)
-    order = np.argsort(-bounds, kind="stable")
-    return cand[order], bounds[order], optima[order]
+def _grid_points(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The grid's locations, x-major."""
+    cand = np.empty((len(xs), len(ys), 2))
+    cand[..., 0] = xs[:, None]
+    cand[..., 1] = ys
+    return cand.reshape(-1, 2)
 
 
 def ranked_locations(scn: Scenario, grid: StaticGrid
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The grid's hover locations and their ranking bound
-    (``_hover_bounds``), both in decreasing order of the bound (ties in
+    (``_rank_bound``), both in decreasing order of the bound (ties in
     grid order)."""
-    cand, bounds, _ = _ranked(scn, grid)
-    return cand, bounds
+    cand = _grid_points(*grid.axes())
+    bounds = _rank_bound(scn, _gains(scn, cand))
+    order = np.argsort(-bounds, kind="stable")
+    return cand[order], bounds[order]
 
 
 def static_relay_best(scn: Scenario,
@@ -186,7 +200,7 @@ def static_relay_best(scn: Scenario,
     """Best fixed relay location at altitude H with optimized powers.
 
     Picks the grid location with the largest exact hover optimum
-    (``_hover_bounds`` at tolerance 0), the first in the order of
+    (``_hover_optimum`` at tolerance 0), the first in the order of
     ``ranked_locations`` on a tie, then refines locally with the grid
     step halved ``grid.refine_halvings`` times, moving to a neighbour
     only if its optimum is larger.  ``StaticResult.evaluated`` counts the
@@ -199,8 +213,16 @@ def static_relay_best(scn: Scenario,
     """
     scn = _free_endpoints(scn)
     grid = grid or StaticGrid.default(scn)
-    cand, _, optima = _ranked(scn, grid)
+    xs, ys = grid.axes()
+    cand = _grid_points(xs, ys)
+    gains = _gains(scn, cand)
+    optima = _hover_optimum(scn, gains, 0.0)
     k = int(np.argmax(optima))
+    ties = np.flatnonzero(optima == optima[k])
+    if len(ties) > 1:
+        # The first tied location in ranking order: the largest bound,
+        # the first in grid order among equal bounds.
+        k = ties[np.argmax(_rank_bound(scn, gains[:, ties]))]
     best_xy, best_opt = cand[k], optima[k]
     evaluated = len(cand)
 
@@ -209,7 +231,6 @@ def static_relay_best(scn: Scenario,
     # beats the incumbent; the neighbours after a move lie around the new
     # incumbent.  One call scores every neighbour not yet walked, again
     # after each move.
-    xs, ys = grid.axes()
     step_x = (xs[1] - xs[0]) if grid.nx > 1 else scn.altitude_h
     step_y = (ys[1] - ys[0]) if grid.ny > 1 else scn.altitude_h
     for _ in range(grid.refine_halvings):
@@ -221,7 +242,7 @@ def static_relay_best(scn: Scenario,
         evaluated += len(moves)
         while len(moves):
             xy = best_xy + moves
-            _, optima = _hover_bounds(scn, xy, 0.0)
+            optima = _hover_optimum(scn, _gains(scn, xy), 0.0)
             wins = np.flatnonzero(optima > best_opt)
             if not len(wins):
                 break
@@ -229,7 +250,8 @@ def static_relay_best(scn: Scenario,
             best_opt, best_xy = optima[k], xy[k]
             moves = moves[k + 1:]
 
-    # Every optimum is >= 0; if none is positive, best_xy is cand[0].
+    # Every optimum is >= 0; if none is positive, best_xy is the
+    # top-ranked location.
     traj = _constant_traj(scn, best_xy)
     pw = (model.equal_power_start(scn, traj, feas_tol)
           if best_opt > 0.0 else model.zero_power_allocation(scn))

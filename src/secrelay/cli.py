@@ -178,7 +178,9 @@ def parse_config(path: Path) -> tuple[Scenario, dict]:
     scn_doc = doc.get("scenario")
     if not isinstance(scn_doc, dict):
         raise ConfigError("config must contain a 'scenario' mapping")
-    run = doc.get("run") or {}
+    run = doc.get("run")
+    if run is None:             # absent, or ``run:`` with no value
+        run = {}
     if not isinstance(run, dict):
         raise ConfigError("'run' must be a mapping")
     unknown = set(run) - _RUN_KEYS

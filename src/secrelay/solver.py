@@ -381,7 +381,7 @@ class _Blocks:
         starts = np.cumsum([0] + sizes)
         self.n_ineq = sum(sizes)
         self.rows = np.repeat(
-            np.arange(self.n_ineq, dtype=np.int32),
+            np.arange(self.n_ineq, dtype=np.intp),
             np.repeat(np.array([c.shape[1] for c in self.block_cols],
                                dtype=int), sizes))
         self.cols = np.concatenate([c.ravel() for c in self.block_cols]
@@ -457,12 +457,12 @@ class _Blocks:
         return f"row {row} of block {self.blocks[i].name!r}"
 
 
-def _row_pairs(cols: Array, itype) -> tuple[Array, Array]:
+def _row_pairs(cols: Array) -> tuple[Array, Array]:
     """Flat positions (a, b) in the (m, k) ``cols`` of the entry pairs of
     each row with cols[a] >= cols[b]."""
     r, a, b = np.nonzero(cols[:, :, None] >= cols[:, None, :])
     k = cols.shape[1]
-    return (r * k + a).astype(itype), (r * k + b).astype(itype)
+    return r * k + a, r * k + b
 
 
 class _Plan:
@@ -476,30 +476,28 @@ class _Plan:
 
     def __init__(self, blocks: _Blocks):
         dim = blocks.prog.dim
-        # int32 positions halve the plan's memory while they cannot overflow.
-        itype = (np.int32 if max(dim * dim, blocks.cols.size) < 2 ** 31
-                 else np.intp)
         self.rows, self.n_ineq, self.dim = blocks.rows, blocks.n_ineq, dim
         idx, self.bw = [], 0
 
         def place(i, j):
             # Lower banded storage ab[i - j, j].
-            off = np.asarray(i, dtype=np.intp) - np.asarray(j, dtype=np.intp)
+            i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+            off = i - j
             if off.size:
                 self.bw = max(self.bw, int(off.max()))
-            idx.append((off * dim + j).astype(itype))
+            idx.append(off * dim + j)
 
         # Entry pairs of the rows, as flat positions in the values.
         fa, fb, at = [], [], 0
         for cols in blocks.block_cols:
-            pa, pb = _row_pairs(cols, itype)
+            pa, pb = _row_pairs(cols)
             cf = cols.ravel()
             place(cf[pa], cf[pb])
             fa.append(pa + at)
             fb.append(pb + at)
             at += cf.size
-        self.fa = np.concatenate(fa or [np.zeros(0, dtype=itype)])
-        self.fb = np.concatenate(fb or [np.zeros(0, dtype=itype)])
+        self.fa = np.concatenate(fa or [np.zeros(0, dtype=np.intp)])
+        self.fb = np.concatenate(fb or [np.zeros(0, dtype=np.intp)])
         place(blocks.lb_idx, blocks.lb_idx)
         for rows, cols in blocks.hess_idx:
             place(rows, cols)

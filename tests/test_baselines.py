@@ -8,9 +8,9 @@ from conftest import random_scenario, small_scenario
 from secrelay import baselines, benchmark_scenario, model
 from secrelay.ao import ao_optimize
 from secrelay.baselines import (StaticGrid, _constant_traj, _ferry_caps,
-                                _hover_bounds, _ranked, data_ferry,
-                                ferry_plan, ranked_locations,
-                                static_relay_best, transit_slot_count)
+                                _gains, data_ferry, ferry_plan,
+                                ranked_locations, static_relay_best,
+                                transit_slot_count)
 from secrelay.power_dc import dc_allocate
 
 # The five benchmark configurations: free endpoints at T = 40, 70, 100
@@ -101,12 +101,23 @@ class TestStaticRelay:
             assert best <= res.objective + 1e-9
 
 
+def _hover_optimum(scn, xy, tol):
+    """The hover optimum of one location."""
+    xy = np.asarray(xy, dtype=float)[None]
+    return float(baselines._hover_optimum(scn, _gains(scn, xy), tol)[0])
+
+
 def _walk_one_at_a_time(scn, grid):
-    """The static scan with the refinement scoring one neighbour per
-    ``_hover_bounds`` call: location, hover optimum, locations compared,
-    and whether a move happened before a round's last neighbour."""
-    cand, _, optima = _ranked(scn, grid)
+    """The static scan, written as its docstring states it: the first
+    location with the best hover optimum in the order of
+    ``ranked_locations``, then the refinement scoring one neighbour per
+    call.  Returns the location, its hover optimum, the locations
+    compared, whether a move happened before a round's last neighbour,
+    and how many grid locations tie at the best optimum."""
+    cand, _ = ranked_locations(scn, grid)
+    optima = baselines._hover_optimum(scn, _gains(scn, cand), 0.0)
     k = int(np.argmax(optima))
+    tied = int(np.count_nonzero(optima == optima[k]))
     best_xy, best_opt, evaluated = cand[k], optima[k], len(cand)
     moved_mid_round = False
     xs, ys = grid.axes()
@@ -121,31 +132,41 @@ def _walk_one_at_a_time(scn, grid):
                 if dx == 0.0 and dy == 0.0:
                     continue
                 xy = best_xy + np.array([dx, dy])
-                _, (optimum,) = _hover_bounds(scn, xy[None], 0.0)
+                (optimum,) = baselines._hover_optimum(
+                    scn, _gains(scn, xy[None]), 0.0)
                 evaluated += 1
                 walked += 1
                 if optimum > best_opt:
                     best_opt, best_xy = optimum, xy
                     moved_mid_round |= walked < 8
-    return best_xy, best_opt, evaluated, moved_mid_round
+    return best_xy, best_opt, evaluated, moved_mid_round, tied
 
 
 class TestStaticRefinement:
     @pytest.mark.parametrize("halvings", [1, 2, 3])
     def test_matches_one_at_a_time_walk(self, halvings):
         """Location bytes, objective and locations compared, bit for bit,
-        on the benchmark configs and random scenarios; some case moves
-        the incumbent before a round's last neighbour."""
+        on the benchmark configs, random scenarios, random scenarios with
+        Eve on the Alice-Bob axis and zero budgets; some case moves the
+        incumbent before a round's last neighbour, and some ties at the
+        best grid optimum."""
         rng = np.random.default_rng(11)
         scns = [benchmark_scenario(*hs) for hs in BENCHMARKS.values()] + [
             random_scenario(rng, n_slots=int(rng.integers(4, 40)))
             for _ in range(12)]
-        moved = 0
-        for scn in scns:
+        # With Eve on the axis and an even row count the best grid
+        # locations are a mirrored pair; a zero budget ties the grid.
+        cases = [(scn, {}) for scn in scns] + [
+            (dataclasses.replace(scn, eve_xy=[scn.eve_xy[0], 0.0]),
+             {"ny": 20}) for scn in scns[5:11]] + [
+            (small_scenario(n_slots=6, **{budget: 0.0}), {})
+            for budget in ("p_bar_s", "p_bar_r")]
+        moved = ties = 0
+        for scn, shape in cases:
             scn = _free(scn)
             grid = dataclasses.replace(StaticGrid.default(scn),
-                                       refine_halvings=halvings)
-            xy, opt, evaluated, mid = _walk_one_at_a_time(scn, grid)
+                                       refine_halvings=halvings, **shape)
+            xy, opt, evaluated, mid, tied = _walk_one_at_a_time(scn, grid)
             res = static_relay_best(scn, grid=grid)
             traj = _constant_traj(scn, xy)
             pw = (model.equal_power_start(scn, traj) if opt > 0.0
@@ -155,7 +176,33 @@ class TestStaticRefinement:
             assert res.evaluated == evaluated == (
                 grid.nx * grid.ny + 8 * halvings)
             moved += mid
+            ties += tied > 1
         assert moved > 0
+        assert ties >= 8
+
+    def test_tie_goes_to_the_first_in_ranking_order(self, monkeypatch):
+        """With the hover optimum rounded down to whole bits, locations
+        with different ranking bounds tie; the grid pick is still the
+        first tied location in ranking order, and in some case that is
+        not the first in grid order."""
+        exact = baselines._hover_optimum
+        monkeypatch.setattr(baselines, "_hover_optimum",
+                            lambda scn, gains, tol: np.floor(
+                                exact(scn, gains, tol)))
+        rng = np.random.default_rng(13)
+        not_grid_order = 0
+        for _ in range(8):
+            scn = random_scenario(rng, n_slots=int(rng.integers(4, 40)))
+            grid = dataclasses.replace(StaticGrid.default(scn),
+                                       refine_halvings=0)
+            xy = _walk_one_at_a_time(scn, grid)[0]
+            res = static_relay_best(scn, grid=grid)
+            assert res.location.tobytes() == xy.tobytes()
+            cand = baselines._grid_points(*grid.axes())
+            optima = baselines._hover_optimum(scn, _gains(scn, cand), 0.0)
+            not_grid_order += not np.array_equal(
+                res.location, cand[np.argmax(optima)])
+        assert not_grid_order > 0
 
 
 def _scalar_rank_bound(scn, xy):
@@ -196,11 +243,6 @@ class TestRankedLocations:
         top = ranked_locations(scn, StaticGrid.default(scn))[0][0]
         assert np.array_equal(default_starts(scn)[-1].xy,
                               np.tile(top, (scn.n_slots, 1)))
-
-
-def _hover_optimum(scn, xy, tol):
-    return float(_hover_bounds(scn, np.asarray(xy, dtype=float)[None],
-                               tol)[1][0])
 
 
 class TestHoverOptimum:

@@ -114,6 +114,15 @@ class TestExitCodes:
         rc = cli.main(["ao", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_run_with_no_value_loads(self, tmp_path, capsys):
+        """``run:`` with no value is an empty run section, like no
+        ``run`` at all."""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(SMALL) + "run:\n")
+        assert cli.parse_config(cfg)[1] == {}
+        rc = cli.main(["check", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 0
+
     def test_seed_run_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match=r"unknown run keys: \['seed'\]"):
             cli.parse_config(_write(tmp_path, dict(SMALL, run={"seed": 0})))
@@ -275,10 +284,15 @@ class TestExitCodes:
         (yaml.safe_dump({"run": {"feas_tol": 1e-6}}),
          "config must contain a 'scenario' mapping"),
         (yaml.safe_dump(dict(SMALL, run=[1])), "'run' must be a mapping"),
+        (yaml.safe_dump(dict(SMALL, run=[])), "'run' must be a mapping"),
+        (yaml.safe_dump(dict(SMALL, run="")), "'run' must be a mapping"),
+        (yaml.safe_dump(dict(SMALL, run=0)), "'run' must be a mapping"),
+        (yaml.safe_dump(dict(SMALL, run=False)), "'run' must be a mapping"),
     ], ids=["non-pair", "missing-key", "n_slots-and-horizon",
             "no-slot-count", "scenario-rejects", "unreadable",
             "invalid-yaml", "not-a-mapping", "unknown-top-level",
-            "no-scenario", "run-not-a-mapping"])
+            "no-scenario", "run-not-a-mapping", "run-empty-list",
+            "run-empty-string", "run-zero", "run-false"])
     def test_bad_config_exit_2(self, tmp_path, capsys, text, match):
         """Each malformed configuration exits 2 with its own message."""
         cfg = tmp_path / "cfg.yaml"

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_wall_times, fail_power_solves, power_program,
@@ -559,6 +559,8 @@ def _fixed_flow_buffer(flow, initial):
 
 _FLOWS = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40)
 _INITIAL = st.sampled_from([0.0, 1e-8, 0.5])
+# Prefix surpluses of a causal flow, each at least 1e-6.
+_SURPLUSES = st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=40)
 
 
 class TestBufferForm:
@@ -579,11 +581,15 @@ class TestBufferForm:
         assert bool(np.all(b >= 0.0)) == prefix_ok
 
     @settings(max_examples=200, deadline=None)
-    @given(_FLOWS, _INITIAL)
-    def test_buffer_start_strictly_feasible(self, flow, initial):
+    @given(_SURPLUSES, _INITIAL)
+    def test_buffer_start_strictly_feasible(self, target, initial):
+        """Every flow whose prefix surpluses are all positive gets a
+        strictly feasible start; the flow is drawn through them."""
+        flow = -np.diff(target, prepend=initial)  # S_{j-1} - S_j
         buf = _fixed_flow_buffer(flow, initial)
         surplus = buf.surplus(np.zeros(len(flow)))
-        assume(np.all(surplus > 1e-6))      # the prefix start is strict
+        np.testing.assert_allclose(surplus, target, rtol=0.0, atol=1e-12)
+        assert np.all(surplus > 0.0)
         b = buffer_start(surplus)
         assert np.all(b > 0.0)
         assert np.all(buf.block().value(b) < 0.0)
