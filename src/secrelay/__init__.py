@@ -18,7 +18,7 @@ from .model import (ChannelState, FeasibilityVerdict, PowerAllocation,
 from .power_dc import dc_allocate
 from .report import IterationRecord, RunReport
 from .solver import (ConstraintBlock, SmoothConvexProgram, SolverOptions,
-                     SolverResult, kkt_residual, solve)
+                     SolverResult, solve)
 from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "ao_optimize", "benchmark_scenario", "channel_state", "check_all",
     "check_causality", "check_mobility", "check_power_budget", "data_ferry",
     "dc_allocate", "equal_power_allocation", "equal_power_start",
-    "evaluate", "ferry_plan", "initial_trajectory", "kkt_residual",
+    "evaluate", "ferry_plan", "initial_trajectory",
     "rate_profile", "restore_feasibility", "scp_optimize", "secrecy_sum",
     "solve", "static_relay_best", "zero_power_allocation",
 ]

@@ -101,6 +101,17 @@ def parse_power(value) -> float:
         f"power value {value!r} needs a unit suffix (dBm or W)")
 
 
+def _number(value, key: str) -> float:
+    """The value of the config key ``key`` as a float; a bool is not a
+    number."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def _xy(value, key: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (2,):
@@ -126,15 +137,20 @@ def parse_scenario(doc: dict) -> Scenario:
     if ("ref_snr_db" in doc) == ("ref_snr_linear" in doc):
         raise ConfigError(
             "exactly one of ref_snr_db / ref_snr_linear is required")
-    ref_snr = (10.0 ** (float(doc["ref_snr_db"]) / 10.0)
-               if "ref_snr_db" in doc else float(doc["ref_snr_linear"]))
-    slot_len = float(doc.get("slot_len_s", 1.0))
+    ref_snr = (10.0 ** (_number(doc["ref_snr_db"], "ref_snr_db") / 10.0)
+               if "ref_snr_db" in doc
+               else _number(doc["ref_snr_linear"], "ref_snr_linear"))
+    slot_len = _number(doc.get("slot_len_s", 1.0), "slot_len_s")
     if "n_slots" in doc:
         if "horizon_s" in doc:
             raise ConfigError("give either n_slots or horizon_s, not both")
-        n_slots = int(doc["n_slots"])
+        n_slots = doc["n_slots"]    # ``Scenario`` checks it is an integer
     elif "horizon_s" in doc:
-        horizon = float(doc["horizon_s"])
+        horizon = _number(doc["horizon_s"], "horizon_s")
+        if not 0 < slot_len < np.inf:
+            raise ConfigError("slot_len_s must be finite and > 0")
+        if not np.isfinite(horizon):
+            raise ConfigError("horizon_s must be finite")
         n_slots = round(horizon / slot_len)
         if abs(n_slots * slot_len - horizon) > 1e-9 * max(1.0, horizon):
             raise ConfigError("horizon_s must be a multiple of slot_len_s")
@@ -145,10 +161,10 @@ def parse_scenario(doc: dict) -> Scenario:
             alice_xy=_xy(doc.get("alice_xy_m", [0.0, 0.0]), "alice_xy_m"),
             bob_xy=_xy(doc["bob_xy_m"], "bob_xy_m"),
             eve_xy=_xy(doc["eve_xy_m"], "eve_xy_m"),
-            altitude_h=float(doc["altitude_m"]),
+            altitude_h=_number(doc["altitude_m"], "altitude_m"),
             n_slots=n_slots,
             slot_len=slot_len,
-            v_max=float(doc["v_max_mps"]),
+            v_max=_number(doc["v_max_mps"], "v_max_mps"),
             ref_snr=ref_snr,
             p_bar_s=parse_power(doc["p_bar_s"]),
             p_bar_r=parse_power(doc["p_bar_r"]),
@@ -293,10 +309,23 @@ def _iterate_snapshot_writer(scn: Scenario, pw: PowerAllocation,
 
 
 def _options(run: dict) -> ScpOptions:
-    """The run's options from the run keys present, each key one field."""
-    return ScpOptions(**{k: cast(run[k]) for k, cast in (
-        ("rel_tol", float), ("max_iter", int), ("feas_tol", float))
-        if k in run})
+    """The run's options from the run keys present, each key one field:
+    ``max_iter`` an integer >= 1, ``rel_tol`` and ``feas_tol`` finite
+    and >= 0."""
+    opts = {}
+    for key in ("rel_tol", "feas_tol"):
+        if key in run:
+            opts[key] = value = _number(run[key], key)
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, "
+                                  f"got {run[key]!r}")
+    if "max_iter" in run:
+        n = run["max_iter"]
+        if (isinstance(n, bool) or not isinstance(n, (int, float))
+                or not float(n).is_integer() or n < 1):
+            raise ConfigError(f"max_iter must be an integer >= 1, got {n!r}")
+        opts["max_iter"] = int(n)
+    return ScpOptions(**opts)
 
 
 def _load_traj(scn: Scenario, args,

@@ -71,12 +71,18 @@ class Scenario:
             object.__setattr__(self, "start_xy", _as_xy(self.start_xy, "start_xy"))
         if self.end_xy is not None:
             object.__setattr__(self, "end_xy", _as_xy(self.end_xy, "end_xy"))
-        if int(self.n_slots) != self.n_slots or self.n_slots < 2:
+        n = self.n_slots
+        if (not isinstance(n, (int, float, np.integer, np.floating))
+                or not float(n).is_integer() or n < 2):
             raise ValueError("n_slots must be an integer >= 2")
-        object.__setattr__(self, "n_slots", int(self.n_slots))
+        object.__setattr__(self, "n_slots", int(n))
         for name in ("slot_len", "altitude_h", "v_max", "ref_snr"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0")
+        if not (np.isfinite(self.p_bar_s) and np.isfinite(self.p_bar_r)):
+            raise ValueError("average power limits must be finite")
         if self.p_bar_s < 0 or self.p_bar_r < 0:
             raise ValueError("average power limits must be >= 0")
         if np.allclose(self.bob_xy, self.alice_xy):

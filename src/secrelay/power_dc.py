@@ -241,8 +241,7 @@ def dc_allocate(scn: Scenario, traj: Trajectory,
     pw_opt = _pw_from_z(pc, res.x_opt)
     if not passes(pw_opt):
         return pw, report.finish("stalled")
-    kkt = certify(prog, _tight_point(pc, buffers, pw_opt),
-                  np.concatenate([res.duals, res.bound_duals]))
+    kkt = certify(prog, _tight_point(pc, buffers, pw_opt), res.duals)
     report.add(model.secrecy_sum(scn, traj, pw_opt), kkt_residual=kkt,
                feasible=True, subproblem_kkt=res.kkt_residual,
                subproblem_iters=res.iterations)

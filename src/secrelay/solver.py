@@ -55,6 +55,10 @@ caller may hold it across points.  Both stages state their stocks
 (relay buffers, remaining energies) as ``Buffer`` rows, and accept a
 point whose KKT residual (``certify``) is within ``KKT_TOL``.
 
+The multipliers are one vector over the stack, in one order: the rows
+of ``prog.ineqs`` in order, then the finite lower bounds by index
+(``SolverResult.duals``, ``certify``, ``multiplier_estimate``).
+
 Every step is judged by the barrier function phi_mu = f - mu sum log(-g)
 over all rows and finite bounds (J. Nocedal & S. J. Wright, *Numerical
 Optimization*, 2006, §19.4): a trial is accepted on an Armijo decrease
@@ -343,8 +347,9 @@ class SolverOptions:
 @dataclass
 class SolverResult:
     x_opt: Array
-    duals: Array                 # multipliers for prog.ineqs, concatenated
-    bound_duals: Array           # multipliers for the finite lb, by index
+    # Every multiplier of the stack: prog.ineqs' rows in order, then the
+    # finite lb by index.
+    duals: Array
     # optimal | max_iter | numerical_failure.  optimal means
     # kkt_residual <= tol, or <= STALL_TOL_FACTOR * tol when Newton stalled.
     status: str
@@ -599,12 +604,6 @@ def start_margin(prog: SmoothConvexProgram) -> float:
     return -float(np.max(g, initial=-np.inf))
 
 
-def _pd_residual(blocks, grad_f, J, g, lam, mu):
-    r_dual = grad_f + blocks.jt(J, lam)
-    r_cent = -lam * g - mu
-    return r_dual, r_cent
-
-
 def _norm(r_dual: Array, r_cent: Array) -> float:
     """Euclidean norm of the perturbed KKT residual."""
     return np.sqrt(float((r_dual * r_dual).sum() + (r_cent * r_cent).sum()))
@@ -643,7 +642,7 @@ def solve(prog: SmoothConvexProgram,
         """Gradient, Jacobian values and the residuals at the current mu
         of an accepted point (or of a trial judged by its residual)."""
         grad_f, J = prog.gradient(x), blocks.jacobian(x)
-        return (grad_f, J) + _pd_residual(blocks, grad_f, J, g, lam, mu)
+        return grad_f, J, grad_f + blocks.jt(J, lam), -lam * g - mu
 
     # Values, derivatives and residuals at x; each later point gets them
     # from its line search.
@@ -732,12 +731,9 @@ def solve(prog: SmoothConvexProgram,
         mu = max(mu * MU_FACTOR, mu_min) if mu > mu_min else mu * 0.5
         r_cent = -lam * g - mu     # the dual residual does not depend on mu
 
-    kkt0 = _kkt_residual_raw(r_dual, g, lam)
-    duals = lam[:blocks.n_ineq]
-    bduals = lam[blocks.n_ineq:]
     return SolverResult(
-        x_opt=x, duals=duals, bound_duals=bduals, status=status,
-        kkt_residual=kkt0, iterations=n_newton,
+        x_opt=x, duals=lam, status=status,
+        kkt_residual=_kkt_residual_raw(r_dual, g, lam), iterations=n_newton,
         objective_value=f_x, objective_history=history,
         factorizations=rung.factorizations,
         failed_factorizations=rung.failed)
@@ -756,31 +752,26 @@ def _kkt_residual_raw(r_dual: Array, g: Array, lam: Array) -> float:
     )
 
 
-def kkt_residual(prog: SmoothConvexProgram, x: Array, duals: Array) -> float:
-    """Unperturbed KKT residual at (x, duals).
-
-    ``duals`` covers the scalar inequalities of prog.ineqs in order,
-    then the finite lower bounds by index (the order of
-    ``SolverResult.duals`` then ``bound_duals``).  A short vector is
-    padded with zeros.
-    """
-    return _residual(*_evaluate(prog, x), duals)
-
-
 # A stage accepts a point whose residual (``certify``) is within this.
 KKT_TOL = 1e-5
 
 
 def certify(prog: SmoothConvexProgram, x: Array,
             duals: Optional[Array] = None) -> float:
-    """KKT residual at x with one multiplier set: the solve's ``duals``
-    (in the order of ``kkt_residual``) when given, else
-    ``multiplier_estimate``.  Either is exact, so a small value proves x
-    a KKT point whatever the multipliers' quality.  The program is
-    evaluated at x once.
+    """Unperturbed KKT residual at x with ``duals``, every multiplier of
+    the stack in the order of ``SolverResult.duals`` (any other shape
+    raises ``ValueError``), or else with ``multiplier_estimate``.  Either
+    is exact, so a small value proves x a KKT point whatever the
+    multipliers' quality.  The program is evaluated at x once.
     """
-    point = _evaluate(prog, x)
-    return _residual(*point, _estimate(*point) if duals is None else duals)
+    blocks, g, J, grad = point = _evaluate(prog, x)
+    if duals is None:
+        lam = _estimate(*point)
+    else:
+        lam = np.asarray(duals, dtype=float)
+        if lam.shape != (blocks.m,):
+            raise ValueError(f"duals has shape {lam.shape}, not ({blocks.m},)")
+    return _kkt_residual_raw(grad + blocks.jt(J, lam), g, lam)
 
 
 def _evaluate(prog: SmoothConvexProgram, x: Array) -> tuple:
@@ -790,20 +781,12 @@ def _evaluate(prog: SmoothConvexProgram, x: Array) -> tuple:
     return blocks, blocks.value(x), blocks.jacobian(x), prog.gradient(x)
 
 
-def _residual(blocks: _Blocks, g: Array, J: Array, grad: Array,
-              duals: Array) -> float:
-    lam = np.zeros(blocks.m)
-    duals = np.asarray(duals, dtype=float).reshape(-1)
-    lam[:duals.size] = duals
-    return _kkt_residual_raw(grad + blocks.jt(J, lam), g, lam)
-
-
 def multiplier_estimate(prog: SmoothConvexProgram, x: Array) -> Array:
     """Least-squares multipliers of the rows active at x, clipped at 0.
 
     Minimizes |grad f + J_A^T lam_A| over the rows A of the stack
     (program rows, then the finite lower bounds, in the order of
-    ``kkt_residual``'s duals) within ``ACTIVE_TOL`` of their bound;
+    ``SolverResult.duals``) within ``ACTIVE_TOL`` of their bound;
     every other multiplier is 0 (Nocedal & Wright, *Numerical
     Optimization*, §12.3).  The rows are sorted by their last column, so
     for a program whose rows each touch variables close together the

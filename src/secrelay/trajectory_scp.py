@@ -570,8 +570,7 @@ def _finish(scn: Scenario, pw: PowerAllocation, it: TrajIterate,
         rec["reason"] = "objective below the stage iterate"
     else:
         rec["kkt_residual"] = certify(
-            _true_program(scn, it, lay, relax=False), res.x_opt,
-            np.concatenate([res.duals, res.bound_duals]))
+            _true_program(scn, it, lay, relax=False), res.x_opt, res.duals)
         if not rec["kkt_residual"] <= KKT_TOL:
             rec["reason"] = "certificate above KKT_TOL"
     rec["accepted"] = rec["reason"] is None

@@ -288,11 +288,49 @@ class TestExitCodes:
         (yaml.safe_dump(dict(SMALL, run="")), "'run' must be a mapping"),
         (yaml.safe_dump(dict(SMALL, run=0)), "'run' must be a mapping"),
         (yaml.safe_dump(dict(SMALL, run=False)), "'run' must be a mapping"),
+        (_scenario_yaml(n_slots="abc"), "n_slots must be an integer >= 2"),
+        (_scenario_yaml(n_slots=10.5), "n_slots must be an integer >= 2"),
+        (_scenario_yaml(slot_len_s="abc"),
+         "slot_len_s must be a number, got 'abc'"),
+        (_scenario_yaml(drop="n_slots", horizon_s="abc"),
+         "horizon_s must be a number, got 'abc'"),
+        (_scenario_yaml(drop="ref_snr_linear", ref_snr_db="abc"),
+         "ref_snr_db must be a number, got 'abc'"),
+        (_scenario_yaml(drop="n_slots", horizon_s=6.0, slot_len_s=0),
+         "slot_len_s must be finite and > 0"),
+        (_scenario_yaml(v_max_mps=float("inf")), "v_max must be finite"),
+        (_scenario_yaml(p_bar_s="nan W"),
+         "average power limits must be finite"),
+        (yaml.safe_dump(dict(SMALL, run={"max_iter": "abc"})),
+         "max_iter must be an integer >= 1, got 'abc'"),
+        (yaml.safe_dump(dict(SMALL, run={"max_iter": 2.7})),
+         "max_iter must be an integer >= 1, got 2.7"),
+        (yaml.safe_dump(dict(SMALL, run={"max_iter": True})),
+         "max_iter must be an integer >= 1, got True"),
+        (yaml.safe_dump(dict(SMALL, run={"max_iter": -3})),
+         "max_iter must be an integer >= 1, got -3"),
+        (yaml.safe_dump(dict(SMALL, run={"feas_tol": "abc"})),
+         "feas_tol must be a number, got 'abc'"),
+        (yaml.safe_dump(dict(SMALL, run={"feas_tol": [1]})),
+         "feas_tol must be a number, got [1]"),
+        (yaml.safe_dump(dict(SMALL, run={"feas_tol": -1.0})),
+         "feas_tol must be finite and >= 0, got -1.0"),
+        (yaml.safe_dump(dict(SMALL, run={"rel_tol": float("nan")})),
+         "rel_tol must be finite and >= 0, got nan"),
+        (_scenario_yaml(altitude_m=True),
+         "altitude_m must be a number, got True"),
     ], ids=["non-pair", "missing-key", "n_slots-and-horizon",
             "no-slot-count", "scenario-rejects", "unreadable",
             "invalid-yaml", "not-a-mapping", "unknown-top-level",
             "no-scenario", "run-not-a-mapping", "run-empty-list",
-            "run-empty-string", "run-zero", "run-false"])
+            "run-empty-string", "run-zero", "run-false",
+            "n_slots-not-a-number", "n_slots-fractional",
+            "slot_len-not-a-number", "horizon-not-a-number",
+            "ref_snr_db-not-a-number", "slot_len-zero", "v_max-infinite",
+            "p_bar_s-nan", "max_iter-not-a-number", "max_iter-fractional",
+            "max_iter-bool", "max_iter-negative", "feas_tol-not-a-number",
+            "feas_tol-list", "feas_tol-negative", "rel_tol-nan",
+            "altitude-bool"])
     def test_bad_config_exit_2(self, tmp_path, capsys, text, match):
         """Each malformed configuration exits 2 with its own message."""
         cfg = tmp_path / "cfg.yaml"

@@ -126,6 +126,16 @@ class TestInputChecks:
         ({"v_max": 0.0}, "v_max must be > 0"),
         ({"p_bar_r": -1e-3}, "average power limits must be >= 0"),
         ({"bob_xy": [0.0, 0.0]}, "bob_xy must differ from alice_xy"),
+        ({"slot_len": np.inf}, "slot_len must be finite"),
+        ({"altitude_h": np.inf}, "altitude_h must be finite"),
+        ({"v_max": np.inf}, "v_max must be finite"),
+        ({"ref_snr": np.nan}, "ref_snr must be finite"),
+        ({"ref_snr": np.inf}, "ref_snr must be finite"),
+        ({"p_bar_s": np.nan}, "average power limits must be finite"),
+        ({"p_bar_r": np.inf}, "average power limits must be finite"),
+        ({"p_bar_s": -np.inf}, "average power limits must be finite"),
+        ({"n_slots": "6"}, "n_slots must be an integer >= 2"),
+        ({"n_slots": np.inf}, "n_slots must be an integer >= 2"),
     ])
     def test_scenario(self, overrides, match):
         with pytest.raises(ValueError, match=match):

@@ -19,7 +19,7 @@ from secrelay.model import (PowerAllocation, Scenario, Trajectory,
 from secrelay.power_dc import dc_allocate
 from secrelay.report import COUNTERS
 from secrelay.solver import (Buffer, ConstraintBlock, SmoothConvexProgram,
-                             buffer_start, kkt_residual, multiplier_estimate,
+                             buffer_start, certify, multiplier_estimate,
                              solve)
 
 # The program works on the scaled source powers p_s[1..N-1]/u_s and on
@@ -439,10 +439,10 @@ class TestStartCertificate:
         scn, traj, pw = self._start((1800.0, 30.0), 0.98)
         orig, buffers, pc = _program(scn, traj)
         z = power_dc._tight_point(pc, buffers, pw)
-        estimated = kkt_residual(orig, z, multiplier_estimate(orig, z))
+        estimated = certify(orig, z, multiplier_estimate(orig, z))
         duals = np.random.default_rng(4).uniform(0.0, 1.0,
                                                  solver._Blocks(orig).m)
-        given = kkt_residual(orig, z, duals)
+        given = certify(orig, z, duals)
         assert given > estimated
         stacks = []
 

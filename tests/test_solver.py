@@ -12,7 +12,7 @@ from secrelay.model import (PowerAllocation, equal_power_allocation,
                             restore_feasibility)
 from secrelay.solver import (STALL_TOL_FACTOR, ConstraintBlock,
                              SmoothConvexProgram, SolverOptions, _Blocks,
-                             kkt_residual, solve, start_margin)
+                             certify, solve, start_margin)
 
 LN2 = float(np.log(2.0))
 
@@ -37,16 +37,16 @@ class TestAnalytic:
         res = solve(_quadratic_with_floor())
         assert res.status == "optimal"
         assert res.x_opt[0] == pytest.approx(1.0, abs=1e-6)
-        assert res.bound_duals[0] == pytest.approx(2.0, abs=1e-4)
+        assert res.duals[0] == pytest.approx(2.0, abs=1e-4)
         assert res.kkt_residual <= 1e-6
 
     def test_kkt_residual_at_analytic_point(self):
         prog = _quadratic_with_floor()
-        assert kkt_residual(prog, np.array([1.0]), np.array([2.0])) <= 1e-10
+        assert certify(prog, np.array([1.0]), np.array([2.0])) <= 1e-10
 
     def test_kkt_residual_detects_perturbation(self):
         prog = _quadratic_with_floor()
-        r = kkt_residual(prog, np.array([1.0 + 1e-3]), np.array([2.0]))
+        r = certify(prog, np.array([1.0 + 1e-3]), np.array([2.0]))
         assert r > 1e-5
 
     def test_zero_duals_interior_minimum(self):
@@ -60,7 +60,7 @@ class TestAnalytic:
         )
         x = np.array([0.5, 0.0])
         grad = prog.gradient(x)
-        assert kkt_residual(prog, x, np.zeros(0)) == pytest.approx(
+        assert certify(prog, x, np.zeros(0)) == pytest.approx(
             float(np.max(np.abs(grad))))
         # And the unconstrained path finds the interior minimum.
         res = solve(prog)
@@ -151,7 +151,7 @@ class TestImplicitBounds:
         prog = _boxed_program()
         res = solve(prog)
         x = res.x_opt
-        lam = np.concatenate([res.duals, res.bound_duals])
+        lam = res.duals
         # Dense stack: program rows, then -e_i for finite lb.
         lbi = np.flatnonzero(np.isfinite(prog.lb))
         J = np.vstack([as_dense(b.cols, b.jacobian(x), 3)
@@ -164,8 +164,34 @@ class TestImplicitBounds:
                       float(np.max(np.maximum(g, 0.0))),
                       float(np.max(np.abs(duals * g))),
                       float(np.max(np.maximum(-duals, 0.0))))
-            assert kkt_residual(prog, x, duals) == pytest.approx(
+            assert certify(prog, x, duals) == pytest.approx(
                 ref, rel=0, abs=1e-12)
+
+
+class TestDualLayout:
+    """``SolverResult.duals`` holds every multiplier of the stack in the
+    one order that ``certify`` reads: the program rows, then the finite
+    lower bounds by index."""
+
+    def test_certify_gives_the_solve_residual(self):
+        """On programs with rows and finite bounds, ``certify`` at the
+        solve's point and duals is its residual bit for bit."""
+        programs = {"boxed": _boxed_program(), **stage_programs(50)}
+        for name, prog in programs.items():
+            res = solve(prog)
+            rows = sum(len(b.cols) for b in prog.ineqs)
+            bounds = int(np.isfinite(prog.lb).sum())
+            assert rows and bounds, name
+            assert res.duals.shape == (rows + bounds,), name
+            assert (certify(prog, res.x_opt, res.duals)
+                    == res.kkt_residual), name
+
+    def test_wrong_length_raises(self):
+        prog = _boxed_program()
+        res = solve(prog)
+        for duals in (res.duals[:-1], np.append(res.duals, 0.0)):
+            with pytest.raises(ValueError, match="duals has shape"):
+                certify(prog, res.x_opt, duals)
 
 
 class TestEvaluationCount:
@@ -298,7 +324,7 @@ class TestIndefiniteHessian:
     """A nonconvex program runs the same loop; its indefinite Newton
     matrix gets the shifted, capped steps of ``_factor_solve`` and every
     step is judged by the barrier function.  The solve ends ``optimal``
-    at a point that ``kkt_residual`` certifies, or ends
+    at a point that ``certify`` proves a KKT point, or ends
     ``numerical_failure``: never ``optimal`` at a point that is not a KKT
     point."""
 
@@ -336,8 +362,7 @@ class TestIndefiniteHessian:
             res = solve(prog, SolverOptions(tol=self.TOL))
             statuses[seed, scale] = res.status
             failed_factors.append(res.failed_factorizations)
-            duals = np.concatenate([res.duals, res.bound_duals])
-            residual = kkt_residual(prog, res.x_opt, duals)
+            residual = certify(prog, res.x_opt, res.duals)
             if res.status == "optimal":
                 assert residual <= STALL_TOL_FACTOR * self.TOL, seed
                 assert np.all(np.abs(res.x_opt) <= 1.0), seed
@@ -565,8 +590,8 @@ class TestDeterminismAndMonotonicity:
         """At N = 2000 the stage programs' sums over all variables or rows
         pass 10,000 entries, beyond which a threaded OpenBLAS would split
         a dot product between its threads.  The power and trajectory
-        solves give the same bits of ``x_opt``, ``duals`` and
-        ``bound_duals`` at 1 and at 2 OpenBLAS threads."""
+        solves give the same bits of ``x_opt`` and ``duals`` (every
+        multiplier of the stack) at 1 and at 2 OpenBLAS threads."""
         import os
         import subprocess
         import sys
@@ -583,7 +608,7 @@ class TestDeterminismAndMonotonicity:
             for name in ("power", "trajectory"):
                 res = solve(progs[name])
                 digest = hashlib.sha256()
-                for a in (res.x_opt, res.duals, res.bound_duals):
+                for a in (res.x_opt, res.duals):
                     digest.update(a.tobytes())
                 print(name, res.status, res.iterations, digest.hexdigest())
         """
