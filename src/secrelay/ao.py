@@ -1,7 +1,6 @@
 """Alternating optimization driver over powers and trajectory."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,33 +14,6 @@ from .trajectory_scp import ScpOptions, initial_trajectory, scp_optimize
 # AO's cap on its outer iterations (``ScpOptions.max_iter`` caps each
 # trajectory stage).
 MAX_ITER = 30
-
-
-@dataclass(frozen=True)
-class EvalSnapshot:
-    """Pure re-evaluation of a candidate solution."""
-
-    objective: float
-    secrecy_avg: float
-    mobility: model.FeasibilityVerdict
-    causality: model.FeasibilityVerdict
-    power_budget: model.FeasibilityVerdict
-
-    @property
-    def feasible(self) -> bool:
-        return (self.mobility.feasible and self.causality.feasible
-                and self.power_budget.feasible)
-
-
-def evaluate(scn: Scenario, traj: Trajectory,
-             pw: PowerAllocation,
-             tol: float = model.DEFAULT_FEAS_TOL) -> EvalSnapshot:
-    rp = model.rate_profile(scn, traj, pw)
-    checks = model.check_all(scn, traj, pw, tol)
-    return EvalSnapshot(
-        objective=rp.secrecy_sum, secrecy_avg=rp.secrecy_avg,
-        mobility=checks["mobility"], causality=checks["causality"],
-        power_budget=checks["power_budget"])
 
 
 def _ao_single(scn: Scenario, traj: Trajectory,

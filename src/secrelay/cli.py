@@ -10,8 +10,10 @@ writes machine-readable artifacts:
   each outer iteration.
 
 Exit codes: 0 success, 2 configuration error (a ``--trajectory`` file
-whose slot count is not the scenario's included), 3 infeasible problem,
-4 numerical failure in a stage (``report.json`` only).
+with the wrong slot count or a value the model rejects included), 3 an
+infeasible plan: a ``power`` or ``trajectory`` input, or a ``check``
+plan, that fails ``model.check_all`` at ``feas_tol``, 4 numerical
+failure in a stage (``report.json`` only).
 
 Configuration format (YAML)::
 
@@ -58,7 +60,7 @@ import numpy as np
 import yaml
 
 from . import model
-from .ao import ao_optimize, evaluate
+from .ao import ao_optimize
 from .baselines import _free_endpoints, data_ferry, static_relay_best
 from .model import PowerAllocation, Scenario, Trajectory
 from .model import benchmark_scenario  # noqa: F401  (kept importable here)
@@ -97,6 +99,8 @@ def parse_power(value) -> float:
                 return conv(float(num))
             except ValueError:
                 raise ConfigError(f"cannot parse power value {value!r}")
+            except OverflowError:
+                raise ConfigError(f"power value {value!r} is out of range")
     raise ConfigError(
         f"power value {value!r} needs a unit suffix (dBm or W)")
 
@@ -137,9 +141,12 @@ def parse_scenario(doc: dict) -> Scenario:
     if ("ref_snr_db" in doc) == ("ref_snr_linear" in doc):
         raise ConfigError(
             "exactly one of ref_snr_db / ref_snr_linear is required")
-    ref_snr = (10.0 ** (_number(doc["ref_snr_db"], "ref_snr_db") / 10.0)
-               if "ref_snr_db" in doc
-               else _number(doc["ref_snr_linear"], "ref_snr_linear"))
+    try:
+        ref_snr = (10.0 ** (_number(doc["ref_snr_db"], "ref_snr_db") / 10.0)
+                   if "ref_snr_db" in doc
+                   else _number(doc["ref_snr_linear"], "ref_snr_linear"))
+    except OverflowError:
+        raise ConfigError(f"ref_snr_db {doc['ref_snr_db']!r} is out of range")
     slot_len = _number(doc.get("slot_len_s", 1.0), "slot_len_s")
     if "n_slots" in doc:
         if "horizon_s" in doc:
@@ -261,34 +268,33 @@ def read_trajectory_csv(path: Path) -> tuple[Trajectory, PowerAllocation]:
         p_r = np.array([float(r["p_r_w"]) for r in rows])
     except (KeyError, TypeError, ValueError):
         raise ConfigError(f"{path}: expected columns {CSV_HEADER}")
-    return Trajectory(xy), PowerAllocation(p_s=p_s, p_r=p_r)
-
-
-def _slack_summary(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
-                   tol: float) -> dict:
-    out = {}
-    for name, verdict in model.check_all(scn, traj, pw, tol).items():
-        out[name] = {"feasible": bool(verdict.feasible),
-                     "worst_slack": float(verdict.worst)}
-    return out
+    try:
+        return Trajectory(xy), PowerAllocation(p_s=p_s, p_r=p_r)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
 
 
 def write_report_json(path: Path, scn: Scenario, run: dict,
                       report: Optional[RunReport], traj: Trajectory,
                       pw: PowerAllocation, tol: float,
-                      wall_time: float, extra: Optional[dict] = None) -> None:
+                      wall_time: float, extra: Optional[dict] = None) -> dict:
+    """Writes ``report.json`` and returns the document: the plan's
+    objective, and the verdict of ``model.check_all`` at tol."""
     rp = model.rate_profile(scn, traj, pw)
     doc = {
         "config": resolved_config(scn, run),
         "objective": float(rp.secrecy_sum),
         "secrecy_rate_avg": float(rp.secrecy_avg),
-        "feasibility": _slack_summary(scn, traj, pw, tol),
+        "feasibility": {
+            name: {"feasible": bool(v.feasible), "worst_slack": float(v.worst)}
+            for name, v in model.check_all(scn, traj, pw, tol).items()},
         "wall_time_s": float(wall_time),
         "report": report.to_dict() if report is not None else None,
     }
     if extra:
         doc.update(extra)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return doc
 
 
 def _iterate_snapshot_writer(scn: Scenario, pw: PowerAllocation,
@@ -343,12 +349,24 @@ def _load_traj(scn: Scenario, args,
     return traj, model.equal_power_start(scn, traj, tol)
 
 
+def _require_feasible(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
+                      tol: float) -> None:
+    """Raises ``ValueError`` naming the worst slack of every family of
+    ``model.check_all`` that the input plan fails at tol."""
+    worst = {name: v.worst for name, v in
+             model.check_all(scn, traj, pw, tol).items() if not v.feasible}
+    if worst:
+        raise ValueError(f"input plan violates {worst}")
+
+
 def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
-            tol: float, t0: float, extra: Optional[dict] = None) -> int:
+            tol: float, t0: float, extra: Optional[dict] = None,
+            strict: bool = False) -> int:
     """Writes ``report.json``; exits 4 if its stage, or AO's last (the
-    failed one), ended ``solver_*``; else writes ``trajectory.csv``."""
-    write_report_json(out_dir / "report.json", scn, run, report, traj, pw,
-                      tol, time.perf_counter() - t0, extra)
+    failed one), ended ``solver_*``; else writes ``trajectory.csv``, and
+    with ``strict`` exits 3 if the plan fails the report's verdict."""
+    doc = write_report_json(out_dir / "report.json", scn, run, report, traj,
+                            pw, tol, time.perf_counter() - t0, extra)
     failed = report
     if report is not None and report.status == "inner_stage_failure":
         failed = report.sub_reports[-1]
@@ -357,10 +375,14 @@ def _finish(out_dir: Path, scn: Scenario, run: dict, report, traj, pw,
               file=sys.stderr)
         return EXIT_NUMERICAL
     write_trajectory_csv(out_dir / "trajectory.csv", scn, traj, pw)
-    snap = evaluate(scn, traj, pw, tol)
-    print(f"objective {snap.objective:.6f} bits/s/Hz "
-          f"(avg {snap.secrecy_avg:.6f}); feasible={snap.feasible}; "
+    worst = {name: f["worst_slack"] for name, f in doc["feasibility"].items()
+             if not f["feasible"]}
+    print(f"objective {doc['objective']:.6f} bits/s/Hz "
+          f"(avg {doc['secrecy_rate_avg']:.6f}); feasible={not worst}; "
           f"artifacts in {out_dir}")
+    if strict and worst:
+        print(f"infeasible: {worst}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     return EXIT_OK
 
 
@@ -376,6 +398,7 @@ def cmd_trajectory(scn, run, out_dir, args) -> int:
     opts = _options(run)
     tol = opts.feas_tol
     traj0, pw = _load_traj(scn, args, tol)
+    _require_feasible(scn, traj0, pw, tol)
     cb = None
     if run.get("save_iterates"):
         cb = _iterate_snapshot_writer(scn, pw, out_dir)
@@ -385,17 +408,13 @@ def cmd_trajectory(scn, run, out_dir, args) -> int:
 
 
 def cmd_power(scn, run, out_dir, args) -> int:
-    """Exits 3 when the input powers fail causality or the budgets at
-    ``feas_tol``, as ``trajectory`` does, instead of optimizing from the
-    silent relay."""
+    """Exits 3 when the input plan fails any family of
+    ``model.check_all`` at ``feas_tol``, as ``trajectory`` does, instead
+    of optimizing powers on it."""
     t0 = time.perf_counter()
     tol = _options(run).feas_tol
     traj, pw0 = _load_traj(scn, args, tol)
-    checks = model.check_all(scn, traj, pw0, tol)
-    for name in ("causality", "power_budget"):
-        if not checks[name].feasible:
-            raise ValueError(f"input powers violate {name} by "
-                             f"{checks[name].worst:.3e}")
+    _require_feasible(scn, traj, pw0, tol)
     pw, report = dc_allocate(scn, traj, pw_0=pw0, feas_tol=tol)
     return _finish(out_dir, scn, run, report, traj, pw, tol, t0)
 
@@ -426,15 +445,8 @@ def cmd_eval(scn, run, out_dir, args) -> int:
     t0 = time.perf_counter()
     tol = _options(run).feas_tol
     traj, pw = _load_traj(scn, args, tol)
-    snap = evaluate(scn, traj, pw, tol)
-    _finish(out_dir, scn, run, None, traj, pw, tol, t0)
-    if args.command == "check" and not snap.feasible:
-        worst = {k: v.worst for k, v in
-                 (("mobility", snap.mobility), ("causality", snap.causality),
-                  ("power_budget", snap.power_budget)) if not v.feasible}
-        print(f"infeasible: {worst}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return _finish(out_dir, scn, run, None, traj, pw, tol, t0,
+                   strict=args.command == "check")
 
 
 # ---------------------------------------------------------------------------

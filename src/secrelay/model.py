@@ -89,11 +89,6 @@ class Scenario:
             raise ValueError("bob_xy must differ from alice_xy")
 
     @property
-    def horizon(self) -> float:
-        """Total mission time T = N * slot_len, seconds."""
-        return self.n_slots * self.slot_len
-
-    @property
     def slot_travel(self) -> float:
         """Maximum distance coverable within one slot, meters."""
         return self.v_max * self.slot_len
@@ -192,11 +187,9 @@ def benchmark_scenario(horizon_s: float = 100.0, slot_len_s: float = 1.0,
 
 @dataclass(frozen=True)
 class ChannelState:
-    """Per-slot link distances and linear SNR-per-watt gains."""
+    """Per-slot linear SNR-per-watt gains ref_snr / d**2 of the links
+    Alice->relay, relay->Bob and relay->Eve."""
 
-    d_ar: np.ndarray
-    d_rd: np.ndarray
-    d_re: np.ndarray
     gamma_ar: np.ndarray
     gamma_rd: np.ndarray
     gamma_re: np.ndarray
@@ -246,18 +239,17 @@ def _require_power_slots(scn: Scenario, pw: PowerAllocation) -> None:
 
 
 def channel_state(scn: Scenario, traj: Trajectory) -> ChannelState:
-    """Link distances and channel gains for every slot."""
+    """Channel gains for every slot, each ref_snr / d**2 with d the
+    slant distance sqrt(h**2 + |q - c|**2) (rounded as it is)."""
     _require_traj_slots(scn, traj)
     h2 = scn.altitude_h ** 2
-    d_ar = np.sqrt(h2 + np.sum((traj.xy - scn.alice_xy) ** 2, axis=1))
-    d_rd = np.sqrt(h2 + np.sum((traj.xy - scn.bob_xy) ** 2, axis=1))
-    d_re = np.sqrt(h2 + np.sum((traj.xy - scn.eve_xy) ** 2, axis=1))
-    return ChannelState(
-        d_ar=d_ar, d_rd=d_rd, d_re=d_re,
-        gamma_ar=scn.ref_snr / d_ar ** 2,
-        gamma_rd=scn.ref_snr / d_rd ** 2,
-        gamma_re=scn.ref_snr / d_re ** 2,
-    )
+
+    def gain(c: np.ndarray) -> np.ndarray:
+        d = np.sqrt(h2 + np.sum((traj.xy - c) ** 2, axis=1))
+        return scn.ref_snr / d ** 2
+
+    return ChannelState(gamma_ar=gain(scn.alice_xy),
+                        gamma_rd=gain(scn.bob_xy), gamma_re=gain(scn.eve_xy))
 
 
 def rate_profile(scn: Scenario, traj: Trajectory,
@@ -323,17 +315,6 @@ def causality_gaps(ch: ChannelState, p_r: np.ndarray,
     return sent.cumsum(axis=-1) - received
 
 
-def causality_verdict(gaps: np.ndarray,
-                      tol: float = DEFAULT_FEAS_TOL) -> FeasibilityVerdict:
-    """Verdict on ``causality_gaps``: feasible when no gap exceeds tol."""
-    worst = float(gaps.max(initial=0.0))
-    return FeasibilityVerdict(
-        feasible=worst <= tol,
-        slacks={"bob_gaps": gaps[0], "eve_gaps": gaps[1]},
-        worst=worst,
-    )
-
-
 def check_causality(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
                     tol: float = DEFAULT_FEAS_TOL) -> FeasibilityVerdict:
     """Information-causality prefix constraints.
@@ -344,8 +325,13 @@ def check_causality(scn: Scenario, traj: Trajectory, pw: PowerAllocation,
     """
     _require_power_slots(scn, pw)
     ch = channel_state(scn, traj)
-    return causality_verdict(
-        causality_gaps(ch, pw.p_r, received_prefix(ch, pw.p_s)), tol)
+    gaps = causality_gaps(ch, pw.p_r, received_prefix(ch, pw.p_s))
+    worst = float(gaps.max(initial=0.0))
+    return FeasibilityVerdict(
+        feasible=worst <= tol,
+        slacks={"bob_gaps": gaps[0], "eve_gaps": gaps[1]},
+        worst=worst,
+    )
 
 
 def check_power_budget(scn: Scenario, pw: PowerAllocation,

@@ -9,9 +9,15 @@ import pytest
 from conftest import (assert_wall_times, fail_power_solves,
                       fail_trajectory_solves, random_scenario, small_scenario)
 from secrelay import ao, benchmark_scenario, model
-from secrelay.ao import ao_optimize, evaluate
+from secrelay.ao import ao_optimize
 from secrelay.model import Trajectory
 from secrelay.trajectory_scp import ScpOptions, initial_trajectory
+
+
+def _feasible(scn, traj, pw, tol=model.DEFAULT_FEAS_TOL):
+    """Whether the plan passes every family of ``model.check_all``."""
+    return all(v.feasible
+               for v in model.check_all(scn, traj, pw, tol).values())
 
 
 class TestAoOptimize:
@@ -31,17 +37,16 @@ class TestAoOptimize:
         assert [s.stage for s in report.sub_reports] == [
             "power_dc", "trajectory_scp"]
         assert all(s.status == "converged" for s in report.sub_reports)
-        assert evaluate(scn, traj, pw).feasible
+        assert _feasible(scn, traj, pw)
 
     def test_outer_monotone_ascent_and_feasibility(self, rng):
         scn = random_scenario(rng, n_slots=8)
         traj, pw, report = ao_optimize(scn)
         objs = report.objectives
         assert all(b >= a - 1e-6 for a, b in zip(objs, objs[1:]))
-        snap = evaluate(scn, traj, pw)
-        assert snap.feasible
-        assert snap.objective == pytest.approx(report.final_objective,
-                                               abs=1e-9)
+        assert _feasible(scn, traj, pw)
+        assert model.secrecy_sum(scn, traj, pw) == pytest.approx(
+            report.final_objective, abs=1e-9)
         # AO has no stationarity certificate: the trajectory solve's
         # residual is kept as ``subproblem_kkt``, not as ``kkt_residual``.
         assert all(r.kkt_residual is None for r in report.iterations)
@@ -156,7 +161,7 @@ class TestStageContract:
         assert not np.array_equal(traj.xy, traj0.xy)
         assert report.final_objective == model.secrecy_sum(scn, traj, pw)
         assert report.final_objective > report.objectives[0]
-        assert evaluate(scn, traj, pw).feasible
+        assert _feasible(scn, traj, pw)
 
     def test_start_restored_at_power_tolerance(self):
         """AO restores its power start at the run's ``feas_tol``, loose
@@ -182,7 +187,7 @@ class TestStageContract:
                 init_trajs=[initial_trajectory(scn)])
             assert report.status == "converged"
             assert all(r.feasible for r in report.iterations)
-            assert evaluate(scn, traj, pw, tol=tol).feasible
+            assert _feasible(scn, traj, pw, tol)
 
     def test_trajectory_powers_restored_at_its_tolerance(self):
         """The trajectory stage (which raises on powers that fail
@@ -196,7 +201,7 @@ class TestStageContract:
                            if s.stage == "trajectory_scp"]
             assert scp_reports
             assert model.check_causality(scn, traj, pw, tol=tol).feasible
-            assert evaluate(scn, traj, pw, tol=tol).feasible
+            assert _feasible(scn, traj, pw, tol)
 
     def test_start_is_the_only_restore(self, monkeypatch):
         """An AO run restores powers once, for its start: every power
@@ -361,35 +366,3 @@ class TestFixedPointStop:
         assert abs(after - before) / abs(after) > 100 * opts.rel_tol
         np.testing.assert_array_equal(traj.xy, traj0.xy)
 
-
-class TestEvaluate:
-    def test_mirrors_model_checks(self, rng):
-        scn = small_scenario()
-        from conftest import random_feasible_trajectory, random_power
-        traj = random_feasible_trajectory(rng, scn)
-        pw = random_power(rng, scn)
-        snap = evaluate(scn, traj, pw)
-        checks = model.check_all(scn, traj, pw)
-        assert snap.mobility.feasible == checks["mobility"].feasible
-        assert snap.causality.feasible == checks["causality"].feasible
-        assert (snap.power_budget.feasible
-                == checks["power_budget"].feasible)
-        assert snap.objective == pytest.approx(
-            model.secrecy_sum(scn, traj, pw))
-
-    def test_zero_power_snapshot(self):
-        scn = small_scenario()
-        from secrelay.trajectory_scp import initial_trajectory
-        snap = evaluate(scn, initial_trajectory(scn),
-                        model.zero_power_allocation(scn))
-        assert snap.objective == 0.0
-        assert snap.feasible
-
-    def test_secrecy_avg_normalization(self, rng):
-        scn = small_scenario()
-        from conftest import random_feasible_trajectory, random_power
-        traj = random_feasible_trajectory(rng, scn)
-        pw = random_power(rng, scn)
-        snap = evaluate(scn, traj, pw)
-        assert snap.secrecy_avg == pytest.approx(
-            snap.objective / scn.n_slots)

@@ -158,7 +158,37 @@ class TestExitCodes:
         rc = cli.main(["trajectory", str(_write(tmp_path, SMALL)),
                        "--trajectory", str(tpath), "--out-dir", str(out)])
         assert rc == 3
-        assert ("infeasible: trajectory violates mobility constraints"
+        assert ("infeasible: input plan violates {'mobility': "
+                in capsys.readouterr().err)
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command, family", [
+        ("power", "mobility"), ("trajectory", "power_budget")])
+    def test_infeasible_input_plan_exit_3(self, tmp_path, capsys, command,
+                                          family):
+        """``power`` on a hover with one waypoint 500 m off course, and
+        ``trajectory`` on three times the source power, each at powers
+        that hold causality, exit 3 naming the one family the input plan
+        fails, and write no artifacts."""
+        from secrelay import model
+        scn = parse_scenario(SMALL["scenario"])
+        xy = np.tile([150.0, 30.0], (6, 1))
+        if family == "mobility":
+            xy[3, 1] += 500.0
+        traj = model.Trajectory(xy)
+        pw = model.equal_power_start(scn, traj)
+        if family == "power_budget":
+            pw = model.PowerAllocation(p_s=3.0 * pw.p_s, p_r=pw.p_r)
+        checks = model.check_all(scn, traj, pw)
+        assert [k for k, v in checks.items() if not v.feasible] == [family]
+        tpath = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(tpath, scn, traj, pw)
+        out = tmp_path / "o"
+        rc = cli.main([command, str(_write(tmp_path, SMALL)),
+                       "--trajectory", str(tpath), "--out-dir", str(out)])
+        assert rc == 3
+        assert (f"infeasible: input plan violates {{'{family}': "
                 in capsys.readouterr().err)
         assert not (out / "trajectory.csv").exists()
         assert not (out / "report.json").exists()
@@ -319,6 +349,12 @@ class TestExitCodes:
          "rel_tol must be finite and >= 0, got nan"),
         (_scenario_yaml(altitude_m=True),
          "altitude_m must be a number, got True"),
+        (_scenario_yaml(drop="ref_snr_linear", ref_snr_db=1.0e10),
+         "ref_snr_db 10000000000.0 is out of range"),
+        (_scenario_yaml(p_bar_s="1e10 dBm"),
+         "power value '1e10 dBm' is out of range"),
+        (_scenario_yaml(drop="n_slots", horizon_s=float("inf")),
+         "horizon_s must be finite"),
     ], ids=["non-pair", "missing-key", "n_slots-and-horizon",
             "no-slot-count", "scenario-rejects", "unreadable",
             "invalid-yaml", "not-a-mapping", "unknown-top-level",
@@ -330,7 +366,8 @@ class TestExitCodes:
             "p_bar_s-nan", "max_iter-not-a-number", "max_iter-fractional",
             "max_iter-bool", "max_iter-negative", "feas_tol-not-a-number",
             "feas_tol-list", "feas_tol-negative", "rel_tol-nan",
-            "altitude-bool"])
+            "altitude-bool", "ref_snr_db-overflow", "p_bar_s-dBm-overflow",
+            "horizon-infinite"])
     def test_bad_config_exit_2(self, tmp_path, capsys, text, match):
         """Each malformed configuration exits 2 with its own message."""
         cfg = tmp_path / "cfg.yaml"
@@ -347,7 +384,14 @@ class TestExitCodes:
         ("slot,x,y\n1,0,0\n", "expected columns " + cli.CSV_HEADER),
         (cli.CSV_HEADER + "\n1,0,zero,0,0,0,0,0\n",
          "expected columns " + cli.CSV_HEADER),
-    ], ids=["empty", "header-only", "wrong-columns", "not-a-number"])
+        (cli.CSV_HEADER + "\n1,nan,0,1,0,0,0,0\n2,0,0,0,1,0,0,0\n",
+         "trajectory coordinates must be finite"),
+        (cli.CSV_HEADER + "\n1,0,0,-1,0,0,0,0\n2,0,0,0,1,0,0,0\n",
+         "powers must be nonnegative"),
+        (cli.CSV_HEADER + "\n1,0,0,1,0,0,0,0\n2,0,0,1,1,0,0,0\n",
+         "source power in the last slot must be 0"),
+    ], ids=["empty", "header-only", "wrong-columns", "not-a-number",
+            "nan-coordinate", "negative-power", "last-slot-source-power"])
     def test_bad_trajectory_file_exit_2(self, tmp_path, capsys, csv_text,
                                         match):
         tpath = tmp_path / "traj.csv"

@@ -16,9 +16,11 @@ def _constant(scn, xy):
 
 class TestChannelState:
     def test_distance_above_alice(self):
+        """Right above Alice the link is the altitude long."""
         scn = small_scenario(altitude_h=100.0)
         ch = model.channel_state(scn, _constant(scn, [0.0, 0.0]))
-        assert ch.d_ar[0] == pytest.approx(100.0, abs=1e-12)
+        assert ch.gamma_ar[0] == pytest.approx(scn.ref_snr / 100.0 ** 2,
+                                               rel=1e-12)
 
     def test_gain_at_100m(self):
         scn = small_scenario(altitude_h=100.0, ref_snr=1e8)
@@ -28,15 +30,18 @@ class TestChannelState:
     def test_distance_above_eve(self):
         scn = small_scenario(eve_xy=[1000.0, 100.0], altitude_h=100.0)
         ch = model.channel_state(scn, _constant(scn, [1000.0, 100.0]))
-        assert ch.d_re[0] == pytest.approx(100.0, abs=1e-12)
+        assert ch.gamma_re[0] == pytest.approx(scn.ref_snr / 100.0 ** 2,
+                                               rel=1e-12)
 
     def test_distances_at_least_altitude(self, rng):
+        """No gain exceeds the one at the altitude's distance."""
         for _ in range(50):
             scn = random_scenario(rng)
             traj = random_feasible_trajectory(rng, scn)
             ch = model.channel_state(scn, traj)
-            for d in (ch.d_ar, ch.d_rd, ch.d_re):
-                assert np.all(d >= scn.altitude_h - 1e-9)
+            top = scn.ref_snr / scn.altitude_h ** 2
+            for g in (ch.gamma_ar, ch.gamma_rd, ch.gamma_re):
+                assert np.all(g <= top * (1.0 + 1e-12))
 
     def test_dimension_mismatch(self):
         scn = small_scenario(n_slots=6)

@@ -508,6 +508,24 @@ class TestShiftSearch:
             dx, solver.dpbtrs(solver.dpbtrf(pd, lower=1)[0], np.ones(8),
                               lower=1)[0])
 
+    def test_solve_out_of_rungs_ends_numerical_failure(self):
+        """A solve whose first Newton matrix no rung factors (Hessian
+        diag(-1e12, 1e12): its mean diagonal leaves the shifts unscaled,
+        and the top rung is far below 1e12) ends ``numerical_failure``
+        at its start after 0 Newton steps, every factorization of the
+        climb failed."""
+        h = np.array([-1e12, 1e12])
+        prog = SmoothConvexProgram(
+            dim=2, objective=lambda x: float(0.5 * (h * x * x).sum()),
+            gradient=lambda x: h * x, hessian=lambda x: h.copy(),
+            hess_idx=([0, 1], [0, 1]), lb=-np.ones(2),
+            strictly_feasible_start=np.zeros(2))
+        res = solve(prog)
+        assert res.status == "numerical_failure"
+        assert res.iterations == 0
+        assert res.factorizations == res.failed_factorizations == 8
+        np.testing.assert_array_equal(res.x_opt, np.zeros(2))
+
 
 def _random_two_var_family(rng):
     """Subproblem-shaped 2-variable instance: quadratic displacement cost

@@ -144,8 +144,9 @@ class TestDistanceLowerBounds:
                               random_power(rng, scn))
             z = np.zeros(scn.n_slots)
             forms = rate_forms(scn, it, z, z)
-            ch = model.channel_state(scn, it.traj)
-            dist2 = np.stack([ch.d_ar, ch.d_rd, ch.d_rd, ch.d_re]) ** 2
+            ends = [scn.alice_xy, scn.bob_xy, scn.bob_xy, scn.eve_xy]
+            dist2 = np.stack([scn.altitude_h ** 2 + np.sum(
+                (it.traj.xy - c) ** 2, axis=1) for c in ends])
             np.testing.assert_allclose(forms["upper"].w, dist2, rtol=1e-12)
             # The upper form holds w at w0 where the relay is silent.
             w0 = forms["upper"].w[2:]
